@@ -8,7 +8,7 @@ experiment is a pure function of its config.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -171,9 +171,17 @@ def config_to_dict(cfg):
     return d
 
 
+def _reject_unknown(d, config_class, where):
+    unknown = sorted(set(d) - {f.name for f in fields(config_class)})
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+
+
 def config_from_dict(d):
     d = dict(d)
     noise_d = d.pop("noise", {})
+    _reject_unknown(d, ExperimentConfig, "config")
+    _reject_unknown(noise_d, noise_models.NoiseConfig, "noise config")
     return ExperimentConfig(
         qubit_range=tuple(d.get("qubit_range", (2, 10))),
         coset_counts=tuple(d.get("coset_counts", (2, 3, 4, 5))),

@@ -80,11 +80,27 @@ def inverse(g):
 
 def apply(g, state):
     """Apply each per-qubit factor to the state."""
-    if 2**g.num_qubits != len(state):
+    return apply_batch(g.factors[None], state)[0]
+
+
+def apply_batch(factors, state):
+    """Apply P product unitaries, given as a (P, N, 2, 2) factor stack, to one
+    state; returns the (P, 2^N) results.
+
+    Each qubit q takes one einsum pass over the stack viewed as
+    (P, 2^q, 2, 2^(N-q-1)), so the P elements share every pass.
+    """
+    factors = np.asarray(factors)
+    if factors.ndim != 4 or factors.shape[2:] != (2, 2):
+        raise ValueError("factors must have shape (P, N, 2, 2)")
+    p, n = factors.shape[:2]
+    if 2**n != len(state):
         raise ValueError("size mismatch")
-    for q in range(g.num_qubits):
-        state = apply_single_qubit(state, g.factors[q], q)
-    return state
+    psi = np.broadcast_to(state, (p, 2**n))
+    for q in range(n):
+        view = psi.reshape(p, 2**q, 2, 2 ** (n - q - 1))
+        psi = np.einsum("pij,pajb->paib", factors[:, q], view).reshape(p, 2**n)
+    return psi
 
 
 def dense(g):

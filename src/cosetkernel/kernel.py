@@ -2,8 +2,12 @@
 
 Every entry is the exact squared amplitude
 |<0| V_left^dag D_x^dag D_x' V_right |0>|^2; no measurement sampling. The
-gate-level path builds one feature state per data point; the dense path
-multiplies full 2^N x 2^N matrices and serves as the oracle in tests.
+gate-level path prepares each fiducial state V|0> once and applies all P
+product unitaries to it together, one einsum pass per qubit
+(`group.apply_batch`). A selection perturbation E_x is folded into the point's
+factors first, as E_x,j D_x,j on every qubit j; this is exact because both
+operators are tensor products. The dense path multiplies full 2^N x 2^N
+matrices and serves as the oracle in tests.
 """
 
 from dataclasses import dataclass
@@ -30,30 +34,30 @@ class KernelMatrix:
         ]
 
 
-def feature_state(point, prep, perturbation=None, method="gate"):
-    """|phi(x)> = (D_e) D_x V |0>, optionally with a selection perturbation."""
-    if method == "gate":
-        psi = group.prepare_fiducial(prep)
-        psi = group.apply(point.element, psi)
-        if perturbation is not None:
-            psi = group.apply(perturbation, psi)
-        return psi
-    if method == "dense":
-        op = group.dense(point.element) @ group.fiducial_operator(prep)
-        if perturbation is not None:
-            op = group.dense(perturbation) @ op
-        return op @ zero_state(prep.num_qubits)
-    raise ValueError(f"unknown method {method!r}")
+def _dense_feature_state(point, prep, perturbation):
+    op = group.dense(point.element) @ group.fiducial_operator(prep)
+    if perturbation is not None:
+        op = group.dense(perturbation) @ op
+    return op @ zero_state(prep.num_qubits)
 
 
 def feature_states(points, prep, perturbations=None, method="gate"):
-    if perturbations is None:
-        perturbations = [None] * len(points)
-    if len(perturbations) != len(points):
+    """(P, 2^N) rows |phi(x)> = (E_x) D_x V |0>, optionally with one
+    selection perturbation E_x per point."""
+    if perturbations is not None and len(perturbations) != len(points):
         raise ValueError("need one perturbation per point")
-    return np.stack(
-        [feature_state(p, prep, e, method) for p, e in zip(points, perturbations)]
-    )
+    if method == "gate":
+        factors = np.stack([p.element.factors for p in points])
+        if perturbations is not None:
+            factors = np.stack([e.factors for e in perturbations]) @ factors
+        return group.apply_batch(factors, group.prepare_fiducial(prep))
+    if method == "dense":
+        if perturbations is None:
+            perturbations = [None] * len(points)
+        return np.stack([
+            _dense_feature_state(p, prep, e) for p, e in zip(points, perturbations)
+        ])
+    raise ValueError(f"unknown method {method!r}")
 
 
 def kernel_entry(x, xp, prep_left=None, prep_right=None, *, n_qubits=None,
@@ -68,9 +72,13 @@ def kernel_entry(x, xp, prep_left=None, prep_right=None, *, n_qubits=None,
         prep_left = group.fiducial_preparation(n)
     if prep_right is None:
         prep_right = prep_left
-    left = feature_state(x, prep_left, pert_left, method)
-    right = feature_state(xp, prep_right, pert_right, method)
+    left = feature_states([x], prep_left, _as_list(pert_left), method)[0]
+    right = feature_states([xp], prep_right, _as_list(pert_right), method)[0]
     return abs(inner_product(left, right)) ** 2
+
+
+def _as_list(perturbation):
+    return None if perturbation is None else [perturbation]
 
 
 def kernel_matrix(points, n_qubits, *, offsets_left=None, offsets_right=None,
@@ -116,7 +124,8 @@ def restrict(kmat, indices):
 def alpha_matrix(ds):
     """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal."""
     psi = group.prepare_fiducial(group.fiducial_preparation(ds.num_qubits))
-    states = np.stack([group.apply(c, psi) for c in ds.representatives])
+    factors = np.stack([c.factors for c in ds.representatives])
+    states = group.apply_batch(factors, psi)
     gram = np.abs(states.conj() @ states.T) ** 2
     alphas = np.triu(gram, 1)
     alphas = alphas + alphas.T

@@ -22,8 +22,12 @@ class NoiseConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown noise variant {self.variant!r}")
+        if not np.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
+        if self.variant == "none" and self.epsilon != 0:
+            raise ValueError("a nonzero epsilon needs a noise variant")
 
 
 @dataclass(frozen=True)

@@ -196,3 +196,30 @@ def test_cli_error_record(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert "error" in err and "message" in err
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"trails": 1, "qubit_range": [2, 2], "coset_counts": [2]},
+        {"qubit_range": [2, 2], "coset_counts": [2],
+         "noise": {"variant": "selection", "epsilom": 0.1}},
+    ],
+)
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys, values):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    out = tmp_path / "r.json"
+    code = cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "unknown" in err["message"]
+    assert not out.exists()
+
+
+def test_config_round_trip_keeps_every_key():
+    cfg = experiment.ExperimentConfig(
+        qubit_range=(3, 4), trials=2, noise=noise.NoiseConfig("fiducial", 0.1)
+    )
+    assert experiment.config_from_dict(experiment.config_to_dict(cfg)) == cfg

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosetkernel import dataset, kernel, noise
+from cosetkernel import dataset, group, kernel, noise
 
 
 def test_entry_same_point_is_one():
@@ -137,3 +137,57 @@ def test_heatmap_export(tmp_path):
     np.testing.assert_allclose(
         [float(v) for v in row[1:]], kmat.entries[0]
     )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("attachment", ["none", "fiducial", "selection"])
+def test_feature_states_match_dense_oracle(n, attachment):
+    rng = np.random.default_rng(100 + n)
+    points = list(dataset.generate(n, 2, rng).points)
+    preps = [group.fiducial_preparation(n)]
+    perts = None
+    if attachment == "fiducial":
+        preps = [
+            group.fiducial_preparation(n, noise.sample_fiducial_offsets(n, 0.3, rng))
+            for _ in ("left", "right")
+        ]
+    elif attachment == "selection":
+        perts = [
+            noise.perturbation_element(noise.sample_element_perturbation(n, 0.3, rng))
+            for _ in points
+        ]
+    for prep in preps:
+        gate = kernel.feature_states(points, prep, perts)
+        dense = kernel.feature_states(points, prep, perts, method="dense")
+        assert gate.shape == (len(points), 2**n)
+        np.testing.assert_allclose(gate, dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "attachment, expected", [("none", 1), ("fiducial", 2), ("selection", 1)]
+)
+def test_one_fiducial_preparation_per_side(monkeypatch, attachment, expected):
+    rng = np.random.default_rng(13)
+    n = 4
+    points = list(dataset.generate(n, 3, rng).points)
+    kwargs = {}
+    if attachment == "fiducial":
+        kwargs = {
+            "offsets_left": noise.sample_fiducial_offsets(n, 0.1, rng),
+            "offsets_right": noise.sample_fiducial_offsets(n, 0.1, rng),
+        }
+    elif attachment == "selection":
+        kwargs = {"perturbations": [
+            noise.perturbation_element(noise.sample_element_perturbation(n, 0.1, rng))
+            for _ in points
+        ]}
+    calls = []
+    original = group.prepare_fiducial
+
+    def counting(prep):
+        calls.append(prep)
+        return original(prep)
+
+    monkeypatch.setattr(group, "prepare_fiducial", counting)
+    kernel.kernel_matrix(points, n, **kwargs)
+    assert len(calls) == expected

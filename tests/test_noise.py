@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -166,3 +167,79 @@ def test_small_epsilon_entries_inside_envelope(variant):
         violations, checked = count_envelope_violations(kmat, alphas, variant, eps)
         assert violations == 0
         assert checked == kmat.size * (kmat.size - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--noise", "selection", "--epsilon", "nan"],
+        ["simulate", "--noise", "fiducial", "--epsilon", "inf"],
+        ["simulate", "--noise", "none", "--epsilon", "0.5"],
+        ["verify-bounds", "--epsilon", "nan"],
+    ],
+)
+def test_cli_rejects_bad_epsilon(argv, capsys):
+    from cosetkernel.cli import main
+
+    code = main(argv + ["--qubits", "2..2", "--trials", "1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "epsilon" in err["message"]
+
+
+def _loop_violations(kmat, alphas, variant, eps, tol=1e-9):
+    """Entry-by-entry reference for cli.count_envelope_violations."""
+    violations = checked = 0
+    labels = kmat.coset_labels
+    for r in range(kmat.size):
+        for c in range(kmat.size):
+            if r == c:
+                continue
+            value = kmat.entries[r, c]
+            i, j = labels[r], labels[c]
+            b = noise.bounds_for(variant, alphas[i, j], eps)
+            checked += 1
+            if i == j:
+                violations += value < b.same_coset_lower - tol
+            else:
+                violations += not (
+                    b.cross_coset_lower - tol <= value <= b.cross_coset_upper + tol
+                )
+    return violations, checked
+
+
+@pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
+def test_envelope_count_matches_loop_oracle(variant):
+    from cosetkernel.cli import count_envelope_violations
+
+    eps = 0.3
+    for t in range(3):
+        rng = experiment.trial_rng(6, 3, 3, t)
+        ds, _, kmat = experiment.build_trial_kernel(
+            3, 3, noise.NoiseConfig(variant, eps), rng, surface="full"
+        )
+        alphas = kernel.alpha_matrix(ds)
+        labels = kmat.coset_labels
+        same = np.flatnonzero(labels == labels[0])[1]
+        cross = np.flatnonzero(labels != labels[0])[0]
+        same_b = noise.bounds_for(variant, alphas[labels[0], labels[0]], eps)
+        cross_b = noise.bounds_for(variant, alphas[labels[0], labels[cross]], eps)
+        # (entry edits, how many of them are violations)
+        planted = [
+            ({}, 0),
+            ({(0, same): same_b.same_coset_lower - 1e-6}, 1),
+            ({(0, cross): cross_b.cross_coset_upper + 1e-6}, 1),
+            ({(cross, 0): cross_b.cross_coset_lower - 1e-6}, 1),
+            ({(0, 0): -1.0}, 0),  # the diagonal is never checked
+            ({(same, 0): 0.0, (0, cross): 1.5, (cross, 0): -1.0}, 3),
+        ]
+        for edits, planted_violations in planted:
+            entries = kmat.entries.copy()
+            for rc, v in edits.items():
+                entries[rc] = v
+            edited = kernel.KernelMatrix(entries, labels, kmat.subgroup_indices)
+            expected = _loop_violations(edited, alphas, variant, eps)
+            got = count_envelope_violations(edited, alphas, variant, eps)
+            assert got == expected
+            assert got[0] >= planted_violations
