@@ -10,7 +10,7 @@ Run: python3 demos/noise_envelopes.py
 import numpy as np
 
 from cosetkernel import experiment, kernel, noise
-from cosetkernel.cli import count_envelope_violations
+from cosetkernel.noise import count_envelope_violations
 
 EPSILON = 0.1
 N_QUBITS = 5

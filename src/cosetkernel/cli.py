@@ -8,12 +8,12 @@ and the exit code is nonzero.
 import argparse
 import json
 import sys
-from dataclasses import astuple
 
 import numpy as np
 
 from . import experiment, kernel, noise, theory
 from .experiment import ExperimentConfig
+from .noise import count_envelope_violations
 
 
 def parse_range(text):
@@ -106,6 +106,8 @@ def cmd_simulate(args):
     if args.heatmap:
         n_qubits = cfg.qubit_range[1]
         m = cfg.coset_counts[0]
+        print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
+              f"m={m}, full surface", file=sys.stderr)
         rng = experiment.trial_rng(cfg.seed, n_qubits, m, 0)
         _, _, kmat = experiment.build_trial_kernel(
             n_qubits, m, cfg.noise, rng, surface="full"
@@ -159,32 +161,6 @@ def cmd_verify_bounds(args):
         print(f"{variant}: checked through N={hi}")
     print(f"entries checked: {checked}, violations: {violations}")
     return 0 if violations == 0 else 1
-
-
-def count_envelope_violations(kmat, alphas, variant, epsilon, tol=1e-9):
-    """Count noisy kernel entries outside their per-pair envelope.
-
-    The bounds depend only on the coset pair, so they are evaluated once per
-    pair of coset labels present and compared with all entries at once.
-    """
-    labels = kmat.coset_labels
-    cosets, index = np.unique(labels, return_inverse=True)
-    table = np.array([
-        [astuple(noise.bounds_for(variant, alphas[i, j], epsilon)) for j in cosets]
-        for i in cosets
-    ])
-    same_lower, cross_lower, cross_upper = np.moveaxis(
-        table[np.ix_(index, index)], -1, 0
-    )
-    values = kmat.entries
-    same = labels[:, None] == labels[None, :]
-    off_diagonal = ~np.eye(kmat.size, dtype=bool)
-    outside = np.where(
-        same,
-        values < same_lower - tol,
-        ~((cross_lower - tol <= values) & (values <= cross_upper + tol)),
-    )
-    return int(np.sum(outside & off_diagonal)), int(np.sum(off_diagonal))
 
 
 def main(argv=None):

@@ -8,29 +8,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group
+from .statevector import haar_random_su2
 
-
-@dataclass(frozen=True)
-class DataPoint:
-    element: group.GroupElement  # c_i * s_a
-    coset_label: int
-    subgroup_index: int
+UNITARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CosetDataset:
+    """P = m N points x_{i,a} = c_i s_a in coset-major order, each stored as
+    its per-qubit factors."""
+
     num_qubits: int
-    representatives: tuple  # m hidden GroupElements
-    subgroup_elems: tuple  # the N chain generators as GroupElements
-    points: tuple  # m*n DataPoints, coset-major order
+    representatives: np.ndarray  # (m, N, 2, 2) hidden c_i
+    factors: np.ndarray  # (P, N, 2, 2) points
+    coset_labels: np.ndarray  # (P,) int, i
+    subgroup_indices: np.ndarray  # (P,) int, a
 
     @property
     def num_cosets(self):
         return len(self.representatives)
-
-    @property
-    def subgroup_size(self):
-        return len(self.subgroup_elems)
 
 
 @dataclass(frozen=True)
@@ -39,31 +35,38 @@ class SplitIndices:
     test: tuple
 
 
+def _generators(n_qubits):
+    """(N, N, 2, 2) factors of the N chain stabilizer generators s_a."""
+    labels = "".join(group.chain_generators(n_qubits))
+    return group.from_pauli(labels).reshape(n_qubits, n_qubits, 2, 2)
+
+
 def generate(n_qubits, m, rng):
     """Dataset of m * N points x_{i,a} = c_i s_a, coset-major order."""
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
     if m < 2:
         raise ValueError("need at least 2 cosets")
-    reps = tuple(group.haar_random_element(n_qubits, rng) for _ in range(m))
-    subgroup = tuple(group.from_pauli(p) for p in group.chain_generators(n_qubits))
-    points = tuple(
-        DataPoint(group.compose(c, s), i, a)
-        for i, c in enumerate(reps)
-        for a, s in enumerate(subgroup)
+    reps = haar_random_su2(rng, (m, n_qubits))
+    factors = reps[:, None] @ _generators(n_qubits)
+    return CosetDataset(
+        n_qubits,
+        reps,
+        factors.reshape(m * n_qubits, n_qubits, 2, 2),
+        np.repeat(np.arange(m), n_qubits),
+        np.tile(np.arange(n_qubits), m),
     )
-    return CosetDataset(n_qubits, reps, subgroup, points)
 
 
 def split(ds, rng):
     """Uniformly random half of the points, resampled until every coset is
     represented in the training half."""
-    total = len(ds.points)
+    total = len(ds.coset_labels)
     train_size = total // 2
     m = ds.num_cosets
     if m > train_size:
         raise ValueError(f"cannot cover {m} cosets with {train_size} train slots")
-    labels = np.array([p.coset_label for p in ds.points])
+    labels = ds.coset_labels
     while True:
         train = rng.choice(total, size=train_size, replace=False)
         if len(set(labels[train])) == m:
@@ -73,15 +76,26 @@ def split(ds, rng):
     return SplitIndices(train, test)
 
 
-def _element_to_json(g):
-    return [[[ [v.real, v.imag] for v in row] for row in f] for f in g.factors]
+def _pairs(factors):
+    """Nested lists with each complex entry as a [real, imag] pair."""
+    return np.stack([factors.real, factors.imag], axis=-1).tolist()
 
 
-def _element_from_json(data):
-    factors = np.array(
-        [[[complex(re, im) for re, im in row] for row in f] for f in data]
-    )
-    return group.GroupElement(factors)
+def _factors_from_pairs(data, n_qubits, what):
+    """(., N, 2, 2) complex factors from nested [real, imag] pairs; rejects
+    any other shape and factors that are not unitary."""
+    bad_shape = f"{what} factors must have shape (., {n_qubits}, 2, 2)"
+    try:
+        pairs = np.ascontiguousarray(data, dtype=float)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(bad_shape) from exc
+    if pairs.ndim != 5 or pairs.shape[1:] != (n_qubits, 2, 2, 2):
+        raise ValueError(bad_shape)
+    factors = pairs.view(complex)[..., 0]
+    deviation = factors @ np.conj(np.swapaxes(factors, -1, -2)) - np.eye(2)
+    if not np.all(np.abs(deviation) <= UNITARITY_TOL):
+        raise ValueError(f"{what} factors are not unitary to {UNITARITY_TOL}")
+    return factors
 
 
 def to_json(ds, seed=None):
@@ -90,15 +104,17 @@ def to_json(ds, seed=None):
         {
             "num_qubits": ds.num_qubits,
             "seed": seed,
-            "representatives": [_element_to_json(c) for c in ds.representatives],
-            "subgroup_elems": [_element_to_json(s) for s in ds.subgroup_elems],
+            "representatives": _pairs(ds.representatives),
+            "subgroup_elems": _pairs(_generators(ds.num_qubits)),
             "points": [
                 {
-                    "element": _element_to_json(p.element),
-                    "coset_label": p.coset_label,
-                    "subgroup_index": p.subgroup_index,
+                    "element": element,
+                    "coset_label": int(i),
+                    "subgroup_index": int(a),
                 }
-                for p in ds.points
+                for element, i, a in zip(
+                    _pairs(ds.factors), ds.coset_labels, ds.subgroup_indices
+                )
             ],
         },
         sort_keys=True,
@@ -106,17 +122,20 @@ def to_json(ds, seed=None):
 
 
 def from_json(text):
+    """Dataset from `to_json` output. Factors come from outside the program
+    here, so their shape, their unitarity and the coset labels are checked;
+    the stored generators are implied by num_qubits and not read."""
     data = json.loads(text)
+    n_qubits = data["num_qubits"]
+    points = data["points"]
+    reps = _factors_from_pairs(data["representatives"], n_qubits, "representative")
+    labels = np.array([p["coset_label"] for p in points])
+    if labels.dtype.kind != "i" or np.any((labels < 0) | (labels >= len(reps))):
+        raise ValueError(f"coset labels must be integers in 0..{len(reps) - 1}")
     return CosetDataset(
-        data["num_qubits"],
-        tuple(_element_from_json(c) for c in data["representatives"]),
-        tuple(_element_from_json(s) for s in data["subgroup_elems"]),
-        tuple(
-            DataPoint(
-                _element_from_json(p["element"]),
-                p["coset_label"],
-                p["subgroup_index"],
-            )
-            for p in data["points"]
-        ),
+        n_qubits,
+        reps,
+        _factors_from_pairs([p["element"] for p in points], n_qubits, "point"),
+        labels,
+        np.array([p["subgroup_index"] for p in points], dtype=int),
     )

@@ -68,25 +68,20 @@ def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train",
     """Dataset + split + noise draws + kernel on the requested surface."""
     ds = dataset.generate(n_qubits, m, rng)
     sp = dataset.split(ds, rng)
-    points = list(ds.points)
     offsets_l = offsets_r = perturbations = None
     if cfg_noise.variant == "fiducial":
         offsets_l = noise_models.sample_fiducial_offsets(n_qubits, cfg_noise.epsilon, rng)
         offsets_r = noise_models.sample_fiducial_offsets(n_qubits, cfg_noise.epsilon, rng)
     elif cfg_noise.variant in ("selection", "representation"):
-        perturbations = [
-            noise_models.perturbation_element(
-                noise_models.sample_element_perturbation(n_qubits, cfg_noise.epsilon, rng)
+        perturbations = noise_models.perturbation_element(
+            noise_models.sample_element_perturbation(
+                n_qubits, cfg_noise.epsilon, rng, shape=(len(ds.factors),)
             )
-            for _ in points
-        ]
-    if surface == "train":
-        points = [points[i] for i in sp.train]
-        if perturbations is not None:
-            perturbations = [perturbations[i] for i in sp.train]
+        )
     kmat = kernel.kernel_matrix(
-        points,
+        ds,
         n_qubits,
+        sp.train if surface == "train" else None,
         offsets_left=offsets_l,
         offsets_right=offsets_r,
         perturbations=perturbations,
@@ -224,11 +219,3 @@ def export_report(report, path, fmt="json"):
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise OSError(f"failed to write report to {path}: {exc}") from exc
-
-
-def load_report(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-export_heatmap = kernel.export_heatmap

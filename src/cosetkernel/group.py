@@ -1,8 +1,11 @@
 """Tensor products of single-qubit rotations, chain-graph stabilizer
 generators, and fiducial-state preparation.
 
-A group element is stored as its N per-qubit 2x2 unitaries; Euler triples and
-Pauli strings are constructors only, since composing two Euler-parametrized
+A group element of SU(2)^(tensor N) is stored as its N per-qubit 2x2
+unitaries, an (N, 2, 2) factor array; stacks of elements are (..., N, 2, 2)
+arrays. Elements compose factor-wise (`g @ h`, the representation is a
+homomorphism) and invert by conjugate transpose. Euler triples and Pauli
+strings are constructors only, since composing two Euler-parametrized
 rotations does not yield another triple without re-extraction.
 """
 
@@ -15,72 +18,39 @@ from .statevector import (
     PAULIS,
     apply_cz,
     apply_single_qubit,
-    haar_random_su2,
     rx,
     ry,
     rz,
     zero_state,
 )
 
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of SU(2)^(tensor N): one 2x2 unitary per qubit."""
-
-    factors: np.ndarray  # shape (N, 2, 2)
-
-    @property
-    def num_qubits(self):
-        return self.factors.shape[0]
-
-    def __post_init__(self):
-        f = np.asarray(self.factors, dtype=complex)
-        if f.ndim != 3 or f.shape[1:] != (2, 2):
-            raise ValueError("factors must have shape (N, 2, 2)")
-        object.__setattr__(self, "factors", f)
+_PAULI_INDEX = {c: k for k, c in enumerate(PAULIS)}
+_PAULI_STACK = np.stack(list(PAULIS.values()))
 
 
-def identity_element(n):
-    return GroupElement(np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy())
-
-
-def from_euler(triples):
-    """Group element with per-qubit factor Rx(t1) Rz(t2) Rx(t3)."""
-    triples = np.asarray(triples, dtype=float)
-    if triples.ndim != 2 or triples.shape[1] != 3:
-        raise ValueError("expected a sequence of (t1, t2, t3) angle triples")
-    if not np.all(np.isfinite(triples)):
+def from_euler(angles):
+    """Per-qubit factors Rx(t1) Rz(t2) Rx(t3) for (..., N, 3) angle triples;
+    returns the (..., N, 2, 2) factors."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim < 2 or angles.shape[-1] != 3:
+        raise ValueError("expected (..., N, 3) angle triples (t1, t2, t3)")
+    if not np.all(np.isfinite(angles)):
         raise ValueError("non-finite angles")
-    factors = np.stack([rx(t1) @ rz(t2) @ rx(t3) for t1, t2, t3 in triples])
-    return GroupElement(factors)
+    t1, t2, t3 = np.moveaxis(angles, -1, 0)
+    return rx(t1) @ rz(t2) @ rx(t3)
 
 
 def from_pauli(labels):
-    """Embed a Pauli string (e.g. "XZI") as a group element."""
-    bad = set(labels) - set("IXYZ")
+    """Embed a Pauli string (e.g. "XZI") as (N, 2, 2) factors."""
+    bad = set(labels) - set(PAULIS)
     if bad:
         raise ValueError(f"invalid Pauli labels: {bad}")
-    return GroupElement(np.stack([PAULIS[c] for c in labels]))
-
-
-def haar_random_element(n, rng):
-    return GroupElement(np.stack([haar_random_su2(rng) for _ in range(n)]))
-
-
-def compose(g, h):
-    """Factor-wise product g_j h_j (the representation is a homomorphism)."""
-    if g.num_qubits != h.num_qubits:
-        raise ValueError("size mismatch")
-    return GroupElement(np.einsum("nij,njk->nik", g.factors, h.factors))
-
-
-def inverse(g):
-    return GroupElement(np.conj(np.transpose(g.factors, (0, 2, 1))))
+    return _PAULI_STACK[[_PAULI_INDEX[c] for c in labels]]
 
 
 def apply(g, state):
-    """Apply each per-qubit factor to the state."""
-    return apply_batch(g.factors[None], state)[0]
+    """Apply each per-qubit factor of one (N, 2, 2) element to the state."""
+    return apply_batch(np.asarray(g)[None], state)[0]
 
 
 def apply_batch(factors, state):
@@ -104,8 +74,9 @@ def apply_batch(factors, state):
 
 
 def dense(g):
-    """Full 2^N x 2^N matrix of the element (Kronecker product oracle)."""
-    return reduce(np.kron, g.factors)
+    """Full 2^N x 2^N matrix of one (N, 2, 2) element (Kronecker product
+    oracle)."""
+    return reduce(np.kron, g)
 
 
 def chain_generators(n):
@@ -153,8 +124,8 @@ def fiducial_preparation(n, offsets=None):
 def prepare_fiducial(prep):
     """Statevector produced by the preparation circuit from |0...0>."""
     state = zero_state(prep.num_qubits)
-    for q in range(prep.num_qubits):
-        state = apply_single_qubit(state, ry(np.pi / 2 - prep.offsets[q]), q)
+    for q, gate in enumerate(ry(np.pi / 2 - prep.offsets)):
+        state = apply_single_qubit(state, gate, q)
     for j, k in chain_edges(prep.num_qubits):
         state = apply_cz(state, j, k)
     return state
@@ -163,7 +134,7 @@ def prepare_fiducial(prep):
 def fiducial_operator(prep):
     """Dense 2^N x 2^N matrix of the preparation circuit."""
     n = prep.num_qubits
-    op = reduce(np.kron, [ry(np.pi / 2 - t) for t in prep.offsets])
+    op = reduce(np.kron, ry(np.pi / 2 - prep.offsets))
     cz_diag = np.ones(2**n)
     for j, k in chain_edges(n):
         bits_j = (np.arange(2**n) >> (n - 1 - j)) & 1

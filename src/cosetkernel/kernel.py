@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group
-from .statevector import inner_product, zero_state
+from .statevector import zero_state
 
 
 @dataclass(frozen=True)
@@ -34,60 +34,34 @@ class KernelMatrix:
         ]
 
 
-def _dense_feature_state(point, prep, perturbation):
-    op = group.dense(point.element) @ group.fiducial_operator(prep)
-    if perturbation is not None:
-        op = group.dense(perturbation) @ op
-    return op @ zero_state(prep.num_qubits)
-
-
-def feature_states(points, prep, perturbations=None, method="gate"):
-    """(P, 2^N) rows |phi(x)> = (E_x) D_x V |0>, optionally with one
-    selection perturbation E_x per point."""
-    if perturbations is not None and len(perturbations) != len(points):
+def feature_states(factors, prep, perturbations=None, method="gate"):
+    """(P, 2^N) rows |phi(x)> = (E_x) D_x V |0> for a (P, N, 2, 2) factor
+    stack, optionally with one selection perturbation E_x per point as a
+    second (P, N, 2, 2) stack."""
+    if perturbations is not None and perturbations.shape != factors.shape:
         raise ValueError("need one perturbation per point")
     if method == "gate":
-        factors = np.stack([p.element.factors for p in points])
         if perturbations is not None:
-            factors = np.stack([e.factors for e in perturbations]) @ factors
+            factors = perturbations @ factors
         return group.apply_batch(factors, group.prepare_fiducial(prep))
     if method == "dense":
-        if perturbations is None:
-            perturbations = [None] * len(points)
-        return np.stack([
-            _dense_feature_state(p, prep, e) for p, e in zip(points, perturbations)
-        ])
+        fiducial = group.fiducial_operator(prep) @ zero_state(prep.num_qubits)
+        ops = [group.dense(f) for f in factors]
+        if perturbations is not None:
+            ops = [group.dense(e) @ op for e, op in zip(perturbations, ops)]
+        return np.stack([op @ fiducial for op in ops])
     raise ValueError(f"unknown method {method!r}")
 
 
-def kernel_entry(x, xp, prep_left=None, prep_right=None, *, n_qubits=None,
-                 pert_left=None, pert_right=None, method="gate"):
-    """Single kernel value for the pair (x, x').
-
-    prep_left / prep_right are the fiducial preparations on the two sides of
-    the overlap; they differ only in the fiducial-error model.
-    """
-    n = n_qubits if n_qubits is not None else x.element.num_qubits
-    if prep_left is None:
-        prep_left = group.fiducial_preparation(n)
-    if prep_right is None:
-        prep_right = prep_left
-    left = feature_states([x], prep_left, _as_list(pert_left), method)[0]
-    right = feature_states([xp], prep_right, _as_list(pert_right), method)[0]
-    return abs(inner_product(left, right)) ** 2
-
-
-def _as_list(perturbation):
-    return None if perturbation is None else [perturbation]
-
-
-def kernel_matrix(points, n_qubits, *, offsets_left=None, offsets_right=None,
-                  perturbations=None, method="gate"):
-    """All pairwise kernel values.
+def kernel_matrix(ds, n_qubits, indices=None, *, offsets_left=None,
+                  offsets_right=None, perturbations=None, method="gate"):
+    """All pairwise kernel values over the dataset's points, or over the
+    points `indices` selects (e.g. a train split).
 
     offsets_left/offsets_right attach the fiducial-error model (two
     independently sampled noisy preparations on the two sides of every
-    entry); perturbations attaches one selection-error element per point.
+    entry); perturbations attaches one selection-error element per dataset
+    point, as a (P, N, 2, 2) stack that `indices` selects from too.
     The upper triangle is computed and mirrored, so the result is exactly
     symmetric.
     """
@@ -95,37 +69,26 @@ def kernel_matrix(points, n_qubits, *, offsets_left=None, offsets_right=None,
         raise ValueError("fiducial offsets must be given for both sides")
     if offsets_left is not None and perturbations is not None:
         raise ValueError("choose one noise attachment per job")
+    idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
+    factors = ds.factors[idx]
+    if perturbations is not None:
+        perturbations = perturbations[idx]
     prep_l = group.fiducial_preparation(n_qubits, offsets_left)
     if offsets_right is None:
-        left = right = feature_states(points, prep_l, perturbations, method)
+        left = right = feature_states(factors, prep_l, perturbations, method)
     else:
         prep_r = group.fiducial_preparation(n_qubits, offsets_right)
-        left = feature_states(points, prep_l, method=method)
-        right = feature_states(points, prep_r, method=method)
+        left = feature_states(factors, prep_l, method=method)
+        right = feature_states(factors, prep_r, method=method)
     gram = np.abs(left.conj() @ right.T) ** 2
     entries = np.triu(gram) + np.triu(gram, 1).T
-    return KernelMatrix(
-        entries,
-        np.array([p.coset_label for p in points]),
-        np.array([p.subgroup_index for p in points]),
-    )
-
-
-def restrict(kmat, indices):
-    """Kernel matrix restricted to a subset of points (e.g. a train split)."""
-    idx = np.asarray(indices)
-    return KernelMatrix(
-        kmat.entries[np.ix_(idx, idx)],
-        kmat.coset_labels[idx],
-        kmat.subgroup_indices[idx],
-    )
+    return KernelMatrix(entries, ds.coset_labels[idx], ds.subgroup_indices[idx])
 
 
 def alpha_matrix(ds):
     """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal."""
     psi = group.prepare_fiducial(group.fiducial_preparation(ds.num_qubits))
-    factors = np.stack([c.factors for c in ds.representatives])
-    states = group.apply_batch(factors, psi)
+    states = group.apply_batch(ds.representatives, psi)
     gram = np.abs(states.conj() @ states.T) ** 2
     alphas = np.triu(gram, 1)
     alphas = alphas + alphas.T

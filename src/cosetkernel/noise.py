@@ -5,7 +5,7 @@ angles are drawn uniformly inside a budget chosen so that the operator norm
 of the deviation stays below epsilon.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -44,15 +44,17 @@ def sample_fiducial_offsets(n_qubits, epsilon, rng):
     return rng.uniform(-bound, bound, size=n_qubits)
 
 
-def sample_element_perturbation(n_qubits, epsilon, rng):
-    """Per-qubit XZX Euler triples, uniform in [-2 eps / (sqrt(5) N), +...];
-    keeps the perturbation within eps of the identity in operator norm."""
+def sample_element_perturbation(n_qubits, epsilon, rng, shape=()):
+    """Per-qubit XZX Euler triples, uniform in [-2 eps / (sqrt(5) N), +...],
+    for a (*shape) stack of perturbations: shape (*shape, N, 3). Each one
+    stays within eps of the identity in operator norm. One draw for the
+    stack gives the same stream as one call per perturbation in C order."""
     bound = 2 * epsilon / (np.sqrt(5) * n_qubits)
-    return rng.uniform(-bound, bound, size=(n_qubits, 3))
+    return rng.uniform(-bound, bound, size=(*shape, n_qubits, 3))
 
 
 def perturbation_element(triples):
-    """The perturbation D_e as a group element."""
+    """The (..., N, 2, 2) factors of the perturbations D_e."""
     return group.from_euler(triples)
 
 
@@ -79,11 +81,6 @@ def bounds_fiducial(alpha, epsilon):
     return NoiseBounds(same_lower, cross_lower, cross_upper)
 
 
-def bounds_representation(alpha, epsilon):
-    """Same inequalities as the fiducial-error case."""
-    return bounds_fiducial(alpha, epsilon)
-
-
 def bounds_selection(alpha, epsilon):
     """Envelope for selection errors: same-coset amplitude >= 1 - eps^2 / 2,
     cross-coset amplitude shift 2 eps."""
@@ -95,10 +92,35 @@ def bounds_selection(alpha, epsilon):
 
 
 def bounds_for(variant, alpha, epsilon):
-    if variant == "fiducial":
+    # representation errors obey the same inequalities as fiducial errors
+    if variant in ("fiducial", "representation"):
         return bounds_fiducial(alpha, epsilon)
-    if variant == "representation":
-        return bounds_representation(alpha, epsilon)
     if variant == "selection":
         return bounds_selection(alpha, epsilon)
     raise ValueError(f"no bounds for variant {variant!r}")
+
+
+def count_envelope_violations(kmat, alphas, variant, epsilon, tol=1e-9):
+    """Count noisy kernel entries outside their per-pair envelope.
+
+    The bounds depend only on the coset pair, so they are evaluated once per
+    pair of coset labels present and compared with all entries at once.
+    """
+    labels = kmat.coset_labels
+    cosets, index = np.unique(labels, return_inverse=True)
+    table = np.array([
+        [astuple(bounds_for(variant, alphas[i, j], epsilon)) for j in cosets]
+        for i in cosets
+    ])
+    same_lower, cross_lower, cross_upper = np.moveaxis(
+        table[np.ix_(index, index)], -1, 0
+    )
+    values = kmat.entries
+    same = labels[:, None] == labels[None, :]
+    off_diagonal = ~np.eye(kmat.size, dtype=bool)
+    outside = np.where(
+        same,
+        values < same_lower - tol,
+        ~((cross_lower - tol <= values) & (values <= cross_upper + tol)),
+    )
+    return int(np.sum(outside & off_diagonal)), int(np.sum(off_diagonal))

@@ -15,20 +15,28 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
+def _gates(a, b, c, d):
+    """2x2 matrices [[a, b], [c, d]] over the broadcast shape S of the
+    entries; shape (*S, 2, 2)."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    out = np.empty(a.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
 def rx(theta):
+    """Rx rotation(s); an array of angles gives a stack of gates."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return _gates(c, -1j * s, -1j * s, c)
 
 
 def ry(theta):
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return _gates(c, -s, s, c)
 
 
 def rz(theta):
-    return np.array(
-        [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex
-    )
+    return _gates(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
 
 
 def num_qubits(state):
@@ -88,31 +96,20 @@ def operator_norm(a):
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def haar_random_su2(rng):
-    """Haar-random SU(2) element via QR of a 2x2 complex Ginibre matrix."""
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(g)
+def haar_random_su2(rng, shape=()):
+    """Haar-random SU(2) elements, shape (*shape, 2, 2), via QR of complex
+    Ginibre matrices. One draw of shape (*shape, 2, 2, 2) holds, per element,
+    the 2x2 real parts and then the 2x2 imaginary parts, so the stream is the
+    same as one call per element in C order."""
+    g = rng.standard_normal((*shape, 2, 2, 2))
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     # fix the phase ambiguity of QR, then normalize the determinant
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return q / np.sqrt(np.linalg.det(q))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    return q / np.sqrt(np.linalg.det(q))[..., None, None]
 
 
 def haar_random_state(dim, rng):
     """Haar-random pure state on a dim-dimensional space."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def dense_apply(a, state):
-    a = np.asarray(a, dtype=complex)
-    if a.shape[1] != len(state):
-        raise ValueError("dimension mismatch")
-    return a @ state
-
-
-def dense_compose(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("dimension mismatch")
-    return a @ b

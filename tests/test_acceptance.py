@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cosetkernel import cli, dataset, experiment, group, kernel, noise, theory
-from cosetkernel.cli import count_envelope_violations
-from cosetkernel.statevector import haar_random_state, operator_norm
+from cosetkernel import cli, dataset, experiment, kernel, noise, theory
+from cosetkernel.noise import count_envelope_violations
+from cosetkernel.statevector import ry
+
+from test_opnorm_lemmas import product_distance_to_identity
 
 SEED = 42
 
@@ -85,7 +87,7 @@ def test_criterion_3_kernel_multiset_counts():
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 6))
         ds = dataset.generate(n, m, rng)
-        kmat = kernel.kernel_matrix(list(ds.points), n)
+        kmat = kernel.kernel_matrix(ds, n)
         off_mask = ~np.eye(kmat.size, dtype=bool)
         ones = np.sum(np.abs(kmat.entries[off_mask] - 1) < 1e-9)
         ok = ok and ones == m * (n**2 - n)
@@ -121,20 +123,21 @@ def test_criterion_4_haar_overlap_law():
 
 
 def test_criterion_5_noise_budgets():
+    # Norms from per-qubit eigenphases (test_opnorm_lemmas checks the helper
+    # against the dense SVD). For the preparations V = CZ R and W = CZ R',
+    # ||V - W|| = ||R - R'|| = ||I - R^dag R'||, with R^dag R' the product of
+    # Ry(-offset_j).
     rng = np.random.default_rng(SEED)
     violations = 0
     for n in range(2, 9):
-        ideal = group.fiducial_operator(group.fiducial_preparation(n))
-        eye = np.eye(2**n)
         for eps in (0.05, 0.9):
             for _ in range(1000):
                 offs = noise.sample_fiducial_offsets(n, eps, rng)
-                w = group.fiducial_operator(group.fiducial_preparation(n, offs))
-                if operator_norm(ideal - w) > eps + 1e-6:
+                if product_distance_to_identity(ry(-offs)) > eps + 1e-6:
                     violations += 1
                 tri = noise.sample_element_perturbation(n, eps, rng)
-                de = group.dense(noise.perturbation_element(tri))
-                if operator_norm(de - eye) > eps + 1e-6:
+                de = noise.perturbation_element(tri)
+                if product_distance_to_identity(de) > eps + 1e-6:
                     violations += 1
     report(5, violations == 0, f"violations={violations} over 28000 samples")
 
@@ -182,10 +185,9 @@ def test_criterion_8_oracle_equivalence():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         ds = dataset.generate(n, 2, rng)
-        idx = rng.integers(0, len(ds.points), size=2)
-        x, xp = ds.points[idx[0]], ds.points[idx[1]]
-        gate = kernel.kernel_entry(x, xp, method="gate")
-        dense = kernel.kernel_entry(x, xp, method="dense")
+        idx = rng.integers(0, len(ds.factors), size=2)
+        gate = kernel.kernel_matrix(ds, n, idx, method="gate").entries[0, 1]
+        dense = kernel.kernel_matrix(ds, n, idx, method="dense").entries[0, 1]
         ok = ok and abs(gate - dense) < 1e-10
     # end-to-end trial pipelines at N = 4
     for variant, eps in (("none", 0.0), ("fiducial", 0.1), ("selection", 0.1)):

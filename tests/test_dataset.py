@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from cosetkernel import dataset, group, kernel
 def test_generate_counts_and_labels():
     rng = np.random.default_rng(0)
     ds = dataset.generate(2, 2, rng)
-    assert len(ds.points) == 4
-    assert [p.coset_label for p in ds.points] == [0, 0, 1, 1]
+    assert ds.factors.shape == (4, 2, 2, 2)
+    assert list(ds.coset_labels) == [0, 0, 1, 1]
+    assert list(ds.subgroup_indices) == [0, 1, 0, 1]
 
     ds = dataset.generate(3, 5, rng)
-    assert len(ds.points) == 15
-    labels = [p.coset_label for p in ds.points]
+    assert ds.factors.shape == (15, 3, 2, 2)
+    assert ds.representatives.shape == (5, 3, 2, 2)
+    labels = list(ds.coset_labels)
     assert all(labels.count(i) == 3 for i in range(5))
 
 
@@ -27,17 +31,17 @@ def test_generate_invalid_args():
 def test_points_are_rep_times_generator():
     rng = np.random.default_rng(1)
     ds = dataset.generate(3, 2, rng)
-    for p in ds.points:
-        expected = group.compose(
-            ds.representatives[p.coset_label], ds.subgroup_elems[p.subgroup_index]
-        )
-        np.testing.assert_allclose(p.element.factors, expected.factors, atol=1e-12)
+    gens = [group.from_pauli(p) for p in group.chain_generators(3)]
+    for x, i, a in zip(ds.factors, ds.coset_labels, ds.subgroup_indices):
+        for j in range(3):
+            expected = ds.representatives[i, j] @ gens[a][j]
+            np.testing.assert_allclose(x[j], expected, atol=1e-12)
 
 
 def test_same_coset_kernel_is_one():
     rng = np.random.default_rng(2)
     ds = dataset.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(list(ds.points), 3)
+    kmat = kernel.kernel_matrix(ds, 3)
     labels = kmat.coset_labels
     same = labels[:, None] == labels[None, :]
     assert np.all(np.abs(kmat.entries[same] - 1) < 1e-10)
@@ -48,7 +52,7 @@ def test_cross_coset_never_one():
     for _ in range(100):
         n = int(rng.integers(2, 5))
         ds = dataset.generate(n, 2, rng)
-        kmat = kernel.kernel_matrix(list(ds.points), n)
+        kmat = kernel.kernel_matrix(ds, n)
         assert np.all(kernel.cross_coset_values(kmat) < 1 - 1e-6)
 
 
@@ -57,12 +61,12 @@ def test_split_sizes_and_coverage():
     ds = dataset.generate(2, 2, rng)
     sp = dataset.split(ds, rng)
     assert len(sp.train) == 2 and len(sp.test) == 2
-    assert {ds.points[i].coset_label for i in sp.train} == {0, 1}
+    assert set(ds.coset_labels[list(sp.train)]) == {0, 1}
 
     ds = dataset.generate(10, 5, rng)
     sp = dataset.split(ds, rng)
     assert len(sp.train) == 25
-    assert {ds.points[i].coset_label for i in sp.train} == set(range(5))
+    assert set(ds.coset_labels[list(sp.train)]) == set(range(5))
     assert sorted(sp.train + sp.test) == list(range(50))
 
 
@@ -77,9 +81,81 @@ def test_split_deterministic():
 def test_json_round_trip():
     rng = np.random.default_rng(6)
     ds = dataset.generate(3, 2, rng)
-    restored = dataset.from_json(dataset.to_json(ds, seed=6))
+    text = dataset.to_json(ds, seed=6)
+    restored = dataset.from_json(text)
     assert restored.num_qubits == ds.num_qubits
-    assert len(restored.points) == len(ds.points)
-    for p, q in zip(ds.points, restored.points):
-        assert (p.coset_label, p.subgroup_index) == (q.coset_label, q.subgroup_index)
-        np.testing.assert_allclose(p.element.factors, q.element.factors)
+    for name in ("representatives", "factors", "coset_labels", "subgroup_indices"):
+        assert np.array_equal(getattr(restored, name), getattr(ds, name))
+    assert dataset.to_json(restored, seed=6) == text
+
+
+def _haar_su2_loop(rng):
+    """Per-qubit reference draw: one 2x2 Ginibre matrix, QR, phase fix and
+    determinant normalisation at a time."""
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return q / np.sqrt(np.linalg.det(q))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_batched_draw_matches_per_qubit_loop(m):
+    # the one stacked Haar draw and broadcast product reproduce, bit for bit,
+    # a loop over representatives and qubits, and leave the stream in the
+    # same state
+    for n in range(2, 9):
+        batched_rng = np.random.default_rng(1000 * m + n)
+        loop_rng = np.random.default_rng(1000 * m + n)
+        ds = dataset.generate(n, m, batched_rng)
+        reps = np.array([[_haar_su2_loop(loop_rng) for _ in range(n)]
+                         for _ in range(m)])
+        gens = [group.from_pauli(p) for p in group.chain_generators(n)]
+        points = np.array([[c[j] @ s[j] for j in range(n)]
+                           for c in reps for s in gens])
+        assert np.array_equal(ds.representatives, reps)
+        assert np.array_equal(ds.factors, points)
+        assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def _edited_json(edit):
+    """to_json text of a 3-qubit, 2-coset dataset after `edit` changed its
+    parsed form in place."""
+    ds = dataset.generate(3, 2, np.random.default_rng(7))
+    data = json.loads(dataset.to_json(ds))
+    edit(data)
+    return json.dumps(data)
+
+
+def test_from_json_rejects_wrong_factor_shape():
+    def drop_point_qubit(data):
+        data["points"][1]["element"].pop()
+
+    def add_representative_qubit(data):
+        for rep in data["representatives"]:
+            rep.append(rep[0])
+
+    for edit in (drop_point_qubit, add_representative_qubit):
+        with pytest.raises(ValueError, match="factors must have shape"):
+            dataset.from_json(_edited_json(edit))
+
+
+def test_from_json_rejects_non_unitary_factors():
+    def scale_point_row(data):
+        row = data["points"][0]["element"][2][1]
+        row[0] = [1.01 * v for v in row[0]]
+
+    def nudge_representative_entry(data):
+        data["representatives"][1][0][0][0][0] += 1e-8
+
+    for edit in (scale_point_row, nudge_representative_entry):
+        with pytest.raises(ValueError, match="unitary"):
+            dataset.from_json(_edited_json(edit))
+
+
+def test_from_json_rejects_out_of_range_coset_labels():
+    for label in (2, -1):
+        def relabel(data):
+            data["points"][3]["coset_label"] = label
+
+        with pytest.raises(ValueError, match="coset labels"):
+            dataset.from_json(_edited_json(relabel))

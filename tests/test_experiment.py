@@ -89,7 +89,7 @@ def test_report_round_trip(tmp_path):
     report = experiment.run_experiment(small_config())
     path = tmp_path / "report.json"
     experiment.export_report(report, path)
-    assert experiment.load_report(path) == report
+    assert json.loads(path.read_text()) == report
 
 
 def test_export_refuses_empty(tmp_path):
@@ -142,6 +142,21 @@ def test_cli_simulate(tmp_path):
     assert len(report["trials"]) == 4
     header = heat.read_text().split("\n", 1)[0]
     assert header == ",c0s0,c0s1,c0s2,c1s0,c1s1,c1s2"
+
+
+def test_cli_heatmap_choice_on_stderr(tmp_path, capsys):
+    # the heat map's choice of kernel goes to stderr; stdout is unchanged
+    args = ["simulate", "--qubits", "2..3", "--cosets", "3,2", "--trials", "1",
+            "--seed", "2"]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert cli.main(args + ["--heatmap", str(tmp_path / "heat.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert captured.err == (
+        "heatmap: trial 0 at the largest N=3 and the first m=3, full surface\n"
+    )
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -6,6 +6,7 @@ from cosetkernel.statevector import (
     X,
     Z,
     haar_random_state,
+    haar_random_su2,
     operator_norm,
     rx,
     rz,
@@ -15,33 +16,43 @@ from cosetkernel.statevector import (
 
 def test_from_euler_identity():
     g = group.from_euler(np.zeros((3, 3)))
-    for f in g.factors:
+    for f in g:
         np.testing.assert_allclose(f, np.eye(2), atol=1e-14)
 
 
 def test_from_euler_pi_is_x():
     g = group.from_euler([(np.pi, 0, 0)])
-    np.testing.assert_allclose(g.factors[0], -1j * X, atol=1e-14)
+    np.testing.assert_allclose(g[0], -1j * X, atol=1e-14)
 
 
 def test_from_euler_matches_matrix_product():
     g = group.from_euler([(0.3, 0.7, 0.1)])
     np.testing.assert_allclose(
-        g.factors[0], rx(0.3) @ rz(0.7) @ rx(0.1), atol=1e-14
+        g[0], rx(0.3) @ rz(0.7) @ rx(0.1), atol=1e-14
     )
+    # a (P, N, 3) stack gives the (P, N, 2, 2) stack of per-qubit products
+    angles = np.random.default_rng(5).uniform(-np.pi, np.pi, (4, 3, 3))
+    stack = group.from_euler(angles)
+    assert stack.shape == (4, 3, 2, 2)
+    for p in range(4):
+        for j in range(3):
+            t1, t2, t3 = angles[p, j]
+            assert np.array_equal(stack[p, j], rx(t1) @ rz(t2) @ rx(t3))
 
 
 def test_from_euler_rejects_nonfinite():
     with pytest.raises(ValueError):
         group.from_euler([(np.inf, 0, 0)])
+    with pytest.raises(ValueError):
+        group.from_euler([0.1, 0.2, 0.3])
 
 
 def test_from_pauli():
     g = group.from_pauli("II")
-    np.testing.assert_allclose(g.factors[0], np.eye(2))
+    np.testing.assert_allclose(g[0], np.eye(2))
     g = group.from_pauli("XZ")
-    np.testing.assert_allclose(g.factors[0], X)
-    np.testing.assert_allclose(g.factors[1], Z)
+    np.testing.assert_allclose(g[0], X)
+    np.testing.assert_allclose(g[1], Z)
     with pytest.raises(ValueError):
         group.from_pauli("XQ")
 
@@ -55,28 +66,30 @@ def test_z_action_on_basis():
 
 def test_compose_identity_and_inverse():
     rng = np.random.default_rng(0)
-    g = group.haar_random_element(3, rng)
-    same = group.compose(g, group.identity_element(3))
-    np.testing.assert_allclose(same.factors, g.factors, atol=1e-14)
-    ident = group.compose(g, group.inverse(g))
+    g = haar_random_su2(rng, (3,))
+    identity = np.broadcast_to(np.eye(2), (3, 2, 2))
+    np.testing.assert_allclose(g @ identity, g, atol=1e-14)
+    inverse = np.conj(np.swapaxes(g, -1, -2))
+    np.testing.assert_allclose(g @ inverse, identity, atol=1e-12)
+    psi = haar_random_state(8, rng)
     np.testing.assert_allclose(
-        ident.factors, group.identity_element(3).factors, atol=1e-12
+        group.apply(inverse, group.apply(g, psi)), psi, atol=1e-12
     )
 
 
 def test_homomorphism():
     rng = np.random.default_rng(1)
-    g = group.haar_random_element(3, rng)
-    h = group.haar_random_element(3, rng)
+    g = haar_random_su2(rng, (3,))
+    h = haar_random_su2(rng, (3,))
     psi = haar_random_state(8, rng)
-    lhs = group.apply(group.compose(g, h), psi)
+    lhs = group.apply(g @ h, psi)
     rhs = group.apply(g, group.apply(h, psi))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_apply_matches_kronecker_oracle():
     rng = np.random.default_rng(2)
-    g = group.haar_random_element(4, rng)
+    g = haar_random_su2(rng, (4,))
     psi = haar_random_state(16, rng)
     np.testing.assert_allclose(
         group.apply(g, psi), group.dense(g) @ psi, atol=1e-12
@@ -135,5 +148,5 @@ def test_composed_factors_stay_unitary():
     rng = np.random.default_rng(4)
     g = group.from_euler(rng.uniform(-np.pi, np.pi, (3, 3)))
     h = group.from_euler(rng.uniform(-np.pi, np.pi, (3, 3)))
-    for f in group.compose(g, h).factors:
+    for f in g @ h:
         np.testing.assert_allclose(f.conj().T @ f, np.eye(2), atol=1e-12)

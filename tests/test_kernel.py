@@ -7,14 +7,16 @@ from cosetkernel import dataset, group, kernel, noise
 def test_entry_same_point_is_one():
     rng = np.random.default_rng(0)
     ds = dataset.generate(3, 2, rng)
-    x = ds.points[0]
-    assert abs(kernel.kernel_entry(x, x) - 1) < 1e-12
+    kmat = kernel.kernel_matrix(ds, 3, [0, 0])
+    assert abs(kmat.entries[0, 1] - 1) < 1e-12
 
 
 def test_entry_same_coset_is_one():
     rng = np.random.default_rng(1)
     ds = dataset.generate(4, 2, rng)
-    assert abs(kernel.kernel_entry(ds.points[0], ds.points[2]) - 1) < 1e-10
+    kmat = kernel.kernel_matrix(ds, 4, [0, 2])
+    assert list(kmat.coset_labels) == [0, 0]
+    assert abs(kmat.entries[0, 1] - 1) < 1e-10
 
 
 def test_cross_coset_mean_near_haar_value():
@@ -33,7 +35,7 @@ def test_matrix_counts_and_symmetry():
     rng = np.random.default_rng(3)
     n, m = 2, 2
     ds = dataset.generate(n, m, rng)
-    kmat = kernel.kernel_matrix(list(ds.points), n)
+    kmat = kernel.kernel_matrix(ds, n)
     assert np.array_equal(kmat.entries, kmat.entries.T)
     off = kmat.entries[~np.eye(kmat.size, dtype=bool)]
     assert np.sum(np.abs(off - 1) < 1e-9) == m * (n**2 - n)
@@ -44,7 +46,7 @@ def test_block_structure():
     # cross value depends on the coset pair only, not the generators
     rng = np.random.default_rng(4)
     ds = dataset.generate(4, 3, rng)
-    kmat = kernel.kernel_matrix(list(ds.points), 4)
+    kmat = kernel.kernel_matrix(ds, 4)
     alphas = kernel.alpha_matrix(ds)
     for r in range(kmat.size):
         for c in range(kmat.size):
@@ -56,7 +58,7 @@ def test_block_structure():
 def test_entries_in_unit_interval():
     rng = np.random.default_rng(5)
     ds = dataset.generate(3, 4, rng)
-    kmat = kernel.kernel_matrix(list(ds.points), 3)
+    kmat = kernel.kernel_matrix(ds, 3)
     assert np.all(kmat.entries > -1e-10)
     assert np.all(kmat.entries < 1 + 1e-10)
 
@@ -65,11 +67,15 @@ def test_restriction_to_train_split():
     rng = np.random.default_rng(6)
     ds = dataset.generate(3, 2, rng)
     sp = dataset.split(ds, rng)
-    full = kernel.kernel_matrix(list(ds.points), 3)
-    sub = kernel.restrict(full, sp.train)
+    full = kernel.kernel_matrix(ds, 3)
+    sub = kernel.kernel_matrix(ds, 3, sp.train)
     assert sub.size == len(sp.train)
     np.testing.assert_allclose(
         sub.entries, full.entries[np.ix_(sp.train, sp.train)]
+    )
+    assert np.array_equal(sub.coset_labels, full.coset_labels[list(sp.train)])
+    assert np.array_equal(
+        sub.subgroup_indices, full.subgroup_indices[list(sp.train)]
     )
 
 
@@ -78,9 +84,9 @@ def test_dense_path_matches_gate_path():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         ds = dataset.generate(n, 2, rng)
-        x, xp = ds.points[0], ds.points[-1]
-        g = kernel.kernel_entry(x, xp, method="gate")
-        d = kernel.kernel_entry(x, xp, method="dense")
+        pair = [0, len(ds.factors) - 1]
+        g = kernel.kernel_matrix(ds, n, pair, method="gate").entries[0, 1]
+        d = kernel.kernel_matrix(ds, n, pair, method="dense").entries[0, 1]
         assert abs(g - d) < 1e-10
 
 
@@ -88,11 +94,10 @@ def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
     n = 3
     ds = dataset.generate(n, 2, rng)
-    perts = [
-        noise.perturbation_element(noise.sample_element_perturbation(n, 0.3, rng))
-        for _ in ds.points
-    ]
-    kmat = kernel.kernel_matrix(list(ds.points), n, perturbations=perts)
+    perts = noise.perturbation_element(
+        noise.sample_element_perturbation(n, 0.3, rng, shape=(len(ds.factors),))
+    )
+    kmat = kernel.kernel_matrix(ds, n, perturbations=perts)
     np.testing.assert_allclose(np.diag(kmat.entries), 1.0, atol=1e-12)
 
 
@@ -100,7 +105,7 @@ def test_fiducial_noise_needs_both_sides():
     rng = np.random.default_rng(9)
     ds = dataset.generate(2, 2, rng)
     with pytest.raises(ValueError):
-        kernel.kernel_matrix(list(ds.points), 2, offsets_left=np.zeros(2))
+        kernel.kernel_matrix(ds, 2, offsets_left=np.zeros(2))
 
 
 def test_alpha_matrix_properties():
@@ -126,7 +131,7 @@ def test_alpha_mean_at_eight_qubits():
 def test_heatmap_export(tmp_path):
     rng = np.random.default_rng(12)
     ds = dataset.generate(2, 2, rng)
-    kmat = kernel.kernel_matrix(list(ds.points), 2)
+    kmat = kernel.kernel_matrix(ds, 2)
     path = tmp_path / "heat.csv"
     kernel.export_heatmap(kmat, path)
     lines = path.read_text().strip().split("\n")
@@ -143,7 +148,7 @@ def test_heatmap_export(tmp_path):
 @pytest.mark.parametrize("attachment", ["none", "fiducial", "selection"])
 def test_feature_states_match_dense_oracle(n, attachment):
     rng = np.random.default_rng(100 + n)
-    points = list(dataset.generate(n, 2, rng).points)
+    factors = dataset.generate(n, 2, rng).factors
     preps = [group.fiducial_preparation(n)]
     perts = None
     if attachment == "fiducial":
@@ -152,14 +157,13 @@ def test_feature_states_match_dense_oracle(n, attachment):
             for _ in ("left", "right")
         ]
     elif attachment == "selection":
-        perts = [
-            noise.perturbation_element(noise.sample_element_perturbation(n, 0.3, rng))
-            for _ in points
-        ]
+        perts = noise.perturbation_element(
+            noise.sample_element_perturbation(n, 0.3, rng, shape=(len(factors),))
+        )
     for prep in preps:
-        gate = kernel.feature_states(points, prep, perts)
-        dense = kernel.feature_states(points, prep, perts, method="dense")
-        assert gate.shape == (len(points), 2**n)
+        gate = kernel.feature_states(factors, prep, perts)
+        dense = kernel.feature_states(factors, prep, perts, method="dense")
+        assert gate.shape == (len(factors), 2**n)
         np.testing.assert_allclose(gate, dense, rtol=0, atol=1e-12)
 
 
@@ -169,7 +173,7 @@ def test_feature_states_match_dense_oracle(n, attachment):
 def test_one_fiducial_preparation_per_side(monkeypatch, attachment, expected):
     rng = np.random.default_rng(13)
     n = 4
-    points = list(dataset.generate(n, 3, rng).points)
+    ds = dataset.generate(n, 3, rng)
     kwargs = {}
     if attachment == "fiducial":
         kwargs = {
@@ -177,10 +181,9 @@ def test_one_fiducial_preparation_per_side(monkeypatch, attachment, expected):
             "offsets_right": noise.sample_fiducial_offsets(n, 0.1, rng),
         }
     elif attachment == "selection":
-        kwargs = {"perturbations": [
-            noise.perturbation_element(noise.sample_element_perturbation(n, 0.1, rng))
-            for _ in points
-        ]}
+        kwargs = {"perturbations": noise.perturbation_element(
+            noise.sample_element_perturbation(n, 0.1, rng, shape=(len(ds.factors),))
+        )}
     calls = []
     original = group.prepare_fiducial
 
@@ -189,5 +192,5 @@ def test_one_fiducial_preparation_per_side(monkeypatch, attachment, expected):
         return original(prep)
 
     monkeypatch.setattr(group, "prepare_fiducial", counting)
-    kernel.kernel_matrix(points, n, **kwargs)
+    kernel.kernel_matrix(ds, n, **kwargs)
     assert len(calls) == expected

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cosetkernel import experiment, group, kernel, noise
-from cosetkernel.statevector import operator_norm, ry
+from cosetkernel.statevector import operator_norm, rx, ry, rz
 
 
 def test_offsets_zero_epsilon():
@@ -37,6 +37,29 @@ def test_sampled_norms_respect_epsilon(eps):
             tri = noise.sample_element_perturbation(n, eps, rng)
             de = group.dense(noise.perturbation_element(tri))
             assert operator_norm(de - np.eye(2**n)) <= eps + 1e-6
+
+
+def test_batched_perturbations_match_per_point_loop():
+    # one (P, N, 3) draw and one from_euler call reproduce, bit for bit, a
+    # draw and an Rx Rz Rx product per point and qubit, and leave the stream
+    # in the same state
+    for n in range(2, 9):
+        for points in (4, 15):
+            batched_rng = np.random.default_rng(100 * n + points)
+            loop_rng = np.random.default_rng(100 * n + points)
+            factors = noise.perturbation_element(
+                noise.sample_element_perturbation(
+                    n, 0.3, batched_rng, shape=(points,)
+                )
+            )
+            bound = 2 * 0.3 / (np.sqrt(5) * n)
+            expected = np.array([
+                [rx(t1) @ rz(t2) @ rx(t3) for t1, t2, t3 in
+                 loop_rng.uniform(-bound, bound, size=(n, 3))]
+                for _ in range(points)
+            ])
+            assert np.array_equal(factors, expected)
+            assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_bounds_zero_epsilon():
@@ -95,8 +118,8 @@ def test_bounds_selection_values():
 def test_bounds_representation_equals_fiducial():
     for alpha in (1 / 256, 0.3, 0.9):
         for eps in (0.01, 0.05, 0.5):
-            assert noise.bounds_representation(alpha, eps) == noise.bounds_fiducial(
-                alpha, eps
+            assert noise.bounds_for("representation", alpha, eps) == (
+                noise.bounds_fiducial(alpha, eps)
             )
 
 
@@ -141,7 +164,7 @@ def test_max_singular_value_formula():
         # Ry offsets variant
         thetas = noise.sample_fiducial_offsets(n, 0.9, rng)
         factors = np.stack([ry(-t) for t in thetas])
-        dense = group.dense(group.GroupElement(factors))
+        dense = group.dense(factors)
         svd_norm = operator_norm(dense - np.eye(2**n))
         assert abs(svd_norm - _max_singular_from_eigs(factors)) < 1e-10
         # XZX perturbation variant
@@ -149,14 +172,12 @@ def test_max_singular_value_formula():
             noise.sample_element_perturbation(n, 0.9, rng)
         )
         svd_norm = operator_norm(group.dense(de) - np.eye(2**n))
-        assert abs(svd_norm - _max_singular_from_eigs(de.factors)) < 1e-10
+        assert abs(svd_norm - _max_singular_from_eigs(de)) < 1e-10
 
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_small_epsilon_entries_inside_envelope(variant):
     # spot check at N=4; the full sweep over N in 2..8 runs in acceptance
-    from cosetkernel.cli import count_envelope_violations
-
     eps = 0.05
     for t in range(5):
         rng = experiment.trial_rng(5, 4, 2, t)
@@ -164,7 +185,9 @@ def test_small_epsilon_entries_inside_envelope(variant):
             4, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
         )
         alphas = kernel.alpha_matrix(ds)
-        violations, checked = count_envelope_violations(kmat, alphas, variant, eps)
+        violations, checked = noise.count_envelope_violations(
+            kmat, alphas, variant, eps
+        )
         assert violations == 0
         assert checked == kmat.size * (kmat.size - 1)
 
@@ -189,7 +212,7 @@ def test_cli_rejects_bad_epsilon(argv, capsys):
 
 
 def _loop_violations(kmat, alphas, variant, eps, tol=1e-9):
-    """Entry-by-entry reference for cli.count_envelope_violations."""
+    """Entry-by-entry reference for noise.count_envelope_violations."""
     violations = checked = 0
     labels = kmat.coset_labels
     for r in range(kmat.size):
@@ -211,8 +234,6 @@ def _loop_violations(kmat, alphas, variant, eps, tol=1e-9):
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_envelope_count_matches_loop_oracle(variant):
-    from cosetkernel.cli import count_envelope_violations
-
     eps = 0.3
     for t in range(3):
         rng = experiment.trial_rng(6, 3, 3, t)
@@ -240,6 +261,6 @@ def test_envelope_count_matches_loop_oracle(variant):
                 entries[rc] = v
             edited = kernel.KernelMatrix(entries, labels, kmat.subgroup_indices)
             expected = _loop_violations(edited, alphas, variant, eps)
-            got = count_envelope_violations(edited, alphas, variant, eps)
+            got = noise.count_envelope_violations(edited, alphas, variant, eps)
             assert got == expected
             assert got[0] >= planted_violations

@@ -1,9 +1,13 @@
 """Property tests for the operator-norm inequalities used by the coherent
-noise bounds, on random dense matrices of dimension up to 64."""
+noise bounds, on random dense matrices of dimension up to 64, and the exact
+distance of a product unitary to the identity."""
+
+import itertools
 
 import numpy as np
 
-from cosetkernel.statevector import operator_norm
+from cosetkernel import group, noise
+from cosetkernel.statevector import haar_random_su2, operator_norm, ry
 
 TOL = 1e-9
 INSTANCES = 200
@@ -98,3 +102,37 @@ def test_close_unitaries_large_overlap():
         psi = random_unit_vector(d, rng)
         overlap = abs(psi.conj() @ u1.conj().T @ u2 @ psi)
         assert overlap >= 1 - delta**2 / 2 - TOL
+
+
+def product_distance_to_identity(factors):
+    """||I - tensor_j U_j|| for SU(2) factors U_j, shape (N, 2, 2), without
+    the 2^N matrix.
+
+    U_j has eigenvalues exp(+-i theta_j), so the product has eigenvalues
+    exp(i sum_j s_j theta_j) over sign vectors s. I - U is normal, so its norm
+    is the largest |1 - lambda|.
+    """
+    a, b = factors[:, 0, 0], factors[:, 1, 0]
+    # U_j = [[a, -b*], [b, a*]]: cos theta_j = Re a, sin theta_j = |(Im a, b)|
+    theta = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
+    signs = np.array(list(itertools.product((1, -1), repeat=len(theta))))
+    return float(np.max(np.abs(1 - np.exp(1j * (signs @ theta)))))
+
+
+def test_product_distance_matches_dense_norm():
+    rng = np.random.default_rng(106)
+    checked = 0
+    for n in range(2, 9):
+        for _ in range(10):
+            eps = rng.uniform(0.01, 0.9)
+            offsets = noise.sample_fiducial_offsets(n, eps, rng)
+            triples = noise.sample_element_perturbation(n, eps, rng)
+            for factors in (
+                ry(-offsets),
+                noise.perturbation_element(triples),
+                haar_random_su2(rng, (n,)),
+            ):
+                dense = operator_norm(np.eye(2**n) - group.dense(factors))
+                assert abs(product_distance_to_identity(factors) - dense) < 1e-10
+                checked += 1
+    assert checked >= 200

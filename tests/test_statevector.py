@@ -9,8 +9,6 @@ from cosetkernel.statevector import (
     Z,
     apply_cz,
     apply_single_qubit,
-    dense_apply,
-    dense_compose,
     haar_random_state,
     haar_random_su2,
     inner_product,
@@ -125,7 +123,7 @@ def test_haar_su2_is_special_unitary():
 
 def test_haar_su2_entry_mean():
     rng = np.random.default_rng(8)
-    vals = np.array([abs(haar_random_su2(rng)[0, 0]) ** 2 for _ in range(100_000)])
+    vals = np.abs(haar_random_su2(rng, (100_000,))[:, 0, 0]) ** 2
     se = vals.std() / np.sqrt(len(vals))
     assert abs(vals.mean() - 0.5) < 3 * se
 
@@ -133,37 +131,18 @@ def test_haar_su2_entry_mean():
 def test_haar_su2_overlap_distribution():
     # |<0|u^dag v|0>|^2 is uniform on [0, 1] for d = 2
     rng = np.random.default_rng(9)
-    vals = []
-    for _ in range(10_000):
-        u = haar_random_su2(rng)
-        v = haar_random_su2(rng)
-        vals.append(abs((u.conj().T @ v)[0, 0]) ** 2)
+    u, v = np.moveaxis(haar_random_su2(rng, (10_000, 2)), 1, 0)
+    vals = np.abs(np.einsum("pi,pi->p", u[:, :, 0].conj(), v[:, :, 0])) ** 2
     assert stats.kstest(vals, "uniform").pvalue > 0.01
 
 
 def test_haar_invariance_two_sample():
     # |<0|U^dag V|0>|^2 with U, V Haar matches |<0|W|0>|^2 with W Haar
     rng = np.random.default_rng(10)
-    pair_vals = []
-    direct_vals = []
-    for _ in range(10_000):
-        u = haar_random_su2(rng)
-        v = haar_random_su2(rng)
-        pair_vals.append(abs((u.conj().T @ v)[0, 0]) ** 2)
-        direct_vals.append(abs(haar_random_su2(rng)[0, 0]) ** 2)
+    u, v, w = np.moveaxis(haar_random_su2(rng, (10_000, 3)), 1, 0)
+    pair_vals = np.abs(np.einsum("pi,pi->p", u[:, :, 0].conj(), v[:, :, 0])) ** 2
+    direct_vals = np.abs(w[:, 0, 0]) ** 2
     assert stats.ks_2samp(pair_vals, direct_vals).pvalue > 0.01
-
-
-def test_dense_apply_and_compose():
-    rng = np.random.default_rng(11)
-    psi = random_state(2, rng)
-    np.testing.assert_allclose(dense_apply(np.eye(4), psi), psi)
-    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    np.testing.assert_allclose(
-        dense_compose(u, u.conj().T), np.eye(4), atol=1e-10
-    )
-    with pytest.raises(ValueError):
-        dense_apply(np.eye(4), zero_state(3))
 
 
 def test_gate_level_matches_dense_circuit():
