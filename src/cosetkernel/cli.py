@@ -142,6 +142,7 @@ def cmd_theory(args):
 
 def cmd_verify_bounds(args):
     lo, hi = args.qubits
+    experiment.check_qubit_range(lo, hi)
     violations = 0
     checked = 0
     for variant in ("fiducial", "selection", "representation"):

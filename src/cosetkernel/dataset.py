@@ -10,7 +10,7 @@ import numpy as np
 from . import group
 from .statevector import haar_random_su2
 
-UNITARITY_TOL = 1e-9
+FACTOR_TOL = 1e-9  # unitarity and point = representative @ generator
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def _factors_from_pairs(data, n_qubits, what):
         raise ValueError(bad_shape)
     factors = pairs.view(complex)[..., 0]
     deviation = factors @ np.conj(np.swapaxes(factors, -1, -2)) - np.eye(2)
-    if not np.all(np.abs(deviation) <= UNITARITY_TOL):
-        raise ValueError(f"{what} factors are not unitary to {UNITARITY_TOL}")
+    if not np.all(np.abs(deviation) <= FACTOR_TOL):
+        raise ValueError(f"{what} factors are not unitary to {FACTOR_TOL}")
     return factors
 
 
@@ -121,21 +121,32 @@ def to_json(ds, seed=None):
     )
 
 
+def _labels(values, count, what):
+    """Integer array of `values`, each in 0..count-1."""
+    labels = np.array(values)
+    if labels.dtype.kind != "i" or np.any((labels < 0) | (labels >= count)):
+        raise ValueError(f"{what} must be integers in 0..{count - 1}")
+    return labels
+
+
 def from_json(text):
     """Dataset from `to_json` output. Factors come from outside the program
-    here, so their shape, their unitarity and the coset labels are checked;
-    the stored generators are implied by num_qubits and not read."""
+    here, so their shape, their unitarity, the coset labels and subgroup
+    indices, and every point's agreement with representative @ generator are
+    checked; the stored generators are implied by num_qubits and not read."""
     data = json.loads(text)
     n_qubits = data["num_qubits"]
     points = data["points"]
     reps = _factors_from_pairs(data["representatives"], n_qubits, "representative")
-    labels = np.array([p["coset_label"] for p in points])
-    if labels.dtype.kind != "i" or np.any((labels < 0) | (labels >= len(reps))):
-        raise ValueError(f"coset labels must be integers in 0..{len(reps) - 1}")
-    return CosetDataset(
-        n_qubits,
-        reps,
-        _factors_from_pairs([p["element"] for p in points], n_qubits, "point"),
-        labels,
-        np.array([p["subgroup_index"] for p in points], dtype=int),
+    labels = _labels([p["coset_label"] for p in points], len(reps), "coset labels")
+    indices = _labels(
+        [p["subgroup_index"] for p in points], n_qubits, "subgroup indices"
     )
+    factors = _factors_from_pairs([p["element"] for p in points], n_qubits, "point")
+    expected = reps[labels] @ _generators(n_qubits)[indices]
+    if not np.all(np.abs(factors - expected) <= FACTOR_TOL):
+        raise ValueError(
+            "point factors differ from representative @ generator of their "
+            f"coset label and subgroup index by more than {FACTOR_TOL}"
+        )
+    return CosetDataset(n_qubits, reps, factors, labels, indices)

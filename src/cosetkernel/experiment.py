@@ -15,7 +15,12 @@ import numpy as np
 from . import dataset, kernel, theory
 from . import noise as noise_models
 
-MAX_QUBITS = 12
+MAX_QUBITS = 128
+
+
+def check_qubit_range(lo, hi):
+    if not 2 <= lo <= hi <= MAX_QUBITS:
+        raise ValueError(f"qubit range must lie within 2..{MAX_QUBITS}")
 
 
 @dataclass(frozen=True)
@@ -30,9 +35,7 @@ class ExperimentConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        lo, hi = self.qubit_range
-        if not (2 <= lo <= hi <= MAX_QUBITS):
-            raise ValueError(f"qubit range must lie within 2..{MAX_QUBITS}")
+        check_qubit_range(*self.qubit_range)
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.variance_surface not in ("train", "full"):
@@ -64,7 +67,7 @@ def trial_rng(seed, n_qubits, m, trial_index):
 
 
 def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train",
-                       method="gate"):
+                       method="chain"):
     """Dataset + split + noise draws + kernel on the requested surface."""
     ds = dataset.generate(n_qubits, m, rng)
     sp = dataset.split(ds, rng)
@@ -91,7 +94,7 @@ def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train",
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
-              method="gate", digest=""):
+              method="chain", digest=""):
     """One Monte-Carlo trial; statistics exclude the diagonal."""
     if n_qubits > MAX_QUBITS:
         raise ValueError(f"simulator capacity is {MAX_QUBITS} qubits")
@@ -111,7 +114,7 @@ def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
     )
 
 
-def run_experiment(cfg, method="gate"):
+def run_experiment(cfg, method="chain"):
     """All (N, m, trial) combinations, with theory overlays per (N, m)."""
     trials = []
     aggregates = []

@@ -1,5 +1,5 @@
 """Tensor products of single-qubit rotations, chain-graph stabilizer
-generators, and fiducial-state preparation.
+generators, and the fiducial-state preparation circuit.
 
 A group element of SU(2)^(tensor N) is stored as its N per-qubit 2x2
 unitaries, an (N, 2, 2) factor array; stacks of elements are (..., N, 2, 2)
@@ -7,6 +7,12 @@ arrays. Elements compose factor-wise (`g @ h`, the representation is a
 homomorphism) and invert by conjugate transpose. Euler triples and Pauli
 strings are constructors only, since composing two Euler-parametrized
 rotations does not yield another triple without re-extraction.
+
+The preparation circuit, Ry(pi/2 - o_j) on every qubit and then CZ on each
+chain edge, is described by its offsets alone: `kernel` contracts the chain
+graph state from the per-qubit rotations and the CZ sign (-1)^(s_j s_(j+1))
+without building it, and `fiducial_operator` is its dense 2^N x 2^N matrix
+for the test oracle.
 """
 
 from dataclasses import dataclass
@@ -14,15 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .statevector import (
-    PAULIS,
-    apply_cz,
-    apply_single_qubit,
-    rx,
-    ry,
-    rz,
-    zero_state,
-)
+from .statevector import PAULIS, rx, ry, rz
 
 _PAULI_INDEX = {c: k for k, c in enumerate(PAULIS)}
 _PAULI_STACK = np.stack(list(PAULIS.values()))
@@ -46,31 +44,6 @@ def from_pauli(labels):
     if bad:
         raise ValueError(f"invalid Pauli labels: {bad}")
     return _PAULI_STACK[[_PAULI_INDEX[c] for c in labels]]
-
-
-def apply(g, state):
-    """Apply each per-qubit factor of one (N, 2, 2) element to the state."""
-    return apply_batch(np.asarray(g)[None], state)[0]
-
-
-def apply_batch(factors, state):
-    """Apply P product unitaries, given as a (P, N, 2, 2) factor stack, to one
-    state; returns the (P, 2^N) results.
-
-    Each qubit q takes one einsum pass over the stack viewed as
-    (P, 2^q, 2, 2^(N-q-1)), so the P elements share every pass.
-    """
-    factors = np.asarray(factors)
-    if factors.ndim != 4 or factors.shape[2:] != (2, 2):
-        raise ValueError("factors must have shape (P, N, 2, 2)")
-    p, n = factors.shape[:2]
-    if 2**n != len(state):
-        raise ValueError("size mismatch")
-    psi = np.broadcast_to(state, (p, 2**n))
-    for q in range(n):
-        view = psi.reshape(p, 2**q, 2, 2 ** (n - q - 1))
-        psi = np.einsum("pij,pajb->paib", factors[:, q], view).reshape(p, 2**n)
-    return psi
 
 
 def dense(g):
@@ -119,16 +92,6 @@ def fiducial_preparation(n, offsets=None):
     if offsets is None:
         offsets = np.zeros(n)
     return FiducialPreparation(n, offsets)
-
-
-def prepare_fiducial(prep):
-    """Statevector produced by the preparation circuit from |0...0>."""
-    state = zero_state(prep.num_qubits)
-    for q, gate in enumerate(ry(np.pi / 2 - prep.offsets)):
-        state = apply_single_qubit(state, gate, q)
-    for j, k in chain_edges(prep.num_qubits):
-        state = apply_cz(state, j, k)
-    return state
 
 
 def fiducial_operator(prep):

@@ -1,13 +1,25 @@
-"""Covariant kernel evaluation by statevector simulation.
+"""Covariant kernel evaluation as a chain of 2x2 transfer steps.
 
 Every entry is the exact squared amplitude
 |<0| V_left^dag D_x^dag D_x' V_right |0>|^2; no measurement sampling. The
-gate-level path prepares each fiducial state V|0> once and applies all P
-product unitaries to it together, one einsum pass per qubit
-(`group.apply_batch`). A selection perturbation E_x is folded into the point's
-factors first, as E_x,j D_x,j on every qubit j; this is exact because both
-operators are tensor products. The dense path multiplies full 2^N x 2^N
-matrices and serves as the oracle in tests.
+fiducial V|0> is the chain graph state CZ_chain (tensor_j a_j) with the
+single-qubit states a_j = Ry(pi/2 - o_j)|0>, so its amplitude on the basis
+string s is prod_j a_j[s_j] times the CZ sign (-1)^(sum_j s_j s_(j+1)), and
+D_x^dag D_x' is the tensor product of the 2x2 factors M_j = D_x,j^dag D_x',j.
+The amplitude is therefore a sum over bra and ket strings (t, u) of a
+product of local weights g_j[t_j, u_j] = conj(a^l_j[t_j]) a^r_j[u_j]
+M_j[t_j, u_j] and nearest-neighbour signs (-1)^(t_j t_(j+1) + u_j u_(j+1)).
+With H = [[1, 1], [1, -1]], the sign matrix (-1)^(t t'), it is contracted
+left to right as v <- g_j * (H v H), starting from v = g_1, and is the sum
+of the four entries of the final v. `transfer_amplitudes` runs this chain
+for all P x Q point pairs at once, holding v as four (P, Q) planes and
+building each g_j inside the loop with one (2P x 2) @ (2 x 2Q) product, so
+memory is O(P Q + N P) for any N and no 2^N vector appears.
+
+A selection perturbation E_x is folded into the point's factors first, as
+E_x,j D_x,j on every qubit j; this is exact because both operators are
+tensor products. The dense path multiplies full 2^N x 2^N matrices and
+serves as the oracle in tests, up to DENSE_MAX_QUBITS.
 """
 
 from dataclasses import dataclass
@@ -15,7 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group
-from .statevector import zero_state
+from .statevector import ry, zero_state
+
+DENSE_MAX_QUBITS = 10
+_H = np.array([[1, 1], [1, -1]], dtype=complex)  # (-1)^(t t'), the CZ sign
 
 
 @dataclass(frozen=True)
@@ -34,27 +49,54 @@ class KernelMatrix:
         ]
 
 
-def feature_states(factors, prep, perturbations=None, method="gate"):
-    """(P, 2^N) rows |phi(x)> = (E_x) D_x V |0> for a (P, N, 2, 2) factor
-    stack, optionally with one selection perturbation E_x per point as a
-    second (P, N, 2, 2) stack."""
+def feature_states(factors, prep, perturbations=None):
+    """Dense oracle: (P, 2^N) rows |phi(x)> = (E_x) D_x V |0> for a
+    (P, N, 2, 2) factor stack, optionally with one selection perturbation E_x
+    per point as a second (P, N, 2, 2) stack."""
+    if prep.num_qubits > DENSE_MAX_QUBITS:
+        raise ValueError(
+            f"the dense oracle is limited to {DENSE_MAX_QUBITS} qubits"
+        )
     if perturbations is not None and perturbations.shape != factors.shape:
         raise ValueError("need one perturbation per point")
-    if method == "gate":
-        if perturbations is not None:
-            factors = perturbations @ factors
-        return group.apply_batch(factors, group.prepare_fiducial(prep))
-    if method == "dense":
-        fiducial = group.fiducial_operator(prep) @ zero_state(prep.num_qubits)
-        ops = [group.dense(f) for f in factors]
-        if perturbations is not None:
-            ops = [group.dense(e) @ op for e, op in zip(perturbations, ops)]
-        return np.stack([op @ fiducial for op in ops])
-    raise ValueError(f"unknown method {method!r}")
+    fiducial = group.fiducial_operator(prep) @ zero_state(prep.num_qubits)
+    ops = [group.dense(f) for f in factors]
+    if perturbations is not None:
+        ops = [group.dense(e) @ op for e, op in zip(perturbations, ops)]
+    return np.stack([op @ fiducial for op in ops])
+
+
+def transfer_amplitudes(left, right, prep_left, prep_right):
+    """(P, Q) amplitudes <psi_l| D_p^dag D_q |psi_r> for (P, N, 2, 2) and
+    (Q, N, 2, 2) factor stacks, with |psi_l>, |psi_r> the chain graph states
+    of the two preparations; contracted qubit by qubit (module docstring).
+
+    v is held as a (2P, 2Q) matrix with rows (t, p) and columns (q, u), so
+    g_j is one (2P x 2) @ (2 x 2Q) product and H v H two products with H.
+    """
+    a_left = ry(np.pi / 2 - prep_left.offsets)[..., 0]  # (N, 2)
+    a_right = ry(np.pi / 2 - prep_right.offsets)[..., 0]
+    p, n, q = len(left), left.shape[1], len(right)
+    # per qubit j: rows (t, p) of conj(a_l[t] D_p[k, t]), columns (q, u) of
+    # a_r[u] D_q[k, u]; O(N P) memory, g_j itself is formed in the loop
+    bras = np.conj(left * a_left[:, None, :]).transpose(1, 3, 0, 2)
+    kets = (right * a_right[:, None, :]).transpose(1, 2, 0, 3)
+    bras = bras.reshape(n, 2 * p, 2)
+    kets = kets.reshape(n, 2, 2 * q)
+    v = bras[0] @ kets[0]
+    for bra, ket in zip(bras[1:], kets[1:]):
+        hvh = (_H @ v.reshape(2, -1)).reshape(-1, 2) @ _H
+        v = (bra @ ket) * hvh.reshape(v.shape)
+    return v.reshape(2, p, q, 2).sum(axis=(0, 3))
+
+
+def _mirrored(gram):
+    """The upper triangle mirrored, so the result is exactly symmetric."""
+    return np.triu(gram) + np.triu(gram, 1).T
 
 
 def kernel_matrix(ds, n_qubits, indices=None, *, offsets_left=None,
-                  offsets_right=None, perturbations=None, method="gate"):
+                  offsets_right=None, perturbations=None, method="chain"):
     """All pairwise kernel values over the dataset's points, or over the
     points `indices` selects (e.g. a train split).
 
@@ -62,36 +104,40 @@ def kernel_matrix(ds, n_qubits, indices=None, *, offsets_left=None,
     independently sampled noisy preparations on the two sides of every
     entry); perturbations attaches one selection-error element per dataset
     point, as a (P, N, 2, 2) stack that `indices` selects from too.
-    The upper triangle is computed and mirrored, so the result is exactly
-    symmetric.
+    method is "chain" (transfer steps) or "dense" (the 2^N oracle).
     """
     if (offsets_left is None) != (offsets_right is None):
         raise ValueError("fiducial offsets must be given for both sides")
     if offsets_left is not None and perturbations is not None:
         raise ValueError("choose one noise attachment per job")
+    if perturbations is not None and perturbations.shape != ds.factors.shape:
+        raise ValueError("need one perturbation per point")
     idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
     factors = ds.factors[idx]
     if perturbations is not None:
         perturbations = perturbations[idx]
     prep_l = group.fiducial_preparation(n_qubits, offsets_left)
-    if offsets_right is None:
-        left = right = feature_states(factors, prep_l, perturbations, method)
+    prep_r = group.fiducial_preparation(n_qubits, offsets_right)
+    if method == "chain":
+        if perturbations is not None:
+            factors = perturbations @ factors
+        amps = transfer_amplitudes(factors, factors, prep_l, prep_r)
+    elif method == "dense":
+        left = right = feature_states(factors, prep_l, perturbations)
+        if offsets_right is not None:
+            right = feature_states(factors, prep_r)
+        amps = left.conj() @ right.T
     else:
-        prep_r = group.fiducial_preparation(n_qubits, offsets_right)
-        left = feature_states(factors, prep_l, method=method)
-        right = feature_states(factors, prep_r, method=method)
-    gram = np.abs(left.conj() @ right.T) ** 2
-    entries = np.triu(gram) + np.triu(gram, 1).T
+        raise ValueError(f"unknown method {method!r}")
+    entries = _mirrored(np.abs(amps) ** 2)
     return KernelMatrix(entries, ds.coset_labels[idx], ds.subgroup_indices[idx])
 
 
 def alpha_matrix(ds):
     """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal."""
-    psi = group.prepare_fiducial(group.fiducial_preparation(ds.num_qubits))
-    states = group.apply_batch(ds.representatives, psi)
-    gram = np.abs(states.conj() @ states.T) ** 2
-    alphas = np.triu(gram, 1)
-    alphas = alphas + alphas.T
+    prep = group.fiducial_preparation(ds.num_qubits)
+    reps = ds.representatives
+    alphas = _mirrored(np.abs(transfer_amplitudes(reps, reps, prep, prep)) ** 2)
     np.fill_diagonal(alphas, 1.0)
     return alphas
 

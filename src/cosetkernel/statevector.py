@@ -1,8 +1,11 @@
-"""Dense statevector simulation primitives.
+"""Single-qubit gates and dense-state primitives.
 
-States are 1-D complex numpy arrays of length 2**N, qubit 0 is the most
-significant bit of the basis index. All operations return new arrays; inputs
-are never mutated.
+Rotations and batched Haar-random SU(2) draws build the per-qubit factors
+that everything else works on. The kernel itself never forms a 2^N state
+(see `kernel`); dense states, 1-D complex arrays of length 2**N with qubit 0
+the most significant bit of the basis index, appear only in the dense test
+oracle and in the helpers below (the zero state, inner products, operator
+norms, Haar-random states).
 """
 
 import numpy as np
@@ -39,46 +42,12 @@ def rz(theta):
     return _gates(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
 
 
-def num_qubits(state):
-    n = int(np.log2(len(state)))
-    if 2**n != len(state):
-        raise ValueError(f"state length {len(state)} is not a power of two")
-    return n
-
-
 def zero_state(n):
     if n < 1:
         raise ValueError("need at least one qubit")
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     return state
-
-
-def apply_single_qubit(state, gate, qubit):
-    """Apply a 2x2 gate on one tensor factor of the state."""
-    n = num_qubits(state)
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n} qubits")
-    psi = state.reshape([2] * n)
-    psi = np.moveaxis(psi, qubit, -1)
-    psi = psi @ np.asarray(gate, dtype=complex).T
-    return np.moveaxis(psi, -1, qubit).reshape(-1)
-
-
-def apply_cz(state, q1, q2):
-    """Negate amplitudes where both qubits are 1."""
-    n = num_qubits(state)
-    if q1 == q2:
-        raise ValueError("CZ needs two distinct qubits")
-    for q in (q1, q2):
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for {n} qubits")
-    psi = state.reshape([2] * n).copy()
-    idx = [slice(None)] * n
-    idx[q1] = 1
-    idx[q2] = 1
-    psi[tuple(idx)] *= -1
-    return psi.reshape(-1)
 
 
 def inner_product(a, b):

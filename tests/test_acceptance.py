@@ -6,6 +6,7 @@ report. Statistical criteria use fixed seeds so the suite is deterministic.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import cosetkernel
 from cosetkernel import cli, dataset, experiment, kernel, noise, theory
 from cosetkernel.noise import count_envelope_violations
 from cosetkernel.statevector import ry
@@ -186,15 +188,15 @@ def test_criterion_8_oracle_equivalence():
         n = int(rng.integers(2, 7))
         ds = dataset.generate(n, 2, rng)
         idx = rng.integers(0, len(ds.factors), size=2)
-        gate = kernel.kernel_matrix(ds, n, idx, method="gate").entries[0, 1]
+        chain = kernel.kernel_matrix(ds, n, idx, method="chain").entries[0, 1]
         dense = kernel.kernel_matrix(ds, n, idx, method="dense").entries[0, 1]
-        ok = ok and abs(gate - dense) < 1e-10
+        ok = ok and abs(chain - dense) < 1e-10
     # end-to-end trial pipelines at N = 4
     for variant, eps in (("none", 0.0), ("fiducial", 0.1), ("selection", 0.1)):
         cfg_noise = noise.NoiseConfig(variant, eps)
         for t in range(5):
-            rg = experiment.run_trial(
-                4, 2, cfg_noise, experiment.trial_rng(SEED, 4, 2, t), method="gate"
+            rc = experiment.run_trial(
+                4, 2, cfg_noise, experiment.trial_rng(SEED, 4, 2, t), method="chain"
             )
             rd = experiment.run_trial(
                 4, 2, cfg_noise, experiment.trial_rng(SEED, 4, 2, t), method="dense"
@@ -206,8 +208,8 @@ def test_criterion_8_oracle_equivalence():
                 "alphas_mean",
                 "alphas_max",
             ):
-                ok = ok and abs(getattr(rg, field) - getattr(rd, field)) < 1e-10
-    report(8, ok, "100 entries + end-to-end trials, gate vs dense")
+                ok = ok and abs(getattr(rc, field) - getattr(rd, field)) < 1e-10
+    report(8, ok, "100 entries + end-to-end trials, chain vs dense")
 
 
 def test_criterion_9_operator_norm_lemmas():
@@ -240,11 +242,19 @@ def test_criterion_10_byte_identical_output(tmp_path):
         "--trials", "5",
         "--seed", "7",
     ]
+    # the child imports the same package as this process, also when pytest
+    # put its source directory on sys.path rather than PYTHONPATH
+    source_dir = os.path.dirname(os.path.dirname(cosetkernel.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (source_dir, env.get("PYTHONPATH")))
+    )
     outputs = []
     for name in ("a.json", "b.json"):
         path = tmp_path / name
         code = subprocess.run(
             [sys.executable, "-m", "cosetkernel.cli", *args, "--out", str(path)],
+            env=env,
         ).returncode
         assert code == 0
         outputs.append(path.read_bytes())

@@ -159,3 +159,29 @@ def test_from_json_rejects_out_of_range_coset_labels():
 
         with pytest.raises(ValueError, match="coset labels"):
             dataset.from_json(_edited_json(relabel))
+
+
+def test_from_json_rejects_out_of_range_subgroup_indices():
+    for index in (3, 7, -1):
+        def reindex(data):
+            data["points"][1]["subgroup_index"] = index
+
+        with pytest.raises(ValueError, match="subgroup indices"):
+            dataset.from_json(_edited_json(reindex))
+
+
+def test_from_json_rejects_points_off_their_coset():
+    def swap_elements(data):
+        # points 0 and 3 lie in cosets 0 and 1 of the 3-qubit, 2-coset set
+        p = data["points"]
+        p[0]["element"], p[3]["element"] = p[3]["element"], p[0]["element"]
+
+    def relabel_subgroup(data):
+        data["points"][1]["subgroup_index"] = 2
+
+    def relabel_coset(data):
+        data["points"][4]["coset_label"] = 0
+
+    for edit in (swap_elements, relabel_subgroup, relabel_coset):
+        with pytest.raises(ValueError, match="representative @ generator"):
+            dataset.from_json(_edited_json(edit))

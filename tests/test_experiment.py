@@ -21,7 +21,7 @@ def small_config(**overrides):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(qubit_range=(2, 13))
+        ExperimentConfig(qubit_range=(2, experiment.MAX_QUBITS + 1))
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
@@ -82,7 +82,10 @@ def test_zero_epsilon_aggregate_matches_noiseless():
 
 def test_capacity_guard():
     with pytest.raises(ValueError):
-        experiment.run_trial(13, 2, noise.NoiseConfig(), np.random.default_rng(0))
+        experiment.run_trial(
+            experiment.MAX_QUBITS + 1, 2, noise.NoiseConfig(),
+            np.random.default_rng(0),
+        )
 
 
 def test_report_round_trip(tmp_path):
@@ -196,6 +199,18 @@ def test_cli_verify_bounds():
         ["verify-bounds", "--epsilon", "0.05", "--qubits", "2..3", "--trials", "2"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+def test_cli_rejects_qubits_past_capacity(command, capsys):
+    n = experiment.MAX_QUBITS + 1
+    code = cli.main(
+        [command, "--qubits", f"{n}..{n}", "--cosets", "2", "--trials", "1"]
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert f"2..{experiment.MAX_QUBITS}" in err["message"]
 
 
 def test_cli_error_record(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosetkernel import group
+from cosetkernel import group, kernel
 from cosetkernel.statevector import (
     X,
     Z,
@@ -59,9 +59,9 @@ def test_from_pauli():
 
 def test_z_action_on_basis():
     z = group.from_pauli("Z")
-    np.testing.assert_allclose(group.apply(z, zero_state(1)), zero_state(1))
+    np.testing.assert_allclose(group.dense(z) @ zero_state(1), zero_state(1))
     one = np.array([0, 1], dtype=complex)
-    np.testing.assert_allclose(group.apply(z, one), -one)
+    np.testing.assert_allclose(group.dense(z) @ one, -one)
 
 
 def test_compose_identity_and_inverse():
@@ -73,7 +73,7 @@ def test_compose_identity_and_inverse():
     np.testing.assert_allclose(g @ inverse, identity, atol=1e-12)
     psi = haar_random_state(8, rng)
     np.testing.assert_allclose(
-        group.apply(inverse, group.apply(g, psi)), psi, atol=1e-12
+        group.dense(inverse) @ (group.dense(g) @ psi), psi, atol=1e-12
     )
 
 
@@ -82,17 +82,24 @@ def test_homomorphism():
     g = haar_random_su2(rng, (3,))
     h = haar_random_su2(rng, (3,))
     psi = haar_random_state(8, rng)
-    lhs = group.apply(g @ h, psi)
-    rhs = group.apply(g, group.apply(h, psi))
+    lhs = group.dense(g @ h) @ psi
+    rhs = group.dense(g) @ (group.dense(h) @ psi)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_apply_matches_kronecker_oracle():
+    # the Kronecker product acts with factor q on qubit q, qubit 0 being the
+    # most significant bit of the basis index
     rng = np.random.default_rng(2)
     g = haar_random_su2(rng, (4,))
     psi = haar_random_state(16, rng)
+    expected = psi.reshape(2, 2, 2, 2)
+    for q, factor in enumerate(g):
+        expected = np.moveaxis(
+            np.tensordot(factor, expected, axes=(1, q)), 0, q
+        )
     np.testing.assert_allclose(
-        group.apply(g, psi), group.dense(g) @ psi, atol=1e-12
+        group.dense(g) @ psi, expected.reshape(-1), atol=1e-12
     )
 
 
@@ -105,20 +112,20 @@ def test_chain_generators_small():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_generators_fix_fiducial_state(n):
-    psi = group.prepare_fiducial(group.fiducial_preparation(n))
+    psi = group.fiducial_operator(group.fiducial_preparation(n)) @ zero_state(n)
     for p in group.chain_generators(n):
-        fixed = group.apply(group.from_pauli(p), psi)
+        fixed = group.dense(group.from_pauli(p)) @ psi
         assert abs(abs(np.vdot(psi, fixed)) - 1) < 1e-10
 
 
 def test_fiducial_two_qubits():
-    psi = group.prepare_fiducial(group.fiducial_preparation(2))
+    psi = group.fiducial_operator(group.fiducial_preparation(2)) @ zero_state(2)
     np.testing.assert_allclose(psi, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
 
 def test_fiducial_zero_offsets_is_ideal():
-    ideal = group.prepare_fiducial(group.fiducial_preparation(3))
-    offs = group.prepare_fiducial(group.fiducial_preparation(3, np.zeros(3)))
+    ideal = group.fiducial_operator(group.fiducial_preparation(3))
+    offs = group.fiducial_operator(group.fiducial_preparation(3, np.zeros(3)))
     np.testing.assert_allclose(ideal, offs)
 
 
@@ -134,14 +141,20 @@ def test_fiducial_offset_budget():
 
 
 def test_fiducial_operator_unitary_and_consistent():
+    # the dense preparation and the transfer chain agree on the overlap of
+    # two differently offset fiducial states
     rng = np.random.default_rng(3)
     for n in (2, 4):
         prep = group.fiducial_preparation(n, rng.uniform(-0.2, 0.2, n))
+        other = group.fiducial_preparation(n, rng.uniform(-0.2, 0.2, n))
         op = group.fiducial_operator(prep)
         np.testing.assert_allclose(op.conj().T @ op, np.eye(2**n), atol=1e-10)
-        np.testing.assert_allclose(
-            op @ zero_state(n), group.prepare_fiducial(prep), atol=1e-12
+        identity = np.broadcast_to(np.eye(2), (1, n, 2, 2))
+        chain = kernel.transfer_amplitudes(identity, identity, prep, other)
+        dense = np.vdot(
+            op @ zero_state(n), group.fiducial_operator(other) @ zero_state(n)
         )
+        assert abs(chain[0, 0] - dense) < 1e-12
 
 
 def test_composed_factors_stay_unitary():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosetkernel import dataset, group, kernel, noise
+from cosetkernel import dataset, group, kernel, noise, theory
 
 
 def test_entry_same_point_is_one():
@@ -85,7 +85,7 @@ def test_dense_path_matches_gate_path():
         n = int(rng.integers(2, 7))
         ds = dataset.generate(n, 2, rng)
         pair = [0, len(ds.factors) - 1]
-        g = kernel.kernel_matrix(ds, n, pair, method="gate").entries[0, 1]
+        g = kernel.kernel_matrix(ds, n, pair, method="chain").entries[0, 1]
         d = kernel.kernel_matrix(ds, n, pair, method="dense").entries[0, 1]
         assert abs(g - d) < 1e-10
 
@@ -106,6 +106,17 @@ def test_fiducial_noise_needs_both_sides():
     ds = dataset.generate(2, 2, rng)
     with pytest.raises(ValueError):
         kernel.kernel_matrix(ds, 2, offsets_left=np.zeros(2))
+
+
+def test_selection_noise_needs_one_perturbation_per_point():
+    rng = np.random.default_rng(16)
+    ds = dataset.generate(3, 2, rng)
+    perts = noise.perturbation_element(
+        noise.sample_element_perturbation(3, 0.3, rng, shape=(1,))
+    )
+    for method in ("chain", "dense"):
+        with pytest.raises(ValueError, match="one perturbation per point"):
+            kernel.kernel_matrix(ds, 3, perturbations=perts, method=method)
 
 
 def test_alpha_matrix_properties():
@@ -147,50 +158,62 @@ def test_heatmap_export(tmp_path):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("attachment", ["none", "fiducial", "selection"])
 def test_feature_states_match_dense_oracle(n, attachment):
+    """The transfer-chain kernel matches the one built from dense feature
+    states, on the full dataset and on a train split."""
     rng = np.random.default_rng(100 + n)
-    factors = dataset.generate(n, 2, rng).factors
-    preps = [group.fiducial_preparation(n)]
-    perts = None
-    if attachment == "fiducial":
-        preps = [
-            group.fiducial_preparation(n, noise.sample_fiducial_offsets(n, 0.3, rng))
-            for _ in ("left", "right")
-        ]
-    elif attachment == "selection":
-        perts = noise.perturbation_element(
-            noise.sample_element_perturbation(n, 0.3, rng, shape=(len(factors),))
-        )
-    for prep in preps:
-        gate = kernel.feature_states(factors, prep, perts)
-        dense = kernel.feature_states(factors, prep, perts, method="dense")
-        assert gate.shape == (len(factors), 2**n)
-        np.testing.assert_allclose(gate, dense, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "attachment, expected", [("none", 1), ("fiducial", 2), ("selection", 1)]
-)
-def test_one_fiducial_preparation_per_side(monkeypatch, attachment, expected):
-    rng = np.random.default_rng(13)
-    n = 4
-    ds = dataset.generate(n, 3, rng)
+    ds = dataset.generate(n, 2, rng)
     kwargs = {}
     if attachment == "fiducial":
         kwargs = {
-            "offsets_left": noise.sample_fiducial_offsets(n, 0.1, rng),
-            "offsets_right": noise.sample_fiducial_offsets(n, 0.1, rng),
+            "offsets_left": noise.sample_fiducial_offsets(n, 0.3, rng),
+            "offsets_right": noise.sample_fiducial_offsets(n, 0.3, rng),
         }
     elif attachment == "selection":
         kwargs = {"perturbations": noise.perturbation_element(
-            noise.sample_element_perturbation(n, 0.1, rng, shape=(len(ds.factors),))
+            noise.sample_element_perturbation(n, 0.3, rng, shape=(len(ds.factors),))
         )}
-    calls = []
-    original = group.prepare_fiducial
+    for indices in (None, dataset.split(ds, rng).train):
+        chain = kernel.kernel_matrix(ds, n, indices, method="chain", **kwargs)
+        dense = kernel.kernel_matrix(ds, n, indices, method="dense", **kwargs)
+        np.testing.assert_allclose(chain.entries, dense.entries, rtol=0, atol=1e-12)
 
-    def counting(prep):
-        calls.append(prep)
-        return original(prep)
 
-    monkeypatch.setattr(group, "prepare_fiducial", counting)
-    kernel.kernel_matrix(ds, n, **kwargs)
-    assert len(calls) == expected
+@pytest.mark.parametrize("n", range(2, 9))
+def test_alpha_matrix_matches_dense_oracle(n):
+    rng = np.random.default_rng(200 + n)
+    ds = dataset.generate(n, 4, rng)
+    states = kernel.feature_states(
+        ds.representatives, group.fiducial_preparation(n)
+    )
+    dense = np.abs(states.conj() @ states.T) ** 2
+    np.fill_diagonal(dense, 1.0)
+    np.testing.assert_allclose(kernel.alpha_matrix(ds), dense, rtol=0, atol=1e-12)
+
+
+def test_dense_oracle_refuses_past_its_cap():
+    n = kernel.DENSE_MAX_QUBITS + 1
+    ds = dataset.generate(n, 2, np.random.default_rng(14))
+    with pytest.raises(ValueError, match="dense oracle"):
+        kernel.kernel_matrix(ds, n, [0, 1], method="dense")
+    with pytest.raises(ValueError, match="unknown method"):
+        kernel.kernel_matrix(ds, n, [0, 1], method="gate")
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_large_n_full_surface_properties(n):
+    """Past the dense oracle's reach: same-coset entries are 1, cross-coset
+    entries are the coset pair's alpha, and the off-diagonal variance is the
+    closed form for those alphas."""
+    m = 2
+    ds = dataset.generate(n, m, np.random.default_rng(15 + n))
+    kmat = kernel.kernel_matrix(ds, n)
+    alphas = kernel.alpha_matrix(ds)
+    labels = kmat.coset_labels
+    expected = alphas[labels[:, None], labels[None, :]]
+    same = labels[:, None] == labels[None, :]
+    np.testing.assert_allclose(kmat.entries[same], 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        kmat.entries[~same], expected[~same], rtol=0, atol=1e-12
+    )
+    _, var = kernel.offdiag_stats(kmat)
+    assert abs(var - theory.exact_variance(m, n, alphas)) < 1e-12

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cosetkernel import group
+from cosetkernel import group, kernel
 from cosetkernel.statevector import (
     I2,
-    X,
-    Z,
-    apply_cz,
-    apply_single_qubit,
     haar_random_state,
     haar_random_su2,
     inner_product,
@@ -24,15 +20,30 @@ def random_state(n, rng):
     return haar_random_state(2**n, rng)
 
 
+def single_qubit_op(gate, qubit, n):
+    """(N, 2, 2) element with `gate` on one qubit and identity elsewhere."""
+    g = np.broadcast_to(I2, (n, 2, 2)).copy()
+    g[qubit] = gate
+    return g
+
+
+def cz_layer(n):
+    """Dense CZ on every chain edge: the preparation circuit with its Ry
+    layer switched off (offsets pi/2 make every Ry the identity)."""
+    return group.fiducial_operator(
+        group.fiducial_preparation(n, np.full(n, np.pi / 2))
+    )
+
+
 def test_apply_identity():
     rng = np.random.default_rng(0)
     psi = random_state(3, rng)
-    out = apply_single_qubit(psi, I2, 1)
+    out = group.dense(single_qubit_op(I2, 1, 3)) @ psi
     np.testing.assert_allclose(out, psi, atol=1e-14)
 
 
 def test_apply_ry_half_pi_on_zero():
-    out = apply_single_qubit(zero_state(1), ry(np.pi / 2), 0)
+    out = ry(np.pi / 2) @ zero_state(1)
     np.testing.assert_allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
 
@@ -40,7 +51,7 @@ def test_apply_matches_dense_oracle():
     rng = np.random.default_rng(1)
     psi = random_state(3, rng)
     gate = rx(0.3) @ rz(0.7) @ rx(0.1)
-    out = apply_single_qubit(psi, gate, 1)
+    out = group.dense(single_qubit_op(gate, 1, 3)) @ psi
     dense = np.kron(np.kron(I2, gate), I2)
     np.testing.assert_allclose(out, dense @ psi, atol=1e-12)
 
@@ -49,32 +60,18 @@ def test_apply_preserves_norm():
     rng = np.random.default_rng(2)
     psi = random_state(4, rng)
     for q in range(4):
-        psi = apply_single_qubit(psi, haar_random_su2(rng), q)
+        psi = group.dense(single_qubit_op(haar_random_su2(rng), q, 4)) @ psi
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
 
 
-def test_apply_qubit_out_of_range():
-    with pytest.raises(IndexError):
-        apply_single_qubit(zero_state(2), X, 2)
-
-
 def test_cz_on_00_and_11():
-    np.testing.assert_allclose(apply_cz(zero_state(2), 0, 1), zero_state(2))
-    psi = np.array([0, 0, 0, 1], dtype=complex)
-    np.testing.assert_allclose(apply_cz(psi, 0, 1), -psi)
+    np.testing.assert_allclose(cz_layer(2), np.diag([1, 1, 1, -1]), atol=1e-15)
 
 
 def test_cz_involution():
     rng = np.random.default_rng(3)
     psi = random_state(3, rng)
-    np.testing.assert_allclose(apply_cz(apply_cz(psi, 0, 2), 0, 2), psi, atol=1e-12)
-
-
-def test_cz_bad_indices():
-    with pytest.raises(ValueError):
-        apply_cz(zero_state(2), 1, 1)
-    with pytest.raises(IndexError):
-        apply_cz(zero_state(2), 0, 5)
+    np.testing.assert_allclose(cz_layer(3) @ (cz_layer(3) @ psi), psi, atol=1e-12)
 
 
 def test_inner_product_basics():
@@ -146,14 +143,14 @@ def test_haar_invariance_two_sample():
 
 
 def test_gate_level_matches_dense_circuit():
-    # full kernel-circuit shape: fiducial prep, then per-qubit XZX rotations
+    # full kernel-circuit shape: fiducial prep, then per-qubit XZX rotations;
+    # the transfer chain's <psi|D|psi> against the dense circuit's
     rng = np.random.default_rng(12)
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        prep = group.fiducial_preparation(n)
+        prep = group.fiducial_preparation(n, rng.uniform(-0.3, 0.3, n))
         elem = group.from_euler(rng.uniform(-np.pi, np.pi, size=(n, 3)))
-        gate_path = group.apply(elem, group.prepare_fiducial(prep))
-        dense_path = (
-            group.dense(elem) @ group.fiducial_operator(prep) @ zero_state(n)
-        )
-        np.testing.assert_allclose(gate_path, dense_path, atol=1e-10)
+        identity = np.broadcast_to(np.eye(2), (1, n, 2, 2))
+        chain = kernel.transfer_amplitudes(identity, elem[None], prep, prep)
+        psi = group.fiducial_operator(prep) @ zero_state(n)
+        assert abs(chain[0, 0] - np.vdot(psi, group.dense(elem) @ psi)) < 1e-10
