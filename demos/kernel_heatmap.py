@@ -15,7 +15,7 @@ from cosetkernel import dataset, kernel
 rng = np.random.default_rng(3)
 n_qubits, m = 3, 3
 ds = dataset.generate(n_qubits, m, rng)
-kmat = kernel.kernel_matrix(ds, n_qubits)
+kmat = kernel.kernel_matrix(ds)
 
 labels = kmat.point_labels()
 print("    " + " ".join(f"{l:>6}" for l in labels))

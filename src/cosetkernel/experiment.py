@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import dataset, kernel, theory
+from . import dataset, group, kernel, theory
 from . import noise as noise_models
 
 MAX_QUBITS = 128
@@ -66,8 +66,7 @@ def trial_rng(seed, n_qubits, m, trial_index):
     )
 
 
-def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train",
-                       method="chain"):
+def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
     """Dataset + split + noise draws + kernel on the requested surface."""
     ds = dataset.generate(n_qubits, m, rng)
     sp = dataset.split(ds, rng)
@@ -76,29 +75,25 @@ def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train",
         offsets_l = noise_models.sample_fiducial_offsets(n_qubits, cfg_noise.epsilon, rng)
         offsets_r = noise_models.sample_fiducial_offsets(n_qubits, cfg_noise.epsilon, rng)
     elif cfg_noise.variant in ("selection", "representation"):
-        perturbations = noise_models.perturbation_element(
+        perturbations = group.from_euler(
             noise_models.sample_element_perturbation(
                 n_qubits, cfg_noise.epsilon, rng, shape=(len(ds.factors),)
             )
         )
     kmat = kernel.kernel_matrix(
         ds,
-        n_qubits,
         sp.train if surface == "train" else None,
         offsets_left=offsets_l,
         offsets_right=offsets_r,
         perturbations=perturbations,
-        method=method,
     )
     return ds, sp, kmat
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
-              method="chain", digest=""):
+              digest=""):
     """One Monte-Carlo trial; statistics exclude the diagonal."""
-    if n_qubits > MAX_QUBITS:
-        raise ValueError(f"simulator capacity is {MAX_QUBITS} qubits")
-    _, _, kmat = build_trial_kernel(n_qubits, m, cfg_noise, rng, surface, method)
+    _, _, kmat = build_trial_kernel(n_qubits, m, cfg_noise, rng, surface)
     mean, var = kernel.offdiag_stats(kmat)
     cross = kernel.cross_coset_values(kmat)
     return TrialReport(
@@ -114,7 +109,7 @@ def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
     )
 
 
-def run_experiment(cfg, method="chain"):
+def run_experiment(cfg):
     """All (N, m, trial) combinations, with theory overlays per (N, m)."""
     trials = []
     aggregates = []
@@ -131,7 +126,6 @@ def run_experiment(cfg, method="chain"):
                         rng,
                         trial_index=t,
                         surface=cfg.variance_surface,
-                        method=method,
                         digest=f"{cfg.seed}:{n_qubits}:{m}:{t}",
                     )
                 )

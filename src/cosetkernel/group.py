@@ -11,16 +11,14 @@ rotations does not yield another triple without re-extraction.
 The preparation circuit, Ry(pi/2 - o_j) on every qubit and then CZ on each
 chain edge, is described by its offsets alone: `kernel` contracts the chain
 graph state from the per-qubit rotations and the CZ sign (-1)^(s_j s_(j+1))
-without building it, and `fiducial_operator` is its dense 2^N x 2^N matrix
-for the test oracle.
+without building it.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .statevector import PAULIS, rx, ry, rz
+from .statevector import PAULIS, rx, rz
 
 _PAULI_INDEX = {c: k for k, c in enumerate(PAULIS)}
 _PAULI_STACK = np.stack(list(PAULIS.values()))
@@ -46,12 +44,6 @@ def from_pauli(labels):
     return _PAULI_STACK[[_PAULI_INDEX[c] for c in labels]]
 
 
-def dense(g):
-    """Full 2^N x 2^N matrix of one (N, 2, 2) element (Kronecker product
-    oracle)."""
-    return reduce(np.kron, g)
-
-
 def chain_generators(n):
     """Stabilizer generators of the chain graph: X on each vertex, Z on its
     neighbors."""
@@ -67,10 +59,6 @@ def chain_generators(n):
             labels[j + 1] = "Z"
         gens.append("".join(labels))
     return gens
-
-
-def chain_edges(n):
-    return [(j, j + 1) for j in range(n - 1)]
 
 
 @dataclass(frozen=True)
@@ -92,15 +80,3 @@ def fiducial_preparation(n, offsets=None):
     if offsets is None:
         offsets = np.zeros(n)
     return FiducialPreparation(n, offsets)
-
-
-def fiducial_operator(prep):
-    """Dense 2^N x 2^N matrix of the preparation circuit."""
-    n = prep.num_qubits
-    op = reduce(np.kron, ry(np.pi / 2 - prep.offsets))
-    cz_diag = np.ones(2**n)
-    for j, k in chain_edges(n):
-        bits_j = (np.arange(2**n) >> (n - 1 - j)) & 1
-        bits_k = (np.arange(2**n) >> (n - 1 - k)) & 1
-        cz_diag = cz_diag * np.where((bits_j & bits_k) == 1, -1.0, 1.0)
-    return cz_diag[:, None] * op

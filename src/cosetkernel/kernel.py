@@ -18,8 +18,8 @@ memory is O(P Q + N P) for any N and no 2^N vector appears.
 
 A selection perturbation E_x is folded into the point's factors first, as
 E_x,j D_x,j on every qubit j; this is exact because both operators are
-tensor products. The dense path multiplies full 2^N x 2^N matrices and
-serves as the oracle in tests, up to DENSE_MAX_QUBITS.
+tensor products. The tests check this path against a dense 2^N
+construction (`tests/oracle.py`).
 """
 
 from dataclasses import dataclass
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group
-from .statevector import ry, zero_state
+from .statevector import ry
 
-DENSE_MAX_QUBITS = 10
 _H = np.array([[1, 1], [1, -1]], dtype=complex)  # (-1)^(t t'), the CZ sign
 
 
@@ -47,23 +46,6 @@ class KernelMatrix:
         return [
             f"c{i}s{a}" for i, a in zip(self.coset_labels, self.subgroup_indices)
         ]
-
-
-def feature_states(factors, prep, perturbations=None):
-    """Dense oracle: (P, 2^N) rows |phi(x)> = (E_x) D_x V |0> for a
-    (P, N, 2, 2) factor stack, optionally with one selection perturbation E_x
-    per point as a second (P, N, 2, 2) stack."""
-    if prep.num_qubits > DENSE_MAX_QUBITS:
-        raise ValueError(
-            f"the dense oracle is limited to {DENSE_MAX_QUBITS} qubits"
-        )
-    if perturbations is not None and perturbations.shape != factors.shape:
-        raise ValueError("need one perturbation per point")
-    fiducial = group.fiducial_operator(prep) @ zero_state(prep.num_qubits)
-    ops = [group.dense(f) for f in factors]
-    if perturbations is not None:
-        ops = [group.dense(e) @ op for e, op in zip(perturbations, ops)]
-    return np.stack([op @ fiducial for op in ops])
 
 
 def transfer_amplitudes(left, right, prep_left, prep_right):
@@ -95,8 +77,8 @@ def _mirrored(gram):
     return np.triu(gram) + np.triu(gram, 1).T
 
 
-def kernel_matrix(ds, n_qubits, indices=None, *, offsets_left=None,
-                  offsets_right=None, perturbations=None, method="chain"):
+def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
+                  perturbations=None):
     """All pairwise kernel values over the dataset's points, or over the
     points `indices` selects (e.g. a train split).
 
@@ -104,7 +86,6 @@ def kernel_matrix(ds, n_qubits, indices=None, *, offsets_left=None,
     independently sampled noisy preparations on the two sides of every
     entry); perturbations attaches one selection-error element per dataset
     point, as a (P, N, 2, 2) stack that `indices` selects from too.
-    method is "chain" (transfer steps) or "dense" (the 2^N oracle).
     """
     if (offsets_left is None) != (offsets_right is None):
         raise ValueError("fiducial offsets must be given for both sides")
@@ -115,20 +96,10 @@ def kernel_matrix(ds, n_qubits, indices=None, *, offsets_left=None,
     idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
     factors = ds.factors[idx]
     if perturbations is not None:
-        perturbations = perturbations[idx]
-    prep_l = group.fiducial_preparation(n_qubits, offsets_left)
-    prep_r = group.fiducial_preparation(n_qubits, offsets_right)
-    if method == "chain":
-        if perturbations is not None:
-            factors = perturbations @ factors
-        amps = transfer_amplitudes(factors, factors, prep_l, prep_r)
-    elif method == "dense":
-        left = right = feature_states(factors, prep_l, perturbations)
-        if offsets_right is not None:
-            right = feature_states(factors, prep_r)
-        amps = left.conj() @ right.T
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        factors = perturbations[idx] @ factors
+    prep_l = group.fiducial_preparation(ds.num_qubits, offsets_left)
+    prep_r = group.fiducial_preparation(ds.num_qubits, offsets_right)
+    amps = transfer_amplitudes(factors, factors, prep_l, prep_r)
     entries = _mirrored(np.abs(amps) ** 2)
     return KernelMatrix(entries, ds.coset_labels[idx], ds.subgroup_indices[idx])
 

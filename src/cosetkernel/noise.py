@@ -9,8 +9,6 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import group
-
 VARIANTS = ("none", "fiducial", "selection", "representation")
 
 
@@ -51,11 +49,6 @@ def sample_element_perturbation(n_qubits, epsilon, rng, shape=()):
     stack gives the same stream as one call per perturbation in C order."""
     bound = 2 * epsilon / (np.sqrt(5) * n_qubits)
     return rng.uniform(-bound, bound, size=(*shape, n_qubits, 3))
-
-
-def perturbation_element(triples):
-    """The (..., N, 2, 2) factors of the perturbations D_e."""
-    return group.from_euler(triples)
 
 
 def _clamp(v):

@@ -1,11 +1,7 @@
-"""Single-qubit gates and dense-state primitives.
+"""Single-qubit gates and batched Haar-random SU(2) draws.
 
-Rotations and batched Haar-random SU(2) draws build the per-qubit factors
-that everything else works on. The kernel itself never forms a 2^N state
-(see `kernel`); dense states, 1-D complex arrays of length 2**N with qubit 0
-the most significant bit of the basis index, appear only in the dense test
-oracle and in the helpers below (the zero state, inner products, operator
-norms, Haar-random states).
+These build the per-qubit 2x2 factors that everything else works on; no
+2^N state is formed anywhere in the package (see `kernel`).
 """
 
 import numpy as np
@@ -42,29 +38,6 @@ def rz(theta):
     return _gates(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
 
 
-def zero_state(n):
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
-def inner_product(a, b):
-    """<a|b>, conjugate-linear in the first argument."""
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return complex(np.vdot(a, b))
-
-
-def operator_norm(a):
-    """Largest singular value."""
-    a = np.asarray(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries")
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 def haar_random_su2(rng, shape=()):
     """Haar-random SU(2) elements, shape (*shape, 2, 2), via QR of complex
     Ginibre matrices. One draw of shape (*shape, 2, 2, 2) holds, per element,
@@ -76,9 +49,3 @@ def haar_random_su2(rng, shape=()):
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[..., None, :]
     return q / np.sqrt(np.linalg.det(q))[..., None, None]
-
-
-def haar_random_state(dim, rng):
-    """Haar-random pure state on a dim-dimensional space."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

@@ -1,0 +1,108 @@
+"""Dense 2^N reference for the tests: the kernel built from full state
+vectors and Kronecker-product matrices.
+
+The package computes every kernel as a chain of 2x2 transfer steps and never
+forms a 2^N state. This module does the opposite on purpose, so that the
+tests can check the chain against an independent construction: the
+preparation circuit is a dense 2^N x 2^N matrix, each point's feature state
+is `dense(D_x) @ V |0>`, and a selection perturbation E_x is applied as its
+own dense matrix rather than folded into the point's factors. Dense states
+are 1-D complex arrays of length 2**N with qubit 0 the most significant bit
+of the basis index. The oracle refuses more than DENSE_MAX_QUBITS qubits.
+"""
+
+from functools import reduce
+
+import numpy as np
+
+from cosetkernel import group, kernel
+from cosetkernel.statevector import ry
+
+DENSE_MAX_QUBITS = 10
+
+
+def zero_state(n):
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
+def inner_product(a, b):
+    """<a|b>, conjugate-linear in the first argument."""
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    return complex(np.vdot(a, b))
+
+
+def operator_norm(a):
+    """Largest singular value."""
+    a = np.asarray(a)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite entries")
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def haar_random_state(dim, rng):
+    """Haar-random pure state on a dim-dimensional space."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def dense(g):
+    """Full 2^N x 2^N matrix of one (N, 2, 2) element (Kronecker product)."""
+    return reduce(np.kron, g)
+
+
+def chain_edges(n):
+    return [(j, j + 1) for j in range(n - 1)]
+
+
+def fiducial_operator(prep):
+    """Dense 2^N x 2^N matrix of the preparation circuit."""
+    n = prep.num_qubits
+    op = reduce(np.kron, ry(np.pi / 2 - prep.offsets))
+    cz_diag = np.ones(2**n)
+    for j, k in chain_edges(n):
+        bits_j = (np.arange(2**n) >> (n - 1 - j)) & 1
+        bits_k = (np.arange(2**n) >> (n - 1 - k)) & 1
+        cz_diag = cz_diag * np.where((bits_j & bits_k) == 1, -1.0, 1.0)
+    return cz_diag[:, None] * op
+
+
+def feature_states(factors, prep, perturbations=None):
+    """(P, 2^N) rows |phi(x)> = (E_x) D_x V |0> for a (P, N, 2, 2) factor
+    stack, optionally with one selection perturbation E_x per point as a
+    second (P, N, 2, 2) stack."""
+    if prep.num_qubits > DENSE_MAX_QUBITS:
+        raise ValueError(
+            f"the dense oracle is limited to {DENSE_MAX_QUBITS} qubits"
+        )
+    if perturbations is not None and perturbations.shape != factors.shape:
+        raise ValueError("need one perturbation per point")
+    fiducial = fiducial_operator(prep) @ zero_state(prep.num_qubits)
+    ops = [dense(f) for f in factors]
+    if perturbations is not None:
+        ops = [dense(e) @ op for e, op in zip(perturbations, ops)]
+    return np.stack([op @ fiducial for op in ops])
+
+
+def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
+                  perturbations=None):
+    """`kernel.kernel_matrix` from dense feature states: the same arguments
+    and the same KernelMatrix, with entries |<phi_l(x)|phi_r(x')>|^2."""
+    idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
+    factors = ds.factors[idx]
+    if perturbations is not None:
+        perturbations = perturbations[idx]
+    prep_l = group.fiducial_preparation(ds.num_qubits, offsets_left)
+    prep_r = group.fiducial_preparation(ds.num_qubits, offsets_right)
+    left = right = feature_states(factors, prep_l, perturbations)
+    if offsets_right is not None:
+        right = feature_states(factors, prep_r)
+    gram = np.abs(left.conj() @ right.T) ** 2
+    entries = np.triu(gram) + np.triu(gram, 1).T
+    return kernel.KernelMatrix(
+        entries, ds.coset_labels[idx], ds.subgroup_indices[idx]
+    )

@@ -15,10 +15,11 @@ import pytest
 from scipy import stats as scipy_stats
 
 import cosetkernel
-from cosetkernel import cli, dataset, experiment, kernel, noise, theory
+from cosetkernel import cli, dataset, experiment, group, kernel, noise, theory
 from cosetkernel.noise import count_envelope_violations
 from cosetkernel.statevector import ry
 
+import oracle
 from test_opnorm_lemmas import product_distance_to_identity
 
 SEED = 42
@@ -89,7 +90,7 @@ def test_criterion_3_kernel_multiset_counts():
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 6))
         ds = dataset.generate(n, m, rng)
-        kmat = kernel.kernel_matrix(ds, n)
+        kmat = kernel.kernel_matrix(ds)
         off_mask = ~np.eye(kmat.size, dtype=bool)
         ones = np.sum(np.abs(kmat.entries[off_mask] - 1) < 1e-9)
         ok = ok and ones == m * (n**2 - n)
@@ -138,7 +139,7 @@ def test_criterion_5_noise_budgets():
                 if product_distance_to_identity(ry(-offs)) > eps + 1e-6:
                     violations += 1
                 tri = noise.sample_element_perturbation(n, eps, rng)
-                de = noise.perturbation_element(tri)
+                de = group.from_euler(tri)
                 if product_distance_to_identity(de) > eps + 1e-6:
                     violations += 1
     report(5, violations == 0, f"violations={violations} over 28000 samples")
@@ -181,35 +182,42 @@ def test_criterion_7_non_concentration_heavy_noise():
     report(7, ok, detail)
 
 
-def test_criterion_8_oracle_equivalence():
+def test_criterion_8_oracle_equivalence(monkeypatch):
     rng = np.random.default_rng(SEED)
     ok = True
     for _ in range(100):
         n = int(rng.integers(2, 7))
         ds = dataset.generate(n, 2, rng)
         idx = rng.integers(0, len(ds.factors), size=2)
-        chain = kernel.kernel_matrix(ds, n, idx, method="chain").entries[0, 1]
-        dense = kernel.kernel_matrix(ds, n, idx, method="dense").entries[0, 1]
+        chain = kernel.kernel_matrix(ds, idx).entries[0, 1]
+        dense = oracle.kernel_matrix(ds, idx).entries[0, 1]
         ok = ok and abs(chain - dense) < 1e-10
-    # end-to-end trial pipelines at N = 4
-    for variant, eps in (("none", 0.0), ("fiducial", 0.1), ("selection", 0.1)):
-        cfg_noise = noise.NoiseConfig(variant, eps)
-        for t in range(5):
-            rc = experiment.run_trial(
-                4, 2, cfg_noise, experiment.trial_rng(SEED, 4, 2, t), method="chain"
-            )
-            rd = experiment.run_trial(
-                4, 2, cfg_noise, experiment.trial_rng(SEED, 4, 2, t), method="dense"
-            )
-            for field in (
-                "empirical_variance",
-                "empirical_mean",
-                "alphas_min",
-                "alphas_mean",
-                "alphas_max",
-            ):
-                ok = ok and abs(getattr(rc, field) - getattr(rd, field)) < 1e-10
-    report(8, ok, "100 entries + end-to-end trials, chain vs dense")
+
+    # end-to-end trial pipelines at N = 4, once as they are and once with
+    # every kernel built by the dense oracle
+    def trials():
+        out = []
+        for variant, eps in (("none", 0.0), ("fiducial", 0.1), ("selection", 0.1)):
+            cfg_noise = noise.NoiseConfig(variant, eps)
+            for t in range(5):
+                rng = experiment.trial_rng(SEED, 4, 2, t)
+                out.append(experiment.run_trial(4, 2, cfg_noise, rng))
+        return out
+
+    chain_reports = trials()
+    monkeypatch.setattr(kernel, "kernel_matrix", oracle.kernel_matrix)
+    dense_reports = trials()
+    ok = ok and len(chain_reports) == len(dense_reports) == 15
+    for rc, rd in zip(chain_reports, dense_reports):
+        for field in (
+            "empirical_variance",
+            "empirical_mean",
+            "alphas_min",
+            "alphas_mean",
+            "alphas_max",
+        ):
+            ok = ok and abs(getattr(rc, field) - getattr(rd, field)) < 1e-10
+    report(8, ok, "100 entries + 15 end-to-end trials, chain vs dense")
 
 
 def test_criterion_9_operator_norm_lemmas():

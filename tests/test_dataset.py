@@ -41,7 +41,7 @@ def test_points_are_rep_times_generator():
 def test_same_coset_kernel_is_one():
     rng = np.random.default_rng(2)
     ds = dataset.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds, 3)
+    kmat = kernel.kernel_matrix(ds)
     labels = kmat.coset_labels
     same = labels[:, None] == labels[None, :]
     assert np.all(np.abs(kmat.entries[same] - 1) < 1e-10)
@@ -52,7 +52,7 @@ def test_cross_coset_never_one():
     for _ in range(100):
         n = int(rng.integers(2, 5))
         ds = dataset.generate(n, 2, rng)
-        kmat = kernel.kernel_matrix(ds, n)
+        kmat = kernel.kernel_matrix(ds)
         assert np.all(kernel.cross_coset_values(kmat) < 1 - 1e-6)
 
 

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from cosetkernel import cli, experiment, kernel, noise, theory
@@ -78,14 +77,6 @@ def test_zero_epsilon_aggregate_matches_noiseless():
         assert noisy["aggregates"] == clean["aggregates"]
         for a, b in zip(noisy["trials"], clean["trials"]):
             assert a["empirical_variance"] == b["empirical_variance"]
-
-
-def test_capacity_guard():
-    with pytest.raises(ValueError):
-        experiment.run_trial(
-            experiment.MAX_QUBITS + 1, 2, noise.NoiseConfig(),
-            np.random.default_rng(0),
-        )
 
 
 def test_report_round_trip(tmp_path):

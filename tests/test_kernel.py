@@ -3,18 +3,20 @@ import pytest
 
 from cosetkernel import dataset, group, kernel, noise, theory
 
+import oracle
+
 
 def test_entry_same_point_is_one():
     rng = np.random.default_rng(0)
     ds = dataset.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds, 3, [0, 0])
+    kmat = kernel.kernel_matrix(ds, [0, 0])
     assert abs(kmat.entries[0, 1] - 1) < 1e-12
 
 
 def test_entry_same_coset_is_one():
     rng = np.random.default_rng(1)
     ds = dataset.generate(4, 2, rng)
-    kmat = kernel.kernel_matrix(ds, 4, [0, 2])
+    kmat = kernel.kernel_matrix(ds, [0, 2])
     assert list(kmat.coset_labels) == [0, 0]
     assert abs(kmat.entries[0, 1] - 1) < 1e-10
 
@@ -35,7 +37,7 @@ def test_matrix_counts_and_symmetry():
     rng = np.random.default_rng(3)
     n, m = 2, 2
     ds = dataset.generate(n, m, rng)
-    kmat = kernel.kernel_matrix(ds, n)
+    kmat = kernel.kernel_matrix(ds)
     assert np.array_equal(kmat.entries, kmat.entries.T)
     off = kmat.entries[~np.eye(kmat.size, dtype=bool)]
     assert np.sum(np.abs(off - 1) < 1e-9) == m * (n**2 - n)
@@ -46,7 +48,7 @@ def test_block_structure():
     # cross value depends on the coset pair only, not the generators
     rng = np.random.default_rng(4)
     ds = dataset.generate(4, 3, rng)
-    kmat = kernel.kernel_matrix(ds, 4)
+    kmat = kernel.kernel_matrix(ds)
     alphas = kernel.alpha_matrix(ds)
     for r in range(kmat.size):
         for c in range(kmat.size):
@@ -58,7 +60,7 @@ def test_block_structure():
 def test_entries_in_unit_interval():
     rng = np.random.default_rng(5)
     ds = dataset.generate(3, 4, rng)
-    kmat = kernel.kernel_matrix(ds, 3)
+    kmat = kernel.kernel_matrix(ds)
     assert np.all(kmat.entries > -1e-10)
     assert np.all(kmat.entries < 1 + 1e-10)
 
@@ -67,8 +69,8 @@ def test_restriction_to_train_split():
     rng = np.random.default_rng(6)
     ds = dataset.generate(3, 2, rng)
     sp = dataset.split(ds, rng)
-    full = kernel.kernel_matrix(ds, 3)
-    sub = kernel.kernel_matrix(ds, 3, sp.train)
+    full = kernel.kernel_matrix(ds)
+    sub = kernel.kernel_matrix(ds, sp.train)
     assert sub.size == len(sp.train)
     np.testing.assert_allclose(
         sub.entries, full.entries[np.ix_(sp.train, sp.train)]
@@ -85,8 +87,8 @@ def test_dense_path_matches_gate_path():
         n = int(rng.integers(2, 7))
         ds = dataset.generate(n, 2, rng)
         pair = [0, len(ds.factors) - 1]
-        g = kernel.kernel_matrix(ds, n, pair, method="chain").entries[0, 1]
-        d = kernel.kernel_matrix(ds, n, pair, method="dense").entries[0, 1]
+        g = kernel.kernel_matrix(ds, pair).entries[0, 1]
+        d = oracle.kernel_matrix(ds, pair).entries[0, 1]
         assert abs(g - d) < 1e-10
 
 
@@ -94,10 +96,10 @@ def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
     n = 3
     ds = dataset.generate(n, 2, rng)
-    perts = noise.perturbation_element(
+    perts = group.from_euler(
         noise.sample_element_perturbation(n, 0.3, rng, shape=(len(ds.factors),))
     )
-    kmat = kernel.kernel_matrix(ds, n, perturbations=perts)
+    kmat = kernel.kernel_matrix(ds, perturbations=perts)
     np.testing.assert_allclose(np.diag(kmat.entries), 1.0, atol=1e-12)
 
 
@@ -105,18 +107,27 @@ def test_fiducial_noise_needs_both_sides():
     rng = np.random.default_rng(9)
     ds = dataset.generate(2, 2, rng)
     with pytest.raises(ValueError):
-        kernel.kernel_matrix(ds, 2, offsets_left=np.zeros(2))
+        kernel.kernel_matrix(ds, offsets_left=np.zeros(2))
 
 
 def test_selection_noise_needs_one_perturbation_per_point():
     rng = np.random.default_rng(16)
     ds = dataset.generate(3, 2, rng)
-    perts = noise.perturbation_element(
+    perts = group.from_euler(
         noise.sample_element_perturbation(3, 0.3, rng, shape=(1,))
     )
-    for method in ("chain", "dense"):
+    for kernel_matrix in (kernel.kernel_matrix, oracle.kernel_matrix):
         with pytest.raises(ValueError, match="one perturbation per point"):
-            kernel.kernel_matrix(ds, 3, perturbations=perts, method=method)
+            kernel_matrix(ds, perturbations=perts)
+
+
+def test_fiducial_offsets_need_one_per_qubit():
+    # the qubit count is the dataset's, so one offset cannot stand for three
+    ds = dataset.generate(3, 2, np.random.default_rng(17))
+    with pytest.raises(ValueError, match="one offset per qubit"):
+        kernel.kernel_matrix(
+            ds, offsets_left=np.array([0.3]), offsets_right=np.array([-0.2])
+        )
 
 
 def test_alpha_matrix_properties():
@@ -142,7 +153,7 @@ def test_alpha_mean_at_eight_qubits():
 def test_heatmap_export(tmp_path):
     rng = np.random.default_rng(12)
     ds = dataset.generate(2, 2, rng)
-    kmat = kernel.kernel_matrix(ds, 2)
+    kmat = kernel.kernel_matrix(ds)
     path = tmp_path / "heat.csv"
     kernel.export_heatmap(kmat, path)
     lines = path.read_text().strip().split("\n")
@@ -169,12 +180,12 @@ def test_feature_states_match_dense_oracle(n, attachment):
             "offsets_right": noise.sample_fiducial_offsets(n, 0.3, rng),
         }
     elif attachment == "selection":
-        kwargs = {"perturbations": noise.perturbation_element(
+        kwargs = {"perturbations": group.from_euler(
             noise.sample_element_perturbation(n, 0.3, rng, shape=(len(ds.factors),))
         )}
     for indices in (None, dataset.split(ds, rng).train):
-        chain = kernel.kernel_matrix(ds, n, indices, method="chain", **kwargs)
-        dense = kernel.kernel_matrix(ds, n, indices, method="dense", **kwargs)
+        chain = kernel.kernel_matrix(ds, indices, **kwargs)
+        dense = oracle.kernel_matrix(ds, indices, **kwargs)
         np.testing.assert_allclose(chain.entries, dense.entries, rtol=0, atol=1e-12)
 
 
@@ -182,7 +193,7 @@ def test_feature_states_match_dense_oracle(n, attachment):
 def test_alpha_matrix_matches_dense_oracle(n):
     rng = np.random.default_rng(200 + n)
     ds = dataset.generate(n, 4, rng)
-    states = kernel.feature_states(
+    states = oracle.feature_states(
         ds.representatives, group.fiducial_preparation(n)
     )
     dense = np.abs(states.conj() @ states.T) ** 2
@@ -191,12 +202,10 @@ def test_alpha_matrix_matches_dense_oracle(n):
 
 
 def test_dense_oracle_refuses_past_its_cap():
-    n = kernel.DENSE_MAX_QUBITS + 1
+    n = oracle.DENSE_MAX_QUBITS + 1
     ds = dataset.generate(n, 2, np.random.default_rng(14))
     with pytest.raises(ValueError, match="dense oracle"):
-        kernel.kernel_matrix(ds, n, [0, 1], method="dense")
-    with pytest.raises(ValueError, match="unknown method"):
-        kernel.kernel_matrix(ds, n, [0, 1], method="gate")
+        oracle.kernel_matrix(ds, [0, 1])
 
 
 @pytest.mark.parametrize("n", [32, 128])
@@ -206,7 +215,7 @@ def test_large_n_full_surface_properties(n):
     closed form for those alphas."""
     m = 2
     ds = dataset.generate(n, m, np.random.default_rng(15 + n))
-    kmat = kernel.kernel_matrix(ds, n)
+    kmat = kernel.kernel_matrix(ds)
     alphas = kernel.alpha_matrix(ds)
     labels = kmat.coset_labels
     expected = alphas[labels[:, None], labels[None, :]]

@@ -3,21 +3,13 @@ import pytest
 from scipy import stats
 
 from cosetkernel import group, kernel
-from cosetkernel.statevector import (
-    I2,
-    haar_random_state,
-    haar_random_su2,
-    inner_product,
-    operator_norm,
-    rx,
-    ry,
-    rz,
-    zero_state,
-)
+from cosetkernel.statevector import I2, haar_random_su2, rx, ry, rz
+
+import oracle
 
 
 def random_state(n, rng):
-    return haar_random_state(2**n, rng)
+    return oracle.haar_random_state(2**n, rng)
 
 
 def single_qubit_op(gate, qubit, n):
@@ -30,7 +22,7 @@ def single_qubit_op(gate, qubit, n):
 def cz_layer(n):
     """Dense CZ on every chain edge: the preparation circuit with its Ry
     layer switched off (offsets pi/2 make every Ry the identity)."""
-    return group.fiducial_operator(
+    return oracle.fiducial_operator(
         group.fiducial_preparation(n, np.full(n, np.pi / 2))
     )
 
@@ -38,12 +30,12 @@ def cz_layer(n):
 def test_apply_identity():
     rng = np.random.default_rng(0)
     psi = random_state(3, rng)
-    out = group.dense(single_qubit_op(I2, 1, 3)) @ psi
+    out = oracle.dense(single_qubit_op(I2, 1, 3)) @ psi
     np.testing.assert_allclose(out, psi, atol=1e-14)
 
 
 def test_apply_ry_half_pi_on_zero():
-    out = ry(np.pi / 2) @ zero_state(1)
+    out = ry(np.pi / 2) @ oracle.zero_state(1)
     np.testing.assert_allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
 
@@ -51,7 +43,7 @@ def test_apply_matches_dense_oracle():
     rng = np.random.default_rng(1)
     psi = random_state(3, rng)
     gate = rx(0.3) @ rz(0.7) @ rx(0.1)
-    out = group.dense(single_qubit_op(gate, 1, 3)) @ psi
+    out = oracle.dense(single_qubit_op(gate, 1, 3)) @ psi
     dense = np.kron(np.kron(I2, gate), I2)
     np.testing.assert_allclose(out, dense @ psi, atol=1e-12)
 
@@ -60,7 +52,7 @@ def test_apply_preserves_norm():
     rng = np.random.default_rng(2)
     psi = random_state(4, rng)
     for q in range(4):
-        psi = group.dense(single_qubit_op(haar_random_su2(rng), q, 4)) @ psi
+        psi = oracle.dense(single_qubit_op(haar_random_su2(rng), q, 4)) @ psi
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
 
 
@@ -77,14 +69,14 @@ def test_cz_involution():
 def test_inner_product_basics():
     rng = np.random.default_rng(4)
     psi = random_state(2, rng)
-    assert abs(inner_product(psi, psi) - 1) < 1e-12
-    zero = zero_state(1)
+    assert abs(oracle.inner_product(psi, psi) - 1) < 1e-12
+    zero = oracle.zero_state(1)
     one = np.array([0, 1], dtype=complex)
-    assert inner_product(zero, one) == 0
+    assert oracle.inner_product(zero, one) == 0
     # conjugate-linearity in the first argument
-    assert abs(inner_product(1j * psi, psi) - (-1j)) < 1e-12
+    assert abs(oracle.inner_product(1j * psi, psi) - (-1j)) < 1e-12
     with pytest.raises(ValueError):
-        inner_product(zero_state(1), zero_state(2))
+        oracle.inner_product(oracle.zero_state(1), oracle.zero_state(2))
 
 
 def test_inner_product_haar_mean():
@@ -101,13 +93,13 @@ def test_inner_product_haar_mean():
 
 
 def test_operator_norm():
-    assert operator_norm(np.zeros((4, 4))) == 0
+    assert oracle.operator_norm(np.zeros((4, 4))) == 0
     rng = np.random.default_rng(6)
     u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
-    assert abs(operator_norm(u) - 1) < 1e-10
-    assert abs(operator_norm(np.eye(2) - (-np.eye(2))) - 2) < 1e-12
+    assert abs(oracle.operator_norm(u) - 1) < 1e-10
+    assert abs(oracle.operator_norm(np.eye(2) - (-np.eye(2))) - 2) < 1e-12
     with pytest.raises(ValueError):
-        operator_norm(np.array([[np.nan, 0], [0, 1]]))
+        oracle.operator_norm(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_haar_su2_is_special_unitary():
@@ -152,5 +144,5 @@ def test_gate_level_matches_dense_circuit():
         elem = group.from_euler(rng.uniform(-np.pi, np.pi, size=(n, 3)))
         identity = np.broadcast_to(np.eye(2), (1, n, 2, 2))
         chain = kernel.transfer_amplitudes(identity, elem[None], prep, prep)
-        psi = group.fiducial_operator(prep) @ zero_state(n)
-        assert abs(chain[0, 0] - np.vdot(psi, group.dense(elem) @ psi)) < 1e-10
+        psi = oracle.fiducial_operator(prep) @ oracle.zero_state(n)
+        assert abs(chain[0, 0] - np.vdot(psi, oracle.dense(elem) @ psi)) < 1e-10

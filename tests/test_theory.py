@@ -99,7 +99,7 @@ def test_noisy_constant_kernel():
 def test_extract_stats_ideal_kernel():
     rng = np.random.default_rng(0)
     ds = dataset.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds, 3)
+    kmat = kernel.kernel_matrix(ds)
     alphas = kernel.alpha_matrix(ds)
     stats = theory.extract_deviation_stats(kmat, alphas[0, 1])
     assert stats.mean_gamma == pytest.approx(0.0, abs=1e-12)
