@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import experiment, kernel, noise, theory
-from .experiment import ExperimentConfig
 from .noise import count_envelope_violations
 
 
@@ -148,17 +147,22 @@ def cmd_verify_bounds(args):
     for variant in ("fiducial", "selection", "representation"):
         cfg_noise = noise.NoiseConfig(variant, args.epsilon)
         for n_qubits in range(lo, hi + 1):
-            for t in range(args.trials):
-                rng = experiment.trial_rng(args.seed, n_qubits, args.cosets, t)
-                ds, _, kmat = experiment.build_trial_kernel(
-                    n_qubits, args.cosets, cfg_noise, rng, surface="full"
+            for chunk in experiment.trial_chunks(
+                n_qubits, args.cosets, args.trials, "full"
+            ):
+                rngs = [
+                    experiment.trial_rng(args.seed, n_qubits, args.cosets, t)
+                    for t in chunk
+                ]
+                ds, _, kmats = experiment.build_trial_kernels(
+                    n_qubits, args.cosets, cfg_noise, rngs, surface="full"
                 )
-                alphas = kernel.alpha_matrix(ds)
-                v, c = count_envelope_violations(
-                    kmat, alphas, variant, args.epsilon
-                )
-                violations += v
-                checked += c
+                for t, alphas in enumerate(kernel.alpha_matrix(ds)):
+                    v, c = count_envelope_violations(
+                        kmats.trial(t), alphas, variant, args.epsilon
+                    )
+                    violations += v
+                    checked += c
         print(f"{variant}: checked through N={hi}")
     print(f"entries checked: {checked}, violations: {violations}")
     return 0 if violations == 0 else 1

@@ -3,12 +3,12 @@ N chain-graph stabilizer generators, plus the coverage-constrained train/test
 split."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import group
-from .statevector import haar_random_su2
+from .statevector import su2_from_ginibre
 
 FACTOR_TOL = 1e-9  # unitarity and point = representative @ generator
 
@@ -16,17 +16,27 @@ FACTOR_TOL = 1e-9  # unitarity and point = representative @ generator
 @dataclass(frozen=True)
 class CosetDataset:
     """P = m N points x_{i,a} = c_i s_a in coset-major order, each stored as
-    its per-qubit factors."""
+    its per-qubit factors.
+
+    The datasets of a batch of trials share one instance: the factor arrays
+    carry a leading trial axis, and the labels, which depend on N and m
+    only, are stored once."""
 
     num_qubits: int
-    representatives: np.ndarray  # (m, N, 2, 2) hidden c_i
-    factors: np.ndarray  # (P, N, 2, 2) points
+    representatives: np.ndarray  # (m, N, 2, 2) hidden c_i; (T, m, N, 2, 2)
+    factors: np.ndarray  # (P, N, 2, 2) points; (T, P, N, 2, 2)
     coset_labels: np.ndarray  # (P,) int, i
     subgroup_indices: np.ndarray  # (P,) int, a
 
     @property
     def num_cosets(self):
-        return len(self.representatives)
+        return self.representatives.shape[-4]
+
+    def trial(self, t):
+        """Trial t's dataset from a batch."""
+        return replace(
+            self, representatives=self.representatives[t], factors=self.factors[t]
+        )
 
 
 @dataclass(frozen=True)
@@ -41,21 +51,32 @@ def _generators(n_qubits):
     return group.from_pauli(labels).reshape(n_qubits, n_qubits, 2, 2)
 
 
-def generate(n_qubits, m, rng):
-    """Dataset of m * N points x_{i,a} = c_i s_a, coset-major order."""
+def generate_trials(n_qubits, m, rngs):
+    """Datasets of m * N points x_{i,a} = c_i s_a, coset-major order, for a
+    batch of trials: one per stream in `rngs`, along a leading trial axis.
+
+    Each stream gives its trial's Ginibre normals for the m x N Haar draw,
+    in C order; the QR build and the product with the generator stack then
+    run once for the whole batch."""
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
     if m < 2:
         raise ValueError("need at least 2 cosets")
-    reps = haar_random_su2(rng, (m, n_qubits))
-    factors = reps[:, None] @ _generators(n_qubits)
+    normals = np.stack([rng.standard_normal((m, n_qubits, 2, 2, 2)) for rng in rngs])
+    reps = su2_from_ginibre(normals)
+    factors = reps[:, :, None] @ _generators(n_qubits)
     return CosetDataset(
         n_qubits,
         reps,
-        factors.reshape(m * n_qubits, n_qubits, 2, 2),
+        factors.reshape(len(rngs), m * n_qubits, n_qubits, 2, 2),
         np.repeat(np.arange(m), n_qubits),
         np.tile(np.arange(n_qubits), m),
     )
+
+
+def generate(n_qubits, m, rng):
+    """One trial's dataset: the one-stream case of `generate_trials`."""
+    return generate_trials(n_qubits, m, [rng]).trial(0)
 
 
 def split(ds, rng):
@@ -71,8 +92,9 @@ def split(ds, rng):
         train = rng.choice(total, size=train_size, replace=False)
         if len(set(labels[train])) == m:
             break
-    train = tuple(sorted(int(i) for i in train))
-    test = tuple(i for i in range(total) if i not in set(train))
+    train = tuple(np.sort(train).tolist())
+    kept = set(train)
+    test = tuple(i for i in range(total) if i not in kept)
     return SplitIndices(train, test)
 
 

@@ -5,6 +5,18 @@ against the closed-form predictions.
 Every trial draws from a random stream derived from (master seed, N, m,
 trial index), so results are independent of execution order and the whole
 experiment is a pure function of its config.
+
+The trials of one (N, m) cell run in chunks along a leading trial axis. Only
+the draws stay per trial, each on its trial's own stream in a fixed order:
+the dataset's Ginibre normals, the split, then the noise. The Haar build,
+the point product, the noise fold and the transfer chain then run once per
+chunk, on (T, P, N, 2, 2) stacks that give (T, P, P) kernels (and, in
+`verify-bounds`, (T, m, m) alpha matrices); the statistics are taken per
+trial. Chunks are sized so that their
+(T, 2P, 2P) transfer matrices hold at most `CHUNK_ENTRIES` complex entries,
+which keeps large-N runs at one trial per chunk. A report does not depend on
+the chunking: each trial's numbers are the same, bit for bit, as those of a
+one-trial call.
 """
 
 import json
@@ -16,6 +28,10 @@ from . import dataset, group, kernel, theory
 from . import noise as noise_models
 
 MAX_QUBITS = 128
+# complex entries of one chunk's (T, 2P, 2P) transfer matrices. Past about
+# twice this, a batch runs slower than one trial at a time, and the chain's
+# working set (two such arrays) grows with it.
+CHUNK_ENTRIES = 2**16
 
 
 def check_qubit_range(lo, hi):
@@ -66,68 +82,103 @@ def trial_rng(seed, n_qubits, m, trial_index):
     )
 
 
-def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
-    """Dataset + split + noise draws + kernel on the requested surface."""
-    ds = dataset.generate(n_qubits, m, rng)
-    sp = dataset.split(ds, rng)
+def trial_chunks(n_qubits, m, trials, surface):
+    """The trial indices 0..trials-1 of one (N, m) cell, in chunks of as
+    many trials as keep their (2P x 2P) transfer matrices within
+    CHUNK_ENTRIES, and at least one; P is the surface's point count."""
+    points = m * n_qubits if surface == "full" else m * n_qubits // 2
+    step = max(1, CHUNK_ENTRIES // (2 * points) ** 2)
+    return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+
+
+def build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface="train"):
+    """Datasets, splits, noise draws and kernels on the requested surface
+    for a batch of trials, one stream each. Returns the batched dataset and
+    kernel matrix (leading trial axis) and the list of splits."""
+    ds = dataset.generate_trials(n_qubits, m, rngs)
+    splits = [dataset.split(ds, rng) for rng in rngs]
     offsets_l = offsets_r = perturbations = None
+    eps = cfg_noise.epsilon
     if cfg_noise.variant == "fiducial":
-        offsets_l = noise_models.sample_fiducial_offsets(n_qubits, cfg_noise.epsilon, rng)
-        offsets_r = noise_models.sample_fiducial_offsets(n_qubits, cfg_noise.epsilon, rng)
+        sides = [
+            [noise_models.sample_fiducial_offsets(n_qubits, eps, rng),
+             noise_models.sample_fiducial_offsets(n_qubits, eps, rng)]
+            for rng in rngs
+        ]
+        offsets_l, offsets_r = np.moveaxis(np.array(sides), 1, 0)
     elif cfg_noise.variant in ("selection", "representation"):
-        perturbations = group.from_euler(
-            noise_models.sample_element_perturbation(
-                n_qubits, cfg_noise.epsilon, rng, shape=(len(ds.factors),)
-            )
-        )
+        points = (len(ds.coset_labels),)
+        perturbations = group.from_euler(np.array([
+            noise_models.sample_element_perturbation(n_qubits, eps, rng, points)
+            for rng in rngs
+        ]))
     kmat = kernel.kernel_matrix(
         ds,
-        sp.train if surface == "train" else None,
+        np.array([sp.train for sp in splits]) if surface == "train" else None,
         offsets_left=offsets_l,
         offsets_right=offsets_r,
         perturbations=perturbations,
     )
-    return ds, sp, kmat
+    return ds, splits, kmat
+
+
+def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
+    """Dataset + split + noise draws + kernel on the requested surface: the
+    one-trial case of `build_trial_kernels`."""
+    ds, (sp,), kmat = build_trial_kernels(n_qubits, m, cfg_noise, [rng], surface)
+    return ds.trial(0), sp, kmat.trial(0)
+
+
+def run_trials(n_qubits, m, cfg_noise, rngs, *, trial_indices, digests,
+               surface="train"):
+    """Monte-Carlo trials built as one batch; statistics are per trial and
+    exclude the diagonal."""
+    _, _, kmats = build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface)
+    reports = []
+    for t, (trial_index, digest) in enumerate(zip(trial_indices, digests)):
+        kmat = kmats.trial(t)
+        mean, var = kernel.offdiag_stats(kmat)
+        cross = kernel.cross_coset_values(kmat)
+        reports.append(TrialReport(
+            n_qubits,
+            m,
+            trial_index,
+            var,
+            mean,
+            float(cross.min()),
+            float(cross.mean()),
+            float(cross.max()),
+            digest,
+        ))
+    return reports
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
               digest=""):
-    """One Monte-Carlo trial; statistics exclude the diagonal."""
-    _, _, kmat = build_trial_kernel(n_qubits, m, cfg_noise, rng, surface)
-    mean, var = kernel.offdiag_stats(kmat)
-    cross = kernel.cross_coset_values(kmat)
-    return TrialReport(
-        n_qubits,
-        m,
-        trial_index,
-        var,
-        mean,
-        float(cross.min()),
-        float(cross.mean()),
-        float(cross.max()),
-        digest,
-    )
+    """One Monte-Carlo trial: the one-trial case of `run_trials`."""
+    (report,) = run_trials(n_qubits, m, cfg_noise, [rng],
+                           trial_indices=[trial_index], digests=[digest],
+                           surface=surface)
+    return report
 
 
 def run_experiment(cfg):
     """All (N, m, trial) combinations, with theory overlays per (N, m)."""
     trials = []
     aggregates = []
+    surface = cfg.variance_surface
     for n_qubits in cfg.qubit_values():
         for m in cfg.coset_counts:
             reports = []
-            for t in range(cfg.trials):
-                rng = trial_rng(cfg.seed, n_qubits, m, t)
-                reports.append(
-                    run_trial(
-                        n_qubits,
-                        m,
-                        cfg.noise,
-                        rng,
-                        trial_index=t,
-                        surface=cfg.variance_surface,
-                        digest=f"{cfg.seed}:{n_qubits}:{m}:{t}",
-                    )
+            for chunk in trial_chunks(n_qubits, m, cfg.trials, surface):
+                reports += run_trials(
+                    n_qubits,
+                    m,
+                    cfg.noise,
+                    [trial_rng(cfg.seed, n_qubits, m, t) for t in chunk],
+                    trial_indices=chunk,
+                    digests=[f"{cfg.seed}:{n_qubits}:{m}:{t}" for t in chunk],
+                    surface=surface,
                 )
             variances = np.array([r.empirical_variance for r in reports])
             n = n_qubits
@@ -148,7 +199,8 @@ def run_experiment(cfg):
     return {
         "config": config_to_dict(cfg),
         "aggregates": aggregates,
-        "trials": [asdict(r) for r in trials],
+        # the fields are flat values, so a shallow copy is a full one
+        "trials": [dict(vars(r)) for r in trials],
     }
 
 

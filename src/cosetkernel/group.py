@@ -64,14 +64,15 @@ def chain_generators(n):
 @dataclass(frozen=True)
 class FiducialPreparation:
     """Chain-graph-state circuit: Ry(pi/2 - offset_j) on every qubit, then CZ
-    on each chain edge. Zero offsets give the ideal fiducial state."""
+    on each chain edge. Zero offsets give the ideal fiducial state. Offsets
+    of shape (T, N) describe one preparation per trial of a batch."""
 
     num_qubits: int
-    offsets: np.ndarray
+    offsets: np.ndarray  # (N,) or (T, N)
 
     def __post_init__(self):
         offs = np.asarray(self.offsets, dtype=float)
-        if offs.shape != (self.num_qubits,):
+        if offs.ndim not in (1, 2) or offs.shape[-1] != self.num_qubits:
             raise ValueError("need one offset per qubit")
         object.__setattr__(self, "offsets", offs)
 

@@ -16,6 +16,13 @@ for all P x Q point pairs at once, holding v as four (P, Q) planes and
 building each g_j inside the loop with one (2P x 2) @ (2 x 2Q) product, so
 memory is O(P Q + N P) for any N and no 2^N vector appears.
 
+The chain also runs for a batch of trials at once: every array then carries
+a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
+(T, P, Q) amplitudes, and each step is one batched product over the trials.
+Each trial's entries are the same, bit for bit, as in a batch of one;
+`experiment` picks the batch size so that T (2P)^2 stays within a fixed
+budget.
+
 A selection perturbation E_x is folded into the point's factors first, as
 E_x,j D_x,j on every qubit j; this is exact because both operators are
 tensor products. The tests check this path against a dense 2^N
@@ -34,13 +41,22 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex)  # (-1)^(t t'), the CZ sign
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    entries: np.ndarray  # (P, P) real, symmetric
-    coset_labels: np.ndarray  # (P,) int
-    subgroup_indices: np.ndarray  # (P,) int
+    """A Gram matrix over selected points; a batch of trials' matrices
+    carries a leading trial axis on every field."""
+
+    entries: np.ndarray  # (P, P) real, symmetric; (T, P, P)
+    coset_labels: np.ndarray  # (P,) int; (T, P)
+    subgroup_indices: np.ndarray  # (P,) int; (T, P)
 
     @property
     def size(self):
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
+
+    def trial(self, t):
+        """Trial t's matrix from a batch."""
+        return KernelMatrix(
+            self.entries[t], self.coset_labels[t], self.subgroup_indices[t]
+        )
 
     def point_labels(self):
         return [
@@ -52,29 +68,49 @@ def transfer_amplitudes(left, right, prep_left, prep_right):
     """(P, Q) amplitudes <psi_l| D_p^dag D_q |psi_r> for (P, N, 2, 2) and
     (Q, N, 2, 2) factor stacks, with |psi_l>, |psi_r> the chain graph states
     of the two preparations; contracted qubit by qubit (module docstring).
+    Leading trial axes, on the stacks as (T, P, N, 2, 2) or on the
+    preparation offsets as (T, N), broadcast and give (T, P, Q).
 
     v is held as a (2P, 2Q) matrix with rows (t, p) and columns (q, u), so
     g_j is one (2P x 2) @ (2 x 2Q) product and H v H two products with H.
     """
-    a_left = ry(np.pi / 2 - prep_left.offsets)[..., 0]  # (N, 2)
-    a_right = ry(np.pi / 2 - prep_right.offsets)[..., 0]
-    p, n, q = len(left), left.shape[1], len(right)
+    a_left = ry(np.pi / 2 - prep_left.offsets)[..., None, :, None, :, 0]
+    a_right = ry(np.pi / 2 - prep_right.offsets)[..., None, :, None, :, 0]
+    p, n, q = left.shape[-4], left.shape[-3], right.shape[-4]
     # per qubit j: rows (t, p) of conj(a_l[t] D_p[k, t]), columns (q, u) of
     # a_r[u] D_q[k, u]; O(N P) memory, g_j itself is formed in the loop
-    bras = np.conj(left * a_left[:, None, :]).transpose(1, 3, 0, 2)
-    kets = (right * a_right[:, None, :]).transpose(1, 2, 0, 3)
-    bras = bras.reshape(n, 2 * p, 2)
-    kets = kets.reshape(n, 2, 2 * q)
+    bras = np.moveaxis(np.conj(left * a_left), (-3, -1), (0, -3))
+    kets = np.moveaxis(right * a_right, (-3, -2), (0, -3))
+    bras = bras.reshape(n, *bras.shape[1:-3], 2 * p, 2)
+    kets = kets.reshape(n, *kets.shape[1:-3], 2, 2 * q)
     v = bras[0] @ kets[0]
+    batch = v.shape[:-2]
+    # each step keeps at most two (2P, 2Q) arrays alive; this sets the
+    # memory per trial that `experiment.CHUNK_ENTRIES` budgets for
     for bra, ket in zip(bras[1:], kets[1:]):
-        hvh = (_H @ v.reshape(2, -1)).reshape(-1, 2) @ _H
-        v = (bra @ ket) * hvh.reshape(v.shape)
-    return v.reshape(2, p, q, 2).sum(axis=(0, 3))
+        hv = _H @ v.reshape(*batch, 2, -1)
+        del v
+        hvh = hv.reshape(*batch, -1, 2) @ _H
+        del hv
+        v = bra @ ket
+        v *= hvh.reshape(v.shape)
+        del hvh
+    v = v.reshape(*batch, 2, p, q, 2)
+    # over u, then over t: two elementwise sums, where one np.sum over both
+    # axes is a slow strided reduction
+    halves = v[..., 0] + v[..., 1]
+    return halves[..., 0, :, :] + halves[..., 1, :, :]
 
 
 def _mirrored(gram):
     """The upper triangle mirrored, so the result is exactly symmetric."""
-    return np.triu(gram) + np.triu(gram, 1).T
+    return np.triu(gram) + np.swapaxes(np.triu(gram, 1), -1, -2)
+
+
+def _selected(stack, indices):
+    """The points `indices` picks from a (..., P, N, 2, 2) stack, per trial
+    when both carry a trial axis."""
+    return np.take_along_axis(stack, indices[..., None, None, None], axis=-4)
 
 
 def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
@@ -86,6 +122,10 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
     independently sampled noisy preparations on the two sides of every
     entry); perturbations attaches one selection-error element per dataset
     point, as a (P, N, 2, 2) stack that `indices` selects from too.
+
+    On a batch of trials' datasets (`dataset.generate_trials`) the indices
+    (T, K), offsets (T, N) and perturbations (T, P, N, 2, 2) carry the same
+    leading trial axis, and the result holds the T matrices.
     """
     if (offsets_left is None) != (offsets_right is None):
         raise ValueError("fiducial offsets must be given for both sides")
@@ -93,23 +133,35 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
         raise ValueError("choose one noise attachment per job")
     if perturbations is not None and perturbations.shape != ds.factors.shape:
         raise ValueError("need one perturbation per point")
-    idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
-    factors = ds.factors[idx]
+    factors = ds.factors
+    labels, subgroups = ds.coset_labels, ds.subgroup_indices
+    if indices is not None:
+        idx = np.asarray(indices, dtype=int)
+        factors = _selected(factors, idx)
+        if perturbations is not None:
+            perturbations = _selected(perturbations, idx)
+        labels, subgroups = labels[idx], subgroups[idx]
     if perturbations is not None:
-        factors = perturbations[idx] @ factors
+        factors = perturbations @ factors
     prep_l = group.fiducial_preparation(ds.num_qubits, offsets_left)
     prep_r = group.fiducial_preparation(ds.num_qubits, offsets_right)
     amps = transfer_amplitudes(factors, factors, prep_l, prep_r)
     entries = _mirrored(np.abs(amps) ** 2)
-    return KernelMatrix(entries, ds.coset_labels[idx], ds.subgroup_indices[idx])
+    return KernelMatrix(
+        entries,
+        np.broadcast_to(labels, entries.shape[:-1]),
+        np.broadcast_to(subgroups, entries.shape[:-1]),
+    )
 
 
 def alpha_matrix(ds):
-    """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal."""
+    """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal;
+    (T, m, m) for a batch of trials' datasets."""
     prep = group.fiducial_preparation(ds.num_qubits)
     reps = ds.representatives
     alphas = _mirrored(np.abs(transfer_amplitudes(reps, reps, prep, prep)) ** 2)
-    np.fill_diagonal(alphas, 1.0)
+    diagonal = np.arange(ds.num_cosets)
+    alphas[..., diagonal, diagonal] = 1.0
     return alphas
 
 

@@ -1,4 +1,4 @@
-"""Single-qubit gates and batched Haar-random SU(2) draws.
+"""Single-qubit gates and the batched Haar-random SU(2) build.
 
 These build the per-qubit 2x2 factors that everything else works on; no
 2^N state is formed anywhere in the package (see `kernel`).
@@ -38,12 +38,13 @@ def rz(theta):
     return _gates(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
 
 
-def haar_random_su2(rng, shape=()):
-    """Haar-random SU(2) elements, shape (*shape, 2, 2), via QR of complex
-    Ginibre matrices. One draw of shape (*shape, 2, 2, 2) holds, per element,
-    the 2x2 real parts and then the 2x2 imaginary parts, so the stream is the
-    same as one call per element in C order."""
-    g = rng.standard_normal((*shape, 2, 2, 2))
+def su2_from_ginibre(g):
+    """Haar-random SU(2) elements from complex Ginibre matrices, via QR.
+    `g` holds standard normals of shape (..., 2, 2, 2): per element, the 2x2
+    real parts and then the 2x2 imaginary parts; the result is (..., 2, 2).
+    Each element depends only on its own normals, so any stack of draws (for
+    instance one per trial along a leading axis) gives the same elements as
+    one call per draw."""
     q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     # fix the phase ambiguity of QR, then normalize the determinant
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -9,6 +9,10 @@ is `dense(D_x) @ V |0>`, and a selection perturbation E_x is applied as its
 own dense matrix rather than folded into the point's factors. Dense states
 are 1-D complex arrays of length 2**N with qubit 0 the most significant bit
 of the basis index. The oracle refuses more than DENSE_MAX_QUBITS qubits.
+
+`haar_random_su2` is the tests' Haar sampler: one Ginibre draw from a stream,
+built by the package's `su2_from_ginibre`, as `dataset.generate_trials` does
+for each trial.
 """
 
 from functools import reduce
@@ -16,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from cosetkernel import group, kernel
-from cosetkernel.statevector import ry
+from cosetkernel.statevector import ry, su2_from_ginibre
 
 DENSE_MAX_QUBITS = 10
 
@@ -48,6 +52,12 @@ def haar_random_state(dim, rng):
     """Haar-random pure state on a dim-dimensional space."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def haar_random_su2(rng, shape=()):
+    """Haar-random SU(2) elements, shape (*shape, 2, 2), from one draw of
+    shape (*shape, 2, 2, 2) normals."""
+    return su2_from_ginibre(rng.standard_normal((*shape, 2, 2, 2)))
 
 
 def dense(g):
@@ -91,7 +101,27 @@ def feature_states(factors, prep, perturbations=None):
 def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
                   perturbations=None):
     """`kernel.kernel_matrix` from dense feature states: the same arguments
-    and the same KernelMatrix, with entries |<phi_l(x)|phi_r(x')>|^2."""
+    and the same KernelMatrix, with entries |<phi_l(x)|phi_r(x')>|^2. A batch
+    of trials' datasets gets one dense kernel per trial, stacked."""
+    if ds.factors.ndim == 5:
+        def at(t, a):
+            return None if a is None else a[t]
+
+        kmats = [
+            kernel_matrix(
+                ds.trial(t),
+                at(t, indices),
+                offsets_left=at(t, offsets_left),
+                offsets_right=at(t, offsets_right),
+                perturbations=at(t, perturbations),
+            )
+            for t in range(len(ds.factors))
+        ]
+        return kernel.KernelMatrix(
+            np.stack([k.entries for k in kmats]),
+            np.stack([k.coset_labels for k in kmats]),
+            np.stack([k.subgroup_indices for k in kmats]),
+        )
     idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
     factors = ds.factors[idx]
     if perturbations is not None:

@@ -5,17 +5,15 @@ report. Statistical criteria use fixed seeds so the suite is deterministic.
 """
 
 import itertools
-import json
 import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 from scipy import stats as scipy_stats
 
 import cosetkernel
-from cosetkernel import cli, dataset, experiment, group, kernel, noise, theory
+from cosetkernel import dataset, experiment, group, kernel, noise, theory
 from cosetkernel.noise import count_envelope_violations
 from cosetkernel.statevector import ry
 

@@ -1,0 +1,144 @@
+"""Trials computed together along a trial axis give, bit for bit, what one
+trial at a time gives, whatever the chunking.
+
+The one-trial reference below calls the single-trial primitives in the order
+every trial reads its own stream: the dataset's normals, the split, then the
+noise. A batched path that reorders those draws, or lets trials share a
+stream, fails the comparison.
+"""
+
+import numpy as np
+import pytest
+
+from cosetkernel import cli, dataset, experiment, group, kernel, noise
+
+VARIANTS = [("none", 0.0), ("fiducial", 0.3), ("selection", 0.3),
+            ("representation", 0.3)]
+SURFACES = ("train", "full")
+
+
+def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
+    """Dataset, split, noise and kernel of one trial from one stream."""
+    ds = dataset.generate(n_qubits, m, rng)
+    sp = dataset.split(ds, rng)
+    eps = cfg_noise.epsilon
+    attach = {}
+    if cfg_noise.variant == "fiducial":
+        attach["offsets_left"] = noise.sample_fiducial_offsets(n_qubits, eps, rng)
+        attach["offsets_right"] = noise.sample_fiducial_offsets(n_qubits, eps, rng)
+    elif cfg_noise.variant != "none":
+        attach["perturbations"] = group.from_euler(
+            noise.sample_element_perturbation(
+                n_qubits, eps, rng, (len(ds.coset_labels),)
+            )
+        )
+    indices = sp.train if surface == "train" else None
+    return ds, sp, kernel.kernel_matrix(ds, indices, **attach)
+
+
+def small_config(variant, eps, surface, trials=6):
+    return experiment.ExperimentConfig(
+        qubit_range=(2, 5),
+        coset_counts=(2, 3),
+        trials=trials,
+        noise=noise.NoiseConfig(variant, eps),
+        seed=23,
+        variance_surface=surface,
+    )
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variant,eps", VARIANTS)
+def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
+    cfg_noise = noise.NoiseConfig(variant, eps)
+    for n_qubits, m in ((2, 2), (3, 3), (5, 2), (4, 5)):
+        trials = range(7)
+        rngs = [experiment.trial_rng(4, n_qubits, m, t) for t in trials]
+        ds, splits, kmats = experiment.build_trial_kernels(
+            n_qubits, m, cfg_noise, rngs, surface
+        )
+        alphas = kernel.alpha_matrix(ds)
+        for t in trials:
+            rng = experiment.trial_rng(4, n_qubits, m, t)
+            ref_ds, ref_sp, ref = one_trial_kernel(n_qubits, m, cfg_noise, rng,
+                                                   surface)
+            assert np.array_equal(ds.trial(t).factors, ref_ds.factors)
+            assert splits[t] == ref_sp
+            got = kmats.trial(t)
+            assert np.array_equal(got.entries, ref.entries)
+            assert np.array_equal(got.coset_labels, ref.coset_labels)
+            assert np.array_equal(got.subgroup_indices, ref.subgroup_indices)
+            assert np.array_equal(alphas[t], kernel.alpha_matrix(ref_ds))
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variant,eps", VARIANTS)
+def test_batched_reports_match_one_trial_loop(variant, eps, surface):
+    cfg = small_config(variant, eps, surface)
+    looped = [
+        vars(experiment.run_trial(
+            n_qubits, m, cfg.noise,
+            experiment.trial_rng(cfg.seed, n_qubits, m, t),
+            trial_index=t, surface=surface,
+            digest=f"{cfg.seed}:{n_qubits}:{m}:{t}",
+        ))
+        for n_qubits in cfg.qubit_values()
+        for m in cfg.coset_counts
+        for t in range(cfg.trials)
+    ]
+    assert experiment.run_experiment(cfg)["trials"] == looped
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variant,eps", VARIANTS)
+def test_reports_do_not_depend_on_chunking(variant, eps, surface, monkeypatch):
+    cfg = small_config(variant, eps, surface, trials=9)
+    # one trial per chunk, chunks of mixed sizes, and each cell in one chunk
+    budgets = {1: [range(t, t + 1) for t in range(9)],
+               3000: None,
+               2**40: [range(9)]}
+    reports = []
+    for budget, chunks in budgets.items():
+        monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
+        if chunks is not None:
+            assert experiment.trial_chunks(5, 3, 9, surface) == chunks
+        reports.append(experiment.run_experiment(cfg))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_verify_bounds_does_not_depend_on_chunking(monkeypatch, capsys):
+    argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
+            "--cosets", "3", "--trials", "4", "--seed", "17"]
+    outputs = []
+    for budget in (experiment.CHUNK_ENTRIES, 1, 2**40):
+        monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].endswith("violations: 0\n")
+
+
+def test_chunk_sizing():
+    # large N runs one trial at a time
+    assert experiment.trial_chunks(128, 3, 4, "full") == [
+        range(0, 1), range(1, 2), range(2, 3), range(3, 4)
+    ]
+    # every cell of a 40-trial train-surface sweep over N = 2..5, m = 2..5
+    # is one chunk
+    for n_qubits in range(2, 6):
+        for m in range(2, 6):
+            assert experiment.trial_chunks(n_qubits, m, 40, "train") == [
+                range(40)
+            ]
+    # a chunk is the largest that keeps within the budget, or one trial
+    budget = experiment.CHUNK_ENTRIES
+    for n_qubits in (2, 5, 10, 32, 128):
+        for m in (2, 3, 5):
+            for surface, points in (("full", m * n_qubits),
+                                    ("train", m * n_qubits // 2)):
+                chunks = experiment.trial_chunks(n_qubits, m, 10_000, surface)
+                size = len(chunks[0])
+                assert size == 1 or size * (2 * points) ** 2 <= budget
+                assert (size + 1) * (2 * points) ** 2 > budget
+                # the chunks cover the trials in order, each once
+                assert [t for c in chunks for t in c] == list(range(10_000))

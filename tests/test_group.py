@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cosetkernel import group, kernel
-from cosetkernel.statevector import X, Z, haar_random_su2, rx, rz
+from cosetkernel.statevector import X, Z, rx, rz
 
 import oracle
+from oracle import haar_random_su2
 
 
 def test_from_euler_identity():

@@ -1,11 +1,12 @@
 """Every public function and class of the computational modules has a user
-in the package or the demos.
+in the package or the demos, and every imported name is used.
 
 A helper that only the tests call belongs in the tests (the dense reference
-lives in `oracle.py`). The scan reads the source with `ast` and imports
-nothing. `dataset`, `theory` and `cli` are left out on purpose: they hold the
-JSON round trip, the closed forms and the entry points, which serve users
-directly.
+lives in `oracle.py`). The scans read the source with `ast` and import
+nothing. `dataset`, `theory` and `cli` are left out of the first on purpose:
+they hold the JSON round trip, the closed forms and the entry points, which
+serve users directly. The import scan covers every file of `src/`, `tests/`
+and `demos/`; a name listed in a module's `__all__` counts as used.
 """
 
 import ast
@@ -48,3 +49,32 @@ def test_public_definitions_have_a_user(module):
         if name not in referenced
     ]
     assert not orphans, f"{module}: nothing in src/ or demos/ uses {orphans}"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("directory", ["src", "tests", "demos"])
+def test_imported_names_are_used(directory):
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / directory).rglob("*.py"))
+        if (names := _unused_imports(path))
+    }
+    assert not unused, f"imported but never used: {unused}"

@@ -7,9 +7,10 @@ import itertools
 import numpy as np
 
 from cosetkernel import group, noise
-from cosetkernel.statevector import haar_random_su2, ry
+from cosetkernel.statevector import ry
 
 import oracle
+from oracle import haar_random_su2
 
 TOL = 1e-9
 INSTANCES = 200

@@ -3,9 +3,10 @@ import pytest
 from scipy import stats
 
 from cosetkernel import group, kernel
-from cosetkernel.statevector import I2, haar_random_su2, rx, ry, rz
+from cosetkernel.statevector import I2, rx, ry, rz
 
 import oracle
+from oracle import haar_random_su2
 
 
 def random_state(n, rng):
