@@ -51,6 +51,19 @@ def _generators(n_qubits):
     return group.from_pauli(labels).reshape(n_qubits, n_qubits, 2, 2)
 
 
+def _times_generators(factors, indices):
+    """factors @ s_a for (..., N, 2, 2) factor stacks and generator indices
+    a that broadcast against their leading axes. Each factor of s_a is X (on
+    qubit a), Z (on its chain neighbours) or I, so the product swaps the two
+    columns, negates the second or keeps both: the same bits as the matrix
+    product, without one."""
+    qubits = np.arange(factors.shape[-3])
+    distance = np.abs(qubits - np.asarray(indices)[..., None])
+    out = np.where((distance == 0)[..., None, None], factors[..., ::-1], factors)
+    out[..., 1] = np.where(distance[..., None] == 1, -out[..., 1], out[..., 1])
+    return out
+
+
 def generate_trials(n_qubits, m, rngs):
     """Datasets of m * N points x_{i,a} = c_i s_a, coset-major order, for a
     batch of trials: one per stream in `rngs`, along a leading trial axis.
@@ -64,7 +77,7 @@ def generate_trials(n_qubits, m, rngs):
         raise ValueError("need at least 2 cosets")
     normals = np.stack([rng.standard_normal((m, n_qubits, 2, 2, 2)) for rng in rngs])
     reps = su2_from_ginibre(normals)
-    factors = reps[:, :, None] @ _generators(n_qubits)
+    factors = _times_generators(reps[:, :, None], np.arange(n_qubits))
     return CosetDataset(
         n_qubits,
         reps,
@@ -165,7 +178,7 @@ def from_json(text):
         [p["subgroup_index"] for p in points], n_qubits, "subgroup indices"
     )
     factors = _factors_from_pairs([p["element"] for p in points], n_qubits, "point")
-    expected = reps[labels] @ _generators(n_qubits)[indices]
+    expected = _times_generators(reps[labels], indices)
     if not np.all(np.abs(factors - expected) <= FACTOR_TOL):
         raise ValueError(
             "point factors differ from representative @ generator of their "

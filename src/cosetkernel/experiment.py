@@ -11,12 +11,11 @@ the draws stay per trial, each on its trial's own stream in a fixed order:
 the dataset's Ginibre normals, the split, then the noise. The Haar build,
 the point product, the noise fold and the transfer chain then run once per
 chunk, on (T, P, N, 2, 2) stacks that give (T, P, P) kernels (and, in
-`verify-bounds`, (T, m, m) alpha matrices); the statistics are taken per
-trial. Chunks are sized so that their
-(T, 2P, 2P) transfer matrices hold at most `CHUNK_ENTRIES` complex entries,
-which keeps large-N runs at one trial per chunk. A report does not depend on
-the chunking: each trial's numbers are the same, bit for bit, as those of a
-one-trial call.
+`verify-bounds`, (T, m, m) alpha matrices), and so do the statistics and
+the envelope check. Chunks are sized so that their (T, 2P, 2P) transfer
+matrices hold at most `CHUNK_ENTRIES` complex entries, which keeps large-N
+runs at one trial per chunk. A report does not depend on the chunking: each
+trial's numbers are the same, bit for bit, as those of a one-trial call.
 """
 
 import json
@@ -131,26 +130,13 @@ def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
 
 def run_trials(n_qubits, m, cfg_noise, rngs, *, trial_indices, digests,
                surface="train"):
-    """Monte-Carlo trials built as one batch; statistics are per trial and
-    exclude the diagonal."""
+    """Monte-Carlo trials built as one batch, with the statistics of all of
+    them taken at once; they exclude the diagonal."""
     _, _, kmats = build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface)
-    reports = []
-    for t, (trial_index, digest) in enumerate(zip(trial_indices, digests)):
-        kmat = kmats.trial(t)
-        mean, var = kernel.offdiag_stats(kmat)
-        cross = kernel.cross_coset_values(kmat)
-        reports.append(TrialReport(
-            n_qubits,
-            m,
-            trial_index,
-            var,
-            mean,
-            float(cross.min()),
-            float(cross.mean()),
-            float(cross.max()),
-            digest,
-        ))
-    return reports
+    means, variances = kernel.offdiag_stats(kmats)
+    stats = np.stack([variances, means, *kernel.cross_coset_stats(kmats)], -1)
+    return [TrialReport(n_qubits, m, t, *row, digest)
+            for t, row, digest in zip(trial_indices, stats.tolist(), digests)]
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",

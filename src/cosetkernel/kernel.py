@@ -21,7 +21,8 @@ a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
 (T, P, Q) amplitudes, and each step is one batched product over the trials.
 Each trial's entries are the same, bit for bit, as in a batch of one;
 `experiment` picks the batch size so that T (2P)^2 stays within a fixed
-budget.
+budget. The statistics also take a whole batch, and give each trial the
+bits of 1-D reductions over its own entries.
 
 A selection perturbation E_x is folded into the point's factors first, as
 E_x,j D_x,j on every qubit j; this is exact because both operators are
@@ -166,18 +167,41 @@ def alpha_matrix(ds):
 
 
 def offdiag_stats(kmat):
-    """Mean and population variance over all off-diagonal entries."""
+    """Mean and population variance over all off-diagonal entries: floats
+    for one matrix, (T,) arrays for a batch."""
     k = kmat.entries
-    mask = ~np.eye(k.shape[0], dtype=bool)
-    vals = k[mask]
-    return float(vals.mean()), float(vals.var())
+    mask = ~np.eye(kmat.size, dtype=bool)
+    # k[..., mask] is F-ordered on a batch; its row reductions would differ
+    # in the last bits from those of a one-trial call
+    vals = np.ascontiguousarray(k[..., mask])
+    return vals.mean(axis=-1), vals.var(axis=-1)
 
 
 def cross_coset_values(kmat):
-    """Off-diagonal entries between points of different cosets."""
+    """Off-diagonal entries between points of different cosets; on a batch,
+    those of trial 0, then of trial 1, and so on."""
     labels = kmat.coset_labels
-    mask = labels[:, None] != labels[None, :]
-    return kmat.entries[mask]
+    return kmat.entries[labels[..., :, None] != labels[..., None, :]]
+
+
+def cross_coset_stats(kmat):
+    """Min, mean and max of the cross-coset entries: floats for one matrix,
+    (T,) arrays for a batch. The trials with equal counts are averaged as
+    the rows of one C-ordered array, which numpy sums pairwise row by row,
+    so each mean has the bits of `.mean()` over that trial's values."""
+    labels = kmat.coset_labels
+    cross = labels[..., :, None] != labels[..., None, :]
+    lows = np.where(cross, kmat.entries, np.inf).min(axis=(-2, -1))
+    highs = np.where(cross, kmat.entries, -np.inf).max(axis=(-2, -1))
+    counts = np.atleast_1d(np.count_nonzero(cross, axis=(-2, -1)))
+    starts = np.cumsum(counts) - counts
+    values = cross_coset_values(kmat)
+    means = np.empty(counts.shape)
+    # a set, not np.unique: its first call adds about 1 MiB to the peak RSS
+    for count in set(counts.tolist()):
+        rows = counts == count
+        means[rows] = values[starts[rows, None] + np.arange(count)].mean(axis=-1)
+    return lows, means.reshape(lows.shape)[()], highs
 
 
 def export_heatmap(kmat, path):

@@ -2,10 +2,11 @@
 
 All perturbations are tensor products of small single-qubit rotations whose
 angles are drawn uniformly inside a budget chosen so that the operator norm
-of the deviation stays below epsilon.
+of the deviation stays below epsilon. The envelopes take one alpha or an
+array of them, so a batch of trials is checked with one evaluation.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,37 +52,30 @@ def sample_element_perturbation(n_qubits, epsilon, rng, shape=()):
     return rng.uniform(-bound, bound, size=(*shape, n_qubits, 3))
 
 
-def _clamp(v):
-    return float(min(max(v, 0.0), 1.0))
-
-
 def _envelope(alpha, shift):
     """Bounds on kappa when the overlap amplitude moves by at most `shift`
-    around sqrt(alpha)."""
+    around sqrt(alpha), for one alpha or elementwise over an array."""
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all((0 <= alpha) & (alpha <= 1)):
+        raise ValueError("alpha must be in [0, 1]")
     root = np.sqrt(alpha)
-    upper = _clamp((root + shift) ** 2)
-    lower = _clamp((root - shift) ** 2) if root >= shift else 0.0
-    return lower, upper
+    upper = np.clip(np.square(root + shift), 0.0, 1.0)
+    lower = np.where(root >= shift, np.square(root - shift), 0.0)
+    return lower[()], upper[()]
 
 
 def bounds_fiducial(alpha, epsilon):
     """Envelope for fiducial-state errors: amplitude shift 2 eps + eps^2."""
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must be in [0, 1]")
     shift = 2 * epsilon + epsilon**2
-    same_lower = _clamp((1 - shift) ** 2) if shift <= 1 else 0.0
-    cross_lower, cross_upper = _envelope(alpha, shift)
-    return NoiseBounds(same_lower, cross_lower, cross_upper)
+    same_lower = np.square(1 - shift) if shift <= 1 else 0.0
+    return NoiseBounds(same_lower, *_envelope(alpha, shift))
 
 
 def bounds_selection(alpha, epsilon):
     """Envelope for selection errors: same-coset amplitude >= 1 - eps^2 / 2,
     cross-coset amplitude shift 2 eps."""
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must be in [0, 1]")
-    same_lower = _clamp((1 - epsilon**2 / 2) ** 2)
-    cross_lower, cross_upper = _envelope(alpha, 2 * epsilon)
-    return NoiseBounds(same_lower, cross_lower, cross_upper)
+    same_lower = np.clip(np.square(1 - epsilon**2 / 2), 0.0, 1.0)
+    return NoiseBounds(same_lower, *_envelope(alpha, 2 * epsilon))
 
 
 def bounds_for(variant, alpha, epsilon):
@@ -94,26 +88,22 @@ def bounds_for(variant, alpha, epsilon):
 
 
 def count_envelope_violations(kmat, alphas, variant, epsilon, tol=1e-9):
-    """Count noisy kernel entries outside their per-pair envelope.
-
-    The bounds depend only on the coset pair, so they are evaluated once per
-    pair of coset labels present and compared with all entries at once.
-    """
-    labels = kmat.coset_labels
-    cosets, index = np.unique(labels, return_inverse=True)
-    table = np.array([
-        [astuple(bounds_for(variant, alphas[i, j], epsilon)) for j in cosets]
-        for i in cosets
-    ])
-    same_lower, cross_lower, cross_upper = np.moveaxis(
-        table[np.ix_(index, index)], -1, 0
-    )
-    values = kmat.entries
-    same = labels[:, None] == labels[None, :]
-    off_diagonal = ~np.eye(kmat.size, dtype=bool)
+    """(violations, entries checked) of the noisy kernel entries against
+    their per-pair envelope, for one matrix and its (m, m) alphas or a batch
+    of trials' matrices and their (T, m, m) alphas. Each entry's alpha is
+    gathered by its coset labels, and the bounds are evaluated once."""
+    size, m = kmat.size, alphas.shape[-1]
+    values = kmat.entries.reshape(-1, size, size)
+    rows = np.broadcast_to(kmat.coset_labels, values.shape[:-1])[..., None]
+    cols = np.swapaxes(rows, -1, -2)
+    trials = np.arange(len(rows))[:, None, None]
+    bounds = bounds_for(variant, alphas.reshape(-1, m, m)[trials, rows, cols],
+                        epsilon)
     outside = np.where(
-        same,
-        values < same_lower - tol,
-        ~((cross_lower - tol <= values) & (values <= cross_upper + tol)),
+        rows == cols,
+        values < bounds.same_coset_lower - tol,
+        ~((bounds.cross_coset_lower - tol <= values)
+          & (values <= bounds.cross_coset_upper + tol)),
     )
-    return int(np.sum(outside & off_diagonal)), int(np.sum(off_diagonal))
+    outside &= ~np.eye(size, dtype=bool)
+    return int(np.sum(outside)), len(rows) * size * (size - 1)

@@ -91,6 +91,30 @@ def test_batched_reports_match_one_trial_loop(variant, eps, surface):
 
 @pytest.mark.parametrize("surface", SURFACES)
 @pytest.mark.parametrize("variant,eps", VARIANTS)
+def test_report_statistics_match_plain_reductions(variant, eps, surface):
+    # each trial's five numbers from its own matrix, with 1-D reductions
+    cfg = small_config(variant, eps, surface)
+    expected = []
+    for n_qubits in cfg.qubit_values():
+        for m in cfg.coset_counts:
+            for t in range(cfg.trials):
+                rng = experiment.trial_rng(cfg.seed, n_qubits, m, t)
+                _, _, ref = one_trial_kernel(n_qubits, m, cfg.noise, rng,
+                                             surface)
+                labels = ref.coset_labels
+                off = ref.entries[~np.eye(ref.size, dtype=bool)]
+                cross = ref.entries[labels[:, None] != labels[None, :]]
+                expected.append((off.var(), off.mean(), cross.min(),
+                                 cross.mean(), cross.max()))
+    fields = ("empirical_variance", "empirical_mean", "alphas_min",
+              "alphas_mean", "alphas_max")
+    got = [tuple(r[f] for f in fields)
+           for r in experiment.run_experiment(cfg)["trials"]]
+    assert got == expected
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variant,eps", VARIANTS)
 def test_reports_do_not_depend_on_chunking(variant, eps, surface, monkeypatch):
     cfg = small_config(variant, eps, surface, trials=9)
     # one trial per chunk, chunks of mixed sizes, and each cell in one chunk
@@ -116,6 +140,63 @@ def test_verify_bounds_does_not_depend_on_chunking(monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].endswith("violations: 0\n")
+
+
+def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
+                                                            capsys):
+    # both violations are in trial 3 at N = 2, which the default budget
+    # checks in one chunk with trials 0..2
+    argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "2..8",
+            "--cosets", "3", "--trials", "4", "--seed", "1586961126"]
+    assert experiment.trial_chunks(2, 3, 4, "full") == [range(4)]
+    outputs = []
+    for budget in (experiment.CHUNK_ENTRIES, 1, 2**40):
+        monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
+        assert cli.main(argv) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].endswith("entries checked: 20664, violations: 2\n")
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name with a wrapper; returns the list of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_statistics_run_once_per_chunk(monkeypatch):
+    cfg = small_config("selection", 0.3, "train", trials=9)
+    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", 3000)
+    offdiag = _counted(monkeypatch, kernel, "offdiag_stats")
+    cross = _counted(monkeypatch, kernel, "cross_coset_stats")
+    experiment.run_experiment(cfg)
+    chunks = [
+        chunk
+        for n_qubits in cfg.qubit_values()
+        for m in cfg.coset_counts
+        for chunk in experiment.trial_chunks(n_qubits, m, 9, "train")
+    ]
+    assert len(chunks) < 9 * len(cfg.qubit_values()) * len(cfg.coset_counts)
+    assert len(offdiag) == len(cross) == len(chunks)
+    assert [len(args[0].entries) for args in offdiag] == [len(c) for c in chunks]
+
+
+def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
+    bounds = _counted(monkeypatch, noise, "bounds_for")
+    argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
+            "--cosets", "3", "--trials", "4", "--seed", "17"]
+    assert cli.main(argv) == 0
+    chunks = sum(len(experiment.trial_chunks(n, 3, 4, "full"))
+                 for n in range(4, 7))
+    # one call per chunk and variant, not one per trial or coset pair
+    assert len(bounds) == 3 * chunks == 9
 
 
 def test_chunk_sizing():

@@ -185,3 +185,25 @@ def test_from_json_rejects_points_off_their_coset():
     for edit in (swap_elements, relabel_subgroup, relabel_coset):
         with pytest.raises(ValueError, match="representative @ generator"):
             dataset.from_json(_edited_json(edit))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generator_product_equals_matmul(n):
+    # a column swap and a sign flip give the matrix product's bits
+    rng = np.random.default_rng(n)
+    reps = dataset.generate_trials(n, 3, [rng, rng]).representatives
+    generic = rng.standard_normal((2, 3, n, 2, 2)) + 1j * rng.standard_normal(
+        (2, 3, n, 2, 2)
+    )
+    gens = dataset._generators(n)
+    for factors in (reps, generic):
+        assert np.array_equal(
+            dataset._times_generators(factors[:, :, None], np.arange(n)),
+            factors[:, :, None] @ gens,
+        )
+    indices = rng.integers(0, n, size=7)
+    labels = rng.integers(0, 3, size=7)
+    assert np.array_equal(
+        dataset._times_generators(reps[0][labels], indices),
+        reps[0][labels] @ gens[indices],
+    )

@@ -192,6 +192,20 @@ def test_cli_verify_bounds():
     assert code == 0
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+def test_cli_rejects_fewer_than_one_trial(command, trials, capsys):
+    code = cli.main(
+        [command, "--qubits", "2..2", "--cosets", "2", "--trials", trials]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": "need at least one trial"
+    }
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
 def test_cli_rejects_qubits_past_capacity(command, capsys):
     n = experiment.MAX_QUBITS + 1

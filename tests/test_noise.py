@@ -128,6 +128,9 @@ def test_bounds_representation_equals_fiducial():
 def test_bounds_reject_bad_alpha():
     with pytest.raises(ValueError):
         noise.bounds_fiducial(1.5, 0.1)
+    for bad in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            noise.bounds_selection(np.array([[0.5, bad], [0.2, 1.0]]), 0.1)
 
 
 def test_noise_config_validation():
@@ -237,12 +240,13 @@ def _loop_violations(kmat, alphas, variant, eps, tol=1e-9):
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
+    rngs = [experiment.trial_rng(6, 3, 3, t) for t in range(3)]
+    ds, _, kmats = experiment.build_trial_kernels(
+        3, 3, noise.NoiseConfig(variant, eps), rngs, surface="full"
+    )
+    batch_alphas = kernel.alpha_matrix(ds)
     for t in range(3):
-        rng = experiment.trial_rng(6, 3, 3, t)
-        ds, _, kmat = experiment.build_trial_kernel(
-            3, 3, noise.NoiseConfig(variant, eps), rng, surface="full"
-        )
-        alphas = kernel.alpha_matrix(ds)
+        kmat, alphas = kmats.trial(t), batch_alphas[t]
         labels = kmat.coset_labels
         same = np.flatnonzero(labels == labels[0])[1]
         cross = np.flatnonzero(labels != labels[0])[0]
@@ -258,11 +262,44 @@ def test_envelope_count_matches_loop_oracle(variant):
             ({(same, 0): 0.0, (0, cross): 1.5, (cross, 0): -1.0}, 3),
         ]
         for edits, planted_violations in planted:
-            entries = kmat.entries.copy()
+            # the edits go into trial t of the batch, and into its matrix
+            # alone for the one-matrix call
+            entries = kmats.entries.copy()
             for rc, v in edits.items():
-                entries[rc] = v
-            edited = kernel.KernelMatrix(entries, labels, kmat.subgroup_indices)
+                entries[(t, *rc)] = v
+            batch = kernel.KernelMatrix(
+                entries, kmats.coset_labels, kmats.subgroup_indices
+            )
+            edited = batch.trial(t)
             expected = _loop_violations(edited, alphas, variant, eps)
             got = noise.count_envelope_violations(edited, alphas, variant, eps)
             assert got == expected
             assert got[0] >= planted_violations
+            per_trial = [
+                _loop_violations(batch.trial(s), batch_alphas[s], variant, eps)
+                for s in range(3)
+            ]
+            assert noise.count_envelope_violations(
+                batch, batch_alphas, variant, eps
+            ) == tuple(np.sum(per_trial, axis=0))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.45, 0.6, 1.5])
+@pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
+def test_array_bounds_match_scalar_bounds(variant, eps):
+    # eps = 0.45 puts the fiducial shift past 1, eps = 0.6 the selection one
+    shift = 2 * eps if variant == "selection" else 2 * eps + eps**2
+    alphas = np.array([[0.0, 1.0, 0.37], [shift**2, 1e-3, 0.9]])
+    alphas[alphas > 1] = 0.5
+    table = noise.bounds_for(variant, alphas, eps)
+    for idx, alpha in np.ndenumerate(alphas):
+        b = noise.bounds_for(variant, float(alpha), eps)
+        assert table.same_coset_lower == b.same_coset_lower
+        assert table.cross_coset_lower[idx] == b.cross_coset_lower
+        assert table.cross_coset_upper[idx] == b.cross_coset_upper
+        if np.sqrt(alpha) <= shift:
+            assert b.cross_coset_lower == 0.0
+        assert 0.0 <= b.cross_coset_lower <= alpha <= b.cross_coset_upper <= 1.0
+    if variant != "selection" and shift > 1:
+        assert table.same_coset_lower == 0.0
+    assert noise.bounds_for(variant, 1.0, eps).cross_coset_upper == 1.0
