@@ -1,5 +1,10 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
+`verify-bounds` checks the three noise variants on the same trials: per
+(N, chunk) it draws the datasets, splits and alpha matrices once, and for
+each variant replays every trial's stream from its state after the split,
+so each variant's noise draws are those of a fresh build.
+
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure a machine-readable error record is printed to stderr
 and the exit code is nonzero.
@@ -144,27 +149,31 @@ def cmd_verify_bounds(args):
     experiment.check_qubit_range(lo, hi)
     if args.trials < 1:
         raise ValueError("need at least one trial")
+    m = args.cosets
+    if m < 2:
+        raise ValueError(f"need at least 2 cosets, got {m}")
+    configs = [noise.NoiseConfig(variant, args.epsilon)
+               for variant in ("fiducial", "selection", "representation")]
     violations = 0
     checked = 0
-    for variant in ("fiducial", "selection", "representation"):
-        cfg_noise = noise.NoiseConfig(variant, args.epsilon)
-        for n_qubits in range(lo, hi + 1):
-            for chunk in experiment.trial_chunks(
-                n_qubits, args.cosets, args.trials, "full"
-            ):
-                rngs = [
-                    experiment.trial_rng(args.seed, n_qubits, args.cosets, t)
-                    for t in chunk
-                ]
-                ds, _, kmats = experiment.build_trial_kernels(
-                    n_qubits, args.cosets, cfg_noise, rngs, surface="full"
-                )
-                v, c = count_envelope_violations(
-                    kmats, kernel.alpha_matrix(ds), variant, args.epsilon
-                )
+    for n_qubits in range(lo, hi + 1):
+        for chunk in experiment.trial_chunks(n_qubits, m, args.trials, "full"):
+            rngs = [experiment.trial_rng(args.seed, n_qubits, m, t)
+                    for t in chunk]
+            ds, splits = experiment.draw_trials(n_qubits, m, rngs)
+            alphas = kernel.alpha_matrix(ds)
+            states = [rng.bit_generator.state for rng in rngs]
+            for cfg_noise in configs:
+                for rng, state in zip(rngs, states):
+                    rng.bit_generator.state = state
+                kmats = experiment.noisy_kernels(ds, splits, cfg_noise, rngs,
+                                                 surface="full")
+                v, c = count_envelope_violations(kmats, alphas,
+                                                 cfg_noise.variant, args.epsilon)
                 violations += v
                 checked += c
-        print(f"{variant}: checked through N={hi}")
+    for cfg_noise in configs:
+        print(f"{cfg_noise.variant}: checked through N={hi}")
     print(f"entries checked: {checked}, violations: {violations}")
     return 0 if violations == 0 else 1
 

@@ -12,10 +12,17 @@ the dataset's Ginibre normals, the split, then the noise. The Haar build,
 the point product, the noise fold and the transfer chain then run once per
 chunk, on (T, P, N, 2, 2) stacks that give (T, P, P) kernels (and, in
 `verify-bounds`, (T, m, m) alpha matrices), and so do the statistics and
-the envelope check. Chunks are sized so that their (T, 2P, 2P) transfer
-matrices hold at most `CHUNK_ENTRIES` complex entries, which keeps large-N
-runs at one trial per chunk. A report does not depend on the chunking: each
-trial's numbers are the same, bit for bit, as those of a one-trial call.
+the envelope check. The build has two stages: `draw_trials` (datasets and
+splits) and `noisy_kernels` (the noise draws, the fold and the kernels);
+`build_trial_kernels` runs one after the other. `verify-bounds` runs the
+first stage and the alpha matrices once per chunk and, for each noise
+variant, restores every stream to its state after the split and runs only
+the second, so each variant reads the draws of a fresh build.
+
+Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
+`CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
+chunk. A report does not depend on the chunking: each trial's numbers are
+the same, bit for bit, as those of a one-trial call.
 """
 
 import json
@@ -53,6 +60,11 @@ class ExperimentConfig:
         check_qubit_range(*self.qubit_range)
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        counts = self.coset_counts
+        if not counts or min(counts) < 2 or len(set(counts)) != len(counts):
+            raise ValueError(
+                f"coset counts must be distinct and at least 2, got {list(counts)}"
+            )
         if self.variance_surface not in ("train", "full"):
             raise ValueError("variance_surface must be 'train' or 'full'")
         if self.output_format not in ("json", "csv"):
@@ -90,12 +102,19 @@ def trial_chunks(n_qubits, m, trials, surface):
     return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
-def build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface="train"):
-    """Datasets, splits, noise draws and kernels on the requested surface
-    for a batch of trials, one stream each. Returns the batched dataset and
-    kernel matrix (leading trial axis) and the list of splits."""
+def draw_trials(n_qubits, m, rngs):
+    """The draws that come before the noise, for a batch of trials, one
+    stream each: the datasets (batched, leading trial axis) and each trial's
+    split. Each stream is left where its noise draws begin."""
     ds = dataset.generate_trials(n_qubits, m, rngs)
-    splits = [dataset.split(ds, rng) for rng in rngs]
+    return ds, [dataset.split(ds, rng) for rng in rngs]
+
+
+def noisy_kernels(ds, splits, cfg_noise, rngs, surface="train"):
+    """The variant's noise draws, read from each stream where `draw_trials`
+    left it, the noise fold and the batched kernel matrix on the requested
+    surface."""
+    n_qubits = ds.num_qubits
     offsets_l = offsets_r = perturbations = None
     eps = cfg_noise.epsilon
     if cfg_noise.variant == "fiducial":
@@ -111,14 +130,22 @@ def build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface="train"):
             noise_models.sample_element_perturbation(n_qubits, eps, rng, points)
             for rng in rngs
         ]))
-    kmat = kernel.kernel_matrix(
+    return kernel.kernel_matrix(
         ds,
         np.array([sp.train for sp in splits]) if surface == "train" else None,
         offsets_left=offsets_l,
         offsets_right=offsets_r,
         perturbations=perturbations,
     )
-    return ds, splits, kmat
+
+
+def build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface="train"):
+    """Datasets, splits, noise draws and kernels on the requested surface
+    for a batch of trials, one stream each: `draw_trials` then
+    `noisy_kernels`. Returns the batched dataset and kernel matrix (leading
+    trial axis) and the list of splits."""
+    ds, splits = draw_trials(n_qubits, m, rngs)
+    return ds, splits, noisy_kernels(ds, splits, cfg_noise, rngs, surface)
 
 
 def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train"):

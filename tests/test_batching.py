@@ -199,6 +199,63 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
     assert len(bounds) == 3 * chunks == 9
 
 
+def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
+    generated = _counted(monkeypatch, dataset, "generate_trials")
+    splits = _counted(monkeypatch, dataset, "split")
+    alphas = _counted(monkeypatch, kernel, "alpha_matrix")
+    kernels = _counted(monkeypatch, kernel, "kernel_matrix")
+    argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
+            "--cosets", "3", "--trials", "4", "--seed", "17"]
+    assert cli.main(argv) == 0
+    chunks = [len(chunk) for n in range(4, 7)
+              for chunk in experiment.trial_chunks(n, 3, 4, "full")]
+    # the three variants share each chunk's datasets, splits and alphas;
+    # only the noise and the kernels are per variant
+    assert len(generated) == len(alphas) == len(chunks)
+    assert [len(args[2]) for args in generated] == chunks
+    assert len(splits) == sum(chunks) == 12
+    assert len(kernels) == 3 * len(chunks)
+
+
+@pytest.mark.parametrize("budget", [experiment.CHUNK_ENTRIES, 1])
+@pytest.mark.parametrize("m", [2, 3])
+def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
+                                                capsys):
+    # every variant's kernels, drawn from streams restored to their state
+    # after the split, are those of a build on new streams
+    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
+    seen = {}
+    count = cli.count_envelope_violations
+
+    def recorded(kmats, alphas, variant, epsilon):
+        seen.setdefault(variant, []).append((kmats, alphas))
+        return count(kmats, alphas, variant, epsilon)
+
+    monkeypatch.setattr(cli, "count_envelope_violations", recorded)
+    trials, seed, eps = 5, 29, 0.3
+    argv = ["verify-bounds", "--epsilon", str(eps), "--qubits", "2..6",
+            "--cosets", str(m), "--trials", str(trials), "--seed", str(seed)]
+    assert cli.main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert sorted(seen) == ["fiducial", "representation", "selection"]
+    for variant, batches in seen.items():
+        cfg_noise = noise.NoiseConfig(variant, eps)
+        expected = []
+        for n_qubits in range(2, 7):
+            for chunk in experiment.trial_chunks(n_qubits, m, trials, "full"):
+                rngs = [experiment.trial_rng(seed, n_qubits, m, t)
+                        for t in chunk]
+                ds, _, ref = experiment.build_trial_kernels(
+                    n_qubits, m, cfg_noise, rngs, surface="full"
+                )
+                expected.append((ref, kernel.alpha_matrix(ds)))
+        assert len(batches) == len(expected)
+        for (kmats, alphas), (ref, ref_alphas) in zip(batches, expected):
+            assert np.array_equal(kmats.entries, ref.entries)
+            assert np.array_equal(kmats.coset_labels, ref.coset_labels)
+            assert np.array_equal(alphas, ref_alphas)
+
+
 def test_chunk_sizing():
     # large N runs one trial at a time
     assert experiment.trial_chunks(128, 3, 4, "full") == [

@@ -25,6 +25,11 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(variance_surface="test")
+    for counts in ((), (1, 2), (3, 2, 3)):
+        with pytest.raises(ValueError, match="coset counts"):
+            ExperimentConfig(coset_counts=counts)
+    with pytest.raises(ValueError, match="coset counts"):
+        experiment.config_from_dict({"coset_counts": [2, 0]})
 
 
 def test_two_point_train_kernel_has_zero_variance():
@@ -204,6 +209,31 @@ def test_cli_rejects_fewer_than_one_trial(command, trials, capsys):
     assert json.loads(captured.err) == {
         "error": "ValueError", "message": "need at least one trial"
     }
+
+
+def _coset_error(argv, capsys):
+    """The message of the ValueError record that `argv`, on N = 2..3 with
+    one trial, fails with."""
+    assert cli.main([*argv, "--qubits", "2..3", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    return err["message"]
+
+
+@pytest.mark.parametrize(
+    "cosets,got", [("0", "[0]"), ("-2", "[-2]"), ("1", "[1]"), ("2,2", "[2, 2]")]
+)
+def test_cli_simulate_rejects_bad_coset_counts(cosets, got, capsys):
+    message = _coset_error(["simulate", "--cosets", cosets], capsys)
+    assert message == f"coset counts must be distinct and at least 2, got {got}"
+
+
+@pytest.mark.parametrize("cosets", ["0", "-1"])
+def test_cli_verify_bounds_rejects_fewer_than_two_cosets(cosets, capsys):
+    message = _coset_error(["verify-bounds", "--cosets", cosets], capsys)
+    assert message == f"need at least 2 cosets, got {cosets}"
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
