@@ -101,21 +101,26 @@ def _simulate_config(args):
 
 def cmd_simulate(args):
     cfg = _simulate_config(args)
-    report = experiment.run_experiment(cfg)
+    n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
+    # a full-surface sweep has already built the heat map's kernel
+    reuse = args.heatmap and cfg.variance_surface == "full"
+    if reuse:
+        report, kmat = experiment.run_experiment(cfg, keep=(n_qubits, m))
+    else:
+        report = experiment.run_experiment(cfg)
     if cfg.output_path:
         experiment.export_report(report, cfg.output_path, cfg.output_format)
     else:
         json.dump(report["aggregates"], sys.stdout, indent=2, sort_keys=True)
         print()
     if args.heatmap:
-        n_qubits = cfg.qubit_range[1]
-        m = cfg.coset_counts[0]
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
-        rng = experiment.trial_rng(cfg.seed, n_qubits, m, 0)
-        _, _, kmat = experiment.build_trial_kernel(
-            n_qubits, m, cfg.noise, rng, surface="full"
-        )
+        if not reuse:
+            rng = experiment.trial_rng(cfg.seed, n_qubits, m, 0)
+            _, _, kmat = experiment.build_trial_kernel(
+                n_qubits, m, cfg.noise, rng, surface="full"
+            )
         kernel.export_heatmap(kmat, args.heatmap)
     return 0
 

@@ -1,14 +1,25 @@
 """Labeled coset datasets: m hidden Haar-random representatives acting on the
 N chain-graph stabilizer generators, plus the coverage-constrained train/test
-split."""
+split.
+
+Both samplers read a fixed number of draws from each trial's stream: four
+normals per representative factor (`statevector.su2_from_normals`), then
+P + m uniforms for the split. The split is uniform over the halves of the P
+points that cover every coset. It is built, not resampled: the m uniforms
+give the per-coset train counts by inverse CDF from their exact law, which
+is tabulated once per coset layout, and the other P uniforms pick the
+points inside each coset by rank.
+"""
 
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import group
-from .statevector import su2_from_ginibre
+from .statevector import su2_from_normals
 
 FACTOR_TOL = 1e-9  # unitarity and point = representative @ generator
 
@@ -41,8 +52,15 @@ class CosetDataset:
 
 @dataclass(frozen=True)
 class SplitIndices:
-    train: tuple
-    test: tuple
+    """Sorted point indices of the two halves: (K,) train and (P - K,) test
+    int arrays, or (T, K) and (T, P - K) for a batch of trials."""
+
+    train: np.ndarray
+    test: np.ndarray
+
+    def trial(self, t):
+        """Trial t's split from a batch."""
+        return SplitIndices(self.train[t], self.test[t])
 
 
 def _generators(n_qubits):
@@ -68,15 +86,15 @@ def generate_trials(n_qubits, m, rngs):
     """Datasets of m * N points x_{i,a} = c_i s_a, coset-major order, for a
     batch of trials: one per stream in `rngs`, along a leading trial axis.
 
-    Each stream gives its trial's Ginibre normals for the m x N Haar draw,
-    in C order; the QR build and the product with the generator stack then
+    Each stream gives its trial's 4 m N normals for the m x N Haar draw, in
+    C order; the SU(2) build and the product with the generator stack then
     run once for the whole batch."""
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
     if m < 2:
         raise ValueError("need at least 2 cosets")
-    normals = np.stack([rng.standard_normal((m, n_qubits, 2, 2, 2)) for rng in rngs])
-    reps = su2_from_ginibre(normals)
+    normals = np.stack([rng.standard_normal((m, n_qubits, 4)) for rng in rngs])
+    reps = su2_from_normals(normals)
     factors = _times_generators(reps[:, :, None], np.arange(n_qubits))
     return CosetDataset(
         n_qubits,
@@ -92,23 +110,89 @@ def generate(n_qubits, m, rng):
     return generate_trials(n_qubits, m, [rng]).trial(0)
 
 
-def split(ds, rng):
-    """Uniformly random half of the points, resampled until every coset is
-    represented in the training half."""
-    total = len(ds.coset_labels)
-    train_size = total // 2
-    m = ds.num_cosets
-    if m > train_size:
-        raise ValueError(f"cannot cover {m} cosets with {train_size} train slots")
+# a sweep reads each (N, m) cell's table in all of its chunks; repeated runs
+# in one process read them again. At N = 128, m = 5 a table is 1.6 MB.
+@lru_cache(maxsize=32)
+def _count_cdfs(sizes):
+    """Conditional CDFs of the per-coset train counts of a uniformly random
+    covering half: cdf[i, s, k - 1] = P(n_i <= k | n_i + ... + n_(m-1) = s),
+    for cosets of `sizes` points and halves of sum(sizes) // 2 points.
+
+    There are prod_i C(size_i, n_i) covering halves with counts n_i >= 1, so
+    P(n_i = k | s) = C(size_i, k) ways_(i+1)(s - k) / ways_i(s), where
+    ways_i(s) counts the covering s-point picks from cosets i, i+1, ... .
+    The counts are exact integers and each ratio is rounded once, so the
+    CDF is nondecreasing in k, is exactly 1.0 from the last possible count
+    on, and rises only at possible counts. Rows of sums s that cosets i, ...
+    cannot take are never read."""
+    train_size = sum(sizes) // 2
+    cdfs = np.ones((len(sizes), train_size + 1, max(sizes)))
+    ways = np.zeros(train_size + 1, dtype=object)  # no cosets left
+    ways[0] = 1
+    total = np.arange(train_size + 1)[:, None]
+    for i in reversed(range(len(sizes))):
+        k = np.arange(1, sizes[i] + 1)
+        picks = np.array([math.comb(sizes[i], j) for j in k], dtype=object)
+        rest = total - k
+        terms = np.where(rest >= 0, ways[np.maximum(rest, 0)] * picks, 0)
+        cum = np.cumsum(terms, axis=1)
+        ways = cum[:, -1]
+        cdfs[i, :, : sizes[i]] = cum / np.where(ways == 0, 1, ways)[:, None]
+    cdfs.flags.writeable = False
+    return cdfs
+
+
+def _train_counts(sizes, uniforms):
+    """(T, m) per-coset train counts of T covering halves, one (T, m) row
+    of uniforms in [0, 1) each: coset by coset, the first count whose
+    conditional CDF exceeds the coset's uniform."""
+    cdfs = _count_cdfs(sizes)
+    left = np.full(len(uniforms), sum(sizes) // 2)
+    counts = np.empty(uniforms.shape, dtype=int)
+    for i in range(len(sizes)):
+        below = cdfs[i, left] <= uniforms[:, i, None]
+        counts[:, i] = 1 + np.count_nonzero(below, axis=-1)
+        left -= counts[:, i]
+    return counts
+
+
+def split_trials(ds, rngs):
+    """Uniformly random halves of the points that cover every coset, one per
+    stream in `rngs`, as a batched `SplitIndices`. Each stream gives exactly
+    P + m uniforms: the first m fix the per-coset train counts (their exact
+    law, by inverse CDF), and in each coset the points with the smallest of
+    the other P uniforms are kept."""
     labels = ds.coset_labels
-    while True:
-        train = rng.choice(total, size=train_size, replace=False)
-        if len(set(labels[train])) == m:
-            break
-    train = tuple(np.sort(train).tolist())
-    kept = set(train)
-    test = tuple(i for i in range(total) if i not in kept)
-    return SplitIndices(train, test)
+    m = ds.num_cosets
+    total = len(labels)
+    train_size = total // 2
+    sizes = np.bincount(labels, minlength=m)
+    if m > train_size or not sizes.all():
+        raise ValueError(
+            f"cannot cover {m} cosets of {sizes.tolist()} points with "
+            f"{train_size} train slots"
+        )
+    uniforms = np.array([rng.random(total + m) for rng in rngs])
+    counts = _train_counts(tuple(sizes.tolist()), uniforms[:, :m])
+    # points by coset, then by uniform; a point is kept if its rank inside
+    # its coset is below the coset's count
+    by_coset = np.broadcast_to(labels, (len(rngs), total))
+    order = np.lexsort((uniforms[:, m:], by_coset))
+    ranked = labels[order]
+    rank = np.arange(total) - (np.cumsum(sizes) - sizes)[ranked]
+    kept = np.empty(order.shape, dtype=bool)
+    np.put_along_axis(
+        kept, order, rank < np.take_along_axis(counts, ranked, -1), -1
+    )
+    return SplitIndices(
+        np.nonzero(kept)[1].reshape(len(rngs), train_size),
+        np.nonzero(~kept)[1].reshape(len(rngs), total - train_size),
+    )
+
+
+def split(ds, rng):
+    """One trial's split: the one-stream case of `split_trials`."""
+    return split_trials(ds, [rng]).trial(0)
 
 
 def _pairs(factors):

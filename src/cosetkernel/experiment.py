@@ -7,10 +7,11 @@ trial index), so results are independent of execution order and the whole
 experiment is a pure function of its config.
 
 The trials of one (N, m) cell run in chunks along a leading trial axis. Only
-the draws stay per trial, each on its trial's own stream in a fixed order:
-the dataset's Ginibre normals, the split, then the noise. The Haar build,
-the point product, the noise fold and the transfer chain then run once per
-chunk, on (T, P, N, 2, 2) stacks that give (T, P, P) kernels (and, in
+the draws stay per trial, each on its trial's own stream in a fixed order
+and of a fixed size: the dataset's 4 m N normals, the split's P + m
+uniforms, then the noise. The Haar build, the point product, the split, the
+noise fold and the transfer chain then run once per chunk, on
+(T, P, N, 2, 2) stacks that give (T, P, P) kernels (and, in
 `verify-bounds`, (T, m, m) alpha matrices), and so do the statistics and
 the envelope check. The build has two stages: `draw_trials` (datasets and
 splits) and `noisy_kernels` (the noise draws, the fold and the kernels);
@@ -104,10 +105,10 @@ def trial_chunks(n_qubits, m, trials, surface):
 
 def draw_trials(n_qubits, m, rngs):
     """The draws that come before the noise, for a batch of trials, one
-    stream each: the datasets (batched, leading trial axis) and each trial's
-    split. Each stream is left where its noise draws begin."""
+    stream each: the datasets and the splits (both batched, leading trial
+    axis). Each stream is left where its noise draws begin."""
     ds = dataset.generate_trials(n_qubits, m, rngs)
-    return ds, [dataset.split(ds, rng) for rng in rngs]
+    return ds, dataset.split_trials(ds, rngs)
 
 
 def noisy_kernels(ds, splits, cfg_noise, rngs, surface="train"):
@@ -132,7 +133,7 @@ def noisy_kernels(ds, splits, cfg_noise, rngs, surface="train"):
         ]))
     return kernel.kernel_matrix(
         ds,
-        np.array([sp.train for sp in splits]) if surface == "train" else None,
+        splits.train if surface == "train" else None,
         offsets_left=offsets_l,
         offsets_right=offsets_r,
         perturbations=perturbations,
@@ -143,7 +144,7 @@ def build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface="train"):
     """Datasets, splits, noise draws and kernels on the requested surface
     for a batch of trials, one stream each: `draw_trials` then
     `noisy_kernels`. Returns the batched dataset and kernel matrix (leading
-    trial axis) and the list of splits."""
+    trial axis) and the batched splits."""
     ds, splits = draw_trials(n_qubits, m, rngs)
     return ds, splits, noisy_kernels(ds, splits, cfg_noise, rngs, surface)
 
@@ -151,40 +152,47 @@ def build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface="train"):
 def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
     """Dataset + split + noise draws + kernel on the requested surface: the
     one-trial case of `build_trial_kernels`."""
-    ds, (sp,), kmat = build_trial_kernels(n_qubits, m, cfg_noise, [rng], surface)
-    return ds.trial(0), sp, kmat.trial(0)
+    ds, splits, kmat = build_trial_kernels(n_qubits, m, cfg_noise, [rng], surface)
+    return ds.trial(0), splits.trial(0), kmat.trial(0)
 
 
 def run_trials(n_qubits, m, cfg_noise, rngs, *, trial_indices, digests,
                surface="train"):
     """Monte-Carlo trials built as one batch, with the statistics of all of
-    them taken at once; they exclude the diagonal."""
+    them taken at once; they exclude the diagonal. Returns the reports and
+    the batched kernel matrix."""
     _, _, kmats = build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface)
     means, variances = kernel.offdiag_stats(kmats)
     stats = np.stack([variances, means, *kernel.cross_coset_stats(kmats)], -1)
-    return [TrialReport(n_qubits, m, t, *row, digest)
-            for t, row, digest in zip(trial_indices, stats.tolist(), digests)]
+    reports = [TrialReport(n_qubits, m, t, *row, digest)
+               for t, row, digest in zip(trial_indices, stats.tolist(), digests)]
+    return reports, kmats
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
               digest=""):
     """One Monte-Carlo trial: the one-trial case of `run_trials`."""
-    (report,) = run_trials(n_qubits, m, cfg_noise, [rng],
-                           trial_indices=[trial_index], digests=[digest],
-                           surface=surface)
+    (report,), _ = run_trials(n_qubits, m, cfg_noise, [rng],
+                              trial_indices=[trial_index], digests=[digest],
+                              surface=surface)
     return report
 
 
-def run_experiment(cfg):
-    """All (N, m, trial) combinations, with theory overlays per (N, m)."""
+def run_experiment(cfg, keep=None):
+    """All (N, m, trial) combinations, with theory overlays per (N, m).
+
+    With `keep` an (N, m) cell of the sweep, returns (report, kernel matrix
+    of that cell's trial 0), so a caller that needs that kernel does not
+    build it again."""
     trials = []
     aggregates = []
+    kept = None
     surface = cfg.variance_surface
     for n_qubits in cfg.qubit_values():
         for m in cfg.coset_counts:
             reports = []
             for chunk in trial_chunks(n_qubits, m, cfg.trials, surface):
-                reports += run_trials(
+                chunk_reports, kmats = run_trials(
                     n_qubits,
                     m,
                     cfg.noise,
@@ -193,6 +201,9 @@ def run_experiment(cfg):
                     digests=[f"{cfg.seed}:{n_qubits}:{m}:{t}" for t in chunk],
                     surface=surface,
                 )
+                reports += chunk_reports
+                if (n_qubits, m) == keep and chunk[0] == 0:
+                    kept = kmats.trial(0)
             variances = np.array([r.empirical_variance for r in reports])
             n = n_qubits
             uniform = np.full((m, m), 2.0**-n_qubits)
@@ -209,12 +220,13 @@ def run_experiment(cfg):
                 }
             )
             trials.extend(reports)
-    return {
+    report = {
         "config": config_to_dict(cfg),
         "aggregates": aggregates,
         # the fields are flat values, so a shallow copy is a full one
         "trials": [dict(vars(r)) for r in trials],
     }
+    return report if keep is None else (report, kept)
 
 
 def config_to_dict(cfg):

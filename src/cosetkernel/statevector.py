@@ -1,4 +1,5 @@
-"""Single-qubit gates and the batched Haar-random SU(2) build.
+"""Single-qubit gates and the batched Haar-random SU(2) build from four
+normals per element.
 
 These build the per-qubit 2x2 factors that everything else works on; no
 2^N state is formed anywhere in the package (see `kernel`).
@@ -38,15 +39,16 @@ def rz(theta):
     return _gates(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
 
 
-def su2_from_ginibre(g):
-    """Haar-random SU(2) elements from complex Ginibre matrices, via QR.
-    `g` holds standard normals of shape (..., 2, 2, 2): per element, the 2x2
-    real parts and then the 2x2 imaginary parts; the result is (..., 2, 2).
-    Each element depends only on its own normals, so any stack of draws (for
-    instance one per trial along a leading axis) gives the same elements as
-    one call per draw."""
-    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
-    # fix the phase ambiguity of QR, then normalize the determinant
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
-    return q / np.sqrt(np.linalg.det(q))[..., None, None]
+def su2_from_normals(x):
+    """Haar-random SU(2) elements from standard normals of shape (..., 4):
+    the normalised 4-vector (a_re, a_im, b_re, b_im) is a uniform point of
+    the 3-sphere, i.e. a Haar-random unit quaternion, and the result is
+    [[a, -conj(b)], [b, conj(a)]], shape (..., 2, 2). Each element depends
+    only on its own four normals, so any stack of draws (for instance one
+    per trial along a leading axis) gives the same elements as one call per
+    draw."""
+    a_re, a_im, b_re, b_im = np.moveaxis(x, -1, 0)
+    norm = np.sqrt(a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im)
+    # the real and imaginary parts of the four entries, row by row
+    parts = np.stack([a_re, a_im, -b_re, b_im, b_re, b_im, a_re, -a_im], -1)
+    return (parts / norm[..., None]).view(complex).reshape(*norm.shape, 2, 2)

@@ -10,9 +10,12 @@ own dense matrix rather than folded into the point's factors. Dense states
 are 1-D complex arrays of length 2**N with qubit 0 the most significant bit
 of the basis index. The oracle refuses more than DENSE_MAX_QUBITS qubits.
 
-`haar_random_su2` is the tests' Haar sampler: one Ginibre draw from a stream,
-built by the package's `su2_from_ginibre`, as `dataset.generate_trials` does
-for each trial.
+`haar_random_su2` is the tests' Haar sampler: four normals per element from
+a stream, built by the package's `su2_from_normals`, as
+`dataset.generate_trials` does for each trial. `su2_from_ginibre` is an
+independent Haar construction to test that build against: the QR
+decomposition of a complex Ginibre matrix with its phases fixed (Mezzadri,
+arXiv:math-ph/0609050), divided by a square root of its determinant.
 """
 
 from functools import reduce
@@ -20,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from cosetkernel import group, kernel
-from cosetkernel.statevector import ry, su2_from_ginibre
+from cosetkernel.statevector import ry, su2_from_normals
 
 DENSE_MAX_QUBITS = 10
 
@@ -56,8 +59,19 @@ def haar_random_state(dim, rng):
 
 def haar_random_su2(rng, shape=()):
     """Haar-random SU(2) elements, shape (*shape, 2, 2), from one draw of
-    shape (*shape, 2, 2, 2) normals."""
-    return su2_from_ginibre(rng.standard_normal((*shape, 2, 2, 2)))
+    shape (*shape, 4) normals."""
+    return su2_from_normals(rng.standard_normal((*shape, 4)))
+
+
+def su2_from_ginibre(g):
+    """Haar-random SU(2) elements from complex Ginibre matrices, via QR.
+    `g` holds standard normals of shape (..., 2, 2, 2): per element, the 2x2
+    real parts and then the 2x2 imaginary parts; the result is (..., 2, 2)."""
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    # fix the phase ambiguity of QR, then normalize the determinant
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    return q / np.sqrt(np.linalg.det(q))[..., None, None]
 
 
 def dense(g):

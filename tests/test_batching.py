@@ -63,7 +63,8 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
             ref_ds, ref_sp, ref = one_trial_kernel(n_qubits, m, cfg_noise, rng,
                                                    surface)
             assert np.array_equal(ds.trial(t).factors, ref_ds.factors)
-            assert splits[t] == ref_sp
+            assert np.array_equal(splits.train[t], ref_sp.train)
+            assert np.array_equal(splits.test[t], ref_sp.test)
             got = kmats.trial(t)
             assert np.array_equal(got.entries, ref.entries)
             assert np.array_equal(got.coset_labels, ref.coset_labels)
@@ -145,9 +146,10 @@ def test_verify_bounds_does_not_depend_on_chunking(monkeypatch, capsys):
 def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
                                                             capsys):
     # both violations are in trial 3 at N = 2, which the default budget
-    # checks in one chunk with trials 0..2
+    # checks in one chunk with trials 0..2; they are the selection-bound
+    # defect (ROADMAP item 1), which this seed hits on the current streams
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "2..8",
-            "--cosets", "3", "--trials", "4", "--seed", "1586961126"]
+            "--cosets", "3", "--trials", "4", "--seed", "236"]
     assert experiment.trial_chunks(2, 3, 4, "full") == [range(4)]
     outputs = []
     for budget in (experiment.CHUNK_ENTRIES, 1, 2**40):
@@ -201,7 +203,7 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
 
 def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
     generated = _counted(monkeypatch, dataset, "generate_trials")
-    splits = _counted(monkeypatch, dataset, "split")
+    splits = _counted(monkeypatch, dataset, "split_trials")
     alphas = _counted(monkeypatch, kernel, "alpha_matrix")
     kernels = _counted(monkeypatch, kernel, "kernel_matrix")
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
@@ -211,9 +213,10 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
               for chunk in experiment.trial_chunks(n, 3, 4, "full")]
     # the three variants share each chunk's datasets, splits and alphas;
     # only the noise and the kernels are per variant
-    assert len(generated) == len(alphas) == len(chunks)
+    assert len(generated) == len(splits) == len(alphas) == len(chunks)
     assert [len(args[2]) for args in generated] == chunks
-    assert len(splits) == sum(chunks) == 12
+    assert [len(args[1]) for args in splits] == chunks
+    assert sum(chunks) == 12
     assert len(kernels) == 3 * len(chunks)
 
 

@@ -1,7 +1,13 @@
+import itertools
 import json
+import math
+import time
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cosetkernel import dataset, group, kernel
 
@@ -67,7 +73,7 @@ def test_split_sizes_and_coverage():
     sp = dataset.split(ds, rng)
     assert len(sp.train) == 25
     assert set(ds.coset_labels[list(sp.train)]) == set(range(5))
-    assert sorted(sp.train + sp.test) == list(range(50))
+    assert sorted([*sp.train, *sp.test]) == list(range(50))
 
 
 def test_split_deterministic():
@@ -75,7 +81,113 @@ def test_split_deterministic():
     ds = dataset.generate(4, 3, rng)
     sp1 = dataset.split(ds, np.random.default_rng(99))
     sp2 = dataset.split(ds, np.random.default_rng(99))
-    assert sp1 == sp2
+    assert np.array_equal(sp1.train, sp2.train)
+    assert np.array_equal(sp1.test, sp2.test)
+
+
+def _points(ds, indices):
+    """The dataset restricted to the points `indices`, in that order."""
+    idx = np.asarray(indices)
+    return replace(ds, factors=ds.factors[idx], coset_labels=ds.coset_labels[idx],
+                   subgroup_indices=ds.subgroup_indices[idx])
+
+
+# (N, m, points kept): coset-major datasets of N points per coset, and one
+# of cosets with 1, 3 and 3 points in shuffled order
+SPLIT_CASES = {"N3-m2": (3, 2, None), "N4-m3": (4, 3, None),
+               "N2-m5": (2, 5, None),
+               "shuffled-1-3-3": (3, 3, [4, 0, 7, 3, 8, 5, 6])}
+
+
+def _split_case(name):
+    n, m, kept = SPLIT_CASES[name]
+    ds = dataset.generate(n, m, np.random.default_rng(11))
+    return ds if kept is None else _points(ds, kept)
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_follows_exact_law(case):
+    # uniform over the halves that cover every coset, by exhaustive
+    # enumeration: chi-square on the count vectors and on the halves
+    ds = _split_case(case)
+    labels = ds.coset_labels
+    total, m = len(labels), ds.num_cosets
+    covering = [half for half in itertools.combinations(range(total), total // 2)
+                if len(set(labels[list(half)])) == m]
+    draws = 20_000
+    rng = np.random.default_rng(1234)
+    got = dataset.split_trials(ds, [rng] * draws).train
+    halves = Counter(map(tuple, got.tolist()))
+    assert set(halves) <= set(covering)
+    observed = [halves[h] for h in covering]
+    assert stats.chisquare(observed).pvalue > 1e-3
+
+    def count_vector(half):
+        return tuple(np.bincount(labels[list(half)], minlength=m))
+
+    law = Counter(map(count_vector, covering))
+    vectors = Counter(map(count_vector, got))
+    assert set(vectors) <= set(law)
+    if len(law) > 1:
+        observed = [vectors[v] for v in law]
+        expected = [draws * law[v] / len(covering) for v in law]
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 4, 4), (2,) * 5, (1, 3, 3),
+                                   (5, 1, 2, 7), (128,) * 5])
+def test_train_counts_at_uniform_edges(sizes):
+    # coset uniforms of 0.0 and the largest double below 1, in every
+    # combination for few cosets, still give possible counts
+    train_size = sum(sizes) // 2
+    edges = (0.0, np.nextafter(1.0, 0.0))
+    rows = np.array(list(itertools.product(edges, repeat=len(sizes))))
+    counts = dataset._train_counts(sizes, rows)
+    assert np.all(counts >= 1)
+    assert np.all(counts <= np.array(sizes))
+    assert np.all(counts.sum(axis=1) == train_size)
+    if max(sizes) < 10:
+        # probabilities are far from the rounding limit here, so the edges
+        # pick the smallest and the largest possible count
+        for row, got in zip(rows, counts):
+            left = train_size
+            for i, (u, size) in enumerate(zip(row, sizes)):
+                rest = sizes[i + 1:]
+                low = max(1, left - sum(rest))
+                high = min(size, left - len(rest))
+                assert got[i] == (low if u == 0.0 else high)
+                left -= got[i]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_reads_fixed_draws(case):
+    # each stream moves on by exactly P + m uniforms, whatever the data
+    ds = _split_case(case)
+    draws = len(ds.coset_labels) + ds.num_cosets
+    for seed in range(20):
+        rngs = [np.random.default_rng([seed, t]) for t in range(3)]
+        dataset.split_trials(ds, rngs)
+        for t, rng in enumerate(rngs):
+            ref = np.random.default_rng([seed, t])
+            ref.random(draws)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_split_rejects_uncoverable_cosets():
+    ds = dataset.generate(2, 3, np.random.default_rng(12))
+    # three cosets, one point each: one train slot
+    with pytest.raises(ValueError, match="cannot cover 3 cosets"):
+        dataset.split(_points(ds, [0, 2, 4]), np.random.default_rng(0))
+    # coset 1 has no points
+    with pytest.raises(ValueError, match="cannot cover 3 cosets"):
+        dataset.split(_points(ds, [0, 1, 4, 5]), np.random.default_rng(0))
+
+
+def test_count_law_tabulates_quickly():
+    # the largest cells of a sweep: N = 128, m = 5, cold
+    start = time.perf_counter()
+    dataset._count_cdfs.__wrapped__((128,) * 5)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_json_round_trip():
@@ -90,12 +202,13 @@ def test_json_round_trip():
 
 
 def _haar_su2_loop(rng):
-    """Per-qubit reference draw: one 2x2 Ginibre matrix, QR, phase fix and
-    determinant normalisation at a time."""
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return q / np.sqrt(np.linalg.det(q))
+    """Per-qubit reference draw: four normals at a time, normalised with
+    Python floats into the unit quaternion (a, b), as [[a, -b*], [b, a*]]."""
+    a_re, a_im, b_re, b_im = rng.standard_normal(4).tolist()
+    norm = math.sqrt(a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im)
+    a = complex(a_re / norm, a_im / norm)
+    b = complex(b_re / norm, b_im / norm)
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cosetkernel import cli, experiment, kernel, noise, theory
@@ -156,6 +157,54 @@ def test_cli_heatmap_choice_on_stderr(tmp_path, capsys):
     assert captured.err == (
         "heatmap: trial 0 at the largest N=3 and the first m=3, full surface\n"
     )
+
+
+def _read_heatmap(path):
+    """The entries of a heat-map CSV as a float array."""
+    rows = path.read_text().splitlines()[1:]
+    return np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+
+
+@pytest.mark.parametrize("surface", ["full", "train"])
+def test_heatmap_reuses_the_sweep_kernel(surface, tmp_path, monkeypatch):
+    # a full-surface sweep has already built trial 0's kernel at the largest
+    # N and the first m; a train-surface sweep has not, so the heat map
+    # builds it once more
+    builds = []
+    build = kernel.kernel_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "kernel_matrix", counted)
+    out, heat = tmp_path / "report.json", tmp_path / "heat.csv"
+    args = ["simulate", "--qubits", "2..4", "--cosets", "3,2", "--trials", "3",
+            "--noise", "selection", "--epsilon", "0.2", "--seed", "5",
+            "--surface", surface, "--out", str(out), "--heatmap", str(heat)]
+    assert cli.main(args) == 0
+    chunks = sum(len(experiment.trial_chunks(n, m, 3, surface))
+                 for n in (2, 3, 4) for m in (3, 2))
+    assert len(builds) == chunks + (surface == "train")
+    monkeypatch.undo()
+    # the CSV is that kernel, built on its own
+    rng = experiment.trial_rng(5, 4, 3, 0)
+    _, _, kmat = experiment.build_trial_kernel(
+        4, 3, noise.NoiseConfig("selection", 0.2), rng, surface="full"
+    )
+    kernel.export_heatmap(kmat, tmp_path / "ref.csv")
+    assert heat.read_text() == (tmp_path / "ref.csv").read_text()
+    if surface == "full":
+        # and it has the statistics of report record (4, 3, 0)
+        (record,) = [r for r in json.loads(out.read_text())["trials"]
+                     if (r["num_qubits"], r["num_cosets"], r["trial_index"])
+                     == (4, 3, 0)]
+        entries = _read_heatmap(heat)
+        off = entries[~np.eye(len(entries), dtype=bool)]
+        assert off.mean() == pytest.approx(record["empirical_mean"],
+                                           rel=0, abs=1e-12)
+        assert off.var() == pytest.approx(record["empirical_variance"],
+                                          rel=0, abs=1e-12)
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -135,6 +135,30 @@ def test_haar_invariance_two_sample():
     assert stats.ks_2samp(pair_vals, direct_vals).pvalue > 0.01
 
 
+def test_quaternion_build_matches_qr_reference():
+    # two-sample KS against the QR construction on independent draws: the
+    # entry law |U00|^2 and the pair overlap law |<0|U^dag V|0>|^2
+    rng = np.random.default_rng(13)
+    samples = 20_000
+    built = haar_random_su2(rng, (samples, 2))
+    reference = oracle.su2_from_ginibre(rng.standard_normal((samples, 2, 2, 2, 2)))
+    for u in (built, reference):
+        np.testing.assert_allclose(
+            u @ np.conj(np.swapaxes(u, -1, -2)), np.broadcast_to(I2, u.shape),
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(np.linalg.det(u), 1, atol=1e-12)
+
+    def laws(u):
+        entry = np.abs(u[:, 0, 0, 0]) ** 2
+        overlap = np.abs(np.einsum("pi,pi->p", u[:, 0, :, 0].conj(),
+                                   u[:, 1, :, 0])) ** 2
+        return entry, overlap
+
+    for got, want in zip(laws(built), laws(reference)):
+        assert stats.ks_2samp(got, want).pvalue > 1e-3
+
+
 def test_gate_level_matches_dense_circuit():
     # full kernel-circuit shape: fiducial prep, then per-qubit XZX rotations;
     # the transfer chain's <psi|D|psi> against the dense circuit's
