@@ -14,7 +14,7 @@ from cosetkernel import dataset, kernel
 
 rng = np.random.default_rng(3)
 n_qubits, m = 3, 3
-ds = dataset.generate(n_qubits, m, rng)
+ds = dataset.generate_trials(n_qubits, m, [rng]).trial(0)
 kmat = kernel.kernel_matrix(ds)
 
 labels = kmat.point_labels()

@@ -10,7 +10,7 @@ Run: python3 demos/noiseless_variance_scaling.py
 
 import numpy as np
 
-from cosetkernel import experiment, noise, theory
+from cosetkernel import experiment, kernel, noise, theory
 
 TRIALS = 30
 SEED = 7
@@ -18,16 +18,10 @@ SEED = 7
 print(f"{'m':>3} {'N':>3} {'empirical':>10} {'asymptotic':>11} {'limit':>8}")
 for m in (2, 4):
     for n_qubits in (4, 6, 8):
-        variances = [
-            experiment.run_trial(
-                n_qubits,
-                m,
-                noise.NoiseConfig(),
-                experiment.trial_rng(SEED, n_qubits, m, t),
-                trial_index=t,
-            ).empirical_variance
-            for t in range(TRIALS)
-        ]
+        rngs = [experiment.trial_rng(SEED, n_qubits, m, t) for t in range(TRIALS)]
+        ds, splits = experiment.draw_trials(n_qubits, m, rngs)
+        kmats = experiment.noisy_kernels(ds, splits, noise.NoiseConfig(), rngs)
+        _, variances = kernel.offdiag_stats(kmats)
         print(
             f"{m:>3} {n_qubits:>3} {np.mean(variances):>10.5f} "
             f"{theory.asymptotic_variance(m, n_qubits, n_qubits):>11.5f} "

@@ -15,10 +15,12 @@ N_QUBITS, M = 5, 2
 EPSILON = 0.3
 
 for variant in ("fiducial", "selection"):
-    rng = experiment.trial_rng(2, N_QUBITS, M, 0)
-    ds, _, kmat = experiment.build_trial_kernel(
-        N_QUBITS, M, noise.NoiseConfig(variant, EPSILON), rng, surface="full"
-    )
+    rngs = [experiment.trial_rng(2, N_QUBITS, M, 0)]
+    ds, splits = experiment.draw_trials(N_QUBITS, M, rngs)
+    kmat = experiment.noisy_kernels(
+        ds, splits, noise.NoiseConfig(variant, EPSILON), rngs, surface="full"
+    ).trial(0)
+    ds = ds.trial(0)
     alpha = kernel.alpha_matrix(ds)[0, 1]
     stats = theory.extract_deviation_stats(kmat, alpha)
     _, direct = kernel.offdiag_stats(kmat)

@@ -117,16 +117,18 @@ def cmd_simulate(args):
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
         if not reuse:
-            rng = experiment.trial_rng(cfg.seed, n_qubits, m, 0)
-            _, _, kmat = experiment.build_trial_kernel(
-                n_qubits, m, cfg.noise, rng, surface="full"
-            )
+            rngs = [experiment.trial_rng(cfg.seed, n_qubits, m, 0)]
+            ds, splits = experiment.draw_trials(n_qubits, m, rngs)
+            kmat = experiment.noisy_kernels(ds, splits, cfg.noise, rngs,
+                                            surface="full").trial(0)
         kernel.export_heatmap(kmat, args.heatmap)
     return 0
 
 
 def cmd_theory(args):
     m, n, n_qubits = args.m, args.n, args.N
+    if n_qubits < 2:
+        raise ValueError("need at least 2 qubits")
     alphas = np.full((m, m), 2.0**-n_qubits)
     np.fill_diagonal(alphas, 1.0)
     print(

@@ -1,6 +1,8 @@
 """Labeled coset datasets: m hidden Haar-random representatives acting on the
 N chain-graph stabilizer generators, plus the coverage-constrained train/test
-split.
+split. Both are built for a batch of trials, one stream each, along a
+leading trial axis; `.trial(t)` takes one trial out, so a single dataset is
+trial 0 of a batch of one.
 
 Both samplers read a fixed number of draws from each trial's stream: four
 normals per representative factor (`statevector.su2_from_normals`), then
@@ -11,17 +13,13 @@ is tabulated once per coset layout, and the other P uniforms pick the
 points inside each coset by rank.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from . import group
 from .statevector import su2_from_normals
-
-FACTOR_TOL = 1e-9  # unitarity and point = representative @ generator
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,6 @@ class SplitIndices:
         return SplitIndices(self.train[t], self.test[t])
 
 
-def _generators(n_qubits):
-    """(N, N, 2, 2) factors of the N chain stabilizer generators s_a."""
-    labels = "".join(group.chain_generators(n_qubits))
-    return group.from_pauli(labels).reshape(n_qubits, n_qubits, 2, 2)
-
-
 def _times_generators(factors, indices):
     """factors @ s_a for (..., N, 2, 2) factor stacks and generator indices
     a that broadcast against their leading axes. Each factor of s_a is X (on
@@ -103,11 +95,6 @@ def generate_trials(n_qubits, m, rngs):
         np.repeat(np.arange(m), n_qubits),
         np.tile(np.arange(n_qubits), m),
     )
-
-
-def generate(n_qubits, m, rng):
-    """One trial's dataset: the one-stream case of `generate_trials`."""
-    return generate_trials(n_qubits, m, [rng]).trial(0)
 
 
 # a sweep reads each (N, m) cell's table in all of its chunks; repeated runs
@@ -188,84 +175,3 @@ def split_trials(ds, rngs):
         np.nonzero(kept)[1].reshape(len(rngs), train_size),
         np.nonzero(~kept)[1].reshape(len(rngs), total - train_size),
     )
-
-
-def split(ds, rng):
-    """One trial's split: the one-stream case of `split_trials`."""
-    return split_trials(ds, [rng]).trial(0)
-
-
-def _pairs(factors):
-    """Nested lists with each complex entry as a [real, imag] pair."""
-    return np.stack([factors.real, factors.imag], axis=-1).tolist()
-
-
-def _factors_from_pairs(data, n_qubits, what):
-    """(., N, 2, 2) complex factors from nested [real, imag] pairs; rejects
-    any other shape and factors that are not unitary."""
-    bad_shape = f"{what} factors must have shape (., {n_qubits}, 2, 2)"
-    try:
-        pairs = np.ascontiguousarray(data, dtype=float)
-    except ValueError as exc:  # ragged nesting
-        raise ValueError(bad_shape) from exc
-    if pairs.ndim != 5 or pairs.shape[1:] != (n_qubits, 2, 2, 2):
-        raise ValueError(bad_shape)
-    factors = pairs.view(complex)[..., 0]
-    deviation = factors @ np.conj(np.swapaxes(factors, -1, -2)) - np.eye(2)
-    if not np.all(np.abs(deviation) <= FACTOR_TOL):
-        raise ValueError(f"{what} factors are not unitary to {FACTOR_TOL}")
-    return factors
-
-
-def to_json(ds, seed=None):
-    """Serialize a dataset; factor matrices as real/imag pairs."""
-    return json.dumps(
-        {
-            "num_qubits": ds.num_qubits,
-            "seed": seed,
-            "representatives": _pairs(ds.representatives),
-            "subgroup_elems": _pairs(_generators(ds.num_qubits)),
-            "points": [
-                {
-                    "element": element,
-                    "coset_label": int(i),
-                    "subgroup_index": int(a),
-                }
-                for element, i, a in zip(
-                    _pairs(ds.factors), ds.coset_labels, ds.subgroup_indices
-                )
-            ],
-        },
-        sort_keys=True,
-    )
-
-
-def _labels(values, count, what):
-    """Integer array of `values`, each in 0..count-1."""
-    labels = np.array(values)
-    if labels.dtype.kind != "i" or np.any((labels < 0) | (labels >= count)):
-        raise ValueError(f"{what} must be integers in 0..{count - 1}")
-    return labels
-
-
-def from_json(text):
-    """Dataset from `to_json` output. Factors come from outside the program
-    here, so their shape, their unitarity, the coset labels and subgroup
-    indices, and every point's agreement with representative @ generator are
-    checked; the stored generators are implied by num_qubits and not read."""
-    data = json.loads(text)
-    n_qubits = data["num_qubits"]
-    points = data["points"]
-    reps = _factors_from_pairs(data["representatives"], n_qubits, "representative")
-    labels = _labels([p["coset_label"] for p in points], len(reps), "coset labels")
-    indices = _labels(
-        [p["subgroup_index"] for p in points], n_qubits, "subgroup indices"
-    )
-    factors = _factors_from_pairs([p["element"] for p in points], n_qubits, "point")
-    expected = _times_generators(reps[labels], indices)
-    if not np.all(np.abs(factors - expected) <= FACTOR_TOL):
-        raise ValueError(
-            "point factors differ from representative @ generator of their "
-            f"coset label and subgroup index by more than {FACTOR_TOL}"
-        )
-    return CosetDataset(n_qubits, reps, factors, labels, indices)

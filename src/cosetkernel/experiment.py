@@ -15,10 +15,11 @@ noise fold and the transfer chain then run once per chunk, on
 `verify-bounds`, (T, m, m) alpha matrices), and so do the statistics and
 the envelope check. The build has two stages: `draw_trials` (datasets and
 splits) and `noisy_kernels` (the noise draws, the fold and the kernels);
-`build_trial_kernels` runs one after the other. `verify-bounds` runs the
-first stage and the alpha matrices once per chunk and, for each noise
-variant, restores every stream to its state after the split and runs only
-the second, so each variant reads the draws of a fresh build.
+`run_trials` runs one after the other. `verify-bounds` runs the first stage
+and the alpha matrices once per chunk and, for each noise variant, restores
+every stream to its state after the split and runs only the second, so each
+variant reads the draws of a fresh build. One trial is a chunk of one
+stream, `[rng]`, and `.trial(0)` of what comes back.
 
 Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
 `CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
@@ -140,42 +141,19 @@ def noisy_kernels(ds, splits, cfg_noise, rngs, surface="train"):
     )
 
 
-def build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface="train"):
-    """Datasets, splits, noise draws and kernels on the requested surface
-    for a batch of trials, one stream each: `draw_trials` then
-    `noisy_kernels`. Returns the batched dataset and kernel matrix (leading
-    trial axis) and the batched splits."""
-    ds, splits = draw_trials(n_qubits, m, rngs)
-    return ds, splits, noisy_kernels(ds, splits, cfg_noise, rngs, surface)
-
-
-def build_trial_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
-    """Dataset + split + noise draws + kernel on the requested surface: the
-    one-trial case of `build_trial_kernels`."""
-    ds, splits, kmat = build_trial_kernels(n_qubits, m, cfg_noise, [rng], surface)
-    return ds.trial(0), splits.trial(0), kmat.trial(0)
-
-
 def run_trials(n_qubits, m, cfg_noise, rngs, *, trial_indices, digests,
                surface="train"):
-    """Monte-Carlo trials built as one batch, with the statistics of all of
-    them taken at once; they exclude the diagonal. Returns the reports and
-    the batched kernel matrix."""
-    _, _, kmats = build_trial_kernels(n_qubits, m, cfg_noise, rngs, surface)
+    """Monte-Carlo trials built as one batch, `draw_trials` then
+    `noisy_kernels`, with the statistics of all of them taken at once; they
+    exclude the diagonal. Returns the reports and the batched kernel
+    matrix."""
+    ds, splits = draw_trials(n_qubits, m, rngs)
+    kmats = noisy_kernels(ds, splits, cfg_noise, rngs, surface)
     means, variances = kernel.offdiag_stats(kmats)
     stats = np.stack([variances, means, *kernel.cross_coset_stats(kmats)], -1)
     reports = [TrialReport(n_qubits, m, t, *row, digest)
                for t, row, digest in zip(trial_indices, stats.tolist(), digests)]
     return reports, kmats
-
-
-def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
-              digest=""):
-    """One Monte-Carlo trial: the one-trial case of `run_trials`."""
-    (report,), _ = run_trials(n_qubits, m, cfg_noise, [rng],
-                              trial_indices=[trial_index], digests=[digest],
-                              surface=surface)
-    return report
 
 
 def run_experiment(cfg, keep=None):
@@ -247,22 +225,16 @@ def _reject_unknown(d, config_class, where):
 
 
 def config_from_dict(d):
+    """The config a dict describes; a missing key takes the dataclass
+    default, an unknown one is an error."""
     d = dict(d)
     noise_d = d.pop("noise", {})
     _reject_unknown(d, ExperimentConfig, "config")
     _reject_unknown(noise_d, noise_models.NoiseConfig, "noise config")
-    return ExperimentConfig(
-        qubit_range=tuple(d.get("qubit_range", (2, 10))),
-        coset_counts=tuple(d.get("coset_counts", (2, 3, 4, 5))),
-        trials=d.get("trials", 100),
-        noise=noise_models.NoiseConfig(
-            noise_d.get("variant", "none"), noise_d.get("epsilon", 0.0)
-        ),
-        seed=d.get("seed", 0),
-        variance_surface=d.get("variance_surface", "train"),
-        output_path=d.get("output_path"),
-        output_format=d.get("output_format", "json"),
-    )
+    for key in ("qubit_range", "coset_counts"):
+        if key in d:
+            d[key] = tuple(d[key])
+    return ExperimentConfig(**d, noise=noise_models.NoiseConfig(**noise_d))
 
 
 def export_report(report, path, fmt="json"):

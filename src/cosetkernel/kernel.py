@@ -3,8 +3,10 @@
 Every entry is the exact squared amplitude
 |<0| V_left^dag D_x^dag D_x' V_right |0>|^2; no measurement sampling. The
 fiducial V|0> is the chain graph state CZ_chain (tensor_j a_j) with the
-single-qubit states a_j = Ry(pi/2 - o_j)|0>, so its amplitude on the basis
-string s is prod_j a_j[s_j] times the CZ sign (-1)^(sum_j s_j s_(j+1)), and
+single-qubit states a_j = Ry(pi/2 - o_j)|0>. A preparation is given by its
+(N,) offsets o alone: zeros for the ideal state, random ones for the
+fiducial-error model. Its amplitude on the basis string s is
+prod_j a_j[s_j] times the CZ sign (-1)^(sum_j s_j s_(j+1)), and
 D_x^dag D_x' is the tensor product of the 2x2 factors M_j = D_x,j^dag D_x',j.
 The amplitude is therefore a sum over bra and ket strings (t, u) of a
 product of local weights g_j[t_j, u_j] = conj(a^l_j[t_j]) a^r_j[u_j]
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import group
 from .statevector import ry
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex)  # (-1)^(t t'), the CZ sign
@@ -65,18 +66,19 @@ class KernelMatrix:
         ]
 
 
-def transfer_amplitudes(left, right, prep_left, prep_right):
+def transfer_amplitudes(left, right, offsets_left, offsets_right):
     """(P, Q) amplitudes <psi_l| D_p^dag D_q |psi_r> for (P, N, 2, 2) and
     (Q, N, 2, 2) factor stacks, with |psi_l>, |psi_r> the chain graph states
-    of the two preparations; contracted qubit by qubit (module docstring).
-    Leading trial axes, on the stacks as (T, P, N, 2, 2) or on the
-    preparation offsets as (T, N), broadcast and give (T, P, Q).
+    prepared with the (N,) offsets of each side; contracted qubit by qubit
+    (module docstring). Leading trial axes, on the stacks as
+    (T, P, N, 2, 2) or on the offsets as (T, N), broadcast and give
+    (T, P, Q).
 
     v is held as a (2P, 2Q) matrix with rows (t, p) and columns (q, u), so
     g_j is one (2P x 2) @ (2 x 2Q) product and H v H two products with H.
     """
-    a_left = ry(np.pi / 2 - prep_left.offsets)[..., None, :, None, :, 0]
-    a_right = ry(np.pi / 2 - prep_right.offsets)[..., None, :, None, :, 0]
+    a_left = ry(np.pi / 2 - offsets_left)[..., None, :, None, :, 0]
+    a_right = ry(np.pi / 2 - offsets_right)[..., None, :, None, :, 0]
     p, n, q = left.shape[-4], left.shape[-3], right.shape[-4]
     # per qubit j: rows (t, p) of conj(a_l[t] D_p[k, t]), columns (q, u) of
     # a_r[u] D_q[k, u]; O(N P) memory, g_j itself is formed in the loop
@@ -121,7 +123,8 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
 
     offsets_left/offsets_right attach the fiducial-error model (two
     independently sampled noisy preparations on the two sides of every
-    entry); perturbations attaches one selection-error element per dataset
+    entry, (N,) offsets each; without them both sides are ideal);
+    perturbations attaches one selection-error element per dataset
     point, as a (P, N, 2, 2) stack that `indices` selects from too.
 
     On a batch of trials' datasets (`dataset.generate_trials`) the indices
@@ -134,6 +137,12 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
         raise ValueError("choose one noise attachment per job")
     if perturbations is not None and perturbations.shape != ds.factors.shape:
         raise ValueError("need one perturbation per point")
+    n = ds.num_qubits
+    if offsets_left is None:
+        offsets_left = offsets_right = np.zeros(n)
+    offsets = [np.asarray(o, dtype=float) for o in (offsets_left, offsets_right)]
+    if any(o.ndim not in (1, 2) or o.shape[-1] != n for o in offsets):
+        raise ValueError("need one offset per qubit")
     factors = ds.factors
     labels, subgroups = ds.coset_labels, ds.subgroup_indices
     if indices is not None:
@@ -144,9 +153,7 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
         labels, subgroups = labels[idx], subgroups[idx]
     if perturbations is not None:
         factors = perturbations @ factors
-    prep_l = group.fiducial_preparation(ds.num_qubits, offsets_left)
-    prep_r = group.fiducial_preparation(ds.num_qubits, offsets_right)
-    amps = transfer_amplitudes(factors, factors, prep_l, prep_r)
+    amps = transfer_amplitudes(factors, factors, *offsets)
     entries = _mirrored(np.abs(amps) ** 2)
     return KernelMatrix(
         entries,
@@ -158,9 +165,9 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
 def alpha_matrix(ds):
     """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal;
     (T, m, m) for a batch of trials' datasets."""
-    prep = group.fiducial_preparation(ds.num_qubits)
+    ideal = np.zeros(ds.num_qubits)
     reps = ds.representatives
-    alphas = _mirrored(np.abs(transfer_amplitudes(reps, reps, prep, prep)) ** 2)
+    alphas = _mirrored(np.abs(transfer_amplitudes(reps, reps, ideal, ideal)) ** 2)
     diagonal = np.arange(ds.num_cosets)
     alphas[..., diagonal, diagonal] = 1.0
     return alphas

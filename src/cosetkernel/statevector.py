@@ -7,13 +7,6 @@ These build the per-qubit 2x2 factors that everything else works on; no
 
 import numpy as np
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
 
 def _gates(a, b, c, d):
     """2x2 matrices [[a, b], [c, d]] over the broadcast shape S of the

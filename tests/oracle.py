@@ -1,5 +1,6 @@
-"""Dense 2^N reference for the tests: the kernel built from full state
-vectors and Kronecker-product matrices.
+"""Reference code for the tests: the kernel built from full 2^N state
+vectors and Kronecker-product matrices, the Pauli-string stabilizer
+generators, and one-trial helpers over the package's batched calls.
 
 The package computes every kernel as a chain of 2x2 transfer steps and never
 forms a 2^N state. This module does the opposite on purpose, so that the
@@ -9,6 +10,14 @@ is `dense(D_x) @ V |0>`, and a selection perturbation E_x is applied as its
 own dense matrix rather than folded into the point's factors. Dense states
 are 1-D complex arrays of length 2**N with qubit 0 the most significant bit
 of the basis index. The oracle refuses more than DENSE_MAX_QUBITS qubits.
+
+A preparation is given by its (N,) Ry offsets, as in `kernel`. The Pauli
+matrices, `from_pauli` and `chain_generators` spell out the chain
+stabilizer generators s_a as Pauli strings, the reference for the package's
+column swaps and sign flips (`dataset._times_generators`).
+
+`generate`, `split`, `build_kernel` and `run_trial` are one trial of the
+package's batched calls: a batch of one stream, `[rng]`, and its trial 0.
 
 `haar_random_su2` is the tests' Haar sampler: four normals per element from
 a stream, built by the package's `su2_from_normals`, as
@@ -22,10 +31,69 @@ from functools import reduce
 
 import numpy as np
 
-from cosetkernel import group, kernel
+from cosetkernel import dataset, experiment, kernel
 from cosetkernel.statevector import ry, su2_from_normals
 
 DENSE_MAX_QUBITS = 10
+
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+_PAULI_INDEX = {c: k for k, c in enumerate(PAULIS)}
+_PAULI_STACK = np.stack(list(PAULIS.values()))
+
+
+def from_pauli(labels):
+    """Embed a Pauli string (e.g. "XZI") as (N, 2, 2) factors."""
+    bad = set(labels) - set(PAULIS)
+    if bad:
+        raise ValueError(f"invalid Pauli labels: {bad}")
+    return _PAULI_STACK[[_PAULI_INDEX[c] for c in labels]]
+
+
+def chain_generators(n):
+    """Stabilizer generators of the chain graph: X on each vertex, Z on its
+    neighbors."""
+    if n < 2:
+        raise ValueError("chain needs at least 2 qubits")
+    gens = []
+    for j in range(n):
+        labels = ["I"] * n
+        labels[j] = "X"
+        if j > 0:
+            labels[j - 1] = "Z"
+        if j < n - 1:
+            labels[j + 1] = "Z"
+        gens.append("".join(labels))
+    return gens
+
+
+def generate(n_qubits, m, rng):
+    """One trial's dataset from the stream `rng`."""
+    return dataset.generate_trials(n_qubits, m, [rng]).trial(0)
+
+
+def split(ds, rng):
+    """One trial's train/test split from the stream `rng`."""
+    return dataset.split_trials(ds, [rng]).trial(0)
+
+
+def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
+    """One trial's dataset, split and noisy kernel from the stream `rng`."""
+    ds, splits = experiment.draw_trials(n_qubits, m, [rng])
+    kmat = experiment.noisy_kernels(ds, splits, cfg_noise, [rng], surface)
+    return ds.trial(0), splits.trial(0), kmat.trial(0)
+
+
+def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
+              digest=""):
+    """One trial's report from the stream `rng`."""
+    return experiment.run_trials(n_qubits, m, cfg_noise, [rng], surface=surface,
+                                 trial_indices=[trial_index],
+                                 digests=[digest])[0][0]
 
 
 def zero_state(n):
@@ -83,10 +151,11 @@ def chain_edges(n):
     return [(j, j + 1) for j in range(n - 1)]
 
 
-def fiducial_operator(prep):
-    """Dense 2^N x 2^N matrix of the preparation circuit."""
-    n = prep.num_qubits
-    op = reduce(np.kron, ry(np.pi / 2 - prep.offsets))
+def fiducial_operator(offsets):
+    """Dense 2^N x 2^N matrix of the preparation circuit with (N,) Ry
+    offsets."""
+    n = len(offsets)
+    op = reduce(np.kron, ry(np.pi / 2 - np.asarray(offsets, dtype=float)))
     cz_diag = np.ones(2**n)
     for j, k in chain_edges(n):
         bits_j = (np.arange(2**n) >> (n - 1 - j)) & 1
@@ -95,17 +164,18 @@ def fiducial_operator(prep):
     return cz_diag[:, None] * op
 
 
-def feature_states(factors, prep, perturbations=None):
+def feature_states(factors, offsets, perturbations=None):
     """(P, 2^N) rows |phi(x)> = (E_x) D_x V |0> for a (P, N, 2, 2) factor
-    stack, optionally with one selection perturbation E_x per point as a
-    second (P, N, 2, 2) stack."""
-    if prep.num_qubits > DENSE_MAX_QUBITS:
+    stack and the preparation V of the (N,) offsets, optionally with one
+    selection perturbation E_x per point as a second (P, N, 2, 2) stack."""
+    n = len(offsets)
+    if n > DENSE_MAX_QUBITS:
         raise ValueError(
             f"the dense oracle is limited to {DENSE_MAX_QUBITS} qubits"
         )
     if perturbations is not None and perturbations.shape != factors.shape:
         raise ValueError("need one perturbation per point")
-    fiducial = fiducial_operator(prep) @ zero_state(prep.num_qubits)
+    fiducial = fiducial_operator(offsets) @ zero_state(n)
     ops = [dense(f) for f in factors]
     if perturbations is not None:
         ops = [dense(e) @ op for e, op in zip(perturbations, ops)]
@@ -140,11 +210,12 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
     factors = ds.factors[idx]
     if perturbations is not None:
         perturbations = perturbations[idx]
-    prep_l = group.fiducial_preparation(ds.num_qubits, offsets_left)
-    prep_r = group.fiducial_preparation(ds.num_qubits, offsets_right)
-    left = right = feature_states(factors, prep_l, perturbations)
+    ideal = np.zeros(ds.num_qubits)
+    left = right = feature_states(
+        factors, ideal if offsets_left is None else offsets_left, perturbations
+    )
     if offsets_right is not None:
-        right = feature_states(factors, prep_r)
+        right = feature_states(factors, offsets_right)
     gram = np.abs(left.conj() @ right.T) ** 2
     entries = np.triu(gram) + np.triu(gram, 1).T
     return kernel.KernelMatrix(

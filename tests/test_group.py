@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cosetkernel import group, kernel
-from cosetkernel.statevector import X, Z, rx, rz
+from cosetkernel.statevector import rx, rz
 
 import oracle
-from oracle import haar_random_su2
+from oracle import X, Z, haar_random_su2
 
 
 def test_from_euler_identity():
@@ -42,17 +42,17 @@ def test_from_euler_rejects_nonfinite():
 
 
 def test_from_pauli():
-    g = group.from_pauli("II")
+    g = oracle.from_pauli("II")
     np.testing.assert_allclose(g[0], np.eye(2))
-    g = group.from_pauli("XZ")
+    g = oracle.from_pauli("XZ")
     np.testing.assert_allclose(g[0], X)
     np.testing.assert_allclose(g[1], Z)
     with pytest.raises(ValueError):
-        group.from_pauli("XQ")
+        oracle.from_pauli("XQ")
 
 
 def test_z_action_on_basis():
-    z = group.from_pauli("Z")
+    z = oracle.from_pauli("Z")
     zero = oracle.zero_state(1)
     np.testing.assert_allclose(oracle.dense(z) @ zero, zero)
     one = np.array([0, 1], dtype=complex)
@@ -99,41 +99,40 @@ def test_apply_matches_kronecker_oracle():
 
 
 def test_chain_generators_small():
-    assert group.chain_generators(2) == ["XZ", "ZX"]
-    assert group.chain_generators(3) == ["XZI", "ZXZ", "IZX"]
+    assert oracle.chain_generators(2) == ["XZ", "ZX"]
+    assert oracle.chain_generators(3) == ["XZI", "ZXZ", "IZX"]
     with pytest.raises(ValueError):
-        group.chain_generators(1)
+        oracle.chain_generators(1)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_generators_fix_fiducial_state(n):
-    prep = group.fiducial_preparation(n)
-    psi = oracle.fiducial_operator(prep) @ oracle.zero_state(n)
-    for p in group.chain_generators(n):
-        fixed = oracle.dense(group.from_pauli(p)) @ psi
+    psi = oracle.fiducial_operator(np.zeros(n)) @ oracle.zero_state(n)
+    for p in oracle.chain_generators(n):
+        fixed = oracle.dense(oracle.from_pauli(p)) @ psi
         assert abs(abs(np.vdot(psi, fixed)) - 1) < 1e-10
 
 
 def test_fiducial_two_qubits():
-    prep = group.fiducial_preparation(2)
-    psi = oracle.fiducial_operator(prep) @ oracle.zero_state(2)
+    psi = oracle.fiducial_operator(np.zeros(2)) @ oracle.zero_state(2)
     np.testing.assert_allclose(psi, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
 
 def test_fiducial_zero_offsets_is_ideal():
-    ideal = oracle.fiducial_operator(group.fiducial_preparation(3))
-    offs = oracle.fiducial_operator(group.fiducial_preparation(3, np.zeros(3)))
-    np.testing.assert_allclose(ideal, offs)
+    # a kernel without offsets is the one with zero offsets on both sides
+    ds = oracle.generate(3, 2, np.random.default_rng(5))
+    zeros = np.zeros(3)
+    ideal = kernel.kernel_matrix(ds)
+    offs = kernel.kernel_matrix(ds, offsets_left=zeros, offsets_right=zeros)
+    assert np.array_equal(ideal.entries, offs.entries)
 
 
 def test_fiducial_offset_budget():
     # all offsets at the budget 2 eps / N keep the operators within eps
     eps = 0.05
     n = 3
-    v = oracle.fiducial_operator(group.fiducial_preparation(n))
-    w = oracle.fiducial_operator(
-        group.fiducial_preparation(n, np.full(n, 2 * eps / n))
-    )
+    v = oracle.fiducial_operator(np.zeros(n))
+    w = oracle.fiducial_operator(np.full(n, 2 * eps / n))
     assert oracle.operator_norm(v - w) <= eps + 1e-6
 
 
@@ -142,8 +141,8 @@ def test_fiducial_operator_unitary_and_consistent():
     # two differently offset fiducial states
     rng = np.random.default_rng(3)
     for n in (2, 4):
-        prep = group.fiducial_preparation(n, rng.uniform(-0.2, 0.2, n))
-        other = group.fiducial_preparation(n, rng.uniform(-0.2, 0.2, n))
+        prep = rng.uniform(-0.2, 0.2, n)
+        other = rng.uniform(-0.2, 0.2, n)
         op = oracle.fiducial_operator(prep)
         np.testing.assert_allclose(op.conj().T @ op, np.eye(2**n), atol=1e-10)
         identity = np.broadcast_to(np.eye(2), (1, n, 2, 2))

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from cosetkernel import dataset, group, kernel, noise, theory
+from cosetkernel import group, kernel, noise, theory
 
 import oracle
 
 
 def test_entry_same_point_is_one():
     rng = np.random.default_rng(0)
-    ds = dataset.generate(3, 2, rng)
+    ds = oracle.generate(3, 2, rng)
     kmat = kernel.kernel_matrix(ds, [0, 0])
     assert abs(kmat.entries[0, 1] - 1) < 1e-12
 
 
 def test_entry_same_coset_is_one():
     rng = np.random.default_rng(1)
-    ds = dataset.generate(4, 2, rng)
+    ds = oracle.generate(4, 2, rng)
     kmat = kernel.kernel_matrix(ds, [0, 2])
     assert list(kmat.coset_labels) == [0, 0]
     assert abs(kmat.entries[0, 1] - 1) < 1e-10
@@ -26,7 +26,7 @@ def test_cross_coset_mean_near_haar_value():
     rng = np.random.default_rng(2)
     vals = []
     for _ in range(1000):
-        ds = dataset.generate(6, 2, rng)
+        ds = oracle.generate(6, 2, rng)
         vals.append(kernel.alpha_matrix(ds)[0, 1])
     vals = np.array(vals)
     se = vals.std() / np.sqrt(len(vals))
@@ -36,7 +36,7 @@ def test_cross_coset_mean_near_haar_value():
 def test_matrix_counts_and_symmetry():
     rng = np.random.default_rng(3)
     n, m = 2, 2
-    ds = dataset.generate(n, m, rng)
+    ds = oracle.generate(n, m, rng)
     kmat = kernel.kernel_matrix(ds)
     assert np.array_equal(kmat.entries, kmat.entries.T)
     off = kmat.entries[~np.eye(kmat.size, dtype=bool)]
@@ -47,7 +47,7 @@ def test_matrix_counts_and_symmetry():
 def test_block_structure():
     # cross value depends on the coset pair only, not the generators
     rng = np.random.default_rng(4)
-    ds = dataset.generate(4, 3, rng)
+    ds = oracle.generate(4, 3, rng)
     kmat = kernel.kernel_matrix(ds)
     alphas = kernel.alpha_matrix(ds)
     for r in range(kmat.size):
@@ -59,7 +59,7 @@ def test_block_structure():
 
 def test_entries_in_unit_interval():
     rng = np.random.default_rng(5)
-    ds = dataset.generate(3, 4, rng)
+    ds = oracle.generate(3, 4, rng)
     kmat = kernel.kernel_matrix(ds)
     assert np.all(kmat.entries > -1e-10)
     assert np.all(kmat.entries < 1 + 1e-10)
@@ -67,8 +67,8 @@ def test_entries_in_unit_interval():
 
 def test_restriction_to_train_split():
     rng = np.random.default_rng(6)
-    ds = dataset.generate(3, 2, rng)
-    sp = dataset.split(ds, rng)
+    ds = oracle.generate(3, 2, rng)
+    sp = oracle.split(ds, rng)
     full = kernel.kernel_matrix(ds)
     sub = kernel.kernel_matrix(ds, sp.train)
     assert sub.size == len(sp.train)
@@ -85,7 +85,7 @@ def test_dense_path_matches_gate_path():
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        ds = dataset.generate(n, 2, rng)
+        ds = oracle.generate(n, 2, rng)
         pair = [0, len(ds.factors) - 1]
         g = kernel.kernel_matrix(ds, pair).entries[0, 1]
         d = oracle.kernel_matrix(ds, pair).entries[0, 1]
@@ -95,7 +95,7 @@ def test_dense_path_matches_gate_path():
 def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
     n = 3
-    ds = dataset.generate(n, 2, rng)
+    ds = oracle.generate(n, 2, rng)
     perts = group.from_euler(
         noise.sample_element_perturbation(n, 0.3, rng, shape=(len(ds.factors),))
     )
@@ -105,14 +105,14 @@ def test_selection_noise_diagonal_is_one():
 
 def test_fiducial_noise_needs_both_sides():
     rng = np.random.default_rng(9)
-    ds = dataset.generate(2, 2, rng)
+    ds = oracle.generate(2, 2, rng)
     with pytest.raises(ValueError):
         kernel.kernel_matrix(ds, offsets_left=np.zeros(2))
 
 
 def test_selection_noise_needs_one_perturbation_per_point():
     rng = np.random.default_rng(16)
-    ds = dataset.generate(3, 2, rng)
+    ds = oracle.generate(3, 2, rng)
     perts = group.from_euler(
         noise.sample_element_perturbation(3, 0.3, rng, shape=(1,))
     )
@@ -123,7 +123,7 @@ def test_selection_noise_needs_one_perturbation_per_point():
 
 def test_fiducial_offsets_need_one_per_qubit():
     # the qubit count is the dataset's, so one offset cannot stand for three
-    ds = dataset.generate(3, 2, np.random.default_rng(17))
+    ds = oracle.generate(3, 2, np.random.default_rng(17))
     with pytest.raises(ValueError, match="one offset per qubit"):
         kernel.kernel_matrix(
             ds, offsets_left=np.array([0.3]), offsets_right=np.array([-0.2])
@@ -132,7 +132,7 @@ def test_fiducial_offsets_need_one_per_qubit():
 
 def test_alpha_matrix_properties():
     rng = np.random.default_rng(10)
-    ds = dataset.generate(3, 4, rng)
+    ds = oracle.generate(3, 4, rng)
     alphas = kernel.alpha_matrix(ds)
     np.testing.assert_allclose(np.diag(alphas), 1.0)
     assert np.array_equal(alphas, alphas.T)
@@ -143,7 +143,7 @@ def test_alpha_mean_at_eight_qubits():
     rng = np.random.default_rng(11)
     vals = []
     for _ in range(200):
-        ds = dataset.generate(8, 2, rng)
+        ds = oracle.generate(8, 2, rng)
         vals.append(kernel.alpha_matrix(ds)[0, 1])
     vals = np.array(vals)
     se = vals.std() / np.sqrt(len(vals))
@@ -152,7 +152,7 @@ def test_alpha_mean_at_eight_qubits():
 
 def test_heatmap_export(tmp_path):
     rng = np.random.default_rng(12)
-    ds = dataset.generate(2, 2, rng)
+    ds = oracle.generate(2, 2, rng)
     kmat = kernel.kernel_matrix(ds)
     path = tmp_path / "heat.csv"
     kernel.export_heatmap(kmat, path)
@@ -172,7 +172,7 @@ def test_feature_states_match_dense_oracle(n, attachment):
     """The transfer-chain kernel matches the one built from dense feature
     states, on the full dataset and on a train split."""
     rng = np.random.default_rng(100 + n)
-    ds = dataset.generate(n, 2, rng)
+    ds = oracle.generate(n, 2, rng)
     kwargs = {}
     if attachment == "fiducial":
         kwargs = {
@@ -183,7 +183,7 @@ def test_feature_states_match_dense_oracle(n, attachment):
         kwargs = {"perturbations": group.from_euler(
             noise.sample_element_perturbation(n, 0.3, rng, shape=(len(ds.factors),))
         )}
-    for indices in (None, dataset.split(ds, rng).train):
+    for indices in (None, oracle.split(ds, rng).train):
         chain = kernel.kernel_matrix(ds, indices, **kwargs)
         dense = oracle.kernel_matrix(ds, indices, **kwargs)
         np.testing.assert_allclose(chain.entries, dense.entries, rtol=0, atol=1e-12)
@@ -192,10 +192,8 @@ def test_feature_states_match_dense_oracle(n, attachment):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_alpha_matrix_matches_dense_oracle(n):
     rng = np.random.default_rng(200 + n)
-    ds = dataset.generate(n, 4, rng)
-    states = oracle.feature_states(
-        ds.representatives, group.fiducial_preparation(n)
-    )
+    ds = oracle.generate(n, 4, rng)
+    states = oracle.feature_states(ds.representatives, np.zeros(n))
     dense = np.abs(states.conj() @ states.T) ** 2
     np.fill_diagonal(dense, 1.0)
     np.testing.assert_allclose(kernel.alpha_matrix(ds), dense, rtol=0, atol=1e-12)
@@ -203,7 +201,7 @@ def test_alpha_matrix_matches_dense_oracle(n):
 
 def test_dense_oracle_refuses_past_its_cap():
     n = oracle.DENSE_MAX_QUBITS + 1
-    ds = dataset.generate(n, 2, np.random.default_rng(14))
+    ds = oracle.generate(n, 2, np.random.default_rng(14))
     with pytest.raises(ValueError, match="dense oracle"):
         oracle.kernel_matrix(ds, [0, 1])
 
@@ -214,7 +212,7 @@ def test_large_n_full_surface_properties(n):
     entries are the coset pair's alpha, and the off-diagonal variance is the
     closed form for those alphas."""
     m = 2
-    ds = dataset.generate(n, m, np.random.default_rng(15 + n))
+    ds = oracle.generate(n, m, np.random.default_rng(15 + n))
     kmat = kernel.kernel_matrix(ds)
     alphas = kernel.alpha_matrix(ds)
     labels = kmat.coset_labels

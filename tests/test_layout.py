@@ -2,10 +2,10 @@
 in the package or the demos, and every imported name is used.
 
 A helper that only the tests call belongs in the tests (the dense reference
-lives in `oracle.py`). The scans read the source with `ast` and import
-nothing. `dataset`, `theory` and `cli` are left out of the first on purpose:
-they hold the JSON round trip, the closed forms and the entry points, which
-serve users directly. The import scan covers every file of `src/`, `tests/`
+and the one-trial helpers live in `oracle.py`). The scans read the source
+with `ast` and import nothing. `theory` and `cli` are left out of the first
+on purpose: they hold the closed forms and the entry points, which serve
+users directly. The import scan covers every file of `src/`, `tests/`
 and `demos/`; a name listed in a module's `__all__` counts as used.
 """
 
@@ -16,7 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cosetkernel"
-SCANNED = ("statevector", "group", "kernel", "noise", "experiment")
+SCANNED = ("statevector", "group", "dataset", "kernel", "noise",
+           "experiment")
 
 
 def _public_definitions(path):

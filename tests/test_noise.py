@@ -31,10 +31,10 @@ def test_sampled_norms_respect_epsilon(eps):
     # over N in 2..8 runs in the acceptance suite
     rng = np.random.default_rng(2)
     for n in (2, 5, 8):
-        ideal = oracle.fiducial_operator(group.fiducial_preparation(n))
+        ideal = oracle.fiducial_operator(np.zeros(n))
         for _ in range(20):
             offs = noise.sample_fiducial_offsets(n, eps, rng)
-            w = oracle.fiducial_operator(group.fiducial_preparation(n, offs))
+            w = oracle.fiducial_operator(offs)
             assert oracle.operator_norm(ideal - w) <= eps + 1e-6
             tri = noise.sample_element_perturbation(n, eps, rng)
             de = oracle.dense(group.from_euler(tri))
@@ -143,11 +143,11 @@ def test_noise_config_validation():
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_zero_epsilon_reproduces_ideal_kernel(variant):
     rng_clean = experiment.trial_rng(3, 4, 2, 0)
-    _, _, clean = experiment.build_trial_kernel(
+    _, _, clean = oracle.build_kernel(
         4, 2, noise.NoiseConfig(), rng_clean, surface="full"
     )
     rng_noisy = experiment.trial_rng(3, 4, 2, 0)
-    _, _, noisy = experiment.build_trial_kernel(
+    _, _, noisy = oracle.build_kernel(
         4, 2, noise.NoiseConfig(variant, 0.0), rng_noisy, surface="full"
     )
     np.testing.assert_allclose(noisy.entries, clean.entries, atol=1e-12)
@@ -186,7 +186,7 @@ def test_small_epsilon_entries_inside_envelope(variant):
     eps = 0.05
     for t in range(5):
         rng = experiment.trial_rng(5, 4, 2, t)
-        ds, _, kmat = experiment.build_trial_kernel(
+        ds, _, kmat = oracle.build_kernel(
             4, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
         )
         alphas = kernel.alpha_matrix(ds)
@@ -241,8 +241,9 @@ def _loop_violations(kmat, alphas, variant, eps, tol=1e-9):
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
     rngs = [experiment.trial_rng(6, 3, 3, t) for t in range(3)]
-    ds, _, kmats = experiment.build_trial_kernels(
-        3, 3, noise.NoiseConfig(variant, eps), rngs, surface="full"
+    ds, splits = experiment.draw_trials(3, 3, rngs)
+    kmats = experiment.noisy_kernels(
+        ds, splits, noise.NoiseConfig(variant, eps), rngs, surface="full"
     )
     batch_alphas = kernel.alpha_matrix(ds)
     for t in range(3):

@@ -3,10 +3,10 @@ import pytest
 from scipy import stats
 
 from cosetkernel import group, kernel
-from cosetkernel.statevector import I2, rx, ry, rz
+from cosetkernel.statevector import rx, ry, rz
 
 import oracle
-from oracle import haar_random_su2
+from oracle import I2, haar_random_su2
 
 
 def random_state(n, rng):
@@ -23,9 +23,7 @@ def single_qubit_op(gate, qubit, n):
 def cz_layer(n):
     """Dense CZ on every chain edge: the preparation circuit with its Ry
     layer switched off (offsets pi/2 make every Ry the identity)."""
-    return oracle.fiducial_operator(
-        group.fiducial_preparation(n, np.full(n, np.pi / 2))
-    )
+    return oracle.fiducial_operator(np.full(n, np.pi / 2))
 
 
 def test_apply_identity():
@@ -165,7 +163,7 @@ def test_gate_level_matches_dense_circuit():
     rng = np.random.default_rng(12)
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        prep = group.fiducial_preparation(n, rng.uniform(-0.3, 0.3, n))
+        prep = rng.uniform(-0.3, 0.3, n)
         elem = group.from_euler(rng.uniform(-np.pi, np.pi, size=(n, 3)))
         identity = np.broadcast_to(np.eye(2), (1, n, 2, 2))
         chain = kernel.transfer_amplitudes(identity, elem[None], prep, prep)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cosetkernel import dataset, experiment, kernel, noise, theory
+from cosetkernel import experiment, kernel, noise, theory
+
+import oracle
 
 
 def uniform_alphas(m, value):
@@ -98,7 +100,7 @@ def test_noisy_constant_kernel():
 
 def test_extract_stats_ideal_kernel():
     rng = np.random.default_rng(0)
-    ds = dataset.generate(3, 2, rng)
+    ds = oracle.generate(3, 2, rng)
     kmat = kernel.kernel_matrix(ds)
     alphas = kernel.alpha_matrix(ds)
     stats = theory.extract_deviation_stats(kmat, alphas[0, 1])
@@ -109,7 +111,7 @@ def test_extract_stats_ideal_kernel():
 
 def test_extract_stats_gamma_nonnegative():
     rng = experiment.trial_rng(1, 4, 2, 0)
-    _, _, kmat = experiment.build_trial_kernel(
+    _, _, kmat = oracle.build_kernel(
         4, 2, noise.NoiseConfig("selection", 0.05), rng, surface="full"
     )
     stats = theory.extract_deviation_stats(kmat, 2.0**-4)
@@ -127,7 +129,7 @@ def test_noisy_variance_is_exact_decomposition(n_qubits, m, variant):
     # the two-group decomposition reproduces the population variance of the
     # full off-diagonal multiset for any reference alpha
     rng = experiment.trial_rng(2, n_qubits, m, 0)
-    _, _, kmat = experiment.build_trial_kernel(
+    _, _, kmat = oracle.build_kernel(
         n_qubits, m, noise.NoiseConfig(variant, 0.05), rng, surface="full"
     )
     _, empirical_var = kernel.offdiag_stats(kmat)
