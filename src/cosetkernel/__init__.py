@@ -1,12 +1,11 @@
 """Simulation engine and theory oracles for covariant quantum kernels on
 coset-structured data."""
 
-from . import dataset, experiment, group, kernel, noise, statevector, theory
+from . import dataset, experiment, kernel, noise, statevector, theory
 
 __all__ = [
     "dataset",
     "experiment",
-    "group",
     "kernel",
     "noise",
     "statevector",

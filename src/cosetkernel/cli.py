@@ -1,9 +1,9 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
-`verify-bounds` checks the three noise variants on the same trials: per
-(N, chunk) it draws the datasets, splits and alpha matrices once, and for
-each variant replays every trial's stream from its state after the split,
-so each variant's noise draws are those of a fresh build.
+`verify-bounds` checks each noise variant but "none" on the same trials:
+per (N, chunk) it draws the datasets, splits and alpha matrices once, and
+for each variant replays every trial's stream from its state after the
+split, so each variant's noise draws are those of a fresh build.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure a machine-readable error record is printed to stderr
@@ -160,7 +160,7 @@ def cmd_verify_bounds(args):
     if m < 2:
         raise ValueError(f"need at least 2 cosets, got {m}")
     configs = [noise.NoiseConfig(variant, args.epsilon)
-               for variant in ("fiducial", "selection", "representation")]
+               for variant in noise.VARIANTS if variant != "none"]
     violations = 0
     checked = 0
     for n_qubits in range(lo, hi + 1):

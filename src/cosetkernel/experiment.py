@@ -14,7 +14,7 @@ noise fold and the transfer chain then run once per chunk, on
 (T, P, N, 2, 2) stacks that give (T, P, P) kernels (and, in
 `verify-bounds`, (T, m, m) alpha matrices), and so do the statistics and
 the envelope check. The build has two stages: `draw_trials` (datasets and
-splits) and `noisy_kernels` (the noise draws, the fold and the kernels);
+splits) and `noisy_kernels` (`noise.attach`, then the kernels);
 `run_trials` runs one after the other. `verify-bounds` runs the first stage
 and the alpha matrices once per chunk and, for each noise variant, restores
 every stream to its state after the split and runs only the second, so each
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import dataset, group, kernel, theory
+from . import dataset, kernel, theory
 from . import noise as noise_models
 
 MAX_QUBITS = 128
@@ -113,31 +113,12 @@ def draw_trials(n_qubits, m, rngs):
 
 
 def noisy_kernels(ds, splits, cfg_noise, rngs, surface="train"):
-    """The variant's noise draws, read from each stream where `draw_trials`
-    left it, the noise fold and the batched kernel matrix on the requested
-    surface."""
-    n_qubits = ds.num_qubits
-    offsets_l = offsets_r = perturbations = None
-    eps = cfg_noise.epsilon
-    if cfg_noise.variant == "fiducial":
-        sides = [
-            [noise_models.sample_fiducial_offsets(n_qubits, eps, rng),
-             noise_models.sample_fiducial_offsets(n_qubits, eps, rng)]
-            for rng in rngs
-        ]
-        offsets_l, offsets_r = np.moveaxis(np.array(sides), 1, 0)
-    elif cfg_noise.variant in ("selection", "representation"):
-        points = (len(ds.coset_labels),)
-        perturbations = group.from_euler(np.array([
-            noise_models.sample_element_perturbation(n_qubits, eps, rng, points)
-            for rng in rngs
-        ]))
+    """The variant's noise, read from each stream where `draw_trials` left
+    it and attached by `noise.attach`, and the batched kernel matrix on the
+    requested surface."""
+    ds, offsets = noise_models.attach(cfg_noise, ds, rngs)
     return kernel.kernel_matrix(
-        ds,
-        splits.train if surface == "train" else None,
-        offsets_left=offsets_l,
-        offsets_right=offsets_r,
-        perturbations=perturbations,
+        ds, splits.train if surface == "train" else None, offsets
     )
 
 

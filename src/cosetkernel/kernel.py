@@ -4,8 +4,8 @@ Every entry is the exact squared amplitude
 |<0| V_left^dag D_x^dag D_x' V_right |0>|^2; no measurement sampling. The
 fiducial V|0> is the chain graph state CZ_chain (tensor_j a_j) with the
 single-qubit states a_j = Ry(pi/2 - o_j)|0>. A preparation is given by its
-(N,) offsets o alone: zeros for the ideal state, random ones for the
-fiducial-error model. Its amplitude on the basis string s is
+(N,) offsets o alone, zeros for the ideal state; noise (`noise.attach`)
+may give the bra and the ket their own. Its amplitude on the basis string s is
 prod_j a_j[s_j] times the CZ sign (-1)^(sum_j s_j s_(j+1)), and
 D_x^dag D_x' is the tensor product of the 2x2 factors M_j = D_x,j^dag D_x',j.
 The amplitude is therefore a sum over bra and ket strings (t, u) of a
@@ -24,12 +24,8 @@ a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
 Each trial's entries are the same, bit for bit, as in a batch of one;
 `experiment` picks the batch size so that T (2P)^2 stays within a fixed
 budget. The statistics also take a whole batch, and give each trial the
-bits of 1-D reductions over its own entries.
-
-A selection perturbation E_x is folded into the point's factors first, as
-E_x,j D_x,j on every qubit j; this is exact because both operators are
-tensor products. The tests check this path against a dense 2^N
-construction (`tests/oracle.py`).
+bits of 1-D reductions over its own entries. The tests check the chain
+against a dense 2^N construction (`tests/oracle.py`).
 """
 
 from dataclasses import dataclass
@@ -110,49 +106,25 @@ def _mirrored(gram):
     return np.triu(gram) + np.swapaxes(np.triu(gram, 1), -1, -2)
 
 
-def _selected(stack, indices):
-    """The points `indices` picks from a (..., P, N, 2, 2) stack, per trial
-    when both carry a trial axis."""
-    return np.take_along_axis(stack, indices[..., None, None, None], axis=-4)
-
-
-def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
-                  perturbations=None):
+def kernel_matrix(ds, indices=None, offsets=None):
     """All pairwise kernel values over the dataset's points, or over the
-    points `indices` selects (e.g. a train split).
-
-    offsets_left/offsets_right attach the fiducial-error model (two
-    independently sampled noisy preparations on the two sides of every
-    entry, (N,) offsets each; without them both sides are ideal);
-    perturbations attaches one selection-error element per dataset
-    point, as a (P, N, 2, 2) stack that `indices` selects from too.
+    points `indices` selects (e.g. a train split), with the (2, N) Ry
+    offsets of every entry's bra and ket preparation (ideal without them).
 
     On a batch of trials' datasets (`dataset.generate_trials`) the indices
-    (T, K), offsets (T, N) and perturbations (T, P, N, 2, 2) carry the same
-    leading trial axis, and the result holds the T matrices.
+    (T, K) and offsets (2, T, N) carry the same leading trial axis, and the
+    result holds the T matrices.
     """
-    if (offsets_left is None) != (offsets_right is None):
-        raise ValueError("fiducial offsets must be given for both sides")
-    if offsets_left is not None and perturbations is not None:
-        raise ValueError("choose one noise attachment per job")
-    if perturbations is not None and perturbations.shape != ds.factors.shape:
-        raise ValueError("need one perturbation per point")
     n = ds.num_qubits
-    if offsets_left is None:
-        offsets_left = offsets_right = np.zeros(n)
-    offsets = [np.asarray(o, dtype=float) for o in (offsets_left, offsets_right)]
-    if any(o.ndim not in (1, 2) or o.shape[-1] != n for o in offsets):
+    offsets = np.zeros((2, n)) if offsets is None else np.asarray(offsets, float)
+    if offsets.ndim not in (2, 3) or len(offsets) != 2 or offsets.shape[-1] != n:
         raise ValueError("need one offset per qubit")
     factors = ds.factors
     labels, subgroups = ds.coset_labels, ds.subgroup_indices
     if indices is not None:
         idx = np.asarray(indices, dtype=int)
-        factors = _selected(factors, idx)
-        if perturbations is not None:
-            perturbations = _selected(perturbations, idx)
+        factors = np.take_along_axis(factors, idx[..., None, None, None], -4)
         labels, subgroups = labels[idx], subgroups[idx]
-    if perturbations is not None:
-        factors = perturbations @ factors
     amps = transfer_amplitudes(factors, factors, *offsets)
     entries = _mirrored(np.abs(amps) ** 2)
     return KernelMatrix(

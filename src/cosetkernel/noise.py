@@ -1,16 +1,22 @@
-"""Coherent-noise samplers and their worst-case kernel-value envelopes.
+"""Coherent-noise models: their samplers, `attach`, and their worst-case
+kernel-value envelopes.
 
 All perturbations are tensor products of small single-qubit rotations whose
 angles are drawn uniformly inside a budget chosen so that the operator norm
-of the deviation stays below epsilon. The envelopes take one alpha or an
+of the deviation stays below epsilon. Each variant changes only the kernel's
+inputs, and `attach` alone decides how. The envelopes take one alpha or an
 array of them, so a batch of trials is checked with one evaluation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .statevector import rx, rz
+
 VARIANTS = ("none", "fiducial", "selection", "representation")
+# slack for rounding when an entry is compared with its envelope
+ENVELOPE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,42 @@ def sample_element_perturbation(n_qubits, epsilon, rng, shape=()):
     return rng.uniform(-bound, bound, size=(*shape, n_qubits, 3))
 
 
+def from_euler(angles):
+    """Per-qubit factors Rx(t1) Rz(t2) Rx(t3) for (..., N, 3) angle triples;
+    returns the (..., N, 2, 2) factors."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim < 2 or angles.shape[-1] != 3:
+        raise ValueError("expected (..., N, 3) angle triples (t1, t2, t3)")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("non-finite angles")
+    t1, t2, t3 = np.moveaxis(angles, -1, 0)
+    return rx(t1) @ rz(t2) @ rx(t3)
+
+
+def attach(cfg, ds, rngs):
+    """The variant's noise for a batch of trials' dataset, read from each
+    stream where it stands: the dataset and the (2, T, N) bra and ket
+    offsets for `kernel.kernel_matrix`, None for the ideal preparation.
+
+    Fiducial errors read 2N uniforms per stream, the bra then the ket
+    offsets. Selection and representation errors read 3PN, an Euler triple
+    per point and qubit, and fold E_x into the factors, exactly since both
+    are tensor products: as E_x,j D_x,j and as D_x,j E_x,j. `none` reads
+    nothing."""
+    n, eps = ds.num_qubits, cfg.epsilon
+    if cfg.variant == "fiducial":
+        sides = [[sample_fiducial_offsets(n, eps, rng),
+                  sample_fiducial_offsets(n, eps, rng)] for rng in rngs]
+        return ds, np.moveaxis(np.array(sides), 1, 0)
+    if cfg.variant in ("selection", "representation"):
+        points = (len(ds.coset_labels),)
+        e = from_euler([sample_element_perturbation(n, eps, rng, points)
+                        for rng in rngs])
+        folded = e @ ds.factors if cfg.variant == "selection" else ds.factors @ e
+        return replace(ds, factors=folded), None
+    return ds, None
+
+
 def _envelope(alpha, shift):
     """Bounds on kappa when the overlap amplitude moves by at most `shift`
     around sqrt(alpha), for one alpha or elementwise over an array."""
@@ -72,22 +114,29 @@ def bounds_fiducial(alpha, epsilon):
 
 
 def bounds_selection(alpha, epsilon):
-    """Envelope for selection errors: same-coset amplitude >= 1 - eps^2 / 2,
-    cross-coset amplitude shift 2 eps."""
-    same_lower = np.clip(np.square(1 - epsilon**2 / 2), 0.0, 1.0)
+    """Envelope for selection and representation errors, one E_x within
+    eps of I per point: same-coset amplitude >= 1 - 2 eps^2 (bound 0 once
+    2 eps^2 > 1), cross-coset amplitude shift 2 eps.
+
+    Points c s_a, c s_b of one coset overlap as <psi|W|psi>, W unitary:
+    c^dag E_x^dag E_x' c for selection (E_x D_x), E_x^dag S E_x' S for
+    representation (D_x E_x), with S = s_a s_b fixing psi. ||W - I|| <= 2 eps,
+    so each eigenvalue e^(it) of W has 2 |sin(t/2)| <= 2 eps, hence
+    cos t >= 1 - 2 eps^2 and Re<psi|W|psi> >= 1 - 2 eps^2."""
+    same = 1 - 2 * epsilon**2
+    same_lower = np.square(same) if same >= 0 else 0.0
     return NoiseBounds(same_lower, *_envelope(alpha, 2 * epsilon))
 
 
 def bounds_for(variant, alpha, epsilon):
-    # representation errors obey the same inequalities as fiducial errors
-    if variant in ("fiducial", "representation"):
+    if variant == "fiducial":
         return bounds_fiducial(alpha, epsilon)
-    if variant == "selection":
+    if variant in ("selection", "representation"):
         return bounds_selection(alpha, epsilon)
     raise ValueError(f"no bounds for variant {variant!r}")
 
 
-def count_envelope_violations(kmat, alphas, variant, epsilon, tol=1e-9):
+def count_envelope_violations(kmat, alphas, variant, epsilon):
     """(violations, entries checked) of the noisy kernel entries against
     their per-pair envelope, for one matrix and its (m, m) alphas or a batch
     of trials' matrices and their (T, m, m) alphas. Each entry's alpha is
@@ -101,9 +150,9 @@ def count_envelope_violations(kmat, alphas, variant, epsilon, tol=1e-9):
                         epsilon)
     outside = np.where(
         rows == cols,
-        values < bounds.same_coset_lower - tol,
-        ~((bounds.cross_coset_lower - tol <= values)
-          & (values <= bounds.cross_coset_upper + tol)),
+        values < bounds.same_coset_lower - ENVELOPE_TOL,
+        ~((bounds.cross_coset_lower - ENVELOPE_TOL <= values)
+          & (values <= bounds.cross_coset_upper + ENVELOPE_TOL)),
     )
     outside &= ~np.eye(size, dtype=bool)
     return int(np.sum(outside)), len(rows) * size * (size - 1)

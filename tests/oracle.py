@@ -6,10 +6,12 @@ The package computes every kernel as a chain of 2x2 transfer steps and never
 forms a 2^N state. This module does the opposite on purpose, so that the
 tests can check the chain against an independent construction: the
 preparation circuit is a dense 2^N x 2^N matrix, each point's feature state
-is `dense(D_x) @ V |0>`, and a selection perturbation E_x is applied as its
-own dense matrix rather than folded into the point's factors. Dense states
-are 1-D complex arrays of length 2**N with qubit 0 the most significant bit
-of the basis index. The oracle refuses more than DENSE_MAX_QUBITS qubits.
+is `dense(D_x) @ V |0>`, and a selection or representation perturbation E_x
+is applied as its own dense matrix, `dense(E_x) @ dense(D_x)` or
+`dense(D_x) @ dense(E_x)`, rather than folded into the point's factors by
+`noise.attach`. Dense states are 1-D complex arrays of length 2**N with
+qubit 0 the most significant bit of the basis index. The oracle refuses
+more than DENSE_MAX_QUBITS qubits.
 
 A preparation is given by its (N,) Ry offsets, as in `kernel`. The Pauli
 matrices, `from_pauli` and `chain_generators` spell out the chain
@@ -164,10 +166,11 @@ def fiducial_operator(offsets):
     return cz_diag[:, None] * op
 
 
-def feature_states(factors, offsets, perturbations=None):
-    """(P, 2^N) rows |phi(x)> = (E_x) D_x V |0> for a (P, N, 2, 2) factor
-    stack and the preparation V of the (N,) offsets, optionally with one
-    selection perturbation E_x per point as a second (P, N, 2, 2) stack."""
+def feature_states(factors, offsets, perturbations=None, variant="selection"):
+    """(P, 2^N) rows |phi(x)> = D_x V |0> for a (P, N, 2, 2) factor stack
+    and the preparation V of the (N,) offsets. With one perturbation E_x per
+    point as a second (P, N, 2, 2) stack, the rows are E_x D_x V |0> for the
+    `selection` variant and D_x E_x V |0> for `representation`."""
     n = len(offsets)
     if n > DENSE_MAX_QUBITS:
         raise ValueError(
@@ -178,15 +181,22 @@ def feature_states(factors, offsets, perturbations=None):
     fiducial = fiducial_operator(offsets) @ zero_state(n)
     ops = [dense(f) for f in factors]
     if perturbations is not None:
-        ops = [dense(e) @ op for e, op in zip(perturbations, ops)]
+        errors = [dense(e) for e in perturbations]
+        if variant == "selection":
+            ops = [e @ op for e, op in zip(errors, ops)]
+        else:
+            ops = [op @ e for e, op in zip(errors, ops)]
     return np.stack([op @ fiducial for op in ops])
 
 
-def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
-                  perturbations=None):
-    """`kernel.kernel_matrix` from dense feature states: the same arguments
-    and the same KernelMatrix, with entries |<phi_l(x)|phi_r(x')>|^2. A batch
-    of trials' datasets gets one dense kernel per trial, stacked."""
+def kernel_matrix(ds, indices=None, offsets=None, *, perturbations=None,
+                  variant="selection"):
+    """`kernel.kernel_matrix` from dense feature states, with the noise given
+    unfolded: the (2, N) bra and ket offsets, and optionally one
+    perturbation per dataset point, (P, N, 2, 2), that `indices` selects
+    from too and that `variant` places (`feature_states`). Entries are
+    |<phi_l(x)|phi_r(x')>|^2. A batch of trials' datasets gets one dense
+    kernel per trial, stacked; its offsets are (2, T, N)."""
     if ds.factors.ndim == 5:
         def at(t, a):
             return None if a is None else a[t]
@@ -195,9 +205,9 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
             kernel_matrix(
                 ds.trial(t),
                 at(t, indices),
-                offsets_left=at(t, offsets_left),
-                offsets_right=at(t, offsets_right),
+                None if offsets is None else offsets[:, t],
                 perturbations=at(t, perturbations),
+                variant=variant,
             )
             for t in range(len(ds.factors))
         ]
@@ -210,12 +220,12 @@ def kernel_matrix(ds, indices=None, *, offsets_left=None, offsets_right=None,
     factors = ds.factors[idx]
     if perturbations is not None:
         perturbations = perturbations[idx]
-    ideal = np.zeros(ds.num_qubits)
-    left = right = feature_states(
-        factors, ideal if offsets_left is None else offsets_left, perturbations
-    )
-    if offsets_right is not None:
-        right = feature_states(factors, offsets_right)
+    if offsets is None:
+        ideal = np.zeros(ds.num_qubits)
+        left = right = feature_states(factors, ideal, perturbations, variant)
+    else:
+        left, right = (feature_states(factors, o, perturbations, variant)
+                       for o in offsets)
     gram = np.abs(left.conj() @ right.T) ** 2
     entries = np.triu(gram) + np.triu(gram, 1).T
     return kernel.KernelMatrix(

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 import cosetkernel
-from cosetkernel import experiment, group, kernel, noise, theory
+from cosetkernel import experiment, kernel, noise, theory
 from cosetkernel.noise import count_envelope_violations
 from cosetkernel.statevector import ry
 
@@ -137,7 +137,7 @@ def test_criterion_5_noise_budgets():
                 if product_distance_to_identity(ry(-offs)) > eps + 1e-6:
                     violations += 1
                 tri = noise.sample_element_perturbation(n, eps, rng)
-                de = group.from_euler(tri)
+                de = noise.from_euler(tri)
                 if product_distance_to_identity(de) > eps + 1e-6:
                     violations += 1
     report(5, violations == 0, f"violations={violations} over 28000 samples")

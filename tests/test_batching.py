@@ -7,10 +7,12 @@ split, then the noise. A batched path that reorders those draws, or lets trials 
 stream, fails the comparison.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cosetkernel import cli, dataset, experiment, group, kernel, noise
+from cosetkernel import cli, dataset, experiment, kernel, noise
 
 import oracle
 
@@ -24,18 +26,21 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
     ds = oracle.generate(n_qubits, m, rng)
     sp = oracle.split(ds, rng)
     eps = cfg_noise.epsilon
-    attach = {}
+    noisy, offsets = ds, None
     if cfg_noise.variant == "fiducial":
-        attach["offsets_left"] = noise.sample_fiducial_offsets(n_qubits, eps, rng)
-        attach["offsets_right"] = noise.sample_fiducial_offsets(n_qubits, eps, rng)
+        offsets = np.array([noise.sample_fiducial_offsets(n_qubits, eps, rng)
+                            for _ in range(2)])
     elif cfg_noise.variant != "none":
-        attach["perturbations"] = group.from_euler(
+        errors = noise.from_euler(
             noise.sample_element_perturbation(
                 n_qubits, eps, rng, (len(ds.coset_labels),)
             )
         )
+        folded = (errors @ ds.factors if cfg_noise.variant == "selection"
+                  else ds.factors @ errors)
+        noisy = replace(ds, factors=folded)
     indices = sp.train if surface == "train" else None
-    return ds, sp, kernel.kernel_matrix(ds, indices, **attach)
+    return ds, sp, kernel.kernel_matrix(noisy, indices, offsets)
 
 
 def small_config(variant, eps, surface, trials=6):
@@ -146,9 +151,14 @@ def test_verify_bounds_does_not_depend_on_chunking(monkeypatch, capsys):
 
 def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
                                                             capsys):
-    # both violations are in trial 3 at N = 2, which the default budget
-    # checks in one chunk with trials 0..2; they are the selection-bound
-    # defect (ROADMAP item 1), which this seed hits on the current streams
+    # a same-coset lower bound of 1 makes every noisy same-coset entry a
+    # violation, so violations fall in every chunk of every budget
+    bounds_for = noise.bounds_for
+
+    def strict(variant, alpha, epsilon):
+        return replace(bounds_for(variant, alpha, epsilon), same_coset_lower=1.0)
+
+    monkeypatch.setattr(noise, "bounds_for", strict)
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "2..8",
             "--cosets", "3", "--trials", "4", "--seed", "236"]
     assert experiment.trial_chunks(2, 3, 4, "full") == [range(4)]
@@ -158,7 +168,10 @@ def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
         assert cli.main(argv) == 1
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
-    assert outputs[0].endswith("entries checked: 20664, violations: 2\n")
+    # every off-diagonal same-coset entry: 3 N (N - 1) per trial and variant
+    same = 3 * 4 * sum(3 * n * (n - 1) for n in range(2, 9))
+    assert same == 6048
+    assert outputs[0].endswith(f"entries checked: 20664, violations: {same}\n")
 
 
 def _counted(monkeypatch, module, name):

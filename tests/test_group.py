@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosetkernel import group, kernel
+from cosetkernel import kernel, noise
 from cosetkernel.statevector import rx, rz
 
 import oracle
@@ -9,24 +9,24 @@ from oracle import X, Z, haar_random_su2
 
 
 def test_from_euler_identity():
-    g = group.from_euler(np.zeros((3, 3)))
+    g = noise.from_euler(np.zeros((3, 3)))
     for f in g:
         np.testing.assert_allclose(f, np.eye(2), atol=1e-14)
 
 
 def test_from_euler_pi_is_x():
-    g = group.from_euler([(np.pi, 0, 0)])
+    g = noise.from_euler([(np.pi, 0, 0)])
     np.testing.assert_allclose(g[0], -1j * X, atol=1e-14)
 
 
 def test_from_euler_matches_matrix_product():
-    g = group.from_euler([(0.3, 0.7, 0.1)])
+    g = noise.from_euler([(0.3, 0.7, 0.1)])
     np.testing.assert_allclose(
         g[0], rx(0.3) @ rz(0.7) @ rx(0.1), atol=1e-14
     )
     # a (P, N, 3) stack gives the (P, N, 2, 2) stack of per-qubit products
     angles = np.random.default_rng(5).uniform(-np.pi, np.pi, (4, 3, 3))
-    stack = group.from_euler(angles)
+    stack = noise.from_euler(angles)
     assert stack.shape == (4, 3, 2, 2)
     for p in range(4):
         for j in range(3):
@@ -36,9 +36,9 @@ def test_from_euler_matches_matrix_product():
 
 def test_from_euler_rejects_nonfinite():
     with pytest.raises(ValueError):
-        group.from_euler([(np.inf, 0, 0)])
+        noise.from_euler([(np.inf, 0, 0)])
     with pytest.raises(ValueError):
-        group.from_euler([0.1, 0.2, 0.3])
+        noise.from_euler([0.1, 0.2, 0.3])
 
 
 def test_from_pauli():
@@ -121,9 +121,8 @@ def test_fiducial_two_qubits():
 def test_fiducial_zero_offsets_is_ideal():
     # a kernel without offsets is the one with zero offsets on both sides
     ds = oracle.generate(3, 2, np.random.default_rng(5))
-    zeros = np.zeros(3)
     ideal = kernel.kernel_matrix(ds)
-    offs = kernel.kernel_matrix(ds, offsets_left=zeros, offsets_right=zeros)
+    offs = kernel.kernel_matrix(ds, offsets=np.zeros((2, 3)))
     assert np.array_equal(ideal.entries, offs.entries)
 
 
@@ -156,7 +155,7 @@ def test_fiducial_operator_unitary_and_consistent():
 
 def test_composed_factors_stay_unitary():
     rng = np.random.default_rng(4)
-    g = group.from_euler(rng.uniform(-np.pi, np.pi, (3, 3)))
-    h = group.from_euler(rng.uniform(-np.pi, np.pi, (3, 3)))
+    g = noise.from_euler(rng.uniform(-np.pi, np.pi, (3, 3)))
+    h = noise.from_euler(rng.uniform(-np.pi, np.pi, (3, 3)))
     for f in g @ h:
         np.testing.assert_allclose(f.conj().T @ f, np.eye(2), atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosetkernel import group, kernel, noise, theory
+from cosetkernel import experiment, kernel, noise, theory
 
 import oracle
 
@@ -94,40 +94,27 @@ def test_dense_path_matches_gate_path():
 
 def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
-    n = 3
-    ds = oracle.generate(n, 2, rng)
-    perts = group.from_euler(
-        noise.sample_element_perturbation(n, 0.3, rng, shape=(len(ds.factors),))
-    )
-    kmat = kernel.kernel_matrix(ds, perturbations=perts)
+    ds, _ = experiment.draw_trials(3, 2, [rng])
+    noisy, offsets = noise.attach(noise.NoiseConfig("selection", 0.3), ds, [rng])
+    kmat = kernel.kernel_matrix(noisy, offsets=offsets).trial(0)
     np.testing.assert_allclose(np.diag(kmat.entries), 1.0, atol=1e-12)
-
-
-def test_fiducial_noise_needs_both_sides():
-    rng = np.random.default_rng(9)
-    ds = oracle.generate(2, 2, rng)
-    with pytest.raises(ValueError):
-        kernel.kernel_matrix(ds, offsets_left=np.zeros(2))
 
 
 def test_selection_noise_needs_one_perturbation_per_point():
     rng = np.random.default_rng(16)
     ds = oracle.generate(3, 2, rng)
-    perts = group.from_euler(
+    perts = noise.from_euler(
         noise.sample_element_perturbation(3, 0.3, rng, shape=(1,))
     )
-    for kernel_matrix in (kernel.kernel_matrix, oracle.kernel_matrix):
-        with pytest.raises(ValueError, match="one perturbation per point"):
-            kernel_matrix(ds, perturbations=perts)
+    with pytest.raises(ValueError, match="one perturbation per point"):
+        oracle.kernel_matrix(ds, perturbations=perts)
 
 
 def test_fiducial_offsets_need_one_per_qubit():
     # the qubit count is the dataset's, so one offset cannot stand for three
     ds = oracle.generate(3, 2, np.random.default_rng(17))
     with pytest.raises(ValueError, match="one offset per qubit"):
-        kernel.kernel_matrix(
-            ds, offsets_left=np.array([0.3]), offsets_right=np.array([-0.2])
-        )
+        kernel.kernel_matrix(ds, offsets=np.array([[0.3], [-0.2]]))
 
 
 def test_alpha_matrix_properties():
@@ -167,26 +154,34 @@ def test_heatmap_export(tmp_path):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-@pytest.mark.parametrize("attachment", ["none", "fiducial", "selection"])
+@pytest.mark.parametrize("attachment", noise.VARIANTS)
 def test_feature_states_match_dense_oracle(n, attachment):
-    """The transfer-chain kernel matches the one built from dense feature
-    states, on the full dataset and on a train split."""
+    """The transfer-chain kernel of `experiment.noisy_kernels` matches the
+    one built from dense feature states with the same noise draws left
+    unfolded, on the full dataset and on a train split."""
     rng = np.random.default_rng(100 + n)
-    ds = oracle.generate(n, 2, rng)
-    kwargs = {}
+    ds, splits = experiment.draw_trials(n, 2, [rng])
+    eps = 0.0 if attachment == "none" else 0.3
+    after_split = rng.bit_generator.state
+    unfolded = {}
     if attachment == "fiducial":
-        kwargs = {
-            "offsets_left": noise.sample_fiducial_offsets(n, 0.3, rng),
-            "offsets_right": noise.sample_fiducial_offsets(n, 0.3, rng),
-        }
-    elif attachment == "selection":
-        kwargs = {"perturbations": group.from_euler(
-            noise.sample_element_perturbation(n, 0.3, rng, shape=(len(ds.factors),))
-        )}
-    for indices in (None, oracle.split(ds, rng).train):
-        chain = kernel.kernel_matrix(ds, indices, **kwargs)
-        dense = oracle.kernel_matrix(ds, indices, **kwargs)
-        np.testing.assert_allclose(chain.entries, dense.entries, rtol=0, atol=1e-12)
+        unfolded["offsets"] = np.array(
+            [noise.sample_fiducial_offsets(n, eps, rng) for _ in range(2)]
+        )
+    elif attachment != "none":
+        unfolded["perturbations"] = noise.from_euler(
+            noise.sample_element_perturbation(n, eps, rng, (len(ds.coset_labels),))
+        )
+        unfolded["variant"] = attachment
+    for surface, indices in (("full", None), ("train", splits.train[0])):
+        rng.bit_generator.state = after_split
+        chain = experiment.noisy_kernels(
+            ds, splits, noise.NoiseConfig(attachment, eps), [rng], surface
+        )
+        dense = oracle.kernel_matrix(ds.trial(0), indices, **unfolded)
+        np.testing.assert_allclose(
+            chain.trial(0).entries, dense.entries, rtol=0, atol=1e-12
+        )
 
 
 @pytest.mark.parametrize("n", range(2, 9))

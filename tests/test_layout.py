@@ -16,8 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cosetkernel"
-SCANNED = ("statevector", "group", "dataset", "kernel", "noise",
-           "experiment")
+SCANNED = ("statevector", "dataset", "kernel", "noise", "experiment")
 
 
 def _public_definitions(path):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cosetkernel import experiment, group, kernel, noise
+from cosetkernel import experiment, kernel, noise
 from cosetkernel.statevector import rx, ry, rz
 
 import oracle
@@ -37,7 +37,7 @@ def test_sampled_norms_respect_epsilon(eps):
             w = oracle.fiducial_operator(offs)
             assert oracle.operator_norm(ideal - w) <= eps + 1e-6
             tri = noise.sample_element_perturbation(n, eps, rng)
-            de = oracle.dense(group.from_euler(tri))
+            de = oracle.dense(noise.from_euler(tri))
             assert oracle.operator_norm(de - np.eye(2**n)) <= eps + 1e-6
 
 
@@ -49,7 +49,7 @@ def test_batched_perturbations_match_per_point_loop():
         for points in (4, 15):
             batched_rng = np.random.default_rng(100 * n + points)
             loop_rng = np.random.default_rng(100 * n + points)
-            factors = group.from_euler(
+            factors = noise.from_euler(
                 noise.sample_element_perturbation(
                     n, 0.3, batched_rng, shape=(points,)
                 )
@@ -113,15 +113,20 @@ def test_bounds_selection_values():
     assert b.cross_coset_lower == pytest.approx(0.09)
     assert b.cross_coset_upper == pytest.approx(0.49)
     eps = 0.1
-    assert b.same_coset_lower == pytest.approx(1 - eps**2 + eps**4 / 4)
-    assert b.same_coset_lower == pytest.approx((1 - eps**2 / 2) ** 2)
+    assert b.same_coset_lower == pytest.approx(1 - 4 * eps**2 + 4 * eps**4)
+    assert b.same_coset_lower == pytest.approx((1 - 2 * eps**2) ** 2)
+    # the same-coset amplitude bound 1 - 2 eps^2 reaches 0 at eps = sqrt(1/2)
+    assert noise.bounds_selection(0.25, 0.7).same_coset_lower == pytest.approx(
+        0.0004
+    )
+    assert noise.bounds_selection(0.25, 0.75).same_coset_lower == 0.0
 
 
-def test_bounds_representation_equals_fiducial():
+def test_bounds_representation_equals_selection():
     for alpha in (1 / 256, 0.3, 0.9):
         for eps in (0.01, 0.05, 0.5):
             assert noise.bounds_for("representation", alpha, eps) == (
-                noise.bounds_fiducial(alpha, eps)
+                noise.bounds_selection(alpha, eps)
             )
 
 
@@ -173,7 +178,7 @@ def test_max_singular_value_formula():
         svd_norm = oracle.operator_norm(dense - np.eye(2**n))
         assert abs(svd_norm - _max_singular_from_eigs(factors)) < 1e-10
         # XZX perturbation variant
-        de = group.from_euler(
+        de = noise.from_euler(
             noise.sample_element_perturbation(n, 0.9, rng)
         )
         svd_norm = oracle.operator_norm(oracle.dense(de) - np.eye(2**n))
@@ -197,6 +202,74 @@ def test_small_epsilon_entries_inside_envelope(variant):
         assert checked == kmat.size * (kmat.size - 1)
 
 
+@pytest.mark.parametrize("variant", noise.VARIANTS)
+def test_attach_reads_a_fixed_number_of_draws(variant):
+    # 2N uniforms for fiducial errors, 3PN for selection and representation
+    # errors and none for `none`, each stream its own trial's
+    for n_qubits, m in ((2, 2), (5, 3)):
+        rngs = [experiment.trial_rng(8, n_qubits, m, t) for t in range(3)]
+        ds, _ = experiment.draw_trials(n_qubits, m, rngs)
+        direct = [experiment.trial_rng(8, n_qubits, m, t) for t in range(3)]
+        experiment.draw_trials(n_qubits, m, direct)
+        eps = 0.0 if variant == "none" else 0.2
+        noise.attach(noise.NoiseConfig(variant, eps), ds, rngs)
+        draws = {"none": 0, "fiducial": 2 * n_qubits}.get(
+            variant, 3 * (m * n_qubits) * n_qubits
+        )
+        for rng, ref in zip(rngs, direct):
+            ref.random(draws)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_representation_and_selection_kernels_differ():
+    # the same draws, folded on the two sides of D_x
+    for n_qubits in (2, 4):
+        kmats = {}
+        for variant in ("selection", "representation"):
+            rngs = [experiment.trial_rng(9, n_qubits, 2, t) for t in range(2)]
+            ds, splits = experiment.draw_trials(n_qubits, 2, rngs)
+            kmats[variant] = experiment.noisy_kernels(
+                ds, splits, noise.NoiseConfig(variant, 0.3), rngs, "full"
+            ).entries
+        off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
+        diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
+        assert np.all(diff.max(axis=-1) > 1e-3)
+
+
+def _cornered(monkeypatch, name, box):
+    """Make sampler `name` return the corner of its box, half-width
+    box(N, eps), that has the signs of the draws it still reads."""
+    sampler = getattr(noise, name)
+
+    def cornered(n_qubits, epsilon, rng, *shape):
+        draws = sampler(n_qubits, epsilon, rng, *shape)
+        return np.where(draws < 0, -1.0, 1.0) * box(n_qubits, epsilon)
+
+    monkeypatch.setattr(noise, name, cornered)
+
+
+@pytest.mark.parametrize("variant", noise.VARIANTS[1:])
+def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
+    # adversarial draws: every angle at the edge of the sampler's box,
+    # which still keeps each perturbation within eps of the identity
+    _cornered(monkeypatch, "sample_fiducial_offsets", lambda n, eps: 2 * eps / n)
+    _cornered(monkeypatch, "sample_element_perturbation",
+              lambda n, eps: 2 * eps / (np.sqrt(5) * n))
+    for eps in (0.1, 0.3, 0.6):
+        cfg_noise = noise.NoiseConfig(variant, eps)
+        for n_qubits in (2, 3, 4):
+            for m in (2, 3):
+                rngs = [experiment.trial_rng(12, n_qubits, m, t)
+                        for t in range(10)]
+                ds, splits = experiment.draw_trials(n_qubits, m, rngs)
+                kmats = experiment.noisy_kernels(ds, splits, cfg_noise, rngs,
+                                                 "full")
+                violations, _ = noise.count_envelope_violations(
+                    kmats, kernel.alpha_matrix(ds), variant, eps
+                )
+                assert violations == 0, (eps, n_qubits, m)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -216,8 +289,9 @@ def test_cli_rejects_bad_epsilon(argv, capsys):
     assert "epsilon" in err["message"]
 
 
-def _loop_violations(kmat, alphas, variant, eps, tol=1e-9):
+def _loop_violations(kmat, alphas, variant, eps):
     """Entry-by-entry reference for noise.count_envelope_violations."""
+    tol = noise.ENVELOPE_TOL
     violations = checked = 0
     labels = kmat.coset_labels
     for r in range(kmat.size):
@@ -288,8 +362,9 @@ def test_envelope_count_matches_loop_oracle(variant):
 @pytest.mark.parametrize("eps", [0.05, 0.3, 0.45, 0.6, 1.5])
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_array_bounds_match_scalar_bounds(variant, eps):
-    # eps = 0.45 puts the fiducial shift past 1, eps = 0.6 the selection one
-    shift = 2 * eps if variant == "selection" else 2 * eps + eps**2
+    # eps = 0.45 puts the fiducial shift past 1, eps = 0.6 the selection
+    # and representation one, and eps = 1.5 their same-coset bound at 0
+    shift = 2 * eps + eps**2 if variant == "fiducial" else 2 * eps
     alphas = np.array([[0.0, 1.0, 0.37], [shift**2, 1e-3, 0.9]])
     alphas[alphas > 1] = 0.5
     table = noise.bounds_for(variant, alphas, eps)
@@ -301,6 +376,6 @@ def test_array_bounds_match_scalar_bounds(variant, eps):
         if np.sqrt(alpha) <= shift:
             assert b.cross_coset_lower == 0.0
         assert 0.0 <= b.cross_coset_lower <= alpha <= b.cross_coset_upper <= 1.0
-    if variant != "selection" and shift > 1:
+    if shift > 1 if variant == "fiducial" else 2 * eps**2 > 1:
         assert table.same_coset_lower == 0.0
     assert noise.bounds_for(variant, 1.0, eps).cross_coset_upper == 1.0

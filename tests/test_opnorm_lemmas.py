@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from cosetkernel import group, noise
+from cosetkernel import noise
 from cosetkernel.statevector import ry
 
 import oracle
@@ -132,7 +132,7 @@ def test_product_distance_matches_dense_norm():
             triples = noise.sample_element_perturbation(n, eps, rng)
             for factors in (
                 ry(-offsets),
-                group.from_euler(triples),
+                noise.from_euler(triples),
                 haar_random_su2(rng, (n,)),
             ):
                 deviation = np.eye(2**n) - oracle.dense(factors)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cosetkernel import group, kernel
+from cosetkernel import kernel, noise
 from cosetkernel.statevector import rx, ry, rz
 
 import oracle
@@ -164,7 +164,7 @@ def test_gate_level_matches_dense_circuit():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         prep = rng.uniform(-0.3, 0.3, n)
-        elem = group.from_euler(rng.uniform(-np.pi, np.pi, size=(n, 3)))
+        elem = noise.from_euler(rng.uniform(-np.pi, np.pi, size=(n, 3)))
         identity = np.broadcast_to(np.eye(2), (1, n, 2, 2))
         chain = kernel.transfer_amplitudes(identity, elem[None], prep, prep)
         psi = oracle.fiducial_operator(prep) @ oracle.zero_state(n)
