@@ -18,7 +18,7 @@ N_QUBITS = 5
 SEED = 11
 
 for variant in ("fiducial", "selection", "representation"):
-    rngs = [experiment.trial_rng(SEED, N_QUBITS, 2, t) for t in range(10)]
+    rngs = experiment.trial_rngs(SEED, N_QUBITS, 2, range(10))
     ds, splits = experiment.draw_trials(N_QUBITS, 2, rngs)
     kmats = experiment.noisy_kernels(
         ds, splits, noise.NoiseConfig(variant, EPSILON), rngs, surface="full"

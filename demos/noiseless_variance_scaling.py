@@ -18,7 +18,7 @@ SEED = 7
 print(f"{'m':>3} {'N':>3} {'empirical':>10} {'asymptotic':>11} {'limit':>8}")
 for m in (2, 4):
     for n_qubits in (4, 6, 8):
-        rngs = [experiment.trial_rng(SEED, n_qubits, m, t) for t in range(TRIALS)]
+        rngs = experiment.trial_rngs(SEED, n_qubits, m, range(TRIALS))
         ds, splits = experiment.draw_trials(n_qubits, m, rngs)
         kmats = experiment.noisy_kernels(ds, splits, noise.NoiseConfig(), rngs)
         _, variances = kernel.offdiag_stats(kmats)

@@ -15,7 +15,7 @@ N_QUBITS, M = 5, 2
 EPSILON = 0.3
 
 for variant in ("fiducial", "selection"):
-    rngs = [experiment.trial_rng(2, N_QUBITS, M, 0)]
+    rngs = experiment.trial_rngs(2, N_QUBITS, M, [0])
     ds, splits = experiment.draw_trials(N_QUBITS, M, rngs)
     kmat = experiment.noisy_kernels(
         ds, splits, noise.NoiseConfig(variant, EPSILON), rngs, surface="full"

@@ -117,7 +117,7 @@ def cmd_simulate(args):
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
         if not reuse:
-            rngs = [experiment.trial_rng(cfg.seed, n_qubits, m, 0)]
+            rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
             ds, splits = experiment.draw_trials(n_qubits, m, rngs)
             kmat = experiment.noisy_kernels(ds, splits, cfg.noise, rngs,
                                             surface="full").trial(0)
@@ -154,6 +154,7 @@ def cmd_theory(args):
 def cmd_verify_bounds(args):
     lo, hi = args.qubits
     experiment.check_qubit_range(lo, hi)
+    experiment.check_seed(args.seed)
     if args.trials < 1:
         raise ValueError("need at least one trial")
     m = args.cosets
@@ -165,8 +166,7 @@ def cmd_verify_bounds(args):
     checked = 0
     for n_qubits in range(lo, hi + 1):
         for chunk in experiment.trial_chunks(n_qubits, m, args.trials, "full"):
-            rngs = [experiment.trial_rng(args.seed, n_qubits, m, t)
-                    for t in chunk]
+            rngs = experiment.trial_rngs(args.seed, n_qubits, m, chunk)
             ds, splits = experiment.draw_trials(n_qubits, m, rngs)
             alphas = kernel.alpha_matrix(ds)
             states = [rng.bit_generator.state for rng in rngs]

@@ -4,7 +4,11 @@ against the closed-form predictions.
 
 Every trial draws from a random stream derived from (master seed, N, m,
 trial index), so results are independent of execution order and the whole
-experiment is a pure function of its config.
+experiment is a pure function of its config. The stream is the one
+`default_rng(SeedSequence(seed, spawn_key=(N, m, t)))` gives, but
+`trial_rngs` builds a chunk's streams in one pass: numpy's SeedSequence
+mixes the cell's words once, and the trial word and each generator's state
+words are hashed for all trials with uint32 array arithmetic.
 
 The trials of one (N, m) cell run in chunks along a leading trial axis. Only
 the draws stay per trial, each on its trial's own stream in a fixed order
@@ -25,9 +29,14 @@ Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
 `CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
 chunk. A report does not depend on the chunking: each trial's numbers are
 the same, bit for bit, as those of a one-trial call.
+
+`export_report` writes the bytes of `json.dumps(report, indent=2,
+sort_keys=True)`, with the trial records encoded by json's C encoder and
+only the seams between them rewritten (see `_report_json_pieces`).
 """
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -42,9 +51,21 @@ MAX_QUBITS = 128
 CHUNK_ENTRIES = 2**16
 
 
+def _is_integer(value):
+    # bool is an int subclass, but `true` in a config is no count or seed
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_qubit_range(lo, hi):
+    if not (_is_integer(lo) and _is_integer(hi)):
+        raise ValueError(f"qubit range bounds must be integers, got {[lo, hi]}")
     if not 2 <= lo <= hi <= MAX_QUBITS:
         raise ValueError(f"qubit range must lie within 2..{MAX_QUBITS}")
+
+
+def check_seed(seed):
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -60,13 +81,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_qubit_range(*self.qubit_range)
+        if not _is_integer(self.trials):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         counts = self.coset_counts
+        if not all(_is_integer(c) for c in counts):
+            raise ValueError(f"coset counts must be integers, got {list(counts)}")
         if not counts or min(counts) < 2 or len(set(counts)) != len(counts):
             raise ValueError(
                 f"coset counts must be distinct and at least 2, got {list(counts)}"
             )
+        check_seed(self.seed)
         if self.variance_surface not in ("train", "full"):
             raise ValueError("variance_surface must be 'train' or 'full'")
         if self.output_format not in ("json", "csv"):
@@ -89,10 +115,73 @@ class TrialReport:
     noise_draws_digest: str
 
 
-def trial_rng(seed, n_qubits, m, trial_index):
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(n_qubits, m, trial_index))
-    )
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _uint32_words(value):
+    """How many 32-bit words numpy's SeedSequence makes of a non-negative
+    integer (zero is one word)."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+def _fold(value):
+    """SeedSequence's last hashing step: xor the high half into the low."""
+    return value ^ (value >> np.uint32(16))
+
+
+class _StateWords:
+    """A seed sequence whose `generate_state` output is already known: a
+    `PCG64` built on it reads exactly these words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
+def trial_rngs(seed, n_qubits, m, trial_indices):
+    """One generator per trial index, each in the state of
+    `default_rng(SeedSequence(seed, spawn_key=(n_qubits, m, t)))`.
+
+    numpy's own `SeedSequence(seed, spawn_key=(n_qubits, m))` validates the
+    seed and mixes every word before the trial's into its 4-word pool; the
+    hash constant it has reached depends only on how many words those were.
+    The trial word's mixing and the 8 words of `generate_state(4, uint64)`
+    then run for all trials at once, in wrapping uint32 arithmetic."""
+    # `np.random` loads here, on first use, so importing the package does
+    # not load it; registering again is a no-op
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    cell = np.random.SeedSequence(seed, spawn_key=(n_qubits, m))
+    # the pool's first 4 words take 4 + 12 hashes and each later word 4,
+    # and the seed is padded to at least 4 words when a spawn key follows
+    words_before = (max(_POOL_SIZE, _uint32_words(seed))
+                    + _uint32_words(n_qubits) + _uint32_words(m))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * words_before, 2**32) % 2**32
+    trial_words = np.asarray(trial_indices, dtype=np.uint32)
+    state = np.empty((len(trial_words), 2 * _POOL_SIZE), dtype=np.uint32)
+    with np.errstate(over="ignore"):
+        pool = []
+        for word in cell.pool:
+            hashed = trial_words ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_A % 2**32
+            hashed = _fold(hashed * np.uint32(hash_const))
+            pool.append(_fold(np.uint32(_MIX_MULT_L) * word
+                              - np.uint32(_MIX_MULT_R) * hashed))
+        hash_const = _INIT_B
+        for i in range(2 * _POOL_SIZE):
+            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B % 2**32
+            state[:, i] = _fold(value * np.uint32(hash_const))
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row)))
+            for row in words]
 
 
 def trial_chunks(n_qubits, m, trials, surface):
@@ -155,7 +244,7 @@ def run_experiment(cfg, keep=None):
                     n_qubits,
                     m,
                     cfg.noise,
-                    [trial_rng(cfg.seed, n_qubits, m, t) for t in chunk],
+                    trial_rngs(cfg.seed, n_qubits, m, chunk),
                     trial_indices=chunk,
                     digests=[f"{cfg.seed}:{n_qubits}:{m}:{t}" for t in chunk],
                     surface=surface,
@@ -218,6 +307,45 @@ def config_from_dict(d):
     return ExperimentConfig(**d, noise=noise_models.NoiseConfig(**noise_d))
 
 
+# `indent=2` puts a trial record's fields at depth 3 and its braces at depth 2
+_FIELD_SEP = ",\n      "
+_RECORD_SEAM = "}" + _FIELD_SEP + "{"
+_INDENTED_SEAM = "\n    },\n    {\n      "
+# trial records per C-encoder call, which holds its output pieces until it
+# joins them (about 1.7 KiB a record), so a large report is not held twice
+_RECORDS_PER_WRITE = 64
+
+
+def _report_json_pieces(report):
+    """`json.dumps(report, indent=2, sort_keys=True) + "\n"`, in pieces.
+
+    `indent` selects json's pure-Python encoder, which is slow on thousands
+    of trial records. So the records go through the C encoder, a slice at a
+    time, with `_FIELD_SEP` as the separator between items: each field
+    lands on its own line at its indented place, and only the seams between
+    records and the list's two ends need rewriting. That is exact because
+    the records are flat and the C encoder escapes every newline inside a
+    string, so a raw newline in its output comes from a separator. The small
+    config and aggregates keep `indent=2`, shifted one level down."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(_FIELD_SEP, ": "))
+    opening = "{\n  "
+    for key in sorted(report):
+        yield f"{opening}{json.dumps(key)}: "
+        opening = ",\n  "
+        if key != "trials":
+            text = json.dumps(report[key], indent=2, sort_keys=True)
+            yield text.replace("\n", "\n  ")
+            continue
+        records = report[key]
+        seam = "[\n    {\n      "
+        for lo in range(0, len(records), _RECORDS_PER_WRITE):
+            text = encoder.encode(records[lo:lo + _RECORDS_PER_WRITE])
+            yield seam + text[2:-2].replace(_RECORD_SEAM, _INDENTED_SEAM)
+            seam = _INDENTED_SEAM
+        yield "\n    }\n  ]"
+    yield "\n}\n"
+
+
 def export_report(report, path, fmt="json"):
     """Persist a report; byte-stable given identical inputs."""
     if not report.get("trials"):
@@ -225,8 +353,7 @@ def export_report(report, path, fmt="json"):
     try:
         if fmt == "json":
             with open(path, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.writelines(_report_json_pieces(report))
         elif fmt == "csv":
             cols = [
                 "num_qubits",

@@ -18,8 +18,11 @@ matrices, `from_pauli` and `chain_generators` spell out the chain
 stabilizer generators s_a as Pauli strings, the reference for the package's
 column swaps and sign flips (`dataset._times_generators`).
 
-`generate`, `split`, `build_kernel` and `run_trial` are one trial of the
-package's batched calls: a batch of one stream, `[rng]`, and its trial 0.
+`trial_rng` is the reference stream of one trial, a `SeedSequence` and a
+generator of its own, which the package's `experiment.trial_rngs` builds for
+a whole chunk at once. `generate`, `split`, `build_kernel` and `run_trial`
+are one trial of the package's batched calls: a batch of one stream,
+`[rng]`, and its trial 0.
 
 `haar_random_su2` is the tests' Haar sampler: four normals per element from
 a stream, built by the package's `su2_from_normals`, as
@@ -71,6 +74,14 @@ def chain_generators(n):
             labels[j + 1] = "Z"
         gens.append("".join(labels))
     return gens
+
+
+def trial_rng(seed, n_qubits, m, trial_index):
+    """One trial's stream, built on its own: `experiment.trial_rngs` must
+    give every trial of a chunk this generator's state."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(n_qubits, m, trial_index))
+    )
 
 
 def generate(n_qubits, m, rng):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 import cosetkernel
-from cosetkernel import experiment, kernel, noise, theory
+from cosetkernel import kernel, noise, theory
 from cosetkernel.noise import count_envelope_violations
 from cosetkernel.statevector import ry
 
@@ -32,7 +32,7 @@ def report(num, ok, detail=""):
 def trial_variances(n_qubits, m, cfg_noise, trials, surface):
     out = []
     for t in range(trials):
-        rng = experiment.trial_rng(SEED, n_qubits, m, t)
+        rng = oracle.trial_rng(SEED, n_qubits, m, t)
         out.append(
             oracle.run_trial(
                 n_qubits, m, cfg_noise, rng, trial_index=t, surface=surface
@@ -48,7 +48,7 @@ def test_criterion_1_noiseless_asymptote():
         empirical = []
         predicted = []
         for t in range(100):
-            rng = experiment.trial_rng(SEED, 10, m, t)
+            rng = oracle.trial_rng(SEED, 10, m, t)
             ds, _, kmat = oracle.build_kernel(
                 10, m, noise.NoiseConfig(), rng, surface="full"
             )
@@ -150,7 +150,7 @@ def test_criterion_6_bound_envelopes():
     for variant in ("fiducial", "selection", "representation"):
         for n_qubits in range(2, 9):
             for t in range(20):
-                rng = experiment.trial_rng(SEED, n_qubits, 2, t)
+                rng = oracle.trial_rng(SEED, n_qubits, 2, t)
                 ds, _, kmat = oracle.build_kernel(
                     n_qubits, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
                 )
@@ -198,7 +198,7 @@ def test_criterion_8_oracle_equivalence(monkeypatch):
         for variant, eps in (("none", 0.0), ("fiducial", 0.1), ("selection", 0.1)):
             cfg_noise = noise.NoiseConfig(variant, eps)
             for t in range(5):
-                rng = experiment.trial_rng(SEED, 4, 2, t)
+                rng = oracle.trial_rng(SEED, 4, 2, t)
                 out.append(oracle.run_trial(4, 2, cfg_noise, rng))
         return out
 

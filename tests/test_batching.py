@@ -60,12 +60,12 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
     cfg_noise = noise.NoiseConfig(variant, eps)
     for n_qubits, m in ((2, 2), (3, 3), (5, 2), (4, 5)):
         trials = range(7)
-        rngs = [experiment.trial_rng(4, n_qubits, m, t) for t in trials]
+        rngs = [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
         ds, splits = experiment.draw_trials(n_qubits, m, rngs)
         kmats = experiment.noisy_kernels(ds, splits, cfg_noise, rngs, surface)
         alphas = kernel.alpha_matrix(ds)
         for t in trials:
-            rng = experiment.trial_rng(4, n_qubits, m, t)
+            rng = oracle.trial_rng(4, n_qubits, m, t)
             ref_ds, ref_sp, ref = one_trial_kernel(n_qubits, m, cfg_noise, rng,
                                                    surface)
             assert np.array_equal(ds.trial(t).factors, ref_ds.factors)
@@ -85,7 +85,7 @@ def test_batched_reports_match_one_trial_loop(variant, eps, surface):
     looped = [
         vars(oracle.run_trial(
             n_qubits, m, cfg.noise,
-            experiment.trial_rng(cfg.seed, n_qubits, m, t),
+            oracle.trial_rng(cfg.seed, n_qubits, m, t),
             trial_index=t, surface=surface,
             digest=f"{cfg.seed}:{n_qubits}:{m}:{t}",
         ))
@@ -105,7 +105,7 @@ def test_report_statistics_match_plain_reductions(variant, eps, surface):
     for n_qubits in cfg.qubit_values():
         for m in cfg.coset_counts:
             for t in range(cfg.trials):
-                rng = experiment.trial_rng(cfg.seed, n_qubits, m, t)
+                rng = oracle.trial_rng(cfg.seed, n_qubits, m, t)
                 _, _, ref = one_trial_kernel(n_qubits, m, cfg.noise, rng,
                                              surface)
                 labels = ref.coset_labels
@@ -260,7 +260,7 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
         expected = []
         for n_qubits in range(2, 7):
             for chunk in experiment.trial_chunks(n_qubits, m, trials, "full"):
-                rngs = [experiment.trial_rng(seed, n_qubits, m, t)
+                rngs = [oracle.trial_rng(seed, n_qubits, m, t)
                         for t in chunk]
                 ds, splits = experiment.draw_trials(n_qubits, m, rngs)
                 ref = experiment.noisy_kernels(ds, splits, cfg_noise, rngs,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,13 +41,13 @@ def test_config_validation():
 def test_two_point_train_kernel_has_zero_variance():
     # N=2, m=2 train split holds one point per coset; the two ordered
     # off-diagonal entries are equal
-    rng = experiment.trial_rng(0, 2, 2, 0)
+    rng = oracle.trial_rng(0, 2, 2, 0)
     report = oracle.run_trial(2, 2, noise.NoiseConfig(), rng)
     assert report.empirical_variance == pytest.approx(0.0, abs=1e-15)
 
 
 def test_full_surface_variance_matches_theory():
-    rng = experiment.trial_rng(1, 10, 2, 0)
+    rng = oracle.trial_rng(1, 10, 2, 0)
     ds, _, kmat = oracle.build_kernel(
         10, 2, noise.NoiseConfig(), rng, surface="full"
     )
@@ -54,8 +57,8 @@ def test_full_surface_variance_matches_theory():
 
 
 def test_trial_determinism():
-    r1 = oracle.run_trial(3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, 0))
-    r2 = oracle.run_trial(3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, 0))
+    r1 = oracle.run_trial(3, 2, noise.NoiseConfig(), oracle.trial_rng(5, 3, 2, 0))
+    r2 = oracle.run_trial(3, 2, noise.NoiseConfig(), oracle.trial_rng(5, 3, 2, 0))
     assert r1 == r2
 
 
@@ -63,17 +66,50 @@ def test_trial_streams_independent_of_order():
     # derive the streams in reversed order; each report is unchanged
     forward = [
         oracle.run_trial(
-            3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, t), trial_index=t
+            3, 2, noise.NoiseConfig(), oracle.trial_rng(5, 3, 2, t), trial_index=t
         )
         for t in range(4)
     ]
     backward = [
         oracle.run_trial(
-            3, 2, noise.NoiseConfig(), experiment.trial_rng(5, 3, 2, t), trial_index=t
+            3, 2, noise.NoiseConfig(), oracle.trial_rng(5, 3, 2, t), trial_index=t
         )
         for t in reversed(range(4))
     ]
     assert forward == list(reversed(backward))
+
+
+SEEDS = [0, 1, 9, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7,
+         12345678901234567890123456789012345678901234567890]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_streams_match_the_reference_stream(seed):
+    # a chunk's indices start anywhere; each stream is its trial's own
+    cells = [(2, 2), (3, 5), (5, 4), (17, 3), (128, 2)]
+    ranges = [range(0, 3), range(7, 12), range(113, 150), [294, 4, 0]]
+    for (n_qubits, m), trials in zip(cells, ranges * 2):
+        rngs = experiment.trial_rngs(seed, n_qubits, m, trials)
+        assert len(rngs) == len(trials)
+        for t, rng in zip(trials, rngs):
+            want = oracle.trial_rng(seed, n_qubits, m, t)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.random(3).tolist() == want.random(3).tolist()
+
+
+def test_package_import_leaves_numpy_random_unloaded():
+    # `trial_rngs` loads numpy.random on first use, so the CLI's start-up
+    # does not pay for it
+    source_dir = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (source_dir, env.get("PYTHONPATH")))
+    )
+    code = "import sys, cosetkernel.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_zero_epsilon_aggregate_matches_noiseless():
@@ -92,6 +128,41 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "report.json"
     experiment.export_report(report, path)
     assert json.loads(path.read_text()) == report
+
+
+def _synthetic_report():
+    """Report whose strings hold JSON punctuation, escapes and non-ASCII
+    text, and whose floats need json's special spellings; its 70 records
+    span more than one slice of the report writer."""
+    report = experiment.run_experiment(small_config(qubit_range=(2, 2),
+                                                    trials=1))
+    record = report["trials"][0]
+    texts = ["}", "{", ",", "},\n      {", 'say "hi"', "back\\slash",
+             "line\nbreak", "caf\u00e9 \u2603"]
+    floats = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-300,
+              0.1, -2.5, 1e300]
+    report["trials"] = [
+        dict(record, trial_index=t, noise_draws_digest=texts[t % len(texts)],
+             empirical_variance=floats[t % len(floats)])
+        for t in range(70)
+    ]
+    return report
+
+
+@pytest.mark.parametrize("which", ["sweep", "one_trial", "synthetic"])
+def test_export_report_bytes_match_indented_dumps(which, tmp_path):
+    if which == "sweep":
+        report = experiment.run_experiment(small_config(
+            qubit_range=(2, 5), coset_counts=(2, 3, 4, 5), trials=40, seed=9))
+    elif which == "one_trial":
+        report = experiment.run_experiment(small_config(qubit_range=(2, 2),
+                                                        trials=1))
+    else:
+        report = _synthetic_report()
+    path = tmp_path / "report.json"
+    experiment.export_report(report, path)
+    want = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
 
 
 def test_export_refuses_empty(tmp_path):
@@ -190,7 +261,7 @@ def test_heatmap_reuses_the_sweep_kernel(surface, tmp_path, monkeypatch):
     assert len(builds) == chunks + (surface == "train")
     monkeypatch.undo()
     # the CSV is that kernel, built on its own
-    rng = experiment.trial_rng(5, 4, 3, 0)
+    rng = oracle.trial_rng(5, 4, 3, 0)
     _, _, kmat = oracle.build_kernel(
         4, 3, noise.NoiseConfig("selection", 0.2), rng, surface="full"
     )
@@ -307,6 +378,58 @@ def test_cli_rejects_qubits_past_capacity(command, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert f"2..{experiment.MAX_QUBITS}" in err["message"]
+
+
+def _error_record(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 3.0}, "seed must be a non-negative integer, got 3.0"),
+        ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"qubit_range": [2.0, 3]},
+         "qubit range bounds must be integers, got [2.0, 3]"),
+        ({"qubit_range": [2, True]},
+         "qubit range bounds must be integers, got [2, True]"),
+        ({"coset_counts": [2, 2.5]}, "coset counts must be integers, got [2, 2.5]"),
+        ({"coset_counts": [True, 3]},
+         "coset counts must be integers, got [True, 3]"),
+    ],
+)
+def test_cli_simulate_rejects_non_integer_config_values(tmp_path, capsys,
+                                                        values, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"qubit_range": [2, 2], "coset_counts": [2], "trials": 1, **values}))
+    out = tmp_path / "r.json"
+    code = cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    assert _error_record(capsys) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+def test_cli_rejects_a_negative_seed_before_drawing(command, capsys,
+                                                    monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew trials for a bad seed")
+
+    monkeypatch.setattr(experiment, "trial_rngs", no_draws)
+    code = cli.main([command, "--qubits", "2..3", "--cosets", "2",
+                     "--trials", "1", "--seed", "-1"])
+    assert code == 1
+    assert _error_record(capsys) == {
+        "error": "ValueError",
+        "message": "seed must be a non-negative integer, got -1",
+    }
 
 
 def test_cli_error_record(tmp_path, capsys):

@@ -147,11 +147,11 @@ def test_noise_config_validation():
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_zero_epsilon_reproduces_ideal_kernel(variant):
-    rng_clean = experiment.trial_rng(3, 4, 2, 0)
+    rng_clean = oracle.trial_rng(3, 4, 2, 0)
     _, _, clean = oracle.build_kernel(
         4, 2, noise.NoiseConfig(), rng_clean, surface="full"
     )
-    rng_noisy = experiment.trial_rng(3, 4, 2, 0)
+    rng_noisy = oracle.trial_rng(3, 4, 2, 0)
     _, _, noisy = oracle.build_kernel(
         4, 2, noise.NoiseConfig(variant, 0.0), rng_noisy, surface="full"
     )
@@ -190,7 +190,7 @@ def test_small_epsilon_entries_inside_envelope(variant):
     # spot check at N=4; the full sweep over N in 2..8 runs in acceptance
     eps = 0.05
     for t in range(5):
-        rng = experiment.trial_rng(5, 4, 2, t)
+        rng = oracle.trial_rng(5, 4, 2, t)
         ds, _, kmat = oracle.build_kernel(
             4, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
         )
@@ -207,9 +207,9 @@ def test_attach_reads_a_fixed_number_of_draws(variant):
     # 2N uniforms for fiducial errors, 3PN for selection and representation
     # errors and none for `none`, each stream its own trial's
     for n_qubits, m in ((2, 2), (5, 3)):
-        rngs = [experiment.trial_rng(8, n_qubits, m, t) for t in range(3)]
+        rngs = [oracle.trial_rng(8, n_qubits, m, t) for t in range(3)]
         ds, _ = experiment.draw_trials(n_qubits, m, rngs)
-        direct = [experiment.trial_rng(8, n_qubits, m, t) for t in range(3)]
+        direct = [oracle.trial_rng(8, n_qubits, m, t) for t in range(3)]
         experiment.draw_trials(n_qubits, m, direct)
         eps = 0.0 if variant == "none" else 0.2
         noise.attach(noise.NoiseConfig(variant, eps), ds, rngs)
@@ -226,7 +226,7 @@ def test_representation_and_selection_kernels_differ():
     for n_qubits in (2, 4):
         kmats = {}
         for variant in ("selection", "representation"):
-            rngs = [experiment.trial_rng(9, n_qubits, 2, t) for t in range(2)]
+            rngs = [oracle.trial_rng(9, n_qubits, 2, t) for t in range(2)]
             ds, splits = experiment.draw_trials(n_qubits, 2, rngs)
             kmats[variant] = experiment.noisy_kernels(
                 ds, splits, noise.NoiseConfig(variant, 0.3), rngs, "full"
@@ -259,7 +259,7 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
         cfg_noise = noise.NoiseConfig(variant, eps)
         for n_qubits in (2, 3, 4):
             for m in (2, 3):
-                rngs = [experiment.trial_rng(12, n_qubits, m, t)
+                rngs = [oracle.trial_rng(12, n_qubits, m, t)
                         for t in range(10)]
                 ds, splits = experiment.draw_trials(n_qubits, m, rngs)
                 kmats = experiment.noisy_kernels(ds, splits, cfg_noise, rngs,
@@ -314,7 +314,7 @@ def _loop_violations(kmat, alphas, variant, eps):
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
-    rngs = [experiment.trial_rng(6, 3, 3, t) for t in range(3)]
+    rngs = [oracle.trial_rng(6, 3, 3, t) for t in range(3)]
     ds, splits = experiment.draw_trials(3, 3, rngs)
     kmats = experiment.noisy_kernels(
         ds, splits, noise.NoiseConfig(variant, eps), rngs, surface="full"

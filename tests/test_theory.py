@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosetkernel import experiment, kernel, noise, theory
+from cosetkernel import kernel, noise, theory
 
 import oracle
 
@@ -110,7 +110,7 @@ def test_extract_stats_ideal_kernel():
 
 
 def test_extract_stats_gamma_nonnegative():
-    rng = experiment.trial_rng(1, 4, 2, 0)
+    rng = oracle.trial_rng(1, 4, 2, 0)
     _, _, kmat = oracle.build_kernel(
         4, 2, noise.NoiseConfig("selection", 0.05), rng, surface="full"
     )
@@ -128,7 +128,7 @@ def test_extract_stats_gamma_nonnegative():
 def test_noisy_variance_is_exact_decomposition(n_qubits, m, variant):
     # the two-group decomposition reproduces the population variance of the
     # full off-diagonal multiset for any reference alpha
-    rng = experiment.trial_rng(2, n_qubits, m, 0)
+    rng = oracle.trial_rng(2, n_qubits, m, 0)
     _, _, kmat = oracle.build_kernel(
         n_qubits, m, noise.NoiseConfig(variant, 0.05), rng, surface="full"
     )
