@@ -86,17 +86,11 @@ def _simulate_config(args):
         "out": "output_path",
         "format": "output_format",
     }
-    for flag, key in flag_map.items():
-        v = getattr(args, flag)
-        if v is not None:
-            values[key] = v
-    noise_d = dict(values.get("noise", {}))
-    if args.noise is not None:
-        noise_d["variant"] = args.noise
-    if args.epsilon is not None:
-        noise_d["epsilon"] = args.epsilon
-    values["noise"] = noise_d
-    return experiment.config_from_dict(values)
+    flags = {key: getattr(args, flag) for flag, key in flag_map.items()
+             if getattr(args, flag) is not None}
+    noise_flags = {"variant": args.noise, "epsilon": args.epsilon}
+    flags["noise"] = {k: v for k, v in noise_flags.items() if v is not None}
+    return experiment.config_from_dict(values, flags)
 
 
 def cmd_simulate(args):

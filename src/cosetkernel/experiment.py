@@ -80,12 +80,21 @@ class ExperimentConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        check_qubit_range(*self.qubit_range)
+        bounds = self.qubit_range
+        if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+            # a tuple field is shown as the list its config file spells
+            shown = list(bounds) if isinstance(bounds, tuple) else bounds
+            raise ValueError(f"qubit_range must be a pair [lo, hi], got {shown!r}")
+        check_qubit_range(*bounds)
         if not _is_integer(self.trials):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         counts = self.coset_counts
+        if not isinstance(counts, (tuple, list)):
+            raise ValueError(
+                f"coset_counts must be a list of integers, got {counts!r}"
+            )
         if not all(_is_integer(c) for c in counts):
             raise ValueError(f"coset counts must be integers, got {list(counts)}")
         if not counts or min(counts) < 2 or len(set(counts)) != len(counts):
@@ -294,15 +303,26 @@ def _reject_unknown(d, config_class, where):
         raise ValueError(f"unknown {where} keys: {unknown}")
 
 
-def config_from_dict(d):
-    """The config a dict describes; a missing key takes the dataclass
-    default, an unknown one is an error."""
-    d = dict(d)
-    noise_d = d.pop("noise", {})
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def config_from_dict(*layers):
+    """The config the dicts describe, each later one overriding the keys it
+    holds (those of the noise object one by one); a missing key takes the
+    dataclass default, an unknown one is an error."""
+    d, noise_d = {}, {}
+    for layer in layers:
+        layer = _object(layer, "a config")
+        noise_d.update(_object(layer.get("noise", {}), "noise"))
+        d.update(layer)
+    d.pop("noise", None)
     _reject_unknown(d, ExperimentConfig, "config")
     _reject_unknown(noise_d, noise_models.NoiseConfig, "noise config")
     for key in ("qubit_range", "coset_counts"):
-        if key in d:
+        if isinstance(d.get(key), list):
             d[key] = tuple(d[key])
     return ExperimentConfig(**d, noise=noise_models.NoiseConfig(**noise_d))
 

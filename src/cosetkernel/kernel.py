@@ -18,6 +18,14 @@ for all P x Q point pairs at once, holding v as four (P, Q) planes and
 building each g_j inside the loop with one (2P x 2) @ (2 x 2Q) product, so
 memory is O(P Q + N P) for any N and no 2^N vector appears.
 
+g_j is complex, but H is real, so H v H needs no complex product: on the
+float view of v, H v is a real (2 x 2) product over its two row halves, and
+(H v) H a real one with kron(H, I_2) over each column's (u, re/im)
+quadruple. Each entry of the result is a sum or difference of two entries
+of its input, which is what the complex products with H computed, so the
+amplitudes keep those products' bits (`tests/oracle.py` holds that complex
+chain as the reference).
+
 The chain also runs for a batch of trials at once: every array then carries
 a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
 (T, P, Q) amplitudes, and each step is one batched product over the trials.
@@ -32,9 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import ry
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex)  # (-1)^(t t'), the CZ sign
+_H = np.array([[1.0, 1.0], [1.0, -1.0]])  # (-1)^(t t'), the CZ sign
+# kron(H, I_2): H on the u of every column (q, u), for v's float view cut
+# into rows of one column's (u, re/im) quadruple (written out, because
+# calling np.kron at import adds about 0.2 MiB to the peak RSS)
+_H_COLUMNS = np.array([[1.0, 0.0, 1.0, 0.0],
+                       [0.0, 1.0, 0.0, 1.0],
+                       [1.0, 0.0, -1.0, 0.0],
+                       [0.0, 1.0, 0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,15 @@ class KernelMatrix:
         ]
 
 
+def _prepared_qubits(offsets):
+    """a_j = Ry(pi/2 - o_j)|0> = (cos h_j, sin h_j), h_j = (pi/2 - o_j) / 2,
+    for (..., N) offsets, as complex (..., 1, N, 1, 2) arrays that scale
+    factor stacks (so that real factors give a complex chain too)."""
+    half = (np.pi / 2 - offsets) / 2
+    a = np.stack([np.cos(half), np.sin(half)], -1).astype(complex)
+    return a[..., None, :, None, :]
+
+
 def transfer_amplitudes(left, right, offsets_left, offsets_right):
     """(P, Q) amplitudes <psi_l| D_p^dag D_q |psi_r> for (P, N, 2, 2) and
     (Q, N, 2, 2) factor stacks, with |psi_l>, |psi_r> the chain graph states
@@ -71,10 +93,12 @@ def transfer_amplitudes(left, right, offsets_left, offsets_right):
     (T, P, Q).
 
     v is held as a (2P, 2Q) matrix with rows (t, p) and columns (q, u), so
-    g_j is one (2P x 2) @ (2 x 2Q) product and H v H two products with H.
+    g_j is one complex (2P x 2) @ (2 x 2Q) product and H v H two real
+    products on v's float view: H on the row halves, kron(H, I_2) on each
+    column's (u, re/im) quadruple.
     """
-    a_left = ry(np.pi / 2 - offsets_left)[..., None, :, None, :, 0]
-    a_right = ry(np.pi / 2 - offsets_right)[..., None, :, None, :, 0]
+    a_left = _prepared_qubits(offsets_left)
+    a_right = _prepared_qubits(offsets_right)
     p, n, q = left.shape[-4], left.shape[-3], right.shape[-4]
     # per qubit j: rows (t, p) of conj(a_l[t] D_p[k, t]), columns (q, u) of
     # a_r[u] D_q[k, u]; O(N P) memory, g_j itself is formed in the loop
@@ -87,12 +111,12 @@ def transfer_amplitudes(left, right, offsets_left, offsets_right):
     # each step keeps at most two (2P, 2Q) arrays alive; this sets the
     # memory per trial that `experiment.CHUNK_ENTRIES` budgets for
     for bra, ket in zip(bras[1:], kets[1:]):
-        hv = _H @ v.reshape(*batch, 2, -1)
+        hv = _H @ v.view(float).reshape(*batch, 2, -1)
         del v
-        hvh = hv.reshape(*batch, -1, 2) @ _H
+        hvh = hv.reshape(-1, 4) @ _H_COLUMNS
         del hv
         v = bra @ ket
-        v *= hvh.reshape(v.shape)
+        v *= hvh.view(complex).reshape(v.shape)
         del hvh
     v = v.reshape(*batch, 2, p, q, 2)
     # over u, then over t: two elementwise sums, where one np.sum over both

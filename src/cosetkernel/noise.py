@@ -8,11 +8,12 @@ inputs, and `attach` alone decides how. The envelopes take one alpha or an
 array of them, so a batch of trials is checked with one evaluation.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statevector import rx, rz
+from .statevector import su2
 
 VARIANTS = ("none", "fiducial", "selection", "representation")
 # slack for rounding when an entry is compared with its envelope
@@ -27,6 +28,12 @@ class NoiseConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown noise variant {self.variant!r}")
+        # a bool counts as an int, but `true` in a config is no budget
+        if (not isinstance(self.epsilon, numbers.Real)
+                or isinstance(self.epsilon, bool)):
+            raise ValueError(
+                f"epsilon must be a real number, got {self.epsilon!r}"
+            )
         if not np.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon < 0:
@@ -60,14 +67,36 @@ def sample_element_perturbation(n_qubits, epsilon, rng, shape=()):
 
 def from_euler(angles):
     """Per-qubit factors Rx(t1) Rz(t2) Rx(t3) for (..., N, 3) angle triples;
-    returns the (..., N, 2, 2) factors."""
+    returns the (..., N, 2, 2) factors.
+
+    In closed form, with the half-angles h_k = t_k / 2, the product is
+    [[a, -conj(b)], [b, conj(a)]] with
+    a = cos h2 cos(h1 + h3) - i sin h2 cos(h1 - h3) and
+    b = -sin h2 sin(h1 - h3) - i cos h2 sin(h1 + h3),
+    so no 2x2 product is formed."""
     angles = np.asarray(angles, dtype=float)
     if angles.ndim < 2 or angles.shape[-1] != 3:
         raise ValueError("expected (..., N, 3) angle triples (t1, t2, t3)")
     if not np.all(np.isfinite(angles)):
         raise ValueError("non-finite angles")
-    t1, t2, t3 = np.moveaxis(angles, -1, 0)
-    return rx(t1) @ rz(t2) @ rx(t3)
+    h1, h2, h3 = np.moveaxis(angles, -1, 0) / 2
+    cos2, sin2 = np.cos(h2), np.sin(h2)
+    plus, minus = h1 + h3, h1 - h3
+    return su2(cos2 * np.cos(plus), -sin2 * np.cos(minus),
+               -sin2 * np.sin(minus), -cos2 * np.sin(plus))
+
+
+def fold(variant, errors, factors):
+    """One perturbation per point and qubit folded into the point's
+    factors, both (..., N, 2, 2): E_x,j D_x,j for selection and
+    D_x,j E_x,j for representation. Each 2x2 product is two elementwise
+    outer products and a sum, so every point's result has the same bits
+    whatever the stack around it."""
+    left, right = errors, factors
+    if variant == "representation":
+        left, right = factors, errors
+    return (left[..., :, :1] * right[..., :1, :]
+            + left[..., :, 1:] * right[..., 1:, :])
 
 
 def attach(cfg, ds, rngs):
@@ -89,8 +118,7 @@ def attach(cfg, ds, rngs):
         points = (len(ds.coset_labels),)
         e = from_euler([sample_element_perturbation(n, eps, rng, points)
                         for rng in rngs])
-        folded = e @ ds.factors if cfg.variant == "selection" else ds.factors @ e
-        return replace(ds, factors=folded), None
+        return replace(ds, factors=fold(cfg.variant, e, ds.factors)), None
     return ds, None
 
 
@@ -139,20 +167,22 @@ def bounds_for(variant, alpha, epsilon):
 def count_envelope_violations(kmat, alphas, variant, epsilon):
     """(violations, entries checked) of the noisy kernel entries against
     their per-pair envelope, for one matrix and its (m, m) alphas or a batch
-    of trials' matrices and their (T, m, m) alphas. Each entry's alpha is
-    gathered by its coset labels, and the bounds are evaluated once."""
+    of trials' matrices and their (T, m, m) alphas. The bounds are
+    evaluated once, per coset pair, and each entry's are gathered by its
+    coset labels."""
     size, m = kmat.size, alphas.shape[-1]
     values = kmat.entries.reshape(-1, size, size)
-    rows = np.broadcast_to(kmat.coset_labels, values.shape[:-1])[..., None]
-    cols = np.swapaxes(rows, -1, -2)
-    trials = np.arange(len(rows))[:, None, None]
-    bounds = bounds_for(variant, alphas.reshape(-1, m, m)[trials, rows, cols],
-                        epsilon)
+    labels = np.broadcast_to(kmat.coset_labels, values.shape[:-1])
+    rows, cols = labels[..., :, None], labels[..., None, :]
+    # each entry's coset pair as a flat index into the (T, m, m) bounds
+    pair = (np.arange(len(values))[:, None, None] * m + rows) * m + cols
+    bounds = bounds_for(variant, alphas, epsilon)
+    lower = np.take(bounds.cross_coset_lower - ENVELOPE_TOL, pair)
+    upper = np.take(bounds.cross_coset_upper + ENVELOPE_TOL, pair)
     outside = np.where(
         rows == cols,
         values < bounds.same_coset_lower - ENVELOPE_TOL,
-        ~((bounds.cross_coset_lower - ENVELOPE_TOL <= values)
-          & (values <= bounds.cross_coset_upper + ENVELOPE_TOL)),
+        ~((lower <= values) & (values <= upper)),
     )
     outside &= ~np.eye(size, dtype=bool)
-    return int(np.sum(outside)), len(rows) * size * (size - 1)
+    return int(np.sum(outside)), len(values) * size * (size - 1)

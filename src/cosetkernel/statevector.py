@@ -1,5 +1,6 @@
-"""Single-qubit gates and the batched Haar-random SU(2) build from four
-normals per element.
+"""SU(2) elements laid out from the real and imaginary parts of their
+first column, and the batched Haar-random SU(2) build from four normals per
+element.
 
 These build the per-qubit 2x2 factors that everything else works on; no
 2^N state is formed anywhere in the package (see `kernel`).
@@ -8,28 +9,13 @@ These build the per-qubit 2x2 factors that everything else works on; no
 import numpy as np
 
 
-def _gates(a, b, c, d):
-    """2x2 matrices [[a, b], [c, d]] over the broadcast shape S of the
-    entries; shape (*S, 2, 2)."""
-    a, b, c, d = np.broadcast_arrays(a, b, c, d)
-    out = np.empty(a.shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
-    return out
-
-
-def rx(theta):
-    """Rx rotation(s); an array of angles gives a stack of gates."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return _gates(c, -1j * s, -1j * s, c)
-
-
-def ry(theta):
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return _gates(c, -s, s, c)
-
-
-def rz(theta):
-    return _gates(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
+def su2(a_re, a_im, b_re, b_im):
+    """The SU(2) elements [[a, -conj(b)], [b, conj(a)]] from the real and
+    imaginary parts of a and b (|a|^2 + |b|^2 = 1), arrays of one shape S;
+    shape (*S, 2, 2). The eight real parts are written row by row through a
+    float view, with no complex arithmetic."""
+    parts = np.stack([a_re, a_im, -b_re, b_im, b_re, b_im, a_re, -a_im], -1)
+    return parts.view(complex).reshape(*parts.shape[:-1], 2, 2)
 
 
 def su2_from_normals(x):
@@ -42,6 +28,4 @@ def su2_from_normals(x):
     draw."""
     a_re, a_im, b_re, b_im = np.moveaxis(x, -1, 0)
     norm = np.sqrt(a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im)
-    # the real and imaginary parts of the four entries, row by row
-    parts = np.stack([a_re, a_im, -b_re, b_im, b_re, b_im, a_re, -a_im], -1)
-    return (parts / norm[..., None]).view(complex).reshape(*norm.shape, 2, 2)
+    return su2(a_re / norm, a_im / norm, b_re / norm, b_im / norm)

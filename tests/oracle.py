@@ -24,6 +24,13 @@ a whole chunk at once. `generate`, `split`, `build_kernel` and `run_trial`
 are one trial of the package's batched calls: a batch of one stream,
 `[rng]`, and its trial 0.
 
+`rx`, `ry` and `rz` are the single-qubit rotations. `noise.from_euler`
+multiplies out Rx Rz Rx in closed form, and `rx(t1) @ rz(t2) @ rx(t3)` is
+the reference for it; `ry` prepares the fiducial's qubits.
+`transfer_amplitudes` is the transfer chain with each CZ-sign step taken as
+two complex products with H; the package takes those steps on the float
+view of v, and must give the same bits.
+
 `haar_random_su2` is the tests' Haar sampler: four normals per element from
 a stream, built by the package's `su2_from_normals`, as
 `dataset.generate_trials` does for each trial. `su2_from_ginibre` is an
@@ -37,9 +44,10 @@ from functools import reduce
 import numpy as np
 
 from cosetkernel import dataset, experiment, kernel
-from cosetkernel.statevector import ry, su2_from_normals
+from cosetkernel.statevector import su2_from_normals
 
 DENSE_MAX_QUBITS = 10
+_H = np.array([[1, 1], [1, -1]], dtype=complex)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -74,6 +82,51 @@ def chain_generators(n):
             labels[j + 1] = "Z"
         gens.append("".join(labels))
     return gens
+
+
+def _gates(a, b, c, d):
+    """2x2 matrices [[a, b], [c, d]] over the broadcast shape S of the
+    entries; shape (*S, 2, 2)."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    out = np.empty(a.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def rx(theta):
+    """Rx rotation(s); an array of angles gives a stack of gates."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return _gates(c, -1j * s, -1j * s, c)
+
+
+def ry(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return _gates(c, -s, s, c)
+
+
+def rz(theta):
+    return _gates(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
+
+
+def transfer_amplitudes(left, right, offsets_left, offsets_right):
+    """`kernel.transfer_amplitudes` with each CZ-sign step taken as two
+    complex products with H, H v and then (H v) H."""
+    a_left = ry(np.pi / 2 - offsets_left)[..., None, :, None, :, 0]
+    a_right = ry(np.pi / 2 - offsets_right)[..., None, :, None, :, 0]
+    p, n, q = left.shape[-4], left.shape[-3], right.shape[-4]
+    bras = np.moveaxis(np.conj(left * a_left), (-3, -1), (0, -3))
+    kets = np.moveaxis(right * a_right, (-3, -2), (0, -3))
+    bras = bras.reshape(n, *bras.shape[1:-3], 2 * p, 2)
+    kets = kets.reshape(n, *kets.shape[1:-3], 2, 2 * q)
+    v = bras[0] @ kets[0]
+    batch = v.shape[:-2]
+    for bra, ket in zip(bras[1:], kets[1:]):
+        hvh = (_H @ v.reshape(*batch, 2, -1)).reshape(*batch, -1, 2) @ _H
+        v = bra @ ket
+        v *= hvh.reshape(v.shape)
+    v = v.reshape(*batch, 2, p, q, 2)
+    halves = v[..., 0] + v[..., 1]
+    return halves[..., 0, :, :] + halves[..., 1, :, :]
 
 
 def trial_rng(seed, n_qubits, m, trial_index):

@@ -15,9 +15,9 @@ from scipy import stats as scipy_stats
 import cosetkernel
 from cosetkernel import kernel, noise, theory
 from cosetkernel.noise import count_envelope_violations
-from cosetkernel.statevector import ry
 
 import oracle
+from oracle import ry
 from test_opnorm_lemmas import product_distance_to_identity
 
 SEED = 42

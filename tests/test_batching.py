@@ -36,9 +36,8 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
                 n_qubits, eps, rng, (len(ds.coset_labels),)
             )
         )
-        folded = (errors @ ds.factors if cfg_noise.variant == "selection"
-                  else ds.factors @ errors)
-        noisy = replace(ds, factors=folded)
+        noisy = replace(ds, factors=noise.fold(cfg_noise.variant, errors,
+                                               ds.factors))
     indices = sp.train if surface == "train" else None
     return ds, sp, kernel.kernel_matrix(noisy, indices, offsets)
 

@@ -416,6 +416,59 @@ def test_cli_simulate_rejects_non_integer_config_values(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ({"qubit_range": [2, 3, 4]},
+         "qubit_range must be a pair [lo, hi], got [2, 3, 4]"),
+        ({"qubit_range": 3}, "qubit_range must be a pair [lo, hi], got 3"),
+        ({"coset_counts": 2}, "coset_counts must be a list of integers, got 2"),
+        ({"noise": 5}, "noise must be a JSON object, got 5"),
+        ({"noise": "selection"},
+         "noise must be a JSON object, got 'selection'"),
+        ({"noise": {"variant": "fiducial", "epsilon": True}},
+         "epsilon must be a real number, got True"),
+        ({"noise": {"variant": "fiducial", "epsilon": "0.1"}},
+         "epsilon must be a real number, got '0.1'"),
+    ],
+)
+def test_cli_simulate_names_the_config_key_of_a_malformed_value(
+        tmp_path, capsys, values, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"qubit_range": [2, 2], "coset_counts": [2], "trials": 1, **values}))
+    out = tmp_path / "r.json"
+    code = cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    assert _error_record(capsys) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[2, 3]")
+    code = cli.main(["simulate", "--config", str(cfg_path), "--trials", "1"])
+    assert code == 1
+    assert _error_record(capsys) == {
+        "error": "ValueError",
+        "message": "a config must be a JSON object, got [2, 3]",
+    }
+
+
+def test_cli_flags_override_the_config_file_key_by_key(tmp_path):
+    # a file that is invalid on its own is completed by the flags
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"qubit_range": [2, 500], "noise": {"epsilon": 0.1}, "seed": 3}))
+    args = cli._build_parser().parse_args(
+        ["simulate", "--config", str(cfg_path), "--qubits", "2..3",
+         "--noise", "selection"])
+    cfg = cli._simulate_config(args)
+    assert cfg.qubit_range == (2, 3)
+    assert cfg.noise == noise.NoiseConfig("selection", 0.1)
+    assert cfg.seed == 3
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
 def test_cli_rejects_a_negative_seed_before_drawing(command, capsys,
                                                     monkeypatch):

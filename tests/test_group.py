@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from cosetkernel import kernel, noise
-from cosetkernel.statevector import rx, rz
 
 import oracle
-from oracle import X, Z, haar_random_su2
+from oracle import X, Z, haar_random_su2, rx, rz
 
 
 def test_from_euler_identity():
@@ -20,18 +19,32 @@ def test_from_euler_pi_is_x():
 
 
 def test_from_euler_matches_matrix_product():
+    # the closed form agrees with the product of the three rotations to
+    # rounding; a (P, N, 3) stack gives the (P, N, 2, 2) stack of per-qubit
+    # factors, each with the bits of its own one-triple call
     g = noise.from_euler([(0.3, 0.7, 0.1)])
     np.testing.assert_allclose(
-        g[0], rx(0.3) @ rz(0.7) @ rx(0.1), atol=1e-14
+        g[0], rx(0.3) @ rz(0.7) @ rx(0.1), rtol=0, atol=1e-15
     )
-    # a (P, N, 3) stack gives the (P, N, 2, 2) stack of per-qubit products
     angles = np.random.default_rng(5).uniform(-np.pi, np.pi, (4, 3, 3))
     stack = noise.from_euler(angles)
     assert stack.shape == (4, 3, 2, 2)
     for p in range(4):
         for j in range(3):
             t1, t2, t3 = angles[p, j]
-            assert np.array_equal(stack[p, j], rx(t1) @ rz(t2) @ rx(t3))
+            np.testing.assert_allclose(stack[p, j], rx(t1) @ rz(t2) @ rx(t3),
+                                       rtol=0, atol=1e-15)
+            assert np.array_equal(stack[p, j],
+                                  noise.from_euler(angles[p, j][None])[0])
+
+
+def test_from_euler_is_special_unitary():
+    angles = np.random.default_rng(6).uniform(-np.pi, np.pi, (200, 8, 3))
+    g = noise.from_euler(angles)
+    identity = np.broadcast_to(np.eye(2), g.shape)
+    np.testing.assert_allclose(g @ np.conj(np.swapaxes(g, -1, -2)), identity,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.det(g), 1, rtol=0, atol=1e-15)
 
 
 def test_from_euler_rejects_nonfinite():

@@ -6,6 +6,25 @@ from cosetkernel import experiment, kernel, noise, theory
 import oracle
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_real_sign_steps_match_the_complex_chain(n):
+    # the CZ-sign steps on the float view give the bits of the complex
+    # products with H: on a trial batch, with the bra and the ket on their
+    # own offsets and point sets of different sizes, and for one trial
+    m, trials = 3, 4
+    rngs = [oracle.trial_rng(12, n, m, t) for t in range(trials)]
+    ds = experiment.draw_trials(n, m, rngs)[0]
+    bra, ket = ds.factors[:, : n + 1], ds.factors
+    offsets = np.random.default_rng(n).uniform(-0.2, 0.2, (2, trials, n))
+    got = kernel.transfer_amplitudes(bra, ket, *offsets)
+    assert got.shape == (trials, n + 1, m * n)
+    assert np.array_equal(got, oracle.transfer_amplitudes(bra, ket, *offsets))
+    one = kernel.transfer_amplitudes(bra[1], ket[1], *offsets[:, 1])
+    assert np.array_equal(one, oracle.transfer_amplitudes(bra[1], ket[1],
+                                                          *offsets[:, 1]))
+    assert np.array_equal(one, got[1])
+
+
 def test_entry_same_point_is_one():
     rng = np.random.default_rng(0)
     ds = oracle.generate(3, 2, rng)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cosetkernel import experiment, kernel, noise
-from cosetkernel.statevector import rx, ry, rz
 
 import oracle
+from oracle import rx, ry, rz
 
 
 def test_offsets_zero_epsilon():
@@ -43,8 +43,8 @@ def test_sampled_norms_respect_epsilon(eps):
 
 def test_batched_perturbations_match_per_point_loop():
     # one (P, N, 3) draw and one from_euler call reproduce, bit for bit, a
-    # draw and an Rx Rz Rx product per point and qubit, and leave the stream
-    # in the same state
+    # draw and a from_euler call per point and qubit, and leave the stream
+    # in the same state; each factor is Rx Rz Rx to rounding
     for n in range(2, 9):
         for points in (4, 15):
             batched_rng = np.random.default_rng(100 * n + points)
@@ -55,13 +55,36 @@ def test_batched_perturbations_match_per_point_loop():
                 )
             )
             bound = 2 * 0.3 / (np.sqrt(5) * n)
+            triples = [loop_rng.uniform(-bound, bound, size=(n, 3))
+                       for _ in range(points)]
             expected = np.array([
-                [rx(t1) @ rz(t2) @ rx(t3) for t1, t2, t3 in
-                 loop_rng.uniform(-bound, bound, size=(n, 3))]
-                for _ in range(points)
+                [noise.from_euler(t[None])[0] for t in point]
+                for point in triples
             ])
             assert np.array_equal(factors, expected)
             assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+            products = np.array([
+                [rx(t1) @ rz(t2) @ rx(t3) for t1, t2, t3 in point]
+                for point in triples
+            ])
+            np.testing.assert_allclose(factors, products, rtol=0, atol=1e-15)
+
+
+def test_fold_matches_the_matrix_product_per_point():
+    # the elementwise fold gives every point the bits of its own fold, on
+    # the side of D_x its variant names, and the 2x2 product to rounding
+    rng = np.random.default_rng(8)
+    errors = noise.from_euler(rng.uniform(-0.3, 0.3, (3, 7, 4, 3)))
+    factors = oracle.haar_random_su2(rng, (3, 7, 4))
+    for variant, product in (("selection", errors @ factors),
+                             ("representation", factors @ errors)):
+        folded = noise.fold(variant, errors, factors)
+        np.testing.assert_allclose(folded, product, rtol=0, atol=1e-15)
+        for t in range(3):
+            for p in range(7):
+                assert np.array_equal(
+                    folded[t, p], noise.fold(variant, errors[t, p], factors[t, p])
+                )
 
 
 def test_bounds_zero_epsilon():
@@ -143,6 +166,11 @@ def test_noise_config_validation():
         noise.NoiseConfig("thermal", 0.1)
     with pytest.raises(ValueError):
         noise.NoiseConfig("fiducial", -0.1)
+    for bad in (True, np.bool_(True), "0.1", None, [0.1], 0.1j):
+        with pytest.raises(ValueError, match="epsilon must be a real number"):
+            noise.NoiseConfig("fiducial", bad)
+    for good in (1, np.float32(0.25), np.int64(0)):
+        assert noise.NoiseConfig("fiducial", good).epsilon == good
 
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])

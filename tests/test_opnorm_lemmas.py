@@ -7,10 +7,9 @@ import itertools
 import numpy as np
 
 from cosetkernel import noise
-from cosetkernel.statevector import ry
 
 import oracle
-from oracle import haar_random_su2
+from oracle import haar_random_su2, ry
 
 TOL = 1e-9
 INSTANCES = 200

@@ -3,10 +3,9 @@ import pytest
 from scipy import stats
 
 from cosetkernel import kernel, noise
-from cosetkernel.statevector import rx, ry, rz
 
 import oracle
-from oracle import I2, haar_random_su2
+from oracle import I2, haar_random_su2, rx, ry, rz
 
 
 def random_state(n, rng):
