@@ -1,9 +1,9 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
 `verify-bounds` checks each noise variant but "none" on the same trials:
-per (N, chunk) it draws the datasets, splits and alpha matrices once, and
-for each variant replays every trial's stream from its state after the
-split, so each variant's noise draws are those of a fresh build.
+per (N, chunk) it draws the datasets and alpha matrices once, and for each
+variant replays every trial's stream from its state past the split's
+uniforms, so each variant's noise draws are those of a fresh build.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure a machine-readable error record is printed to stderr
@@ -104,6 +104,8 @@ def cmd_simulate(args):
         report = experiment.run_experiment(cfg)
     if cfg.output_path:
         experiment.export_report(report, cfg.output_path, cfg.output_format)
+    elif cfg.output_format == "csv":
+        sys.stdout.write(experiment.report_csv(report))
     else:
         json.dump(report["aggregates"], sys.stdout, indent=2, sort_keys=True)
         print()
@@ -112,8 +114,8 @@ def cmd_simulate(args):
               f"m={m}, full surface", file=sys.stderr)
         if not reuse:
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
-            ds, splits = experiment.draw_trials(n_qubits, m, rngs)
-            kmat = experiment.noisy_kernels(ds, splits, cfg.noise, rngs,
+            ds, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+            kmat = experiment.noisy_kernels(ds, None, cfg.noise, rngs,
                                             surface="full").trial(0)
         kernel.export_heatmap(kmat, args.heatmap)
     return 0
@@ -161,13 +163,13 @@ def cmd_verify_bounds(args):
     for n_qubits in range(lo, hi + 1):
         for chunk in experiment.trial_chunks(n_qubits, m, args.trials, "full"):
             rngs = experiment.trial_rngs(args.seed, n_qubits, m, chunk)
-            ds, splits = experiment.draw_trials(n_qubits, m, rngs)
+            ds, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
             alphas = kernel.alpha_matrix(ds)
             states = [rng.bit_generator.state for rng in rngs]
             for cfg_noise in configs:
                 for rng, state in zip(rngs, states):
                     rng.bit_generator.state = state
-                kmats = experiment.noisy_kernels(ds, splits, cfg_noise, rngs,
+                kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs,
                                                  surface="full")
                 v, c = count_envelope_violations(kmats, alphas,
                                                  cfg_noise.variant, args.epsilon)

@@ -61,16 +61,19 @@ class SplitIndices:
         return SplitIndices(self.train[t], self.test[t])
 
 
-def _times_generators(factors, indices):
-    """factors @ s_a for (..., N, 2, 2) factor stacks and generator indices
-    a that broadcast against their leading axes. Each factor of s_a is X (on
+def _times_generators(reps):
+    """The points c_i s_a, factor by factor, for every representative c_i
+    and generator a: (..., m, N, 2, 2) representatives give (..., m, N, N,
+    2, 2) points, a before the qubit axis. Each factor of s_a is X (on
     qubit a), Z (on its chain neighbours) or I, so the product swaps the two
     columns, negates the second or keeps both: the same bits as the matrix
     product, without one."""
-    qubits = np.arange(factors.shape[-3])
-    distance = np.abs(qubits - np.asarray(indices)[..., None])
-    out = np.where((distance == 0)[..., None, None], factors[..., ::-1], factors)
-    out[..., 1] = np.where(distance[..., None] == 1, -out[..., 1], out[..., 1])
+    a = np.arange(reps.shape[-3])
+    out = np.repeat(reps[..., None, :, :, :], len(a), axis=-4)
+    out[..., a, a, :, :] = reps[..., ::-1]
+    # generator a's Z factors sit on qubits a + 1 and a - 1
+    gen, qubit = np.concatenate(([a[:-1], a[1:]], [a[1:], a[:-1]]), axis=1)
+    out[..., gen, qubit, :, 1] = -reps[..., qubit, :, 1]
     return out
 
 
@@ -87,7 +90,7 @@ def generate_trials(n_qubits, m, rngs):
         raise ValueError("need at least 2 cosets")
     normals = np.stack([rng.standard_normal((m, n_qubits, 4)) for rng in rngs])
     reps = su2_from_normals(normals)
-    factors = _times_generators(reps[:, :, None], np.arange(n_qubits))
+    factors = _times_generators(reps)
     return CosetDataset(
         n_qubits,
         reps,

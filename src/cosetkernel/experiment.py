@@ -7,23 +7,25 @@ trial index), so results are independent of execution order and the whole
 experiment is a pure function of its config. The stream is the one
 `default_rng(SeedSequence(seed, spawn_key=(N, m, t)))` gives, but
 `trial_rngs` builds a chunk's streams in one pass: numpy's SeedSequence
-mixes the cell's words once, and the trial word and each generator's state
-words are hashed for all trials with uint32 array arithmetic.
+mixes the cell's words once, then the trial words are hashed into the pool
+as one (T, 4) uint32 array and the state words built as one (T, 8) array.
 
 The trials of one (N, m) cell run in chunks along a leading trial axis. Only
 the draws stay per trial, each on its trial's own stream in a fixed order
 and of a fixed size: the dataset's 4 m N normals, the split's P + m
-uniforms, then the noise. The Haar build, the point product, the split, the
-noise fold and the transfer chain then run once per chunk, on
-(T, P, N, 2, 2) stacks that give (T, P, P) kernels (and, in
-`verify-bounds`, (T, m, m) alpha matrices), and so do the statistics and
-the envelope check. The build has two stages: `draw_trials` (datasets and
-splits) and `noisy_kernels` (`noise.attach`, then the kernels);
-`run_trials` runs one after the other. `verify-bounds` runs the first stage
-and the alpha matrices once per chunk and, for each noise variant, restores
-every stream to its state after the split and runs only the second, so each
-variant reads the draws of a fresh build. One trial is a chunk of one
-stream, `[rng]`, and `.trial(0)` of what comes back.
+uniforms, then the noise. The full surface reads no split, so there the
+stream skips its uniforms by advancing the generator past them. The Haar
+build, the point product, the split, the noise fold and the transfer chain
+then run once per chunk, on (T, P, N, 2, 2) stacks that give (T, P, P)
+kernels (and, in `verify-bounds`, (T, m, m) alpha matrices), and so do the
+statistics and the envelope check. The build has two stages: `draw_trials`
+(datasets, and splits on the train surface) and `noisy_kernels`
+(`noise.attach`, then the kernels); `run_trials` runs one after the other.
+`verify-bounds` runs the first stage and the alpha matrices once per chunk
+and, for each noise variant, restores every stream to its state past the
+split's uniforms and runs only the second, so each variant reads the draws
+of a fresh build. One trial is a chunk of one stream, `[rng]`, and
+`.trial(0)` of what comes back.
 
 Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
 `CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
@@ -162,8 +164,9 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
     numpy's own `SeedSequence(seed, spawn_key=(n_qubits, m))` validates the
     seed and mixes every word before the trial's into its 4-word pool; the
     hash constant it has reached depends only on how many words those were.
-    The trial word's mixing and the 8 words of `generate_state(4, uint64)`
-    then run for all trials at once, in wrapping uint32 arithmetic."""
+    The trial word's mixing into the pool is then one (T, 4) pass and the 8
+    words of `generate_state(4, uint64)` one (T, 8) pass, in wrapping uint32
+    arithmetic with the hash constants' successive powers as vectors."""
     # `np.random` loads here, on first use, so importing the package does
     # not load it; registering again is a no-op
     np.random.bit_generator.ISeedSequence.register(_StateWords)
@@ -172,22 +175,20 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
     # and the seed is padded to at least 4 words when a spawn key follows
     words_before = (max(_POOL_SIZE, _uint32_words(seed))
                     + _uint32_words(n_qubits) + _uint32_words(m))
-    hash_const = _INIT_A * pow(_MULT_A, 4 * words_before, 2**32) % 2**32
-    trial_words = np.asarray(trial_indices, dtype=np.uint32)
-    state = np.empty((len(trial_words), 2 * _POOL_SIZE), dtype=np.uint32)
+    # the hash constants init * mult**k mod 2**32, built per call (arrays at
+    # import add to peak RSS); a hash xors with one and multiplies by the next
+    first = 4 * words_before
+    consts_a = np.array([_INIT_A * pow(_MULT_A, first + k, 2**32) % 2**32
+                         for k in range(_POOL_SIZE + 1)], dtype=np.uint32)
+    consts_b = np.array([_INIT_B * pow(_MULT_B, k, 2**32) % 2**32
+                         for k in range(2 * _POOL_SIZE + 1)], dtype=np.uint32)
+    trial_words = np.asarray(trial_indices, dtype=np.uint32)[:, None]
     with np.errstate(over="ignore"):
-        pool = []
-        for word in cell.pool:
-            hashed = trial_words ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_A % 2**32
-            hashed = _fold(hashed * np.uint32(hash_const))
-            pool.append(_fold(np.uint32(_MIX_MULT_L) * word
-                              - np.uint32(_MIX_MULT_R) * hashed))
-        hash_const = _INIT_B
-        for i in range(2 * _POOL_SIZE):
-            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_B % 2**32
-            state[:, i] = _fold(value * np.uint32(hash_const))
+        hashed = _fold((trial_words ^ consts_a[:-1]) * consts_a[1:])
+        pool = _fold(np.uint32(_MIX_MULT_L) * cell.pool
+                     - np.uint32(_MIX_MULT_R) * hashed)
+        pool = np.concatenate((pool, pool), axis=1)
+        state = _fold((pool ^ consts_b[:-1]) * consts_b[1:])
     words = state.astype("<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_StateWords(row)))
             for row in words]
@@ -202,18 +203,24 @@ def trial_chunks(n_qubits, m, trials, surface):
     return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
-def draw_trials(n_qubits, m, rngs):
+def draw_trials(n_qubits, m, rngs, surface="train"):
     """The draws that come before the noise, for a batch of trials, one
-    stream each: the datasets and the splits (both batched, leading trial
-    axis). Each stream is left where its noise draws begin."""
+    stream each: the datasets and, on the train surface, the splits (both
+    batched, leading trial axis). The full surface reads no split and gets
+    None; its streams skip the split's P + m uniforms, one PCG64 output
+    each, by advancing. Each stream is left where its noise draws begin."""
     ds = dataset.generate_trials(n_qubits, m, rngs)
-    return ds, dataset.split_trials(ds, rngs)
+    if surface == "train":
+        return ds, dataset.split_trials(ds, rngs)
+    for rng in rngs:
+        rng.bit_generator.advance(m * n_qubits + m)
+    return ds, None
 
 
 def noisy_kernels(ds, splits, cfg_noise, rngs, surface="train"):
     """The variant's noise, read from each stream where `draw_trials` left
     it and attached by `noise.attach`, and the batched kernel matrix on the
-    requested surface."""
+    requested surface (the train surface reads `splits`)."""
     ds, offsets = noise_models.attach(cfg_noise, ds, rngs)
     return kernel.kernel_matrix(
         ds, splits.train if surface == "train" else None, offsets
@@ -226,7 +233,7 @@ def run_trials(n_qubits, m, cfg_noise, rngs, *, trial_indices, digests,
     `noisy_kernels`, with the statistics of all of them taken at once; they
     exclude the diagonal. Returns the reports and the batched kernel
     matrix."""
-    ds, splits = draw_trials(n_qubits, m, rngs)
+    ds, splits = draw_trials(n_qubits, m, rngs, surface)
     kmats = noisy_kernels(ds, splits, cfg_noise, rngs, surface)
     means, variances = kernel.offdiag_stats(kmats)
     stats = np.stack([variances, means, *kernel.cross_coset_stats(kmats)], -1)
@@ -366,6 +373,16 @@ def _report_json_pieces(report):
     yield "\n}\n"
 
 
+def report_csv(report):
+    """The report's aggregates as CSV text, one row per (N, m) cell."""
+    cols = ["num_qubits", "num_cosets", "mean_variance", "std_dev_variance",
+            "theory_exact", "theory_asymptotic", "theory_limit"]
+    lines = [",".join(cols)]
+    for row in report["aggregates"]:
+        lines.append(",".join(repr(row[c]) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
 def export_report(report, path, fmt="json"):
     """Persist a report; byte-stable given identical inputs."""
     if not report.get("trials"):
@@ -375,20 +392,8 @@ def export_report(report, path, fmt="json"):
             with open(path, "w") as fh:
                 fh.writelines(_report_json_pieces(report))
         elif fmt == "csv":
-            cols = [
-                "num_qubits",
-                "num_cosets",
-                "mean_variance",
-                "std_dev_variance",
-                "theory_exact",
-                "theory_asymptotic",
-                "theory_limit",
-            ]
-            lines = [",".join(cols)]
-            for row in report["aggregates"]:
-                lines.append(",".join(repr(row[c]) for c in cols))
             with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(report_csv(report))
         else:
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:

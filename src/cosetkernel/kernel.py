@@ -211,7 +211,7 @@ def export_heatmap(kmat, path):
     """CSV heat map: label header row/column, full-precision entries."""
     labels = kmat.point_labels()
     lines = ["," + ",".join(labels)]
-    for lab, row in zip(labels, kmat.entries):
-        lines.append(lab + "," + ",".join(repr(float(v)) for v in row))
+    for lab, row in zip(labels, kmat.entries.tolist()):
+        lines.append(lab + "," + ",".join(map(repr, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -224,13 +224,37 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
     assert cli.main(argv) == 0
     chunks = [len(chunk) for n in range(4, 7)
               for chunk in experiment.trial_chunks(n, 3, 4, "full")]
-    # the three variants share each chunk's datasets, splits and alphas;
-    # only the noise and the kernels are per variant
-    assert len(generated) == len(splits) == len(alphas) == len(chunks)
+    # the three variants share each chunk's datasets and alphas; only the
+    # noise and the kernels are per variant. The full surface reads no
+    # split, so none is built
+    assert len(generated) == len(alphas) == len(chunks)
+    assert splits == []
     assert [len(args[2]) for args in generated] == chunks
-    assert [len(args[1]) for args in splits] == chunks
     assert sum(chunks) == 12
     assert len(kernels) == 3 * len(chunks)
+
+
+@pytest.mark.parametrize("chunk", [range(3, 7), [9]])
+@pytest.mark.parametrize("variant,eps", VARIANTS[1:])
+def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
+    # the full surface builds no split; each stream must still end where a
+    # split drawn first would leave it, so the noise reads the same draws
+    cfg_noise = noise.NoiseConfig(variant, eps)
+    for n_qubits in range(2, 7):
+        for m in (2, 3):
+            rngs = experiment.trial_rngs(31, n_qubits, m, chunk)
+            ds, splits = experiment.draw_trials(n_qubits, m, rngs, "full")
+            assert splits is None
+            ref_rngs = [oracle.trial_rng(31, n_qubits, m, t) for t in chunk]
+            ref_ds = dataset.generate_trials(n_qubits, m, ref_rngs)
+            ref_splits = dataset.split_trials(ref_ds, ref_rngs)
+            for rng, ref_rng in zip(rngs, ref_rngs):
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs, "full")
+            ref = experiment.noisy_kernels(ref_ds, ref_splits, cfg_noise,
+                                           ref_rngs, "full")
+            assert np.array_equal(kmats.entries, ref.entries)
+            assert np.array_equal(kmats.coset_labels, ref.coset_labels)
 
 
 @pytest.mark.parametrize("budget", [experiment.CHUNK_ENTRIES, 1])

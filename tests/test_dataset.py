@@ -224,7 +224,8 @@ def test_batched_draw_matches_per_qubit_loop(m):
 def test_generator_product_equals_matmul(n):
     # a column swap and a sign flip give the matrix product's bits
     rng = np.random.default_rng(n)
-    reps = dataset.generate_trials(n, 3, [rng, rng]).representatives
+    ds = dataset.generate_trials(n, 3, [rng, rng])
+    reps = ds.representatives
     generic = rng.standard_normal((2, 3, n, 2, 2)) + 1j * rng.standard_normal(
         (2, 3, n, 2, 2)
     )
@@ -232,12 +233,12 @@ def test_generator_product_equals_matmul(n):
     gens = gens.reshape(n, n, 2, 2)
     for factors in (reps, generic):
         assert np.array_equal(
-            dataset._times_generators(factors[:, :, None], np.arange(n)),
+            dataset._times_generators(factors),
             factors[:, :, None] @ gens,
         )
-    indices = rng.integers(0, n, size=7)
-    labels = rng.integers(0, 3, size=7)
-    assert np.array_equal(
-        dataset._times_generators(reps[0][labels], indices),
-        reps[0][labels] @ gens[indices],
-    )
+    # point (i, a) of every generated trial is c_i s_a
+    for t in range(2):
+        for i in range(3):
+            for a in range(n):
+                assert np.array_equal(ds.factors[t, i * n + a],
+                                      reps[t, i] @ gens[a])

@@ -217,6 +217,28 @@ def test_cli_simulate(tmp_path):
     assert header == ",c0s0,c0s1,c0s2,c1s0,c1s1,c1s2"
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cli_simulate_prints_csv_without_out(via, tmp_path, capsys):
+    # with no output path, --format csv (or the config's output_format)
+    # prints the text the CSV export writes
+    args = ["simulate", "--qubits", "2..3", "--cosets", "2", "--trials", "2",
+            "--seed", "1"]
+    out = tmp_path / "report.csv"
+    assert cli.main(args + ["--format", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    if via == "flag":
+        extra = ["--format", "csv"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"output_format": "csv"}))
+        extra = ["--config", str(cfg_path)]
+    assert cli.main(args + extra) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == out.read_bytes()
+    assert captured.out.startswith("num_qubits,num_cosets,mean_variance,")
+
+
 def test_cli_heatmap_choice_on_stderr(tmp_path, capsys):
     # the heat map's choice of kernel goes to stderr; stdout is unchanged
     args = ["simulate", "--qubits", "2..3", "--cosets", "3,2", "--trials", "1",

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,27 @@ def test_heatmap_export(tmp_path):
     np.testing.assert_allclose(
         [float(v) for v in row[1:]], kmat.entries[0]
     )
+
+
+@pytest.mark.parametrize("surface", ["full", "train"])
+def test_heatmap_text_matches_the_kernel(surface, tmp_path):
+    # each label is its point's c{i}s{a} and each cell the repr of its
+    # entry as a Python float, checked against the parsed CSV
+    rng = oracle.trial_rng(3, 4, 3, 0)
+    _, _, kmat = oracle.build_kernel(
+        4, 3, noise.NoiseConfig("selection", 0.2), rng, surface
+    )
+    path = tmp_path / "heat.csv"
+    kernel.export_heatmap(kmat, path)
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    labels = [f"c{i}s{a}" for i, a in zip(kmat.coset_labels.tolist(),
+                                          kmat.subgroup_indices.tolist())]
+    assert rows[0] == [""] + labels
+    assert len(rows) == 1 + kmat.size
+    for label, row, entries in zip(labels, rows[1:], kmat.entries):
+        assert row[0] == label
+        assert row[1:] == [repr(float(v)) for v in entries]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
