@@ -21,7 +21,7 @@ for variant in ("fiducial", "selection", "representation"):
     rngs = experiment.trial_rngs(SEED, N_QUBITS, 2, range(10))
     ds, _ = experiment.draw_trials(N_QUBITS, 2, rngs, "full")
     kmats = experiment.noisy_kernels(
-        ds, None, noise.NoiseConfig(variant, EPSILON), rngs, surface="full"
+        ds, None, noise.NoiseConfig(variant, EPSILON), rngs
     )
     violations, checked = count_envelope_violations(
         kmats, kernel.alpha_matrix(ds), variant, EPSILON

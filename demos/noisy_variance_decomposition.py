@@ -16,9 +16,9 @@ EPSILON = 0.3
 
 for variant in ("fiducial", "selection"):
     rngs = experiment.trial_rngs(2, N_QUBITS, M, [0])
-    ds, splits = experiment.draw_trials(N_QUBITS, M, rngs)
+    ds, _ = experiment.draw_trials(N_QUBITS, M, rngs)
     kmat = experiment.noisy_kernels(
-        ds, splits, noise.NoiseConfig(variant, EPSILON), rngs, surface="full"
+        ds, None, noise.NoiseConfig(variant, EPSILON), rngs
     ).trial(0)
     ds = ds.trial(0)
     alpha = kernel.alpha_matrix(ds)[0, 1]

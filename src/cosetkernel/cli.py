@@ -1,13 +1,13 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
-`verify-bounds` checks each noise variant but "none" on the same trials:
-per (N, chunk) it draws the datasets and alpha matrices once, and for each
-variant replays every trial's stream from its state past the split's
-uniforms, so each variant's noise draws are those of a fresh build.
+`verify-bounds` checks each noise variant but "none" on the same trials of
+a full-surface `ExperimentConfig`: per (N, chunk) it draws the datasets and
+alpha matrices once, and for each variant replays each trial's stream from
+past the split's uniforms, so each variant reads the draws of a fresh build.
 
 A JSON config file can mirror all simulate flags; explicit flags override
-file values. On failure a machine-readable error record is printed to stderr
-and the exit code is nonzero.
+file values. On failure, a malformed flag included, a machine-readable error
+record is printed to stderr and the exit code is 1.
 """
 
 import argparse
@@ -33,8 +33,15 @@ def parse_int_list(text):
     return tuple(int(v) for v in text.split(","))
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line raises a ValueError, for the error record."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cosetkernel",
         description="Covariant-kernel variance simulations and theory oracles",
     )
@@ -115,8 +122,7 @@ def cmd_simulate(args):
         if not reuse:
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
             ds, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
-            kmat = experiment.noisy_kernels(ds, None, cfg.noise, rngs,
-                                            surface="full").trial(0)
+            kmat = experiment.noisy_kernels(ds, None, cfg.noise, rngs).trial(0)
         kernel.export_heatmap(kmat, args.heatmap)
     return 0
 
@@ -148,48 +154,43 @@ def cmd_theory(args):
 
 
 def cmd_verify_bounds(args):
-    lo, hi = args.qubits
-    experiment.check_qubit_range(lo, hi)
-    experiment.check_seed(args.seed)
-    if args.trials < 1:
-        raise ValueError("need at least one trial")
+    cfg = experiment.ExperimentConfig(
+        qubit_range=args.qubits, coset_counts=(args.cosets,),
+        trials=args.trials, seed=args.seed, variance_surface="full",
+    )
     m = args.cosets
-    if m < 2:
-        raise ValueError(f"need at least 2 cosets, got {m}")
     configs = [noise.NoiseConfig(variant, args.epsilon)
                for variant in noise.VARIANTS if variant != "none"]
     violations = 0
     checked = 0
-    for n_qubits in range(lo, hi + 1):
-        for chunk in experiment.trial_chunks(n_qubits, m, args.trials, "full"):
-            rngs = experiment.trial_rngs(args.seed, n_qubits, m, chunk)
+    for n_qubits in cfg.qubit_values():
+        for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
+            rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
             ds, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
             alphas = kernel.alpha_matrix(ds)
             states = [rng.bit_generator.state for rng in rngs]
             for cfg_noise in configs:
                 for rng, state in zip(rngs, states):
                     rng.bit_generator.state = state
-                kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs,
-                                                 surface="full")
+                kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
                 v, c = count_envelope_violations(kmats, alphas,
                                                  cfg_noise.variant, args.epsilon)
                 violations += v
                 checked += c
     for cfg_noise in configs:
-        print(f"{cfg_noise.variant}: checked through N={hi}")
+        print(f"{cfg_noise.variant}: checked through N={cfg.qubit_range[1]}")
     print(f"entries checked: {checked}, violations: {violations}")
     return 0 if violations == 0 else 1
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "simulate": cmd_simulate,
         "theory": cmd_theory,
         "verify-bounds": cmd_verify_bounds,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         json.dump(

@@ -1,16 +1,18 @@
 """Labeled coset datasets: m hidden Haar-random representatives acting on the
 N chain-graph stabilizer generators, plus the coverage-constrained train/test
 split. Both are built for a batch of trials, one stream each, along a
-leading trial axis; `.trial(t)` takes one trial out, so a single dataset is
-trial 0 of a batch of one.
+leading trial axis; `.trial(t)` takes one dataset out, so a single dataset
+is trial 0 of a batch of one. Every factor is an SU(2) element (`su2`); no
+2^N state is formed anywhere in the package (see `kernel`).
 
 Both samplers read a fixed number of draws from each trial's stream: four
-normals per representative factor (`statevector.su2_from_normals`), then
-P + m uniforms for the split. The split is uniform over the halves of the P
-points that cover every coset. It is built, not resampled: the m uniforms
-give the per-coset train counts by inverse CDF from their exact law, which
-is tabulated once per coset layout, and the other P uniforms pick the
-points inside each coset by rank.
+normals per representative factor (`su2_from_normals`), then P + m uniforms
+for the split. The split is uniform over the halves of the P points that
+cover every coset, and is kept as its sorted train indices; the test half is
+their complement. It is built, not resampled: the m uniforms give the
+per-coset train counts by inverse CDF from their exact law, which is
+tabulated once per coset layout, and the other P uniforms pick the points
+inside each coset by rank.
 """
 
 import math
@@ -18,8 +20,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-
-from .statevector import su2_from_normals
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,26 @@ class CosetDataset:
         )
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    """Sorted point indices of the two halves: (K,) train and (P - K,) test
-    int arrays, or (T, K) and (T, P - K) for a batch of trials."""
+def su2(a_re, a_im, b_re, b_im):
+    """The SU(2) elements [[a, -conj(b)], [b, conj(a)]] from the real and
+    imaginary parts of a and b (|a|^2 + |b|^2 = 1), arrays of one shape S;
+    shape (*S, 2, 2). The eight real parts are written row by row through a
+    float view, with no complex arithmetic."""
+    parts = np.stack([a_re, a_im, -b_re, b_im, b_re, b_im, a_re, -a_im], -1)
+    return parts.view(complex).reshape(*parts.shape[:-1], 2, 2)
 
-    train: np.ndarray
-    test: np.ndarray
 
-    def trial(self, t):
-        """Trial t's split from a batch."""
-        return SplitIndices(self.train[t], self.test[t])
+def su2_from_normals(x):
+    """Haar-random SU(2) elements from standard normals of shape (..., 4):
+    the normalised 4-vector (a_re, a_im, b_re, b_im) is a uniform point of
+    the 3-sphere, i.e. a Haar-random unit quaternion, and the result is
+    [[a, -conj(b)], [b, conj(a)]], shape (..., 2, 2). Each element depends
+    only on its own four normals, so any stack of draws (for instance one
+    per trial along a leading axis) gives the same elements as one call per
+    draw."""
+    a_re, a_im, b_re, b_im = np.moveaxis(x, -1, 0)
+    norm = np.sqrt(a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im)
+    return su2(a_re / norm, a_im / norm, b_re / norm, b_im / norm)
 
 
 def _times_generators(reps):
@@ -148,7 +157,7 @@ def _train_counts(sizes, uniforms):
 
 def split_trials(ds, rngs):
     """Uniformly random halves of the points that cover every coset, one per
-    stream in `rngs`, as a batched `SplitIndices`. Each stream gives exactly
+    stream in `rngs`: the (T, K) sorted train indices. Each stream gives exactly
     P + m uniforms: the first m fix the per-coset train counts (their exact
     law, by inverse CDF), and in each coset the points with the smallest of
     the other P uniforms are kept."""
@@ -174,7 +183,4 @@ def split_trials(ds, rngs):
     np.put_along_axis(
         kept, order, rank < np.take_along_axis(counts, ranked, -1), -1
     )
-    return SplitIndices(
-        np.nonzero(kept)[1].reshape(len(rngs), train_size),
-        np.nonzero(~kept)[1].reshape(len(rngs), total - train_size),
-    )
+    return np.nonzero(kept)[1].reshape(len(rngs), train_size)

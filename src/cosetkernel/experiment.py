@@ -19,13 +19,15 @@ build, the point product, the split, the noise fold and the transfer chain
 then run once per chunk, on (T, P, N, 2, 2) stacks that give (T, P, P)
 kernels (and, in `verify-bounds`, (T, m, m) alpha matrices), and so do the
 statistics and the envelope check. The build has two stages: `draw_trials`
-(datasets, and splits on the train surface) and `noisy_kernels`
-(`noise.attach`, then the kernels); `run_trials` runs one after the other.
-`verify-bounds` runs the first stage and the alpha matrices once per chunk
-and, for each noise variant, restores every stream to its state past the
-split's uniforms and runs only the second, so each variant reads the draws
-of a fresh build. One trial is a chunk of one stream, `[rng]`, and
-`.trial(0)` of what comes back.
+(the datasets and, on the train surface, the (T, K) train indices; None on
+the full surface) and `noisy_kernels` (`noise.attach`, then the kernels over
+those indices, or over every point for None); `run_trials` runs one after
+the other and returns the (T, 5) statistics. `run_experiment` makes each
+trial's record a flat dict of `TRIAL_FIELDS`. `verify-bounds` runs the first
+stage and the alpha matrices once per chunk and, for each noise variant,
+restores every stream to its state past the split's uniforms and runs only
+the second, so each variant reads the draws of a fresh build. One trial is a
+chunk of one stream, `[rng]`, and `.trial(0)` of what comes back.
 
 Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
 `CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
@@ -58,18 +60,6 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_qubit_range(lo, hi):
-    if not (_is_integer(lo) and _is_integer(hi)):
-        raise ValueError(f"qubit range bounds must be integers, got {[lo, hi]}")
-    if not 2 <= lo <= hi <= MAX_QUBITS:
-        raise ValueError(f"qubit range must lie within 2..{MAX_QUBITS}")
-
-
-def check_seed(seed):
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     qubit_range: tuple = (2, 10)  # inclusive
@@ -87,7 +77,10 @@ class ExperimentConfig:
             # a tuple field is shown as the list its config file spells
             shown = list(bounds) if isinstance(bounds, tuple) else bounds
             raise ValueError(f"qubit_range must be a pair [lo, hi], got {shown!r}")
-        check_qubit_range(*bounds)
+        if not all(_is_integer(b) for b in bounds):
+            raise ValueError(f"qubit range bounds must be integers, got {list(bounds)}")
+        if not 2 <= bounds[0] <= bounds[1] <= MAX_QUBITS:
+            raise ValueError(f"qubit range must lie within 2..{MAX_QUBITS}")
         if not _is_integer(self.trials):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
@@ -103,7 +96,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"coset counts must be distinct and at least 2, got {list(counts)}"
             )
-        check_seed(self.seed)
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.variance_surface not in ("train", "full"):
             raise ValueError("variance_surface must be 'train' or 'full'")
         if self.output_format not in ("json", "csv"):
@@ -113,17 +107,10 @@ class ExperimentConfig:
         return list(range(self.qubit_range[0], self.qubit_range[1] + 1))
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    num_qubits: int
-    num_cosets: int
-    trial_index: int
-    empirical_variance: float
-    empirical_mean: float
-    alphas_min: float
-    alphas_mean: float
-    alphas_max: float
-    noise_draws_digest: str
+# a trial record's keys: its cell, its index, `run_trials`' five statistics
+TRIAL_FIELDS = ("num_qubits", "num_cosets", "trial_index",
+                "empirical_variance", "empirical_mean", "alphas_min",
+                "alphas_mean", "alphas_max", "noise_draws_digest")
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -205,10 +192,11 @@ def trial_chunks(n_qubits, m, trials, surface):
 
 def draw_trials(n_qubits, m, rngs, surface="train"):
     """The draws that come before the noise, for a batch of trials, one
-    stream each: the datasets and, on the train surface, the splits (both
-    batched, leading trial axis). The full surface reads no split and gets
-    None; its streams skip the split's P + m uniforms, one PCG64 output
-    each, by advancing. Each stream is left where its noise draws begin."""
+    stream each: the datasets (batched, leading trial axis) and, on the
+    train surface, the (T, K) train indices. The full surface reads no split
+    and gets None; its streams skip the split's P + m uniforms, one PCG64
+    output each, by advancing. Each stream is left where its noise draws
+    begin."""
     ds = dataset.generate_trials(n_qubits, m, rngs)
     if surface == "train":
         return ds, dataset.split_trials(ds, rngs)
@@ -217,29 +205,24 @@ def draw_trials(n_qubits, m, rngs, surface="train"):
     return ds, None
 
 
-def noisy_kernels(ds, splits, cfg_noise, rngs, surface="train"):
+def noisy_kernels(ds, train, cfg_noise, rngs):
     """The variant's noise, read from each stream where `draw_trials` left
-    it and attached by `noise.attach`, and the batched kernel matrix on the
-    requested surface (the train surface reads `splits`)."""
+    it and attached by `noise.attach`, and the batched kernel matrix over
+    the `train` indices, or over every point when `train` is None."""
     ds, offsets = noise_models.attach(cfg_noise, ds, rngs)
-    return kernel.kernel_matrix(
-        ds, splits.train if surface == "train" else None, offsets
-    )
+    return kernel.kernel_matrix(ds, train, offsets)
 
 
-def run_trials(n_qubits, m, cfg_noise, rngs, *, trial_indices, digests,
-               surface="train"):
+def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
     """Monte-Carlo trials built as one batch, `draw_trials` then
     `noisy_kernels`, with the statistics of all of them taken at once; they
-    exclude the diagonal. Returns the reports and the batched kernel
-    matrix."""
-    ds, splits = draw_trials(n_qubits, m, rngs, surface)
-    kmats = noisy_kernels(ds, splits, cfg_noise, rngs, surface)
+    exclude the diagonal. Returns the (T, 5) statistics, in the order of
+    `TRIAL_FIELDS[3:8]`, and the batched kernel matrix."""
+    ds, train = draw_trials(n_qubits, m, rngs, surface)
+    kmats = noisy_kernels(ds, train, cfg_noise, rngs)
     means, variances = kernel.offdiag_stats(kmats)
     stats = np.stack([variances, means, *kernel.cross_coset_stats(kmats)], -1)
-    reports = [TrialReport(n_qubits, m, t, *row, digest)
-               for t, row, digest in zip(trial_indices, stats.tolist(), digests)]
-    return reports, kmats
+    return stats, kmats
 
 
 def run_experiment(cfg, keep=None):
@@ -254,21 +237,17 @@ def run_experiment(cfg, keep=None):
     surface = cfg.variance_surface
     for n_qubits in cfg.qubit_values():
         for m in cfg.coset_counts:
-            reports = []
+            cell = []
             for chunk in trial_chunks(n_qubits, m, cfg.trials, surface):
-                chunk_reports, kmats = run_trials(
-                    n_qubits,
-                    m,
-                    cfg.noise,
-                    trial_rngs(cfg.seed, n_qubits, m, chunk),
-                    trial_indices=chunk,
-                    digests=[f"{cfg.seed}:{n_qubits}:{m}:{t}" for t in chunk],
-                    surface=surface,
+                stats, kmats = run_trials(
+                    n_qubits, m, cfg.noise,
+                    trial_rngs(cfg.seed, n_qubits, m, chunk), surface,
                 )
-                reports += chunk_reports
+                cell.append(stats)
                 if (n_qubits, m) == keep and chunk[0] == 0:
                     kept = kmats.trial(0)
-            variances = np.array([r.empirical_variance for r in reports])
+            stats = np.concatenate(cell)
+            variances = stats[:, 0]
             n = n_qubits
             uniform = np.full((m, m), 2.0**-n_qubits)
             np.fill_diagonal(uniform, 1.0)
@@ -283,12 +262,15 @@ def run_experiment(cfg, keep=None):
                     "theory_limit": theory.limit_variance(m),
                 }
             )
-            trials.extend(reports)
+            trials += [
+                dict(zip(TRIAL_FIELDS, (n_qubits, m, t, *row,
+                                        f"{cfg.seed}:{n_qubits}:{m}:{t}")))
+                for t, row in enumerate(stats.tolist())
+            ]
     report = {
         "config": config_to_dict(cfg),
         "aggregates": aggregates,
-        # the fields are flat values, so a shallow copy is a full one
-        "trials": [dict(vars(r)) for r in trials],
+        "trials": trials,
     }
     return report if keep is None else (report, kept)
 

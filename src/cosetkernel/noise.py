@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statevector import su2
+from .dataset import su2
 
 VARIANTS = ("none", "fiducial", "selection", "representation")
 # slack for rounding when an entry is compared with its envelope

@@ -22,7 +22,8 @@ column swaps and sign flips (`dataset._times_generators`).
 generator of its own, which the package's `experiment.trial_rngs` builds for
 a whole chunk at once. `generate`, `split`, `build_kernel` and `run_trial`
 are one trial of the package's batched calls: a batch of one stream,
-`[rng]`, and its trial 0.
+`[rng]`, and its trial 0. A split is its sorted train indices, and a trial's
+report is its record, the dict of `experiment.TRIAL_FIELDS`.
 
 `rx`, `ry` and `rz` are the single-qubit rotations. `noise.from_euler`
 multiplies out Rx Rz Rx in closed form, and `rx(t1) @ rz(t2) @ rx(t3)` is
@@ -44,7 +45,7 @@ from functools import reduce
 import numpy as np
 
 from cosetkernel import dataset, experiment, kernel
-from cosetkernel.statevector import su2_from_normals
+from cosetkernel.dataset import su2_from_normals
 
 DENSE_MAX_QUBITS = 10
 _H = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -143,23 +144,27 @@ def generate(n_qubits, m, rng):
 
 
 def split(ds, rng):
-    """One trial's train/test split from the stream `rng`."""
-    return dataset.split_trials(ds, [rng]).trial(0)
+    """One trial's (K,) train indices from the stream `rng`."""
+    return dataset.split_trials(ds, [rng])[0]
 
 
 def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
-    """One trial's dataset, split and noisy kernel from the stream `rng`."""
-    ds, splits = experiment.draw_trials(n_qubits, m, [rng])
-    kmat = experiment.noisy_kernels(ds, splits, cfg_noise, [rng], surface)
-    return ds.trial(0), splits.trial(0), kmat.trial(0)
+    """One trial's dataset, train indices and noisy kernel from the stream
+    `rng`; the split is drawn on either surface, and the full surface's
+    kernel is over every point."""
+    ds, train = experiment.draw_trials(n_qubits, m, [rng])
+    kmat = experiment.noisy_kernels(
+        ds, train if surface == "train" else None, cfg_noise, [rng]
+    )
+    return ds.trial(0), train[0], kmat.trial(0)
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
               digest=""):
-    """One trial's report from the stream `rng`."""
-    return experiment.run_trials(n_qubits, m, cfg_noise, [rng], surface=surface,
-                                 trial_indices=[trial_index],
-                                 digests=[digest])[0][0]
+    """One trial's record from the stream `rng`."""
+    stats, _ = experiment.run_trials(n_qubits, m, cfg_noise, [rng], surface)
+    return dict(zip(experiment.TRIAL_FIELDS,
+                    (n_qubits, m, trial_index, *stats[0].tolist(), digest)))
 
 
 def zero_state(n):

@@ -36,7 +36,7 @@ def trial_variances(n_qubits, m, cfg_noise, trials, surface):
         out.append(
             oracle.run_trial(
                 n_qubits, m, cfg_noise, rng, trial_index=t, surface=surface
-            ).empirical_variance
+            )["empirical_variance"]
         )
     return np.array(out)
 
@@ -214,7 +214,7 @@ def test_criterion_8_oracle_equivalence(monkeypatch):
             "alphas_mean",
             "alphas_max",
         ):
-            ok = ok and abs(getattr(rc, field) - getattr(rd, field)) < 1e-10
+            ok = ok and abs(rc[field] - rd[field]) < 1e-10
     report(8, ok, "100 entries + 15 end-to-end trials, chain vs dense")
 
 

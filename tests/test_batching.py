@@ -38,7 +38,7 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
         )
         noisy = replace(ds, factors=noise.fold(cfg_noise.variant, errors,
                                                ds.factors))
-    indices = sp.train if surface == "train" else None
+    indices = sp if surface == "train" else None
     return ds, sp, kernel.kernel_matrix(noisy, indices, offsets)
 
 
@@ -61,15 +61,16 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
         trials = range(7)
         rngs = [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
         ds, splits = experiment.draw_trials(n_qubits, m, rngs)
-        kmats = experiment.noisy_kernels(ds, splits, cfg_noise, rngs, surface)
+        kmats = experiment.noisy_kernels(
+            ds, splits if surface == "train" else None, cfg_noise, rngs
+        )
         alphas = kernel.alpha_matrix(ds)
         for t in trials:
             rng = oracle.trial_rng(4, n_qubits, m, t)
             ref_ds, ref_sp, ref = one_trial_kernel(n_qubits, m, cfg_noise, rng,
                                                    surface)
             assert np.array_equal(ds.trial(t).factors, ref_ds.factors)
-            assert np.array_equal(splits.train[t], ref_sp.train)
-            assert np.array_equal(splits.test[t], ref_sp.test)
+            assert np.array_equal(splits[t], ref_sp)
             got = kmats.trial(t)
             assert np.array_equal(got.entries, ref.entries)
             assert np.array_equal(got.coset_labels, ref.coset_labels)
@@ -82,12 +83,12 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
 def test_batched_reports_match_one_trial_loop(variant, eps, surface):
     cfg = small_config(variant, eps, surface)
     looped = [
-        vars(oracle.run_trial(
+        oracle.run_trial(
             n_qubits, m, cfg.noise,
             oracle.trial_rng(cfg.seed, n_qubits, m, t),
             trial_index=t, surface=surface,
             digest=f"{cfg.seed}:{n_qubits}:{m}:{t}",
-        ))
+        )
         for n_qubits in cfg.qubit_values()
         for m in cfg.coset_counts
         for t in range(cfg.trials)
@@ -247,12 +248,11 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
             assert splits is None
             ref_rngs = [oracle.trial_rng(31, n_qubits, m, t) for t in chunk]
             ref_ds = dataset.generate_trials(n_qubits, m, ref_rngs)
-            ref_splits = dataset.split_trials(ref_ds, ref_rngs)
+            dataset.split_trials(ref_ds, ref_rngs)
             for rng, ref_rng in zip(rngs, ref_rngs):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
-            kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs, "full")
-            ref = experiment.noisy_kernels(ref_ds, ref_splits, cfg_noise,
-                                           ref_rngs, "full")
+            kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
+            ref = experiment.noisy_kernels(ref_ds, None, cfg_noise, ref_rngs)
             assert np.array_equal(kmats.entries, ref.entries)
             assert np.array_equal(kmats.coset_labels, ref.coset_labels)
 
@@ -285,9 +285,8 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
             for chunk in experiment.trial_chunks(n_qubits, m, trials, "full"):
                 rngs = [oracle.trial_rng(seed, n_qubits, m, t)
                         for t in chunk]
-                ds, splits = experiment.draw_trials(n_qubits, m, rngs)
-                ref = experiment.noisy_kernels(ds, splits, cfg_noise, rngs,
-                                               surface="full")
+                ds, _ = experiment.draw_trials(n_qubits, m, rngs)
+                ref = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
                 expected.append((ref, kernel.alpha_matrix(ds)))
         assert len(batches) == len(expected)
         for (kmats, alphas), (ref, ref_alphas) in zip(batches, expected):

@@ -66,24 +66,27 @@ def test_cross_coset_never_one():
 def test_split_sizes_and_coverage():
     rng = np.random.default_rng(4)
     ds = oracle.generate(2, 2, rng)
-    sp = oracle.split(ds, rng)
-    assert len(sp.train) == 2 and len(sp.test) == 2
-    assert set(ds.coset_labels[list(sp.train)]) == {0, 1}
+    train = oracle.split(ds, rng)
+    assert len(train) == 2
+    assert set(ds.coset_labels[train]) == {0, 1}
 
     ds = oracle.generate(10, 5, rng)
-    sp = oracle.split(ds, rng)
-    assert len(sp.train) == 25
-    assert set(ds.coset_labels[list(sp.train)]) == set(range(5))
-    assert sorted([*sp.train, *sp.test]) == list(range(50))
+    splits = dataset.split_trials(ds, [rng, *np.random.default_rng(7).spawn(7)])
+    assert splits.shape == (8, 25)
+    for train in splits:
+        assert set(ds.coset_labels[train]) == set(range(5))
+    # each row strictly increasing within [0, P): distinct points, whose
+    # complement is the test half
+    assert np.all(np.diff(splits, axis=-1) > 0)
+    assert np.all((0 <= splits) & (splits < 50))
 
 
 def test_split_deterministic():
     rng = np.random.default_rng(5)
     ds = oracle.generate(4, 3, rng)
-    sp1 = oracle.split(ds, np.random.default_rng(99))
-    sp2 = oracle.split(ds, np.random.default_rng(99))
-    assert np.array_equal(sp1.train, sp2.train)
-    assert np.array_equal(sp1.test, sp2.test)
+    train1 = oracle.split(ds, np.random.default_rng(99))
+    train2 = oracle.split(ds, np.random.default_rng(99))
+    assert np.array_equal(train1, train2)
 
 
 def _points(ds, indices):
@@ -117,7 +120,7 @@ def test_split_follows_exact_law(case):
                 if len(set(labels[list(half)])) == m]
     draws = 20_000
     rng = np.random.default_rng(1234)
-    got = dataset.split_trials(ds, [rng] * draws).train
+    got = dataset.split_trials(ds, [rng] * draws)
     halves = Counter(map(tuple, got.tolist()))
     assert set(halves) <= set(covering)
     observed = [halves[h] for h in covering]

@@ -43,7 +43,7 @@ def test_two_point_train_kernel_has_zero_variance():
     # off-diagonal entries are equal
     rng = oracle.trial_rng(0, 2, 2, 0)
     report = oracle.run_trial(2, 2, noise.NoiseConfig(), rng)
-    assert report.empirical_variance == pytest.approx(0.0, abs=1e-15)
+    assert report["empirical_variance"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_full_surface_variance_matches_theory():
@@ -376,18 +376,58 @@ def _coset_error(argv, capsys):
     return err["message"]
 
 
+BAD_COSETS = [("0", "[0]"), ("-2", "[-2]"), ("1", "[1]")]
+
+
+# both commands validate their counts through ExperimentConfig; verify-bounds
+# takes one count, so "2,2" is no value of its flag
 @pytest.mark.parametrize(
-    "cosets,got", [("0", "[0]"), ("-2", "[-2]"), ("1", "[1]"), ("2,2", "[2, 2]")]
+    "command,cosets,got",
+    [pytest.param("simulate", c, g, id=f"{c}-{g}")
+     for c, g in [*BAD_COSETS, ("2,2", "[2, 2]")]]
+    + [pytest.param("verify-bounds", c, g, id=f"verify-bounds-{c}-{g}")
+       for c, g in BAD_COSETS],
 )
-def test_cli_simulate_rejects_bad_coset_counts(cosets, got, capsys):
-    message = _coset_error(["simulate", "--cosets", cosets], capsys)
+def test_cli_simulate_rejects_bad_coset_counts(command, cosets, got, capsys):
+    message = _coset_error([command, "--cosets", cosets], capsys)
     assert message == f"coset counts must be distinct and at least 2, got {got}"
 
 
-@pytest.mark.parametrize("cosets", ["0", "-1"])
-def test_cli_verify_bounds_rejects_fewer_than_two_cosets(cosets, capsys):
-    message = _coset_error(["verify-bounds", "--cosets", cosets], capsys)
-    assert message == f"need at least 2 cosets, got {cosets}"
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--trials", "abc"],
+         "argument --trials: invalid int value: 'abc'"),
+        (["simulate", "--qubits", "x"],
+         "argument --qubits: invalid parse_range value: 'x'"),
+        # the list of choices that follows is worded by argparse
+        (["simulate", "--noise", "foo"],
+         "argument --noise: invalid choice: 'foo'"),
+        (["verify-bounds", "--cosets", "2.5"],
+         "argument --cosets: invalid int value: '2.5'"),
+        (["simulate", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["theory", "--m", "3", "--n", "2"],
+         "the following arguments are required: --N"),
+    ],
+    ids=["trials-abc", "qubits-x", "noise-foo", "cosets-2.5", "unknown-flag",
+         "missing-N"],
+)
+def test_cli_reports_a_malformed_command_line_as_an_error_record(
+        argv, message, capsys):
+    assert cli.main(argv) == 1
+    record = _error_record(capsys)
+    assert record.keys() == {"error", "message"}
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(message)
+    if argv[1] != "--noise":
+        assert record["message"] == message
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--qubits" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])

@@ -89,16 +89,16 @@ def test_entries_in_unit_interval():
 def test_restriction_to_train_split():
     rng = np.random.default_rng(6)
     ds = oracle.generate(3, 2, rng)
-    sp = oracle.split(ds, rng)
+    train = oracle.split(ds, rng)
     full = kernel.kernel_matrix(ds)
-    sub = kernel.kernel_matrix(ds, sp.train)
-    assert sub.size == len(sp.train)
+    sub = kernel.kernel_matrix(ds, train)
+    assert sub.size == len(train)
     np.testing.assert_allclose(
-        sub.entries, full.entries[np.ix_(sp.train, sp.train)]
+        sub.entries, full.entries[np.ix_(train, train)]
     )
-    assert np.array_equal(sub.coset_labels, full.coset_labels[list(sp.train)])
+    assert np.array_equal(sub.coset_labels, full.coset_labels[train])
     assert np.array_equal(
-        sub.subgroup_indices, full.subgroup_indices[list(sp.train)]
+        sub.subgroup_indices, full.subgroup_indices[train]
     )
 
 
@@ -215,11 +215,12 @@ def test_feature_states_match_dense_oracle(n, attachment):
             noise.sample_element_perturbation(n, eps, rng, (len(ds.coset_labels),))
         )
         unfolded["variant"] = attachment
-    for surface, indices in (("full", None), ("train", splits.train[0])):
+    for train in (None, splits):
         rng.bit_generator.state = after_split
         chain = experiment.noisy_kernels(
-            ds, splits, noise.NoiseConfig(attachment, eps), [rng], surface
+            ds, train, noise.NoiseConfig(attachment, eps), [rng]
         )
+        indices = None if train is None else train[0]
         dense = oracle.kernel_matrix(ds.trial(0), indices, **unfolded)
         np.testing.assert_allclose(
             chain.trial(0).entries, dense.entries, rtol=0, atol=1e-12

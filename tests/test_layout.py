@@ -16,7 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cosetkernel"
-SCANNED = ("statevector", "dataset", "kernel", "noise", "experiment")
+SCANNED = ("dataset", "kernel", "noise", "experiment")
 
 
 def _public_definitions(path):

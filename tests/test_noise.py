@@ -255,9 +255,9 @@ def test_representation_and_selection_kernels_differ():
         kmats = {}
         for variant in ("selection", "representation"):
             rngs = [oracle.trial_rng(9, n_qubits, 2, t) for t in range(2)]
-            ds, splits = experiment.draw_trials(n_qubits, 2, rngs)
+            ds, _ = experiment.draw_trials(n_qubits, 2, rngs)
             kmats[variant] = experiment.noisy_kernels(
-                ds, splits, noise.NoiseConfig(variant, 0.3), rngs, "full"
+                ds, None, noise.NoiseConfig(variant, 0.3), rngs
             ).entries
         off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
         diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
@@ -289,9 +289,8 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
             for m in (2, 3):
                 rngs = [oracle.trial_rng(12, n_qubits, m, t)
                         for t in range(10)]
-                ds, splits = experiment.draw_trials(n_qubits, m, rngs)
-                kmats = experiment.noisy_kernels(ds, splits, cfg_noise, rngs,
-                                                 "full")
+                ds, _ = experiment.draw_trials(n_qubits, m, rngs)
+                kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
                 violations, _ = noise.count_envelope_violations(
                     kmats, kernel.alpha_matrix(ds), variant, eps
                 )
@@ -343,9 +342,9 @@ def _loop_violations(kmat, alphas, variant, eps):
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
     rngs = [oracle.trial_rng(6, 3, 3, t) for t in range(3)]
-    ds, splits = experiment.draw_trials(3, 3, rngs)
+    ds, _ = experiment.draw_trials(3, 3, rngs)
     kmats = experiment.noisy_kernels(
-        ds, splits, noise.NoiseConfig(variant, eps), rngs, surface="full"
+        ds, None, noise.NoiseConfig(variant, eps), rngs
     )
     batch_alphas = kernel.alpha_matrix(ds)
     for t in range(3):
