@@ -15,18 +15,18 @@ from cosetkernel import dataset, kernel
 rng = np.random.default_rng(3)
 n_qubits, m = 3, 3
 ds = dataset.generate_trials(n_qubits, m, [rng]).trial(0)
-kmat = kernel.kernel_matrix(ds)
+kmat = kernel.kernel_matrix(ds.factors)
 
-labels = kmat.point_labels()
-print("    " + " ".join(f"{l:>6}" for l in labels))
-for row_label, row in zip(labels, kmat.entries):
+names = dataset.point_names(n_qubits, m)
+print("    " + " ".join(f"{l:>6}" for l in names))
+for row_label, row in zip(names, kmat):
     print(f"{row_label:>4} " + " ".join(f"{v:6.3f}" for v in row))
 
 print()
-alphas = kernel.alpha_matrix(ds)
+alphas = kernel.alpha_matrix(ds.representatives)
 for i in range(m):
     for j in range(i + 1, m):
         print(f"alpha[{i},{j}] = {alphas[i, j]:.6f}")
 
-kernel.export_heatmap(kmat, "demo_heatmap.csv")
+kernel.export_heatmap(kmat, names, "demo_heatmap.csv")
 print("\nwrote demo_heatmap.csv")

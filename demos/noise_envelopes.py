@@ -23,15 +23,15 @@ for variant in ("fiducial", "selection", "representation"):
     kmats = experiment.noisy_kernels(
         ds, None, noise.NoiseConfig(variant, EPSILON), rngs
     )
+    labels = ds.coset_labels
     violations, checked = count_envelope_violations(
-        kmats, kernel.alpha_matrix(ds), variant, EPSILON
+        kmats, labels, kernel.alpha_matrix(ds.representatives), variant, EPSILON
     )
-    labels = kmats.coset_labels
-    same = (~np.eye(kmats.size, dtype=bool)) & (
-        labels[:, :, None] == labels[:, None, :]
+    same = (~np.eye(len(labels), dtype=bool)) & (
+        labels[:, None] == labels[None, :]
     )
-    same_min = kmats.entries[same].min()
-    lows, _, highs = kernel.cross_coset_stats(kmats)
+    same_min = kmats[:, same].min()
+    lows, _, highs = kernel.cross_coset_stats(kmats, labels)
     bounds = noise.bounds_for(variant, 0.0, EPSILON)
     print(
         f"{variant:>14}: {checked} entries, {violations} violations; "

@@ -19,10 +19,9 @@ for variant in ("fiducial", "selection"):
     ds, _ = experiment.draw_trials(N_QUBITS, M, rngs)
     kmat = experiment.noisy_kernels(
         ds, None, noise.NoiseConfig(variant, EPSILON), rngs
-    ).trial(0)
-    ds = ds.trial(0)
-    alpha = kernel.alpha_matrix(ds)[0, 1]
-    stats = theory.extract_deviation_stats(kmat, alpha)
+    )[0]
+    alpha = kernel.alpha_matrix(ds.representatives[0])[0, 1]
+    stats = theory.extract_deviation_stats(kmat, ds.coset_labels, alpha)
     _, direct = kernel.offdiag_stats(kmat)
     rebuilt = theory.noisy_variance(M, N_QUBITS, stats)
     print(f"{variant}:")

@@ -14,9 +14,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import experiment, kernel, noise, theory
+from . import dataset, experiment, kernel, noise, theory
 from .noise import count_envelope_violations
 
 
@@ -122,8 +120,9 @@ def cmd_simulate(args):
         if not reuse:
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
             ds, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
-            kmat = experiment.noisy_kernels(ds, None, cfg.noise, rngs).trial(0)
-        kernel.export_heatmap(kmat, args.heatmap)
+            kmat = experiment.noisy_kernels(ds, None, cfg.noise, rngs)[0]
+        kernel.export_heatmap(kmat, dataset.point_names(n_qubits, m),
+                              args.heatmap)
     return 0
 
 
@@ -131,16 +130,14 @@ def cmd_theory(args):
     m, n, n_qubits = args.m, args.n, args.N
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
-    alphas = np.full((m, m), 2.0**-n_qubits)
-    np.fill_diagonal(alphas, 1.0)
     print(
         json.dumps(
             {
                 "m": m,
                 "n": n,
                 "N": n_qubits,
-                "exact_expectation": theory.exact_expectation(m, n, alphas),
-                "exact_variance": theory.exact_variance(m, n, alphas),
+                "exact_expectation": theory.exact_expectation(m, n, 2.0**-n_qubits),
+                "exact_variance": theory.exact_variance(m, n, 2.0**-n_qubits),
                 "asymptotic_expectation": theory.asymptotic_expectation(m, n, n_qubits),
                 "asymptotic_variance": theory.asymptotic_variance(m, n, n_qubits),
                 "limit_expectation": theory.limit_expectation(m),
@@ -167,13 +164,13 @@ def cmd_verify_bounds(args):
         for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
             ds, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
-            alphas = kernel.alpha_matrix(ds)
+            alphas = kernel.alpha_matrix(ds.representatives)
             states = [rng.bit_generator.state for rng in rngs]
             for cfg_noise in configs:
                 for rng, state in zip(rngs, states):
                     rng.bit_generator.state = state
                 kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
-                v, c = count_envelope_violations(kmats, alphas,
+                v, c = count_envelope_violations(kmats, ds.coset_labels, alphas,
                                                  cfg_noise.variant, args.epsilon)
                 violations += v
                 checked += c

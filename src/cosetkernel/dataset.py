@@ -3,7 +3,9 @@ N chain-graph stabilizer generators, plus the coverage-constrained train/test
 split. Both are built for a batch of trials, one stream each, along a
 leading trial axis; `.trial(t)` takes one dataset out, so a single dataset
 is trial 0 of a batch of one. Every factor is an SU(2) element (`su2`); no
-2^N state is formed anywhere in the package (see `kernel`).
+2^N state is formed anywhere in the package (see `kernel`). The points
+x_{i,a} = c_i s_a are coset-major, with the labels i (`coset_labels`) and
+the names `c{i}s{a}` (`point_names`) that state this layout here alone.
 
 Both samplers read a fixed number of draws from each trial's stream: four
 normals per representative factor (`su2_from_normals`), then P + m uniforms
@@ -35,7 +37,6 @@ class CosetDataset:
     representatives: np.ndarray  # (m, N, 2, 2) hidden c_i; (T, m, N, 2, 2)
     factors: np.ndarray  # (P, N, 2, 2) points; (T, P, N, 2, 2)
     coset_labels: np.ndarray  # (P,) int, i
-    subgroup_indices: np.ndarray  # (P,) int, a
 
     @property
     def num_cosets(self):
@@ -105,8 +106,12 @@ def generate_trials(n_qubits, m, rngs):
         reps,
         factors.reshape(len(rngs), m * n_qubits, n_qubits, 2, 2),
         np.repeat(np.arange(m), n_qubits),
-        np.tile(np.arange(n_qubits), m),
     )
+
+
+def point_names(n_qubits, m):
+    """The names `c{i}s{a}` of the points x_{i,a}, in coset-major order."""
+    return [f"c{i}s{a}" for i in range(m) for a in range(n_qubits)]
 
 
 # a sweep reads each (N, m) cell's table in all of its chunks; repeated runs

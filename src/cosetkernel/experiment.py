@@ -27,7 +27,7 @@ trial's record a flat dict of `TRIAL_FIELDS`. `verify-bounds` runs the first
 stage and the alpha matrices once per chunk and, for each noise variant,
 restores every stream to its state past the split's uniforms and runs only
 the second, so each variant reads the draws of a fresh build. One trial is a
-chunk of one stream, `[rng]`, and `.trial(0)` of what comes back.
+chunk of one stream, `[rng]`: `[0]` of its kernels, `.trial(0)` of its data.
 
 Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
 `CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
@@ -207,30 +207,32 @@ def draw_trials(n_qubits, m, rngs, surface="train"):
 
 def noisy_kernels(ds, train, cfg_noise, rngs):
     """The variant's noise, read from each stream where `draw_trials` left
-    it and attached by `noise.attach`, and the batched kernel matrix over
-    the `train` indices, or over every point when `train` is None."""
+    it and attached by `noise.attach`, and the (T, K, K) kernels over the
+    `train` indices, or (T, P, P) over every point when `train` is None."""
     ds, offsets = noise_models.attach(cfg_noise, ds, rngs)
-    return kernel.kernel_matrix(ds, train, offsets)
+    return kernel.kernel_matrix(ds.factors, train, offsets)
 
 
 def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
     """Monte-Carlo trials built as one batch, `draw_trials` then
     `noisy_kernels`, with the statistics of all of them taken at once; they
     exclude the diagonal. Returns the (T, 5) statistics, in the order of
-    `TRIAL_FIELDS[3:8]`, and the batched kernel matrix."""
+    `TRIAL_FIELDS[3:8]`, and the (T, K, K) kernels."""
     ds, train = draw_trials(n_qubits, m, rngs, surface)
     kmats = noisy_kernels(ds, train, cfg_noise, rngs)
+    labels = ds.coset_labels if train is None else ds.coset_labels[train]
     means, variances = kernel.offdiag_stats(kmats)
-    stats = np.stack([variances, means, *kernel.cross_coset_stats(kmats)], -1)
+    stats = np.stack([variances, means,
+                      *kernel.cross_coset_stats(kmats, labels)], -1)
     return stats, kmats
 
 
 def run_experiment(cfg, keep=None):
     """All (N, m, trial) combinations, with theory overlays per (N, m).
 
-    With `keep` an (N, m) cell of the sweep, returns (report, kernel matrix
-    of that cell's trial 0), so a caller that needs that kernel does not
-    build it again."""
+    With `keep` an (N, m) cell of the sweep, returns (report, the kernel of
+    that cell's trial 0), so a caller that needs that kernel does not build
+    it again."""
     trials = []
     aggregates = []
     kept = None
@@ -245,19 +247,17 @@ def run_experiment(cfg, keep=None):
                 )
                 cell.append(stats)
                 if (n_qubits, m) == keep and chunk[0] == 0:
-                    kept = kmats.trial(0)
+                    kept = kmats[0]
             stats = np.concatenate(cell)
             variances = stats[:, 0]
             n = n_qubits
-            uniform = np.full((m, m), 2.0**-n_qubits)
-            np.fill_diagonal(uniform, 1.0)
             aggregates.append(
                 {
                     "num_qubits": n_qubits,
                     "num_cosets": m,
                     "mean_variance": float(variances.mean()),
                     "std_dev_variance": float(variances.std()),
-                    "theory_exact": theory.exact_variance(m, n, uniform),
+                    "theory_exact": theory.exact_variance(m, n, 2.0**-n_qubits),
                     "theory_asymptotic": theory.asymptotic_variance(m, n, n_qubits),
                     "theory_limit": theory.limit_variance(m),
                 }

@@ -31,12 +31,11 @@ a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
 (T, P, Q) amplitudes, and each step is one batched product over the trials.
 Each trial's entries are the same, bit for bit, as in a batch of one;
 `experiment` picks the batch size so that T (2P)^2 stays within a fixed
-budget. The statistics also take a whole batch, and give each trial the
-bits of 1-D reductions over its own entries. The tests check the chain
-against a dense 2^N construction (`tests/oracle.py`).
+budget. A kernel is the plain Gram array of a factor stack, with no coset
+labels: the statistics are given the points' labels, take a whole batch,
+and give each trial the bits of 1-D reductions over its own entries. The
+tests check the chain against a dense 2^N construction (`tests/oracle.py`).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,31 +47,6 @@ _H_COLUMNS = np.array([[1.0, 0.0, 1.0, 0.0],
                        [0.0, 1.0, 0.0, 1.0],
                        [1.0, 0.0, -1.0, 0.0],
                        [0.0, 1.0, 0.0, -1.0]])
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """A Gram matrix over selected points; a batch of trials' matrices
-    carries a leading trial axis on every field."""
-
-    entries: np.ndarray  # (P, P) real, symmetric; (T, P, P)
-    coset_labels: np.ndarray  # (P,) int; (T, P)
-    subgroup_indices: np.ndarray  # (P,) int; (T, P)
-
-    @property
-    def size(self):
-        return self.entries.shape[-1]
-
-    def trial(self, t):
-        """Trial t's matrix from a batch."""
-        return KernelMatrix(
-            self.entries[t], self.coset_labels[t], self.subgroup_indices[t]
-        )
-
-    def point_labels(self):
-        return [
-            f"c{i}s{a}" for i, a in zip(self.coset_labels, self.subgroup_indices)
-        ]
 
 
 def _prepared_qubits(offsets):
@@ -130,75 +104,65 @@ def _mirrored(gram):
     return np.triu(gram) + np.swapaxes(np.triu(gram, 1), -1, -2)
 
 
-def kernel_matrix(ds, indices=None, offsets=None):
-    """All pairwise kernel values over the dataset's points, or over the
-    points `indices` selects (e.g. a train split), with the (2, N) Ry
-    offsets of every entry's bra and ket preparation (ideal without them).
-
-    On a batch of trials' datasets (`dataset.generate_trials`) the indices
-    (T, K) and offsets (2, T, N) carry the same leading trial axis, and the
-    result holds the T matrices.
-    """
-    n = ds.num_qubits
+def kernel_matrix(factors, indices=None, offsets=None):
+    """All pairwise kernel values over a (P, N, 2, 2) factor stack's points,
+    or over the K points `indices` selects (e.g. a train split), with the
+    (2, N) Ry offsets of every entry's bra and ket preparation (ideal
+    without them), as a (K, K) array; on a (T, P, N, 2, 2) batch of trials,
+    with (T, K) indices and (2, T, N) offsets, the (T, K, K) matrices."""
+    n = factors.shape[-3]
     offsets = np.zeros((2, n)) if offsets is None else np.asarray(offsets, float)
     if offsets.ndim not in (2, 3) or len(offsets) != 2 or offsets.shape[-1] != n:
         raise ValueError("need one offset per qubit")
-    factors = ds.factors
-    labels, subgroups = ds.coset_labels, ds.subgroup_indices
     if indices is not None:
         idx = np.asarray(indices, dtype=int)
         factors = np.take_along_axis(factors, idx[..., None, None, None], -4)
-        labels, subgroups = labels[idx], subgroups[idx]
     amps = transfer_amplitudes(factors, factors, *offsets)
-    entries = _mirrored(np.abs(amps) ** 2)
-    return KernelMatrix(
-        entries,
-        np.broadcast_to(labels, entries.shape[:-1]),
-        np.broadcast_to(subgroups, entries.shape[:-1]),
-    )
+    return _mirrored(np.abs(amps) ** 2)
 
 
-def alpha_matrix(ds):
-    """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal;
-    (T, m, m) for a batch of trials' datasets."""
-    ideal = np.zeros(ds.num_qubits)
-    reps = ds.representatives
+def alpha_matrix(reps):
+    """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal, for
+    (m, N, 2, 2) representatives; (T, m, m) for a batch of trials'."""
+    ideal = np.zeros(reps.shape[-3])
     alphas = _mirrored(np.abs(transfer_amplitudes(reps, reps, ideal, ideal)) ** 2)
-    diagonal = np.arange(ds.num_cosets)
+    diagonal = np.arange(reps.shape[-4])
     alphas[..., diagonal, diagonal] = 1.0
     return alphas
 
 
-def offdiag_stats(kmat):
+def offdiag_stats(k):
     """Mean and population variance over all off-diagonal entries: floats
     for one matrix, (T,) arrays for a batch."""
-    k = kmat.entries
-    mask = ~np.eye(kmat.size, dtype=bool)
+    mask = ~np.eye(k.shape[-1], dtype=bool)
     # k[..., mask] is F-ordered on a batch; its row reductions would differ
     # in the last bits from those of a one-trial call
     vals = np.ascontiguousarray(k[..., mask])
     return vals.mean(axis=-1), vals.var(axis=-1)
 
 
-def cross_coset_values(kmat):
-    """Off-diagonal entries between points of different cosets; on a batch,
+def _cross_mask(k, labels):
+    """Where the coset labels of row and column differ, in k's shape."""
+    return np.broadcast_to(labels[..., :, None] != labels[..., None, :], k.shape)
+
+
+def cross_coset_values(k, labels):
+    """The entries between points of different coset labels; on a batch,
     those of trial 0, then of trial 1, and so on."""
-    labels = kmat.coset_labels
-    return kmat.entries[labels[..., :, None] != labels[..., None, :]]
+    return k[_cross_mask(k, labels)]
 
 
-def cross_coset_stats(kmat):
+def cross_coset_stats(k, labels):
     """Min, mean and max of the cross-coset entries: floats for one matrix,
     (T,) arrays for a batch. The trials with equal counts are averaged as
     the rows of one C-ordered array, which numpy sums pairwise row by row,
     so each mean has the bits of `.mean()` over that trial's values."""
-    labels = kmat.coset_labels
-    cross = labels[..., :, None] != labels[..., None, :]
-    lows = np.where(cross, kmat.entries, np.inf).min(axis=(-2, -1))
-    highs = np.where(cross, kmat.entries, -np.inf).max(axis=(-2, -1))
+    cross = _cross_mask(k, labels)
+    lows = np.where(cross, k, np.inf).min(axis=(-2, -1))
+    highs = np.where(cross, k, -np.inf).max(axis=(-2, -1))
     counts = np.atleast_1d(np.count_nonzero(cross, axis=(-2, -1)))
     starts = np.cumsum(counts) - counts
-    values = cross_coset_values(kmat)
+    values = cross_coset_values(k, labels)
     means = np.empty(counts.shape)
     # a set, not np.unique: its first call adds about 1 MiB to the peak RSS
     for count in set(counts.tolist()):
@@ -207,11 +171,11 @@ def cross_coset_stats(kmat):
     return lows, means.reshape(lows.shape)[()], highs
 
 
-def export_heatmap(kmat, path):
-    """CSV heat map: label header row/column, full-precision entries."""
-    labels = kmat.point_labels()
-    lines = ["," + ",".join(labels)]
-    for lab, row in zip(labels, kmat.entries.tolist()):
-        lines.append(lab + "," + ",".join(map(repr, row)))
+def export_heatmap(k, names, path):
+    """CSV heat map of one matrix: the point names (`dataset.point_names`)
+    as header row and column, full-precision entries."""
+    lines = ["," + ",".join(names)]
+    for name, row in zip(names, k.tolist()):
+        lines.append(name + "," + ",".join(map(repr, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

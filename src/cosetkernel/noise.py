@@ -164,15 +164,15 @@ def bounds_for(variant, alpha, epsilon):
     raise ValueError(f"no bounds for variant {variant!r}")
 
 
-def count_envelope_violations(kmat, alphas, variant, epsilon):
+def count_envelope_violations(k, labels, alphas, variant, epsilon):
     """(violations, entries checked) of the noisy kernel entries against
-    their per-pair envelope, for one matrix and its (m, m) alphas or a batch
-    of trials' matrices and their (T, m, m) alphas. The bounds are
-    evaluated once, per coset pair, and each entry's are gathered by its
-    coset labels."""
-    size, m = kmat.size, alphas.shape[-1]
-    values = kmat.entries.reshape(-1, size, size)
-    labels = np.broadcast_to(kmat.coset_labels, values.shape[:-1])
+    their per-pair envelope, for one matrix, its points' (K,) coset labels
+    and its (m, m) alphas, or a batch of trials' matrices, their (K,) or
+    (T, K) labels and their (T, m, m) alphas. The bounds are evaluated once,
+    per coset pair, and each entry's are gathered by its coset labels."""
+    size, m = k.shape[-1], alphas.shape[-1]
+    values = k.reshape(-1, size, size)
+    labels = np.broadcast_to(labels, values.shape[:-1])
     rows, cols = labels[..., :, None], labels[..., None, :]
     # each entry's coset pair as a flat index into the (T, m, m) bounds
     pair = (np.arange(len(values))[:, None, None] * m + rows) * m + cols

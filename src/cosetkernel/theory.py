@@ -12,12 +12,17 @@ import numpy as np
 
 
 def _alpha_sums(m, alphas):
+    """Sums of alpha_{i,j} and alpha_{i,j}^2 over the pairs i < j, as floats,
+    from an (m, m) matrix or from one alpha that every pair shares."""
     alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim == 0:  # C(m, 2) a and C(m, 2) a^2, with no matrix built
+        pairs = m * (m - 1) // 2
+        return pairs * float(alphas), pairs * float(alphas) ** 2
     if alphas.shape != (m, m):
         raise ValueError(f"alphas must be {m}x{m}")
     iu = np.triu_indices(m, k=1)
     off = alphas[iu]
-    return off.sum(), (off**2).sum()
+    return float(off.sum()), float((off**2).sum())
 
 
 def exact_expectation(m, n, alphas):
@@ -90,10 +95,9 @@ def noisy_variance(m, n, stats):
     )
 
 
-def extract_deviation_stats(kmat, alpha):
-    """Gamma/delta summary from a labeled kernel matrix, diagonal excluded."""
-    k = kmat.entries
-    labels = kmat.coset_labels
+def extract_deviation_stats(k, labels, alpha):
+    """Gamma/delta summary from one kernel matrix and its points' coset
+    labels, diagonal excluded."""
     off = ~np.eye(k.shape[0], dtype=bool)
     same = off & (labels[:, None] == labels[None, :])
     cross = labels[:, None] != labels[None, :]

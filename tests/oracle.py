@@ -44,7 +44,7 @@ from functools import reduce
 
 import numpy as np
 
-from cosetkernel import dataset, experiment, kernel
+from cosetkernel import dataset, experiment
 from cosetkernel.dataset import su2_from_normals
 
 DENSE_MAX_QUBITS = 10
@@ -156,7 +156,7 @@ def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
     kmat = experiment.noisy_kernels(
         ds, train if surface == "train" else None, cfg_noise, [rng]
     )
-    return ds.trial(0), train[0], kmat.trial(0)
+    return ds.trial(0), train[0], kmat[0]
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
@@ -258,45 +258,37 @@ def feature_states(factors, offsets, perturbations=None, variant="selection"):
     return np.stack([op @ fiducial for op in ops])
 
 
-def kernel_matrix(ds, indices=None, offsets=None, *, perturbations=None,
+def kernel_matrix(factors, indices=None, offsets=None, *, perturbations=None,
                   variant="selection"):
     """`kernel.kernel_matrix` from dense feature states, with the noise given
-    unfolded: the (2, N) bra and ket offsets, and optionally one
-    perturbation per dataset point, (P, N, 2, 2), that `indices` selects
-    from too and that `variant` places (`feature_states`). Entries are
-    |<phi_l(x)|phi_r(x')>|^2. A batch of trials' datasets gets one dense
-    kernel per trial, stacked; its offsets are (2, T, N)."""
-    if ds.factors.ndim == 5:
+    unfolded: the (2, N) bra and ket offsets, and optionally a (P, N, 2, 2)
+    stack of one perturbation per point, that `indices` selects from too
+    and that `variant` places (`feature_states`). Entries are |<phi_l(x)|phi_r(x')>|^2. A batch of
+    trials' stacks gets one dense kernel per trial, stacked; its offsets are
+    (2, T, N)."""
+    if factors.ndim == 5:
         def at(t, a):
             return None if a is None else a[t]
 
-        kmats = [
+        return np.stack([
             kernel_matrix(
-                ds.trial(t),
+                factors[t],
                 at(t, indices),
                 None if offsets is None else offsets[:, t],
                 perturbations=at(t, perturbations),
                 variant=variant,
             )
-            for t in range(len(ds.factors))
-        ]
-        return kernel.KernelMatrix(
-            np.stack([k.entries for k in kmats]),
-            np.stack([k.coset_labels for k in kmats]),
-            np.stack([k.subgroup_indices for k in kmats]),
-        )
+            for t in range(len(factors))
+        ])
     idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
-    factors = ds.factors[idx]
+    factors = factors[idx]
     if perturbations is not None:
         perturbations = perturbations[idx]
     if offsets is None:
-        ideal = np.zeros(ds.num_qubits)
+        ideal = np.zeros(factors.shape[-3])
         left = right = feature_states(factors, ideal, perturbations, variant)
     else:
         left, right = (feature_states(factors, o, perturbations, variant)
                        for o in offsets)
     gram = np.abs(left.conj() @ right.T) ** 2
-    entries = np.triu(gram) + np.triu(gram, 1).T
-    return kernel.KernelMatrix(
-        entries, ds.coset_labels[idx], ds.subgroup_indices[idx]
-    )
+    return np.triu(gram) + np.triu(gram, 1).T

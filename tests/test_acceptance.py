@@ -54,7 +54,9 @@ def test_criterion_1_noiseless_asymptote():
             )
             _, var = kernel.offdiag_stats(kmat)
             empirical.append(var)
-            predicted.append(theory.exact_variance(m, 10, kernel.alpha_matrix(ds)))
+            predicted.append(
+                theory.exact_variance(m, 10, kernel.alpha_matrix(ds.representatives))
+            )
         empirical = np.array(empirical)
         predicted = np.array(predicted)
         se = empirical.std() / np.sqrt(len(empirical))
@@ -88,16 +90,16 @@ def test_criterion_3_kernel_multiset_counts():
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 6))
         ds = oracle.generate(n, m, rng)
-        kmat = kernel.kernel_matrix(ds)
-        off_mask = ~np.eye(kmat.size, dtype=bool)
-        ones = np.sum(np.abs(kmat.entries[off_mask] - 1) < 1e-9)
+        kmat = kernel.kernel_matrix(ds.factors)
+        off_mask = ~np.eye(len(kmat), dtype=bool)
+        ones = np.sum(np.abs(kmat[off_mask] - 1) < 1e-9)
         ok = ok and ones == m * (n**2 - n)
-        labels = kmat.coset_labels
+        labels = ds.coset_labels
         for i, j in itertools.combinations(range(m), 2):
             pair_mask = ((labels[:, None] == i) & (labels[None, :] == j)) | (
                 (labels[:, None] == j) & (labels[None, :] == i)
             )
-            vals = kmat.entries[pair_mask]
+            vals = kmat[pair_mask]
             ok = ok and len(vals) == 2 * n**2
             ok = ok and np.ptp(vals) < 1e-10
     report(3, ok, "50 datasets, exact multiset counts")
@@ -154,8 +156,10 @@ def test_criterion_6_bound_envelopes():
                 ds, _, kmat = oracle.build_kernel(
                     n_qubits, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
                 )
-                alphas = kernel.alpha_matrix(ds)
-                v, c = count_envelope_violations(kmat, alphas, variant, eps)
+                alphas = kernel.alpha_matrix(ds.representatives)
+                v, c = count_envelope_violations(
+                    kmat, ds.coset_labels, alphas, variant, eps
+                )
                 violations += v
                 checked += c
     report(6, violations == 0, f"violations={violations} of {checked} entries")
@@ -187,8 +191,8 @@ def test_criterion_8_oracle_equivalence(monkeypatch):
         n = int(rng.integers(2, 7))
         ds = oracle.generate(n, 2, rng)
         idx = rng.integers(0, len(ds.factors), size=2)
-        chain = kernel.kernel_matrix(ds, idx).entries[0, 1]
-        dense = oracle.kernel_matrix(ds, idx).entries[0, 1]
+        chain = kernel.kernel_matrix(ds.factors, idx)[0, 1]
+        dense = oracle.kernel_matrix(ds.factors, idx)[0, 1]
         ok = ok and abs(chain - dense) < 1e-10
 
     # end-to-end trial pipelines at N = 4, once as they are and once with

@@ -22,7 +22,8 @@ SURFACES = ("train", "full")
 
 
 def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
-    """Dataset, split, noise and kernel of one trial from one stream."""
+    """Dataset, split, noise and kernel of one trial from one stream, and the
+    coset labels of the kernel's points."""
     ds = oracle.generate(n_qubits, m, rng)
     sp = oracle.split(ds, rng)
     eps = cfg_noise.epsilon
@@ -39,7 +40,8 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
         noisy = replace(ds, factors=noise.fold(cfg_noise.variant, errors,
                                                ds.factors))
     indices = sp if surface == "train" else None
-    return ds, sp, kernel.kernel_matrix(noisy, indices, offsets)
+    labels = ds.coset_labels if indices is None else ds.coset_labels[indices]
+    return ds, sp, kernel.kernel_matrix(noisy.factors, indices, offsets), labels
 
 
 def small_config(variant, eps, surface, trials=6):
@@ -64,18 +66,16 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
         kmats = experiment.noisy_kernels(
             ds, splits if surface == "train" else None, cfg_noise, rngs
         )
-        alphas = kernel.alpha_matrix(ds)
+        alphas = kernel.alpha_matrix(ds.representatives)
         for t in trials:
             rng = oracle.trial_rng(4, n_qubits, m, t)
-            ref_ds, ref_sp, ref = one_trial_kernel(n_qubits, m, cfg_noise, rng,
-                                                   surface)
+            ref_ds, ref_sp, ref, _ = one_trial_kernel(n_qubits, m, cfg_noise,
+                                                      rng, surface)
             assert np.array_equal(ds.trial(t).factors, ref_ds.factors)
             assert np.array_equal(splits[t], ref_sp)
-            got = kmats.trial(t)
-            assert np.array_equal(got.entries, ref.entries)
-            assert np.array_equal(got.coset_labels, ref.coset_labels)
-            assert np.array_equal(got.subgroup_indices, ref.subgroup_indices)
-            assert np.array_equal(alphas[t], kernel.alpha_matrix(ref_ds))
+            assert np.array_equal(kmats[t], ref)
+            assert np.array_equal(alphas[t],
+                                  kernel.alpha_matrix(ref_ds.representatives))
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -106,11 +106,10 @@ def test_report_statistics_match_plain_reductions(variant, eps, surface):
         for m in cfg.coset_counts:
             for t in range(cfg.trials):
                 rng = oracle.trial_rng(cfg.seed, n_qubits, m, t)
-                _, _, ref = one_trial_kernel(n_qubits, m, cfg.noise, rng,
-                                             surface)
-                labels = ref.coset_labels
-                off = ref.entries[~np.eye(ref.size, dtype=bool)]
-                cross = ref.entries[labels[:, None] != labels[None, :]]
+                _, _, ref, labels = one_trial_kernel(n_qubits, m, cfg.noise,
+                                                     rng, surface)
+                off = ref[~np.eye(len(ref), dtype=bool)]
+                cross = ref[labels[:, None] != labels[None, :]]
                 expected.append((off.var(), off.mean(), cross.min(),
                                  cross.mean(), cross.max()))
     fields = ("empirical_variance", "empirical_mean", "alphas_min",
@@ -201,7 +200,7 @@ def test_statistics_run_once_per_chunk(monkeypatch):
     ]
     assert len(chunks) < 9 * len(cfg.qubit_values()) * len(cfg.coset_counts)
     assert len(offdiag) == len(cross) == len(chunks)
-    assert [len(args[0].entries) for args in offdiag] == [len(c) for c in chunks]
+    assert [len(args[0]) for args in offdiag] == [len(c) for c in chunks]
 
 
 def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
@@ -253,8 +252,7 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
             kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
             ref = experiment.noisy_kernels(ref_ds, None, cfg_noise, ref_rngs)
-            assert np.array_equal(kmats.entries, ref.entries)
-            assert np.array_equal(kmats.coset_labels, ref.coset_labels)
+            assert np.array_equal(kmats, ref)
 
 
 @pytest.mark.parametrize("budget", [experiment.CHUNK_ENTRIES, 1])
@@ -267,9 +265,9 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
     seen = {}
     count = cli.count_envelope_violations
 
-    def recorded(kmats, alphas, variant, epsilon):
-        seen.setdefault(variant, []).append((kmats, alphas))
-        return count(kmats, alphas, variant, epsilon)
+    def recorded(kmats, labels, alphas, variant, epsilon):
+        seen.setdefault(variant, []).append((kmats, labels, alphas))
+        return count(kmats, labels, alphas, variant, epsilon)
 
     monkeypatch.setattr(cli, "count_envelope_violations", recorded)
     trials, seed, eps = 5, 29, 0.3
@@ -287,12 +285,15 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
                         for t in chunk]
                 ds, _ = experiment.draw_trials(n_qubits, m, rngs)
                 ref = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
-                expected.append((ref, kernel.alpha_matrix(ds)))
+                # the full surface's points are every point, coset-major
+                labels = np.repeat(np.arange(m), n_qubits)
+                expected.append(
+                    (ref, labels, kernel.alpha_matrix(ds.representatives))
+                )
         assert len(batches) == len(expected)
-        for (kmats, alphas), (ref, ref_alphas) in zip(batches, expected):
-            assert np.array_equal(kmats.entries, ref.entries)
-            assert np.array_equal(kmats.coset_labels, ref.coset_labels)
-            assert np.array_equal(alphas, ref_alphas)
+        for got, want in zip(batches, expected):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 def test_chunk_sizing():

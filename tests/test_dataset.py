@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -18,7 +19,6 @@ def test_generate_counts_and_labels():
     ds = oracle.generate(2, 2, rng)
     assert ds.factors.shape == (4, 2, 2, 2)
     assert list(ds.coset_labels) == [0, 0, 1, 1]
-    assert list(ds.subgroup_indices) == [0, 1, 0, 1]
 
     ds = oracle.generate(3, 5, rng)
     assert ds.factors.shape == (15, 3, 2, 2)
@@ -36,10 +36,15 @@ def test_generate_invalid_args():
 
 
 def test_points_are_rep_times_generator():
+    # the point that `point_names` calls c{i}s{a} is c_i s_a, in coset i
     rng = np.random.default_rng(1)
     ds = oracle.generate(3, 2, rng)
     gens = [oracle.from_pauli(p) for p in oracle.chain_generators(3)]
-    for x, i, a in zip(ds.factors, ds.coset_labels, ds.subgroup_indices):
+    names = dataset.point_names(3, 2)
+    assert len(names) == len(ds.factors)
+    for x, label, name in zip(ds.factors, ds.coset_labels, names):
+        i, a = map(int, re.fullmatch(r"c(\d+)s(\d+)", name).groups())
+        assert label == i
         for j in range(3):
             expected = ds.representatives[i, j] @ gens[a][j]
             np.testing.assert_allclose(x[j], expected, atol=1e-12)
@@ -48,10 +53,10 @@ def test_points_are_rep_times_generator():
 def test_same_coset_kernel_is_one():
     rng = np.random.default_rng(2)
     ds = oracle.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds)
-    labels = kmat.coset_labels
+    kmat = kernel.kernel_matrix(ds.factors)
+    labels = ds.coset_labels
     same = labels[:, None] == labels[None, :]
-    assert np.all(np.abs(kmat.entries[same] - 1) < 1e-10)
+    assert np.all(np.abs(kmat[same] - 1) < 1e-10)
 
 
 def test_cross_coset_never_one():
@@ -59,8 +64,10 @@ def test_cross_coset_never_one():
     for _ in range(100):
         n = int(rng.integers(2, 5))
         ds = oracle.generate(n, 2, rng)
-        kmat = kernel.kernel_matrix(ds)
-        assert np.all(kernel.cross_coset_values(kmat) < 1 - 1e-6)
+        kmat = kernel.kernel_matrix(ds.factors)
+        values = kernel.cross_coset_values(kmat, ds.coset_labels)
+        assert len(values) == 2 * n**2
+        assert np.all(values < 1 - 1e-6)
 
 
 def test_split_sizes_and_coverage():
@@ -92,8 +99,7 @@ def test_split_deterministic():
 def _points(ds, indices):
     """The dataset restricted to the points `indices`, in that order."""
     idx = np.asarray(indices)
-    return replace(ds, factors=ds.factors[idx], coset_labels=ds.coset_labels[idx],
-                   subgroup_indices=ds.subgroup_indices[idx])
+    return replace(ds, factors=ds.factors[idx], coset_labels=ds.coset_labels[idx])
 
 
 # (N, m, points kept): coset-major datasets of N points per coset, and one

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_full_surface_variance_matches_theory():
         10, 2, noise.NoiseConfig(), rng, surface="full"
     )
     _, var = kernel.offdiag_stats(kmat)
-    expected = theory.exact_variance(2, 10, kernel.alpha_matrix(ds))
+    expected = theory.exact_variance(2, 10, kernel.alpha_matrix(ds.representatives))
     assert var == pytest.approx(expected, abs=1e-12)
 
 
@@ -179,6 +180,14 @@ def test_csv_export(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0].startswith("num_qubits,num_cosets,mean_variance")
     assert len(lines) == 1 + len(report["aggregates"])
+    # every data field parses as a plain number (not, say, the repr of a
+    # numpy scalar) and reads back as the aggregate it was written from
+    cols = lines[0].split(",")
+    for line, agg in zip(lines[1:], report["aggregates"]):
+        cells = line.split(",")
+        assert len(cells) == len(cols) == 7
+        assert [int(v) for v in cells[:2]] == [agg[c] for c in cols[:2]]
+        assert [float(v) for v in cells[2:]] == [agg[c] for c in cols[2:]]
 
 
 def test_aggregate_fields():
@@ -287,7 +296,8 @@ def test_heatmap_reuses_the_sweep_kernel(surface, tmp_path, monkeypatch):
     _, _, kmat = oracle.build_kernel(
         4, 3, noise.NoiseConfig("selection", 0.2), rng, surface="full"
     )
-    kernel.export_heatmap(kmat, tmp_path / "ref.csv")
+    names = [f"c{i}s{a}" for i in range(3) for a in range(4)]
+    kernel.export_heatmap(kmat, names, tmp_path / "ref.csv")
     assert heat.read_text() == (tmp_path / "ref.csv").read_text()
     if surface == "full":
         # and it has the statistics of report record (4, 3, 0)
@@ -332,6 +342,20 @@ def test_cli_theory(capsys):
     assert data["asymptotic_variance"] == pytest.approx(
         theory.asymptotic_variance(2, 10, 10)
     )
+
+
+def test_cli_theory_builds_no_m_by_m_matrix(capsys):
+    # one alpha, 2^-N, is shared by every coset pair; at m = 3000 an m x m
+    # matrix of it would take 69 MiB
+    tracemalloc.start()
+    try:
+        code = cli.main(["theory", "--m", "3000", "--n", "4", "--N", "6"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 3000
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n_qubits", ["-1", "0", "1"])

@@ -134,9 +134,9 @@ def test_fiducial_two_qubits():
 def test_fiducial_zero_offsets_is_ideal():
     # a kernel without offsets is the one with zero offsets on both sides
     ds = oracle.generate(3, 2, np.random.default_rng(5))
-    ideal = kernel.kernel_matrix(ds)
-    offs = kernel.kernel_matrix(ds, offsets=np.zeros((2, 3)))
-    assert np.array_equal(ideal.entries, offs.entries)
+    ideal = kernel.kernel_matrix(ds.factors)
+    offs = kernel.kernel_matrix(ds.factors, offsets=np.zeros((2, 3)))
+    assert np.array_equal(ideal, offs)
 
 
 def test_fiducial_offset_budget():

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from cosetkernel import experiment, kernel, noise, theory
+from cosetkernel import dataset, experiment, kernel, noise, theory
 
 import oracle
 
@@ -30,16 +30,16 @@ def test_real_sign_steps_match_the_complex_chain(n):
 def test_entry_same_point_is_one():
     rng = np.random.default_rng(0)
     ds = oracle.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds, [0, 0])
-    assert abs(kmat.entries[0, 1] - 1) < 1e-12
+    kmat = kernel.kernel_matrix(ds.factors, [0, 0])
+    assert abs(kmat[0, 1] - 1) < 1e-12
 
 
 def test_entry_same_coset_is_one():
     rng = np.random.default_rng(1)
     ds = oracle.generate(4, 2, rng)
-    kmat = kernel.kernel_matrix(ds, [0, 2])
-    assert list(kmat.coset_labels) == [0, 0]
-    assert abs(kmat.entries[0, 1] - 1) < 1e-10
+    kmat = kernel.kernel_matrix(ds.factors, [0, 2])
+    assert list(ds.coset_labels[[0, 2]]) == [0, 0]
+    assert abs(kmat[0, 1] - 1) < 1e-10
 
 
 def test_cross_coset_mean_near_haar_value():
@@ -48,7 +48,7 @@ def test_cross_coset_mean_near_haar_value():
     vals = []
     for _ in range(1000):
         ds = oracle.generate(6, 2, rng)
-        vals.append(kernel.alpha_matrix(ds)[0, 1])
+        vals.append(kernel.alpha_matrix(ds.representatives)[0, 1])
     vals = np.array(vals)
     se = vals.std() / np.sqrt(len(vals))
     assert abs(vals.mean() - 1 / 64) < 3 * se
@@ -58,48 +58,43 @@ def test_matrix_counts_and_symmetry():
     rng = np.random.default_rng(3)
     n, m = 2, 2
     ds = oracle.generate(n, m, rng)
-    kmat = kernel.kernel_matrix(ds)
-    assert np.array_equal(kmat.entries, kmat.entries.T)
-    off = kmat.entries[~np.eye(kmat.size, dtype=bool)]
+    kmat = kernel.kernel_matrix(ds.factors)
+    assert isinstance(kmat, np.ndarray) and kmat.shape == (m * n, m * n)
+    assert np.array_equal(kmat, kmat.T)
+    off = kmat[~np.eye(len(kmat), dtype=bool)]
     assert np.sum(np.abs(off - 1) < 1e-9) == m * (n**2 - n)
-    assert len(kernel.cross_coset_values(kmat)) == 2 * n**2
+    assert len(kernel.cross_coset_values(kmat, ds.coset_labels)) == 2 * n**2
 
 
 def test_block_structure():
     # cross value depends on the coset pair only, not the generators
     rng = np.random.default_rng(4)
     ds = oracle.generate(4, 3, rng)
-    kmat = kernel.kernel_matrix(ds)
-    alphas = kernel.alpha_matrix(ds)
-    for r in range(kmat.size):
-        for c in range(kmat.size):
-            i, j = kmat.coset_labels[r], kmat.coset_labels[c]
+    kmat = kernel.kernel_matrix(ds.factors)
+    alphas = kernel.alpha_matrix(ds.representatives)
+    for r in range(len(kmat)):
+        for c in range(len(kmat)):
+            i, j = ds.coset_labels[r], ds.coset_labels[c]
             expected = 1.0 if i == j else alphas[i, j]
-            assert abs(kmat.entries[r, c] - expected) < 1e-10
+            assert abs(kmat[r, c] - expected) < 1e-10
 
 
 def test_entries_in_unit_interval():
     rng = np.random.default_rng(5)
     ds = oracle.generate(3, 4, rng)
-    kmat = kernel.kernel_matrix(ds)
-    assert np.all(kmat.entries > -1e-10)
-    assert np.all(kmat.entries < 1 + 1e-10)
+    kmat = kernel.kernel_matrix(ds.factors)
+    assert np.all(kmat > -1e-10)
+    assert np.all(kmat < 1 + 1e-10)
 
 
 def test_restriction_to_train_split():
     rng = np.random.default_rng(6)
     ds = oracle.generate(3, 2, rng)
     train = oracle.split(ds, rng)
-    full = kernel.kernel_matrix(ds)
-    sub = kernel.kernel_matrix(ds, train)
-    assert sub.size == len(train)
-    np.testing.assert_allclose(
-        sub.entries, full.entries[np.ix_(train, train)]
-    )
-    assert np.array_equal(sub.coset_labels, full.coset_labels[train])
-    assert np.array_equal(
-        sub.subgroup_indices, full.subgroup_indices[train]
-    )
+    full = kernel.kernel_matrix(ds.factors)
+    sub = kernel.kernel_matrix(ds.factors, train)
+    assert sub.shape == (len(train), len(train))
+    np.testing.assert_allclose(sub, full[np.ix_(train, train)])
 
 
 def test_dense_path_matches_gate_path():
@@ -108,8 +103,8 @@ def test_dense_path_matches_gate_path():
         n = int(rng.integers(2, 7))
         ds = oracle.generate(n, 2, rng)
         pair = [0, len(ds.factors) - 1]
-        g = kernel.kernel_matrix(ds, pair).entries[0, 1]
-        d = oracle.kernel_matrix(ds, pair).entries[0, 1]
+        g = kernel.kernel_matrix(ds.factors, pair)[0, 1]
+        d = oracle.kernel_matrix(ds.factors, pair)[0, 1]
         assert abs(g - d) < 1e-10
 
 
@@ -117,8 +112,8 @@ def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
     ds, _ = experiment.draw_trials(3, 2, [rng])
     noisy, offsets = noise.attach(noise.NoiseConfig("selection", 0.3), ds, [rng])
-    kmat = kernel.kernel_matrix(noisy, offsets=offsets).trial(0)
-    np.testing.assert_allclose(np.diag(kmat.entries), 1.0, atol=1e-12)
+    kmat = kernel.kernel_matrix(noisy.factors, offsets=offsets)[0]
+    np.testing.assert_allclose(np.diag(kmat), 1.0, atol=1e-12)
 
 
 def test_selection_noise_needs_one_perturbation_per_point():
@@ -128,20 +123,21 @@ def test_selection_noise_needs_one_perturbation_per_point():
         noise.sample_element_perturbation(3, 0.3, rng, shape=(1,))
     )
     with pytest.raises(ValueError, match="one perturbation per point"):
-        oracle.kernel_matrix(ds, perturbations=perts)
+        oracle.kernel_matrix(ds.factors, perturbations=perts)
 
 
 def test_fiducial_offsets_need_one_per_qubit():
-    # the qubit count is the dataset's, so one offset cannot stand for three
+    # the qubit count is the factor stack's, so one offset cannot stand for
+    # three
     ds = oracle.generate(3, 2, np.random.default_rng(17))
     with pytest.raises(ValueError, match="one offset per qubit"):
-        kernel.kernel_matrix(ds, offsets=np.array([[0.3], [-0.2]]))
+        kernel.kernel_matrix(ds.factors, offsets=np.array([[0.3], [-0.2]]))
 
 
 def test_alpha_matrix_properties():
     rng = np.random.default_rng(10)
     ds = oracle.generate(3, 4, rng)
-    alphas = kernel.alpha_matrix(ds)
+    alphas = kernel.alpha_matrix(ds.representatives)
     np.testing.assert_allclose(np.diag(alphas), 1.0)
     assert np.array_equal(alphas, alphas.T)
     assert np.all((alphas >= 0) & (alphas <= 1))
@@ -152,7 +148,7 @@ def test_alpha_mean_at_eight_qubits():
     vals = []
     for _ in range(200):
         ds = oracle.generate(8, 2, rng)
-        vals.append(kernel.alpha_matrix(ds)[0, 1])
+        vals.append(kernel.alpha_matrix(ds.representatives)[0, 1])
     vals = np.array(vals)
     se = vals.std() / np.sqrt(len(vals))
     assert abs(vals.mean() - 1 / 256) < 3 * se
@@ -161,16 +157,16 @@ def test_alpha_mean_at_eight_qubits():
 def test_heatmap_export(tmp_path):
     rng = np.random.default_rng(12)
     ds = oracle.generate(2, 2, rng)
-    kmat = kernel.kernel_matrix(ds)
+    kmat = kernel.kernel_matrix(ds.factors)
     path = tmp_path / "heat.csv"
-    kernel.export_heatmap(kmat, path)
+    kernel.export_heatmap(kmat, dataset.point_names(2, 2), path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",c0s0,c0s1,c1s0,c1s1"
     assert len(lines) == 5
     row = lines[1].split(",")
     assert row[0] == "c0s0"
     np.testing.assert_allclose(
-        [float(v) for v in row[1:]], kmat.entries[0]
+        [float(v) for v in row[1:]], kmat[0]
     )
 
 
@@ -179,18 +175,19 @@ def test_heatmap_text_matches_the_kernel(surface, tmp_path):
     # each label is its point's c{i}s{a} and each cell the repr of its
     # entry as a Python float, checked against the parsed CSV
     rng = oracle.trial_rng(3, 4, 3, 0)
-    _, _, kmat = oracle.build_kernel(
+    _, train, kmat = oracle.build_kernel(
         4, 3, noise.NoiseConfig("selection", 0.2), rng, surface
     )
+    labels = [f"c{i}s{a}" for i in range(3) for a in range(4)]
+    if surface == "train":
+        labels = [labels[p] for p in train]
     path = tmp_path / "heat.csv"
-    kernel.export_heatmap(kmat, path)
+    kernel.export_heatmap(kmat, labels, path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
-    labels = [f"c{i}s{a}" for i, a in zip(kmat.coset_labels.tolist(),
-                                          kmat.subgroup_indices.tolist())]
     assert rows[0] == [""] + labels
-    assert len(rows) == 1 + kmat.size
-    for label, row, entries in zip(labels, rows[1:], kmat.entries):
+    assert len(rows) == 1 + len(kmat)
+    for label, row, entries in zip(labels, rows[1:], kmat):
         assert row[0] == label
         assert row[1:] == [repr(float(v)) for v in entries]
 
@@ -221,10 +218,8 @@ def test_feature_states_match_dense_oracle(n, attachment):
             ds, train, noise.NoiseConfig(attachment, eps), [rng]
         )
         indices = None if train is None else train[0]
-        dense = oracle.kernel_matrix(ds.trial(0), indices, **unfolded)
-        np.testing.assert_allclose(
-            chain.trial(0).entries, dense.entries, rtol=0, atol=1e-12
-        )
+        dense = oracle.kernel_matrix(ds.factors[0], indices, **unfolded)
+        np.testing.assert_allclose(chain[0], dense, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -234,14 +229,15 @@ def test_alpha_matrix_matches_dense_oracle(n):
     states = oracle.feature_states(ds.representatives, np.zeros(n))
     dense = np.abs(states.conj() @ states.T) ** 2
     np.fill_diagonal(dense, 1.0)
-    np.testing.assert_allclose(kernel.alpha_matrix(ds), dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kernel.alpha_matrix(ds.representatives), dense,
+                               rtol=0, atol=1e-12)
 
 
 def test_dense_oracle_refuses_past_its_cap():
     n = oracle.DENSE_MAX_QUBITS + 1
     ds = oracle.generate(n, 2, np.random.default_rng(14))
     with pytest.raises(ValueError, match="dense oracle"):
-        oracle.kernel_matrix(ds, [0, 1])
+        oracle.kernel_matrix(ds.factors, [0, 1])
 
 
 @pytest.mark.parametrize("n", [32, 128])
@@ -251,14 +247,12 @@ def test_large_n_full_surface_properties(n):
     closed form for those alphas."""
     m = 2
     ds = oracle.generate(n, m, np.random.default_rng(15 + n))
-    kmat = kernel.kernel_matrix(ds)
-    alphas = kernel.alpha_matrix(ds)
-    labels = kmat.coset_labels
+    kmat = kernel.kernel_matrix(ds.factors)
+    alphas = kernel.alpha_matrix(ds.representatives)
+    labels = ds.coset_labels
     expected = alphas[labels[:, None], labels[None, :]]
     same = labels[:, None] == labels[None, :]
-    np.testing.assert_allclose(kmat.entries[same], 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        kmat.entries[~same], expected[~same], rtol=0, atol=1e-12
-    )
+    np.testing.assert_allclose(kmat[same], 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kmat[~same], expected[~same], rtol=0, atol=1e-12)
     _, var = kernel.offdiag_stats(kmat)
     assert abs(var - theory.exact_variance(m, n, alphas)) < 1e-12

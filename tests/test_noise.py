@@ -183,7 +183,7 @@ def test_zero_epsilon_reproduces_ideal_kernel(variant):
     _, _, noisy = oracle.build_kernel(
         4, 2, noise.NoiseConfig(variant, 0.0), rng_noisy, surface="full"
     )
-    np.testing.assert_allclose(noisy.entries, clean.entries, atol=1e-12)
+    np.testing.assert_allclose(noisy, clean, atol=1e-12)
 
 
 def _max_singular_from_eigs(factors):
@@ -222,12 +222,12 @@ def test_small_epsilon_entries_inside_envelope(variant):
         ds, _, kmat = oracle.build_kernel(
             4, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
         )
-        alphas = kernel.alpha_matrix(ds)
+        alphas = kernel.alpha_matrix(ds.representatives)
         violations, checked = noise.count_envelope_violations(
-            kmat, alphas, variant, eps
+            kmat, ds.coset_labels, alphas, variant, eps
         )
         assert violations == 0
-        assert checked == kmat.size * (kmat.size - 1)
+        assert checked == len(kmat) * (len(kmat) - 1)
 
 
 @pytest.mark.parametrize("variant", noise.VARIANTS)
@@ -258,7 +258,7 @@ def test_representation_and_selection_kernels_differ():
             ds, _ = experiment.draw_trials(n_qubits, 2, rngs)
             kmats[variant] = experiment.noisy_kernels(
                 ds, None, noise.NoiseConfig(variant, 0.3), rngs
-            ).entries
+            )
         off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
         diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
         assert np.all(diff.max(axis=-1) > 1e-3)
@@ -292,7 +292,8 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
                 ds, _ = experiment.draw_trials(n_qubits, m, rngs)
                 kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
                 violations, _ = noise.count_envelope_violations(
-                    kmats, kernel.alpha_matrix(ds), variant, eps
+                    kmats, ds.coset_labels,
+                    kernel.alpha_matrix(ds.representatives), variant, eps
                 )
                 assert violations == 0, (eps, n_qubits, m)
 
@@ -316,16 +317,15 @@ def test_cli_rejects_bad_epsilon(argv, capsys):
     assert "epsilon" in err["message"]
 
 
-def _loop_violations(kmat, alphas, variant, eps):
+def _loop_violations(kmat, labels, alphas, variant, eps):
     """Entry-by-entry reference for noise.count_envelope_violations."""
     tol = noise.ENVELOPE_TOL
     violations = checked = 0
-    labels = kmat.coset_labels
-    for r in range(kmat.size):
-        for c in range(kmat.size):
+    for r in range(len(kmat)):
+        for c in range(len(kmat)):
             if r == c:
                 continue
-            value = kmat.entries[r, c]
+            value = kmat[r, c]
             i, j = labels[r], labels[c]
             b = noise.bounds_for(variant, alphas[i, j], eps)
             checked += 1
@@ -346,10 +346,10 @@ def test_envelope_count_matches_loop_oracle(variant):
     kmats = experiment.noisy_kernels(
         ds, None, noise.NoiseConfig(variant, eps), rngs
     )
-    batch_alphas = kernel.alpha_matrix(ds)
+    batch_alphas = kernel.alpha_matrix(ds.representatives)
+    labels = ds.coset_labels
     for t in range(3):
-        kmat, alphas = kmats.trial(t), batch_alphas[t]
-        labels = kmat.coset_labels
+        alphas = batch_alphas[t]
         same = np.flatnonzero(labels == labels[0])[1]
         cross = np.flatnonzero(labels != labels[0])[0]
         same_b = noise.bounds_for(variant, alphas[labels[0], labels[0]], eps)
@@ -366,24 +366,25 @@ def test_envelope_count_matches_loop_oracle(variant):
         for edits, planted_violations in planted:
             # the edits go into trial t of the batch, and into its matrix
             # alone for the one-matrix call
-            entries = kmats.entries.copy()
+            batch = kmats.copy()
             for rc, v in edits.items():
-                entries[(t, *rc)] = v
-            batch = kernel.KernelMatrix(
-                entries, kmats.coset_labels, kmats.subgroup_indices
-            )
-            edited = batch.trial(t)
-            expected = _loop_violations(edited, alphas, variant, eps)
-            got = noise.count_envelope_violations(edited, alphas, variant, eps)
+                batch[(t, *rc)] = v
+            edited = batch[t]
+            expected = _loop_violations(edited, labels, alphas, variant, eps)
+            got = noise.count_envelope_violations(edited, labels, alphas,
+                                                  variant, eps)
             assert got == expected
             assert got[0] >= planted_violations
             per_trial = [
-                _loop_violations(batch.trial(s), batch_alphas[s], variant, eps)
+                _loop_violations(batch[s], labels, batch_alphas[s], variant,
+                                 eps)
                 for s in range(3)
             ]
-            assert noise.count_envelope_violations(
-                batch, batch_alphas, variant, eps
-            ) == tuple(np.sum(per_trial, axis=0))
+            # the batch's labels once for every trial, or one row per trial
+            for batch_labels in (labels, np.tile(labels, (3, 1))):
+                assert noise.count_envelope_violations(
+                    batch, batch_labels, batch_alphas, variant, eps
+                ) == tuple(np.sum(per_trial, axis=0))
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.3, 0.45, 0.6, 1.5])

@@ -51,6 +51,21 @@ def test_moments_match_enumeration_oracle(m, n):
     assert theory.exact_variance(m, n, alphas) == pytest.approx(var, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, "N", 1000])
+def test_shared_alpha_matches_the_matrix_bit_for_bit(n):
+    # 2^-N and its square are exact, so C(m, 2) a and C(m, 2) a^2 are the
+    # sums over the pairs of the matrix, and the forms keep their bits
+    for m in range(2, 9):
+        for n_qubits in range(2, 129):
+            points = n_qubits if n == "N" else n
+            a = 2.0**-n_qubits
+            for form in (theory.exact_expectation, theory.exact_variance):
+                scalar = form(m, points, a)
+                assert type(scalar) is float
+                matrix = form(m, points, uniform_alphas(m, a))
+                assert scalar.hex() == matrix.hex()
+
+
 def test_variance_close_to_asymptotic_form():
     exact = theory.exact_variance(2, 10, uniform_alphas(2, 1 / 1024))
     asym = theory.asymptotic_variance(2, 10, 10)
@@ -101,9 +116,9 @@ def test_noisy_constant_kernel():
 def test_extract_stats_ideal_kernel():
     rng = np.random.default_rng(0)
     ds = oracle.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds)
-    alphas = kernel.alpha_matrix(ds)
-    stats = theory.extract_deviation_stats(kmat, alphas[0, 1])
+    kmat = kernel.kernel_matrix(ds.factors)
+    alphas = kernel.alpha_matrix(ds.representatives)
+    stats = theory.extract_deviation_stats(kmat, ds.coset_labels, alphas[0, 1])
     assert stats.mean_gamma == pytest.approx(0.0, abs=1e-12)
     assert stats.var_gamma == pytest.approx(0.0, abs=1e-12)
     assert stats.mean_delta == pytest.approx(0.0, abs=1e-10)
@@ -111,12 +126,11 @@ def test_extract_stats_ideal_kernel():
 
 def test_extract_stats_gamma_nonnegative():
     rng = oracle.trial_rng(1, 4, 2, 0)
-    _, _, kmat = oracle.build_kernel(
+    ds, _, k = oracle.build_kernel(
         4, 2, noise.NoiseConfig("selection", 0.05), rng, surface="full"
     )
-    stats = theory.extract_deviation_stats(kmat, 2.0**-4)
-    k = kmat.entries
-    labels = kmat.coset_labels
+    labels = ds.coset_labels
+    stats = theory.extract_deviation_stats(k, labels, 2.0**-4)
     same = (~np.eye(k.shape[0], dtype=bool)) & (labels[:, None] == labels[None, :])
     assert np.all(1 - k[same] >= -1e-10)
     assert stats.mean_gamma >= -1e-10
@@ -129,13 +143,13 @@ def test_noisy_variance_is_exact_decomposition(n_qubits, m, variant):
     # the two-group decomposition reproduces the population variance of the
     # full off-diagonal multiset for any reference alpha
     rng = oracle.trial_rng(2, n_qubits, m, 0)
-    _, _, kmat = oracle.build_kernel(
+    ds, _, kmat = oracle.build_kernel(
         n_qubits, m, noise.NoiseConfig(variant, 0.05), rng, surface="full"
     )
     _, empirical_var = kernel.offdiag_stats(kmat)
     empirical_mean, _ = kernel.offdiag_stats(kmat)
     for alpha_used in (2.0**-n_qubits, 0.123):
-        stats = theory.extract_deviation_stats(kmat, alpha_used)
+        stats = theory.extract_deviation_stats(kmat, ds.coset_labels, alpha_used)
         n = n_qubits
         assert theory.noisy_variance(m, n, stats) == pytest.approx(
             empirical_var, abs=1e-9
