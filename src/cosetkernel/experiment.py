@@ -8,7 +8,8 @@ experiment is a pure function of its config. The stream is the one
 `default_rng(SeedSequence(seed, spawn_key=(N, m, t)))` gives, but
 `trial_rngs` builds a chunk's streams in one pass: numpy's SeedSequence
 mixes the cell's words once, then the trial words are hashed into the pool
-as one (T, 4) uint32 array and the state words built as one (T, 8) array.
+as one (T, 4) uint32 array and the state words built as one (T, 2, 4)
+array, with hash constants built once for each count of cell words.
 
 The trials of one (N, m) cell run in chunks along a leading trial axis. Only
 the draws stay per trial, each on its trial's own stream in a fixed order
@@ -29,6 +30,14 @@ restores every stream to its state past the split's uniforms and runs only
 the second, so each variant reads the draws of a fresh build. One trial is a
 chunk of one stream, `[rng]`: `[0]` of its kernels, `.trial(0)` of its data.
 
+When the noise budget is zero (epsilon 0, which the `none` variant
+implies) `noisy_kernels` skips `noise.attach` and the chain over all point
+pairs: each trial's kernel is gathered from its (T, m, m) alpha matrix by
+its points' coset labels (`kernel.gather_alphas`). The budget, not the
+variant's name, selects this path: at epsilon 0 every variant attaches the
+ideal inputs bit for bit, and no stream is read after its noise draws, so
+the draws it skips change nothing else.
+
 Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
 `CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
 chunk. A report does not depend on the chunking: each trial's numbers are
@@ -42,6 +51,7 @@ only the seams between them rewritten (see `_report_json_pieces`).
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +61,8 @@ from . import noise as noise_models
 MAX_QUBITS = 128
 # complex entries of one chunk's (T, 2P, 2P) transfer matrices. Past about
 # twice this, a batch runs slower than one trial at a time, and the chain's
-# working set (two such arrays) grows with it.
+# working set (two such arrays) grows with it. Without noise the chunk's
+# (T, P, P) gathered kernels, a quarter of that count, are what it bounds.
 CHUNK_ENTRIES = 2**16
 
 
@@ -144,6 +155,27 @@ class _StateWords:
         return self.words
 
 
+@lru_cache(maxsize=8)
+def _hash_constants(words_before):
+    """The hash constants init * mult**k mod 2**32 that the trial word's
+    mixing and the state words read, once the cell has mixed `words_before`
+    words: each hash xors with one and multiplies by the next. Built on
+    first use (arrays at import add to peak RSS) and read-only, as every
+    call with the same word count shares them."""
+    first = 4 * words_before
+    consts_a = np.array([_INIT_A * pow(_MULT_A, first + k, 2**32) % 2**32
+                         for k in range(_POOL_SIZE + 1)], dtype=np.uint32)
+    consts_b = np.array([_INIT_B * pow(_MULT_B, k, 2**32) % 2**32
+                         for k in range(2 * _POOL_SIZE + 1)], dtype=np.uint32)
+    # the 8 state words hash the pool's 4 words twice over: (2, 4) planes
+    consts = (consts_a[:-1], consts_a[1:],
+              consts_b[:-1].reshape(2, _POOL_SIZE),
+              consts_b[1:].reshape(2, _POOL_SIZE))
+    for c in consts:
+        c.flags.writeable = False
+    return consts
+
+
 def trial_rngs(seed, n_qubits, m, trial_indices):
     """One generator per trial index, each in the state of
     `default_rng(SeedSequence(seed, spawn_key=(n_qubits, m, t)))`.
@@ -152,8 +184,9 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
     seed and mixes every word before the trial's into its 4-word pool; the
     hash constant it has reached depends only on how many words those were.
     The trial word's mixing into the pool is then one (T, 4) pass and the 8
-    words of `generate_state(4, uint64)` one (T, 8) pass, in wrapping uint32
-    arithmetic with the hash constants' successive powers as vectors."""
+    words of `generate_state(4, uint64)` one (T, 2, 4) pass, in wrapping
+    uint32 arithmetic with the hash constants' successive powers as
+    vectors (array arithmetic on integers wraps without a warning)."""
     # `np.random` loads here, on first use, so importing the package does
     # not load it; registering again is a no-op
     np.random.bit_generator.ISeedSequence.register(_StateWords)
@@ -162,23 +195,15 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
     # and the seed is padded to at least 4 words when a spawn key follows
     words_before = (max(_POOL_SIZE, _uint32_words(seed))
                     + _uint32_words(n_qubits) + _uint32_words(m))
-    # the hash constants init * mult**k mod 2**32, built per call (arrays at
-    # import add to peak RSS); a hash xors with one and multiplies by the next
-    first = 4 * words_before
-    consts_a = np.array([_INIT_A * pow(_MULT_A, first + k, 2**32) % 2**32
-                         for k in range(_POOL_SIZE + 1)], dtype=np.uint32)
-    consts_b = np.array([_INIT_B * pow(_MULT_B, k, 2**32) % 2**32
-                         for k in range(2 * _POOL_SIZE + 1)], dtype=np.uint32)
+    xor_a, mult_a, xor_b, mult_b = _hash_constants(words_before)
     trial_words = np.asarray(trial_indices, dtype=np.uint32)[:, None]
-    with np.errstate(over="ignore"):
-        hashed = _fold((trial_words ^ consts_a[:-1]) * consts_a[1:])
-        pool = _fold(np.uint32(_MIX_MULT_L) * cell.pool
-                     - np.uint32(_MIX_MULT_R) * hashed)
-        pool = np.concatenate((pool, pool), axis=1)
-        state = _fold((pool ^ consts_b[:-1]) * consts_b[1:])
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    hashed = _fold((trial_words ^ xor_a) * mult_a)
+    pool = _fold(np.uint32(_MIX_MULT_L) * cell.pool
+                 - np.uint32(_MIX_MULT_R) * hashed)
+    state = _fold((pool[:, None, :] ^ xor_b) * mult_b)
+    words = state.astype("<u4").reshape(len(pool), -1).view("<u8")
     return [np.random.Generator(np.random.PCG64(_StateWords(row)))
-            for row in words]
+            for row in words.astype(np.uint64)]
 
 
 def trial_chunks(n_qubits, m, trials, surface):
@@ -208,7 +233,16 @@ def draw_trials(n_qubits, m, rngs, surface="train"):
 def noisy_kernels(ds, train, cfg_noise, rngs):
     """The variant's noise, read from each stream where `draw_trials` left
     it and attached by `noise.attach`, and the (T, K, K) kernels over the
-    `train` indices, or (T, P, P) over every point when `train` is None."""
+    `train` indices, or (T, P, P) over every point when `train` is None.
+
+    With no noise budget (epsilon 0, which the `none` variant implies) every
+    variant's kernels are the unperturbed ones, so they are gathered from
+    the (T, m, m) alpha matrices by the points' coset labels, and no noise
+    is drawn: nothing reads a stream after its noise draws."""
+    if cfg_noise.epsilon == 0:
+        labels = ds.coset_labels if train is None else ds.coset_labels[train]
+        return kernel.gather_alphas(kernel.alpha_matrix(ds.representatives),
+                                    labels)
     ds, offsets = noise_models.attach(cfg_noise, ds, rngs)
     return kernel.kernel_matrix(ds.factors, train, offsets)
 

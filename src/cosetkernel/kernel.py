@@ -35,6 +35,14 @@ budget. A kernel is the plain Gram array of a factor stack, with no coset
 labels: the statistics are given the points' labels, take a whole batch,
 and give each trial the bits of 1-D reductions over its own entries. The
 tests check the chain against a dense 2^N construction (`tests/oracle.py`).
+
+Without noise no chain over the points is needed: every point is c_i s_a,
+s_a fixes the ideal fiducial, so entry (p, q) is the alpha of the points'
+cosets. `gather_alphas` builds those kernels from the (T, m, m) alpha
+matrices, whose chain runs over the m representatives only, and
+`experiment` takes that path whenever the noise budget is zero. The chain
+over all P x P pairs stays the path of every noisy kernel and the tests'
+reference for the gathered ones.
 """
 
 import numpy as np
@@ -129,6 +137,16 @@ def alpha_matrix(reps):
     diagonal = np.arange(reps.shape[-4])
     alphas[..., diagonal, diagonal] = 1.0
     return alphas
+
+
+def gather_alphas(alphas, labels):
+    """The unperturbed (T, K, K) kernels of a batch of trials, entry (p, q)
+    alpha[label_p, label_q] (module docstring), from their (T, m, m) alpha
+    matrices and their points' coset labels, (K,) shared or (T, K) per
+    trial. Same-coset entries are alpha's unit diagonal, and the result is
+    exactly symmetric, as `alpha_matrix` is."""
+    trials = np.arange(len(alphas))[:, None, None]
+    return alphas[trials, labels[..., :, None], labels[..., None, :]]
 
 
 def offdiag_stats(k):

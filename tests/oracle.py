@@ -9,9 +9,11 @@ preparation circuit is a dense 2^N x 2^N matrix, each point's feature state
 is `dense(D_x) @ V |0>`, and a selection or representation perturbation E_x
 is applied as its own dense matrix, `dense(E_x) @ dense(D_x)` or
 `dense(D_x) @ dense(E_x)`, rather than folded into the point's factors by
-`noise.attach`. Dense states are 1-D complex arrays of length 2**N with
-qubit 0 the most significant bit of the basis index. The oracle refuses
-more than DENSE_MAX_QUBITS qubits.
+`noise.attach`. `alpha_matrix` builds the representatives' states the
+same way, the reference for `kernel.alpha_matrix` and so for the noiseless
+kernels that `experiment` gathers from it. Dense states are 1-D complex
+arrays of length 2**N with qubit 0 the most significant bit of the basis
+index. The oracle refuses more than DENSE_MAX_QUBITS qubits.
 
 A preparation is given by its (N,) Ry offsets, as in `kernel`. The Pauli
 matrices, `from_pauli` and `chain_generators` spell out the chain
@@ -292,3 +294,15 @@ def kernel_matrix(factors, indices=None, offsets=None, *, perturbations=None,
                        for o in offsets)
     gram = np.abs(left.conj() @ right.T) ** 2
     return np.triu(gram) + np.triu(gram, 1).T
+
+
+def alpha_matrix(reps):
+    """`kernel.alpha_matrix` from dense feature states of the (m, N, 2, 2)
+    representatives, with unit diagonal; a (T, m, N, 2, 2) batch gets one
+    dense matrix per trial, stacked."""
+    if reps.ndim == 5:
+        return np.stack([alpha_matrix(r) for r in reps])
+    states = feature_states(reps, np.zeros(reps.shape[-3]))
+    alphas = np.abs(states.conj() @ states.T) ** 2
+    np.fill_diagonal(alphas, 1.0)
+    return alphas

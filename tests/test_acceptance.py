@@ -196,7 +196,8 @@ def test_criterion_8_oracle_equivalence(monkeypatch):
         ok = ok and abs(chain - dense) < 1e-10
 
     # end-to-end trial pipelines at N = 4, once as they are and once with
-    # every kernel built by the dense oracle
+    # every kernel built by the dense oracle: the noisy ones by its kernel
+    # matrix, the noiseless ones from its alpha matrices
     def trials():
         out = []
         for variant, eps in (("none", 0.0), ("fiducial", 0.1), ("selection", 0.1)):
@@ -208,6 +209,7 @@ def test_criterion_8_oracle_equivalence(monkeypatch):
 
     chain_reports = trials()
     monkeypatch.setattr(kernel, "kernel_matrix", oracle.kernel_matrix)
+    monkeypatch.setattr(kernel, "alpha_matrix", oracle.alpha_matrix)
     dense_reports = trials()
     ok = ok and len(chain_reports) == len(dense_reports) == 15
     for rc, rd in zip(chain_reports, dense_reports):

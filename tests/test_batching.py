@@ -23,10 +23,17 @@ SURFACES = ("train", "full")
 
 def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
     """Dataset, split, noise and kernel of one trial from one stream, and the
-    coset labels of the kernel's points."""
+    coset labels of the kernel's points. With no noise budget the kernel is
+    the one-trial gather of the trial's alpha matrix, which the transfer
+    chain matches to rounding (`test_kernel`)."""
     ds = oracle.generate(n_qubits, m, rng)
     sp = oracle.split(ds, rng)
+    indices = sp if surface == "train" else None
+    labels = ds.coset_labels if indices is None else ds.coset_labels[indices]
     eps = cfg_noise.epsilon
+    if eps == 0:
+        alphas = kernel.alpha_matrix(ds.representatives)
+        return ds, sp, kernel.gather_alphas(alphas[None], labels)[0], labels
     noisy, offsets = ds, None
     if cfg_noise.variant == "fiducial":
         offsets = np.array([noise.sample_fiducial_offsets(n_qubits, eps, rng)
@@ -39,8 +46,6 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
         )
         noisy = replace(ds, factors=noise.fold(cfg_noise.variant, errors,
                                                ds.factors))
-    indices = sp if surface == "train" else None
-    labels = ds.coset_labels if indices is None else ds.coset_labels[indices]
     return ds, sp, kernel.kernel_matrix(noisy.factors, indices, offsets), labels
 
 

@@ -226,10 +226,8 @@ def test_feature_states_match_dense_oracle(n, attachment):
 def test_alpha_matrix_matches_dense_oracle(n):
     rng = np.random.default_rng(200 + n)
     ds = oracle.generate(n, 4, rng)
-    states = oracle.feature_states(ds.representatives, np.zeros(n))
-    dense = np.abs(states.conj() @ states.T) ** 2
-    np.fill_diagonal(dense, 1.0)
-    np.testing.assert_allclose(kernel.alpha_matrix(ds.representatives), dense,
+    np.testing.assert_allclose(kernel.alpha_matrix(ds.representatives),
+                               oracle.alpha_matrix(ds.representatives),
                                rtol=0, atol=1e-12)
 
 
@@ -244,15 +242,28 @@ def test_dense_oracle_refuses_past_its_cap():
 def test_large_n_full_surface_properties(n):
     """Past the dense oracle's reach: same-coset entries are 1, cross-coset
     entries are the coset pair's alpha, and the off-diagonal variance is the
-    closed form for those alphas."""
-    m = 2
-    ds = oracle.generate(n, m, np.random.default_rng(15 + n))
-    kmat = kernel.kernel_matrix(ds.factors)
-    alphas = kernel.alpha_matrix(ds.representatives)
-    labels = ds.coset_labels
-    expected = alphas[labels[:, None], labels[None, :]]
-    same = labels[:, None] == labels[None, :]
-    np.testing.assert_allclose(kmat[same], 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(kmat[~same], expected[~same], rtol=0, atol=1e-12)
-    _, var = kernel.offdiag_stats(kmat)
-    assert abs(var - theory.exact_variance(m, n, alphas)) < 1e-12
+    closed form for those alphas. The kernels `experiment.noisy_kernels`
+    gathers from the alphas when the noise budget is zero match the chain's,
+    on both surfaces and for every variant that has no budget."""
+    unperturbed = [noise.NoiseConfig(), noise.NoiseConfig("fiducial", 0.0),
+                   noise.NoiseConfig("selection", 0.0)]
+    for m in (2, 3, 4, 5) if n == 32 else (2,):
+        rng = oracle.trial_rng(15, n, m, 0)
+        ds, train = experiment.draw_trials(n, m, [rng])
+        kmat = kernel.kernel_matrix(ds.factors)[0]
+        alphas = kernel.alpha_matrix(ds.representatives)[0]
+        labels = ds.coset_labels
+        expected = alphas[labels[:, None], labels[None, :]]
+        same = labels[:, None] == labels[None, :]
+        np.testing.assert_allclose(kmat[same], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kmat[~same], expected[~same], rtol=0,
+                                   atol=1e-12)
+        _, var = kernel.offdiag_stats(kmat)
+        assert abs(var - theory.exact_variance(m, n, alphas)) < 1e-12
+        train_kmat = kernel.kernel_matrix(ds.factors, train)[0]
+        for indices, chain in ((None, kmat), (train, train_kmat)):
+            for cfg_noise in unperturbed:
+                gathered = experiment.noisy_kernels(ds, indices, cfg_noise,
+                                                    [rng])
+                np.testing.assert_allclose(gathered[0], chain, rtol=0,
+                                           atol=1e-12)

@@ -175,15 +175,18 @@ def test_noise_config_validation():
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_zero_epsilon_reproduces_ideal_kernel(variant):
-    rng_clean = oracle.trial_rng(3, 4, 2, 0)
-    _, _, clean = oracle.build_kernel(
-        4, 2, noise.NoiseConfig(), rng_clean, surface="full"
-    )
-    rng_noisy = oracle.trial_rng(3, 4, 2, 0)
-    _, _, noisy = oracle.build_kernel(
-        4, 2, noise.NoiseConfig(variant, 0.0), rng_noisy, surface="full"
-    )
-    np.testing.assert_allclose(noisy, clean, atol=1e-12)
+    # with no budget the attached noise leaves the chain's inputs ideal, bit
+    # for bit, so `experiment.noisy_kernels` may gather those kernels from
+    # the alphas instead, and draw no noise
+    cfg_noise = noise.NoiseConfig(variant, 0.0)
+    rngs = [oracle.trial_rng(3, 4, 2, t) for t in range(3)]
+    ds, _ = experiment.draw_trials(4, 2, rngs, "full")
+    clean = kernel.kernel_matrix(ds.factors)
+    noisy, offsets = noise.attach(cfg_noise, ds, rngs)
+    assert np.array_equal(kernel.kernel_matrix(noisy.factors, None, offsets),
+                          clean)
+    gathered = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
+    np.testing.assert_allclose(gathered, clean, rtol=0, atol=1e-12)
 
 
 def _max_singular_from_eigs(factors):
