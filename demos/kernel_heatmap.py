@@ -14,8 +14,8 @@ from cosetkernel import dataset, kernel
 
 rng = np.random.default_rng(3)
 n_qubits, m = 3, 3
-ds = dataset.generate_trials(n_qubits, m, [rng]).trial(0)
-kmat = kernel.kernel_matrix(ds.factors)
+reps = dataset.generate_trials(n_qubits, m, [rng])[0]
+kmat = kernel.kernel_matrix(dataset.points(reps))
 
 names = dataset.point_names(n_qubits, m)
 print("    " + " ".join(f"{l:>6}" for l in names))
@@ -23,7 +23,7 @@ for row_label, row in zip(names, kmat):
     print(f"{row_label:>4} " + " ".join(f"{v:6.3f}" for v in row))
 
 print()
-alphas = kernel.alpha_matrix(ds.representatives)
+alphas = kernel.alpha_matrix(reps)
 for i in range(m):
     for j in range(i + 1, m):
         print(f"alpha[{i},{j}] = {alphas[i, j]:.6f}")

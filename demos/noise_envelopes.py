@@ -10,7 +10,7 @@ Run: python3 demos/noise_envelopes.py
 
 import numpy as np
 
-from cosetkernel import experiment, kernel, noise
+from cosetkernel import dataset, experiment, kernel, noise
 from cosetkernel.noise import count_envelope_violations
 
 EPSILON = 0.1
@@ -19,13 +19,13 @@ SEED = 11
 
 for variant in ("fiducial", "selection", "representation"):
     rngs = experiment.trial_rngs(SEED, N_QUBITS, 2, range(10))
-    ds, _ = experiment.draw_trials(N_QUBITS, 2, rngs, "full")
+    reps, _ = experiment.draw_trials(N_QUBITS, 2, rngs, "full")
     kmats = experiment.noisy_kernels(
-        ds, None, noise.NoiseConfig(variant, EPSILON), rngs
+        reps, None, noise.NoiseConfig(variant, EPSILON), rngs
     )
-    labels = ds.coset_labels
+    labels = dataset.coset_labels(N_QUBITS, 2)
     violations, checked = count_envelope_violations(
-        kmats, labels, kernel.alpha_matrix(ds.representatives), variant, EPSILON
+        kmats, labels, kernel.alpha_matrix(reps), variant, EPSILON
     )
     same = (~np.eye(len(labels), dtype=bool)) & (
         labels[:, None] == labels[None, :]

@@ -9,19 +9,20 @@ checks the reconstruction against the directly computed variance.
 Run: python3 demos/noisy_variance_decomposition.py
 """
 
-from cosetkernel import experiment, kernel, noise, theory
+from cosetkernel import dataset, experiment, kernel, noise, theory
 
 N_QUBITS, M = 5, 2
 EPSILON = 0.3
 
 for variant in ("fiducial", "selection"):
     rngs = experiment.trial_rngs(2, N_QUBITS, M, [0])
-    ds, _ = experiment.draw_trials(N_QUBITS, M, rngs)
+    reps, _ = experiment.draw_trials(N_QUBITS, M, rngs)
     kmat = experiment.noisy_kernels(
-        ds, None, noise.NoiseConfig(variant, EPSILON), rngs
+        reps, None, noise.NoiseConfig(variant, EPSILON), rngs
     )[0]
-    alpha = kernel.alpha_matrix(ds.representatives[0])[0, 1]
-    stats = theory.extract_deviation_stats(kmat, ds.coset_labels, alpha)
+    alpha = kernel.alpha_matrix(reps[0])[0, 1]
+    labels = dataset.coset_labels(N_QUBITS, M)
+    stats = theory.extract_deviation_stats(kmat, labels, alpha)
     _, direct = kernel.offdiag_stats(kmat)
     rebuilt = theory.noisy_variance(M, N_QUBITS, stats)
     print(f"{variant}:")

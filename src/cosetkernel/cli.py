@@ -1,9 +1,10 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
 `verify-bounds` checks each noise variant but "none" on the same trials of
-a full-surface `ExperimentConfig`: per (N, chunk) it draws the datasets and
-alpha matrices once, and for each variant replays each trial's stream from
-past the split's uniforms, so each variant reads the draws of a fresh build.
+a full-surface `ExperimentConfig`: per (N, chunk) it draws the
+representatives and alpha matrices once, and for each variant replays each
+trial's stream from past the split's uniforms, so each variant reads the
+draws of a fresh build.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -119,8 +120,8 @@ def cmd_simulate(args):
               f"m={m}, full surface", file=sys.stderr)
         if not reuse:
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
-            ds, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
-            kmat = experiment.noisy_kernels(ds, None, cfg.noise, rngs)[0]
+            reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+            kmat = experiment.noisy_kernels(reps, None, cfg.noise, rngs)[0]
         kernel.export_heatmap(kmat, dataset.point_names(n_qubits, m),
                               args.heatmap)
     return 0
@@ -161,16 +162,17 @@ def cmd_verify_bounds(args):
     violations = 0
     checked = 0
     for n_qubits in cfg.qubit_values():
+        labels = dataset.coset_labels(n_qubits, m)
         for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
-            ds, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
-            alphas = kernel.alpha_matrix(ds.representatives)
+            reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+            alphas = kernel.alpha_matrix(reps)
             states = [rng.bit_generator.state for rng in rngs]
             for cfg_noise in configs:
                 for rng, state in zip(rngs, states):
                     rng.bit_generator.state = state
-                kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
-                v, c = count_envelope_violations(kmats, ds.coset_labels, alphas,
+                kmats = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
+                v, c = count_envelope_violations(kmats, labels, alphas,
                                                  cfg_noise.variant, args.epsilon)
                 violations += v
                 checked += c

@@ -1,11 +1,12 @@
 """Labeled coset datasets: m hidden Haar-random representatives acting on the
 N chain-graph stabilizer generators, plus the coverage-constrained train/test
-split. Both are built for a batch of trials, one stream each, along a
-leading trial axis; `.trial(t)` takes one dataset out, so a single dataset
-is trial 0 of a batch of one. Every factor is an SU(2) element (`su2`); no
-2^N state is formed anywhere in the package (see `kernel`). The points
-x_{i,a} = c_i s_a are coset-major, with the labels i (`coset_labels`) and
-the names `c{i}s{a}` (`point_names`) that state this layout here alone.
+split. A trial's dataset is its (m, N, 2, 2) representatives c_i; a batch of
+trials stacks them along a leading trial axis, one stream each. The points
+x_{i,a} = c_i s_a (`points`), their labels i (`coset_labels`) and their
+names `c{i}s{a}` (`point_names`) follow from the c_i and the fixed
+generators, coset-major, and this module alone states that layout. Every
+factor is an SU(2) element (`su2`); no 2^N state is formed anywhere in the
+package (see `kernel`).
 
 Both samplers read a fixed number of draws from each trial's stream: four
 normals per representative factor (`su2_from_normals`), then P + m uniforms
@@ -18,35 +19,9 @@ inside each coset by rank.
 """
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CosetDataset:
-    """P = m N points x_{i,a} = c_i s_a in coset-major order, each stored as
-    its per-qubit factors.
-
-    The datasets of a batch of trials share one instance: the factor arrays
-    carry a leading trial axis, and the labels, which depend on N and m
-    only, are stored once."""
-
-    num_qubits: int
-    representatives: np.ndarray  # (m, N, 2, 2) hidden c_i; (T, m, N, 2, 2)
-    factors: np.ndarray  # (P, N, 2, 2) points; (T, P, N, 2, 2)
-    coset_labels: np.ndarray  # (P,) int, i
-
-    @property
-    def num_cosets(self):
-        return self.representatives.shape[-4]
-
-    def trial(self, t):
-        """Trial t's dataset from a batch."""
-        return replace(
-            self, representatives=self.representatives[t], factors=self.factors[t]
-        )
 
 
 def su2(a_re, a_im, b_re, b_im):
@@ -71,42 +46,38 @@ def su2_from_normals(x):
     return su2(a_re / norm, a_im / norm, b_re / norm, b_im / norm)
 
 
-def _times_generators(reps):
-    """The points c_i s_a, factor by factor, for every representative c_i
-    and generator a: (..., m, N, 2, 2) representatives give (..., m, N, N,
-    2, 2) points, a before the qubit axis. Each factor of s_a is X (on
-    qubit a), Z (on its chain neighbours) or I, so the product swaps the two
-    columns, negates the second or keeps both: the same bits as the matrix
-    product, without one."""
-    a = np.arange(reps.shape[-3])
-    out = np.repeat(reps[..., None, :, :, :], len(a), axis=-4)
+def points(reps):
+    """The points x_{i,a} = c_i s_a, factor by factor, in coset-major order:
+    (..., m, N, 2, 2) representatives give (..., m N, N, 2, 2) points. Each
+    factor of s_a is X (on qubit a), Z (on its chain neighbours) or I, so the
+    product swaps the two columns, negates the second or keeps both: the
+    same bits as the matrix product, without one."""
+    *batch, m, n = reps.shape[:-2]
+    a = np.arange(n)
+    out = np.repeat(reps[..., None, :, :, :], n, axis=-4)
     out[..., a, a, :, :] = reps[..., ::-1]
     # generator a's Z factors sit on qubits a + 1 and a - 1
     gen, qubit = np.concatenate(([a[:-1], a[1:]], [a[1:], a[:-1]]), axis=1)
     out[..., gen, qubit, :, 1] = -reps[..., qubit, :, 1]
-    return out
+    return out.reshape(*batch, m * n, n, 2, 2)
 
 
 def generate_trials(n_qubits, m, rngs):
-    """Datasets of m * N points x_{i,a} = c_i s_a, coset-major order, for a
-    batch of trials: one per stream in `rngs`, along a leading trial axis.
-
-    Each stream gives its trial's 4 m N normals for the m x N Haar draw, in
-    C order; the SU(2) build and the product with the generator stack then
-    run once for the whole batch."""
+    """The (T, m, N, 2, 2) hidden representatives c_i of a batch of trials,
+    one per stream in `rngs`: each stream gives its trial's 4 m N normals
+    for the m x N Haar draw, in C order, and the SU(2) build runs once for
+    the whole batch."""
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
     if m < 2:
         raise ValueError("need at least 2 cosets")
     normals = np.stack([rng.standard_normal((m, n_qubits, 4)) for rng in rngs])
-    reps = su2_from_normals(normals)
-    factors = _times_generators(reps)
-    return CosetDataset(
-        n_qubits,
-        reps,
-        factors.reshape(len(rngs), m * n_qubits, n_qubits, 2, 2),
-        np.repeat(np.arange(m), n_qubits),
-    )
+    return su2_from_normals(normals)
+
+
+def coset_labels(n_qubits, m):
+    """The coset i of each point x_{i,a}, in coset-major order."""
+    return np.repeat(np.arange(m), n_qubits)
 
 
 def point_names(n_qubits, m):
@@ -160,14 +131,13 @@ def _train_counts(sizes, uniforms):
     return counts
 
 
-def split_trials(ds, rngs):
-    """Uniformly random halves of the points that cover every coset, one per
-    stream in `rngs`: the (T, K) sorted train indices. Each stream gives exactly
-    P + m uniforms: the first m fix the per-coset train counts (their exact
-    law, by inverse CDF), and in each coset the points with the smallest of
-    the other P uniforms are kept."""
-    labels = ds.coset_labels
-    m = ds.num_cosets
+def split_trials(labels, m, rngs):
+    """Uniformly random halves of the P points with coset `labels` in
+    0..m-1 that cover every one of the m cosets, one per stream in `rngs`:
+    the (T, K) sorted train indices. Each stream gives exactly P + m
+    uniforms: the first m fix the per-coset train counts (their exact law,
+    by inverse CDF), and in each coset the points with the smallest of the
+    other P uniforms are kept."""
     total = len(labels)
     train_size = total // 2
     sizes = np.bincount(labels, minlength=m)

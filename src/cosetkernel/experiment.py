@@ -13,30 +13,31 @@ array, with hash constants built once for each count of cell words.
 
 The trials of one (N, m) cell run in chunks along a leading trial axis. Only
 the draws stay per trial, each on its trial's own stream in a fixed order
-and of a fixed size: the dataset's 4 m N normals, the split's P + m
+and of a fixed size: the representatives' 4 m N normals, the split's P + m
 uniforms, then the noise. The full surface reads no split, so there the
 stream skips its uniforms by advancing the generator past them. The Haar
-build, the point product, the split, the noise fold and the transfer chain
+build, the split, the point product, the noise fold and the transfer chain
 then run once per chunk, on (T, P, N, 2, 2) stacks that give (T, P, P)
 kernels (and, in `verify-bounds`, (T, m, m) alpha matrices), and so do the
 statistics and the envelope check. The build has two stages: `draw_trials`
-(the datasets and, on the train surface, the (T, K) train indices; None on
-the full surface) and `noisy_kernels` (`noise.attach`, then the kernels over
-those indices, or over every point for None); `run_trials` runs one after
-the other and returns the (T, 5) statistics. `run_experiment` makes each
-trial's record a flat dict of `TRIAL_FIELDS`. `verify-bounds` runs the first
-stage and the alpha matrices once per chunk and, for each noise variant,
-restores every stream to its state past the split's uniforms and runs only
-the second, so each variant reads the draws of a fresh build. One trial is a
-chunk of one stream, `[rng]`: `[0]` of its kernels, `.trial(0)` of its data.
+(the (T, m, N, 2, 2) representatives and, on the train surface, the (T, K)
+train indices; None on the full surface) and `noisy_kernels` (the points,
+`noise.attach`, then the kernels over those indices, or over every point
+for None); `run_trials` runs one after the other and returns the (T, 5)
+statistics. `run_experiment` makes each trial's record a flat dict of
+`TRIAL_FIELDS`. `verify-bounds` runs the first stage and the alpha matrices
+once per chunk and, for each noise variant, restores every stream to its
+state past the split's uniforms and runs only the second, so each variant
+reads the draws of a fresh build. One trial is a chunk of one stream,
+`[rng]`: `[0]` of its representatives, train indices and kernels.
 
-When the noise budget is zero (epsilon 0, which the `none` variant
-implies) `noisy_kernels` skips `noise.attach` and the chain over all point
-pairs: each trial's kernel is gathered from its (T, m, m) alpha matrix by
-its points' coset labels (`kernel.gather_alphas`). The budget, not the
-variant's name, selects this path: at epsilon 0 every variant attaches the
-ideal inputs bit for bit, and no stream is read after its noise draws, so
-the draws it skips change nothing else.
+When the noise budget is zero (epsilon 0, which the `none` variant implies)
+`noisy_kernels` skips the point factors, `noise.attach` and the chain over
+all point pairs: each trial's kernel is gathered from its (T, m, m) alpha
+matrix by its points' coset labels (`kernel.gather_alphas`). The budget,
+not the variant's name, selects this path: at epsilon 0 every variant
+attaches the ideal inputs bit for bit, and no stream is read after its
+noise draws, so the draws it skips change nothing else.
 
 Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
 `CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
@@ -217,34 +218,38 @@ def trial_chunks(n_qubits, m, trials, surface):
 
 def draw_trials(n_qubits, m, rngs, surface="train"):
     """The draws that come before the noise, for a batch of trials, one
-    stream each: the datasets (batched, leading trial axis) and, on the
-    train surface, the (T, K) train indices. The full surface reads no split
-    and gets None; its streams skip the split's P + m uniforms, one PCG64
-    output each, by advancing. Each stream is left where its noise draws
-    begin."""
-    ds = dataset.generate_trials(n_qubits, m, rngs)
+    stream each: the (T, m, N, 2, 2) representatives and, on the train
+    surface, the (T, K) train indices. The full surface reads no split and
+    gets None; its streams skip the split's P + m uniforms, one PCG64 output
+    each, by advancing. Each stream is left where its noise draws begin."""
+    reps = dataset.generate_trials(n_qubits, m, rngs)
     if surface == "train":
-        return ds, dataset.split_trials(ds, rngs)
+        labels = dataset.coset_labels(n_qubits, m)
+        return reps, dataset.split_trials(labels, m, rngs)
     for rng in rngs:
         rng.bit_generator.advance(m * n_qubits + m)
-    return ds, None
+    return reps, None
 
 
-def noisy_kernels(ds, train, cfg_noise, rngs):
+def noisy_kernels(reps, train, cfg_noise, rngs):
     """The variant's noise, read from each stream where `draw_trials` left
-    it and attached by `noise.attach`, and the (T, K, K) kernels over the
-    `train` indices, or (T, P, P) over every point when `train` is None.
+    it and attached by `noise.attach` to the points of the (T, m, N, 2, 2)
+    representatives, and the (T, K, K) kernels over the `train` indices, or
+    (T, P, P) over every point when `train` is None.
 
     With no noise budget (epsilon 0, which the `none` variant implies) every
     variant's kernels are the unperturbed ones, so they are gathered from
-    the (T, m, m) alpha matrices by the points' coset labels, and no noise
-    is drawn: nothing reads a stream after its noise draws."""
+    the (T, m, m) alpha matrices by the points' coset labels; no noise is
+    drawn (nothing reads a stream after its noise draws) and no point
+    factors are built."""
     if cfg_noise.epsilon == 0:
-        labels = ds.coset_labels if train is None else ds.coset_labels[train]
-        return kernel.gather_alphas(kernel.alpha_matrix(ds.representatives),
-                                    labels)
-    ds, offsets = noise_models.attach(cfg_noise, ds, rngs)
-    return kernel.kernel_matrix(ds.factors, train, offsets)
+        m, n_qubits = reps.shape[-4:-2]
+        labels = dataset.coset_labels(n_qubits, m)
+        return kernel.gather_alphas(kernel.alpha_matrix(reps),
+                                    labels if train is None else labels[train])
+    factors, offsets = noise_models.attach(cfg_noise, dataset.points(reps),
+                                           rngs)
+    return kernel.kernel_matrix(factors, train, offsets)
 
 
 def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
@@ -252,9 +257,11 @@ def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
     `noisy_kernels`, with the statistics of all of them taken at once; they
     exclude the diagonal. Returns the (T, 5) statistics, in the order of
     `TRIAL_FIELDS[3:8]`, and the (T, K, K) kernels."""
-    ds, train = draw_trials(n_qubits, m, rngs, surface)
-    kmats = noisy_kernels(ds, train, cfg_noise, rngs)
-    labels = ds.coset_labels if train is None else ds.coset_labels[train]
+    reps, train = draw_trials(n_qubits, m, rngs, surface)
+    kmats = noisy_kernels(reps, train, cfg_noise, rngs)
+    labels = dataset.coset_labels(n_qubits, m)
+    if train is not None:
+        labels = labels[train]
     means, variances = kernel.offdiag_stats(kmats)
     stats = np.stack([variances, means,
                       *kernel.cross_coset_stats(kmats, labels)], -1)

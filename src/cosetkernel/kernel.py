@@ -159,28 +159,20 @@ def offdiag_stats(k):
     return vals.mean(axis=-1), vals.var(axis=-1)
 
 
-def _cross_mask(k, labels):
-    """Where the coset labels of row and column differ, in k's shape."""
-    return np.broadcast_to(labels[..., :, None] != labels[..., None, :], k.shape)
-
-
-def cross_coset_values(k, labels):
-    """The entries between points of different coset labels; on a batch,
-    those of trial 0, then of trial 1, and so on."""
-    return k[_cross_mask(k, labels)]
-
-
 def cross_coset_stats(k, labels):
-    """Min, mean and max of the cross-coset entries: floats for one matrix,
-    (T,) arrays for a batch. The trials with equal counts are averaged as
-    the rows of one C-ordered array, which numpy sums pairwise row by row,
-    so each mean has the bits of `.mean()` over that trial's values."""
-    cross = _cross_mask(k, labels)
+    """Min, mean and max of the entries between points of different coset
+    labels: floats for one matrix, (T,) arrays for a batch. The trials with
+    equal counts are averaged as the rows of one C-ordered array, which
+    numpy sums pairwise row by row, so each mean has the bits of `.mean()`
+    over that trial's values."""
+    cross = np.broadcast_to(labels[..., :, None] != labels[..., None, :],
+                            k.shape)
     lows = np.where(cross, k, np.inf).min(axis=(-2, -1))
     highs = np.where(cross, k, -np.inf).max(axis=(-2, -1))
     counts = np.atleast_1d(np.count_nonzero(cross, axis=(-2, -1)))
     starts = np.cumsum(counts) - counts
-    values = cross_coset_values(k, labels)
+    # trial 0's values, then trial 1's, and so on
+    values = k[cross]
     means = np.empty(counts.shape)
     # a set, not np.unique: its first call adds about 1 MiB to the peak RSS
     for count in set(counts.tolist()):

@@ -9,7 +9,7 @@ array of them, so a batch of trials is checked with one evaluation.
 """
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,27 +99,28 @@ def fold(variant, errors, factors):
             + left[..., :, 1:] * right[..., 1:, :])
 
 
-def attach(cfg, ds, rngs):
-    """The variant's noise for a batch of trials' dataset, read from each
-    stream where it stands: the dataset and the (2, T, N) bra and ket
-    offsets for `kernel.kernel_matrix`, None for the ideal preparation.
+def attach(cfg, factors, rngs):
+    """The variant's noise for a batch of trials' (T, P, N, 2, 2) point
+    factors, read from each stream where it stands: the factors and the
+    (2, T, N) bra and ket offsets for `kernel.kernel_matrix`, None for the
+    ideal preparation.
 
     Fiducial errors read 2N uniforms per stream, the bra then the ket
     offsets. Selection and representation errors read 3PN, an Euler triple
     per point and qubit, and fold E_x into the factors, exactly since both
     are tensor products: as E_x,j D_x,j and as D_x,j E_x,j. `none` reads
     nothing."""
-    n, eps = ds.num_qubits, cfg.epsilon
+    p, n = factors.shape[-4:-2]
+    eps = cfg.epsilon
     if cfg.variant == "fiducial":
         sides = [[sample_fiducial_offsets(n, eps, rng),
                   sample_fiducial_offsets(n, eps, rng)] for rng in rngs]
-        return ds, np.moveaxis(np.array(sides), 1, 0)
+        return factors, np.moveaxis(np.array(sides), 1, 0)
     if cfg.variant in ("selection", "representation"):
-        points = (len(ds.coset_labels),)
-        e = from_euler([sample_element_perturbation(n, eps, rng, points)
+        e = from_euler([sample_element_perturbation(n, eps, rng, (p,))
                         for rng in rngs])
-        return replace(ds, factors=fold(cfg.variant, e, ds.factors)), None
-    return ds, None
+        return fold(cfg.variant, e, factors), None
+    return factors, None
 
 
 def _envelope(alpha, shift):

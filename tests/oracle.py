@@ -18,14 +18,16 @@ index. The oracle refuses more than DENSE_MAX_QUBITS qubits.
 A preparation is given by its (N,) Ry offsets, as in `kernel`. The Pauli
 matrices, `from_pauli` and `chain_generators` spell out the chain
 stabilizer generators s_a as Pauli strings, the reference for the package's
-column swaps and sign flips (`dataset._times_generators`).
+column swaps and sign flips (`dataset.points`).
 
 `trial_rng` is the reference stream of one trial, a `SeedSequence` and a
 generator of its own, which the package's `experiment.trial_rngs` builds for
 a whole chunk at once. `generate`, `split`, `build_kernel` and `run_trial`
 are one trial of the package's batched calls: a batch of one stream,
-`[rng]`, and its trial 0. A split is its sorted train indices, and a trial's
-report is its record, the dict of `experiment.TRIAL_FIELDS`.
+`[rng]`, and its trial 0. A trial's dataset is its (m, N, 2, 2)
+representatives (`dataset.points` and `dataset.coset_labels` give its points
+and their labels), a split is its sorted train indices, and a trial's report
+is its record, the dict of `experiment.TRIAL_FIELDS`.
 
 `rx`, `ry` and `rz` are the single-qubit rotations. `noise.from_euler`
 multiplies out Rx Rz Rx in closed form, and `rx(t1) @ rz(t2) @ rx(t3)` is
@@ -141,24 +143,25 @@ def trial_rng(seed, n_qubits, m, trial_index):
 
 
 def generate(n_qubits, m, rng):
-    """One trial's dataset from the stream `rng`."""
-    return dataset.generate_trials(n_qubits, m, [rng]).trial(0)
+    """One trial's (m, N, 2, 2) representatives from the stream `rng`."""
+    return dataset.generate_trials(n_qubits, m, [rng])[0]
 
 
-def split(ds, rng):
-    """One trial's (K,) train indices from the stream `rng`."""
-    return dataset.split_trials(ds, [rng])[0]
+def split(labels, m, rng):
+    """One trial's (K,) train indices over points of the coset `labels`
+    0..m-1, from the stream `rng`."""
+    return dataset.split_trials(labels, m, [rng])[0]
 
 
 def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
-    """One trial's dataset, train indices and noisy kernel from the stream
-    `rng`; the split is drawn on either surface, and the full surface's
-    kernel is over every point."""
-    ds, train = experiment.draw_trials(n_qubits, m, [rng])
+    """One trial's representatives, train indices and noisy kernel from the
+    stream `rng`; the split is drawn on either surface, and the full
+    surface's kernel is over every point."""
+    reps, train = experiment.draw_trials(n_qubits, m, [rng])
     kmat = experiment.noisy_kernels(
-        ds, train if surface == "train" else None, cfg_noise, [rng]
+        reps, train if surface == "train" else None, cfg_noise, [rng]
     )
-    return ds.trial(0), train[0], kmat[0]
+    return reps[0], train[0], kmat[0]
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",

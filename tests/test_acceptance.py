@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 import cosetkernel
-from cosetkernel import kernel, noise, theory
+from cosetkernel import dataset, kernel, noise, theory
 from cosetkernel.noise import count_envelope_violations
 
 import oracle
@@ -49,13 +49,13 @@ def test_criterion_1_noiseless_asymptote():
         predicted = []
         for t in range(100):
             rng = oracle.trial_rng(SEED, 10, m, t)
-            ds, _, kmat = oracle.build_kernel(
+            reps, _, kmat = oracle.build_kernel(
                 10, m, noise.NoiseConfig(), rng, surface="full"
             )
             _, var = kernel.offdiag_stats(kmat)
             empirical.append(var)
             predicted.append(
-                theory.exact_variance(m, 10, kernel.alpha_matrix(ds.representatives))
+                theory.exact_variance(m, 10, kernel.alpha_matrix(reps))
             )
         empirical = np.array(empirical)
         predicted = np.array(predicted)
@@ -89,12 +89,11 @@ def test_criterion_3_kernel_multiset_counts():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 6))
-        ds = oracle.generate(n, m, rng)
-        kmat = kernel.kernel_matrix(ds.factors)
+        kmat = kernel.kernel_matrix(dataset.points(oracle.generate(n, m, rng)))
         off_mask = ~np.eye(len(kmat), dtype=bool)
         ones = np.sum(np.abs(kmat[off_mask] - 1) < 1e-9)
         ok = ok and ones == m * (n**2 - n)
-        labels = ds.coset_labels
+        labels = dataset.coset_labels(n, m)
         for i, j in itertools.combinations(range(m), 2):
             pair_mask = ((labels[:, None] == i) & (labels[None, :] == j)) | (
                 (labels[:, None] == j) & (labels[None, :] == i)
@@ -153,12 +152,12 @@ def test_criterion_6_bound_envelopes():
         for n_qubits in range(2, 9):
             for t in range(20):
                 rng = oracle.trial_rng(SEED, n_qubits, 2, t)
-                ds, _, kmat = oracle.build_kernel(
+                reps, _, kmat = oracle.build_kernel(
                     n_qubits, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
                 )
-                alphas = kernel.alpha_matrix(ds.representatives)
+                alphas = kernel.alpha_matrix(reps)
                 v, c = count_envelope_violations(
-                    kmat, ds.coset_labels, alphas, variant, eps
+                    kmat, dataset.coset_labels(n_qubits, 2), alphas, variant, eps
                 )
                 violations += v
                 checked += c
@@ -189,10 +188,10 @@ def test_criterion_8_oracle_equivalence(monkeypatch):
     ok = True
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        ds = oracle.generate(n, 2, rng)
-        idx = rng.integers(0, len(ds.factors), size=2)
-        chain = kernel.kernel_matrix(ds.factors, idx)[0, 1]
-        dense = oracle.kernel_matrix(ds.factors, idx)[0, 1]
+        points = dataset.points(oracle.generate(n, 2, rng))
+        idx = rng.integers(0, len(points), size=2)
+        chain = kernel.kernel_matrix(points, idx)[0, 1]
+        dense = oracle.kernel_matrix(points, idx)[0, 1]
         ok = ok and abs(chain - dense) < 1e-10
 
     # end-to-end trial pipelines at N = 4, once as they are and once with

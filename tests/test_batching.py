@@ -2,8 +2,8 @@
 trial at a time gives, whatever the chunking.
 
 The one-trial reference below runs each stage on one stream at a time, in
-the order every trial reads its own stream: the dataset's normals, the
-split, then the noise. A batched path that reorders those draws, or lets trials share a
+the order every trial reads its own stream: the representatives' normals,
+the split, then the noise. A batched path that reorders those draws, or lets trials share a
 stream, fails the comparison.
 """
 
@@ -22,31 +22,31 @@ SURFACES = ("train", "full")
 
 
 def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
-    """Dataset, split, noise and kernel of one trial from one stream, and the
-    coset labels of the kernel's points. With no noise budget the kernel is
-    the one-trial gather of the trial's alpha matrix, which the transfer
-    chain matches to rounding (`test_kernel`)."""
-    ds = oracle.generate(n_qubits, m, rng)
-    sp = oracle.split(ds, rng)
+    """Representatives, split, noise and kernel of one trial from one
+    stream, and the coset labels of the kernel's points. With no noise
+    budget the kernel is the one-trial gather of the trial's alpha matrix,
+    which the transfer chain matches to rounding (`test_kernel`)."""
+    reps = oracle.generate(n_qubits, m, rng)
+    all_labels = dataset.coset_labels(n_qubits, m)
+    sp = oracle.split(all_labels, m, rng)
     indices = sp if surface == "train" else None
-    labels = ds.coset_labels if indices is None else ds.coset_labels[indices]
+    labels = all_labels if indices is None else all_labels[indices]
     eps = cfg_noise.epsilon
     if eps == 0:
-        alphas = kernel.alpha_matrix(ds.representatives)
-        return ds, sp, kernel.gather_alphas(alphas[None], labels)[0], labels
-    noisy, offsets = ds, None
+        alphas = kernel.alpha_matrix(reps)
+        return reps, sp, kernel.gather_alphas(alphas[None], labels)[0], labels
+    factors, offsets = dataset.points(reps), None
     if cfg_noise.variant == "fiducial":
         offsets = np.array([noise.sample_fiducial_offsets(n_qubits, eps, rng)
                             for _ in range(2)])
     elif cfg_noise.variant != "none":
         errors = noise.from_euler(
             noise.sample_element_perturbation(
-                n_qubits, eps, rng, (len(ds.coset_labels),)
+                n_qubits, eps, rng, (len(all_labels),)
             )
         )
-        noisy = replace(ds, factors=noise.fold(cfg_noise.variant, errors,
-                                               ds.factors))
-    return ds, sp, kernel.kernel_matrix(noisy.factors, indices, offsets), labels
+        factors = noise.fold(cfg_noise.variant, errors, factors)
+    return reps, sp, kernel.kernel_matrix(factors, indices, offsets), labels
 
 
 def small_config(variant, eps, surface, trials=6):
@@ -67,20 +67,21 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
     for n_qubits, m in ((2, 2), (3, 3), (5, 2), (4, 5)):
         trials = range(7)
         rngs = [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
-        ds, splits = experiment.draw_trials(n_qubits, m, rngs)
+        reps, splits = experiment.draw_trials(n_qubits, m, rngs)
         kmats = experiment.noisy_kernels(
-            ds, splits if surface == "train" else None, cfg_noise, rngs
+            reps, splits if surface == "train" else None, cfg_noise, rngs
         )
-        alphas = kernel.alpha_matrix(ds.representatives)
+        alphas = kernel.alpha_matrix(reps)
+        points = dataset.points(reps)
         for t in trials:
             rng = oracle.trial_rng(4, n_qubits, m, t)
-            ref_ds, ref_sp, ref, _ = one_trial_kernel(n_qubits, m, cfg_noise,
-                                                      rng, surface)
-            assert np.array_equal(ds.trial(t).factors, ref_ds.factors)
+            ref_reps, ref_sp, ref, _ = one_trial_kernel(n_qubits, m, cfg_noise,
+                                                        rng, surface)
+            assert np.array_equal(reps[t], ref_reps)
+            assert np.array_equal(points[t], dataset.points(ref_reps))
             assert np.array_equal(splits[t], ref_sp)
             assert np.array_equal(kmats[t], ref)
-            assert np.array_equal(alphas[t],
-                                  kernel.alpha_matrix(ref_ds.representatives))
+            assert np.array_equal(alphas[t], kernel.alpha_matrix(ref_reps))
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -208,6 +209,55 @@ def test_statistics_run_once_per_chunk(monkeypatch):
     assert [len(args[0]) for args in offdiag] == [len(c) for c in chunks]
 
 
+def _refuse_points(monkeypatch):
+    """Make `dataset.points` raise, so a run that builds point factors
+    fails."""
+    def refused(reps):
+        raise AssertionError("point factors built")
+
+    monkeypatch.setattr(dataset, "points", refused)
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variant", ["none", "fiducial"])
+def test_noiseless_runs_build_no_point_factors(variant, surface, monkeypatch):
+    # with no noise budget every kernel is gathered from the alpha matrices,
+    # which need the representatives only
+    _refuse_points(monkeypatch)
+    cfg = small_config(variant, 0.0, surface)
+    report = experiment.run_experiment(cfg)
+    assert len(report["trials"]) == 6 * 4 * 2
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_noiseless_heatmap_builds_no_point_factors(surface, monkeypatch,
+                                                   tmp_path, capsys):
+    _refuse_points(monkeypatch)
+    heat = tmp_path / "heat.csv"
+    argv = ["simulate", "--qubits", "2..4", "--cosets", "2,3", "--trials",
+            "3", "--surface", surface, "--heatmap", str(heat)]
+    assert cli.main(argv) == 0
+    assert len(heat.read_text().splitlines()) == 1 + 2 * 4
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variant,eps", VARIANTS[1:])
+def test_noisy_chunks_build_point_factors_once(variant, eps, surface,
+                                               monkeypatch):
+    cfg = small_config(variant, eps, surface, trials=9)
+    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", 3000)
+    built = _counted(monkeypatch, dataset, "points")
+    experiment.run_experiment(cfg)
+    chunks = [
+        chunk
+        for n_qubits in cfg.qubit_values()
+        for m in cfg.coset_counts
+        for chunk in experiment.trial_chunks(n_qubits, m, 9, surface)
+    ]
+    assert len(built) == len(chunks)
+    assert [len(args[0]) for args in built] == [len(c) for c in chunks]
+
+
 def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
     bounds = _counted(monkeypatch, noise, "bounds_for")
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
@@ -248,15 +298,16 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
     for n_qubits in range(2, 7):
         for m in (2, 3):
             rngs = experiment.trial_rngs(31, n_qubits, m, chunk)
-            ds, splits = experiment.draw_trials(n_qubits, m, rngs, "full")
+            reps, splits = experiment.draw_trials(n_qubits, m, rngs, "full")
             assert splits is None
             ref_rngs = [oracle.trial_rng(31, n_qubits, m, t) for t in chunk]
-            ref_ds = dataset.generate_trials(n_qubits, m, ref_rngs)
-            dataset.split_trials(ref_ds, ref_rngs)
+            ref_reps = dataset.generate_trials(n_qubits, m, ref_rngs)
+            dataset.split_trials(dataset.coset_labels(n_qubits, m), m,
+                                 ref_rngs)
             for rng, ref_rng in zip(rngs, ref_rngs):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
-            kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
-            ref = experiment.noisy_kernels(ref_ds, None, cfg_noise, ref_rngs)
+            kmats = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
+            ref = experiment.noisy_kernels(ref_reps, None, cfg_noise, ref_rngs)
             assert np.array_equal(kmats, ref)
 
 
@@ -288,13 +339,11 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
             for chunk in experiment.trial_chunks(n_qubits, m, trials, "full"):
                 rngs = [oracle.trial_rng(seed, n_qubits, m, t)
                         for t in chunk]
-                ds, _ = experiment.draw_trials(n_qubits, m, rngs)
-                ref = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
+                reps, _ = experiment.draw_trials(n_qubits, m, rngs)
+                ref = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
                 # the full surface's points are every point, coset-major
                 labels = np.repeat(np.arange(m), n_qubits)
-                expected.append(
-                    (ref, labels, kernel.alpha_matrix(ds.representatives))
-                )
+                expected.append((ref, labels, kernel.alpha_matrix(reps)))
         assert len(batches) == len(expected)
         for got, want in zip(batches, expected):
             for a, b in zip(got, want):

@@ -3,7 +3,6 @@ import math
 import re
 import time
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,14 +15,15 @@ import oracle
 
 def test_generate_counts_and_labels():
     rng = np.random.default_rng(0)
-    ds = oracle.generate(2, 2, rng)
-    assert ds.factors.shape == (4, 2, 2, 2)
-    assert list(ds.coset_labels) == [0, 0, 1, 1]
+    reps = oracle.generate(2, 2, rng)
+    assert reps.shape == (2, 2, 2, 2)
+    assert dataset.points(reps).shape == (4, 2, 2, 2)
+    assert list(dataset.coset_labels(2, 2)) == [0, 0, 1, 1]
 
-    ds = oracle.generate(3, 5, rng)
-    assert ds.factors.shape == (15, 3, 2, 2)
-    assert ds.representatives.shape == (5, 3, 2, 2)
-    labels = list(ds.coset_labels)
+    reps = oracle.generate(3, 5, rng)
+    assert dataset.points(reps).shape == (15, 3, 2, 2)
+    assert reps.shape == (5, 3, 2, 2)
+    labels = list(dataset.coset_labels(3, 5))
     assert all(labels.count(i) == 3 for i in range(5))
 
 
@@ -38,23 +38,23 @@ def test_generate_invalid_args():
 def test_points_are_rep_times_generator():
     # the point that `point_names` calls c{i}s{a} is c_i s_a, in coset i
     rng = np.random.default_rng(1)
-    ds = oracle.generate(3, 2, rng)
+    reps = oracle.generate(3, 2, rng)
+    points = dataset.points(reps)
     gens = [oracle.from_pauli(p) for p in oracle.chain_generators(3)]
     names = dataset.point_names(3, 2)
-    assert len(names) == len(ds.factors)
-    for x, label, name in zip(ds.factors, ds.coset_labels, names):
+    assert len(names) == len(points)
+    for x, label, name in zip(points, dataset.coset_labels(3, 2), names):
         i, a = map(int, re.fullmatch(r"c(\d+)s(\d+)", name).groups())
         assert label == i
         for j in range(3):
-            expected = ds.representatives[i, j] @ gens[a][j]
+            expected = reps[i, j] @ gens[a][j]
             np.testing.assert_allclose(x[j], expected, atol=1e-12)
 
 
 def test_same_coset_kernel_is_one():
     rng = np.random.default_rng(2)
-    ds = oracle.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds.factors)
-    labels = ds.coset_labels
+    kmat = kernel.kernel_matrix(dataset.points(oracle.generate(3, 2, rng)))
+    labels = dataset.coset_labels(3, 2)
     same = labels[:, None] == labels[None, :]
     assert np.all(np.abs(kmat[same] - 1) < 1e-10)
 
@@ -63,25 +63,26 @@ def test_cross_coset_never_one():
     rng = np.random.default_rng(3)
     for _ in range(100):
         n = int(rng.integers(2, 5))
-        ds = oracle.generate(n, 2, rng)
-        kmat = kernel.kernel_matrix(ds.factors)
-        values = kernel.cross_coset_values(kmat, ds.coset_labels)
+        kmat = kernel.kernel_matrix(dataset.points(oracle.generate(n, 2, rng)))
+        labels = dataset.coset_labels(n, 2)
+        values = kmat[labels[:, None] != labels[None, :]]
         assert len(values) == 2 * n**2
         assert np.all(values < 1 - 1e-6)
 
 
 def test_split_sizes_and_coverage():
     rng = np.random.default_rng(4)
-    ds = oracle.generate(2, 2, rng)
-    train = oracle.split(ds, rng)
+    labels = dataset.coset_labels(2, 2)
+    train = oracle.split(labels, 2, rng)
     assert len(train) == 2
-    assert set(ds.coset_labels[train]) == {0, 1}
+    assert set(labels[train]) == {0, 1}
 
-    ds = oracle.generate(10, 5, rng)
-    splits = dataset.split_trials(ds, [rng, *np.random.default_rng(7).spawn(7)])
+    labels = dataset.coset_labels(10, 5)
+    rngs = [rng, *np.random.default_rng(7).spawn(7)]
+    splits = dataset.split_trials(labels, 5, rngs)
     assert splits.shape == (8, 25)
     for train in splits:
-        assert set(ds.coset_labels[train]) == set(range(5))
+        assert set(labels[train]) == set(range(5))
     # each row strictly increasing within [0, P): distinct points, whose
     # complement is the test half
     assert np.all(np.diff(splits, axis=-1) > 0)
@@ -89,44 +90,37 @@ def test_split_sizes_and_coverage():
 
 
 def test_split_deterministic():
-    rng = np.random.default_rng(5)
-    ds = oracle.generate(4, 3, rng)
-    train1 = oracle.split(ds, np.random.default_rng(99))
-    train2 = oracle.split(ds, np.random.default_rng(99))
+    labels = dataset.coset_labels(4, 3)
+    train1 = oracle.split(labels, 3, np.random.default_rng(99))
+    train2 = oracle.split(labels, 3, np.random.default_rng(99))
     assert np.array_equal(train1, train2)
 
 
-def _points(ds, indices):
-    """The dataset restricted to the points `indices`, in that order."""
-    idx = np.asarray(indices)
-    return replace(ds, factors=ds.factors[idx], coset_labels=ds.coset_labels[idx])
-
-
-# (N, m, points kept): coset-major datasets of N points per coset, and one
-# of cosets with 1, 3 and 3 points in shuffled order
+# (N, m, points kept): the coset labels of coset-major datasets of N points
+# per coset, and those of cosets with 1, 3 and 3 points in shuffled order
 SPLIT_CASES = {"N3-m2": (3, 2, None), "N4-m3": (4, 3, None),
                "N2-m5": (2, 5, None),
                "shuffled-1-3-3": (3, 3, [4, 0, 7, 3, 8, 5, 6])}
 
 
 def _split_case(name):
+    """The case's (P,) coset labels and its coset count m."""
     n, m, kept = SPLIT_CASES[name]
-    ds = oracle.generate(n, m, np.random.default_rng(11))
-    return ds if kept is None else _points(ds, kept)
+    labels = dataset.coset_labels(n, m)
+    return (labels if kept is None else labels[kept]), m
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_split_follows_exact_law(case):
     # uniform over the halves that cover every coset, by exhaustive
     # enumeration: chi-square on the count vectors and on the halves
-    ds = _split_case(case)
-    labels = ds.coset_labels
-    total, m = len(labels), ds.num_cosets
+    labels, m = _split_case(case)
+    total = len(labels)
     covering = [half for half in itertools.combinations(range(total), total // 2)
                 if len(set(labels[list(half)])) == m]
     draws = 20_000
     rng = np.random.default_rng(1234)
-    got = dataset.split_trials(ds, [rng] * draws)
+    got = dataset.split_trials(labels, m, [rng] * draws)
     halves = Counter(map(tuple, got.tolist()))
     assert set(halves) <= set(covering)
     observed = [halves[h] for h in covering]
@@ -172,11 +166,11 @@ def test_train_counts_at_uniform_edges(sizes):
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_split_reads_fixed_draws(case):
     # each stream moves on by exactly P + m uniforms, whatever the data
-    ds = _split_case(case)
-    draws = len(ds.coset_labels) + ds.num_cosets
+    labels, m = _split_case(case)
+    draws = len(labels) + m
     for seed in range(20):
         rngs = [np.random.default_rng([seed, t]) for t in range(3)]
-        dataset.split_trials(ds, rngs)
+        dataset.split_trials(labels, m, rngs)
         for t, rng in enumerate(rngs):
             ref = np.random.default_rng([seed, t])
             ref.random(draws)
@@ -184,13 +178,17 @@ def test_split_reads_fixed_draws(case):
 
 
 def test_split_rejects_uncoverable_cosets():
-    ds = oracle.generate(2, 3, np.random.default_rng(12))
+    labels = dataset.coset_labels(2, 3)
     # three cosets, one point each: one train slot
     with pytest.raises(ValueError, match="cannot cover 3 cosets"):
-        oracle.split(_points(ds, [0, 2, 4]), np.random.default_rng(0))
+        oracle.split(labels[[0, 2, 4]], 3, np.random.default_rng(0))
     # coset 1 has no points
     with pytest.raises(ValueError, match="cannot cover 3 cosets"):
-        oracle.split(_points(ds, [0, 1, 4, 5]), np.random.default_rng(0))
+        oracle.split(labels[[0, 1, 4, 5]], 3, np.random.default_rng(0))
+    # the last coset has no points: no label names it, so only the given m
+    # tells that it is missing
+    with pytest.raises(ValueError, match="cannot cover 3 cosets"):
+        oracle.split(np.array([0, 0, 1, 1]), 3, np.random.default_rng(0))
 
 
 def test_count_law_tabulates_quickly():
@@ -218,14 +216,14 @@ def test_batched_draw_matches_per_qubit_loop(m):
     for n in range(2, 9):
         batched_rng = np.random.default_rng(1000 * m + n)
         loop_rng = np.random.default_rng(1000 * m + n)
-        ds = oracle.generate(n, m, batched_rng)
+        got = oracle.generate(n, m, batched_rng)
         reps = np.array([[_haar_su2_loop(loop_rng) for _ in range(n)]
                          for _ in range(m)])
         gens = [oracle.from_pauli(p) for p in oracle.chain_generators(n)]
         points = np.array([[c[j] @ s[j] for j in range(n)]
                            for c in reps for s in gens])
-        assert np.array_equal(ds.representatives, reps)
-        assert np.array_equal(ds.factors, points)
+        assert np.array_equal(got, reps)
+        assert np.array_equal(dataset.points(got), points)
         assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
@@ -233,8 +231,7 @@ def test_batched_draw_matches_per_qubit_loop(m):
 def test_generator_product_equals_matmul(n):
     # a column swap and a sign flip give the matrix product's bits
     rng = np.random.default_rng(n)
-    ds = dataset.generate_trials(n, 3, [rng, rng])
-    reps = ds.representatives
+    reps = dataset.generate_trials(n, 3, [rng, rng])
     generic = rng.standard_normal((2, 3, n, 2, 2)) + 1j * rng.standard_normal(
         (2, 3, n, 2, 2)
     )
@@ -242,12 +239,13 @@ def test_generator_product_equals_matmul(n):
     gens = gens.reshape(n, n, 2, 2)
     for factors in (reps, generic):
         assert np.array_equal(
-            dataset._times_generators(factors),
-            factors[:, :, None] @ gens,
+            dataset.points(factors),
+            (factors[:, :, None] @ gens).reshape(2, 3 * n, n, 2, 2),
         )
     # point (i, a) of every generated trial is c_i s_a
+    points = dataset.points(reps)
     for t in range(2):
         for i in range(3):
             for a in range(n):
-                assert np.array_equal(ds.factors[t, i * n + a],
+                assert np.array_equal(points[t, i * n + a],
                                       reps[t, i] @ gens[a])

@@ -49,11 +49,11 @@ def test_two_point_train_kernel_has_zero_variance():
 
 def test_full_surface_variance_matches_theory():
     rng = oracle.trial_rng(1, 10, 2, 0)
-    ds, _, kmat = oracle.build_kernel(
+    reps, _, kmat = oracle.build_kernel(
         10, 2, noise.NoiseConfig(), rng, surface="full"
     )
     _, var = kernel.offdiag_stats(kmat)
-    expected = theory.exact_variance(2, 10, kernel.alpha_matrix(ds.representatives))
+    expected = theory.exact_variance(2, 10, kernel.alpha_matrix(reps))
     assert var == pytest.approx(expected, abs=1e-12)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosetkernel import kernel, noise
+from cosetkernel import dataset, kernel, noise
 
 import oracle
 from oracle import X, Z, haar_random_su2, rx, rz
@@ -133,9 +133,9 @@ def test_fiducial_two_qubits():
 
 def test_fiducial_zero_offsets_is_ideal():
     # a kernel without offsets is the one with zero offsets on both sides
-    ds = oracle.generate(3, 2, np.random.default_rng(5))
-    ideal = kernel.kernel_matrix(ds.factors)
-    offs = kernel.kernel_matrix(ds.factors, offsets=np.zeros((2, 3)))
+    points = dataset.points(oracle.generate(3, 2, np.random.default_rng(5)))
+    ideal = kernel.kernel_matrix(points)
+    offs = kernel.kernel_matrix(points, offsets=np.zeros((2, 3)))
     assert np.array_equal(ideal, offs)
 
 

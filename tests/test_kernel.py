@@ -15,8 +15,8 @@ def test_real_sign_steps_match_the_complex_chain(n):
     # own offsets and point sets of different sizes, and for one trial
     m, trials = 3, 4
     rngs = [oracle.trial_rng(12, n, m, t) for t in range(trials)]
-    ds = experiment.draw_trials(n, m, rngs)[0]
-    bra, ket = ds.factors[:, : n + 1], ds.factors
+    ket = dataset.points(experiment.draw_trials(n, m, rngs)[0])
+    bra = ket[:, : n + 1]
     offsets = np.random.default_rng(n).uniform(-0.2, 0.2, (2, trials, n))
     got = kernel.transfer_amplitudes(bra, ket, *offsets)
     assert got.shape == (trials, n + 1, m * n)
@@ -29,16 +29,16 @@ def test_real_sign_steps_match_the_complex_chain(n):
 
 def test_entry_same_point_is_one():
     rng = np.random.default_rng(0)
-    ds = oracle.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds.factors, [0, 0])
+    points = dataset.points(oracle.generate(3, 2, rng))
+    kmat = kernel.kernel_matrix(points, [0, 0])
     assert abs(kmat[0, 1] - 1) < 1e-12
 
 
 def test_entry_same_coset_is_one():
     rng = np.random.default_rng(1)
-    ds = oracle.generate(4, 2, rng)
-    kmat = kernel.kernel_matrix(ds.factors, [0, 2])
-    assert list(ds.coset_labels[[0, 2]]) == [0, 0]
+    points = dataset.points(oracle.generate(4, 2, rng))
+    kmat = kernel.kernel_matrix(points, [0, 2])
+    assert list(dataset.coset_labels(4, 2)[[0, 2]]) == [0, 0]
     assert abs(kmat[0, 1] - 1) < 1e-10
 
 
@@ -47,8 +47,7 @@ def test_cross_coset_mean_near_haar_value():
     rng = np.random.default_rng(2)
     vals = []
     for _ in range(1000):
-        ds = oracle.generate(6, 2, rng)
-        vals.append(kernel.alpha_matrix(ds.representatives)[0, 1])
+        vals.append(kernel.alpha_matrix(oracle.generate(6, 2, rng))[0, 1])
     vals = np.array(vals)
     se = vals.std() / np.sqrt(len(vals))
     assert abs(vals.mean() - 1 / 64) < 3 * se
@@ -57,42 +56,42 @@ def test_cross_coset_mean_near_haar_value():
 def test_matrix_counts_and_symmetry():
     rng = np.random.default_rng(3)
     n, m = 2, 2
-    ds = oracle.generate(n, m, rng)
-    kmat = kernel.kernel_matrix(ds.factors)
+    kmat = kernel.kernel_matrix(dataset.points(oracle.generate(n, m, rng)))
     assert isinstance(kmat, np.ndarray) and kmat.shape == (m * n, m * n)
     assert np.array_equal(kmat, kmat.T)
     off = kmat[~np.eye(len(kmat), dtype=bool)]
     assert np.sum(np.abs(off - 1) < 1e-9) == m * (n**2 - n)
-    assert len(kernel.cross_coset_values(kmat, ds.coset_labels)) == 2 * n**2
+    labels = dataset.coset_labels(n, m)
+    assert len(kmat[labels[:, None] != labels[None, :]]) == 2 * n**2
 
 
 def test_block_structure():
     # cross value depends on the coset pair only, not the generators
     rng = np.random.default_rng(4)
-    ds = oracle.generate(4, 3, rng)
-    kmat = kernel.kernel_matrix(ds.factors)
-    alphas = kernel.alpha_matrix(ds.representatives)
+    reps = oracle.generate(4, 3, rng)
+    kmat = kernel.kernel_matrix(dataset.points(reps))
+    alphas = kernel.alpha_matrix(reps)
+    labels = dataset.coset_labels(4, 3)
     for r in range(len(kmat)):
         for c in range(len(kmat)):
-            i, j = ds.coset_labels[r], ds.coset_labels[c]
+            i, j = labels[r], labels[c]
             expected = 1.0 if i == j else alphas[i, j]
             assert abs(kmat[r, c] - expected) < 1e-10
 
 
 def test_entries_in_unit_interval():
     rng = np.random.default_rng(5)
-    ds = oracle.generate(3, 4, rng)
-    kmat = kernel.kernel_matrix(ds.factors)
+    kmat = kernel.kernel_matrix(dataset.points(oracle.generate(3, 4, rng)))
     assert np.all(kmat > -1e-10)
     assert np.all(kmat < 1 + 1e-10)
 
 
 def test_restriction_to_train_split():
     rng = np.random.default_rng(6)
-    ds = oracle.generate(3, 2, rng)
-    train = oracle.split(ds, rng)
-    full = kernel.kernel_matrix(ds.factors)
-    sub = kernel.kernel_matrix(ds.factors, train)
+    points = dataset.points(oracle.generate(3, 2, rng))
+    train = oracle.split(dataset.coset_labels(3, 2), 2, rng)
+    full = kernel.kernel_matrix(points)
+    sub = kernel.kernel_matrix(points, train)
     assert sub.shape == (len(train), len(train))
     np.testing.assert_allclose(sub, full[np.ix_(train, train)])
 
@@ -101,43 +100,43 @@ def test_dense_path_matches_gate_path():
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        ds = oracle.generate(n, 2, rng)
-        pair = [0, len(ds.factors) - 1]
-        g = kernel.kernel_matrix(ds.factors, pair)[0, 1]
-        d = oracle.kernel_matrix(ds.factors, pair)[0, 1]
+        points = dataset.points(oracle.generate(n, 2, rng))
+        pair = [0, len(points) - 1]
+        g = kernel.kernel_matrix(points, pair)[0, 1]
+        d = oracle.kernel_matrix(points, pair)[0, 1]
         assert abs(g - d) < 1e-10
 
 
 def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
-    ds, _ = experiment.draw_trials(3, 2, [rng])
-    noisy, offsets = noise.attach(noise.NoiseConfig("selection", 0.3), ds, [rng])
-    kmat = kernel.kernel_matrix(noisy.factors, offsets=offsets)[0]
+    reps, _ = experiment.draw_trials(3, 2, [rng])
+    noisy, offsets = noise.attach(noise.NoiseConfig("selection", 0.3),
+                                  dataset.points(reps), [rng])
+    kmat = kernel.kernel_matrix(noisy, offsets=offsets)[0]
     np.testing.assert_allclose(np.diag(kmat), 1.0, atol=1e-12)
 
 
 def test_selection_noise_needs_one_perturbation_per_point():
     rng = np.random.default_rng(16)
-    ds = oracle.generate(3, 2, rng)
+    points = dataset.points(oracle.generate(3, 2, rng))
     perts = noise.from_euler(
         noise.sample_element_perturbation(3, 0.3, rng, shape=(1,))
     )
     with pytest.raises(ValueError, match="one perturbation per point"):
-        oracle.kernel_matrix(ds.factors, perturbations=perts)
+        oracle.kernel_matrix(points, perturbations=perts)
 
 
 def test_fiducial_offsets_need_one_per_qubit():
     # the qubit count is the factor stack's, so one offset cannot stand for
     # three
-    ds = oracle.generate(3, 2, np.random.default_rng(17))
+    points = dataset.points(oracle.generate(3, 2, np.random.default_rng(17)))
     with pytest.raises(ValueError, match="one offset per qubit"):
-        kernel.kernel_matrix(ds.factors, offsets=np.array([[0.3], [-0.2]]))
+        kernel.kernel_matrix(points, offsets=np.array([[0.3], [-0.2]]))
 
 
 def test_alpha_matrix_properties():
     rng = np.random.default_rng(10)
-    ds = oracle.generate(3, 4, rng)
-    alphas = kernel.alpha_matrix(ds.representatives)
+    alphas = kernel.alpha_matrix(oracle.generate(3, 4, rng))
     np.testing.assert_allclose(np.diag(alphas), 1.0)
     assert np.array_equal(alphas, alphas.T)
     assert np.all((alphas >= 0) & (alphas <= 1))
@@ -147,8 +146,7 @@ def test_alpha_mean_at_eight_qubits():
     rng = np.random.default_rng(11)
     vals = []
     for _ in range(200):
-        ds = oracle.generate(8, 2, rng)
-        vals.append(kernel.alpha_matrix(ds.representatives)[0, 1])
+        vals.append(kernel.alpha_matrix(oracle.generate(8, 2, rng))[0, 1])
     vals = np.array(vals)
     se = vals.std() / np.sqrt(len(vals))
     assert abs(vals.mean() - 1 / 256) < 3 * se
@@ -156,8 +154,7 @@ def test_alpha_mean_at_eight_qubits():
 
 def test_heatmap_export(tmp_path):
     rng = np.random.default_rng(12)
-    ds = oracle.generate(2, 2, rng)
-    kmat = kernel.kernel_matrix(ds.factors)
+    kmat = kernel.kernel_matrix(dataset.points(oracle.generate(2, 2, rng)))
     path = tmp_path / "heat.csv"
     kernel.export_heatmap(kmat, dataset.point_names(2, 2), path)
     lines = path.read_text().strip().split("\n")
@@ -199,7 +196,7 @@ def test_feature_states_match_dense_oracle(n, attachment):
     one built from dense feature states with the same noise draws left
     unfolded, on the full dataset and on a train split."""
     rng = np.random.default_rng(100 + n)
-    ds, splits = experiment.draw_trials(n, 2, [rng])
+    reps, splits = experiment.draw_trials(n, 2, [rng])
     eps = 0.0 if attachment == "none" else 0.3
     after_split = rng.bit_generator.state
     unfolded = {}
@@ -209,33 +206,34 @@ def test_feature_states_match_dense_oracle(n, attachment):
         )
     elif attachment != "none":
         unfolded["perturbations"] = noise.from_euler(
-            noise.sample_element_perturbation(n, eps, rng, (len(ds.coset_labels),))
+            noise.sample_element_perturbation(n, eps, rng, (2 * n,))
         )
         unfolded["variant"] = attachment
     for train in (None, splits):
         rng.bit_generator.state = after_split
         chain = experiment.noisy_kernels(
-            ds, train, noise.NoiseConfig(attachment, eps), [rng]
+            reps, train, noise.NoiseConfig(attachment, eps), [rng]
         )
         indices = None if train is None else train[0]
-        dense = oracle.kernel_matrix(ds.factors[0], indices, **unfolded)
+        dense = oracle.kernel_matrix(dataset.points(reps[0]), indices,
+                                     **unfolded)
         np.testing.assert_allclose(chain[0], dense, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_alpha_matrix_matches_dense_oracle(n):
     rng = np.random.default_rng(200 + n)
-    ds = oracle.generate(n, 4, rng)
-    np.testing.assert_allclose(kernel.alpha_matrix(ds.representatives),
-                               oracle.alpha_matrix(ds.representatives),
+    reps = oracle.generate(n, 4, rng)
+    np.testing.assert_allclose(kernel.alpha_matrix(reps),
+                               oracle.alpha_matrix(reps),
                                rtol=0, atol=1e-12)
 
 
 def test_dense_oracle_refuses_past_its_cap():
     n = oracle.DENSE_MAX_QUBITS + 1
-    ds = oracle.generate(n, 2, np.random.default_rng(14))
+    points = dataset.points(oracle.generate(n, 2, np.random.default_rng(14)))
     with pytest.raises(ValueError, match="dense oracle"):
-        oracle.kernel_matrix(ds.factors, [0, 1])
+        oracle.kernel_matrix(points, [0, 1])
 
 
 @pytest.mark.parametrize("n", [32, 128])
@@ -249,10 +247,11 @@ def test_large_n_full_surface_properties(n):
                    noise.NoiseConfig("selection", 0.0)]
     for m in (2, 3, 4, 5) if n == 32 else (2,):
         rng = oracle.trial_rng(15, n, m, 0)
-        ds, train = experiment.draw_trials(n, m, [rng])
-        kmat = kernel.kernel_matrix(ds.factors)[0]
-        alphas = kernel.alpha_matrix(ds.representatives)[0]
-        labels = ds.coset_labels
+        reps, train = experiment.draw_trials(n, m, [rng])
+        points = dataset.points(reps)
+        kmat = kernel.kernel_matrix(points)[0]
+        alphas = kernel.alpha_matrix(reps)[0]
+        labels = dataset.coset_labels(n, m)
         expected = alphas[labels[:, None], labels[None, :]]
         same = labels[:, None] == labels[None, :]
         np.testing.assert_allclose(kmat[same], 1.0, rtol=0, atol=1e-12)
@@ -260,10 +259,10 @@ def test_large_n_full_surface_properties(n):
                                    atol=1e-12)
         _, var = kernel.offdiag_stats(kmat)
         assert abs(var - theory.exact_variance(m, n, alphas)) < 1e-12
-        train_kmat = kernel.kernel_matrix(ds.factors, train)[0]
+        train_kmat = kernel.kernel_matrix(points, train)[0]
         for indices, chain in ((None, kmat), (train, train_kmat)):
             for cfg_noise in unperturbed:
-                gathered = experiment.noisy_kernels(ds, indices, cfg_noise,
+                gathered = experiment.noisy_kernels(reps, indices, cfg_noise,
                                                     [rng])
                 np.testing.assert_allclose(gathered[0], chain, rtol=0,
                                            atol=1e-12)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cosetkernel import experiment, kernel, noise
+from cosetkernel import dataset, experiment, kernel, noise
 
 import oracle
 from oracle import rx, ry, rz
@@ -180,12 +180,12 @@ def test_zero_epsilon_reproduces_ideal_kernel(variant):
     # the alphas instead, and draw no noise
     cfg_noise = noise.NoiseConfig(variant, 0.0)
     rngs = [oracle.trial_rng(3, 4, 2, t) for t in range(3)]
-    ds, _ = experiment.draw_trials(4, 2, rngs, "full")
-    clean = kernel.kernel_matrix(ds.factors)
-    noisy, offsets = noise.attach(cfg_noise, ds, rngs)
-    assert np.array_equal(kernel.kernel_matrix(noisy.factors, None, offsets),
-                          clean)
-    gathered = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
+    reps, _ = experiment.draw_trials(4, 2, rngs, "full")
+    points = dataset.points(reps)
+    clean = kernel.kernel_matrix(points)
+    noisy, offsets = noise.attach(cfg_noise, points, rngs)
+    assert np.array_equal(kernel.kernel_matrix(noisy, None, offsets), clean)
+    gathered = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
     np.testing.assert_allclose(gathered, clean, rtol=0, atol=1e-12)
 
 
@@ -222,12 +222,12 @@ def test_small_epsilon_entries_inside_envelope(variant):
     eps = 0.05
     for t in range(5):
         rng = oracle.trial_rng(5, 4, 2, t)
-        ds, _, kmat = oracle.build_kernel(
+        reps, _, kmat = oracle.build_kernel(
             4, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
         )
-        alphas = kernel.alpha_matrix(ds.representatives)
         violations, checked = noise.count_envelope_violations(
-            kmat, ds.coset_labels, alphas, variant, eps
+            kmat, dataset.coset_labels(4, 2), kernel.alpha_matrix(reps),
+            variant, eps
         )
         assert violations == 0
         assert checked == len(kmat) * (len(kmat) - 1)
@@ -239,11 +239,12 @@ def test_attach_reads_a_fixed_number_of_draws(variant):
     # errors and none for `none`, each stream its own trial's
     for n_qubits, m in ((2, 2), (5, 3)):
         rngs = [oracle.trial_rng(8, n_qubits, m, t) for t in range(3)]
-        ds, _ = experiment.draw_trials(n_qubits, m, rngs)
+        reps, _ = experiment.draw_trials(n_qubits, m, rngs)
         direct = [oracle.trial_rng(8, n_qubits, m, t) for t in range(3)]
         experiment.draw_trials(n_qubits, m, direct)
         eps = 0.0 if variant == "none" else 0.2
-        noise.attach(noise.NoiseConfig(variant, eps), ds, rngs)
+        noise.attach(noise.NoiseConfig(variant, eps), dataset.points(reps),
+                     rngs)
         draws = {"none": 0, "fiducial": 2 * n_qubits}.get(
             variant, 3 * (m * n_qubits) * n_qubits
         )
@@ -258,9 +259,9 @@ def test_representation_and_selection_kernels_differ():
         kmats = {}
         for variant in ("selection", "representation"):
             rngs = [oracle.trial_rng(9, n_qubits, 2, t) for t in range(2)]
-            ds, _ = experiment.draw_trials(n_qubits, 2, rngs)
+            reps, _ = experiment.draw_trials(n_qubits, 2, rngs)
             kmats[variant] = experiment.noisy_kernels(
-                ds, None, noise.NoiseConfig(variant, 0.3), rngs
+                reps, None, noise.NoiseConfig(variant, 0.3), rngs
             )
         off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
         diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
@@ -292,11 +293,11 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
             for m in (2, 3):
                 rngs = [oracle.trial_rng(12, n_qubits, m, t)
                         for t in range(10)]
-                ds, _ = experiment.draw_trials(n_qubits, m, rngs)
-                kmats = experiment.noisy_kernels(ds, None, cfg_noise, rngs)
+                reps, _ = experiment.draw_trials(n_qubits, m, rngs)
+                kmats = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
                 violations, _ = noise.count_envelope_violations(
-                    kmats, ds.coset_labels,
-                    kernel.alpha_matrix(ds.representatives), variant, eps
+                    kmats, dataset.coset_labels(n_qubits, m),
+                    kernel.alpha_matrix(reps), variant, eps
                 )
                 assert violations == 0, (eps, n_qubits, m)
 
@@ -345,12 +346,12 @@ def _loop_violations(kmat, labels, alphas, variant, eps):
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
     rngs = [oracle.trial_rng(6, 3, 3, t) for t in range(3)]
-    ds, _ = experiment.draw_trials(3, 3, rngs)
+    reps, _ = experiment.draw_trials(3, 3, rngs)
     kmats = experiment.noisy_kernels(
-        ds, None, noise.NoiseConfig(variant, eps), rngs
+        reps, None, noise.NoiseConfig(variant, eps), rngs
     )
-    batch_alphas = kernel.alpha_matrix(ds.representatives)
-    labels = ds.coset_labels
+    batch_alphas = kernel.alpha_matrix(reps)
+    labels = dataset.coset_labels(3, 3)
     for t in range(3):
         alphas = batch_alphas[t]
         same = np.flatnonzero(labels == labels[0])[1]

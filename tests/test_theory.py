@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosetkernel import kernel, noise, theory
+from cosetkernel import dataset, kernel, noise, theory
 
 import oracle
 
@@ -115,10 +115,11 @@ def test_noisy_constant_kernel():
 
 def test_extract_stats_ideal_kernel():
     rng = np.random.default_rng(0)
-    ds = oracle.generate(3, 2, rng)
-    kmat = kernel.kernel_matrix(ds.factors)
-    alphas = kernel.alpha_matrix(ds.representatives)
-    stats = theory.extract_deviation_stats(kmat, ds.coset_labels, alphas[0, 1])
+    reps = oracle.generate(3, 2, rng)
+    kmat = kernel.kernel_matrix(dataset.points(reps))
+    alphas = kernel.alpha_matrix(reps)
+    stats = theory.extract_deviation_stats(kmat, dataset.coset_labels(3, 2),
+                                           alphas[0, 1])
     assert stats.mean_gamma == pytest.approx(0.0, abs=1e-12)
     assert stats.var_gamma == pytest.approx(0.0, abs=1e-12)
     assert stats.mean_delta == pytest.approx(0.0, abs=1e-10)
@@ -126,10 +127,10 @@ def test_extract_stats_ideal_kernel():
 
 def test_extract_stats_gamma_nonnegative():
     rng = oracle.trial_rng(1, 4, 2, 0)
-    ds, _, k = oracle.build_kernel(
+    _, _, k = oracle.build_kernel(
         4, 2, noise.NoiseConfig("selection", 0.05), rng, surface="full"
     )
-    labels = ds.coset_labels
+    labels = dataset.coset_labels(4, 2)
     stats = theory.extract_deviation_stats(k, labels, 2.0**-4)
     same = (~np.eye(k.shape[0], dtype=bool)) & (labels[:, None] == labels[None, :])
     assert np.all(1 - k[same] >= -1e-10)
@@ -143,13 +144,14 @@ def test_noisy_variance_is_exact_decomposition(n_qubits, m, variant):
     # the two-group decomposition reproduces the population variance of the
     # full off-diagonal multiset for any reference alpha
     rng = oracle.trial_rng(2, n_qubits, m, 0)
-    ds, _, kmat = oracle.build_kernel(
+    _, _, kmat = oracle.build_kernel(
         n_qubits, m, noise.NoiseConfig(variant, 0.05), rng, surface="full"
     )
+    labels = dataset.coset_labels(n_qubits, m)
     _, empirical_var = kernel.offdiag_stats(kmat)
     empirical_mean, _ = kernel.offdiag_stats(kmat)
     for alpha_used in (2.0**-n_qubits, 0.123):
-        stats = theory.extract_deviation_stats(kmat, ds.coset_labels, alpha_used)
+        stats = theory.extract_deviation_stats(kmat, labels, alpha_used)
         n = n_qubits
         assert theory.noisy_variance(m, n, stats) == pytest.approx(
             empirical_var, abs=1e-9
