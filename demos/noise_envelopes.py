@@ -31,7 +31,8 @@ for variant in ("fiducial", "selection", "representation"):
         labels[:, None] == labels[None, :]
     )
     same_min = kmats[:, same].min()
-    lows, _, highs = kernel.cross_coset_stats(kmats, labels)
+    stats = kernel.trial_stats(kmats, ~np.eye(len(labels), dtype=bool), labels)
+    lows, highs = stats[:, 2], stats[:, 4]
     bounds = noise.bounds_for(variant, 0.0, EPSILON)
     print(
         f"{variant:>14}: {checked} entries, {violations} violations; "

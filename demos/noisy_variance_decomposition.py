@@ -9,6 +9,8 @@ checks the reconstruction against the directly computed variance.
 Run: python3 demos/noisy_variance_decomposition.py
 """
 
+import numpy as np
+
 from cosetkernel import dataset, experiment, kernel, noise, theory
 
 N_QUBITS, M = 5, 2
@@ -23,7 +25,7 @@ for variant in ("fiducial", "selection"):
     alpha = kernel.alpha_matrix(reps[0])[0, 1]
     labels = dataset.coset_labels(N_QUBITS, M)
     stats = theory.extract_deviation_stats(kmat, labels, alpha)
-    _, direct = kernel.offdiag_stats(kmat)
+    direct = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool), labels)[0]
     rebuilt = theory.noisy_variance(M, N_QUBITS, stats)
     print(f"{variant}:")
     print(f"  alpha              {alpha:.6f}")

@@ -101,13 +101,7 @@ def _simulate_config(args):
 
 def cmd_simulate(args):
     cfg = _simulate_config(args)
-    n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
-    # a full-surface sweep has already built the heat map's kernel
-    reuse = args.heatmap and cfg.variance_surface == "full"
-    if reuse:
-        report, kmat = experiment.run_experiment(cfg, keep=(n_qubits, m))
-    else:
-        report = experiment.run_experiment(cfg)
+    report = experiment.run_experiment(cfg)
     if cfg.output_path:
         experiment.export_report(report, cfg.output_path, cfg.output_format)
     elif cfg.output_format == "csv":
@@ -116,12 +110,12 @@ def cmd_simulate(args):
         json.dump(report["aggregates"], sys.stdout, indent=2, sort_keys=True)
         print()
     if args.heatmap:
+        n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
-        if not reuse:
-            rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
-            reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
-            kmat = experiment.noisy_kernels(reps, None, cfg.noise, rngs)[0]
+        rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
+        reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+        kmat = experiment.noisy_kernels(reps, None, cfg.noise, rngs)[0]
         kernel.export_heatmap(kmat, dataset.point_names(n_qubits, m),
                               args.heatmap)
     return 0

@@ -23,21 +23,24 @@ statistics and the envelope check. The build has two stages: `draw_trials`
 (the (T, m, N, 2, 2) representatives and, on the train surface, the (T, K)
 train indices; None on the full surface) and `noisy_kernels` (the points,
 `noise.attach`, then the kernels over those indices, or over every point
-for None); `run_trials` runs one after the other and returns the (T, 5)
-statistics. `run_experiment` makes each trial's record a flat dict of
-`TRIAL_FIELDS`. `verify-bounds` runs the first stage and the alpha matrices
-once per chunk and, for each noise variant, restores every stream to its
-state past the split's uniforms and runs only the second, so each variant
-reads the draws of a fresh build. One trial is a chunk of one stream,
+for None); `run_trials` runs one after the other and returns only the
+(T, 5) statistics (`kernel.trial_stats`). `run_experiment` makes each
+trial's record a flat dict of `TRIAL_FIELDS`. `verify-bounds` runs the
+first stage and the alpha matrices once per chunk and, for each noise
+variant, restores every stream to its state past the split's uniforms and
+runs only the second, so each variant reads the draws of a fresh build. One trial is a chunk of one stream,
 `[rng]`: `[0]` of its representatives, train indices and kernels.
 
 When the noise budget is zero (epsilon 0, which the `none` variant implies)
-`noisy_kernels` skips the point factors, `noise.attach` and the chain over
-all point pairs: each trial's kernel is gathered from its (T, m, m) alpha
-matrix by its points' coset labels (`kernel.gather_alphas`). The budget,
-not the variant's name, selects this path: at epsilon 0 every variant
-attaches the ideal inputs bit for bit, and no stream is read after its
-noise draws, so the draws it skips change nothing else.
+`run_trials` builds no kernel over the points: it takes each trial's
+statistics from its (m, m) alpha matrix, entry (i, j) weighted by how often
+it occurs among the kernel's off-diagonal entries, n_i n_j - delta_ij n_i
+for the n_i points of coset i in the kernel (`kernel` module docstring).
+`noisy_kernels` gathers the kernels themselves from the alpha matrices
+(`kernel.gather_alphas`), for the heat map. The budget, not the variant's
+name, selects this path: at epsilon 0 every variant attaches the ideal
+inputs bit for bit, and no stream is read after its noise draws, so the
+draws it skips change nothing else.
 
 Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
 `CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
@@ -62,8 +65,9 @@ from . import noise as noise_models
 MAX_QUBITS = 128
 # complex entries of one chunk's (T, 2P, 2P) transfer matrices. Past about
 # twice this, a batch runs slower than one trial at a time, and the chain's
-# working set (two such arrays) grows with it. Without noise the chunk's
-# (T, P, P) gathered kernels, a quarter of that count, are what it bounds.
+# working set (two such arrays) grows with it. Without noise a chunk holds
+# only its (T, m, m) alpha matrices; it stays sized by P, which is then
+# conservative.
 CHUNK_ENTRIES = 2**16
 
 
@@ -112,6 +116,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.variance_surface not in ("train", "full"):
             raise ValueError("variance_surface must be 'train' or 'full'")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(
+                f"output_path must be a string, got {self.output_path!r}"
+            )
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")
 
@@ -253,43 +261,39 @@ def noisy_kernels(reps, train, cfg_noise, rngs):
 
 
 def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
-    """Monte-Carlo trials built as one batch, `draw_trials` then
-    `noisy_kernels`, with the statistics of all of them taken at once; they
-    exclude the diagonal. Returns the (T, 5) statistics, in the order of
-    `TRIAL_FIELDS[3:8]`, and the (T, K, K) kernels."""
+    """Monte-Carlo trials built as one batch, and the (T, 5) statistics of
+    their kernels' off-diagonal entries, in the order of `TRIAL_FIELDS[3:8]`,
+    all taken at once by `kernel.trial_stats`. With no noise budget they are
+    those of the (T, m, m) alpha matrices, weighted by the pair counts of the
+    kernel's points; otherwise those of the `noisy_kernels`, with unit
+    off-diagonal weights."""
     reps, train = draw_trials(n_qubits, m, rngs, surface)
-    kmats = noisy_kernels(reps, train, cfg_noise, rngs)
     labels = dataset.coset_labels(n_qubits, m)
     if train is not None:
         labels = labels[train]
-    means, variances = kernel.offdiag_stats(kmats)
-    stats = np.stack([variances, means,
-                      *kernel.cross_coset_stats(kmats, labels)], -1)
-    return stats, kmats
+    if cfg_noise.epsilon == 0:
+        cosets = np.arange(m)
+        counts = np.count_nonzero(labels[..., :, None] == cosets, axis=-2)
+        pairs = counts[..., :, None] * counts[..., None, :]
+        pairs[..., cosets, cosets] -= counts
+        return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
+    kmats = noisy_kernels(reps, train, cfg_noise, rngs)
+    return kernel.trial_stats(kmats, ~np.eye(labels.shape[-1], dtype=bool),
+                              labels)
 
 
-def run_experiment(cfg, keep=None):
-    """All (N, m, trial) combinations, with theory overlays per (N, m).
-
-    With `keep` an (N, m) cell of the sweep, returns (report, the kernel of
-    that cell's trial 0), so a caller that needs that kernel does not build
-    it again."""
+def run_experiment(cfg):
+    """All (N, m, trial) combinations, with theory overlays per (N, m)."""
     trials = []
     aggregates = []
-    kept = None
     surface = cfg.variance_surface
     for n_qubits in cfg.qubit_values():
         for m in cfg.coset_counts:
-            cell = []
-            for chunk in trial_chunks(n_qubits, m, cfg.trials, surface):
-                stats, kmats = run_trials(
-                    n_qubits, m, cfg.noise,
-                    trial_rngs(cfg.seed, n_qubits, m, chunk), surface,
-                )
-                cell.append(stats)
-                if (n_qubits, m) == keep and chunk[0] == 0:
-                    kept = kmats[0]
-            stats = np.concatenate(cell)
+            stats = np.concatenate([
+                run_trials(n_qubits, m, cfg.noise,
+                           trial_rngs(cfg.seed, n_qubits, m, chunk), surface)
+                for chunk in trial_chunks(n_qubits, m, cfg.trials, surface)
+            ])
             variances = stats[:, 0]
             n = n_qubits
             aggregates.append(
@@ -313,7 +317,7 @@ def run_experiment(cfg, keep=None):
         "aggregates": aggregates,
         "trials": trials,
     }
-    return report if keep is None else (report, kept)
+    return report
 
 
 def config_to_dict(cfg):

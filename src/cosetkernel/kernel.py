@@ -32,17 +32,23 @@ a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
 Each trial's entries are the same, bit for bit, as in a batch of one;
 `experiment` picks the batch size so that T (2P)^2 stays within a fixed
 budget. A kernel is the plain Gram array of a factor stack, with no coset
-labels: the statistics are given the points' labels, take a whole batch,
-and give each trial the bits of 1-D reductions over its own entries. The
-tests check the chain against a dense 2^N construction (`tests/oracle.py`).
+labels. `trial_stats` takes a batch of such arrays with a weight for each
+entry and a coset label for each row and column; every statistic is a sum
+or an extremum over the two trailing axes, which gives each trial the bits
+of a batch of one. A kernel's off-diagonal statistics weigh its entries by
+~eye. The tests check the chain against a dense 2^N construction
+(`tests/oracle.py`).
 
 Without noise no chain over the points is needed: every point is c_i s_a,
 s_a fixes the ideal fiducial, so entry (p, q) is the alpha of the points'
-cosets. `gather_alphas` builds those kernels from the (T, m, m) alpha
-matrices, whose chain runs over the m representatives only, and
-`experiment` takes that path whenever the noise budget is zero. The chain
-over all P x P pairs stays the path of every noisy kernel and the tests'
-reference for the gathered ones.
+cosets, and a kernel's off-diagonal entries are alpha_ij, n_i n_j times for
+each i != j, and 1, n_i (n_i - 1) times, for the n_i points of coset i.
+`experiment` takes the statistics of the (T, m, m) alpha matrices with
+those counts as weights whenever the noise budget is zero; their chain runs
+over the m representatives only. `gather_alphas` builds the kernels
+themselves from the alpha matrices, for the heat map. The chain over all
+P x P pairs stays the path of every noisy kernel and the tests' reference
+for the noiseless ones.
 """
 
 import numpy as np
@@ -107,8 +113,11 @@ def transfer_amplitudes(left, right, offsets_left, offsets_right):
     return halves[..., 0, :, :] + halves[..., 1, :, :]
 
 
-def _mirrored(gram):
-    """The upper triangle mirrored, so the result is exactly symmetric."""
+def _gram(factors, offsets):
+    """|<psi_l| D_p^dag D_q |psi_r>|^2 over all pairs of a factor stack's
+    points, for the (2, N) or (2, T, N) offsets of the bra and the ket; the
+    upper triangle mirrored, so the result is exactly symmetric."""
+    gram = np.abs(transfer_amplitudes(factors, factors, *offsets)) ** 2
     return np.triu(gram) + np.swapaxes(np.triu(gram, 1), -1, -2)
 
 
@@ -125,15 +134,15 @@ def kernel_matrix(factors, indices=None, offsets=None):
     if indices is not None:
         idx = np.asarray(indices, dtype=int)
         factors = np.take_along_axis(factors, idx[..., None, None, None], -4)
-    amps = transfer_amplitudes(factors, factors, *offsets)
-    return _mirrored(np.abs(amps) ** 2)
+    return _gram(factors, offsets)
 
 
 def alpha_matrix(reps):
     """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal, for
-    (m, N, 2, 2) representatives; (T, m, m) for a batch of trials'."""
-    ideal = np.zeros(reps.shape[-3])
-    alphas = _mirrored(np.abs(transfer_amplitudes(reps, reps, ideal, ideal)) ** 2)
+    (m, N, 2, 2) representatives; (T, m, m) for a batch of trials'. It is
+    `kernel_matrix(reps)` with its diagonal set, through the shared
+    `_gram`, so that every `kernel_matrix` call is a kernel over points."""
+    alphas = _gram(reps, np.zeros((2, reps.shape[-3])))
     diagonal = np.arange(reps.shape[-4])
     alphas[..., diagonal, diagonal] = 1.0
     return alphas
@@ -149,36 +158,27 @@ def gather_alphas(alphas, labels):
     return alphas[trials, labels[..., :, None], labels[..., None, :]]
 
 
-def offdiag_stats(k):
-    """Mean and population variance over all off-diagonal entries: floats
-    for one matrix, (T,) arrays for a batch."""
-    mask = ~np.eye(k.shape[-1], dtype=bool)
-    # k[..., mask] is F-ordered on a batch; its row reductions would differ
-    # in the last bits from those of a one-trial call
-    vals = np.ascontiguousarray(k[..., mask])
-    return vals.mean(axis=-1), vals.var(axis=-1)
-
-
-def cross_coset_stats(k, labels):
-    """Min, mean and max of the entries between points of different coset
-    labels: floats for one matrix, (T,) arrays for a batch. The trials with
-    equal counts are averaged as the rows of one C-ordered array, which
-    numpy sums pairwise row by row, so each mean has the bits of `.mean()`
-    over that trial's values."""
-    cross = np.broadcast_to(labels[..., :, None] != labels[..., None, :],
-                            k.shape)
-    lows = np.where(cross, k, np.inf).min(axis=(-2, -1))
-    highs = np.where(cross, k, -np.inf).max(axis=(-2, -1))
-    counts = np.atleast_1d(np.count_nonzero(cross, axis=(-2, -1)))
-    starts = np.cumsum(counts) - counts
-    # trial 0's values, then trial 1's, and so on
-    values = k[cross]
-    means = np.empty(counts.shape)
-    # a set, not np.unique: its first call adds about 1 MiB to the peak RSS
-    for count in set(counts.tolist()):
-        rows = counts == count
-        means[rows] = values[starts[rows, None] + np.arange(count)].mean(axis=-1)
-    return lows, means.reshape(lows.shape)[()], highs
+def trial_stats(values, weights, labels):
+    """The statistics of `experiment.TRIAL_FIELDS[3:8]` over the trailing
+    (A, A) block of `values`, entry (a, b) counted `weights[..., a, b]`
+    times and with the coset `labels[..., a]` and `labels[..., b]`: the
+    weighted variance (two passes) and mean, then the min, weighted mean
+    and max of the entries whose labels differ and whose weight is above 0.
+    (5,) for one block, (T, 5) for a batch of trials, with (A, A) or
+    (T, A, A) weights and (A,) or (T, A) labels."""
+    axes = (-2, -1)
+    total = np.sum(weights, axis=axes)
+    mean = np.sum(weights * values, axis=axes) / total
+    deviations = values - mean[..., None, None]
+    variance = np.sum(weights * deviations * deviations, axis=axes) / total
+    cross = (labels[..., :, None] != labels[..., None, :]) & (weights > 0)
+    cross_weights = np.where(cross, weights, 0)
+    cross_mean = (np.sum(cross_weights * values, axis=axes)
+                  / np.sum(cross_weights, axis=axes))
+    return np.stack([variance, mean,
+                     np.where(cross, values, np.inf).min(axis=axes),
+                     cross_mean,
+                     np.where(cross, values, -np.inf).max(axis=axes)], -1)
 
 
 def export_heatmap(k, names, path):

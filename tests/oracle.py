@@ -167,7 +167,7 @@ def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
               digest=""):
     """One trial's record from the stream `rng`."""
-    stats, _ = experiment.run_trials(n_qubits, m, cfg_noise, [rng], surface)
+    stats = experiment.run_trials(n_qubits, m, cfg_noise, [rng], surface)
     return dict(zip(experiment.TRIAL_FIELDS,
                     (n_qubits, m, trial_index, *stats[0].tolist(), digest)))
 

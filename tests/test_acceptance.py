@@ -52,8 +52,9 @@ def test_criterion_1_noiseless_asymptote():
             reps, _, kmat = oracle.build_kernel(
                 10, m, noise.NoiseConfig(), rng, surface="full"
             )
-            _, var = kernel.offdiag_stats(kmat)
-            empirical.append(var)
+            stats = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool),
+                                       dataset.coset_labels(10, m))
+            empirical.append(stats[0])
             predicted.append(
                 theory.exact_variance(m, 10, kernel.alpha_matrix(reps))
             )

@@ -26,6 +26,10 @@ def small_config(**overrides):
 
 
 def test_config_validation():
+    for path in (1, True, ["a"]):
+        with pytest.raises(ValueError, match="output_path must be a string"):
+            ExperimentConfig(output_path=path)
+    assert ExperimentConfig(output_path="r.json").output_path == "r.json"
     with pytest.raises(ValueError):
         ExperimentConfig(qubit_range=(2, experiment.MAX_QUBITS + 1))
     with pytest.raises(ValueError):
@@ -52,7 +56,8 @@ def test_full_surface_variance_matches_theory():
     reps, _, kmat = oracle.build_kernel(
         10, 2, noise.NoiseConfig(), rng, surface="full"
     )
-    _, var = kernel.offdiag_stats(kmat)
+    var = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool),
+                             np.repeat(np.arange(2), 10))[0]
     expected = theory.exact_variance(2, 10, kernel.alpha_matrix(reps))
     assert var == pytest.approx(expected, abs=1e-12)
 
@@ -270,10 +275,9 @@ def _read_heatmap(path):
 
 
 @pytest.mark.parametrize("surface", ["full", "train"])
-def test_heatmap_reuses_the_sweep_kernel(surface, tmp_path, monkeypatch):
-    # a full-surface sweep has already built trial 0's kernel at the largest
-    # N and the first m; a train-surface sweep has not, so the heat map
-    # builds it once more
+def test_heatmap_is_one_more_kernel_build(surface, tmp_path, monkeypatch):
+    # the sweep keeps only statistics, so the heat map builds trial 0's
+    # kernel at the largest N and the first m once more, on either surface
     builds = []
     build = kernel.kernel_matrix
 
@@ -289,7 +293,7 @@ def test_heatmap_reuses_the_sweep_kernel(surface, tmp_path, monkeypatch):
     assert cli.main(args) == 0
     chunks = sum(len(experiment.trial_chunks(n, m, 3, surface))
                  for n in (2, 3, 4) for m in (3, 2))
-    assert len(builds) == chunks + (surface == "train")
+    assert len(builds) == chunks + 1
     monkeypatch.undo()
     # the CSV is that kernel, built on its own
     rng = oracle.trial_rng(5, 4, 3, 0)
@@ -300,16 +304,14 @@ def test_heatmap_reuses_the_sweep_kernel(surface, tmp_path, monkeypatch):
     kernel.export_heatmap(kmat, names, tmp_path / "ref.csv")
     assert heat.read_text() == (tmp_path / "ref.csv").read_text()
     if surface == "full":
-        # and it has the statistics of report record (4, 3, 0)
+        # and it has the statistics of report record (4, 3, 0), bit for bit
         (record,) = [r for r in json.loads(out.read_text())["trials"]
                      if (r["num_qubits"], r["num_cosets"], r["trial_index"])
                      == (4, 3, 0)]
         entries = _read_heatmap(heat)
-        off = entries[~np.eye(len(entries), dtype=bool)]
-        assert off.mean() == pytest.approx(record["empirical_mean"],
-                                           rel=0, abs=1e-12)
-        assert off.var() == pytest.approx(record["empirical_variance"],
-                                          rel=0, abs=1e-12)
+        stats = kernel.trial_stats(entries, ~np.eye(len(entries), dtype=bool),
+                                   np.repeat(np.arange(3), 4))
+        assert stats.tolist() == [record[f] for f in experiment.TRIAL_FIELDS[3:8]]
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
@@ -528,6 +530,31 @@ def test_cli_simulate_names_the_config_key_of_a_malformed_value(
     assert code == 1
     assert _error_record(capsys) == {"error": "ValueError", "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path", [1, True, ["a"]])
+def test_cli_rejects_an_output_path_that_is_not_a_string(tmp_path, path):
+    # in a child process: the integer 1 would otherwise be opened as file
+    # descriptor 1, and closing that closes stdout
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"qubit_range": [2, 2], "coset_counts": [2],
+                                    "trials": 1, "output_path": path}))
+    source_dir = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (source_dir, env.get("PYTHONPATH")))
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "cosetkernel.cli", "simulate", "--config",
+         str(cfg_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {
+        "error": "ValueError",
+        "message": f"output_path must be a string, got {path!r}",
+    }
 
 
 def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys):

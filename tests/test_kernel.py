@@ -257,7 +257,8 @@ def test_large_n_full_surface_properties(n):
         np.testing.assert_allclose(kmat[same], 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(kmat[~same], expected[~same], rtol=0,
                                    atol=1e-12)
-        _, var = kernel.offdiag_stats(kmat)
+        var = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool),
+                                 labels)[0]
         assert abs(var - theory.exact_variance(m, n, alphas)) < 1e-12
         train_kmat = kernel.kernel_matrix(points, train)[0]
         for indices, chain in ((None, kmat), (train, train_kmat)):
@@ -266,3 +267,42 @@ def test_large_n_full_surface_properties(n):
                                                     [rng])
                 np.testing.assert_allclose(gathered[0], chain, rtol=0,
                                            atol=1e-12)
+
+
+@pytest.mark.parametrize("surface", ["full", "train"])
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+def test_pair_count_weights_match_the_gathered_kernel(n, surface):
+    # a noiseless kernel's off-diagonal entries are alpha_ij, n_i n_j times
+    # for i != j, and 1, n_i (n_i - 1) times: its (m, m) alpha matrix with
+    # those weights has the statistics of the kernel with unit weights
+    trials = 3
+    for m in (2, 3, 5):
+        rngs = [oracle.trial_rng(8, n, m, t) for t in range(trials)]
+        reps, train = experiment.draw_trials(n, m, rngs)
+        labels = dataset.coset_labels(n, m)
+        if surface == "train":
+            labels = labels[train]
+        alphas = kernel.alpha_matrix(reps)
+        kmats = kernel.gather_alphas(alphas, labels)
+        counts = np.array([np.bincount(row, minlength=m) for row in
+                           np.broadcast_to(labels, (trials, labels.shape[-1]))])
+        pairs = (counts[:, :, None] * counts[:, None, :]
+                 - np.eye(m, dtype=int) * counts[:, None, :])
+        got = kernel.trial_stats(alphas, pairs, np.arange(m))
+        want = kernel.trial_stats(kmats, ~np.eye(kmats.shape[-1], dtype=bool),
+                                  labels)
+        assert got.shape == want.shape == (trials, 5)
+        assert np.array_equal(got[:, 2::2], want[:, 2::2])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_equal_count_weights_give_the_closed_form(m):
+    # n points in every coset: the weighted mean and variance of the alpha
+    # matrix are the closed-form moments of the off-diagonal multiset
+    alphas = kernel.alpha_matrix(oracle.generate(4, m, np.random.default_rng(m)))
+    for n in range(1, 129):
+        weights = n * n - n * np.eye(m, dtype=int)
+        variance, mean = kernel.trial_stats(alphas, weights, np.arange(m))[:2]
+        assert abs(mean - theory.exact_expectation(m, n, alphas)) <= 1e-15
+        assert abs(variance - theory.exact_variance(m, n, alphas)) <= 1e-15

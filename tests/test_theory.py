@@ -148,8 +148,9 @@ def test_noisy_variance_is_exact_decomposition(n_qubits, m, variant):
         n_qubits, m, noise.NoiseConfig(variant, 0.05), rng, surface="full"
     )
     labels = dataset.coset_labels(n_qubits, m)
-    _, empirical_var = kernel.offdiag_stats(kmat)
-    empirical_mean, _ = kernel.offdiag_stats(kmat)
+    empirical_var, empirical_mean = kernel.trial_stats(
+        kmat, ~np.eye(len(kmat), dtype=bool), labels
+    )[:2]
     for alpha_used in (2.0**-n_qubits, 0.123):
         stats = theory.extract_deviation_stats(kmat, labels, alpha_used)
         n = n_qubits
