@@ -13,6 +13,7 @@ record is printed to stderr and the exit code is 1.
 
 import argparse
 import json
+import os
 import sys
 
 from . import dataset, experiment, kernel, noise, theory
@@ -101,6 +102,12 @@ def _simulate_config(args):
 
 def cmd_simulate(args):
     cfg = _simulate_config(args)
+    for path in filter(None, (cfg.output_path, args.heatmap)):
+        parent = os.path.dirname(path) or "."  # before the sweep, not after
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path is a directory: {path!r}")
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"no such directory: {parent!r}")
     report = experiment.run_experiment(cfg)
     if cfg.output_path:
         experiment.export_report(report, cfg.output_path, cfg.output_format)
@@ -125,16 +132,17 @@ def cmd_theory(args):
     m, n, n_qubits = args.m, args.n, args.N
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
+    mean, variance = theory.offdiag_moments([n] * m, 2.0**-n_qubits)
     print(
         json.dumps(
             {
                 "m": m,
                 "n": n,
                 "N": n_qubits,
-                "exact_expectation": theory.exact_expectation(m, n, 2.0**-n_qubits),
-                "exact_variance": theory.exact_variance(m, n, 2.0**-n_qubits),
-                "asymptotic_expectation": theory.asymptotic_expectation(m, n, n_qubits),
-                "asymptotic_variance": theory.asymptotic_variance(m, n, n_qubits),
+                "exact_expectation": mean,
+                "exact_variance": variance,
+                "asymptotic_expectation": mean,
+                "asymptotic_variance": variance,
                 "limit_expectation": theory.limit_expectation(m),
                 "limit_variance": theory.limit_variance(m),
             },

@@ -295,15 +295,16 @@ def run_experiment(cfg):
                 for chunk in trial_chunks(n_qubits, m, cfg.trials, surface)
             ])
             variances = stats[:, 0]
-            n = n_qubits
+            # the plug-in overlay: n = N points per coset, alpha = 2^-N
+            _, overlay = theory.offdiag_moments([n_qubits] * m, 2.0**-n_qubits)
             aggregates.append(
                 {
                     "num_qubits": n_qubits,
                     "num_cosets": m,
                     "mean_variance": float(variances.mean()),
                     "std_dev_variance": float(variances.std()),
-                    "theory_exact": theory.exact_variance(m, n, 2.0**-n_qubits),
-                    "theory_asymptotic": theory.asymptotic_variance(m, n, n_qubits),
+                    "theory_exact": overlay,
+                    "theory_asymptotic": overlay,
                     "theory_limit": theory.limit_variance(m),
                 }
             )

@@ -2,56 +2,46 @@
 distribution, with and without coherent-noise deviations.
 
 Conventions: ordered off-diagonal pairs, diagonal excluded, population
-variance throughout. Same-coset entries equal 1 (count m n (n-1)); each
-unordered coset pair (i, j) contributes 2 n^2 entries of value alpha_{i,j}.
+variance throughout. Same-coset entries equal 1 (n_i (n_i - 1) in coset i);
+each ordered coset pair (i, j) contributes n_i n_j entries alpha_{i,j}.
+The `theory` command's exact and asymptotic values are one plug-in value:
+`offdiag_moments` at n_i = n and alpha = 2^-N.
 """
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
 
-def _alpha_sums(m, alphas):
-    """Sums of alpha_{i,j} and alpha_{i,j}^2 over the pairs i < j, as floats,
-    from an (m, m) matrix or from one alpha that every pair shares."""
+def offdiag_moments(counts, alphas):
+    """Off-diagonal mean and population variance, as Python floats, of a
+    noiseless kernel with counts[i] >= 1 points in coset i of m >= 2: 1 on
+    n_i (n_i - 1) same-coset entries, alpha_ij on n_i n_j entries per pair
+    i != j. `alphas` is (m, m), or one alpha for every pair (no matrix).
+    With s1, s2 the sums of alpha, alpha^2 over those entries, the variance
+    numerator pairs (same + s2) - (same + s1)^2 is summed as same (cross -
+    2 s1 + s2) + (cross s2 - s1^2), without the plain form's cancellation
+    (up to 8e3 ulp at m = 1e5). s1, s2 are exact at alpha = 2^-N, so one
+    alpha and its matrix give the same bits."""
+    counts = [index(n) for n in counts]
+    if len(counts) < 2 or min(counts) < 1:
+        raise ValueError("need m >= 2 and n >= 1")
+    squares = sum(n * n for n in counts)
+    same, cross = squares - sum(counts), sum(counts) ** 2 - squares
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim == 0:  # C(m, 2) a and C(m, 2) a^2, with no matrix built
-        pairs = m * (m - 1) // 2
-        return pairs * float(alphas), pairs * float(alphas) ** 2
-    if alphas.shape != (m, m):
-        raise ValueError(f"alphas must be {m}x{m}")
-    iu = np.triu_indices(m, k=1)
-    off = alphas[iu]
-    return float(off.sum()), float((off**2).sum())
-
-
-def exact_expectation(m, n, alphas):
-    """Mean kernel value over off-diagonal entries, per-pair alphas."""
-    if m < 2 or n < 1:
-        raise ValueError("need m >= 2 and n >= 1")
-    s1, _ = _alpha_sums(m, alphas)
-    return (m * (n - 1) + 2 * n * s1) / (m * (m * n - 1))
-
-
-def exact_variance(m, n, alphas):
-    """Population variance of the off-diagonal kernel-value multiset."""
-    if m < 2 or n < 1:
-        raise ValueError("need m >= 2 and n >= 1")
-    s1, s2 = _alpha_sums(m, alphas)
-    linear = m * (n - 1) + 2 * n * s1
-    quadratic = m * (n - 1) + 2 * n * s2
-    return (m * (m * n - 1) * quadratic - linear**2) / (m**2 * (m * n - 1) ** 2)
-
-
-def asymptotic_variance(m, n, n_qubits):
-    """Large-N form with the Haar value alpha = 2^-N."""
-    return (
-        n * (n - 1) * (m - 1) / (m * n - 1) ** 2 * (1 - 2.0 ** (-n_qubits)) ** 2
-    )
-
-
-def asymptotic_expectation(m, n, n_qubits):
-    return ((n - 1) + n * (m - 1) * 2.0 ** (-n_qubits)) / (m * n - 1)
+    if alphas.ndim == 0:
+        s1, s2 = cross * float(alphas), cross * float(alphas) ** 2
+    elif alphas.shape == (len(counts),) * 2:
+        weights = np.outer(counts, counts)
+        np.fill_diagonal(weights, 0)
+        s1 = float(np.sum(weights * alphas))
+        s2 = float(np.sum(weights * alphas**2))
+    else:
+        raise ValueError(f"alphas must be {len(counts)}x{len(counts)}")
+    pairs = same + cross
+    variance = same * (cross - 2 * s1 + s2) + (cross * s2 - s1 * s1)
+    return (same + s1) / pairs, variance / pairs**2
 
 
 def limit_variance(m):

@@ -56,7 +56,7 @@ def test_criterion_1_noiseless_asymptote():
                                        dataset.coset_labels(10, m))
             empirical.append(stats[0])
             predicted.append(
-                theory.exact_variance(m, 10, kernel.alpha_matrix(reps))
+                theory.offdiag_moments([10] * m, kernel.alpha_matrix(reps))[1]
             )
         empirical = np.array(empirical)
         predicted = np.array(predicted)
@@ -74,7 +74,7 @@ def test_criterion_2_finite_size_curve():
     details = []
     for n_qubits in (4, 6, 8, 10):
         vs = trial_variances(n_qubits, 2, noise.NoiseConfig(), 100, "train")
-        th = theory.asymptotic_variance(2, n_qubits, n_qubits)
+        _, th = theory.offdiag_moments([n_qubits] * 2, 2.0**-n_qubits)
         gap = abs(vs.mean() - th)
         gaps[n_qubits] = gap
         ok = ok and gap <= 3 * vs.std()

@@ -58,7 +58,7 @@ def test_full_surface_variance_matches_theory():
     )
     var = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool),
                              np.repeat(np.arange(2), 10))[0]
-    expected = theory.exact_variance(2, 10, kernel.alpha_matrix(reps))
+    _, expected = theory.offdiag_moments([10] * 2, kernel.alpha_matrix(reps))
     assert var == pytest.approx(expected, abs=1e-12)
 
 
@@ -201,7 +201,8 @@ def test_aggregate_fields():
         assert agg["std_dev_variance"] >= 0
         m, n = agg["num_cosets"], agg["num_qubits"]
         assert agg["theory_limit"] == theory.limit_variance(m)
-        assert agg["theory_asymptotic"] == theory.asymptotic_variance(m, n, n)
+        _, overlay = theory.offdiag_moments([n] * m, 2.0**-n)
+        assert agg["theory_exact"] == agg["theory_asymptotic"] == overlay
 
 
 def test_cli_parse_helpers():
@@ -341,9 +342,10 @@ def test_cli_theory(capsys):
     assert cli.main(["theory", "--m", "2", "--n", "10", "--N", "10"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["limit_variance"] == 0.25
-    assert data["asymptotic_variance"] == pytest.approx(
-        theory.asymptotic_variance(2, 10, 10)
-    )
+    mean, variance = theory.offdiag_moments([10] * 2, 2.0**-10)
+    assert data["asymptotic_variance"] == pytest.approx(variance)
+    assert data["exact_variance"] == data["asymptotic_variance"]
+    assert data["exact_expectation"] == data["asymptotic_expectation"] == mean
 
 
 def test_cli_theory_builds_no_m_by_m_matrix(capsys):
@@ -611,6 +613,63 @@ def test_cli_error_record(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert "error" in err and "message" in err
+
+
+def _bad_destinations(tmp_path):
+    """A path whose parent directory is missing, and an existing directory,
+    with the error record each gives."""
+    (tmp_path / "dir").mkdir()
+    missing = tmp_path / "missing" / "out"
+    return [
+        (str(missing), {"error": "FileNotFoundError",
+                        "message": f"no such directory: {str(missing.parent)!r}"}),
+        (str(tmp_path / "dir"), {
+            "error": "IsADirectoryError",
+            "message": f"output path is a directory: {str(tmp_path / 'dir')!r}"}),
+    ]
+
+
+@pytest.mark.parametrize("where", ["--out", "--heatmap", "output_path"])
+def test_cli_checks_destinations_before_the_sweep(where, tmp_path, capsys,
+                                                  monkeypatch):
+    def no_sweep(cfg):
+        raise AssertionError("ran the sweep for a bad destination")
+
+    monkeypatch.setattr(experiment, "run_experiment", no_sweep)
+    for path, record in _bad_destinations(tmp_path):
+        argv = ["simulate", "--qubits", "2..3", "--cosets", "2",
+                "--trials", "1"]
+        if where == "output_path":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"output_path": path}))
+            argv += ["--config", str(cfg_path)]
+        else:
+            argv += [where, path]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == 1
+        assert _error_record(capsys) == record
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("flag", ["--out", "--heatmap"])
+def test_cli_bad_destination_leaves_stdout_empty_in_a_child_process(
+        flag, tmp_path):
+    source_dir = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (source_dir, env.get("PYTHONPATH")))
+    )
+    for path, record in _bad_destinations(tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "cosetkernel.cli", "simulate", "--qubits",
+             "2..3", "--cosets", "2", "--trials", "1", flag, path],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr) == record
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())
 
 
 @pytest.mark.parametrize(

@@ -259,7 +259,7 @@ def test_large_n_full_surface_properties(n):
                                    atol=1e-12)
         var = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool),
                                  labels)[0]
-        assert abs(var - theory.exact_variance(m, n, alphas)) < 1e-12
+        assert abs(var - theory.offdiag_moments([n] * m, alphas)[1]) < 1e-12
         train_kmat = kernel.kernel_matrix(points, train)[0]
         for indices, chain in ((None, kmat), (train, train_kmat)):
             for cfg_noise in unperturbed:
@@ -304,5 +304,25 @@ def test_equal_count_weights_give_the_closed_form(m):
     for n in range(1, 129):
         weights = n * n - n * np.eye(m, dtype=int)
         variance, mean = kernel.trial_stats(alphas, weights, np.arange(m))[:2]
-        assert abs(mean - theory.exact_expectation(m, n, alphas)) <= 1e-15
-        assert abs(variance - theory.exact_variance(m, n, alphas)) <= 1e-15
+        want_mean, want_variance = theory.offdiag_moments([n] * m, alphas)
+        assert abs(mean - want_mean) <= 1e-15
+        assert abs(variance - want_variance) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+def test_train_split_counts_give_the_closed_form(n):
+    # the uneven per-coset counts of real train splits: the pair-count
+    # weighted mean and variance of each trial's alpha matrix are the
+    # closed-form moments of its off-diagonal multiset
+    trials = 3
+    for m in (2, 3, 5):
+        rngs = [oracle.trial_rng(9, n, m, t) for t in range(trials)]
+        reps, train = experiment.draw_trials(n, m, rngs, "train")
+        alphas = kernel.alpha_matrix(reps)
+        labels = dataset.coset_labels(n, m)[train]
+        counts = np.array([np.bincount(row, minlength=m) for row in labels])
+        pairs = (counts[:, :, None] * counts[:, None, :]
+                 - np.eye(m, dtype=int) * counts[:, None, :])
+        want = kernel.trial_stats(alphas, pairs, np.arange(m))[:, 1::-1]
+        got = [theory.offdiag_moments(c, a) for c, a in zip(counts, alphas)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)

@@ -12,64 +12,106 @@ def uniform_alphas(m, value):
     return a
 
 
-def multiset_moments(m, n, alphas):
+def multiset_moments(counts, alphas):
     """Brute-force oracle: enumerate the off-diagonal kernel-value multiset
-    {1 x m(n^2 - n)} + {alpha_ij x 2 n^2 per unordered pair} and average."""
-    values = [1.0] * (m * (n**2 - n))
-    for i in range(m):
-        for j in range(i + 1, m):
-            values.extend([alphas[i][j]] * (2 * n**2))
+    {1 x n_i (n_i - 1) per coset} + {alpha_ij x n_i n_j per ordered pair
+    i != j} and average."""
+    values = []
+    for i, n_i in enumerate(counts):
+        values.extend([1.0] * (n_i * (n_i - 1)))
+        for j, n_j in enumerate(counts):
+            if j != i:
+                values.extend([alphas[i][j]] * (n_i * n_j))
     values = np.array(values)
     return values.mean(), values.var()
 
 
-def test_expectation_all_alpha_zero():
-    assert theory.exact_expectation(2, 3, uniform_alphas(2, 0.0)) == pytest.approx(0.4)
-
-
-def test_expectation_all_alpha_one():
-    assert theory.exact_expectation(3, 4, uniform_alphas(3, 1.0)) == pytest.approx(1.0)
-    assert theory.exact_variance(3, 4, uniform_alphas(3, 1.0)) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_expectation_large_n_approaches_inverse_m():
-    for m in (2, 3, 4, 5):
-        val = theory.exact_expectation(m, 10_000, uniform_alphas(m, 2.0**-30))
-        assert val == pytest.approx(1 / m, abs=1e-3)
-
-
-@pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (2, 4), (3, 5), (5, 3)])
-def test_moments_match_enumeration_oracle(m, n):
-    rng = np.random.default_rng(m * 10 + n)
+def random_alphas(m, rng):
     alphas = uniform_alphas(m, 0.0)
     iu = np.triu_indices(m, k=1)
     vals = rng.uniform(0, 1, size=len(iu[0]))
     alphas[iu] = vals
     alphas.T[iu] = vals
-    mean, var = multiset_moments(m, n, alphas)
-    assert theory.exact_expectation(m, n, alphas) == pytest.approx(mean, abs=1e-12)
-    assert theory.exact_variance(m, n, alphas) == pytest.approx(var, abs=1e-12)
+    return alphas
 
 
-@pytest.mark.parametrize("n", [1, 2, "N", 1000])
+def test_expectation_all_alpha_zero():
+    mean, _ = theory.offdiag_moments([3] * 2, uniform_alphas(2, 0.0))
+    assert mean == pytest.approx(0.4)
+
+
+def test_expectation_all_alpha_one():
+    mean, variance = theory.offdiag_moments([4] * 3, uniform_alphas(3, 1.0))
+    assert mean == pytest.approx(1.0)
+    assert variance == pytest.approx(0.0, abs=1e-14)
+
+
+def test_expectation_large_n_approaches_inverse_m():
+    for m in (2, 3, 4, 5):
+        val, _ = theory.offdiag_moments([10_000] * m, uniform_alphas(m, 2.0**-30))
+        assert val == pytest.approx(1 / m, abs=1e-3)
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (2, 4), (3, 5), (5, 3)])
+def test_moments_match_enumeration_oracle(m, n):
+    alphas = random_alphas(m, np.random.default_rng(m * 10 + n))
+    mean, var = multiset_moments([n] * m, alphas)
+    got_mean, got_var = theory.offdiag_moments([n] * m, alphas)
+    assert got_mean == pytest.approx(mean, abs=1e-12)
+    assert got_var == pytest.approx(var, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_uneven_counts_match_enumeration_oracle(m):
+    rng = np.random.default_rng(100 + m)
+    for _ in range(20):
+        counts = rng.integers(1, 7, size=m).tolist()
+        alphas = random_alphas(m, rng)
+        mean, var = multiset_moments(counts, alphas)
+        got_mean, got_var = theory.offdiag_moments(counts, alphas)
+        assert got_mean == pytest.approx(mean, abs=1e-12)
+        assert got_var == pytest.approx(var, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, "N", 1000, "uneven"])
 def test_shared_alpha_matches_the_matrix_bit_for_bit(n):
-    # 2^-N and its square are exact, so C(m, 2) a and C(m, 2) a^2 are the
-    # sums over the pairs of the matrix, and the forms keep their bits
+    # 2^-N and its square are exact, and so is every sum of the one-pass
+    # form, so one alpha and its matrix give the same bits
+    rng = np.random.default_rng(7)
     for m in range(2, 9):
         for n_qubits in range(2, 129):
-            points = n_qubits if n == "N" else n
+            if n == "uneven":
+                counts = rng.integers(1, 130, size=m).tolist()
+            else:
+                counts = [n_qubits if n == "N" else n] * m
             a = 2.0**-n_qubits
-            for form in (theory.exact_expectation, theory.exact_variance):
-                scalar = form(m, points, a)
-                assert type(scalar) is float
-                matrix = form(m, points, uniform_alphas(m, a))
-                assert scalar.hex() == matrix.hex()
+            scalar = theory.offdiag_moments(counts, a)
+            assert all(type(v) is float for v in scalar)
+            matrix = theory.offdiag_moments(counts, uniform_alphas(m, a))
+            assert [v.hex() for v in scalar] == [v.hex() for v in matrix]
 
 
-def test_variance_close_to_asymptotic_form():
-    exact = theory.exact_variance(2, 10, uniform_alphas(2, 1 / 1024))
-    asym = theory.asymptotic_variance(2, 10, 10)
-    assert abs(exact - asym) / asym < 1e-3
+def test_equal_counts_match_the_factored_forms():
+    # n points in each of m cosets with alpha = 2^-N: the one-pass sums are
+    # the factored large-N forms of the mean and variance
+    for m in range(2, 9):
+        for n in range(1, 129):
+            for n_qubits in range(2, 129):
+                a = 2.0**-n_qubits
+                mean, variance = theory.offdiag_moments([n] * m, a)
+                want_mean = ((n - 1) + n * (m - 1) * a) / (m * n - 1)
+                want_variance = (n * (n - 1) * (m - 1) * (1 - a) ** 2
+                                 / (m * n - 1) ** 2)
+                assert abs(mean - want_mean) <= 1e-15
+                assert abs(variance - want_variance) <= 1e-15
+
+
+def test_rejects_fewer_than_two_cosets_or_an_empty_one():
+    for counts in ([3], [3, 0], []):
+        with pytest.raises(ValueError, match="need m >= 2 and n >= 1"):
+            theory.offdiag_moments(counts, 0.25)
+    with pytest.raises(ValueError, match="alphas must be 3x3"):
+        theory.offdiag_moments([2, 2, 2], uniform_alphas(2, 0.25))
 
 
 def test_limits():
@@ -85,25 +127,12 @@ def test_limit_variance_decreasing_in_m():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_exact_converges_to_asymptotic():
-    for n_qubits in (8, 9, 10):
-        for m in (2, 3, 4, 5):
-            exact = theory.exact_variance(
-                m, n_qubits, uniform_alphas(m, 2.0**-n_qubits)
-            )
-            asym = theory.asymptotic_variance(m, n_qubits, n_qubits)
-            assert abs(exact - asym) / asym < 0.01
-
-
 def test_noisy_formulas_zero_stats():
     stats = theory.NoiseDeviationStats(0.0, 0.0, 0.0, 0.0, 0.25)
     m, n = 3, 4
-    assert theory.noisy_expectation(m, n, stats) == pytest.approx(
-        theory.exact_expectation(m, n, uniform_alphas(m, 0.25))
-    )
-    assert theory.noisy_variance(m, n, stats) == pytest.approx(
-        theory.exact_variance(m, n, uniform_alphas(m, 0.25))
-    )
+    mean, variance = theory.offdiag_moments([n] * m, uniform_alphas(m, 0.25))
+    assert theory.noisy_expectation(m, n, stats) == pytest.approx(mean)
+    assert theory.noisy_variance(m, n, stats) == pytest.approx(variance)
 
 
 def test_noisy_constant_kernel():
