@@ -106,6 +106,27 @@ def test_equal_counts_match_the_factored_forms():
                 assert abs(variance - want_variance) <= 1e-15
 
 
+def asymptotic_variance(m, n, n_qubits):
+    """The factored large-N form of the variance at alpha = 2^-N."""
+    return n * (n - 1) * (m - 1) / (m * n - 1) ** 2 * (1 - 2.0**-n_qubits) ** 2
+
+
+def test_variance_close_to_asymptotic_form():
+    _, exact = theory.offdiag_moments([10] * 2, uniform_alphas(2, 1 / 1024))
+    asym = asymptotic_variance(2, 10, 10)
+    assert abs(exact - asym) / asym < 1e-3
+
+
+def test_exact_converges_to_asymptotic():
+    for n_qubits in (8, 9, 10):
+        for m in (2, 3, 4, 5):
+            _, exact = theory.offdiag_moments(
+                [n_qubits] * m, uniform_alphas(m, 2.0**-n_qubits)
+            )
+            asym = asymptotic_variance(m, n_qubits, n_qubits)
+            assert abs(exact - asym) / asym < 0.01
+
+
 def test_rejects_fewer_than_two_cosets_or_an_empty_one():
     for counts in ([3], [3, 0], []):
         with pytest.raises(ValueError, match="need m >= 2 and n >= 1"):
