@@ -12,6 +12,7 @@ record is printed to stderr and the exit code is 1.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,6 +41,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# built on first use and reused by later `main` calls; a parse leaves it as is
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="cosetkernel",

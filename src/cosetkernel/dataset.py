@@ -12,10 +12,9 @@ Both samplers read a fixed number of draws from each trial's stream: four
 normals per representative factor (`su2_from_normals`), then P + m uniforms
 for the split. The split is uniform over the halves of the P points that
 cover every coset, and is kept as its sorted train indices; the test half is
-their complement. It is built, not resampled: the m uniforms give the
-per-coset train counts by inverse CDF from their exact law, which is
-tabulated once per coset layout, and the other P uniforms pick the points
-inside each coset by rank.
+their complement. It is built, not resampled: the first m uniforms give the
+per-coset train counts (`train_counts`) by inverse CDF from their exact law,
+tabulated once per coset layout, and the other P pick the points by rank.
 """
 
 import math
@@ -98,21 +97,26 @@ def _count_cdfs(sizes):
     ways_i(s) counts the covering s-point picks from cosets i, i+1, ... .
     The counts are exact integers and each ratio is rounded once, so the
     CDF is nondecreasing in k, is exactly 1.0 from the last possible count
-    on, and rises only at possible counts. Rows of sums s that cosets i, ...
-    cannot take are never read."""
+    on, and rises only at possible counts. Only the rows of sums s that
+    cosets i, ... can be left with are tabulated; the others hold 1.0 and
+    are never read."""
     train_size = sum(sizes) // 2
     cdfs = np.ones((len(sizes), train_size + 1, max(sizes)))
     ways = np.zeros(train_size + 1, dtype=object)  # no cosets left
     ways[0] = 1
-    total = np.arange(train_size + 1)[:, None]
     for i in reversed(range(len(sizes))):
+        # cosets before i take 1 to size points each, those from i at most all
+        rows = slice(max(0, train_size - sum(sizes[:i])),
+                     min(train_size - i, sum(sizes[i:])) + 1)
         k = np.arange(1, sizes[i] + 1)
         picks = np.array([math.comb(sizes[i], j) for j in k], dtype=object)
-        rest = total - k
+        rest = np.arange(train_size + 1)[rows, None] - k
         terms = np.where(rest >= 0, ways[np.maximum(rest, 0)] * picks, 0)
         cum = np.cumsum(terms, axis=1)
-        ways = cum[:, -1]
-        cdfs[i, :, : sizes[i]] = cum / np.where(ways == 0, 1, ways)[:, None]
+        ways = np.zeros(train_size + 1, dtype=object)
+        ways[rows] = cum[:, -1]
+        cdfs[i, rows, : sizes[i]] = cum / np.where(cum[:, -1:] == 0, 1,
+                                                   cum[:, -1:])
     cdfs.flags.writeable = False
     return cdfs
 
@@ -131,31 +135,36 @@ def _train_counts(sizes, uniforms):
     return counts
 
 
+def train_counts(sizes, rngs):
+    """The (T, m) per-coset train counts of uniformly random covering halves
+    of cosets of `sizes` points, one per stream in `rngs`. Each stream gives
+    exactly m uniforms, the first draws of `split_trials`."""
+    train_size = sum(sizes) // 2
+    if len(sizes) > train_size or min(sizes) < 1:
+        raise ValueError(f"cannot cover {len(sizes)} cosets of {list(sizes)} "
+                         f"points with {train_size} train slots")
+    return _train_counts(sizes, np.array([rng.random(len(sizes))
+                                          for rng in rngs]))
+
+
 def split_trials(labels, m, rngs):
     """Uniformly random halves of the P points with coset `labels` in
     0..m-1 that cover every one of the m cosets, one per stream in `rngs`:
     the (T, K) sorted train indices. Each stream gives exactly P + m
-    uniforms: the first m fix the per-coset train counts (their exact law,
-    by inverse CDF), and in each coset the points with the smallest of the
-    other P uniforms are kept."""
+    uniforms: the m of `train_counts`, then P by which, in each coset, the
+    points with the smallest are kept."""
     total = len(labels)
-    train_size = total // 2
     sizes = np.bincount(labels, minlength=m)
-    if m > train_size or not sizes.all():
-        raise ValueError(
-            f"cannot cover {m} cosets of {sizes.tolist()} points with "
-            f"{train_size} train slots"
-        )
-    uniforms = np.array([rng.random(total + m) for rng in rngs])
-    counts = _train_counts(tuple(sizes.tolist()), uniforms[:, :m])
+    counts = train_counts(tuple(sizes.tolist()), rngs)
+    uniforms = np.array([rng.random(total) for rng in rngs])
     # points by coset, then by uniform; a point is kept if its rank inside
     # its coset is below the coset's count
     by_coset = np.broadcast_to(labels, (len(rngs), total))
-    order = np.lexsort((uniforms[:, m:], by_coset))
+    order = np.lexsort((uniforms, by_coset))
     ranked = labels[order]
     rank = np.arange(total) - (np.cumsum(sizes) - sizes)[ranked]
     kept = np.empty(order.shape, dtype=bool)
     np.put_along_axis(
         kept, order, rank < np.take_along_axis(counts, ranked, -1), -1
     )
-    return np.nonzero(kept)[1].reshape(len(rngs), train_size)
+    return np.nonzero(kept)[1].reshape(len(rngs), total // 2)

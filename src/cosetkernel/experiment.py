@@ -32,20 +32,21 @@ runs only the second, so each variant reads the draws of a fresh build. One tria
 `[rng]`: `[0]` of its representatives, train indices and kernels.
 
 When the noise budget is zero (epsilon 0, which the `none` variant implies)
-`run_trials` builds no kernel over the points: it takes each trial's
-statistics from its (m, m) alpha matrix, entry (i, j) weighted by how often
-it occurs among the kernel's off-diagonal entries, n_i n_j - delta_ij n_i
-for the n_i points of coset i in the kernel (`kernel` module docstring).
+`run_trials` builds no kernel over the points and no split: it takes each
+trial's statistics from its (m, m) alpha matrix, entry (i, j) weighted by
+how often it occurs among the kernel's off-diagonal entries, n_i n_j -
+delta_ij n_i for the n_i points of coset i in the kernel: N, or on the train
+surface the counts from the split's first m draws (`dataset.train_counts`).
 `noisy_kernels` gathers the kernels themselves from the alpha matrices
 (`kernel.gather_alphas`), for the heat map. The budget, not the variant's
 name, selects this path: at epsilon 0 every variant attaches the ideal
 inputs bit for bit, and no stream is read after its noise draws, so the
 draws it skips change nothing else.
 
-Chunks are sized so that their (T, 2P, 2P) transfer matrices hold at most
-`CHUNK_ENTRIES` complex entries, which keeps large-N runs at one trial per
-chunk. A report does not depend on the chunking: each trial's numbers are
-the same, bit for bit, as those of a one-trial call.
+Chunks are sized so that their (T, 2P, 2P) transfer matrices, or without
+noise the (T, m, N, 2, 2) representatives of their alpha chain, hold at most
+`CHUNK_ENTRIES` complex entries. A report does not depend on the chunking:
+each trial's numbers are the same, bit for bit, as those of a one-trial call.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
 sort_keys=True)`, with the trial records encoded by json's C encoder and
@@ -65,9 +66,9 @@ from . import noise as noise_models
 MAX_QUBITS = 128
 # complex entries of one chunk's (T, 2P, 2P) transfer matrices. Past about
 # twice this, a batch runs slower than one trial at a time, and the chain's
-# working set (two such arrays) grows with it. Without noise a chunk holds
-# only its (T, m, m) alpha matrices; it stays sized by P, which is then
-# conservative.
+# working set (two such arrays) grows with it. Without noise the chain runs
+# over the representatives only, and a chunk is sized by their 4 m N
+# entries per trial under the same budget.
 CHUNK_ENTRIES = 2**16
 
 
@@ -215,12 +216,13 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
             for row in words.astype(np.uint64)]
 
 
-def trial_chunks(n_qubits, m, trials, surface):
-    """The trial indices 0..trials-1 of one (N, m) cell, in chunks of as
-    many trials as keep their (2P x 2P) transfer matrices within
-    CHUNK_ENTRIES, and at least one; P is the surface's point count."""
+def trial_chunks(n_qubits, m, trials, surface, noiseless=False):
+    """One (N, m) cell's trial indices 0..trials-1, in chunks of as many as
+    keep within CHUNK_ENTRIES their (2P x 2P) transfer matrices (P points)
+    or, if `noiseless`, their 4 m N representative entries; at least one."""
     points = m * n_qubits if surface == "full" else m * n_qubits // 2
-    step = max(1, CHUNK_ENTRIES // (2 * points) ** 2)
+    per_trial = 4 * m * n_qubits if noiseless else (2 * points) ** 2
+    step = max(1, CHUNK_ENTRIES // per_trial)
     return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
@@ -267,16 +269,18 @@ def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
     those of the (T, m, m) alpha matrices, weighted by the pair counts of the
     kernel's points; otherwise those of the `noisy_kernels`, with unit
     off-diagonal weights."""
+    if cfg_noise.epsilon == 0:
+        reps = dataset.generate_trials(n_qubits, m, rngs)
+        counts = (dataset.train_counts((n_qubits,) * m, rngs)
+                  if surface == "train" else np.full(m, n_qubits))
+        cosets = np.arange(m)
+        pairs = counts[..., :, None] * counts[..., None, :]
+        pairs[..., cosets, cosets] -= counts
+        return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
     reps, train = draw_trials(n_qubits, m, rngs, surface)
     labels = dataset.coset_labels(n_qubits, m)
     if train is not None:
         labels = labels[train]
-    if cfg_noise.epsilon == 0:
-        cosets = np.arange(m)
-        counts = np.count_nonzero(labels[..., :, None] == cosets, axis=-2)
-        pairs = counts[..., :, None] * counts[..., None, :]
-        pairs[..., cosets, cosets] -= counts
-        return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
     kmats = noisy_kernels(reps, train, cfg_noise, rngs)
     return kernel.trial_stats(kmats, ~np.eye(labels.shape[-1], dtype=bool),
                               labels)
@@ -292,7 +296,8 @@ def run_experiment(cfg):
             stats = np.concatenate([
                 run_trials(n_qubits, m, cfg.noise,
                            trial_rngs(cfg.seed, n_qubits, m, chunk), surface)
-                for chunk in trial_chunks(n_qubits, m, cfg.trials, surface)
+                for chunk in trial_chunks(n_qubits, m, cfg.trials, surface,
+                                          cfg.noise.epsilon == 0)
             ])
             variances = stats[:, 0]
             # the plug-in overlay: n = N points per coset, alpha = 2^-N

@@ -36,6 +36,9 @@ class NoiseConfig:
             )
         if not np.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
+        # the widest sampling box, fiducial offsets at N = 2, is 2 epsilon
+        if self.epsilon > np.finfo(float).max / 2:
+            raise ValueError(f"epsilon {self.epsilon!r} overflows 2 * epsilon")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if self.variant == "none" and self.epsilon != 0:

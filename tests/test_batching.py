@@ -260,6 +260,81 @@ def test_noiseless_heatmap_builds_no_point_factors(surface, monkeypatch,
     assert len(heat.read_text().splitlines()) == 1 + 2 * 4
 
 
+def split_path_stats(n_qubits, m, rngs, surface):
+    """Reference for noiseless `run_trials`: the representatives and the
+    whole split drawn, and each coset's count read off the labels of the
+    kernel's points."""
+    reps, train = experiment.draw_trials(n_qubits, m, rngs, surface)
+    labels = dataset.coset_labels(n_qubits, m)
+    if train is not None:
+        labels = labels[train]
+    cosets = np.arange(m)
+    counts = np.count_nonzero(labels[..., :, None] == cosets, axis=-2)
+    pairs = counts[..., :, None] * counts[..., None, :]
+    pairs[..., cosets, cosets] -= counts
+    return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 + 5])
+def test_count_draw_matches_the_split(seed):
+    # the m count uniforms are the split's first draws, so the counts are
+    # those of the split that the same stream would build
+    chunk = range(3)
+    for n_qubits in range(2, 10):
+        for m in range(2, 8):
+            labels = dataset.coset_labels(n_qubits, m)
+            fresh = experiment.trial_rngs(seed, n_qubits, m, chunk)
+            ref = [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk]
+            counts = dataset.train_counts((n_qubits,) * m, fresh)
+            train = dataset.split_trials(labels, m, ref)
+            assert np.array_equal(
+                counts, [np.bincount(labels[t], minlength=m) for t in train]
+            )
+            for surface in SURFACES:
+                got = experiment.run_trials(
+                    n_qubits, m, noise.NoiseConfig(),
+                    experiment.trial_rngs(seed, n_qubits, m, chunk), surface)
+                want = split_path_stats(
+                    n_qubits, m,
+                    [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk],
+                    surface)
+                assert got.tobytes() == want.tobytes(), (n_qubits, m, surface)
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variant", ["none", "fiducial", "selection",
+                                     "representation"])
+def test_noiseless_trials_read_normals_and_counts_only(variant, surface):
+    # 4 m N normals, then m count uniforms on the train surface only
+    chunk = range(2, 6)
+    for n_qubits, m in ((2, 2), (5, 3), (9, 7), (128, 2)):
+        rngs = experiment.trial_rngs(13, n_qubits, m, chunk)
+        experiment.run_trials(n_qubits, m, noise.NoiseConfig(variant, 0.0),
+                              rngs, surface)
+        for t, rng in zip(chunk, rngs):
+            ref = oracle.trial_rng(13, n_qubits, m, t)
+            ref.standard_normal(4 * m * n_qubits)
+            if surface == "train":
+                ref.random(m)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_noiseless_runs_build_no_split(monkeypatch, tmp_path, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("split built")
+
+    monkeypatch.setattr(dataset, "split_trials", refused)
+    for surface in SURFACES:
+        for variant in ("none", "fiducial", "selection", "representation"):
+            report = experiment.run_experiment(small_config(variant, 0.0,
+                                                            surface))
+            assert len(report["trials"]) == 6 * 4 * 2
+        argv = ["simulate", "--qubits", "2..4", "--cosets", "2,3",
+                "--trials", "3", "--surface", surface, "--out",
+                str(tmp_path / "r.json"), "--heatmap", str(tmp_path / "h.csv")]
+        assert cli.main(argv) == 0
+
+
 @pytest.mark.parametrize("surface", SURFACES)
 @pytest.mark.parametrize("variant,eps", VARIANTS[1:])
 def test_noisy_chunks_build_point_factors_once(variant, eps, surface,
@@ -394,3 +469,32 @@ def test_chunk_sizing():
                 assert (size + 1) * (2 * points) ** 2 > budget
                 # the chunks cover the trials in order, each once
                 assert [t for c in chunks for t in c] == list(range(10_000))
+    # noiseless chunks run the alpha chain alone and are sized by each
+    # trial's 4 m N representative entries, on either surface
+    for n_qubits in (2, 5, 10, 32, 128):
+        for m in (2, 3, 5, 7):
+            entries = 4 * m * n_qubits
+            for surface in ("full", "train"):
+                chunks = experiment.trial_chunks(n_qubits, m, 10_000, surface,
+                                                 noiseless=True)
+                size = len(chunks[0])
+                assert size == 1 or size * entries <= budget
+                assert (size + 1) * entries > budget
+                assert [t for c in chunks for t in c] == list(range(10_000))
+
+
+def test_noiseless_chunks_at_128_qubits(monkeypatch, tmp_path):
+    # 25 trials of 4 m N = 2560 entries each fit the budget: 8 chunks for
+    # 200 trials, and a report with the bits of one trial per chunk
+    cfg = experiment.ExperimentConfig(qubit_range=(128, 128),
+                                      coset_counts=(5,), trials=200, seed=1)
+    alphas = _counted(monkeypatch, kernel, "alpha_matrix")
+    experiment.export_report(experiment.run_experiment(cfg),
+                             tmp_path / "chunked.json")
+    assert [len(args[0]) for args in alphas] == [25] * 8
+    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", 1)
+    experiment.export_report(experiment.run_experiment(cfg),
+                             tmp_path / "single.json")
+    assert len(alphas) == 8 + 200
+    assert ((tmp_path / "chunked.json").read_bytes()
+            == (tmp_path / "single.json").read_bytes())

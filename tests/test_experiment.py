@@ -105,17 +105,19 @@ def test_batched_streams_match_the_reference_stream(seed):
 
 def test_package_import_leaves_numpy_random_unloaded():
     # `trial_rngs` loads numpy.random on first use, so the CLI's start-up
-    # does not pay for it
+    # does not pay for it; nor does it build the CLI's parser
     source_dir = os.path.dirname(os.path.dirname(experiment.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (source_dir, env.get("PYTHONPATH")))
     )
-    code = "import sys, cosetkernel.cli; print('numpy.random' in sys.modules)"
+    code = ("import sys, cosetkernel.cli as cli; "
+            "print('numpy.random' in sys.modules, "
+            "cli._build_parser.cache_info().currsize)")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "False 0\n"
 
 
 def test_zero_epsilon_aggregate_matches_noiseless():
@@ -456,6 +458,28 @@ def test_cli_help_exits_zero(capsys):
         cli.main(["simulate", "--help"])
     assert exc.value.code == 0
     assert "--qubits" in capsys.readouterr().out
+
+
+def test_cli_parser_is_built_once_and_reused(capsys):
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    good = ["simulate", "--qubits", "2..3", "--cosets", "2", "--trials", "2",
+            "--seed", "1"]
+    argvs = [good, ["simulate", "--trials", "abc"], ["simulate", "--help"],
+             good]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert [code for code, _, _ in fresh] == [0, 1, 0, 0]
+    assert [call(argv) for argv in argvs] == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])

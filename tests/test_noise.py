@@ -171,6 +171,10 @@ def test_noise_config_validation():
             noise.NoiseConfig("fiducial", bad)
     for good in (1, np.float32(0.25), np.int64(0)):
         assert noise.NoiseConfig("fiducial", good).epsilon == good
+    for huge in (1e308, np.finfo(float).max):
+        with pytest.raises(ValueError, match="epsilon"):
+            noise.NoiseConfig("selection", huge)
+    assert noise.NoiseConfig("fiducial", 8e307).epsilon == 8e307
 
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
@@ -309,6 +313,9 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
         ["simulate", "--noise", "fiducial", "--epsilon", "inf"],
         ["simulate", "--noise", "none", "--epsilon", "0.5"],
         ["verify-bounds", "--epsilon", "nan"],
+        # finite, but the sampling box 2 * epsilon is not
+        ["simulate", "--noise", "fiducial", "--epsilon", "1e308"],
+        ["verify-bounds", "--epsilon", "1e308"],
     ],
 )
 def test_cli_rejects_bad_epsilon(argv, capsys):
