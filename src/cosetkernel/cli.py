@@ -1,10 +1,11 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
 `verify-bounds` checks each noise variant but "none" on the same trials of
-a full-surface `ExperimentConfig`: per (N, chunk) it draws the
-representatives and alpha matrices once, and for each variant replays each
-trial's stream from past the split's uniforms, so each variant reads the
-draws of a fresh build.
+a full-surface `ExperimentConfig`, in one pass per (N, chunk): it draws the
+representatives and alpha matrices once, builds the three variants' kernels
+as one stack (`experiment.variant_kernels`, each variant reading the draws
+of a fresh build), and checks them against their envelopes in one
+`count_envelope_violations` call.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -162,27 +163,26 @@ def cmd_verify_bounds(args):
         trials=args.trials, seed=args.seed, variance_surface="full",
     )
     m = args.cosets
-    configs = [noise.NoiseConfig(variant, args.epsilon)
-               for variant in noise.VARIANTS if variant != "none"]
+    variants = experiment.NOISY_VARIANTS
+    noise.NoiseConfig(variants[0], args.epsilon)  # validates the budget
     violations = 0
     checked = 0
     for n_qubits in cfg.qubit_values():
         labels = dataset.coset_labels(n_qubits, m)
-        for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
+        for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full",
+                                             kernels=len(variants)):
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
             reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
             alphas = kernel.alpha_matrix(reps)
-            states = [rng.bit_generator.state for rng in rngs]
-            for cfg_noise in configs:
-                for rng, state in zip(rngs, states):
-                    rng.bit_generator.state = state
-                kmats = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
-                v, c = count_envelope_violations(kmats, labels, alphas,
-                                                 cfg_noise.variant, args.epsilon)
-                violations += v
-                checked += c
-    for cfg_noise in configs:
-        print(f"{cfg_noise.variant}: checked through N={cfg.qubit_range[1]}")
+            # no name holds the kernels, so a chunk's are freed before the
+            # next chunk's are built
+            v, c = count_envelope_violations(
+                experiment.variant_kernels(reps, alphas, args.epsilon, rngs),
+                labels, alphas, variants, args.epsilon)
+            violations += v
+            checked += c
+    for variant in variants:
+        print(f"{variant}: checked through N={cfg.qubit_range[1]}")
     print(f"entries checked: {checked}, violations: {violations}")
     return 0 if violations == 0 else 1
 

@@ -26,10 +26,13 @@ train indices; None on the full surface) and `noisy_kernels` (the points,
 for None); `run_trials` runs one after the other and returns only the
 (T, 5) statistics (`kernel.trial_stats`). `run_experiment` makes each
 trial's record a flat dict of `TRIAL_FIELDS`. `verify-bounds` runs the
-first stage and the alpha matrices once per chunk and, for each noise
-variant, restores every stream to its state past the split's uniforms and
-runs only the second, so each variant reads the draws of a fresh build. One trial is a chunk of one stream,
-`[rng]`: `[0]` of its representatives, train indices and kernels.
+first stage and the alpha matrices once per chunk, then builds all three
+noise variants' kernels as one stack (`variant_kernels`): it restores every
+stream once, to its state past the split's uniforms, between the fiducial
+offsets and the one set of Euler triples that selection and representation
+share, so each variant reads the draws of a fresh build. One trial is a
+chunk of one stream, `[rng]`: `[0]` of its representatives, train indices
+and kernels.
 
 When the noise budget is zero (epsilon 0, which the `none` variant implies)
 `run_trials` builds no kernel over the points and no split: it takes each
@@ -43,9 +46,10 @@ name, selects this path: at epsilon 0 every variant attaches the ideal
 inputs bit for bit, and no stream is read after its noise draws, so the
 draws it skips change nothing else.
 
-Chunks are sized so that their (T, 2P, 2P) transfer matrices, or without
-noise the (T, m, N, 2, 2) representatives of their alpha chain, hold at most
-`CHUNK_ENTRIES` complex entries. A report does not depend on the chunking:
+Chunks are sized so that their (T, 2P, 2P) transfer matrices (three per
+trial in `verify-bounds`), or without noise the (T, m, N, 2, 2)
+representatives of their alpha chain, hold at most `CHUNK_ENTRIES` complex
+entries. A report does not depend on the chunking:
 each trial's numbers are the same, bit for bit, as those of a one-trial call.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
@@ -216,14 +220,21 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
             for row in words.astype(np.uint64)]
 
 
-def trial_chunks(n_qubits, m, trials, surface, noiseless=False):
+def _chunks(count, per_item):
+    """0..count-1 in ranges of as many items of `per_item` entries each as
+    keep within CHUNK_ENTRIES; at least one item per range."""
+    step = max(1, CHUNK_ENTRIES // per_item)
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def trial_chunks(n_qubits, m, trials, surface, noiseless=False, kernels=1):
     """One (N, m) cell's trial indices 0..trials-1, in chunks of as many as
-    keep within CHUNK_ENTRIES their (2P x 2P) transfer matrices (P points)
-    or, if `noiseless`, their 4 m N representative entries; at least one."""
+    keep within CHUNK_ENTRIES the (2P x 2P) transfer matrices of their
+    `kernels` kernels each (P points) or, if `noiseless`, their 4 m N
+    representative entries; at least one."""
     points = m * n_qubits if surface == "full" else m * n_qubits // 2
-    per_trial = 4 * m * n_qubits if noiseless else (2 * points) ** 2
-    step = max(1, CHUNK_ENTRIES // per_trial)
-    return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    per_trial = 4 * m * n_qubits if noiseless else kernels * (2 * points) ** 2
+    return _chunks(trials, per_trial)
 
 
 def draw_trials(n_qubits, m, rngs, surface="train"):
@@ -260,6 +271,77 @@ def noisy_kernels(reps, train, cfg_noise, rngs):
     factors, offsets = noise_models.attach(cfg_noise, dataset.points(reps),
                                            rngs)
     return kernel.kernel_matrix(factors, train, offsets)
+
+
+# the noise variants `verify-bounds` checks, in the order of the leading
+# axis of `variant_kernels`
+NOISY_VARIANTS = noise_models.VARIANTS[1:]
+
+
+def variant_kernels(reps, alphas, epsilon, rngs):
+    """The (3, T, P, P) kernels over every point of the (T, m, N, 2, 2)
+    representatives under each of `NOISY_VARIANTS` at `epsilon`, from one
+    build: bit for bit those of one `noisy_kernels(reps, None, ...)` call
+    per variant, each on the streams restored to where `draw_trials` left
+    them.
+
+    The fiducial offsets are read where the streams stand; the streams are
+    then restored once, and one set of Euler triples is read for selection
+    and representation errors, which read the same draws. The three
+    variants run as one (3T, P, N, 2, 2) factor stack (`_variant_factors`),
+    with zero offsets for the last two, through `kernel.kernel_matrix`, in
+    slices of as many kernels as keep their (2P x 2P) transfer matrices
+    within CHUNK_ENTRIES. Each kernel has the bits of a batch of one, so the
+    slicing changes none. Each slice's factors are built for it alone, so
+    at large N, where a slice is one kernel, the chain runs beside one
+    kernel's factors and the (T, P, N, 3) angles, not beside three stacks.
+    With no budget every variant's kernels are the unperturbed ones,
+    gathered once from the (T, m, m) `alphas`, and no stream is read."""
+    m, n_qubits = reps.shape[-4:-2]
+    trials, p = len(reps), m * n_qubits
+    if epsilon == 0:
+        kmats = kernel.gather_alphas(alphas, dataset.coset_labels(n_qubits, m))
+        return np.broadcast_to(kmats, (3, *kmats.shape))
+    states = [rng.bit_generator.state for rng in rngs]
+    offsets = np.zeros((2, 3 * trials, n_qubits))
+    offsets[:, :trials] = noise_models.fiducial_offsets(n_qubits, epsilon,
+                                                        rngs)
+    for rng, state in zip(rngs, states):
+        rng.bit_generator.state = state
+    angles = noise_models.element_angles(p, n_qubits, epsilon, rngs)
+    kmats = np.empty((3 * trials, p, p))
+    for rows in _chunks(3 * trials, (2 * p) ** 2):
+        cut = slice(rows.start, rows.stop)
+        kmats[cut] = kernel.kernel_matrix(
+            _variant_factors(reps, angles, rows), None, offsets[:, cut])
+    return kmats.reshape(3, trials, p, p)
+
+
+def _variant_factors(reps, angles, rows):
+    """The `rows` (a range) of the (3T, P, N, 2, 2) factor stack of
+    `variant_kernels`: block v, rows v T to v T + T - 1, holds the trials'
+    points under `NOISY_VARIANTS[v]`, the plain points for fiducial errors
+    (which live in the offsets) and the points with their errors, built
+    from the (T, P, N, 3) Euler `angles`, folded in for the other two. The
+    points and errors of the trials the rows cover are built once."""
+    trials = len(reps)
+    blocks = [(variant, max(rows.start - v * trials, 0),
+               min(rows.stop - v * trials, trials))
+              for v, variant in enumerate(NOISY_VARIANTS)]
+    blocks = [(variant, lo, hi) for variant, lo, hi in blocks if lo < hi]
+    first = min(lo for _, lo, _ in blocks)
+    last = max(hi for _, _, hi in blocks)
+    points = dataset.points(reps[first:last])
+    if blocks[-1][0] != "fiducial":
+        errors = noise_models.from_euler(angles[first:last])
+    parts = []
+    for variant, lo, hi in blocks:
+        part = points[lo - first:hi - first]
+        if variant != "fiducial":
+            part = noise_models.fold(variant, errors[lo - first:hi - first],
+                                     part)
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):

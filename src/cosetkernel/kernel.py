@@ -118,7 +118,8 @@ def _gram(factors, offsets):
     points, for the (2, N) or (2, T, N) offsets of the bra and the ket; the
     upper triangle mirrored, so the result is exactly symmetric."""
     gram = np.abs(transfer_amplitudes(factors, factors, *offsets)) ** 2
-    return np.triu(gram) + np.swapaxes(np.triu(gram, 1), -1, -2)
+    below = np.tri(gram.shape[-1], k=-1, dtype=bool)
+    return np.where(below, np.swapaxes(gram, -1, -2), gram)
 
 
 def kernel_matrix(factors, indices=None, offsets=None):

@@ -102,27 +102,42 @@ def fold(variant, errors, factors):
             + left[..., :, 1:] * right[..., 1:, :])
 
 
+def fiducial_offsets(n_qubits, epsilon, rngs):
+    """The (2, T, N) bra and ket offsets of a batch of trials' fiducial
+    errors, 2N uniforms read from each stream where it stands: the bra's
+    offsets, then the ket's."""
+    sides = [[sample_fiducial_offsets(n_qubits, epsilon, rng),
+              sample_fiducial_offsets(n_qubits, epsilon, rng)] for rng in rngs]
+    return np.moveaxis(np.array(sides), 1, 0)
+
+
+def element_angles(points, n_qubits, epsilon, rngs):
+    """The (T, P, N, 3) Euler triples of the perturbations E_x of a batch of
+    trials' points, for selection or representation errors (`from_euler`
+    builds them): 3PN uniforms read from each stream where it stands, a
+    triple per point and qubit."""
+    return np.array([sample_element_perturbation(n_qubits, epsilon, rng,
+                                                 (points,))
+                     for rng in rngs])
+
+
 def attach(cfg, factors, rngs):
     """The variant's noise for a batch of trials' (T, P, N, 2, 2) point
     factors, read from each stream where it stands: the factors and the
     (2, T, N) bra and ket offsets for `kernel.kernel_matrix`, None for the
     ideal preparation.
 
-    Fiducial errors read 2N uniforms per stream, the bra then the ket
-    offsets. Selection and representation errors read 3PN, an Euler triple
-    per point and qubit, and fold E_x into the factors, exactly since both
-    are tensor products: as E_x,j D_x,j and as D_x,j E_x,j. `none` reads
-    nothing."""
+    Fiducial errors are `fiducial_offsets`. Selection and representation
+    errors are built from `element_angles` and folded into the factors
+    exactly, since both are tensor products: as E_x,j D_x,j and as
+    D_x,j E_x,j (`fold`). `none` reads nothing. `verify-bounds` calls the
+    same two samplers to build all three variants from one set of draws."""
     p, n = factors.shape[-4:-2]
-    eps = cfg.epsilon
     if cfg.variant == "fiducial":
-        sides = [[sample_fiducial_offsets(n, eps, rng),
-                  sample_fiducial_offsets(n, eps, rng)] for rng in rngs]
-        return factors, np.moveaxis(np.array(sides), 1, 0)
+        return factors, fiducial_offsets(n, cfg.epsilon, rngs)
     if cfg.variant in ("selection", "representation"):
-        e = from_euler([sample_element_perturbation(n, eps, rng, (p,))
-                        for rng in rngs])
-        return fold(cfg.variant, e, factors), None
+        errors = from_euler(element_angles(p, n, cfg.epsilon, rngs))
+        return fold(cfg.variant, errors, factors), None
     return factors, None
 
 
@@ -139,7 +154,12 @@ def _envelope(alpha, shift):
 
 
 def bounds_fiducial(alpha, epsilon):
-    """Envelope for fiducial-state errors: amplitude shift 2 eps + eps^2."""
+    """Envelope for fiducial-state errors: amplitude shift 2 eps + eps^2.
+
+    From eps = 1 on, this and `bounds_selection` are the trivial envelope:
+    same-coset lower bound 0, cross-coset bounds [0, 1]. So both clamp eps
+    to 1, which keeps every bound and lets no square of eps overflow."""
+    epsilon = min(epsilon, 1.0)
     shift = 2 * epsilon + epsilon**2
     same_lower = np.square(1 - shift) if shift <= 1 else 0.0
     return NoiseBounds(same_lower, *_envelope(alpha, shift))
@@ -154,7 +174,9 @@ def bounds_selection(alpha, epsilon):
     c^dag E_x^dag E_x' c for selection (E_x D_x), E_x^dag S E_x' S for
     representation (D_x E_x), with S = s_a s_b fixing psi. ||W - I|| <= 2 eps,
     so each eigenvalue e^(it) of W has 2 |sin(t/2)| <= 2 eps, hence
-    cos t >= 1 - 2 eps^2 and Re<psi|W|psi> >= 1 - 2 eps^2."""
+    cos t >= 1 - 2 eps^2 and Re<psi|W|psi> >= 1 - 2 eps^2. eps is
+    clamped to 1, as in `bounds_fiducial`."""
+    epsilon = min(epsilon, 1.0)
     same = 1 - 2 * epsilon**2
     same_lower = np.square(same) if same >= 0 else 0.0
     return NoiseBounds(same_lower, *_envelope(alpha, 2 * epsilon))
@@ -172,20 +194,26 @@ def count_envelope_violations(k, labels, alphas, variant, epsilon):
     """(violations, entries checked) of the noisy kernel entries against
     their per-pair envelope, for one matrix, its points' (K,) coset labels
     and its (m, m) alphas, or a batch of trials' matrices, their (K,) or
-    (T, K) labels and their (T, m, m) alphas. The bounds are evaluated once,
-    per coset pair, and each entry's are gathered by its coset labels."""
+    (T, K) labels and their (T, m, m) alphas. With a tuple of V variants,
+    `k` has a leading variant axis, (V, K, K) or (V, T, K, K), that shares
+    the labels and the alphas, and the counts are totals over the variants.
+    The bounds are evaluated once per variant, per coset pair, and each
+    entry's are gathered by its coset labels."""
+    variants = (variant,) if isinstance(variant, str) else tuple(variant)
     size, m = k.shape[-1], alphas.shape[-1]
     values = k.reshape(-1, size, size)
-    labels = np.broadcast_to(labels, values.shape[:-1])
+    labels = np.broadcast_to(labels, k.shape[:-1]).reshape(values.shape[:-1])
     rows, cols = labels[..., :, None], labels[..., None, :]
-    # each entry's coset pair as a flat index into the (T, m, m) bounds
+    # each entry's coset pair as a flat index into the (V, T, m, m) bounds
     pair = (np.arange(len(values))[:, None, None] * m + rows) * m + cols
-    bounds = bounds_for(variant, alphas, epsilon)
-    lower = np.take(bounds.cross_coset_lower - ENVELOPE_TOL, pair)
-    upper = np.take(bounds.cross_coset_upper + ENVELOPE_TOL, pair)
+    bounds = [bounds_for(v, alphas, epsilon) for v in variants]
+    lower = np.take([b.cross_coset_lower - ENVELOPE_TOL for b in bounds], pair)
+    upper = np.take([b.cross_coset_upper + ENVELOPE_TOL for b in bounds], pair)
+    same_lower = np.repeat([b.same_coset_lower - ENVELOPE_TOL for b in bounds],
+                           len(values) // len(variants))
     outside = np.where(
         rows == cols,
-        values < bounds.same_coset_lower - ENVELOPE_TOL,
+        values < same_lower[:, None, None],
         ~((lower <= values) & (values <= upper)),
     )
     outside &= ~np.eye(size, dtype=bool)

@@ -148,28 +148,39 @@ def test_reports_do_not_depend_on_chunking(variant, eps, surface, monkeypatch):
 def test_verify_bounds_does_not_depend_on_chunking(monkeypatch, capsys):
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
             "--cosets", "3", "--trials", "4", "--seed", "17"]
-    outputs = []
+    kernels = _counted(monkeypatch, kernel, "kernel_matrix")
+    outputs, stacks = [], []
     for budget in (experiment.CHUNK_ENTRIES, 1, 2**40):
         monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out)
+        stacks.append([len(args[0]) for args in kernels])
+        kernels.clear()
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].endswith("violations: 0\n")
+    # one stack of 3 variants x 4 trials per N, or at budget 1 one trial
+    # per chunk and one kernel per slice of its stack
+    assert stacks == [[12] * 3, [1] * 36, [12] * 3]
 
 
-def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
-                                                            capsys):
-    # a same-coset lower bound of 1 makes every noisy same-coset entry a
-    # violation, so violations fall in every chunk of every budget
+def _strict_bounds(monkeypatch):
+    """Give every envelope a same-coset lower bound of 1, which makes every
+    noisy same-coset entry a violation."""
     bounds_for = noise.bounds_for
 
     def strict(variant, alpha, epsilon):
         return replace(bounds_for(variant, alpha, epsilon), same_coset_lower=1.0)
 
     monkeypatch.setattr(noise, "bounds_for", strict)
+
+
+def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
+                                                            capsys):
+    # strict bounds put violations in every chunk of every budget
+    _strict_bounds(monkeypatch)
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "2..8",
             "--cosets", "3", "--trials", "4", "--seed", "236"]
-    assert experiment.trial_chunks(2, 3, 4, "full") == [range(4)]
+    assert experiment.trial_chunks(2, 3, 4, "full", kernels=3) == [range(4)]
     outputs = []
     for budget in (experiment.CHUNK_ENTRIES, 1, 2**40):
         monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
@@ -358,7 +369,7 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
-    chunks = sum(len(experiment.trial_chunks(n, 3, 4, "full"))
+    chunks = sum(len(experiment.trial_chunks(n, 3, 4, "full", kernels=3))
                  for n in range(4, 7))
     # one call per chunk and variant, not one per trial or coset pair
     assert len(bounds) == 3 * chunks == 9
@@ -368,20 +379,27 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
     generated = _counted(monkeypatch, dataset, "generate_trials")
     splits = _counted(monkeypatch, dataset, "split_trials")
     alphas = _counted(monkeypatch, kernel, "alpha_matrix")
+    built = _counted(monkeypatch, dataset, "points")
+    euler = _counted(monkeypatch, noise, "from_euler")
     kernels = _counted(monkeypatch, kernel, "kernel_matrix")
+    checks = _counted(monkeypatch, cli, "count_envelope_violations")
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
     chunks = [len(chunk) for n in range(4, 7)
-              for chunk in experiment.trial_chunks(n, 3, 4, "full")]
-    # the three variants share each chunk's datasets and alphas; only the
-    # noise and the kernels are per variant. The full surface reads no
-    # split, so none is built
+              for chunk in experiment.trial_chunks(n, 3, 4, "full",
+                                                   kernels=3)]
+    # the three variants share each chunk's datasets, alphas, points and
+    # Euler draws, and run as one stack through one chain per slice (one
+    # slice per chunk at these sizes) and one envelope check. The full
+    # surface reads no split, so none is built
     assert len(generated) == len(alphas) == len(chunks)
+    assert len(built) == len(euler) == len(checks) == len(chunks)
     assert splits == []
     assert [len(args[2]) for args in generated] == chunks
     assert sum(chunks) == 12
-    assert len(kernels) == 3 * len(chunks)
+    assert [len(args[0]) for args in kernels] == [3 * c for c in chunks]
+    assert [args[0].shape[:2] for args in checks] == [(3, c) for c in chunks]
 
 
 @pytest.mark.parametrize("chunk", [range(3, 7), [9]])
@@ -413,12 +431,12 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
     # every variant's kernels, drawn from streams restored to their state
     # after the split, are those of a build on new streams
     monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
-    seen = {}
+    seen = []
     count = cli.count_envelope_violations
 
-    def recorded(kmats, labels, alphas, variant, epsilon):
-        seen.setdefault(variant, []).append((kmats, labels, alphas))
-        return count(kmats, labels, alphas, variant, epsilon)
+    def recorded(kmats, labels, alphas, variants, epsilon):
+        seen.append((kmats, labels, alphas, variants))
+        return count(kmats, labels, alphas, variants, epsilon)
 
     monkeypatch.setattr(cli, "count_envelope_violations", recorded)
     trials, seed, eps = 5, 29, 0.3
@@ -426,26 +444,98 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
             "--cosets", str(m), "--trials", str(trials), "--seed", str(seed)]
     assert cli.main(argv) in (0, 1)
     assert capsys.readouterr().err == ""
-    assert sorted(seen) == ["fiducial", "representation", "selection"]
-    for variant, batches in seen.items():
-        cfg_noise = noise.NoiseConfig(variant, eps)
-        expected = []
-        for n_qubits in range(2, 7):
-            for chunk in experiment.trial_chunks(n_qubits, m, trials, "full"):
+    expected = []
+    for n_qubits in range(2, 7):
+        for chunk in experiment.trial_chunks(n_qubits, m, trials, "full",
+                                             kernels=3):
+            refs = []
+            for variant in ("fiducial", "selection", "representation"):
                 rngs = [oracle.trial_rng(seed, n_qubits, m, t)
                         for t in chunk]
                 reps, _ = experiment.draw_trials(n_qubits, m, rngs)
-                ref = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
-                # the full surface's points are every point, coset-major
-                labels = np.repeat(np.arange(m), n_qubits)
-                expected.append((ref, labels, kernel.alpha_matrix(reps)))
-        assert len(batches) == len(expected)
-        for got, want in zip(batches, expected):
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+                refs.append(experiment.noisy_kernels(
+                    reps, None, noise.NoiseConfig(variant, eps), rngs))
+            # the full surface's points are every point, coset-major
+            labels = np.repeat(np.arange(m), n_qubits)
+            expected.append((refs, labels, kernel.alpha_matrix(reps)))
+    assert len(seen) == len(expected)
+    for (kmats, labels, alphas, variants), (refs, ref_labels,
+                                           ref_alphas) in zip(seen, expected):
+        assert variants == ("fiducial", "selection", "representation")
+        assert kmats.shape[0] == 3
+        for got, want in zip(kmats, refs):
+            assert np.array_equal(got, want)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(alphas, ref_alphas)
 
 
-def test_chunk_sizing():
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.6])
+def test_variant_kernels_match_noisy_kernels(eps):
+    # the one stacked build, bit for bit the kernels of one build per
+    # variant on streams restored to where `draw_trials` left them
+    cases = [(n, m) for n in (*range(2, 10), 33) for m in (2, 3, 5)]
+    for n_qubits, m in cases:
+        rngs = experiment.trial_rngs(41, n_qubits, m, range(3))
+        reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+        states = [rng.bit_generator.state for rng in rngs]
+        stacked = experiment.variant_kernels(reps, kernel.alpha_matrix(reps),
+                                             eps, rngs)
+        p = m * n_qubits
+        assert stacked.shape == (3, 3, p, p)
+        for variant, got in zip(experiment.NOISY_VARIANTS, stacked):
+            for rng, state in zip(rngs, states):
+                rng.bit_generator.state = state
+            want = experiment.noisy_kernels(
+                reps, None, noise.NoiseConfig(variant, eps), rngs)
+            assert np.array_equal(got, want), (variant, n_qubits, m)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_stacked_envelope_counts_are_per_variant_sums(strict, monkeypatch):
+    # kernels drawn at eps 0.3 and checked at 0.05 leave cross-coset
+    # entries outside their envelopes; strict bounds add every same-coset
+    # entry. One call over the (3, T, P, P) stack counts what one call per
+    # variant does
+    if strict:
+        _strict_bounds(monkeypatch)
+    found = 0
+    for n_qubits, m in ((2, 2), (4, 3), (6, 5)):
+        rngs = experiment.trial_rngs(7, n_qubits, m, range(4))
+        reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+        alphas = kernel.alpha_matrix(reps)
+        stacked = experiment.variant_kernels(reps, alphas, 0.3, rngs)
+        labels = dataset.coset_labels(n_qubits, m)
+        for check_eps in (0.05, 0.01):
+            got = noise.count_envelope_violations(
+                stacked, labels, alphas, experiment.NOISY_VARIANTS, check_eps)
+            per_variant = [
+                noise.count_envelope_violations(kmats, labels, alphas,
+                                                variant, check_eps)
+                for variant, kmats in zip(experiment.NOISY_VARIANTS, stacked)
+            ]
+            assert got == tuple(np.sum(per_variant, axis=0))
+            found += got[0]
+    assert found > 0
+
+
+def test_verify_bounds_at_zero_epsilon_runs_no_chain(monkeypatch, capsys):
+    # without a budget one gather of the alpha matrices serves all three
+    # variants; no kernel over the points is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_matrix called at eps 0")
+
+    monkeypatch.setattr(kernel, "kernel_matrix", refuse)
+    gathered = _counted(monkeypatch, kernel, "gather_alphas")
+    argv = ["verify-bounds", "--epsilon", "0", "--qubits", "2..6",
+            "--cosets", "3", "--trials", "4", "--seed", "5"]
+    assert cli.main(argv) == 0
+    checked = 3 * 4 * sum(3 * n * (3 * n - 1) for n in range(2, 7))
+    assert capsys.readouterr().out.endswith(
+        f"entries checked: {checked}, violations: 0\n")
+    assert len(gathered) == 5
+
+
+def test_chunk_sizing(monkeypatch):
     # large N runs one trial at a time
     assert experiment.trial_chunks(128, 3, 4, "full") == [
         range(0, 1), range(1, 2), range(2, 3), range(3, 4)
@@ -469,6 +559,13 @@ def test_chunk_sizing():
                 assert (size + 1) * (2 * points) ** 2 > budget
                 # the chunks cover the trials in order, each once
                 assert [t for c in chunks for t in c] == list(range(10_000))
+                # verify-bounds builds three kernels per trial
+                chunks = experiment.trial_chunks(n_qubits, m, 10_000, surface,
+                                                 kernels=3)
+                size = len(chunks[0])
+                assert size == 1 or 3 * size * (2 * points) ** 2 <= budget
+                assert 3 * (size + 1) * (2 * points) ** 2 > budget
+                assert [t for c in chunks for t in c] == list(range(10_000))
     # noiseless chunks run the alpha chain alone and are sized by each
     # trial's 4 m N representative entries, on either surface
     for n_qubits in (2, 5, 10, 32, 128):
@@ -481,6 +578,30 @@ def test_chunk_sizing():
                 assert size == 1 or size * entries <= budget
                 assert (size + 1) * entries > budget
                 assert [t for c in chunks for t in c] == list(range(10_000))
+    # verify-bounds runs a chunk's stack of 3 T kernels through the chain
+    # in slices, in order, of max(1, budget // (2P)^2) kernels, the last
+    # one what is left
+    stacks = []
+
+    def stub(factors, indices=None, offsets=None):
+        stacks.append(len(factors))
+        p = factors.shape[-4]
+        return np.zeros((len(factors), p, p))
+
+    monkeypatch.setattr(kernel, "kernel_matrix", stub)
+    for n_qubits in (2, 5, 10, 32, 128):
+        for m in (2, 3, 5):
+            points = m * n_qubits
+            chunk = experiment.trial_chunks(n_qubits, m, 40, "full",
+                                            kernels=3)[0]
+            rngs = experiment.trial_rngs(3, n_qubits, m, chunk)
+            reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+            stacks.clear()
+            experiment.variant_kernels(reps, None, 0.1, rngs)
+            step = max(1, budget // (2 * points) ** 2)
+            stack = 3 * len(chunk)
+            assert stacks == [min(step, stack - lo)
+                              for lo in range(0, stack, step)]
 
 
 def test_noiseless_chunks_at_128_qubits(monkeypatch, tmp_path):

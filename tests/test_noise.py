@@ -306,6 +306,34 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
                 assert violations == 0, (eps, n_qubits, m)
 
 
+@pytest.mark.parametrize("eps", [1.0000001, 1.5, 1e100, 8e307])
+@pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
+def test_bounds_past_epsilon_one_are_the_trivial_envelope(variant, eps):
+    # from eps = 1 on every envelope is trivial, so the bounds are clamped
+    # there: no square of eps overflows or warns
+    alphas = np.linspace(0.0, 1.0, 101)
+    with np.errstate(all="raise"):
+        got = noise.bounds_for(variant, alphas, eps)
+        ref = noise.bounds_for(variant, alphas, 1.0)
+    assert got.same_coset_lower == ref.same_coset_lower == 0.0
+    assert np.array_equal(got.cross_coset_lower, ref.cross_coset_lower)
+    assert np.array_equal(got.cross_coset_upper, ref.cross_coset_upper)
+    assert np.all(ref.cross_coset_lower == 0.0)
+    assert np.all(ref.cross_coset_upper == 1.0)
+
+
+def test_verify_bounds_at_the_largest_epsilon(capsys):
+    from cosetkernel.cli import main
+
+    argv = ["verify-bounds", "--epsilon", "8e307", "--qubits", "2..3",
+            "--cosets", "2", "--trials", "1"]
+    assert main(argv) == 0
+    # 3 variants, one trial, P = 4 and 6 points
+    checked = 3 * (4 * 3 + 6 * 5)
+    out = capsys.readouterr().out
+    assert out.endswith(f"entries checked: {checked}, violations: 0\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
