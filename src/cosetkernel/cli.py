@@ -1,10 +1,9 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
 `verify-bounds` checks each noise variant but "none" on the same trials of
-a full-surface `ExperimentConfig`, in one pass per (N, chunk): it draws the
+a full-surface `ExperimentConfig`. Each chunk of trials draws its
 representatives and alpha matrices once, builds the three variants' kernels
-as one stack (`experiment.variant_kernels`, each variant reading the draws
-of a fresh build), and checks them against their envelopes in one
+as one stack (`experiment.variant_kernels`) and checks them in one
 `count_envelope_violations` call.
 
 A JSON config file can mirror all simulate flags; explicit flags override
@@ -169,8 +168,7 @@ def cmd_verify_bounds(args):
     checked = 0
     for n_qubits in cfg.qubit_values():
         labels = dataset.coset_labels(n_qubits, m)
-        for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full",
-                                             kernels=len(variants)):
+        for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
             reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
             alphas = kernel.alpha_matrix(reps)

@@ -1,60 +1,35 @@
-"""Monte-Carlo trial orchestration: per-trial dataset generation, noise
-attachment, kernel construction, and aggregation of empirical variances
-against the closed-form predictions.
+"""Monte-Carlo trial orchestration: per-trial datasets and noise, their
+kernels, and the kernels' statistics against the closed-form predictions.
 
-Every trial draws from a random stream derived from (master seed, N, m,
-trial index), so results are independent of execution order and the whole
-experiment is a pure function of its config. The stream is the one
-`default_rng(SeedSequence(seed, spawn_key=(N, m, t)))` gives, but
-`trial_rngs` builds a chunk's streams in one pass: numpy's SeedSequence
-mixes the cell's words once, then the trial words are hashed into the pool
-as one (T, 4) uint32 array and the state words built as one (T, 2, 4)
-array, with hash constants built once for each count of cell words.
+Every trial draws from its own stream, the one
+`default_rng(SeedSequence(seed, spawn_key=(N, m, t)))` gives, so an
+experiment is a pure function of its config whatever the order of its
+trials; `trial_rngs` builds a chunk's streams in one pass. What a stream
+holds, in what order, is stated where it is read: the representatives and
+the split in `dataset`, the noise in `noise`.
 
-The trials of one (N, m) cell run in chunks along a leading trial axis. Only
-the draws stay per trial, each on its trial's own stream in a fixed order
-and of a fixed size: the representatives' 4 m N normals, the split's P + m
-uniforms, then the noise. The full surface reads no split, so there the
-stream skips its uniforms by advancing the generator past them. The Haar
-build, the split, the point product, the noise fold and the transfer chain
-then run once per chunk, on (T, P, N, 2, 2) stacks that give (T, P, P)
-kernels (and, in `verify-bounds`, (T, m, m) alpha matrices), and so do the
-statistics and the envelope check. The build has two stages: `draw_trials`
-(the (T, m, N, 2, 2) representatives and, on the train surface, the (T, K)
-train indices; None on the full surface) and `noisy_kernels` (the points,
-`noise.attach`, then the kernels over those indices, or over every point
-for None); `run_trials` runs one after the other and returns only the
-(T, 5) statistics (`kernel.trial_stats`). `run_experiment` makes each
-trial's record a flat dict of `TRIAL_FIELDS`. `verify-bounds` runs the
-first stage and the alpha matrices once per chunk, then builds all three
-noise variants' kernels as one stack (`variant_kernels`): it restores every
-stream once, to its state past the split's uniforms, between the fiducial
-offsets and the one set of Euler triples that selection and representation
-share, so each variant reads the draws of a fresh build. One trial is a
-chunk of one stream, `[rng]`: `[0]` of its representatives, train indices
-and kernels.
+The trials of one (N, m) cell run in chunks along a leading trial axis
+(`trial_chunks`, under `kernel.CHUNK_ENTRIES`), and each trial's numbers are
+the same, bit for bit, as those of a one-trial chunk `[rng]`. `draw_trials`
+reads what comes before the noise (the full surface reads no split and
+skips it); `noisy_kernels` attaches the noise and builds the kernels;
+`run_trials` takes their (T, 5) statistics (`kernel.trial_stats`), and
+`run_experiment` makes each trial a flat record of `TRIAL_FIELDS`.
+`variant_kernels` builds the three noise variants of `verify-bounds` from
+one set of draws.
 
-When the noise budget is zero (epsilon 0, which the `none` variant implies)
-`run_trials` builds no kernel over the points and no split: it takes each
-trial's statistics from its (m, m) alpha matrix, entry (i, j) weighted by
-how often it occurs among the kernel's off-diagonal entries, n_i n_j -
-delta_ij n_i for the n_i points of coset i in the kernel: N, or on the train
-surface the counts from the split's first m draws (`dataset.train_counts`).
-`noisy_kernels` gathers the kernels themselves from the alpha matrices
-(`kernel.gather_alphas`), for the heat map. The budget, not the variant's
-name, selects this path: at epsilon 0 every variant attaches the ideal
-inputs bit for bit, and no stream is read after its noise draws, so the
-draws it skips change nothing else.
-
-Chunks are sized so that their (T, 2P, 2P) transfer matrices (three per
-trial in `verify-bounds`), or without noise the (T, m, N, 2, 2)
-representatives of their alpha chain, hold at most `CHUNK_ENTRIES` complex
-entries. A report does not depend on the chunking:
-each trial's numbers are the same, bit for bit, as those of a one-trial call.
+With no noise budget (epsilon 0, which the `none` variant implies) every
+variant attaches the ideal inputs bit for bit, so no kernel over the points
+and no split is built: a trial's statistics are those of its (m, m) alpha
+matrix, entry (i, j) weighted by how often it occurs among the kernel's
+off-diagonal entries, n_i n_j - delta_ij n_i for the n_i points of coset i
+(N, or the split's train counts, `dataset.train_counts`), and
+`noisy_kernels` gathers the kernels from it (`kernel.gather_alphas`) for the
+heat map. No stream is read after its noise draws, so the draws this skips
+change nothing else.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
-sort_keys=True)`, with the trial records encoded by json's C encoder and
-only the seams between them rewritten (see `_report_json_pieces`).
+sort_keys=True)` (see `_report_json_pieces`).
 """
 
 import json
@@ -68,12 +43,6 @@ from . import dataset, kernel, theory
 from . import noise as noise_models
 
 MAX_QUBITS = 128
-# complex entries of one chunk's (T, 2P, 2P) transfer matrices. Past about
-# twice this, a batch runs slower than one trial at a time, and the chain's
-# working set (two such arrays) grows with it. Without noise the chain runs
-# over the representatives only, and a chunk is sized by their 4 m N
-# entries per trial under the same budget.
-CHUNK_ENTRIES = 2**16
 
 
 def _is_integer(value):
@@ -220,21 +189,14 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
             for row in words.astype(np.uint64)]
 
 
-def _chunks(count, per_item):
-    """0..count-1 in ranges of as many items of `per_item` entries each as
-    keep within CHUNK_ENTRIES; at least one item per range."""
-    step = max(1, CHUNK_ENTRIES // per_item)
-    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def trial_chunks(n_qubits, m, trials, surface, noiseless=False, kernels=1):
-    """One (N, m) cell's trial indices 0..trials-1, in chunks of as many as
-    keep within CHUNK_ENTRIES the (2P x 2P) transfer matrices of their
-    `kernels` kernels each (P points) or, if `noiseless`, their 4 m N
-    representative entries; at least one."""
+def trial_chunks(n_qubits, m, trials, surface, noiseless=False):
+    """One (N, m) cell's trial indices 0..trials-1 in `kernel.chunks`, each
+    trial counted by the (2P x 2P) transfer matrix of its kernel (P points)
+    or, if `noiseless`, by the 4 m N entries of its representatives, which
+    alone run through the chain."""
     points = m * n_qubits if surface == "full" else m * n_qubits // 2
-    per_trial = 4 * m * n_qubits if noiseless else kernels * (2 * points) ** 2
-    return _chunks(trials, per_trial)
+    return kernel.chunks(trials,
+                         4 * m * n_qubits if noiseless else (2 * points) ** 2)
 
 
 def draw_trials(n_qubits, m, rngs, surface="train"):
@@ -286,17 +248,14 @@ def variant_kernels(reps, alphas, epsilon, rngs):
     them.
 
     The fiducial offsets are read where the streams stand; the streams are
-    then restored once, and one set of Euler triples is read for selection
-    and representation errors, which read the same draws. The three
-    variants run as one (3T, P, N, 2, 2) factor stack (`_variant_factors`),
-    with zero offsets for the last two, through `kernel.kernel_matrix`, in
-    slices of as many kernels as keep their (2P x 2P) transfer matrices
-    within CHUNK_ENTRIES. Each kernel has the bits of a batch of one, so the
-    slicing changes none. Each slice's factors are built for it alone, so
-    at large N, where a slice is one kernel, the chain runs beside one
-    kernel's factors and the (T, P, N, 3) angles, not beside three stacks.
-    With no budget every variant's kernels are the unperturbed ones,
-    gathered once from the (T, m, m) `alphas`, and no stream is read."""
+    then restored once, and one set of Euler triples serves selection and
+    representation, which read the same draws. The variants' factors, the
+    plain points for fiducial errors (which live in the offsets) and the
+    points with their errors folded in for the other two, form one
+    (3T, P, N, 2, 2) stack with zero offsets for the last two, and run
+    through one `kernel.kernel_matrix` call. With no budget every variant's
+    kernels are the unperturbed ones, gathered once from the (T, m, m)
+    `alphas`, and no stream is read."""
     m, n_qubits = reps.shape[-4:-2]
     trials, p = len(reps), m * n_qubits
     if epsilon == 0:
@@ -308,40 +267,16 @@ def variant_kernels(reps, alphas, epsilon, rngs):
                                                         rngs)
     for rng, state in zip(rngs, states):
         rng.bit_generator.state = state
-    angles = noise_models.element_angles(p, n_qubits, epsilon, rngs)
-    kmats = np.empty((3 * trials, p, p))
-    for rows in _chunks(3 * trials, (2 * p) ** 2):
-        cut = slice(rows.start, rows.stop)
-        kmats[cut] = kernel.kernel_matrix(
-            _variant_factors(reps, angles, rows), None, offsets[:, cut])
+    errors = noise_models.from_euler(
+        noise_models.element_angles(p, n_qubits, epsilon, rngs))
+    factors = np.empty((3, trials, p, n_qubits, 2, 2), complex)
+    factors[0] = dataset.points(reps)
+    for v in (1, 2):
+        factors[v] = noise_models.fold(NOISY_VARIANTS[v], errors, factors[0])
+    del errors
+    kmats = kernel.kernel_matrix(factors.reshape(-1, *factors.shape[2:]),
+                                 None, offsets)
     return kmats.reshape(3, trials, p, p)
-
-
-def _variant_factors(reps, angles, rows):
-    """The `rows` (a range) of the (3T, P, N, 2, 2) factor stack of
-    `variant_kernels`: block v, rows v T to v T + T - 1, holds the trials'
-    points under `NOISY_VARIANTS[v]`, the plain points for fiducial errors
-    (which live in the offsets) and the points with their errors, built
-    from the (T, P, N, 3) Euler `angles`, folded in for the other two. The
-    points and errors of the trials the rows cover are built once."""
-    trials = len(reps)
-    blocks = [(variant, max(rows.start - v * trials, 0),
-               min(rows.stop - v * trials, trials))
-              for v, variant in enumerate(NOISY_VARIANTS)]
-    blocks = [(variant, lo, hi) for variant, lo, hi in blocks if lo < hi]
-    first = min(lo for _, lo, _ in blocks)
-    last = max(hi for _, _, hi in blocks)
-    points = dataset.points(reps[first:last])
-    if blocks[-1][0] != "fiducial":
-        errors = noise_models.from_euler(angles[first:last])
-    parts = []
-    for variant, lo, hi in blocks:
-        part = points[lo - first:hi - first]
-        if variant != "fiducial":
-            part = noise_models.fold(variant, errors[lo - first:hi - first],
-                                     part)
-        parts.append(part)
-    return np.concatenate(parts)
 
 
 def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):

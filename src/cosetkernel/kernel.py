@@ -29,13 +29,14 @@ chain as the reference).
 The chain also runs for a batch of trials at once: every array then carries
 a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
 (T, P, Q) amplitudes, and each step is one batched product over the trials.
-Each trial's entries are the same, bit for bit, as in a batch of one;
-`experiment` picks the batch size so that T (2P)^2 stays within a fixed
-budget. A kernel is the plain Gram array of a factor stack, with no coset
-labels. `trial_stats` takes a batch of such arrays with a weight for each
-entry and a coset label for each row and column; every statistic is a sum
-or an extremum over the two trailing axes, which gives each trial the bits
-of a batch of one. A kernel's off-diagonal statistics weigh its entries by
+Each trial's entries are the same, bit for bit, as in a batch of one, so
+a batch may run in slices: `_gram` runs as many kernels per chain call as
+keep their (2P x 2P) transfer matrices within `CHUNK_ENTRIES`. A kernel is
+the plain Gram array of a factor stack, with no coset labels.
+`trial_stats` takes a batch of such arrays with a weight for each entry and
+a coset label for each row and column; every statistic is a sum or an
+extremum over the two trailing axes, which gives each trial the bits of a
+batch of one. A kernel's off-diagonal statistics weigh its entries by
 ~eye. The tests check the chain against a dense 2^N construction
 (`tests/oracle.py`).
 
@@ -52,6 +53,12 @@ for the noiseless ones.
 """
 
 import numpy as np
+
+# complex entries of the (2P x 2P) transfer matrices one chain call holds
+# over its batch of kernels. Past about twice this, a batch runs slower than
+# one kernel at a time, and the chain's working set (two such arrays) grows
+# with it. `experiment` sizes its trial chunks by the same budget.
+CHUNK_ENTRIES = 2**16
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]])  # (-1)^(t t'), the CZ sign
 # kron(H, I_2): H on the u of every column (q, u), for v's float view cut
@@ -97,7 +104,7 @@ def transfer_amplitudes(left, right, offsets_left, offsets_right):
     v = bras[0] @ kets[0]
     batch = v.shape[:-2]
     # each step keeps at most two (2P, 2Q) arrays alive; this sets the
-    # memory per trial that `experiment.CHUNK_ENTRIES` budgets for
+    # memory per kernel that `CHUNK_ENTRIES` budgets for
     for bra, ket in zip(bras[1:], kets[1:]):
         hv = _H @ v.view(float).reshape(*batch, 2, -1)
         del v
@@ -113,10 +120,28 @@ def transfer_amplitudes(left, right, offsets_left, offsets_right):
     return halves[..., 0, :, :] + halves[..., 1, :, :]
 
 
+def chunks(count, per_item):
+    """0..count-1 in ranges of as many items of `per_item` entries each as
+    keep within CHUNK_ENTRIES; at least one item per range."""
+    step = max(1, CHUNK_ENTRIES // per_item)
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def _gram(factors, offsets):
     """|<psi_l| D_p^dag D_q |psi_r>|^2 over all pairs of a factor stack's
     points, for the (2, N) or (2, T, N) offsets of the bra and the ket; the
-    upper triangle mirrored, so the result is exactly symmetric."""
+    upper triangle mirrored, so the result is exactly symmetric. A
+    (T, P, N, 2, 2) stack runs through the chain in `chunks` of its
+    kernels, which changes no bits (module docstring)."""
+    p = factors.shape[-4]
+    slices = chunks(len(factors), (2 * p) ** 2) if factors.ndim == 5 else []
+    if len(slices) > 1:
+        gram = np.empty((len(factors), p, p))
+        for rows in slices:
+            cut = slice(rows.start, rows.stop)
+            sides = offsets[:, cut] if offsets.ndim == 3 else offsets
+            gram[cut] = _gram(factors[cut], sides)
+        return gram
     gram = np.abs(transfer_amplitudes(factors, factors, *offsets)) ** 2
     below = np.tri(gram.shape[-1], k=-1, dtype=bool)
     return np.where(below, np.swapaxes(gram, -1, -2), gram)

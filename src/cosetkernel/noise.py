@@ -52,22 +52,6 @@ class NoiseBounds:
     cross_coset_upper: float
 
 
-def sample_fiducial_offsets(n_qubits, epsilon, rng):
-    """N per-qubit Ry-angle offsets, uniform in [-2 eps / N, 2 eps / N];
-    keeps the preparation within eps of the ideal one in operator norm."""
-    bound = 2 * epsilon / n_qubits
-    return rng.uniform(-bound, bound, size=n_qubits)
-
-
-def sample_element_perturbation(n_qubits, epsilon, rng, shape=()):
-    """Per-qubit XZX Euler triples, uniform in [-2 eps / (sqrt(5) N), +...],
-    for a (*shape) stack of perturbations: shape (*shape, N, 3). Each one
-    stays within eps of the identity in operator norm. One draw for the
-    stack gives the same stream as one call per perturbation in C order."""
-    bound = 2 * epsilon / (np.sqrt(5) * n_qubits)
-    return rng.uniform(-bound, bound, size=(*shape, n_qubits, 3))
-
-
 def from_euler(angles):
     """Per-qubit factors Rx(t1) Rz(t2) Rx(t3) for (..., N, 3) angle triples;
     returns the (..., N, 2, 2) factors.
@@ -105,19 +89,23 @@ def fold(variant, errors, factors):
 def fiducial_offsets(n_qubits, epsilon, rngs):
     """The (2, T, N) bra and ket offsets of a batch of trials' fiducial
     errors, 2N uniforms read from each stream where it stands: the bra's
-    offsets, then the ket's."""
-    sides = [[sample_fiducial_offsets(n_qubits, epsilon, rng),
-              sample_fiducial_offsets(n_qubits, epsilon, rng)] for rng in rngs]
+    offsets, then the ket's. Each is uniform in [-2 eps / N, 2 eps / N],
+    which keeps each preparation within eps of the ideal one in operator
+    norm."""
+    bound = 2 * epsilon / n_qubits
+    sides = [rng.uniform(-bound, bound, size=(2, n_qubits)) for rng in rngs]
     return np.moveaxis(np.array(sides), 1, 0)
 
 
 def element_angles(points, n_qubits, epsilon, rngs):
-    """The (T, P, N, 3) Euler triples of the perturbations E_x of a batch of
-    trials' points, for selection or representation errors (`from_euler`
-    builds them): 3PN uniforms read from each stream where it stands, a
-    triple per point and qubit."""
-    return np.array([sample_element_perturbation(n_qubits, epsilon, rng,
-                                                 (points,))
+    """The (T, P, N, 3) XZX Euler triples of the perturbations E_x of a
+    batch of trials' points, for selection or representation errors
+    (`from_euler` builds them): 3PN uniforms read from each stream where it
+    stands, a triple per point and qubit in C order. Each angle is uniform
+    in [-2 eps / (sqrt(5) N), 2 eps / (sqrt(5) N)], which keeps every E_x
+    within eps of the identity in operator norm."""
+    bound = 2 * epsilon / (np.sqrt(5) * n_qubits)
+    return np.array([rng.uniform(-bound, bound, size=(points, n_qubits, 3))
                      for rng in rngs])
 
 
@@ -198,7 +186,8 @@ def count_envelope_violations(k, labels, alphas, variant, epsilon):
     `k` has a leading variant axis, (V, K, K) or (V, T, K, K), that shares
     the labels and the alphas, and the counts are totals over the variants.
     The bounds are evaluated once per variant, per coset pair, and each
-    entry's are gathered by its coset labels."""
+    entry's are gathered by its coset labels. A NaN or infinite entry is a
+    violation in either class."""
     variants = (variant,) if isinstance(variant, str) else tuple(variant)
     size, m = k.shape[-1], alphas.shape[-1]
     values = k.reshape(-1, size, size)
@@ -216,5 +205,6 @@ def count_envelope_violations(k, labels, alphas, variant, epsilon):
         values < same_lower[:, None, None],
         ~((lower <= values) & (values <= upper)),
     )
+    outside |= ~np.isfinite(values)
     outside &= ~np.eye(size, dtype=bool)
     return int(np.sum(outside)), len(values) * size * (size - 1)

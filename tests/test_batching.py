@@ -37,13 +37,10 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
         return reps, sp, kernel.gather_alphas(alphas[None], labels)[0], labels
     factors, offsets = dataset.points(reps), None
     if cfg_noise.variant == "fiducial":
-        offsets = np.array([noise.sample_fiducial_offsets(n_qubits, eps, rng)
-                            for _ in range(2)])
+        offsets = noise.fiducial_offsets(n_qubits, eps, [rng])[:, 0]
     elif cfg_noise.variant != "none":
         errors = noise.from_euler(
-            noise.sample_element_perturbation(
-                n_qubits, eps, rng, (len(all_labels),)
-            )
+            noise.element_angles(len(all_labels), n_qubits, eps, [rng])[0]
         )
         factors = noise.fold(cfg_noise.variant, errors, factors)
     return reps, sp, kernel.kernel_matrix(factors, indices, offsets), labels
@@ -138,7 +135,7 @@ def test_reports_do_not_depend_on_chunking(variant, eps, surface, monkeypatch):
                2**40: [range(9)]}
     reports = []
     for budget, chunks in budgets.items():
-        monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
         if chunks is not None:
             assert experiment.trial_chunks(5, 3, 9, surface) == chunks
         reports.append(experiment.run_experiment(cfg))
@@ -148,19 +145,24 @@ def test_reports_do_not_depend_on_chunking(variant, eps, surface, monkeypatch):
 def test_verify_bounds_does_not_depend_on_chunking(monkeypatch, capsys):
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
             "--cosets", "3", "--trials", "4", "--seed", "17"]
-    kernels = _counted(monkeypatch, kernel, "kernel_matrix")
-    outputs, stacks = [], []
-    for budget in (experiment.CHUNK_ENTRIES, 1, 2**40):
-        monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
+    chains = _counted(monkeypatch, kernel, "transfer_amplitudes")
+    outputs, batches = [], []
+    for budget in (kernel.CHUNK_ENTRIES, 1, 2**40):
+        monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out)
-        stacks.append([len(args[0]) for args in kernels])
-        kernels.clear()
+        # (kernels, points) of every chain call
+        batches.append([args[0].shape[:2] for args in chains])
+        chains.clear()
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].endswith("violations: 0\n")
-    # one stack of 3 variants x 4 trials per N, or at budget 1 one trial
-    # per chunk and one kernel per slice of its stack
-    assert stacks == [[12] * 3, [1] * 36, [12] * 3]
+    # per N, the alpha chain over 4 trials' 3 representatives, then one
+    # stack of 3 variants x 4 trials over the 3 N points; at budget 1 one
+    # trial per chunk, and every kernel of its stack one chain call
+    whole = [b for n in (4, 5, 6) for b in ((4, 3), (12, 3 * n))]
+    single = [b for n in (4, 5, 6) for _ in range(4)
+              for b in ((1, 3), (1, 3 * n), (1, 3 * n), (1, 3 * n))]
+    assert batches == [whole, single, whole]
 
 
 def _strict_bounds(monkeypatch):
@@ -180,10 +182,10 @@ def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
     _strict_bounds(monkeypatch)
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "2..8",
             "--cosets", "3", "--trials", "4", "--seed", "236"]
-    assert experiment.trial_chunks(2, 3, 4, "full", kernels=3) == [range(4)]
+    assert experiment.trial_chunks(2, 3, 4, "full") == [range(4)]
     outputs = []
-    for budget in (experiment.CHUNK_ENTRIES, 1, 2**40):
-        monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
+    for budget in (kernel.CHUNK_ENTRIES, 1, 2**40):
+        monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
         assert cli.main(argv) == 1
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
@@ -208,7 +210,7 @@ def _counted(monkeypatch, module, name):
 
 def test_statistics_run_once_per_chunk(monkeypatch):
     cfg = small_config("selection", 0.3, "train", trials=9)
-    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", 3000)
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 3000)
     stats = _counted(monkeypatch, kernel, "trial_stats")
     experiment.run_experiment(cfg)
     chunks = [
@@ -351,7 +353,7 @@ def test_noiseless_runs_build_no_split(monkeypatch, tmp_path, capsys):
 def test_noisy_chunks_build_point_factors_once(variant, eps, surface,
                                                monkeypatch):
     cfg = small_config(variant, eps, surface, trials=9)
-    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", 3000)
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 3000)
     built = _counted(monkeypatch, dataset, "points")
     experiment.run_experiment(cfg)
     chunks = [
@@ -369,7 +371,7 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
-    chunks = sum(len(experiment.trial_chunks(n, 3, 4, "full", kernels=3))
+    chunks = sum(len(experiment.trial_chunks(n, 3, 4, "full"))
                  for n in range(4, 7))
     # one call per chunk and variant, not one per trial or coset pair
     assert len(bounds) == 3 * chunks == 9
@@ -387,12 +389,11 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
     chunks = [len(chunk) for n in range(4, 7)
-              for chunk in experiment.trial_chunks(n, 3, 4, "full",
-                                                   kernels=3)]
+              for chunk in experiment.trial_chunks(n, 3, 4, "full")]
     # the three variants share each chunk's datasets, alphas, points and
-    # Euler draws, and run as one stack through one chain per slice (one
-    # slice per chunk at these sizes) and one envelope check. The full
-    # surface reads no split, so none is built
+    # Euler draws, and run as one stack through one kernel_matrix call and
+    # one envelope check. The full surface reads no split, so none is
+    # built
     assert len(generated) == len(alphas) == len(chunks)
     assert len(built) == len(euler) == len(checks) == len(chunks)
     assert splits == []
@@ -424,13 +425,13 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
             assert np.array_equal(kmats, ref)
 
 
-@pytest.mark.parametrize("budget", [experiment.CHUNK_ENTRIES, 1])
+@pytest.mark.parametrize("budget", [kernel.CHUNK_ENTRIES, 1])
 @pytest.mark.parametrize("m", [2, 3])
 def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
                                                 capsys):
     # every variant's kernels, drawn from streams restored to their state
     # after the split, are those of a build on new streams
-    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", budget)
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
     seen = []
     count = cli.count_envelope_violations
 
@@ -446,8 +447,7 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
     assert capsys.readouterr().err == ""
     expected = []
     for n_qubits in range(2, 7):
-        for chunk in experiment.trial_chunks(n_qubits, m, trials, "full",
-                                             kernels=3):
+        for chunk in experiment.trial_chunks(n_qubits, m, trials, "full"):
             refs = []
             for variant in ("fiducial", "selection", "representation"):
                 rngs = [oracle.trial_rng(seed, n_qubits, m, t)
@@ -548,7 +548,7 @@ def test_chunk_sizing(monkeypatch):
                 range(40)
             ]
     # a chunk is the largest that keeps within the budget, or one trial
-    budget = experiment.CHUNK_ENTRIES
+    budget = kernel.CHUNK_ENTRIES
     for n_qubits in (2, 5, 10, 32, 128):
         for m in (2, 3, 5):
             for surface, points in (("full", m * n_qubits),
@@ -558,13 +558,6 @@ def test_chunk_sizing(monkeypatch):
                 assert size == 1 or size * (2 * points) ** 2 <= budget
                 assert (size + 1) * (2 * points) ** 2 > budget
                 # the chunks cover the trials in order, each once
-                assert [t for c in chunks for t in c] == list(range(10_000))
-                # verify-bounds builds three kernels per trial
-                chunks = experiment.trial_chunks(n_qubits, m, 10_000, surface,
-                                                 kernels=3)
-                size = len(chunks[0])
-                assert size == 1 or 3 * size * (2 * points) ** 2 <= budget
-                assert 3 * (size + 1) * (2 * points) ** 2 > budget
                 assert [t for c in chunks for t in c] == list(range(10_000))
     # noiseless chunks run the alpha chain alone and are sized by each
     # trial's 4 m N representative entries, on either surface
@@ -578,22 +571,21 @@ def test_chunk_sizing(monkeypatch):
                 assert size == 1 or size * entries <= budget
                 assert (size + 1) * entries > budget
                 assert [t for c in chunks for t in c] == list(range(10_000))
-    # verify-bounds runs a chunk's stack of 3 T kernels through the chain
-    # in slices, in order, of max(1, budget // (2P)^2) kernels, the last
-    # one what is left
+    # the chain runs a stack of kernels, verify-bounds' 3 T of a chunk, in
+    # slices, in order, of max(1, budget // (2P)^2) kernels, the last one
+    # what is left
     stacks = []
 
-    def stub(factors, indices=None, offsets=None):
-        stacks.append(len(factors))
-        p = factors.shape[-4]
-        return np.zeros((len(factors), p, p))
+    def stub(left, right, offsets_left, offsets_right):
+        stacks.append(len(left))
+        p = left.shape[-4]
+        return np.zeros((len(left), p, p), complex)
 
-    monkeypatch.setattr(kernel, "kernel_matrix", stub)
+    monkeypatch.setattr(kernel, "transfer_amplitudes", stub)
     for n_qubits in (2, 5, 10, 32, 128):
         for m in (2, 3, 5):
             points = m * n_qubits
-            chunk = experiment.trial_chunks(n_qubits, m, 40, "full",
-                                            kernels=3)[0]
+            chunk = experiment.trial_chunks(n_qubits, m, 40, "full")[0]
             rngs = experiment.trial_rngs(3, n_qubits, m, chunk)
             reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
             stacks.clear()
@@ -613,7 +605,7 @@ def test_noiseless_chunks_at_128_qubits(monkeypatch, tmp_path):
     experiment.export_report(experiment.run_experiment(cfg),
                              tmp_path / "chunked.json")
     assert [len(args[0]) for args in alphas] == [25] * 8
-    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 1)
     experiment.export_report(experiment.run_experiment(cfg),
                              tmp_path / "single.json")
     assert len(alphas) == 8 + 200

@@ -120,7 +120,7 @@ def test_selection_noise_needs_one_perturbation_per_point():
     rng = np.random.default_rng(16)
     points = dataset.points(oracle.generate(3, 2, rng))
     perts = noise.from_euler(
-        noise.sample_element_perturbation(3, 0.3, rng, shape=(1,))
+        noise.element_angles(1, 3, 0.3, [rng])[0]
     )
     with pytest.raises(ValueError, match="one perturbation per point"):
         oracle.kernel_matrix(points, perturbations=perts)
@@ -201,12 +201,10 @@ def test_feature_states_match_dense_oracle(n, attachment):
     after_split = rng.bit_generator.state
     unfolded = {}
     if attachment == "fiducial":
-        unfolded["offsets"] = np.array(
-            [noise.sample_fiducial_offsets(n, eps, rng) for _ in range(2)]
-        )
+        unfolded["offsets"] = noise.fiducial_offsets(n, eps, [rng])[:, 0]
     elif attachment != "none":
         unfolded["perturbations"] = noise.from_euler(
-            noise.sample_element_perturbation(n, eps, rng, (2 * n,))
+            noise.element_angles(2 * n, n, eps, [rng])[0]
         )
         unfolded["variant"] = attachment
     for train in (None, splits):
@@ -227,6 +225,44 @@ def test_alpha_matrix_matches_dense_oracle(n):
     np.testing.assert_allclose(kernel.alpha_matrix(reps),
                                oracle.alpha_matrix(reps),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 2**40])
+def test_chain_slices_keep_every_bit(budget, monkeypatch):
+    # `_gram` runs a batch of kernels through the chain in slices of
+    # max(1, CHUNK_ENTRIES // (2P)^2): one kernel a slice at budget 1, the
+    # whole batch at once at 2**40. Either way each kernel, and each alpha
+    # matrix, has the bits of its own unbatched call, with the bra and ket
+    # offsets shared, (2, N), or per trial, (2, T, N)
+    trials = 5
+    for n_qubits, m in ((2, 2), (3, 3), (5, 2)):
+        rngs = experiment.trial_rngs(61, n_qubits, m, range(trials))
+        reps = dataset.generate_trials(n_qubits, m, rngs)
+        points = dataset.points(reps)
+        offsets = np.random.default_rng(n_qubits).uniform(
+            -0.2, 0.2, (2, trials, n_qubits))
+        shared_ref = [kernel.kernel_matrix(p, None, offsets[:, 0])
+                      for p in points]
+        own_ref = [kernel.kernel_matrix(points[t], None, offsets[:, t])
+                   for t in range(trials)]
+        alphas_ref = [kernel.alpha_matrix(r) for r in reps]
+        batches = []
+        chain = kernel.transfer_amplitudes
+
+        def counted(left, *args):
+            batches.append(len(left))
+            return chain(left, *args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(kernel, "CHUNK_ENTRIES", budget)
+            patched.setattr(kernel, "transfer_amplitudes", counted)
+            shared = kernel.kernel_matrix(points, None, offsets[:, 0])
+            own = kernel.kernel_matrix(points, None, offsets)
+            alphas = kernel.alpha_matrix(reps)
+        assert batches == ([1] * 3 * trials if budget == 1 else [trials] * 3)
+        assert np.array_equal(shared, shared_ref)
+        assert np.array_equal(own, own_ref)
+        assert np.array_equal(alphas, alphas_ref)
 
 
 def test_dense_oracle_refuses_past_its_cap():

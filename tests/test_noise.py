@@ -12,15 +12,15 @@ from oracle import rx, ry, rz
 
 def test_offsets_zero_epsilon():
     rng = np.random.default_rng(0)
-    assert np.all(noise.sample_fiducial_offsets(5, 0.0, rng) == 0)
-    assert np.all(noise.sample_element_perturbation(5, 0.0, rng) == 0)
+    assert np.all(noise.fiducial_offsets(5, 0.0, [rng]) == 0)
+    assert np.all(noise.element_angles(1, 5, 0.0, [rng]) == 0)
 
 
 def test_offsets_within_budget():
     rng = np.random.default_rng(1)
-    offs = noise.sample_fiducial_offsets(10, 0.9, rng)
+    offs = noise.fiducial_offsets(10, 0.9, [rng])
     assert np.all(np.abs(offs) <= 0.18)
-    tri = noise.sample_element_perturbation(10, 0.9, rng)
+    tri = noise.element_angles(1, 10, 0.9, [rng])[0, 0]
     assert tri.shape == (10, 3)
     assert np.all(np.abs(tri) <= 2 * 0.9 / (np.sqrt(5) * 10) + 1e-12)
 
@@ -33,10 +33,10 @@ def test_sampled_norms_respect_epsilon(eps):
     for n in (2, 5, 8):
         ideal = oracle.fiducial_operator(np.zeros(n))
         for _ in range(20):
-            offs = noise.sample_fiducial_offsets(n, eps, rng)
+            offs = noise.fiducial_offsets(n, eps, [rng])[0, 0]
             w = oracle.fiducial_operator(offs)
             assert oracle.operator_norm(ideal - w) <= eps + 1e-6
-            tri = noise.sample_element_perturbation(n, eps, rng)
+            tri = noise.element_angles(1, n, eps, [rng])[0, 0]
             de = oracle.dense(noise.from_euler(tri))
             assert oracle.operator_norm(de - np.eye(2**n)) <= eps + 1e-6
 
@@ -50,9 +50,7 @@ def test_batched_perturbations_match_per_point_loop():
             batched_rng = np.random.default_rng(100 * n + points)
             loop_rng = np.random.default_rng(100 * n + points)
             factors = noise.from_euler(
-                noise.sample_element_perturbation(
-                    n, 0.3, batched_rng, shape=(points,)
-                )
+                noise.element_angles(points, n, 0.3, [batched_rng])[0]
             )
             bound = 2 * 0.3 / (np.sqrt(5) * n)
             triples = [loop_rng.uniform(-bound, bound, size=(n, 3))
@@ -207,14 +205,14 @@ def test_max_singular_value_formula():
     rng = np.random.default_rng(4)
     for n in (2, 3, 4):
         # Ry offsets variant
-        thetas = noise.sample_fiducial_offsets(n, 0.9, rng)
+        thetas = noise.fiducial_offsets(n, 0.9, [rng])[0, 0]
         factors = np.stack([ry(-t) for t in thetas])
         dense = oracle.dense(factors)
         svd_norm = oracle.operator_norm(dense - np.eye(2**n))
         assert abs(svd_norm - _max_singular_from_eigs(factors)) < 1e-10
         # XZX perturbation variant
         de = noise.from_euler(
-            noise.sample_element_perturbation(n, 0.9, rng)
+            noise.element_angles(1, n, 0.9, [rng])[0, 0]
         )
         svd_norm = oracle.operator_norm(oracle.dense(de) - np.eye(2**n))
         assert abs(svd_norm - _max_singular_from_eigs(de)) < 1e-10
@@ -273,12 +271,14 @@ def test_representation_and_selection_kernels_differ():
 
 
 def _cornered(monkeypatch, name, box):
-    """Make sampler `name` return the corner of its box, half-width
-    box(N, eps), that has the signs of the draws it still reads."""
+    """Make batch sampler `name` return the corner of its box, half-width
+    box(N, eps), that has the signs of the draws it still reads. Both
+    samplers end in (N, eps, rngs)."""
     sampler = getattr(noise, name)
 
-    def cornered(n_qubits, epsilon, rng, *shape):
-        draws = sampler(n_qubits, epsilon, rng, *shape)
+    def cornered(*args):
+        draws = sampler(*args)
+        n_qubits, epsilon = args[-3:-1]
         return np.where(draws < 0, -1.0, 1.0) * box(n_qubits, epsilon)
 
     monkeypatch.setattr(noise, name, cornered)
@@ -288,8 +288,8 @@ def _cornered(monkeypatch, name, box):
 def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
     # adversarial draws: every angle at the edge of the sampler's box,
     # which still keeps each perturbation within eps of the identity
-    _cornered(monkeypatch, "sample_fiducial_offsets", lambda n, eps: 2 * eps / n)
-    _cornered(monkeypatch, "sample_element_perturbation",
+    _cornered(monkeypatch, "fiducial_offsets", lambda n, eps: 2 * eps / n)
+    _cornered(monkeypatch, "element_angles",
               lambda n, eps: 2 * eps / (np.sqrt(5) * n))
     for eps in (0.1, 0.3, 0.6):
         cfg_noise = noise.NoiseConfig(variant, eps)
@@ -368,7 +368,9 @@ def _loop_violations(kmat, labels, alphas, variant, eps):
             i, j = labels[r], labels[c]
             b = noise.bounds_for(variant, alphas[i, j], eps)
             checked += 1
-            if i == j:
+            if not np.isfinite(value):
+                violations += 1
+            elif i == j:
                 violations += value < b.same_coset_lower - tol
             else:
                 violations += not (
@@ -424,6 +426,39 @@ def test_envelope_count_matches_loop_oracle(variant):
                 assert noise.count_envelope_violations(
                     batch, batch_labels, batch_alphas, variant, eps
                 ) == tuple(np.sum(per_trial, axis=0))
+
+
+def _planted_count(variant, value, row, col):
+    """The count for a 4-point kernel (N = 2, m = 2, alpha 0.25) whose
+    entries all lie inside their envelopes at eps 0.1 but for `value`,
+    planted at (row, col) and its mirror."""
+    labels = np.array([0, 0, 1, 1])
+    alphas = np.array([[1.0, 0.25], [0.25, 1.0]])
+    kmat = alphas[labels[:, None], labels[None, :]]
+    kmat[row, col] = kmat[col, row] = value
+    return noise.count_envelope_violations(kmat, labels, alphas, variant, 0.1)
+
+
+@pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
+def test_nan_same_coset_entry_is_a_violation(variant):
+    # `values < lower` is False for NaN, which must not pass the check
+    assert _planted_count(variant, 1.0, 0, 1) == (0, 12)
+    assert _planted_count(variant, np.nan, 0, 1) == (2, 12)
+
+
+@pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
+def test_nan_cross_coset_entry_is_a_violation(variant):
+    assert _planted_count(variant, 0.25, 0, 2) == (0, 12)
+    assert _planted_count(variant, np.nan, 0, 2) == (2, 12)
+
+
+@pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
+def test_infinite_entries_are_violations(variant):
+    # in either class and with either sign; +inf clears a same-coset
+    # lower bound, which must not pass the check either
+    for row, col in ((0, 1), (0, 2)):
+        for value in (np.inf, -np.inf):
+            assert _planted_count(variant, value, row, col) == (2, 12)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.3, 0.45, 0.6, 1.5])

@@ -127,8 +127,8 @@ def test_product_distance_matches_dense_norm():
     for n in range(2, 9):
         for _ in range(10):
             eps = rng.uniform(0.01, 0.9)
-            offsets = noise.sample_fiducial_offsets(n, eps, rng)
-            triples = noise.sample_element_perturbation(n, eps, rng)
+            offsets = noise.fiducial_offsets(n, eps, [rng])[0, 0]
+            triples = noise.element_angles(1, n, eps, [rng])[0, 0]
             for factors in (
                 ry(-offsets),
                 noise.from_euler(triples),
