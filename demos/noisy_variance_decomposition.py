@@ -11,7 +11,7 @@ Run: python3 demos/noisy_variance_decomposition.py
 
 import numpy as np
 
-from cosetkernel import dataset, experiment, kernel, noise, theory
+from cosetkernel import dataset, experiment, kernel, theory
 
 N_QUBITS, M = 5, 2
 EPSILON = 0.3
@@ -19,9 +19,7 @@ EPSILON = 0.3
 for variant in ("fiducial", "selection"):
     rngs = experiment.trial_rngs(2, N_QUBITS, M, [0])
     reps, _ = experiment.draw_trials(N_QUBITS, M, rngs)
-    kmat = experiment.noisy_kernels(
-        reps, None, noise.NoiseConfig(variant, EPSILON), rngs
-    )[0]
+    kmat = experiment.noisy_kernels(reps, None, variant, EPSILON, rngs)[0]
     alpha = kernel.alpha_matrix(reps[0])[0, 1]
     labels = dataset.coset_labels(N_QUBITS, M)
     stats = theory.extract_deviation_stats(kmat, labels, alpha)

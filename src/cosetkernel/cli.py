@@ -2,9 +2,9 @@
 
 `verify-bounds` checks each noise variant but "none" on the same trials of
 a full-surface `ExperimentConfig`. Each chunk of trials draws its
-representatives and alpha matrices once, builds the three variants' kernels
-as one stack (`experiment.variant_kernels`) and checks them in one
-`count_envelope_violations` call.
+representatives once, builds the three variants' kernels as one stack
+(`experiment.noisy_kernels` with the tuple `noise.NOISY_VARIANTS`) and
+checks them in one `count_envelope_violations` call.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -125,7 +125,8 @@ def cmd_simulate(args):
               f"m={m}, full surface", file=sys.stderr)
         rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
         reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
-        kmat = experiment.noisy_kernels(reps, None, cfg.noise, rngs)[0]
+        kmat = experiment.noisy_kernels(reps, None, cfg.noise.variant,
+                                        cfg.noise.epsilon, rngs)[0]
         kernel.export_heatmap(kmat, dataset.point_names(n_qubits, m),
                               args.heatmap)
     return 0
@@ -162,7 +163,7 @@ def cmd_verify_bounds(args):
         trials=args.trials, seed=args.seed, variance_surface="full",
     )
     m = args.cosets
-    variants = experiment.NOISY_VARIANTS
+    variants = noise.NOISY_VARIANTS
     noise.NoiseConfig(variants[0], args.epsilon)  # validates the budget
     violations = 0
     checked = 0
@@ -175,7 +176,8 @@ def cmd_verify_bounds(args):
             # no name holds the kernels, so a chunk's are freed before the
             # next chunk's are built
             v, c = count_envelope_violations(
-                experiment.variant_kernels(reps, alphas, args.epsilon, rngs),
+                experiment.noisy_kernels(reps, None, variants, args.epsilon,
+                                         rngs),
                 labels, alphas, variants, args.epsilon)
             violations += v
             checked += c

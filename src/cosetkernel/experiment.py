@@ -12,11 +12,10 @@ The trials of one (N, m) cell run in chunks along a leading trial axis
 (`trial_chunks`, under `kernel.CHUNK_ENTRIES`), and each trial's numbers are
 the same, bit for bit, as those of a one-trial chunk `[rng]`. `draw_trials`
 reads what comes before the noise (the full surface reads no split and
-skips it); `noisy_kernels` attaches the noise and builds the kernels;
-`run_trials` takes their (T, 5) statistics (`kernel.trial_stats`), and
-`run_experiment` makes each trial a flat record of `TRIAL_FIELDS`.
-`variant_kernels` builds the three noise variants of `verify-bounds` from
-one set of draws.
+skips it); `noisy_kernels` builds the kernels under one noise variant or a
+tuple of them; `run_trials` takes their (T, 5) statistics
+(`kernel.trial_stats`), and `run_experiment` makes each trial a flat record
+of `TRIAL_FIELDS`.
 
 With no noise budget (epsilon 0, which the `none` variant implies) every
 variant attaches the ideal inputs bit for bit, so no kernel over the points
@@ -25,8 +24,8 @@ matrix, entry (i, j) weighted by how often it occurs among the kernel's
 off-diagonal entries, n_i n_j - delta_ij n_i for the n_i points of coset i
 (N, or the split's train counts, `dataset.train_counts`), and
 `noisy_kernels` gathers the kernels from it (`kernel.gather_alphas`) for the
-heat map. No stream is read after its noise draws, so the draws this skips
-change nothing else.
+heat map and `verify-bounds`. No stream is read after its noise draws, so
+the draws this skips change nothing else.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
 sort_keys=True)` (see `_report_json_pieces`).
@@ -75,6 +74,9 @@ class ExperimentConfig:
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        # `trial_rngs` hashes each trial index as one 32-bit word
+        if self.trials > 2**32:
+            raise ValueError(f"trials must be at most 2**32, got {self.trials}")
         counts = self.coset_counts
         if not isinstance(counts, (tuple, list)):
             raise ValueError(
@@ -214,69 +216,25 @@ def draw_trials(n_qubits, m, rngs, surface="train"):
     return reps, None
 
 
-def noisy_kernels(reps, train, cfg_noise, rngs):
-    """The variant's noise, read from each stream where `draw_trials` left
-    it and attached by `noise.attach` to the points of the (T, m, N, 2, 2)
-    representatives, and the (T, K, K) kernels over the `train` indices, or
-    (T, P, P) over every point when `train` is None.
-
-    With no noise budget (epsilon 0, which the `none` variant implies) every
-    variant's kernels are the unperturbed ones, so they are gathered from
-    the (T, m, m) alpha matrices by the points' coset labels; no noise is
-    drawn (nothing reads a stream after its noise draws) and no point
-    factors are built."""
-    if cfg_noise.epsilon == 0:
+def noisy_kernels(reps, train, variants, epsilon, rngs):
+    """The kernels of the points of a batch of trials' (T, m, N, 2, 2)
+    representatives under the noise `noise.attach` gives `variants`, a name
+    or a tuple of V names, at `epsilon`, read from each stream where
+    `draw_trials` left it: (T, K, K) over the (T, K) `train` indices, or
+    (T, P, P) over every point when `train` is None; (V, T, ...) for a tuple.
+    Without a budget they are gathered once from the alpha matrices (module
+    docstring) and broadcast over the variants."""
+    if epsilon == 0:
         m, n_qubits = reps.shape[-4:-2]
         labels = dataset.coset_labels(n_qubits, m)
-        return kernel.gather_alphas(kernel.alpha_matrix(reps),
-                                    labels if train is None else labels[train])
-    factors, offsets = noise_models.attach(cfg_noise, dataset.points(reps),
-                                           rngs)
+        kmats = kernel.gather_alphas(kernel.alpha_matrix(reps),
+                                     labels if train is None else labels[train])
+        if isinstance(variants, str):
+            return kmats
+        return np.broadcast_to(kmats, (len(variants), *kmats.shape))
+    factors, offsets = noise_models.attach(variants, epsilon,
+                                           dataset.points(reps), rngs)
     return kernel.kernel_matrix(factors, train, offsets)
-
-
-# the noise variants `verify-bounds` checks, in the order of the leading
-# axis of `variant_kernels`
-NOISY_VARIANTS = noise_models.VARIANTS[1:]
-
-
-def variant_kernels(reps, alphas, epsilon, rngs):
-    """The (3, T, P, P) kernels over every point of the (T, m, N, 2, 2)
-    representatives under each of `NOISY_VARIANTS` at `epsilon`, from one
-    build: bit for bit those of one `noisy_kernels(reps, None, ...)` call
-    per variant, each on the streams restored to where `draw_trials` left
-    them.
-
-    The fiducial offsets are read where the streams stand; the streams are
-    then restored once, and one set of Euler triples serves selection and
-    representation, which read the same draws. The variants' factors, the
-    plain points for fiducial errors (which live in the offsets) and the
-    points with their errors folded in for the other two, form one
-    (3T, P, N, 2, 2) stack with zero offsets for the last two, and run
-    through one `kernel.kernel_matrix` call. With no budget every variant's
-    kernels are the unperturbed ones, gathered once from the (T, m, m)
-    `alphas`, and no stream is read."""
-    m, n_qubits = reps.shape[-4:-2]
-    trials, p = len(reps), m * n_qubits
-    if epsilon == 0:
-        kmats = kernel.gather_alphas(alphas, dataset.coset_labels(n_qubits, m))
-        return np.broadcast_to(kmats, (3, *kmats.shape))
-    states = [rng.bit_generator.state for rng in rngs]
-    offsets = np.zeros((2, 3 * trials, n_qubits))
-    offsets[:, :trials] = noise_models.fiducial_offsets(n_qubits, epsilon,
-                                                        rngs)
-    for rng, state in zip(rngs, states):
-        rng.bit_generator.state = state
-    errors = noise_models.from_euler(
-        noise_models.element_angles(p, n_qubits, epsilon, rngs))
-    factors = np.empty((3, trials, p, n_qubits, 2, 2), complex)
-    factors[0] = dataset.points(reps)
-    for v in (1, 2):
-        factors[v] = noise_models.fold(NOISY_VARIANTS[v], errors, factors[0])
-    del errors
-    kmats = kernel.kernel_matrix(factors.reshape(-1, *factors.shape[2:]),
-                                 None, offsets)
-    return kmats.reshape(3, trials, p, p)
 
 
 def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
@@ -296,11 +254,10 @@ def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
         return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
     reps, train = draw_trials(n_qubits, m, rngs, surface)
     labels = dataset.coset_labels(n_qubits, m)
-    if train is not None:
-        labels = labels[train]
-    kmats = noisy_kernels(reps, train, cfg_noise, rngs)
-    return kernel.trial_stats(kmats, ~np.eye(labels.shape[-1], dtype=bool),
-                              labels)
+    kmats = noisy_kernels(reps, train, cfg_noise.variant, cfg_noise.epsilon,
+                          rngs)
+    return kernel.trial_stats(kmats, ~np.eye(kmats.shape[-1], dtype=bool),
+                              labels if train is None else labels[train])
 
 
 def run_experiment(cfg):

@@ -151,16 +151,22 @@ def kernel_matrix(factors, indices=None, offsets=None):
     """All pairwise kernel values over a (P, N, 2, 2) factor stack's points,
     or over the K points `indices` selects (e.g. a train split), with the
     (2, N) Ry offsets of every entry's bra and ket preparation (ideal
-    without them), as a (K, K) array; on a (T, P, N, 2, 2) batch of trials,
-    with (T, K) indices and (2, T, N) offsets, the (T, K, K) matrices."""
+    without them), as a (K, K) array. Factors with leading batch axes,
+    (..., P, N, 2, 2), give (..., K, K): (T, K) indices and (2, ..., N)
+    offsets align with the trailing batch axes and broadcast over the
+    rest, and the batch runs through `_gram` as one flat stack of kernels."""
     n = factors.shape[-3]
     offsets = np.zeros((2, n)) if offsets is None else np.asarray(offsets, float)
-    if offsets.ndim not in (2, 3) or len(offsets) != 2 or offsets.shape[-1] != n:
+    if offsets.ndim < 2 or len(offsets) != 2 or offsets.shape[-1] != n:
         raise ValueError("need one offset per qubit")
     if indices is not None:
-        idx = np.asarray(indices, dtype=int)
-        factors = np.take_along_axis(factors, idx[..., None, None, None], -4)
-    return _gram(factors, offsets)
+        idx = np.asarray(indices, dtype=int)[..., None, None, None]
+        factors = np.take_along_axis(
+            factors, idx[(None,) * (factors.ndim - idx.ndim)], -4)
+    batch, k = factors.shape[:-4], factors.shape[-4]
+    if offsets.ndim > 2:
+        offsets = np.broadcast_to(offsets, (2, *batch, n)).reshape(2, -1, n)
+    return _gram(factors.reshape(-1, k, n, 2, 2), offsets).reshape(*batch, k, k)
 
 
 def alpha_matrix(reps):

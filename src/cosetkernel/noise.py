@@ -4,8 +4,10 @@ kernel-value envelopes.
 All perturbations are tensor products of small single-qubit rotations whose
 angles are drawn uniformly inside a budget chosen so that the operator norm
 of the deviation stays below epsilon. Each variant changes only the kernel's
-inputs, and `attach` alone decides how. The envelopes take one alpha or an
-array of them, so a batch of trials is checked with one evaluation.
+inputs, and `attach` alone decides how. Noise functions take the variant (a
+name, or a tuple of names for a stack) and epsilon; `NoiseConfig` validates
+a config's pair. The envelopes take one alpha or an array of them, so a
+batch of trials is checked with one evaluation.
 """
 
 import numbers
@@ -16,6 +18,10 @@ import numpy as np
 from .dataset import su2
 
 VARIANTS = ("none", "fiducial", "selection", "representation")
+# the variants `verify-bounds` checks, in its order
+NOISY_VARIANTS = VARIANTS[1:]
+# the variants whose errors `attach` folds into the point factors
+_FOLDED = frozenset(("selection", "representation"))
 # slack for rounding when an entry is compared with its envelope
 ENVELOPE_TOL = 1e-9
 
@@ -31,14 +37,16 @@ class NoiseConfig:
         # a bool counts as an int, but `true` in a config is no budget
         if (not isinstance(self.epsilon, numbers.Real)
                 or isinstance(self.epsilon, bool)):
-            raise ValueError(
-                f"epsilon must be a real number, got {self.epsilon!r}"
-            )
-        if not np.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
+            raise ValueError("epsilon must be a real number, "
+                             f"got {self.epsilon!r}")
         # the widest sampling box, fiducial offsets at N = 2, is 2 epsilon
-        if self.epsilon > np.finfo(float).max / 2:
-            raise ValueError(f"epsilon {self.epsilon!r} overflows 2 * epsilon")
+        try:  # an int past the float range has no finite box either
+            finite = abs(float(self.epsilon)) <= np.finfo(float).max / 2
+        except OverflowError:
+            finite = False
+        if not finite:  # NaN fails the comparison
+            raise ValueError(f"epsilon {self.epsilon!r} is not finite or "
+                             "overflows 2 * epsilon")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if self.variant == "none" and self.epsilon != 0:
@@ -109,24 +117,36 @@ def element_angles(points, n_qubits, epsilon, rngs):
                      for rng in rngs])
 
 
-def attach(cfg, factors, rngs):
-    """The variant's noise for a batch of trials' (T, P, N, 2, 2) point
-    factors, read from each stream where it stands: the factors and the
-    (2, T, N) bra and ket offsets for `kernel.kernel_matrix`, None for the
-    ideal preparation.
-
-    Fiducial errors are `fiducial_offsets`. Selection and representation
-    errors are built from `element_angles` and folded into the factors
-    exactly, since both are tensor products: as E_x,j D_x,j and as
-    D_x,j E_x,j (`fold`). `none` reads nothing. `verify-bounds` calls the
-    same two samplers to build all three variants from one set of draws."""
+def attach(variants, epsilon, factors, rngs):
+    """A batch of trials' (T, P, N, 2, 2) point factors under a noise
+    variant at `epsilon`, and the (2, T, N) bra and ket offsets that go with
+    them to `kernel.kernel_matrix`; for a tuple of V variants,
+    (V, T, P, N, 2, 2) factors and (2, V, T, N) offsets. Fiducial errors are
+    `fiducial_offsets`, zeros for the other variants. Selection and
+    representation errors are built from `element_angles` and folded into
+    the factors exactly, since both are tensor products: as E_x,j D_x,j and
+    as D_x,j E_x,j (`fold`). `none` reads nothing. Every variant reads each
+    stream from where it stood at the call, so each slice of a tuple's
+    result is bit for bit that of its name alone; selection and
+    representation share one Euler draw."""
+    names = (variants,) if isinstance(variants, str) else variants
     p, n = factors.shape[-4:-2]
-    if cfg.variant == "fiducial":
-        return factors, fiducial_offsets(n, cfg.epsilon, rngs)
-    if cfg.variant in ("selection", "representation"):
-        errors = from_euler(element_angles(p, n, cfg.epsilon, rngs))
-        return fold(cfg.variant, errors, factors), None
-    return factors, None
+    folded = not _FOLDED.isdisjoint(names)
+    states = ([rng.bit_generator.state for rng in rngs]
+              if folded and "fiducial" in names else ())
+    sides = fiducial_offsets(n, epsilon, rngs) if "fiducial" in names else None
+    for rng, state in zip(rngs, states):
+        rng.bit_generator.state = state
+    errors = from_euler(element_angles(p, n, epsilon, rngs)) if folded else None
+    noisy = np.empty((len(names), *factors.shape), complex)
+    offsets = np.zeros((2, len(names), len(rngs), n))
+    for v, name in enumerate(names):
+        if name == "fiducial":
+            offsets[:, v] = sides
+        noisy[v] = fold(name, errors, factors) if name in _FOLDED else factors
+    if isinstance(variants, str):
+        return noisy[0], offsets[:, 0]
+    return noisy, offsets
 
 
 def _envelope(alpha, shift):
@@ -173,7 +193,7 @@ def bounds_selection(alpha, epsilon):
 def bounds_for(variant, alpha, epsilon):
     if variant == "fiducial":
         return bounds_fiducial(alpha, epsilon)
-    if variant in ("selection", "representation"):
+    if variant in _FOLDED:
         return bounds_selection(alpha, epsilon)
     raise ValueError(f"no bounds for variant {variant!r}")
 

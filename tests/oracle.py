@@ -9,7 +9,8 @@ preparation circuit is a dense 2^N x 2^N matrix, each point's feature state
 is `dense(D_x) @ V |0>`, and a selection or representation perturbation E_x
 is applied as its own dense matrix, `dense(E_x) @ dense(D_x)` or
 `dense(D_x) @ dense(E_x)`, rather than folded into the point's factors by
-`noise.attach`. `alpha_matrix` builds the representatives' states the
+`noise.attach`, which builds the package's noisy inputs for one variant or
+a tuple of them. `alpha_matrix` builds the representatives' states the
 same way, the reference for `kernel.alpha_matrix` and so for the noiseless
 kernels that `experiment` gathers from it. Dense states are 1-D complex
 arrays of length 2**N with qubit 0 the most significant bit of the basis
@@ -159,7 +160,8 @@ def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
     surface's kernel is over every point."""
     reps, train = experiment.draw_trials(n_qubits, m, [rng])
     kmat = experiment.noisy_kernels(
-        reps, train if surface == "train" else None, cfg_noise, [rng]
+        reps, train if surface == "train" else None, cfg_noise.variant,
+        cfg_noise.epsilon, [rng]
     )
     return reps[0], train[0], kmat[0]
 

@@ -66,7 +66,7 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
         rngs = [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
         reps, splits = experiment.draw_trials(n_qubits, m, rngs)
         kmats = experiment.noisy_kernels(
-            reps, splits if surface == "train" else None, cfg_noise, rngs
+            reps, splits if surface == "train" else None, variant, eps, rngs
         )
         alphas = kernel.alpha_matrix(reps)
         points = dataset.points(reps)
@@ -399,7 +399,7 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
     assert splits == []
     assert [len(args[2]) for args in generated] == chunks
     assert sum(chunks) == 12
-    assert [len(args[0]) for args in kernels] == [3 * c for c in chunks]
+    assert [args[0].shape[:2] for args in kernels] == [(3, c) for c in chunks]
     assert [args[0].shape[:2] for args in checks] == [(3, c) for c in chunks]
 
 
@@ -408,7 +408,6 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
 def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
     # the full surface builds no split; each stream must still end where a
     # split drawn first would leave it, so the noise reads the same draws
-    cfg_noise = noise.NoiseConfig(variant, eps)
     for n_qubits in range(2, 7):
         for m in (2, 3):
             rngs = experiment.trial_rngs(31, n_qubits, m, chunk)
@@ -420,8 +419,9 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
                                  ref_rngs)
             for rng, ref_rng in zip(rngs, ref_rngs):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
-            kmats = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
-            ref = experiment.noisy_kernels(ref_reps, None, cfg_noise, ref_rngs)
+            kmats = experiment.noisy_kernels(reps, None, variant, eps, rngs)
+            ref = experiment.noisy_kernels(ref_reps, None, variant, eps,
+                                           ref_rngs)
             assert np.array_equal(kmats, ref)
 
 
@@ -453,8 +453,8 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
                 rngs = [oracle.trial_rng(seed, n_qubits, m, t)
                         for t in chunk]
                 reps, _ = experiment.draw_trials(n_qubits, m, rngs)
-                refs.append(experiment.noisy_kernels(
-                    reps, None, noise.NoiseConfig(variant, eps), rngs))
+                refs.append(experiment.noisy_kernels(reps, None, variant,
+                                                     eps, rngs))
             # the full surface's points are every point, coset-major
             labels = np.repeat(np.arange(m), n_qubits)
             expected.append((refs, labels, kernel.alpha_matrix(reps)))
@@ -478,15 +478,38 @@ def test_variant_kernels_match_noisy_kernels(eps):
         rngs = experiment.trial_rngs(41, n_qubits, m, range(3))
         reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
         states = [rng.bit_generator.state for rng in rngs]
-        stacked = experiment.variant_kernels(reps, kernel.alpha_matrix(reps),
-                                             eps, rngs)
+        stacked = experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS,
+                                           eps, rngs)
         p = m * n_qubits
         assert stacked.shape == (3, 3, p, p)
-        for variant, got in zip(experiment.NOISY_VARIANTS, stacked):
+        for variant, got in zip(noise.NOISY_VARIANTS, stacked):
             for rng, state in zip(rngs, states):
                 rng.bit_generator.state = state
-            want = experiment.noisy_kernels(
-                reps, None, noise.NoiseConfig(variant, eps), rngs)
+            want = experiment.noisy_kernels(reps, None, variant, eps, rngs)
+            assert np.array_equal(got, want), (variant, n_qubits, m)
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variants", [("representation", "fiducial"),
+                                      ("selection",),
+                                      ("selection", "selection", "fiducial"),
+                                      ("none", "representation", "selection")])
+def test_variant_tuples_match_single_builds(variants, surface):
+    # any order or subset of names, repeats included: each slice of the
+    # stack, bit for bit the kernels of its name alone on streams restored
+    # to where `draw_trials` left them, over the train indices on the train
+    # surface
+    for n_qubits, m in ((2, 2), (3, 3), (6, 2)):
+        rngs = experiment.trial_rngs(43, n_qubits, m, range(3))
+        reps, train = experiment.draw_trials(n_qubits, m, rngs, surface)
+        states = [rng.bit_generator.state for rng in rngs]
+        stacked = experiment.noisy_kernels(reps, train, variants, 0.3, rngs)
+        k = m * n_qubits if train is None else train.shape[-1]
+        assert stacked.shape == (len(variants), 3, k, k)
+        for variant, got in zip(variants, stacked):
+            for rng, state in zip(rngs, states):
+                rng.bit_generator.state = state
+            want = experiment.noisy_kernels(reps, train, variant, 0.3, rngs)
             assert np.array_equal(got, want), (variant, n_qubits, m)
 
 
@@ -503,15 +526,16 @@ def test_stacked_envelope_counts_are_per_variant_sums(strict, monkeypatch):
         rngs = experiment.trial_rngs(7, n_qubits, m, range(4))
         reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
         alphas = kernel.alpha_matrix(reps)
-        stacked = experiment.variant_kernels(reps, alphas, 0.3, rngs)
+        stacked = experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS,
+                                           0.3, rngs)
         labels = dataset.coset_labels(n_qubits, m)
         for check_eps in (0.05, 0.01):
             got = noise.count_envelope_violations(
-                stacked, labels, alphas, experiment.NOISY_VARIANTS, check_eps)
+                stacked, labels, alphas, noise.NOISY_VARIANTS, check_eps)
             per_variant = [
                 noise.count_envelope_violations(kmats, labels, alphas,
                                                 variant, check_eps)
-                for variant, kmats in zip(experiment.NOISY_VARIANTS, stacked)
+                for variant, kmats in zip(noise.NOISY_VARIANTS, stacked)
             ]
             assert got == tuple(np.sum(per_variant, axis=0))
             found += got[0]
@@ -589,7 +613,8 @@ def test_chunk_sizing(monkeypatch):
             rngs = experiment.trial_rngs(3, n_qubits, m, chunk)
             reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
             stacks.clear()
-            experiment.variant_kernels(reps, None, 0.1, rngs)
+            experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS, 0.1,
+                                     rngs)
             step = max(1, budget // (2 * points) ** 2)
             stack = 3 * len(chunk)
             assert stacks == [min(step, stack - lo)

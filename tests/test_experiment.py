@@ -395,6 +395,26 @@ def test_cli_rejects_fewer_than_one_trial(command, trials, capsys):
     }
 
 
+def test_trials_are_capped_at_the_seedable_count():
+    # `trial_rngs` hashes each trial index as one uint32 word, so indices
+    # 0..2**32 - 1 are the most a cell can seed; the config is only built
+    assert ExperimentConfig(trials=2**32).trials == 2**32
+    with pytest.raises(ValueError, match="trials must be at most 2"):
+        ExperimentConfig(trials=2**32 + 1)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+def test_cli_rejects_more_trials_than_seeds(command, capsys):
+    code = cli.main([command, "--qubits", "2..2", "--cosets", "2",
+                     "--trials", str(10**400)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith("trials must be at most 2**32")
+
+
 def _coset_error(argv, capsys):
     """The message of the ValueError record that `argv`, on N = 2..3 with
     one trial, fails with."""

@@ -110,8 +110,8 @@ def test_dense_path_matches_gate_path():
 def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
     reps, _ = experiment.draw_trials(3, 2, [rng])
-    noisy, offsets = noise.attach(noise.NoiseConfig("selection", 0.3),
-                                  dataset.points(reps), [rng])
+    noisy, offsets = noise.attach("selection", 0.3, dataset.points(reps),
+                                  [rng])
     kmat = kernel.kernel_matrix(noisy, offsets=offsets)[0]
     np.testing.assert_allclose(np.diag(kmat), 1.0, atol=1e-12)
 
@@ -209,9 +209,7 @@ def test_feature_states_match_dense_oracle(n, attachment):
         unfolded["variant"] = attachment
     for train in (None, splits):
         rng.bit_generator.state = after_split
-        chain = experiment.noisy_kernels(
-            reps, train, noise.NoiseConfig(attachment, eps), [rng]
-        )
+        chain = experiment.noisy_kernels(reps, train, attachment, eps, [rng])
         indices = None if train is None else train[0]
         dense = oracle.kernel_matrix(dataset.points(reps[0]), indices,
                                      **unfolded)
@@ -279,8 +277,7 @@ def test_large_n_full_surface_properties(n):
     closed form for those alphas. The kernels `experiment.noisy_kernels`
     gathers from the alphas when the noise budget is zero match the chain's,
     on both surfaces and for every variant that has no budget."""
-    unperturbed = [noise.NoiseConfig(), noise.NoiseConfig("fiducial", 0.0),
-                   noise.NoiseConfig("selection", 0.0)]
+    unperturbed = ["none", "fiducial", "selection"]
     for m in (2, 3, 4, 5) if n == 32 else (2,):
         rng = oracle.trial_rng(15, n, m, 0)
         reps, train = experiment.draw_trials(n, m, [rng])
@@ -298,9 +295,9 @@ def test_large_n_full_surface_properties(n):
         assert abs(var - theory.offdiag_moments([n] * m, alphas)[1]) < 1e-12
         train_kmat = kernel.kernel_matrix(points, train)[0]
         for indices, chain in ((None, kmat), (train, train_kmat)):
-            for cfg_noise in unperturbed:
-                gathered = experiment.noisy_kernels(reps, indices, cfg_noise,
-                                                    [rng])
+            for variant in unperturbed:
+                gathered = experiment.noisy_kernels(reps, indices, variant,
+                                                    0.0, [rng])
                 np.testing.assert_allclose(gathered[0], chain, rtol=0,
                                            atol=1e-12)
 

@@ -180,14 +180,13 @@ def test_zero_epsilon_reproduces_ideal_kernel(variant):
     # with no budget the attached noise leaves the chain's inputs ideal, bit
     # for bit, so `experiment.noisy_kernels` may gather those kernels from
     # the alphas instead, and draw no noise
-    cfg_noise = noise.NoiseConfig(variant, 0.0)
     rngs = [oracle.trial_rng(3, 4, 2, t) for t in range(3)]
     reps, _ = experiment.draw_trials(4, 2, rngs, "full")
     points = dataset.points(reps)
     clean = kernel.kernel_matrix(points)
-    noisy, offsets = noise.attach(cfg_noise, points, rngs)
+    noisy, offsets = noise.attach(variant, 0.0, points, rngs)
     assert np.array_equal(kernel.kernel_matrix(noisy, None, offsets), clean)
-    gathered = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
+    gathered = experiment.noisy_kernels(reps, None, variant, 0.0, rngs)
     np.testing.assert_allclose(gathered, clean, rtol=0, atol=1e-12)
 
 
@@ -245,8 +244,7 @@ def test_attach_reads_a_fixed_number_of_draws(variant):
         direct = [oracle.trial_rng(8, n_qubits, m, t) for t in range(3)]
         experiment.draw_trials(n_qubits, m, direct)
         eps = 0.0 if variant == "none" else 0.2
-        noise.attach(noise.NoiseConfig(variant, eps), dataset.points(reps),
-                     rngs)
+        noise.attach(variant, eps, dataset.points(reps), rngs)
         draws = {"none": 0, "fiducial": 2 * n_qubits}.get(
             variant, 3 * (m * n_qubits) * n_qubits
         )
@@ -262,9 +260,8 @@ def test_representation_and_selection_kernels_differ():
         for variant in ("selection", "representation"):
             rngs = [oracle.trial_rng(9, n_qubits, 2, t) for t in range(2)]
             reps, _ = experiment.draw_trials(n_qubits, 2, rngs)
-            kmats[variant] = experiment.noisy_kernels(
-                reps, None, noise.NoiseConfig(variant, 0.3), rngs
-            )
+            kmats[variant] = experiment.noisy_kernels(reps, None, variant,
+                                                      0.3, rngs)
         off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
         diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
         assert np.all(diff.max(axis=-1) > 1e-3)
@@ -292,13 +289,13 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
     _cornered(monkeypatch, "element_angles",
               lambda n, eps: 2 * eps / (np.sqrt(5) * n))
     for eps in (0.1, 0.3, 0.6):
-        cfg_noise = noise.NoiseConfig(variant, eps)
         for n_qubits in (2, 3, 4):
             for m in (2, 3):
                 rngs = [oracle.trial_rng(12, n_qubits, m, t)
                         for t in range(10)]
                 reps, _ = experiment.draw_trials(n_qubits, m, rngs)
-                kmats = experiment.noisy_kernels(reps, None, cfg_noise, rngs)
+                kmats = experiment.noisy_kernels(reps, None, variant, eps,
+                                                 rngs)
                 violations, _ = noise.count_envelope_violations(
                     kmats, dataset.coset_labels(n_qubits, m),
                     kernel.alpha_matrix(reps), variant, eps
@@ -356,6 +353,26 @@ def test_cli_rejects_bad_epsilon(argv, capsys):
     assert "epsilon" in err["message"]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_config_rejects_an_integer_epsilon_past_float(sign, tmp_path,
+                                                      capsys):
+    # a JSON integer is exact, so 10**400 reaches NoiseConfig as an int that
+    # no float holds
+    from cosetkernel.cli import main
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"qubit_range": [2, 2], "coset_counts": [2], "trials": 1,
+         "noise": {"variant": "fiducial", "epsilon": sign * 10**400}}))
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "epsilon" in err["message"]
+    assert not out.exists()
+
+
 def _loop_violations(kmat, labels, alphas, variant, eps):
     """Entry-by-entry reference for noise.count_envelope_violations."""
     tol = noise.ENVELOPE_TOL
@@ -384,9 +401,7 @@ def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
     rngs = [oracle.trial_rng(6, 3, 3, t) for t in range(3)]
     reps, _ = experiment.draw_trials(3, 3, rngs)
-    kmats = experiment.noisy_kernels(
-        reps, None, noise.NoiseConfig(variant, eps), rngs
-    )
+    kmats = experiment.noisy_kernels(reps, None, variant, eps, rngs)
     batch_alphas = kernel.alpha_matrix(reps)
     labels = dataset.coset_labels(3, 3)
     for t in range(3):
