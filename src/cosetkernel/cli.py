@@ -1,10 +1,8 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
 `verify-bounds` checks each noise variant but "none" on the same trials of
-a full-surface `ExperimentConfig`. Each chunk of trials draws its
-representatives once, builds the three variants' kernels as one stack
-(`experiment.noisy_kernels` with the tuple `noise.NOISY_VARIANTS`) and
-checks them in one `count_envelope_violations` call.
+a full-surface `ExperimentConfig`, with one `count_envelope_violations`
+call per chunk of trials.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -16,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import dataset, experiment, kernel, noise, theory
 from .noise import count_envelope_violations
@@ -51,17 +50,21 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run Monte-Carlo kernel-variance trials")
-    sim.add_argument("--qubits", type=parse_range, default=None,
-                     metavar="LO..HI")
-    sim.add_argument("--cosets", type=parse_int_list, default=None,
-                     metavar="M1,M2,...")
+    # each config flag's dest is its config key, `_simulate_config` reads it
+    sim.add_argument("--qubits", dest="qubit_range", type=parse_range,
+                     default=None, metavar="LO..HI")
+    sim.add_argument("--cosets", dest="coset_counts", type=parse_int_list,
+                     default=None, metavar="M1,M2,...")
     sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--noise", choices=noise.VARIANTS, default=None)
+    sim.add_argument("--noise", dest="variant", choices=noise.VARIANTS,
+                     default=None)
     sim.add_argument("--epsilon", type=float, default=None)
-    sim.add_argument("--surface", choices=("train", "full"), default=None)
+    sim.add_argument("--surface", dest="variance_surface",
+                     choices=("train", "full"), default=None)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--out", default=None)
-    sim.add_argument("--format", choices=("json", "csv"), default=None)
+    sim.add_argument("--out", dest="output_path", default=None)
+    sim.add_argument("--format", dest="output_format", choices=("json", "csv"),
+                     default=None)
     sim.add_argument("--heatmap", default=None,
                      help="also export one full-dataset kernel heat map (CSV)")
     sim.add_argument("--config", default=None, help="JSON config file")
@@ -87,25 +90,21 @@ def _simulate_config(args):
     if args.config:
         with open(args.config) as fh:
             values = json.load(fh)
-    flag_map = {
-        "qubits": "qubit_range",
-        "cosets": "coset_counts",
-        "trials": "trials",
-        "surface": "variance_surface",
-        "seed": "seed",
-        "out": "output_path",
-        "format": "output_format",
-    }
-    flags = {key: getattr(args, flag) for flag, key in flag_map.items()
-             if getattr(args, flag) is not None}
-    noise_flags = {"variant": args.noise, "epsilon": args.epsilon}
-    flags["noise"] = {k: v for k, v in noise_flags.items() if v is not None}
+    given = {key: v for key, v in vars(args).items() if v is not None}
+    flags = {f.name: given[f.name] for f in fields(experiment.ExperimentConfig)
+             if f.name in given}
+    flags["noise"] = {f.name: given[f.name] for f in fields(noise.NoiseConfig)
+                      if f.name in given}
     return experiment.config_from_dict(values, flags)
 
 
 def cmd_simulate(args):
     cfg = _simulate_config(args)
-    for path in filter(None, (cfg.output_path, args.heatmap)):
+    paths = list(filter(None, (cfg.output_path, args.heatmap)))
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ValueError("the report and the heat map share one path: "
+                         f"{args.heatmap!r}")
+    for path in paths:
         parent = os.path.dirname(path) or "."  # before the sweep, not after
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path!r}")

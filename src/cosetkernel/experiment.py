@@ -19,13 +19,11 @@ of `TRIAL_FIELDS`.
 
 With no noise budget (epsilon 0, which the `none` variant implies) every
 variant attaches the ideal inputs bit for bit, so no kernel over the points
-and no split is built: a trial's statistics are those of its (m, m) alpha
-matrix, entry (i, j) weighted by how often it occurs among the kernel's
-off-diagonal entries, n_i n_j - delta_ij n_i for the n_i points of coset i
-(N, or the split's train counts, `dataset.train_counts`), and
-`noisy_kernels` gathers the kernels from it (`kernel.gather_alphas`) for the
-heat map and `verify-bounds`. No stream is read after its noise draws, so
-the draws this skips change nothing else.
+and no split is built: a trial takes the weighted statistics of its alpha
+matrix (`kernel` module docstring), with N points per coset or the split's
+train counts (`dataset.train_counts`), and `noisy_kernels` gathers the
+kernels for the heat map and `verify-bounds`. No stream is read after its
+noise draws, so the draws this skips change nothing else.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
 sort_keys=True)` (see `_report_json_pieces`).

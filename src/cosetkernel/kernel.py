@@ -42,14 +42,12 @@ batch of one. A kernel's off-diagonal statistics weigh its entries by
 
 Without noise no chain over the points is needed: every point is c_i s_a,
 s_a fixes the ideal fiducial, so entry (p, q) is the alpha of the points'
-cosets, and a kernel's off-diagonal entries are alpha_ij, n_i n_j times for
-each i != j, and 1, n_i (n_i - 1) times, for the n_i points of coset i.
-`experiment` takes the statistics of the (T, m, m) alpha matrices with
-those counts as weights whenever the noise budget is zero; their chain runs
-over the m representatives only. `gather_alphas` builds the kernels
-themselves from the alpha matrices, for the heat map. The chain over all
-P x P pairs stays the path of every noisy kernel and the tests' reference
-for the noiseless ones.
+cosets (`gather_alphas`), and a kernel's off-diagonal entries are alpha_ij,
+n_i n_j times for each i != j, and 1, n_i (n_i - 1) times, for the n_i
+points of coset i. Its statistics are those of the (m, m) alpha matrix
+with these counts as weights, and that matrix's chain runs over the m
+representatives only. The chain over all P x P pairs is the tests'
+reference for these.
 """
 
 import numpy as np

@@ -6,8 +6,8 @@ angles are drawn uniformly inside a budget chosen so that the operator norm
 of the deviation stays below epsilon. Each variant changes only the kernel's
 inputs, and `attach` alone decides how. Noise functions take the variant (a
 name, or a tuple of names for a stack) and epsilon; `NoiseConfig` validates
-a config's pair. The envelopes take one alpha or an array of them, so a
-batch of trials is checked with one evaluation.
+a config's pair. The envelopes take one alpha or an array of them, so
+every entry of a batch of trials gets its own with one evaluation.
 """
 
 import numbers
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import su2
+from .kernel import gather_alphas
 
 VARIANTS = ("none", "fiducial", "selection", "representation")
 # the variants `verify-bounds` checks, in its order
@@ -199,32 +200,31 @@ def bounds_for(variant, alpha, epsilon):
 
 
 def count_envelope_violations(k, labels, alphas, variant, epsilon):
-    """(violations, entries checked) of the noisy kernel entries against
-    their per-pair envelope, for one matrix, its points' (K,) coset labels
-    and its (m, m) alphas, or a batch of trials' matrices, their (K,) or
-    (T, K) labels and their (T, m, m) alphas. With a tuple of V variants,
+    """(violations, entries checked) of the noisy kernel's off-diagonal
+    entries against their envelopes, for one matrix, its points' (K,) coset
+    labels and its (m, m) alphas, or a batch of trials' matrices, their (K,)
+    or (T, K) labels and their (T, m, m) alphas. With a tuple of V variants,
     `k` has a leading variant axis, (V, K, K) or (V, T, K, K), that shares
     the labels and the alphas, and the counts are totals over the variants.
-    The bounds are evaluated once per variant, per coset pair, and each
-    entry's are gathered by its coset labels. A NaN or infinite entry is a
+
+    Each entry is checked in one interval, widened by `ENVELOPE_TOL`: a
+    cross-coset entry in [cross_coset_lower, cross_coset_upper] of its ideal
+    value alpha (`kernel.gather_alphas`), a same-coset one in
+    [same_coset_lower, 1], the overlap of two unit vectors. A NaN entry
+    fails both comparisons and an infinite one fails one, so either is a
     violation in either class."""
-    variants = (variant,) if isinstance(variant, str) else tuple(variant)
+    single = isinstance(variant, str)
+    variants, values = ((variant,), k[None]) if single else (variant, k)
     size, m = k.shape[-1], alphas.shape[-1]
-    values = k.reshape(-1, size, size)
-    labels = np.broadcast_to(labels, k.shape[:-1]).reshape(values.shape[:-1])
-    rows, cols = labels[..., :, None], labels[..., None, :]
-    # each entry's coset pair as a flat index into the (V, T, m, m) bounds
-    pair = (np.arange(len(values))[:, None, None] * m + rows) * m + cols
-    bounds = [bounds_for(v, alphas, epsilon) for v in variants]
-    lower = np.take([b.cross_coset_lower - ENVELOPE_TOL for b in bounds], pair)
-    upper = np.take([b.cross_coset_upper + ENVELOPE_TOL for b in bounds], pair)
-    same_lower = np.repeat([b.same_coset_lower - ENVELOPE_TOL for b in bounds],
-                           len(values) // len(variants))
-    outside = np.where(
-        rows == cols,
-        values < same_lower[:, None, None],
-        ~((lower <= values) & (values <= upper)),
-    )
-    outside |= ~np.isfinite(values)
-    outside &= ~np.eye(size, dtype=bool)
-    return int(np.sum(outside)), len(values) * size * (size - 1)
+    ideal = gather_alphas(alphas.reshape(-1, m, m), labels)
+    same = labels[..., :, None] == labels[..., None, :]
+    off = ~np.eye(size, dtype=bool)
+    violations = 0
+    for name, entries in zip(variants, values):
+        b = bounds_for(name, ideal, epsilon)
+        lower = np.where(same, b.same_coset_lower, b.cross_coset_lower)
+        upper = np.where(same, 1.0, b.cross_coset_upper)
+        inside = ((lower - ENVELOPE_TOL <= entries)
+                  & (entries <= upper + ENVELOPE_TOL))
+        violations += int(np.sum(~inside & off))
+    return violations, k.size // size * (size - 1)

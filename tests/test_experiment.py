@@ -695,6 +695,30 @@ def test_cli_checks_destinations_before_the_sweep(where, tmp_path, capsys,
         assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_cli_rejects_one_path_for_the_report_and_the_heat_map(
+        tmp_path, capsys, monkeypatch):
+    def no_sweep(cfg):
+        raise AssertionError("ran the sweep with one path for two files")
+
+    monkeypatch.setattr(experiment, "run_experiment", no_sweep)
+    (tmp_path / "sub").mkdir()
+    report = str(tmp_path / "r.json")
+    # the same file under another spelling, and through a config file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"output_path": report}))
+    heatmap = str(tmp_path / "sub" / ".." / "r.json")
+    for where in (["--out", report], ["--config", str(cfg_path)]):
+        argv = ["simulate", "--qubits", "2..3", "--cosets", "2",
+                "--trials", "1", *where, "--heatmap", heatmap]
+        assert cli.main(argv) == 1
+        assert _error_record(capsys) == {
+            "error": "ValueError",
+            "message": "the report and the heat map share one path: "
+                       f"{heatmap!r}",
+        }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
+
 @pytest.mark.parametrize("flag", ["--out", "--heatmap"])
 def test_cli_bad_destination_leaves_stdout_empty_in_a_child_process(
         flag, tmp_path):

@@ -388,7 +388,8 @@ def _loop_violations(kmat, labels, alphas, variant, eps):
             if not np.isfinite(value):
                 violations += 1
             elif i == j:
-                violations += value < b.same_coset_lower - tol
+                # the overlap of two unit vectors is at most 1
+                violations += not (b.same_coset_lower - tol <= value <= 1 + tol)
             else:
                 violations += not (
                     b.cross_coset_lower - tol <= value <= b.cross_coset_upper + tol
@@ -414,6 +415,7 @@ def test_envelope_count_matches_loop_oracle(variant):
         planted = [
             ({}, 0),
             ({(0, same): same_b.same_coset_lower - 1e-6}, 1),
+            ({(same, 0): 1 + 1e-6}, 1),
             ({(0, cross): cross_b.cross_coset_upper + 1e-6}, 1),
             ({(cross, 0): cross_b.cross_coset_lower - 1e-6}, 1),
             ({(0, 0): -1.0}, 0),  # the diagonal is never checked
@@ -459,6 +461,14 @@ def test_nan_same_coset_entry_is_a_violation(variant):
     # `values < lower` is False for NaN, which must not pass the check
     assert _planted_count(variant, 1.0, 0, 1) == (0, 12)
     assert _planted_count(variant, np.nan, 0, 1) == (2, 12)
+
+
+@pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
+def test_same_coset_entry_above_one_is_a_violation(variant):
+    # no overlap of two unit vectors exceeds 1, whatever the noise
+    assert _planted_count(variant, 1 + 1e-6, 0, 1) == (2, 12)
+    assert _planted_count(variant, 1.5, 0, 1) == (2, 12)
+    assert _planted_count(variant, 1 + 1e-10, 0, 1) == (0, 12)
 
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
