@@ -10,11 +10,11 @@ Run: python3 demos/kernel_heatmap.py
 
 import numpy as np
 
-from cosetkernel import dataset, kernel
+from cosetkernel import dataset, experiment, kernel
 
 rng = np.random.default_rng(3)
 n_qubits, m = 3, 3
-reps = dataset.generate_trials(n_qubits, m, [rng])[0]
+reps = experiment.draw_trials(n_qubits, m, [rng], "full")[0][0]
 kmat = kernel.kernel_matrix(dataset.points(reps))
 
 names = dataset.point_names(n_qubits, m)

@@ -18,9 +18,10 @@ N_QUBITS = 5
 SEED = 11
 
 rngs = experiment.trial_rngs(SEED, N_QUBITS, 2, range(10))
-reps, _ = experiment.draw_trials(N_QUBITS, 2, rngs, "full")
+reps, _, uniforms = experiment.draw_trials(N_QUBITS, 2, rngs, "full",
+                                           noise.NOISY_VARIANTS)
 stacked = experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS, EPSILON,
-                                   rngs)
+                                   uniforms)
 alphas = kernel.alpha_matrix(reps)
 labels = dataset.coset_labels(N_QUBITS, 2)
 off_diagonal = ~np.eye(len(labels), dtype=bool)

@@ -18,8 +18,9 @@ EPSILON = 0.3
 
 for variant in ("fiducial", "selection"):
     rngs = experiment.trial_rngs(2, N_QUBITS, M, [0])
-    reps, _ = experiment.draw_trials(N_QUBITS, M, rngs)
-    kmat = experiment.noisy_kernels(reps, None, variant, EPSILON, rngs)[0]
+    reps, _, uniforms = experiment.draw_trials(N_QUBITS, M, rngs,
+                                               variants=variant)
+    kmat = experiment.noisy_kernels(reps, None, variant, EPSILON, uniforms)[0]
     alpha = kernel.alpha_matrix(reps[0])[0, 1]
     labels = dataset.coset_labels(N_QUBITS, M)
     stats = theory.extract_deviation_stats(kmat, labels, alpha)

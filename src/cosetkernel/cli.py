@@ -123,9 +123,10 @@ def cmd_simulate(args):
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
         rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
-        reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+        reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs, "full",
+                                                   cfg.noise.variant)
         kmat = experiment.noisy_kernels(reps, None, cfg.noise.variant,
-                                        cfg.noise.epsilon, rngs)[0]
+                                        cfg.noise.epsilon, uniforms)[0]
         kernel.export_heatmap(kmat, dataset.point_names(n_qubits, m),
                               args.heatmap)
     return 0
@@ -170,13 +171,14 @@ def cmd_verify_bounds(args):
         labels = dataset.coset_labels(n_qubits, m)
         for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
-            reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+            reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs,
+                                                       "full", variants)
             alphas = kernel.alpha_matrix(reps)
             # no name holds the kernels, so a chunk's are freed before the
             # next chunk's are built
             v, c = count_envelope_violations(
                 experiment.noisy_kernels(reps, None, variants, args.epsilon,
-                                         rngs),
+                                         uniforms),
                 labels, alphas, variants, args.epsilon)
             violations += v
             checked += c

@@ -1,17 +1,17 @@
 """Labeled coset datasets: m hidden Haar-random representatives acting on the
 N chain-graph stabilizer generators, plus the coverage-constrained train/test
 split. A trial's dataset is its (m, N, 2, 2) representatives c_i; a batch of
-trials stacks them along a leading trial axis, one stream each. The points
-x_{i,a} = c_i s_a (`points`), their labels i (`coset_labels`) and their
-names `c{i}s{a}` (`point_names`) follow from the c_i and the fixed
-generators, coset-major, and this module alone states that layout. Every
-factor is an SU(2) element (`su2`); no 2^N state is formed anywhere in the
-package (see `kernel`).
+trials stacks them along a leading trial axis. The points x_{i,a} = c_i s_a
+(`points`), their labels i (`coset_labels`) and their names `c{i}s{a}`
+(`point_names`) follow from the c_i and the fixed generators, coset-major,
+and this module alone states that layout. Every factor is an SU(2) element
+(`su2`); no 2^N state is formed anywhere in the package (see `kernel`).
 
-Both samplers read a fixed number of draws from each trial's stream: four
-normals per representative factor (`su2_from_normals`), then P + m uniforms
-for the split. The split is uniform over the halves of the P points that
-cover every coset, and is kept as its sorted train indices; the test half is
+The samplers take arrays, not generators: four normals per representative
+factor (`su2_from_normals`), then P + m uniforms for the split;
+`experiment.draw_trials` reads them from each trial's stream and states the
+layout. The split is uniform over the halves of the P points that cover
+every coset, and is kept as its sorted train indices; the test half is
 their complement. It is built, not resampled: the first m uniforms give the
 per-coset train counts (`train_counts`) by inverse CDF from their exact law,
 tabulated once per coset layout, and the other P pick the points by rank.
@@ -61,19 +61,6 @@ def points(reps):
     return out.reshape(*batch, m * n, n, 2, 2)
 
 
-def generate_trials(n_qubits, m, rngs):
-    """The (T, m, N, 2, 2) hidden representatives c_i of a batch of trials,
-    one per stream in `rngs`: each stream gives its trial's 4 m N normals
-    for the m x N Haar draw, in C order, and the SU(2) build runs once for
-    the whole batch."""
-    if n_qubits < 2:
-        raise ValueError("need at least 2 qubits")
-    if m < 2:
-        raise ValueError("need at least 2 cosets")
-    normals = np.stack([rng.standard_normal((m, n_qubits, 4)) for rng in rngs])
-    return su2_from_normals(normals)
-
-
 def coset_labels(n_qubits, m):
     """The coset i of each point x_{i,a}, in coset-major order."""
     return np.repeat(np.arange(m), n_qubits)
@@ -121,13 +108,18 @@ def _count_cdfs(sizes):
     return cdfs
 
 
-def _train_counts(sizes, uniforms):
-    """(T, m) per-coset train counts of T covering halves, one (T, m) row
-    of uniforms in [0, 1) each: coset by coset, the first count whose
+def train_counts(sizes, uniforms):
+    """The (T, m) per-coset train counts of uniformly random covering halves
+    of cosets of `sizes` points, one (T, m) row of uniforms in [0, 1) each,
+    the first m of a split's: coset by coset, the first count whose
     conditional CDF exceeds the coset's uniform."""
+    train_size = sum(sizes) // 2
+    if len(sizes) > train_size or min(sizes) < 1:
+        raise ValueError(f"cannot cover {len(sizes)} cosets of {list(sizes)} "
+                         f"points with {train_size} train slots")
     cdfs = _count_cdfs(sizes)
-    left = np.full(len(uniforms), sum(sizes) // 2)
-    counts = np.empty(uniforms.shape, dtype=int)
+    left = np.full(len(uniforms), train_size)
+    counts = np.empty((len(uniforms), len(sizes)), dtype=int)
     for i in range(len(sizes)):
         below = cdfs[i, left] <= uniforms[:, i, None]
         counts[:, i] = 1 + np.count_nonzero(below, axis=-1)
@@ -135,36 +127,23 @@ def _train_counts(sizes, uniforms):
     return counts
 
 
-def train_counts(sizes, rngs):
-    """The (T, m) per-coset train counts of uniformly random covering halves
-    of cosets of `sizes` points, one per stream in `rngs`. Each stream gives
-    exactly m uniforms, the first draws of `split_trials`."""
-    train_size = sum(sizes) // 2
-    if len(sizes) > train_size or min(sizes) < 1:
-        raise ValueError(f"cannot cover {len(sizes)} cosets of {list(sizes)} "
-                         f"points with {train_size} train slots")
-    return _train_counts(sizes, np.array([rng.random(len(sizes))
-                                          for rng in rngs]))
-
-
-def split_trials(labels, m, rngs):
+def split_trials(labels, m, uniforms):
     """Uniformly random halves of the P points with coset `labels` in
-    0..m-1 that cover every one of the m cosets, one per stream in `rngs`:
-    the (T, K) sorted train indices. Each stream gives exactly P + m
-    uniforms: the m of `train_counts`, then P by which, in each coset, the
-    points with the smallest are kept."""
+    0..m-1 that cover every one of the m cosets, one (T, P + m) row of
+    uniforms each: the (T, K) sorted train indices. A row's first m
+    uniforms give the `train_counts`, and its other P decide which points
+    each coset keeps: those with the smallest."""
     total = len(labels)
     sizes = np.bincount(labels, minlength=m)
-    counts = train_counts(tuple(sizes.tolist()), rngs)
-    uniforms = np.array([rng.random(total) for rng in rngs])
+    counts = train_counts(tuple(sizes.tolist()), uniforms[:, :m])
     # points by coset, then by uniform; a point is kept if its rank inside
     # its coset is below the coset's count
-    by_coset = np.broadcast_to(labels, (len(rngs), total))
-    order = np.lexsort((uniforms, by_coset))
+    by_coset = np.broadcast_to(labels, (len(uniforms), total))
+    order = np.lexsort((uniforms[:, m:], by_coset))
     ranked = labels[order]
     rank = np.arange(total) - (np.cumsum(sizes) - sizes)[ranked]
     kept = np.empty(order.shape, dtype=bool)
     np.put_along_axis(
         kept, order, rank < np.take_along_axis(counts, ranked, -1), -1
     )
-    return np.nonzero(kept)[1].reshape(len(rngs), total // 2)
+    return np.nonzero(kept)[1].reshape(len(uniforms), total // 2)

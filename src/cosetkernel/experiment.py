@@ -4,26 +4,25 @@ kernels, and the kernels' statistics against the closed-form predictions.
 Every trial draws from its own stream, the one
 `default_rng(SeedSequence(seed, spawn_key=(N, m, t)))` gives, so an
 experiment is a pure function of its config whatever the order of its
-trials; `trial_rngs` builds a chunk's streams in one pass. What a stream
-holds, in what order, is stated where it is read: the representatives and
-the split in `dataset`, the noise in `noise`.
+trials; `trial_rngs` builds a chunk's streams in one pass. `draw_trials`
+alone reads them, and its docstring states what a stream holds, in what
+order; `dataset` and `noise` build from the arrays it reads.
 
 The trials of one (N, m) cell run in chunks along a leading trial axis
 (`trial_chunks`, under `kernel.CHUNK_ENTRIES`), and each trial's numbers are
-the same, bit for bit, as those of a one-trial chunk `[rng]`. `draw_trials`
-reads what comes before the noise (the full surface reads no split and
-skips it); `noisy_kernels` builds the kernels under one noise variant or a
-tuple of them; `run_trials` takes their (T, 5) statistics
-(`kernel.trial_stats`), and `run_experiment` makes each trial a flat record
-of `TRIAL_FIELDS`.
+the same, bit for bit, as those of a one-trial chunk `[rng]`.
+`noisy_kernels` builds the kernels under one noise variant or a tuple of
+them; `run_trials` takes their (T, 5) statistics (`kernel.trial_stats`), and
+`run_experiment` makes each trial a flat record of `TRIAL_FIELDS`.
 
 With no noise budget (epsilon 0, which the `none` variant implies) every
 variant attaches the ideal inputs bit for bit, so no kernel over the points
 and no split is built: a trial takes the weighted statistics of its alpha
 matrix (`kernel` module docstring), with N points per coset or the split's
 train counts (`dataset.train_counts`), and `noisy_kernels` gathers the
-kernels for the heat map and `verify-bounds`. No stream is read after its
-noise draws, so the draws this skips change nothing else.
+kernels for the heat map and `verify-bounds`. Such a trial reads its
+normals and at most the m count uniforms; what it leaves unread comes
+after them, so it changes nothing else.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
 sort_keys=True)` (see `_report_json_pieces`).
@@ -199,26 +198,49 @@ def trial_chunks(n_qubits, m, trials, surface, noiseless=False):
                          4 * m * n_qubits if noiseless else (2 * points) ** 2)
 
 
-def draw_trials(n_qubits, m, rngs, surface="train"):
-    """The draws that come before the noise, for a batch of trials, one
-    stream each: the (T, m, N, 2, 2) representatives and, on the train
-    surface, the (T, K) train indices. The full surface reads no split and
-    gets None; its streams skip the split's P + m uniforms, one PCG64 output
-    each, by advancing. Each stream is left where its noise draws begin."""
-    reps = dataset.generate_trials(n_qubits, m, rngs)
+def _read_streams(n_qubits, m, rngs, k):
+    """The (T, m, N, 2, 2) representatives and a (T, k) array of uniforms,
+    from each stream in turn: 4 m N normals in C order, then k uniforms in
+    one read."""
+    if n_qubits < 2 or m < 2:
+        raise ValueError("need at least 2 qubits and 2 cosets, got "
+                         f"{n_qubits} qubits and {m} cosets")
+    normals = np.empty((len(rngs), m, n_qubits, 4))
+    uniforms = np.empty((len(rngs), k))
+    for rng, trial_normals, row in zip(rngs, normals, uniforms):
+        rng.standard_normal(out=trial_normals)
+        rng.random(out=row)
+    return dataset.su2_from_normals(normals), uniforms
+
+
+def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
+    """Everything a batch of trials draws, one stream each, for the noise
+    `variants` (a name or a tuple of names): the (T, m, N, 2, 2)
+    representatives, the (T, K) train indices on the train surface (None on
+    the full one) and the (T, `noise.draws`) noise uniforms.
+
+    This is the one reader of the streams, and the layout of each is: the
+    4 m N normals of the m x N Haar draw (`dataset.su2_from_normals`), in C
+    order; then one read of uniforms, the split's P + m (its m per-coset
+    train counts, then its P ranks; `dataset.split_trials`) and after them
+    the noise row that `noise.attach` reads from its start. The full surface
+    builds no split, but its noise row starts at the same place."""
+    points = m * n_qubits
+    reps, uniforms = _read_streams(
+        n_qubits, m, rngs,
+        points + m + noise_models.draws(variants, points, n_qubits))
+    train = None
     if surface == "train":
-        labels = dataset.coset_labels(n_qubits, m)
-        return reps, dataset.split_trials(labels, m, rngs)
-    for rng in rngs:
-        rng.bit_generator.advance(m * n_qubits + m)
-    return reps, None
+        train = dataset.split_trials(dataset.coset_labels(n_qubits, m), m,
+                                     uniforms[:, :points + m])
+    return reps, train, uniforms[:, points + m:]
 
 
-def noisy_kernels(reps, train, variants, epsilon, rngs):
+def noisy_kernels(reps, train, variants, epsilon, uniforms):
     """The kernels of the points of a batch of trials' (T, m, N, 2, 2)
     representatives under the noise `noise.attach` gives `variants`, a name
-    or a tuple of V names, at `epsilon`, read from each stream where
-    `draw_trials` left it: (T, K, K) over the (T, K) `train` indices, or
+    or a tuple of V names, at `epsilon`, from the noise `uniforms` that
+    `draw_trials` read: (T, K, K) over the (T, K) `train` indices, or
     (T, P, P) over every point when `train` is None; (V, T, ...) for a tuple.
     Without a budget they are gathered once from the alpha matrices (module
     docstring) and broadcast over the variants."""
@@ -231,7 +253,7 @@ def noisy_kernels(reps, train, variants, epsilon, rngs):
             return kmats
         return np.broadcast_to(kmats, (len(variants), *kmats.shape))
     factors, offsets = noise_models.attach(variants, epsilon,
-                                           dataset.points(reps), rngs)
+                                           dataset.points(reps), uniforms)
     return kernel.kernel_matrix(factors, train, offsets)
 
 
@@ -243,17 +265,18 @@ def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
     kernel's points; otherwise those of the `noisy_kernels`, with unit
     off-diagonal weights."""
     if cfg_noise.epsilon == 0:
-        reps = dataset.generate_trials(n_qubits, m, rngs)
-        counts = (dataset.train_counts((n_qubits,) * m, rngs)
-                  if surface == "train" else np.full(m, n_qubits))
+        split = surface == "train"
+        reps, uniforms = _read_streams(n_qubits, m, rngs, m if split else 0)
+        counts = (dataset.train_counts((n_qubits,) * m, uniforms) if split
+                  else np.full(m, n_qubits))
         cosets = np.arange(m)
         pairs = counts[..., :, None] * counts[..., None, :]
         pairs[..., cosets, cosets] -= counts
         return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
-    reps, train = draw_trials(n_qubits, m, rngs, surface)
+    variant = cfg_noise.variant
+    reps, train, uniforms = draw_trials(n_qubits, m, rngs, surface, variant)
     labels = dataset.coset_labels(n_qubits, m)
-    kmats = noisy_kernels(reps, train, cfg_noise.variant, cfg_noise.epsilon,
-                          rngs)
+    kmats = noisy_kernels(reps, train, variant, cfg_noise.epsilon, uniforms)
     return kernel.trial_stats(kmats, ~np.eye(kmats.shape[-1], dtype=bool),
                               labels if train is None else labels[train])
 

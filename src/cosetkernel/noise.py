@@ -1,13 +1,15 @@
-"""Coherent-noise models: their samplers, `attach`, and their worst-case
+"""Coherent-noise models: their sampler `attach`, and their worst-case
 kernel-value envelopes.
 
 All perturbations are tensor products of small single-qubit rotations whose
 angles are drawn uniformly inside a budget chosen so that the operator norm
 of the deviation stays below epsilon. Each variant changes only the kernel's
-inputs, and `attach` alone decides how. Noise functions take the variant (a
-name, or a tuple of names for a stack) and epsilon; `NoiseConfig` validates
-a config's pair. The envelopes take one alpha or an array of them, so
-every entry of a batch of trials gets its own with one evaluation.
+inputs, and `attach` alone decides how, from a row of `draws` uniforms per
+trial that `experiment.draw_trials` reads (its docstring states the stream
+layout). Noise functions take the variant (a name, or a tuple of names for
+a stack) and epsilon; `NoiseConfig` validates a config's pair. The
+envelopes take one alpha or an array of them, so every entry of a batch of
+trials gets its own with one evaluation.
 """
 
 import numbers
@@ -95,55 +97,48 @@ def fold(variant, errors, factors):
             + left[..., :, 1:] * right[..., 1:, :])
 
 
-def fiducial_offsets(n_qubits, epsilon, rngs):
-    """The (2, T, N) bra and ket offsets of a batch of trials' fiducial
-    errors, 2N uniforms read from each stream where it stands: the bra's
-    offsets, then the ket's. Each is uniform in [-2 eps / N, 2 eps / N],
-    which keeps each preparation within eps of the ideal one in operator
-    norm."""
-    bound = 2 * epsilon / n_qubits
-    sides = [rng.uniform(-bound, bound, size=(2, n_qubits)) for rng in rngs]
-    return np.moveaxis(np.array(sides), 1, 0)
+def draws(variants, points, n_qubits):
+    """How many uniforms `attach` reads from each trial's noise row, for a
+    variant or a tuple of them and P `points` of N qubits: 2N for fiducial,
+    3PN for selection or representation, none for `none`. Every variant of
+    a tuple reads the same row from its start, so a tuple reads the most of
+    its names'."""
+    names = (variants,) if isinstance(variants, str) else variants
+    return max((0 if name == "none" else 2 * n_qubits if name == "fiducial"
+                else 3 * points * n_qubits for name in names), default=0)
 
 
-def element_angles(points, n_qubits, epsilon, rngs):
-    """The (T, P, N, 3) XZX Euler triples of the perturbations E_x of a
-    batch of trials' points, for selection or representation errors
-    (`from_euler` builds them): 3PN uniforms read from each stream where it
-    stands, a triple per point and qubit in C order. Each angle is uniform
-    in [-2 eps / (sqrt(5) N), 2 eps / (sqrt(5) N)], which keeps every E_x
-    within eps of the identity in operator norm."""
-    bound = 2 * epsilon / (np.sqrt(5) * n_qubits)
-    return np.array([rng.uniform(-bound, bound, size=(points, n_qubits, 3))
-                     for rng in rngs])
-
-
-def attach(variants, epsilon, factors, rngs):
+def attach(variants, epsilon, factors, uniforms):
     """A batch of trials' (T, P, N, 2, 2) point factors under a noise
     variant at `epsilon`, and the (2, T, N) bra and ket offsets that go with
     them to `kernel.kernel_matrix`; for a tuple of V variants,
-    (V, T, P, N, 2, 2) factors and (2, V, T, N) offsets. Fiducial errors are
-    `fiducial_offsets`, zeros for the other variants. Selection and
-    representation errors are built from `element_angles` and folded into
-    the factors exactly, since both are tensor products: as E_x,j D_x,j and
-    as D_x,j E_x,j (`fold`). `none` reads nothing. Every variant reads each
-    stream from where it stood at the call, so each slice of a tuple's
-    result is bit for bit that of its name alone; selection and
-    representation share one Euler draw."""
+    (V, T, P, N, 2, 2) factors and (2, V, T, N) offsets. Each angle is
+    -b + 2 b u, the bits of `Generator.uniform(-b, b)` on the same draw u,
+    taken in order from the start of the trial's row of `uniforms` (at
+    least `draws` long). Every variant reads the row from its start, so each
+    slice of a tuple's result is bit for bit that of its name alone.
+
+    Fiducial errors are the bra's N offsets, then the ket's, with
+    b = 2 eps / N, which keeps each preparation within eps of the ideal one
+    in operator norm; zeros for the other variants. Selection and
+    representation errors share one draw of XZX Euler triples
+    (`from_euler`), one per point and qubit in C order, with
+    b = 2 eps / (sqrt(5) N), which keeps every E_x within eps of the
+    identity; they are folded into the factors exactly, as E_x,j D_x,j and
+    as D_x,j E_x,j (`fold`). `none` reads nothing."""
     names = (variants,) if isinstance(variants, str) else variants
     p, n = factors.shape[-4:-2]
-    folded = not _FOLDED.isdisjoint(names)
-    states = ([rng.bit_generator.state for rng in rngs]
-              if folded and "fiducial" in names else ())
-    sides = fiducial_offsets(n, epsilon, rngs) if "fiducial" in names else None
-    for rng, state in zip(rngs, states):
-        rng.bit_generator.state = state
-    errors = from_euler(element_angles(p, n, epsilon, rngs)) if folded else None
+    if not _FOLDED.isdisjoint(names):
+        bound = 2 * epsilon / (np.sqrt(5) * n)
+        angles = -bound + 2 * bound * uniforms[:, :3 * p * n]
+        errors = from_euler(angles.reshape(-1, p, n, 3))
     noisy = np.empty((len(names), *factors.shape), complex)
-    offsets = np.zeros((2, len(names), len(rngs), n))
+    offsets = np.zeros((2, len(names), len(uniforms), n))
     for v, name in enumerate(names):
         if name == "fiducial":
-            offsets[:, v] = sides
+            bound = 2 * epsilon / n
+            sides = -bound + 2 * bound * uniforms[:, :2 * n]
+            offsets[:, v] = np.moveaxis(sides.reshape(-1, 2, n), 1, 0)
         noisy[v] = fold(name, errors, factors) if name in _FOLDED else factors
     if isinstance(variants, str):
         return noisy[0], offsets[:, 0]

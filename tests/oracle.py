@@ -25,10 +25,20 @@ column swaps and sign flips (`dataset.points`).
 generator of its own, which the package's `experiment.trial_rngs` builds for
 a whole chunk at once. `generate`, `split`, `build_kernel` and `run_trial`
 are one trial of the package's batched calls: a batch of one stream,
-`[rng]`, and its trial 0. A trial's dataset is its (m, N, 2, 2)
-representatives (`dataset.points` and `dataset.coset_labels` give its points
-and their labels), a split is its sorted train indices, and a trial's report
-is its record, the dict of `experiment.TRIAL_FIELDS`.
+`[rng]`, and its trial 0. `generate` reads only the stream's normals and
+`split` only its P + m uniforms, so a test can read a trial's stream one
+piece at a time, in the layout `experiment.draw_trials` states. A trial's
+dataset is its (m, N, 2, 2) representatives (`dataset.points` and
+`dataset.coset_labels` give its points and their labels), a split is its
+sorted train indices, and a trial's report is its record, the dict of
+`experiment.TRIAL_FIELDS`.
+
+`sequential_draws` is the reference for that layout: a trial's draws read
+one piece at a time, normals, the m count uniforms, the P rank uniforms,
+then `Generator.uniform(-b, b)` per noise variant from one restored state
+(`fiducial_offsets`, `element_angles`), with the noisy inputs built from
+those angles without `noise.attach`. `attached` is one trial's noise from
+`noise.attach` on identity factors, which the fold leaves as they are.
 
 `rx`, `ry` and `rz` are the single-qubit rotations. `noise.from_euler`
 multiplies out Rx Rz Rx in closed form, and `rx(t1) @ rz(t2) @ rx(t3)` is
@@ -39,7 +49,7 @@ view of v, and must give the same bits.
 
 `haar_random_su2` is the tests' Haar sampler: four normals per element from
 a stream, built by the package's `su2_from_normals`, as
-`dataset.generate_trials` does for each trial. `su2_from_ginibre` is an
+`experiment.draw_trials` does for each trial. `su2_from_ginibre` is an
 independent Haar construction to test that build against: the QR
 decomposition of a complex Ginibre matrix with its phases fixed (Mezzadri,
 arXiv:math-ph/0609050), divided by a square root of its determinant.
@@ -49,7 +59,7 @@ from functools import reduce
 
 import numpy as np
 
-from cosetkernel import dataset, experiment
+from cosetkernel import dataset, experiment, noise
 from cosetkernel.dataset import su2_from_normals
 
 DENSE_MAX_QUBITS = 10
@@ -144,24 +154,26 @@ def trial_rng(seed, n_qubits, m, trial_index):
 
 
 def generate(n_qubits, m, rng):
-    """One trial's (m, N, 2, 2) representatives from the stream `rng`."""
-    return dataset.generate_trials(n_qubits, m, [rng])[0]
+    """One trial's (m, N, 2, 2) representatives from the stream `rng`,
+    which gives its 4 m N normals and nothing else."""
+    return experiment._read_streams(n_qubits, m, [rng], 0)[0][0]
 
 
 def split(labels, m, rng):
     """One trial's (K,) train indices over points of the coset `labels`
-    0..m-1, from the stream `rng`."""
-    return dataset.split_trials(labels, m, [rng])[0]
+    0..m-1, from the next P + m uniforms of the stream `rng`."""
+    return dataset.split_trials(labels, m, rng.random((1, len(labels) + m)))[0]
 
 
 def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
     """One trial's representatives, train indices and noisy kernel from the
     stream `rng`; the split is drawn on either surface, and the full
     surface's kernel is over every point."""
-    reps, train = experiment.draw_trials(n_qubits, m, [rng])
+    reps, train, uniforms = experiment.draw_trials(n_qubits, m, [rng],
+                                                   variants=cfg_noise.variant)
     kmat = experiment.noisy_kernels(
         reps, train if surface == "train" else None, cfg_noise.variant,
-        cfg_noise.epsilon, [rng]
+        cfg_noise.epsilon, uniforms
     )
     return reps[0], train[0], kmat[0]
 
@@ -172,6 +184,70 @@ def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
     stats = experiment.run_trials(n_qubits, m, cfg_noise, [rng], surface)
     return dict(zip(experiment.TRIAL_FIELDS,
                     (n_qubits, m, trial_index, *stats[0].tolist(), digest)))
+
+
+def fiducial_offsets(n_qubits, epsilon, rng):
+    """The (2, N) bra and ket offsets of one trial's fiducial errors, read
+    from the stream `rng` as `Generator.uniform(-b, b)`, b = 2 eps / N."""
+    bound = 2 * epsilon / n_qubits
+    return rng.uniform(-bound, bound, size=(2, n_qubits))
+
+
+def element_angles(points, n_qubits, epsilon, rng):
+    """The (P, N, 3) XZX Euler triples of one trial's selection or
+    representation errors, read from the stream `rng` as
+    `Generator.uniform(-b, b)`, b = 2 eps / (sqrt(5) N)."""
+    bound = 2 * epsilon / (np.sqrt(5) * n_qubits)
+    return rng.uniform(-bound, bound, size=(points, n_qubits, 3))
+
+
+def sequential_draws(n_qubits, m, rng, surface, variants, epsilon):
+    """One trial's draws from the stream `rng`, read one piece at a time:
+    its representatives, its (K,) train indices (None on the full surface,
+    which still reads them) and, for the V names of `variants`, its
+    (V, P, N, 2, 2) noisy point factors and (2, V, N) offsets. Every
+    variant's angles are read from where the split left the stream, which
+    is left where the longest of those reads left it."""
+    reps = su2_from_normals(rng.standard_normal((m, n_qubits, 4)))
+    counts = rng.random(m)
+    ranks = rng.random(m * n_qubits)
+    train = None
+    if surface == "train":
+        train = dataset.split_trials(dataset.coset_labels(n_qubits, m), m,
+                                     np.concatenate([counts, ranks])[None])[0]
+    names = (variants,) if isinstance(variants, str) else variants
+    points = dataset.points(reps)
+    factors = np.broadcast_to(points, (len(names), *points.shape)).copy()
+    offsets = np.zeros((2, len(names), n_qubits))
+    start = end = rng.bit_generator.state
+    longest = 0
+    for v, name in enumerate(names):
+        rng.bit_generator.state = start
+        if name == "fiducial":
+            offsets[:, v] = fiducial_offsets(n_qubits, epsilon, rng)
+            read = 2 * n_qubits
+        elif name != "none":
+            errors = noise.from_euler(
+                element_angles(len(points), n_qubits, epsilon, rng))
+            factors[v] = noise.fold(name, errors, points)
+            read = 3 * len(points) * n_qubits
+        else:
+            read = 0
+        if read > longest:
+            longest, end = read, rng.bit_generator.state
+    rng.bit_generator.state = end
+    return reps, train, factors, offsets
+
+
+def attached(variant, epsilon, n_qubits, rng, points=1):
+    """One trial's noise from `noise.attach`, on the next `noise.draws`
+    uniforms of the stream `rng`: the (2, N) bra and ket offsets for
+    fiducial errors, the (points, N, 2, 2) perturbations E_x for selection
+    or representation errors."""
+    identity = np.broadcast_to(I2, (1, points, n_qubits, 2, 2))
+    uniforms = rng.random((1, noise.draws(variant, points, n_qubits)))
+    factors, offsets = noise.attach(variant, epsilon, identity, uniforms)
+    return offsets[:, 0] if variant == "fiducial" else factors[0]
 
 
 def zero_state(n):

@@ -135,11 +135,10 @@ def test_criterion_5_noise_budgets():
     for n in range(2, 9):
         for eps in (0.05, 0.9):
             for _ in range(1000):
-                offs = noise.fiducial_offsets(n, eps, [rng])[0, 0]
+                offs = oracle.attached("fiducial", eps, n, rng)[0]
                 if product_distance_to_identity(ry(-offs)) > eps + 1e-6:
                     violations += 1
-                tri = noise.element_angles(1, n, eps, [rng])[0, 0]
-                de = noise.from_euler(tri)
+                de = oracle.attached("selection", eps, n, rng)[0]
                 if product_distance_to_identity(de) > eps + 1e-6:
                     violations += 1
     report(5, violations == 0, f"violations={violations} over 28000 samples")

@@ -37,10 +37,10 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
         return reps, sp, kernel.gather_alphas(alphas[None], labels)[0], labels
     factors, offsets = dataset.points(reps), None
     if cfg_noise.variant == "fiducial":
-        offsets = noise.fiducial_offsets(n_qubits, eps, [rng])[:, 0]
+        offsets = oracle.fiducial_offsets(n_qubits, eps, rng)
     elif cfg_noise.variant != "none":
         errors = noise.from_euler(
-            noise.element_angles(len(all_labels), n_qubits, eps, [rng])[0]
+            oracle.element_angles(len(all_labels), n_qubits, eps, rng)
         )
         factors = noise.fold(cfg_noise.variant, errors, factors)
     return reps, sp, kernel.kernel_matrix(factors, indices, offsets), labels
@@ -64,9 +64,11 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
     for n_qubits, m in ((2, 2), (3, 3), (5, 2), (4, 5)):
         trials = range(7)
         rngs = [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
-        reps, splits = experiment.draw_trials(n_qubits, m, rngs)
+        reps, splits, uniforms = experiment.draw_trials(n_qubits, m, rngs,
+                                                        variants=variant)
         kmats = experiment.noisy_kernels(
-            reps, splits if surface == "train" else None, variant, eps, rngs
+            reps, splits if surface == "train" else None, variant, eps,
+            uniforms
         )
         alphas = kernel.alpha_matrix(reps)
         points = dataset.points(reps)
@@ -277,7 +279,7 @@ def split_path_stats(n_qubits, m, rngs, surface):
     """Reference for noiseless `run_trials`: the representatives and the
     whole split drawn, and each coset's count read off the labels of the
     kernel's points."""
-    reps, train = experiment.draw_trials(n_qubits, m, rngs, surface)
+    reps, train, _ = experiment.draw_trials(n_qubits, m, rngs, surface)
     labels = dataset.coset_labels(n_qubits, m)
     if train is not None:
         labels = labels[train]
@@ -298,8 +300,10 @@ def test_count_draw_matches_the_split(seed):
             labels = dataset.coset_labels(n_qubits, m)
             fresh = experiment.trial_rngs(seed, n_qubits, m, chunk)
             ref = [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk]
-            counts = dataset.train_counts((n_qubits,) * m, fresh)
-            train = dataset.split_trials(labels, m, ref)
+            counts = dataset.train_counts(
+                (n_qubits,) * m, np.stack([rng.random(m) for rng in fresh]))
+            train = dataset.split_trials(labels, m, np.stack(
+                [rng.random(len(labels) + m) for rng in ref]))
             assert np.array_equal(
                 counts, [np.bincount(labels[t], minlength=m) for t in train]
             )
@@ -378,7 +382,7 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
 
 
 def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
-    generated = _counted(monkeypatch, dataset, "generate_trials")
+    generated = _counted(monkeypatch, experiment, "_read_streams")
     splits = _counted(monkeypatch, dataset, "split_trials")
     alphas = _counted(monkeypatch, kernel, "alpha_matrix")
     built = _counted(monkeypatch, dataset, "points")
@@ -392,12 +396,16 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
               for chunk in experiment.trial_chunks(n, 3, 4, "full")]
     # the three variants share each chunk's datasets, alphas, points and
     # Euler draws, and run as one stack through one kernel_matrix call and
-    # one envelope check. The full surface reads no split, so none is
-    # built
+    # one envelope check. The full surface builds no split, so none is
+    # built; each stream's one read of uniforms covers the split's P + m
+    # and the longest variant's 3PN
     assert len(generated) == len(alphas) == len(chunks)
     assert len(built) == len(euler) == len(checks) == len(chunks)
     assert splits == []
     assert [len(args[2]) for args in generated] == chunks
+    assert [args[3] for args in generated] == [
+        3 * n + 3 + 3 * (3 * n) * n for n in range(4, 7)
+        for _ in experiment.trial_chunks(n, 3, 4, "full")]
     assert sum(chunks) == 12
     assert [args[0].shape[:2] for args in kernels] == [(3, c) for c in chunks]
     assert [args[0].shape[:2] for args in checks] == [(3, c) for c in chunks]
@@ -406,31 +414,89 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
 @pytest.mark.parametrize("chunk", [range(3, 7), [9]])
 @pytest.mark.parametrize("variant,eps", VARIANTS[1:])
 def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
-    # the full surface builds no split; each stream must still end where a
-    # split drawn first would leave it, so the noise reads the same draws
+    # the full surface builds no split; its noise row must still start where
+    # a split drawn first leaves each stream, so the noise reads the same
+    # draws, and each stream ends where those reads leave it
     for n_qubits in range(2, 7):
         for m in (2, 3):
             rngs = experiment.trial_rngs(31, n_qubits, m, chunk)
-            reps, splits = experiment.draw_trials(n_qubits, m, rngs, "full")
+            reps, splits, uniforms = experiment.draw_trials(
+                n_qubits, m, rngs, "full", variant)
             assert splits is None
             ref_rngs = [oracle.trial_rng(31, n_qubits, m, t) for t in chunk]
-            ref_reps = dataset.generate_trials(n_qubits, m, ref_rngs)
-            dataset.split_trials(dataset.coset_labels(n_qubits, m), m,
-                                 ref_rngs)
+            ref_reps = np.stack([oracle.generate(n_qubits, m, rng)
+                                 for rng in ref_rngs])
+            labels = dataset.coset_labels(n_qubits, m)
+            for rng in ref_rngs:
+                oracle.split(labels, m, rng)
+            draws = noise.draws(variant, len(labels), n_qubits)
+            ref_uniforms = np.stack([rng.random(draws) for rng in ref_rngs])
+            assert np.array_equal(uniforms, ref_uniforms)
             for rng, ref_rng in zip(rngs, ref_rngs):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
-            kmats = experiment.noisy_kernels(reps, None, variant, eps, rngs)
+            kmats = experiment.noisy_kernels(reps, None, variant, eps,
+                                             uniforms)
             ref = experiment.noisy_kernels(ref_reps, None, variant, eps,
-                                           ref_rngs)
+                                           ref_uniforms)
             assert np.array_equal(kmats, ref)
+
+
+def _assert_sequential_layout(n_qubits, m, seed, chunk, surface, variants,
+                              eps):
+    """`draw_trials` and `noise.attach` on a chunk of streams give each
+    trial, bit for bit, the draws and noisy inputs of
+    `oracle.sequential_draws` on its own stream, and leave each stream
+    where those reads leave it."""
+    names = (variants,) if isinstance(variants, str) else variants
+    rngs = experiment.trial_rngs(seed, n_qubits, m, chunk)
+    reps, train, uniforms = experiment.draw_trials(n_qubits, m, rngs, surface,
+                                                   variants)
+    factors, offsets = noise.attach(names, eps, dataset.points(reps),
+                                    uniforms)
+    assert (train is None) == (surface == "full")
+    for i, (t, rng) in enumerate(zip(chunk, rngs)):
+        ref = oracle.trial_rng(seed, n_qubits, m, t)
+        ref_reps, ref_train, ref_factors, ref_offsets = (
+            oracle.sequential_draws(n_qubits, m, ref, surface, variants, eps))
+        assert np.array_equal(reps[i], ref_reps)
+        if train is not None:
+            assert np.array_equal(train[i], ref_train)
+        assert np.array_equal(factors[:, i], ref_factors)
+        assert np.array_equal(offsets[:, :, i], ref_offsets)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("chunk", [range(3), range(5, 8), [9]])
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("variants", [*noise.VARIANTS, noise.NOISY_VARIANTS])
+def test_draw_trials_reads_the_sequential_layout(variants, surface, chunk):
+    # one read of normals and one of uniforms per stream give the bits of
+    # the pieces read one at a time: normals, m count uniforms, P rank
+    # uniforms, then each variant's `Generator.uniform(-b, b)` from where
+    # the split left the stream, on chunks that start anywhere
+    for n_qubits, m in ((2, 2), (3, 3), (5, 2)):
+        _assert_sequential_layout(n_qubits, m, 53, chunk, surface, variants,
+                                  0.3)
+
+
+@pytest.mark.parametrize("eps", [np.finfo(float).max / 2, 1.0, 5e-324])
+def test_noise_angles_match_generator_uniform_at_extreme_budgets(eps):
+    # -b + 2 b u has the bits of `Generator.uniform(-b, b)` on the same
+    # draw: at N = 2 the fiducial box is [-eps, eps], the widest that
+    # `NoiseConfig` accepts at its largest epsilon, and at eps = 5e-324 the
+    # boxes are subnormal
+    for surface in SURFACES:
+        _assert_sequential_layout(2, 2, 59, range(4), surface,
+                                  noise.NOISY_VARIANTS, eps)
 
 
 @pytest.mark.parametrize("budget", [kernel.CHUNK_ENTRIES, 1])
 @pytest.mark.parametrize("m", [2, 3])
 def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
                                                 capsys):
-    # every variant's kernels, drawn from streams restored to their state
-    # after the split, are those of a build on new streams
+    # every variant's kernels, built from the start of the one noise row
+    # that the three share, are those of a build for that variant alone on
+    # new streams
     monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
     seen = []
     count = cli.count_envelope_violations
@@ -452,9 +518,10 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
             for variant in ("fiducial", "selection", "representation"):
                 rngs = [oracle.trial_rng(seed, n_qubits, m, t)
                         for t in chunk]
-                reps, _ = experiment.draw_trials(n_qubits, m, rngs)
+                reps, _, uniforms = experiment.draw_trials(
+                    n_qubits, m, rngs, variants=variant)
                 refs.append(experiment.noisy_kernels(reps, None, variant,
-                                                     eps, rngs))
+                                                     eps, uniforms))
             # the full surface's points are every point, coset-major
             labels = np.repeat(np.arange(m), n_qubits)
             expected.append((refs, labels, kernel.alpha_matrix(reps)))
@@ -472,20 +539,23 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
 @pytest.mark.parametrize("eps", [0.1, 0.3, 0.6])
 def test_variant_kernels_match_noisy_kernels(eps):
     # the one stacked build, bit for bit the kernels of one build per
-    # variant on streams restored to where `draw_trials` left them
+    # variant on the uniforms that `draw_trials` reads for that variant
+    # alone from new streams: a prefix of the stack's noise row
     cases = [(n, m) for n in (*range(2, 10), 33) for m in (2, 3, 5)]
     for n_qubits, m in cases:
         rngs = experiment.trial_rngs(41, n_qubits, m, range(3))
-        reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
-        states = [rng.bit_generator.state for rng in rngs]
+        reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs, "full",
+                                                   noise.NOISY_VARIANTS)
         stacked = experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS,
-                                           eps, rngs)
+                                           eps, uniforms)
         p = m * n_qubits
         assert stacked.shape == (3, 3, p, p)
         for variant, got in zip(noise.NOISY_VARIANTS, stacked):
-            for rng, state in zip(rngs, states):
-                rng.bit_generator.state = state
-            want = experiment.noisy_kernels(reps, None, variant, eps, rngs)
+            _, _, own = experiment.draw_trials(
+                n_qubits, m, experiment.trial_rngs(41, n_qubits, m, range(3)),
+                "full", variant)
+            assert np.array_equal(own, uniforms[:, :own.shape[1]])
+            want = experiment.noisy_kernels(reps, None, variant, eps, own)
             assert np.array_equal(got, want), (variant, n_qubits, m)
 
 
@@ -496,20 +566,23 @@ def test_variant_kernels_match_noisy_kernels(eps):
                                       ("none", "representation", "selection")])
 def test_variant_tuples_match_single_builds(variants, surface):
     # any order or subset of names, repeats included: each slice of the
-    # stack, bit for bit the kernels of its name alone on streams restored
-    # to where `draw_trials` left them, over the train indices on the train
-    # surface
+    # stack, bit for bit the kernels of its name alone on the uniforms that
+    # `draw_trials` reads for it from new streams, over the train indices
+    # on the train surface
     for n_qubits, m in ((2, 2), (3, 3), (6, 2)):
         rngs = experiment.trial_rngs(43, n_qubits, m, range(3))
-        reps, train = experiment.draw_trials(n_qubits, m, rngs, surface)
-        states = [rng.bit_generator.state for rng in rngs]
-        stacked = experiment.noisy_kernels(reps, train, variants, 0.3, rngs)
+        reps, train, uniforms = experiment.draw_trials(n_qubits, m, rngs,
+                                                       surface, variants)
+        stacked = experiment.noisy_kernels(reps, train, variants, 0.3,
+                                           uniforms)
         k = m * n_qubits if train is None else train.shape[-1]
         assert stacked.shape == (len(variants), 3, k, k)
         for variant, got in zip(variants, stacked):
-            for rng, state in zip(rngs, states):
-                rng.bit_generator.state = state
-            want = experiment.noisy_kernels(reps, train, variant, 0.3, rngs)
+            _, own_train, own = experiment.draw_trials(
+                n_qubits, m, experiment.trial_rngs(43, n_qubits, m, range(3)),
+                surface, variant)
+            assert np.array_equal(own_train, train)
+            want = experiment.noisy_kernels(reps, train, variant, 0.3, own)
             assert np.array_equal(got, want), (variant, n_qubits, m)
 
 
@@ -524,10 +597,11 @@ def test_stacked_envelope_counts_are_per_variant_sums(strict, monkeypatch):
     found = 0
     for n_qubits, m in ((2, 2), (4, 3), (6, 5)):
         rngs = experiment.trial_rngs(7, n_qubits, m, range(4))
-        reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+        reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs, "full",
+                                                   noise.NOISY_VARIANTS)
         alphas = kernel.alpha_matrix(reps)
         stacked = experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS,
-                                           0.3, rngs)
+                                           0.3, uniforms)
         labels = dataset.coset_labels(n_qubits, m)
         for check_eps in (0.05, 0.01):
             got = noise.count_envelope_violations(
@@ -611,10 +685,11 @@ def test_chunk_sizing(monkeypatch):
             points = m * n_qubits
             chunk = experiment.trial_chunks(n_qubits, m, 40, "full")[0]
             rngs = experiment.trial_rngs(3, n_qubits, m, chunk)
-            reps, _ = experiment.draw_trials(n_qubits, m, rngs, "full")
+            reps, _, uniforms = experiment.draw_trials(
+                n_qubits, m, rngs, "full", noise.NOISY_VARIANTS)
             stacks.clear()
             experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS, 0.1,
-                                     rngs)
+                                     uniforms)
             step = max(1, budget // (2 * points) ** 2)
             stack = 3 * len(chunk)
             assert stacks == [min(step, stack - lo)

@@ -78,8 +78,9 @@ def test_split_sizes_and_coverage():
     assert set(labels[train]) == {0, 1}
 
     labels = dataset.coset_labels(10, 5)
-    rngs = [rng, *np.random.default_rng(7).spawn(7)]
-    splits = dataset.split_trials(labels, 5, rngs)
+    rows = [rng, *np.random.default_rng(7).spawn(7)]
+    splits = dataset.split_trials(labels, 5, np.stack([r.random(55)
+                                                       for r in rows]))
     assert splits.shape == (8, 25)
     for train in splits:
         assert set(labels[train]) == set(range(5))
@@ -120,7 +121,7 @@ def test_split_follows_exact_law(case):
                 if len(set(labels[list(half)])) == m]
     draws = 20_000
     rng = np.random.default_rng(1234)
-    got = dataset.split_trials(labels, m, [rng] * draws)
+    got = dataset.split_trials(labels, m, rng.random((draws, total + m)))
     halves = Counter(map(tuple, got.tolist()))
     assert set(halves) <= set(covering)
     observed = [halves[h] for h in covering]
@@ -146,7 +147,7 @@ def test_train_counts_at_uniform_edges(sizes):
     train_size = sum(sizes) // 2
     edges = (0.0, np.nextafter(1.0, 0.0))
     rows = np.array(list(itertools.product(edges, repeat=len(sizes))))
-    counts = dataset._train_counts(sizes, rows)
+    counts = dataset.train_counts(sizes, rows)
     assert np.all(counts >= 1)
     assert np.all(counts <= np.array(sizes))
     assert np.all(counts.sum(axis=1) == train_size)
@@ -165,16 +166,19 @@ def test_train_counts_at_uniform_edges(sizes):
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_split_reads_fixed_draws(case):
-    # each stream moves on by exactly P + m uniforms, whatever the data
+    # each trial's split reads exactly its own row of P + m uniforms,
+    # whatever the data: a row one short or one long is refused
     labels, m = _split_case(case)
     draws = len(labels) + m
     for seed in range(20):
-        rngs = [np.random.default_rng([seed, t]) for t in range(3)]
-        dataset.split_trials(labels, m, rngs)
-        for t, rng in enumerate(rngs):
-            ref = np.random.default_rng([seed, t])
-            ref.random(draws)
-            assert rng.bit_generator.state == ref.bit_generator.state
+        rows = np.random.default_rng(seed).random((3, draws))
+        got = dataset.split_trials(labels, m, rows)
+        for t in range(3):
+            assert np.array_equal(
+                got[t], dataset.split_trials(labels, m, rows[t:t + 1])[0])
+        for wrong in (rows[:, :-1], np.hstack([rows, rows[:, :1]])):
+            with pytest.raises(ValueError):
+                dataset.split_trials(labels, m, wrong)
 
 
 def test_split_rejects_uncoverable_cosets():
@@ -231,7 +235,7 @@ def test_batched_draw_matches_per_qubit_loop(m):
 def test_generator_product_equals_matmul(n):
     # a column swap and a sign flip give the matrix product's bits
     rng = np.random.default_rng(n)
-    reps = dataset.generate_trials(n, 3, [rng, rng])
+    reps = np.stack([oracle.generate(n, 3, rng) for _ in range(2)])
     generic = rng.standard_normal((2, 3, n, 2, 2)) + 1j * rng.standard_normal(
         (2, 3, n, 2, 2)
     )

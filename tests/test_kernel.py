@@ -109,9 +109,10 @@ def test_dense_path_matches_gate_path():
 
 def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
-    reps, _ = experiment.draw_trials(3, 2, [rng])
+    reps, _, uniforms = experiment.draw_trials(3, 2, [rng],
+                                               variants="selection")
     noisy, offsets = noise.attach("selection", 0.3, dataset.points(reps),
-                                  [rng])
+                                  uniforms)
     kmat = kernel.kernel_matrix(noisy, offsets=offsets)[0]
     np.testing.assert_allclose(np.diag(kmat), 1.0, atol=1e-12)
 
@@ -119,9 +120,7 @@ def test_selection_noise_diagonal_is_one():
 def test_selection_noise_needs_one_perturbation_per_point():
     rng = np.random.default_rng(16)
     points = dataset.points(oracle.generate(3, 2, rng))
-    perts = noise.from_euler(
-        noise.element_angles(1, 3, 0.3, [rng])[0]
-    )
+    perts = oracle.attached("selection", 0.3, 3, rng)
     with pytest.raises(ValueError, match="one perturbation per point"):
         oracle.kernel_matrix(points, perturbations=perts)
 
@@ -196,20 +195,22 @@ def test_feature_states_match_dense_oracle(n, attachment):
     one built from dense feature states with the same noise draws left
     unfolded, on the full dataset and on a train split."""
     rng = np.random.default_rng(100 + n)
-    reps, splits = experiment.draw_trials(n, 2, [rng])
+    reps, splits, uniforms = experiment.draw_trials(n, 2, [rng],
+                                                    variants=attachment)
     eps = 0.0 if attachment == "none" else 0.3
-    after_split = rng.bit_generator.state
     unfolded = {}
+    # the noise of the same uniforms on identity factors: the fold leaves
+    # the perturbations E_x as they are
+    identity = np.broadcast_to(oracle.I2, (1, 2 * n, n, 2, 2))
+    errors, offsets = noise.attach(attachment, eps, identity, uniforms)
     if attachment == "fiducial":
-        unfolded["offsets"] = noise.fiducial_offsets(n, eps, [rng])[:, 0]
+        unfolded["offsets"] = offsets[:, 0]
     elif attachment != "none":
-        unfolded["perturbations"] = noise.from_euler(
-            noise.element_angles(2 * n, n, eps, [rng])[0]
-        )
+        unfolded["perturbations"] = errors[0]
         unfolded["variant"] = attachment
     for train in (None, splits):
-        rng.bit_generator.state = after_split
-        chain = experiment.noisy_kernels(reps, train, attachment, eps, [rng])
+        chain = experiment.noisy_kernels(reps, train, attachment, eps,
+                                         uniforms)
         indices = None if train is None else train[0]
         dense = oracle.kernel_matrix(dataset.points(reps[0]), indices,
                                      **unfolded)
@@ -235,7 +236,7 @@ def test_chain_slices_keep_every_bit(budget, monkeypatch):
     trials = 5
     for n_qubits, m in ((2, 2), (3, 3), (5, 2)):
         rngs = experiment.trial_rngs(61, n_qubits, m, range(trials))
-        reps = dataset.generate_trials(n_qubits, m, rngs)
+        reps = experiment.draw_trials(n_qubits, m, rngs, "full")[0]
         points = dataset.points(reps)
         offsets = np.random.default_rng(n_qubits).uniform(
             -0.2, 0.2, (2, trials, n_qubits))
@@ -280,7 +281,7 @@ def test_large_n_full_surface_properties(n):
     unperturbed = ["none", "fiducial", "selection"]
     for m in (2, 3, 4, 5) if n == 32 else (2,):
         rng = oracle.trial_rng(15, n, m, 0)
-        reps, train = experiment.draw_trials(n, m, [rng])
+        reps, train, uniforms = experiment.draw_trials(n, m, [rng])
         points = dataset.points(reps)
         kmat = kernel.kernel_matrix(points)[0]
         alphas = kernel.alpha_matrix(reps)[0]
@@ -297,7 +298,7 @@ def test_large_n_full_surface_properties(n):
         for indices, chain in ((None, kmat), (train, train_kmat)):
             for variant in unperturbed:
                 gathered = experiment.noisy_kernels(reps, indices, variant,
-                                                    0.0, [rng])
+                                                    0.0, uniforms)
                 np.testing.assert_allclose(gathered[0], chain, rtol=0,
                                            atol=1e-12)
 
@@ -311,7 +312,7 @@ def test_pair_count_weights_match_the_gathered_kernel(n, surface):
     trials = 3
     for m in (2, 3, 5):
         rngs = [oracle.trial_rng(8, n, m, t) for t in range(trials)]
-        reps, train = experiment.draw_trials(n, m, rngs)
+        reps, train, _ = experiment.draw_trials(n, m, rngs)
         labels = dataset.coset_labels(n, m)
         if surface == "train":
             labels = labels[train]
@@ -350,7 +351,7 @@ def test_train_split_counts_give_the_closed_form(n):
     trials = 3
     for m in (2, 3, 5):
         rngs = [oracle.trial_rng(9, n, m, t) for t in range(trials)]
-        reps, train = experiment.draw_trials(n, m, rngs, "train")
+        reps, train, _ = experiment.draw_trials(n, m, rngs, "train")
         alphas = kernel.alpha_matrix(reps)
         labels = dataset.coset_labels(n, m)[train]
         counts = np.array([np.bincount(row, minlength=m) for row in labels])

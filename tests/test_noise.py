@@ -12,17 +12,24 @@ from oracle import rx, ry, rz
 
 def test_offsets_zero_epsilon():
     rng = np.random.default_rng(0)
-    assert np.all(noise.fiducial_offsets(5, 0.0, [rng]) == 0)
-    assert np.all(noise.element_angles(1, 5, 0.0, [rng]) == 0)
+    assert np.all(oracle.attached("fiducial", 0.0, 5, rng) == 0)
+    assert np.array_equal(oracle.attached("selection", 0.0, 5, rng)[0],
+                          np.broadcast_to(oracle.I2, (5, 2, 2)))
 
 
 def test_offsets_within_budget():
-    rng = np.random.default_rng(1)
-    offs = noise.fiducial_offsets(10, 0.9, [rng])
+    # `attach` builds its noise from the angles that
+    # `Generator.uniform(-b, b)` reads from the same stream
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    offs = oracle.attached("fiducial", 0.9, 10, rng)
+    assert offs.shape == (2, 10)
     assert np.all(np.abs(offs) <= 0.18)
-    tri = noise.element_angles(1, 10, 0.9, [rng])[0, 0]
+    assert np.array_equal(offs, oracle.fiducial_offsets(10, 0.9, ref))
+    errors = oracle.attached("selection", 0.9, 10, rng)[0]
+    tri = oracle.element_angles(1, 10, 0.9, ref)[0]
     assert tri.shape == (10, 3)
     assert np.all(np.abs(tri) <= 2 * 0.9 / (np.sqrt(5) * 10) + 1e-12)
+    assert np.array_equal(errors, noise.from_euler(tri))
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.9])
@@ -33,25 +40,24 @@ def test_sampled_norms_respect_epsilon(eps):
     for n in (2, 5, 8):
         ideal = oracle.fiducial_operator(np.zeros(n))
         for _ in range(20):
-            offs = noise.fiducial_offsets(n, eps, [rng])[0, 0]
+            offs = oracle.attached("fiducial", eps, n, rng)[0]
             w = oracle.fiducial_operator(offs)
             assert oracle.operator_norm(ideal - w) <= eps + 1e-6
-            tri = noise.element_angles(1, n, eps, [rng])[0, 0]
-            de = oracle.dense(noise.from_euler(tri))
+            de = oracle.dense(oracle.attached("selection", eps, n, rng)[0])
             assert oracle.operator_norm(de - np.eye(2**n)) <= eps + 1e-6
 
 
 def test_batched_perturbations_match_per_point_loop():
-    # one (P, N, 3) draw and one from_euler call reproduce, bit for bit, a
-    # draw and a from_euler call per point and qubit, and leave the stream
-    # in the same state; each factor is Rx Rz Rx to rounding
+    # one (P, N, 3) row of uniforms and one from_euler call reproduce, bit
+    # for bit, a `Generator.uniform` draw and a from_euler call per point
+    # and qubit, and leave the stream in the same state; each factor is
+    # Rx Rz Rx to rounding
     for n in range(2, 9):
         for points in (4, 15):
             batched_rng = np.random.default_rng(100 * n + points)
             loop_rng = np.random.default_rng(100 * n + points)
-            factors = noise.from_euler(
-                noise.element_angles(points, n, 0.3, [batched_rng])[0]
-            )
+            factors = oracle.attached("selection", 0.3, n, batched_rng,
+                                      points)
             bound = 2 * 0.3 / (np.sqrt(5) * n)
             triples = [loop_rng.uniform(-bound, bound, size=(n, 3))
                        for _ in range(points)]
@@ -181,12 +187,12 @@ def test_zero_epsilon_reproduces_ideal_kernel(variant):
     # for bit, so `experiment.noisy_kernels` may gather those kernels from
     # the alphas instead, and draw no noise
     rngs = [oracle.trial_rng(3, 4, 2, t) for t in range(3)]
-    reps, _ = experiment.draw_trials(4, 2, rngs, "full")
+    reps, _, uniforms = experiment.draw_trials(4, 2, rngs, "full", variant)
     points = dataset.points(reps)
     clean = kernel.kernel_matrix(points)
-    noisy, offsets = noise.attach(variant, 0.0, points, rngs)
+    noisy, offsets = noise.attach(variant, 0.0, points, uniforms)
     assert np.array_equal(kernel.kernel_matrix(noisy, None, offsets), clean)
-    gathered = experiment.noisy_kernels(reps, None, variant, 0.0, rngs)
+    gathered = experiment.noisy_kernels(reps, None, variant, 0.0, uniforms)
     np.testing.assert_allclose(gathered, clean, rtol=0, atol=1e-12)
 
 
@@ -204,15 +210,13 @@ def test_max_singular_value_formula():
     rng = np.random.default_rng(4)
     for n in (2, 3, 4):
         # Ry offsets variant
-        thetas = noise.fiducial_offsets(n, 0.9, [rng])[0, 0]
+        thetas = oracle.attached("fiducial", 0.9, n, rng)[0]
         factors = np.stack([ry(-t) for t in thetas])
         dense = oracle.dense(factors)
         svd_norm = oracle.operator_norm(dense - np.eye(2**n))
         assert abs(svd_norm - _max_singular_from_eigs(factors)) < 1e-10
         # XZX perturbation variant
-        de = noise.from_euler(
-            noise.element_angles(1, n, 0.9, [rng])[0, 0]
-        )
+        de = oracle.attached("selection", 0.9, n, rng)[0]
         svd_norm = oracle.operator_norm(oracle.dense(de) - np.eye(2**n))
         assert abs(svd_norm - _max_singular_from_eigs(de)) < 1e-10
 
@@ -237,20 +241,35 @@ def test_small_epsilon_entries_inside_envelope(variant):
 @pytest.mark.parametrize("variant", noise.VARIANTS)
 def test_attach_reads_a_fixed_number_of_draws(variant):
     # 2N uniforms for fiducial errors, 3PN for selection and representation
-    # errors and none for `none`, each stream its own trial's
+    # errors and none for `none`, each row its own trial's: `draw_trials`
+    # reads that many after the split, and `attach` reads that prefix of
+    # each row, whatever follows it
     for n_qubits, m in ((2, 2), (5, 3)):
+        p = m * n_qubits
         rngs = [oracle.trial_rng(8, n_qubits, m, t) for t in range(3)]
-        reps, _ = experiment.draw_trials(n_qubits, m, rngs)
-        direct = [oracle.trial_rng(8, n_qubits, m, t) for t in range(3)]
-        experiment.draw_trials(n_qubits, m, direct)
-        eps = 0.0 if variant == "none" else 0.2
-        noise.attach(variant, eps, dataset.points(reps), rngs)
+        reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs,
+                                                   variants=variant)
         draws = {"none": 0, "fiducial": 2 * n_qubits}.get(
-            variant, 3 * (m * n_qubits) * n_qubits
+            variant, 3 * p * n_qubits
         )
-        for rng, ref in zip(rngs, direct):
-            ref.random(draws)
+        assert noise.draws(variant, p, n_qubits) == draws
+        assert uniforms.shape == (3, draws)
+        for t, rng in enumerate(rngs):
+            ref = oracle.trial_rng(8, n_qubits, m, t)
+            ref.standard_normal(4 * p)
+            ref.random(p + m + draws)
             assert rng.bit_generator.state == ref.bit_generator.state
+        eps = 0.0 if variant == "none" else 0.2
+        points = dataset.points(reps)
+        got = noise.attach(variant, eps, points, uniforms)
+        longer = np.hstack([uniforms, np.random.default_rng(0).random((3, 7))])
+        for want, more in zip(got, noise.attach(variant, eps, points, longer)):
+            assert np.array_equal(want, more)
+        for t in range(3):
+            factors, offsets = noise.attach(variant, eps, points[t:t + 1],
+                                            uniforms[t:t + 1])
+            assert np.array_equal(factors[0], got[0][t])
+            assert np.array_equal(offsets[:, 0], got[1][:, t])
 
 
 def test_representation_and_selection_kernels_differ():
@@ -259,43 +278,40 @@ def test_representation_and_selection_kernels_differ():
         kmats = {}
         for variant in ("selection", "representation"):
             rngs = [oracle.trial_rng(9, n_qubits, 2, t) for t in range(2)]
-            reps, _ = experiment.draw_trials(n_qubits, 2, rngs)
+            reps, _, uniforms = experiment.draw_trials(n_qubits, 2, rngs,
+                                                       variants=variant)
             kmats[variant] = experiment.noisy_kernels(reps, None, variant,
-                                                      0.3, rngs)
+                                                      0.3, uniforms)
         off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
         diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
         assert np.all(diff.max(axis=-1) > 1e-3)
 
 
-def _cornered(monkeypatch, name, box):
-    """Make batch sampler `name` return the corner of its box, half-width
-    box(N, eps), that has the signs of the draws it still reads. Both
-    samplers end in (N, eps, rngs)."""
-    sampler = getattr(noise, name)
-
-    def cornered(*args):
-        draws = sampler(*args)
-        n_qubits, epsilon = args[-3:-1]
-        return np.where(draws < 0, -1.0, 1.0) * box(n_qubits, epsilon)
-
-    monkeypatch.setattr(noise, name, cornered)
+def _cornered(uniforms):
+    """Noise uniforms moved to 0 or 1, which puts each angle -b + 2 b u at
+    the corner of its box, -b or b, that has the sign of the draw it
+    replaces."""
+    return np.where(uniforms < 0.5, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("variant", noise.VARIANTS[1:])
-def test_envelopes_hold_at_the_corners_of_the_budget(variant, monkeypatch):
+def test_envelopes_hold_at_the_corners_of_the_budget(variant):
     # adversarial draws: every angle at the edge of the sampler's box,
     # which still keeps each perturbation within eps of the identity
-    _cornered(monkeypatch, "fiducial_offsets", lambda n, eps: 2 * eps / n)
-    _cornered(monkeypatch, "element_angles",
-              lambda n, eps: 2 * eps / (np.sqrt(5) * n))
     for eps in (0.1, 0.3, 0.6):
         for n_qubits in (2, 3, 4):
             for m in (2, 3):
                 rngs = [oracle.trial_rng(12, n_qubits, m, t)
                         for t in range(10)]
-                reps, _ = experiment.draw_trials(n_qubits, m, rngs)
+                reps, _, uniforms = experiment.draw_trials(
+                    n_qubits, m, rngs, variants=variant)
+                corners = _cornered(uniforms)
+                if variant == "fiducial":
+                    _, offsets = noise.attach(variant, eps,
+                                              dataset.points(reps), corners)
+                    assert np.all(np.abs(offsets) == 2 * eps / n_qubits)
                 kmats = experiment.noisy_kernels(reps, None, variant, eps,
-                                                 rngs)
+                                                 corners)
                 violations, _ = noise.count_envelope_violations(
                     kmats, dataset.coset_labels(n_qubits, m),
                     kernel.alpha_matrix(reps), variant, eps
@@ -401,8 +417,8 @@ def _loop_violations(kmat, labels, alphas, variant, eps):
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
     rngs = [oracle.trial_rng(6, 3, 3, t) for t in range(3)]
-    reps, _ = experiment.draw_trials(3, 3, rngs)
-    kmats = experiment.noisy_kernels(reps, None, variant, eps, rngs)
+    reps, _, uniforms = experiment.draw_trials(3, 3, rngs, variants=variant)
+    kmats = experiment.noisy_kernels(reps, None, variant, eps, uniforms)
     batch_alphas = kernel.alpha_matrix(reps)
     labels = dataset.coset_labels(3, 3)
     for t in range(3):

@@ -6,8 +6,6 @@ import itertools
 
 import numpy as np
 
-from cosetkernel import noise
-
 import oracle
 from oracle import haar_random_su2, ry
 
@@ -127,11 +125,11 @@ def test_product_distance_matches_dense_norm():
     for n in range(2, 9):
         for _ in range(10):
             eps = rng.uniform(0.01, 0.9)
-            offsets = noise.fiducial_offsets(n, eps, [rng])[0, 0]
-            triples = noise.element_angles(1, n, eps, [rng])[0, 0]
+            offsets = oracle.attached("fiducial", eps, n, rng)[0]
+            errors = oracle.attached("selection", eps, n, rng)[0]
             for factors in (
                 ry(-offsets),
-                noise.from_euler(triples),
+                errors,
                 haar_random_su2(rng, (n,)),
             ):
                 deviation = np.eye(2**n) - oracle.dense(factors)
