@@ -122,11 +122,12 @@ def cmd_simulate(args):
         n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
+        variant, epsilon = cfg.noise.variant, cfg.noise.epsilon
         rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
-        reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs, "full",
-                                                   cfg.noise.variant)
-        kmat = experiment.noisy_kernels(reps, None, cfg.noise.variant,
-                                        cfg.noise.epsilon, uniforms)[0]
+        reps, _, uniforms = experiment.draw_trials(
+            n_qubits, m, rngs, "full", variant if epsilon else "none")
+        kmat = experiment.noisy_kernels(reps, None, variant, epsilon,
+                                        uniforms)[0]
         kernel.export_heatmap(kmat, dataset.point_names(n_qubits, m),
                               args.heatmap)
     return 0
@@ -171,8 +172,8 @@ def cmd_verify_bounds(args):
         labels = dataset.coset_labels(n_qubits, m)
         for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
-            reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs,
-                                                       "full", variants)
+            reps, _, uniforms = experiment.draw_trials(
+                n_qubits, m, rngs, "full", variants if args.epsilon else "none")
             alphas = kernel.alpha_matrix(reps)
             # no name holds the kernels, so a chunk's are freed before the
             # next chunk's are built

@@ -243,7 +243,8 @@ def noisy_kernels(reps, train, variants, epsilon, uniforms):
     `draw_trials` read: (T, K, K) over the (T, K) `train` indices, or
     (T, P, P) over every point when `train` is None; (V, T, ...) for a tuple.
     Without a budget they are gathered once from the alpha matrices (module
-    docstring) and broadcast over the variants."""
+    docstring) and broadcast over the variants, and no uniform is read: a
+    caller draws for "none" at zero budget."""
     if epsilon == 0:
         m, n_qubits = reps.shape[-4:-2]
         labels = dataset.coset_labels(n_qubits, m)

@@ -183,7 +183,8 @@ def gather_alphas(alphas, labels):
     alpha[label_p, label_q] (module docstring), from their (T, m, m) alpha
     matrices and their points' coset labels, (K,) shared or (T, K) per
     trial. Same-coset entries are alpha's unit diagonal, and the result is
-    exactly symmetric, as `alpha_matrix` is."""
+    exactly symmetric, as `alpha_matrix` is. Any other (T, m, m) table of
+    coset pairs gathers the same way."""
     trials = np.arange(len(alphas))[:, None, None]
     return alphas[trials, labels[..., :, None], labels[..., None, :]]
 

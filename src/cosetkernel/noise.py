@@ -7,9 +7,10 @@ of the deviation stays below epsilon. Each variant changes only the kernel's
 inputs, and `attach` alone decides how, from a row of `draws` uniforms per
 trial that `experiment.draw_trials` reads (its docstring states the stream
 layout). Noise functions take the variant (a name, or a tuple of names for
-a stack) and epsilon; `NoiseConfig` validates a config's pair. The
-envelopes take one alpha or an array of them, so every entry of a batch of
-trials gets its own with one evaluation.
+a stack) and epsilon; `NoiseConfig` validates a config's pair. An
+envelope depends only on a coset pair's alpha, so `bounds_for` takes one
+alpha or an array of them and gives per-coset-pair tables of bounds, which
+`count_envelope_violations` gathers to the entries of a batch of trials.
 """
 
 import numbers
@@ -145,53 +146,40 @@ def attach(variants, epsilon, factors, uniforms):
     return noisy, offsets
 
 
-def _envelope(alpha, shift):
-    """Bounds on kappa when the overlap amplitude moves by at most `shift`
-    around sqrt(alpha), for one alpha or elementwise over an array."""
+def bounds_for(variant, alpha, epsilon):
+    """The envelope of a kernel entry under `variant`'s errors at `epsilon`,
+    for one alpha or elementwise over an array: the bounds on kappa when
+    the overlap amplitude of two points moves by at most a `shift` around
+    sqrt(alpha) across cosets, and stays at least `same` within one.
+
+    Fiducial errors, each preparation within eps of the ideal one, give
+    shift 2 eps + eps^2 and same 1 - shift. Selection and representation
+    errors, one E_x within eps of I per point, give shift 2 eps and
+    same 1 - 2 eps^2: points c s_a, c s_b of one coset overlap as
+    <psi|W|psi>, W unitary: c^dag E_x^dag E_x' c for selection (E_x D_x),
+    E_x^dag S E_x' S for representation (D_x E_x), with S = s_a s_b fixing
+    psi. ||W - I|| <= 2 eps, so each eigenvalue e^(it) of W has
+    2 |sin(t/2)| <= 2 eps, hence cos t >= 1 - 2 eps^2 and
+    Re<psi|W|psi> >= 1 - 2 eps^2. A `same` below 0 gives the bound 0.
+
+    From eps = 1 on, every envelope is the trivial one: same-coset lower
+    bound 0, cross-coset bounds [0, 1]. So eps is clamped to 1, which keeps
+    every bound and lets no square of eps overflow."""
+    epsilon = min(epsilon, 1.0)
+    if variant == "fiducial":
+        shift = 2 * epsilon + epsilon**2
+        same = 1 - shift
+    elif variant in _FOLDED:
+        shift, same = 2 * epsilon, 1 - 2 * epsilon**2
+    else:
+        raise ValueError(f"no bounds for variant {variant!r}")
     alpha = np.asarray(alpha, dtype=float)
     if not np.all((0 <= alpha) & (alpha <= 1)):
         raise ValueError("alpha must be in [0, 1]")
     root = np.sqrt(alpha)
     upper = np.clip(np.square(root + shift), 0.0, 1.0)
     lower = np.where(root >= shift, np.square(root - shift), 0.0)
-    return lower[()], upper[()]
-
-
-def bounds_fiducial(alpha, epsilon):
-    """Envelope for fiducial-state errors: amplitude shift 2 eps + eps^2.
-
-    From eps = 1 on, this and `bounds_selection` are the trivial envelope:
-    same-coset lower bound 0, cross-coset bounds [0, 1]. So both clamp eps
-    to 1, which keeps every bound and lets no square of eps overflow."""
-    epsilon = min(epsilon, 1.0)
-    shift = 2 * epsilon + epsilon**2
-    same_lower = np.square(1 - shift) if shift <= 1 else 0.0
-    return NoiseBounds(same_lower, *_envelope(alpha, shift))
-
-
-def bounds_selection(alpha, epsilon):
-    """Envelope for selection and representation errors, one E_x within
-    eps of I per point: same-coset amplitude >= 1 - 2 eps^2 (bound 0 once
-    2 eps^2 > 1), cross-coset amplitude shift 2 eps.
-
-    Points c s_a, c s_b of one coset overlap as <psi|W|psi>, W unitary:
-    c^dag E_x^dag E_x' c for selection (E_x D_x), E_x^dag S E_x' S for
-    representation (D_x E_x), with S = s_a s_b fixing psi. ||W - I|| <= 2 eps,
-    so each eigenvalue e^(it) of W has 2 |sin(t/2)| <= 2 eps, hence
-    cos t >= 1 - 2 eps^2 and Re<psi|W|psi> >= 1 - 2 eps^2. eps is
-    clamped to 1, as in `bounds_fiducial`."""
-    epsilon = min(epsilon, 1.0)
-    same = 1 - 2 * epsilon**2
-    same_lower = np.square(same) if same >= 0 else 0.0
-    return NoiseBounds(same_lower, *_envelope(alpha, 2 * epsilon))
-
-
-def bounds_for(variant, alpha, epsilon):
-    if variant == "fiducial":
-        return bounds_fiducial(alpha, epsilon)
-    if variant in _FOLDED:
-        return bounds_selection(alpha, epsilon)
-    raise ValueError(f"no bounds for variant {variant!r}")
+    return NoiseBounds(np.square(max(same, 0.0)), lower[()], upper[()])
 
 
 def count_envelope_violations(k, labels, alphas, variant, epsilon):
@@ -202,24 +190,28 @@ def count_envelope_violations(k, labels, alphas, variant, epsilon):
     `k` has a leading variant axis, (V, K, K) or (V, T, K, K), that shares
     the labels and the alphas, and the counts are totals over the variants.
 
-    Each entry is checked in one interval, widened by `ENVELOPE_TOL`: a
-    cross-coset entry in [cross_coset_lower, cross_coset_upper] of its ideal
-    value alpha (`kernel.gather_alphas`), a same-coset one in
-    [same_coset_lower, 1], the overlap of two unit vectors. A NaN entry
-    fails both comparisons and an infinite one fails one, so either is a
-    violation in either class."""
-    single = isinstance(variant, str)
-    variants, values = ((variant,), k[None]) if single else (variant, k)
+    An envelope depends only on a coset pair's alpha, so each variant's is
+    one `bounds_for` call on the (T, m, m) alphas: a table of intervals,
+    [cross_coset_lower, cross_coset_upper] off its diagonal and
+    [same_coset_lower, 1], the overlap of two unit vectors, on it. Each
+    entry is checked in its coset pair's interval, widened by
+    `ENVELOPE_TOL` and gathered by its labels (`kernel.gather_alphas` of
+    the pairs' indices). A NaN entry fails both comparisons and an
+    infinite one fails one, so either is a violation in either class."""
+    variants = (variant,) if isinstance(variant, str) else variant
     size, m = k.shape[-1], alphas.shape[-1]
-    ideal = gather_alphas(alphas.reshape(-1, m, m), labels)
-    same = labels[..., :, None] == labels[..., None, :]
+    alphas = alphas.reshape(-1, m, m)
+    same = np.eye(m, dtype=bool)
+    # each entry's coset pair, as a flat index into a (T, m, m) table
+    pair = gather_alphas(np.arange(alphas.size).reshape(alphas.shape), labels)
     off = ~np.eye(size, dtype=bool)
     violations = 0
-    for name, entries in zip(variants, values):
-        b = bounds_for(name, ideal, epsilon)
+    for name, entries in zip(variants,
+                             k.reshape(len(variants), -1, size, size)):
+        b = bounds_for(name, alphas, epsilon)
         lower = np.where(same, b.same_coset_lower, b.cross_coset_lower)
         upper = np.where(same, 1.0, b.cross_coset_upper)
-        inside = ((lower - ENVELOPE_TOL <= entries)
-                  & (entries <= upper + ENVELOPE_TOL))
+        inside = (((lower - ENVELOPE_TOL).ravel()[pair] <= entries)
+                  & (entries <= (upper + ENVELOPE_TOL).ravel()[pair]))
         violations += int(np.sum(~inside & off))
     return violations, k.size // size * (size - 1)

@@ -375,10 +375,13 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
-    chunks = sum(len(experiment.trial_chunks(n, 3, 4, "full"))
-                 for n in range(4, 7))
-    # one call per chunk and variant, not one per trial or coset pair
-    assert len(bounds) == 3 * chunks == 9
+    chunks = [len(chunk) for n in range(4, 7)
+              for chunk in experiment.trial_chunks(n, 3, 4, "full")]
+    # one call per chunk and variant, not one per trial or coset pair, each
+    # on the chunk's (T, m, m) alphas rather than a (T, K, K) gather
+    assert len(bounds) == 3 * len(chunks) == 9
+    assert [args[1].shape for args in bounds] == [
+        (t, 3, 3) for t in chunks for _ in range(3)]
 
 
 def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
@@ -624,6 +627,7 @@ def test_verify_bounds_at_zero_epsilon_runs_no_chain(monkeypatch, capsys):
 
     monkeypatch.setattr(kernel, "kernel_matrix", refuse)
     gathered = _counted(monkeypatch, kernel, "gather_alphas")
+    generated = _counted(monkeypatch, experiment, "_read_streams")
     argv = ["verify-bounds", "--epsilon", "0", "--qubits", "2..6",
             "--cosets", "3", "--trials", "4", "--seed", "5"]
     assert cli.main(argv) == 0
@@ -631,6 +635,21 @@ def test_verify_bounds_at_zero_epsilon_runs_no_chain(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith(
         f"entries checked: {checked}, violations: 0\n")
     assert len(gathered) == 5
+    # each stream reads the split's P + m uniforms and no noise row
+    assert [args[3] for args in generated] == [3 * n + 3 for n in range(2, 7)]
+
+
+def test_heatmap_at_zero_epsilon_reads_no_noise_row(monkeypatch, tmp_path):
+    generated = _counted(monkeypatch, experiment, "_read_streams")
+    argv = ["simulate", "--noise", "fiducial", "--epsilon", "0",
+            "--qubits", "2..4", "--cosets", "2,3", "--trials", "3",
+            "--out", str(tmp_path / "r.json"),
+            "--heatmap", str(tmp_path / "h.csv")]
+    assert cli.main(argv) == 0
+    # the sweep's streams read their m count uniforms; the heat map's, of
+    # trial 0 at N = 4 and m = 2, the split's P + m and no noise row
+    assert [args[3] for args in generated] == [2, 3] * 3 + [4 * 2 + 2]
+    assert len(generated[-1][2]) == 1
 
 
 def test_chunk_sizing(monkeypatch):

@@ -92,8 +92,8 @@ def test_fold_matches_the_matrix_product_per_point():
 
 
 def test_bounds_zero_epsilon():
-    for fn in (noise.bounds_fiducial, noise.bounds_selection):
-        b = fn(0.3, 0.0)
+    for variant in ("fiducial", "selection"):
+        b = noise.bounds_for(variant, 0.3, 0.0)
         assert b.same_coset_lower == 1.0
         assert b.cross_coset_lower == pytest.approx(0.3)
         assert b.cross_coset_upper == pytest.approx(0.3)
@@ -102,7 +102,7 @@ def test_bounds_zero_epsilon():
 def test_bounds_fiducial_values():
     eps = 0.05
     shift = 2 * eps + eps**2
-    b = noise.bounds_fiducial(1 / 1024, eps)
+    b = noise.bounds_for("fiducial", 1 / 1024, eps)
     assert b.same_coset_lower == pytest.approx(1 - 4 * eps + 2 * eps**2 + 4 * eps**3 + eps**4)
     assert b.cross_coset_upper == pytest.approx((np.sqrt(1 / 1024) + shift) ** 2)
     # sqrt(alpha) below the amplitude shift: lower bound clamps to zero
@@ -110,7 +110,7 @@ def test_bounds_fiducial_values():
     # at larger alpha the cross bounds are exactly the square of
     # sqrt(alpha) -+ shift, i.e. the quartic polynomials in eps
     alpha = 0.25
-    b = noise.bounds_fiducial(alpha, eps)
+    b = noise.bounds_for("fiducial", alpha, eps)
     assert b.cross_coset_lower == pytest.approx((np.sqrt(alpha) - shift) ** 2)
     assert b.cross_coset_lower == pytest.approx(
         alpha
@@ -130,39 +130,47 @@ def test_bounds_fiducial_values():
 
 def test_bounds_fiducial_alpha_to_zero():
     eps = 0.1
-    b = noise.bounds_fiducial(0.0, eps)
+    b = noise.bounds_for("fiducial", 0.0, eps)
     assert b.cross_coset_lower == 0.0
     assert b.cross_coset_upper == pytest.approx(4 * eps**2 + 4 * eps**3 + eps**4)
 
 
 def test_bounds_selection_values():
-    b = noise.bounds_selection(0.25, 0.1)
+    b = noise.bounds_for("selection", 0.25, 0.1)
     assert b.cross_coset_lower == pytest.approx(0.09)
     assert b.cross_coset_upper == pytest.approx(0.49)
     eps = 0.1
     assert b.same_coset_lower == pytest.approx(1 - 4 * eps**2 + 4 * eps**4)
     assert b.same_coset_lower == pytest.approx((1 - 2 * eps**2) ** 2)
     # the same-coset amplitude bound 1 - 2 eps^2 reaches 0 at eps = sqrt(1/2)
-    assert noise.bounds_selection(0.25, 0.7).same_coset_lower == pytest.approx(
-        0.0004
+    assert noise.bounds_for("selection", 0.25, 0.7).same_coset_lower == (
+        pytest.approx(0.0004)
     )
-    assert noise.bounds_selection(0.25, 0.75).same_coset_lower == 0.0
+    assert noise.bounds_for("selection", 0.25, 0.75).same_coset_lower == 0.0
 
 
 def test_bounds_representation_equals_selection():
     for alpha in (1 / 256, 0.3, 0.9):
         for eps in (0.01, 0.05, 0.5):
             assert noise.bounds_for("representation", alpha, eps) == (
-                noise.bounds_selection(alpha, eps)
+                noise.bounds_for("selection", alpha, eps)
             )
 
 
 def test_bounds_reject_bad_alpha():
     with pytest.raises(ValueError):
-        noise.bounds_fiducial(1.5, 0.1)
+        noise.bounds_for("fiducial", 1.5, 0.1)
     for bad in (-0.1, 1.5, np.nan):
         with pytest.raises(ValueError):
-            noise.bounds_selection(np.array([[0.5, bad], [0.2, 1.0]]), 0.1)
+            noise.bounds_for("selection", np.array([[0.5, bad], [0.2, 1.0]]),
+                             0.1)
+
+
+@pytest.mark.parametrize("variant", ["none", "thermal"])
+def test_bounds_reject_a_variant_without_an_envelope(variant):
+    for alpha in (0.3, np.array([[1.0, 0.3], [0.3, 1.0]])):
+        with pytest.raises(ValueError, match="no bounds for variant"):
+            noise.bounds_for(variant, alpha, 0.1)
 
 
 def test_noise_config_validation():
