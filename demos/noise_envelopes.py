@@ -10,7 +10,7 @@ Run: python3 demos/noise_envelopes.py
 
 import numpy as np
 
-from cosetkernel import dataset, experiment, kernel, noise
+from cosetkernel import experiment, kernel, noise
 from cosetkernel.noise import count_envelope_violations
 
 EPSILON = 0.1
@@ -18,12 +18,9 @@ N_QUBITS = 5
 SEED = 11
 
 rngs = experiment.trial_rngs(SEED, N_QUBITS, 2, range(10))
-reps, _, uniforms = experiment.draw_trials(N_QUBITS, 2, rngs, "full",
-                                           noise.NOISY_VARIANTS)
-stacked = experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS, EPSILON,
-                                   uniforms)
+reps, labels, stacked = experiment.noisy_kernels(
+    N_QUBITS, 2, rngs, "full", noise.NOISY_VARIANTS, EPSILON)
 alphas = kernel.alpha_matrix(reps)
-labels = dataset.coset_labels(N_QUBITS, 2)
 off_diagonal = ~np.eye(len(labels), dtype=bool)
 same = off_diagonal & (labels[:, None] == labels[None, :])
 for variant, kmats in zip(noise.NOISY_VARIANTS, stacked):

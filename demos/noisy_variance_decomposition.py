@@ -11,18 +11,16 @@ Run: python3 demos/noisy_variance_decomposition.py
 
 import numpy as np
 
-from cosetkernel import dataset, experiment, kernel, theory
+from cosetkernel import experiment, kernel, theory
 
 N_QUBITS, M = 5, 2
 EPSILON = 0.3
 
 for variant in ("fiducial", "selection"):
     rngs = experiment.trial_rngs(2, N_QUBITS, M, [0])
-    reps, _, uniforms = experiment.draw_trials(N_QUBITS, M, rngs,
-                                               variants=variant)
-    kmat = experiment.noisy_kernels(reps, None, variant, EPSILON, uniforms)[0]
+    reps, labels, (kmat,) = experiment.noisy_kernels(N_QUBITS, M, rngs,
+                                                     "full", variant, EPSILON)
     alpha = kernel.alpha_matrix(reps[0])[0, 1]
-    labels = dataset.coset_labels(N_QUBITS, M)
     stats = theory.extract_deviation_stats(kmat, labels, alpha)
     direct = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool), labels)[0]
     rebuilt = theory.noisy_variance(M, N_QUBITS, stats)

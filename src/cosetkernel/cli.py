@@ -1,8 +1,9 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
 `verify-bounds` checks each noise variant but "none" on the same trials of
-a full-surface `ExperimentConfig`, with one `count_envelope_violations`
-call per chunk of trials.
+a full-surface `ExperimentConfig`, with one `experiment.noisy_kernels` and
+one `count_envelope_violations` call per chunk of trials; the heat map of
+`simulate` is one `noisy_kernels` call too.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -122,13 +123,10 @@ def cmd_simulate(args):
         n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
-        variant, epsilon = cfg.noise.variant, cfg.noise.epsilon
-        rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, [0])
-        reps, _, uniforms = experiment.draw_trials(
-            n_qubits, m, rngs, "full", variant if epsilon else "none")
-        kmat = experiment.noisy_kernels(reps, None, variant, epsilon,
-                                        uniforms)[0]
-        kernel.export_heatmap(kmat, dataset.point_names(n_qubits, m),
+        kmats = experiment.noisy_kernels(
+            n_qubits, m, experiment.trial_rngs(cfg.seed, n_qubits, m, [0]),
+            "full", cfg.noise.variant, cfg.noise.epsilon)[2]
+        kernel.export_heatmap(kmats[0], dataset.point_names(n_qubits, m),
                               args.heatmap)
     return 0
 
@@ -169,18 +167,14 @@ def cmd_verify_bounds(args):
     violations = 0
     checked = 0
     for n_qubits in cfg.qubit_values():
-        labels = dataset.coset_labels(n_qubits, m)
         for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
             rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
-            reps, _, uniforms = experiment.draw_trials(
-                n_qubits, m, rngs, "full", variants if args.epsilon else "none")
-            alphas = kernel.alpha_matrix(reps)
-            # no name holds the kernels, so a chunk's are freed before the
-            # next chunk's are built
+            reps, labels, kmats = experiment.noisy_kernels(
+                n_qubits, m, rngs, "full", variants, args.epsilon)
             v, c = count_envelope_violations(
-                experiment.noisy_kernels(reps, None, variants, args.epsilon,
-                                         uniforms),
-                labels, alphas, variants, args.epsilon)
+                kmats, labels, kernel.alpha_matrix(reps), variants,
+                args.epsilon)
+            del kmats  # a chunk's kernels go before the next chunk's are built
             violations += v
             checked += c
     for variant in variants:

@@ -11,17 +11,18 @@ order; `dataset` and `noise` build from the arrays it reads.
 The trials of one (N, m) cell run in chunks along a leading trial axis
 (`trial_chunks`, under `kernel.CHUNK_ENTRIES`), and each trial's numbers are
 the same, bit for bit, as those of a one-trial chunk `[rng]`.
-`noisy_kernels` builds the kernels under one noise variant or a tuple of
-them; `run_trials` takes their (T, 5) statistics (`kernel.trial_stats`), and
-`run_experiment` makes each trial a flat record of `TRIAL_FIELDS`.
+`noisy_kernels` draws a chunk from its streams and builds its kernels under
+one noise variant or a tuple of them; `run_trials` takes their (T, 5)
+statistics (`kernel.trial_stats`), and `run_experiment` makes each trial a
+flat record of `TRIAL_FIELDS`.
 
 With no noise budget (epsilon 0, which the `none` variant implies) every
 variant attaches the ideal inputs bit for bit, so no kernel over the points
-and no split is built: a trial takes the weighted statistics of its alpha
-matrix (`kernel` module docstring), with N points per coset or the split's
-train counts (`dataset.train_counts`), and `noisy_kernels` gathers the
-kernels for the heat map and `verify-bounds`. Such a trial reads its
-normals and at most the m count uniforms; what it leaves unread comes
+need be built: a trial takes the weighted statistics of its alpha matrix
+(`kernel` module docstring), with N points per coset or the split's train
+counts (`dataset.train_counts`), and `noisy_kernels` draws no noise row and
+gathers the kernels for the heat map and `verify-bounds`. Such a trial reads
+its normals and at most its split's uniforms; what it leaves unread comes
 after them, so it changes nothing else.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
@@ -217,7 +218,8 @@ def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
     """Everything a batch of trials draws, one stream each, for the noise
     `variants` (a name or a tuple of names): the (T, m, N, 2, 2)
     representatives, the (T, K) train indices on the train surface (None on
-    the full one) and the (T, `noise.draws`) noise uniforms.
+    the full one) and the (T, `noise.draws`) noise uniforms, from which
+    `noisy_kernels` builds its kernels.
 
     This is the one reader of the streams, and the layout of each is: the
     4 m N normals of the m x N Haar draw (`dataset.su2_from_normals`), in C
@@ -236,26 +238,29 @@ def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
     return reps, train, uniforms[:, points + m:]
 
 
-def noisy_kernels(reps, train, variants, epsilon, uniforms):
-    """The kernels of the points of a batch of trials' (T, m, N, 2, 2)
-    representatives under the noise `noise.attach` gives `variants`, a name
-    or a tuple of V names, at `epsilon`, from the noise `uniforms` that
-    `draw_trials` read: (T, K, K) over the (T, K) `train` indices, or
-    (T, P, P) over every point when `train` is None; (V, T, ...) for a tuple.
-    Without a budget they are gathered once from the alpha matrices (module
-    docstring) and broadcast over the variants, and no uniform is read: a
-    caller draws for "none" at zero budget."""
+def noisy_kernels(n_qubits, m, rngs, surface, variants, epsilon):
+    """A batch of trials drawn from the streams `rngs` (`draw_trials`): their
+    (T, m, N, 2, 2) representatives, the coset labels of their kernels'
+    points and the kernels under the noise `noise.attach` gives `variants`,
+    a name or a tuple of V names, at `epsilon`. The labels are (P,) and the
+    kernels (T, P, P) over every point on the full surface, (T, K) and
+    (T, K, K) over the train points on the train one; (V, T, ...) kernels
+    for a tuple. Without a budget the streams are drawn for "none", so no
+    noise row is read, and the kernels are gathered once from the alpha
+    matrices (module docstring) and broadcast over the variants."""
+    reps, train, uniforms = draw_trials(n_qubits, m, rngs, surface,
+                                        "none" if epsilon == 0 else variants)
+    labels = dataset.coset_labels(n_qubits, m)
+    if train is not None:
+        labels = labels[train]
     if epsilon == 0:
-        m, n_qubits = reps.shape[-4:-2]
-        labels = dataset.coset_labels(n_qubits, m)
-        kmats = kernel.gather_alphas(kernel.alpha_matrix(reps),
-                                     labels if train is None else labels[train])
-        if isinstance(variants, str):
-            return kmats
-        return np.broadcast_to(kmats, (len(variants), *kmats.shape))
+        kmats = kernel.gather_alphas(kernel.alpha_matrix(reps), labels)
+        if not isinstance(variants, str):
+            kmats = np.broadcast_to(kmats, (len(variants), *kmats.shape))
+        return reps, labels, kmats
     factors, offsets = noise_models.attach(variants, epsilon,
                                            dataset.points(reps), uniforms)
-    return kernel.kernel_matrix(factors, train, offsets)
+    return reps, labels, kernel.kernel_matrix(factors, train, offsets)
 
 
 def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
@@ -274,12 +279,10 @@ def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
         pairs = counts[..., :, None] * counts[..., None, :]
         pairs[..., cosets, cosets] -= counts
         return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
-    variant = cfg_noise.variant
-    reps, train, uniforms = draw_trials(n_qubits, m, rngs, surface, variant)
-    labels = dataset.coset_labels(n_qubits, m)
-    kmats = noisy_kernels(reps, train, variant, cfg_noise.epsilon, uniforms)
+    _, labels, kmats = noisy_kernels(n_qubits, m, rngs, surface,
+                                     cfg_noise.variant, cfg_noise.epsilon)
     return kernel.trial_stats(kmats, ~np.eye(kmats.shape[-1], dtype=bool),
-                              labels if train is None else labels[train])
+                              labels)
 
 
 def run_experiment(cfg):

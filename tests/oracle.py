@@ -59,7 +59,7 @@ from functools import reduce
 
 import numpy as np
 
-from cosetkernel import dataset, experiment, noise
+from cosetkernel import dataset, experiment, kernel, noise
 from cosetkernel.dataset import su2_from_normals
 
 DENSE_MAX_QUBITS = 10
@@ -168,13 +168,16 @@ def split(labels, m, rng):
 def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
     """One trial's representatives, train indices and noisy kernel from the
     stream `rng`; the split is drawn on either surface, and the full
-    surface's kernel is over every point."""
+    surface's kernel is over every point. Built through `noise.attach` and
+    `kernel.kernel_matrix`, not `experiment.noisy_kernels`, so a zero
+    budget runs the chain too."""
+    variant, epsilon = cfg_noise.variant, cfg_noise.epsilon
     reps, train, uniforms = experiment.draw_trials(n_qubits, m, [rng],
-                                                   variants=cfg_noise.variant)
-    kmat = experiment.noisy_kernels(
-        reps, train if surface == "train" else None, cfg_noise.variant,
-        cfg_noise.epsilon, uniforms
-    )
+                                                   variants=variant)
+    factors, offsets = noise.attach(variant, epsilon, dataset.points(reps),
+                                    uniforms)
+    kmat = kernel.kernel_matrix(factors, train if surface == "train" else None,
+                                offsets)
     return reps[0], train[0], kmat[0]
 
 

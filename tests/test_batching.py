@@ -7,6 +7,7 @@ the split, then the noise. A batched path that reorders those draws, or lets tri
 stream, fails the comparison.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -63,23 +64,25 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
     cfg_noise = noise.NoiseConfig(variant, eps)
     for n_qubits, m in ((2, 2), (3, 3), (5, 2), (4, 5)):
         trials = range(7)
-        rngs = [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
-        reps, splits, uniforms = experiment.draw_trials(n_qubits, m, rngs,
-                                                        variants=variant)
-        kmats = experiment.noisy_kernels(
-            reps, splits if surface == "train" else None, variant, eps,
-            uniforms
-        )
+
+        def streams():
+            return [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
+
+        splits = experiment.draw_trials(n_qubits, m, streams())[1]
+        reps, labels, kmats = experiment.noisy_kernels(n_qubits, m, streams(),
+                                                       surface, variant, eps)
         alphas = kernel.alpha_matrix(reps)
         points = dataset.points(reps)
         for t in trials:
             rng = oracle.trial_rng(4, n_qubits, m, t)
-            ref_reps, ref_sp, ref, _ = one_trial_kernel(n_qubits, m, cfg_noise,
-                                                        rng, surface)
+            ref_reps, ref_sp, ref, ref_labels = one_trial_kernel(
+                n_qubits, m, cfg_noise, rng, surface)
             assert np.array_equal(reps[t], ref_reps)
             assert np.array_equal(points[t], dataset.points(ref_reps))
             assert np.array_equal(splits[t], ref_sp)
             assert np.array_equal(kmats[t], ref)
+            assert np.array_equal(labels if labels.ndim == 1 else labels[t],
+                                  ref_labels)
             assert np.array_equal(alphas[t], kernel.alpha_matrix(ref_reps))
 
 
@@ -158,12 +161,12 @@ def test_verify_bounds_does_not_depend_on_chunking(monkeypatch, capsys):
         chains.clear()
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].endswith("violations: 0\n")
-    # per N, the alpha chain over 4 trials' 3 representatives, then one
-    # stack of 3 variants x 4 trials over the 3 N points; at budget 1 one
+    # per N, one stack of 3 variants x 4 trials over the 3 N points, then
+    # the alpha chain over 4 trials' 3 representatives; at budget 1 one
     # trial per chunk, and every kernel of its stack one chain call
-    whole = [b for n in (4, 5, 6) for b in ((4, 3), (12, 3 * n))]
+    whole = [b for n in (4, 5, 6) for b in ((12, 3 * n), (4, 3))]
     single = [b for n in (4, 5, 6) for _ in range(4)
-              for b in ((1, 3), (1, 3 * n), (1, 3 * n), (1, 3 * n))]
+              for b in ((1, 3 * n), (1, 3 * n), (1, 3 * n), (1, 3))]
     assert batches == [whole, single, whole]
 
 
@@ -437,10 +440,13 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
             assert np.array_equal(uniforms, ref_uniforms)
             for rng, ref_rng in zip(rngs, ref_rngs):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
-            kmats = experiment.noisy_kernels(reps, None, variant, eps,
-                                             uniforms)
-            ref = experiment.noisy_kernels(ref_reps, None, variant, eps,
-                                           ref_uniforms)
+            kmats = experiment.noisy_kernels(
+                n_qubits, m, experiment.trial_rngs(31, n_qubits, m, chunk),
+                "full", variant, eps)[2]
+            factors, offsets = noise.attach(variant, eps,
+                                            dataset.points(ref_reps),
+                                            ref_uniforms)
+            ref = kernel.kernel_matrix(factors, None, offsets)
             assert np.array_equal(kmats, ref)
 
 
@@ -521,10 +527,9 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
             for variant in ("fiducial", "selection", "representation"):
                 rngs = [oracle.trial_rng(seed, n_qubits, m, t)
                         for t in chunk]
-                reps, _, uniforms = experiment.draw_trials(
-                    n_qubits, m, rngs, variants=variant)
-                refs.append(experiment.noisy_kernels(reps, None, variant,
-                                                     eps, uniforms))
+                reps, _, kmats = experiment.noisy_kernels(
+                    n_qubits, m, rngs, "full", variant, eps)
+                refs.append(kmats)
             # the full surface's points are every point, coset-major
             labels = np.repeat(np.arange(m), n_qubits)
             expected.append((refs, labels, kernel.alpha_matrix(reps)))
@@ -546,19 +551,21 @@ def test_variant_kernels_match_noisy_kernels(eps):
     # alone from new streams: a prefix of the stack's noise row
     cases = [(n, m) for n in (*range(2, 10), 33) for m in (2, 3, 5)]
     for n_qubits, m in cases:
-        rngs = experiment.trial_rngs(41, n_qubits, m, range(3))
-        reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs, "full",
-                                                   noise.NOISY_VARIANTS)
-        stacked = experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS,
-                                           eps, uniforms)
+        def streams():
+            return experiment.trial_rngs(41, n_qubits, m, range(3))
+
+        uniforms = experiment.draw_trials(n_qubits, m, streams(), "full",
+                                          noise.NOISY_VARIANTS)[2]
+        stacked = experiment.noisy_kernels(n_qubits, m, streams(), "full",
+                                           noise.NOISY_VARIANTS, eps)[2]
         p = m * n_qubits
         assert stacked.shape == (3, 3, p, p)
         for variant, got in zip(noise.NOISY_VARIANTS, stacked):
-            _, _, own = experiment.draw_trials(
-                n_qubits, m, experiment.trial_rngs(41, n_qubits, m, range(3)),
-                "full", variant)
+            own = experiment.draw_trials(n_qubits, m, streams(), "full",
+                                         variant)[2]
             assert np.array_equal(own, uniforms[:, :own.shape[1]])
-            want = experiment.noisy_kernels(reps, None, variant, eps, own)
+            want = experiment.noisy_kernels(n_qubits, m, streams(), "full",
+                                            variant, eps)[2]
             assert np.array_equal(got, want), (variant, n_qubits, m)
 
 
@@ -573,19 +580,24 @@ def test_variant_tuples_match_single_builds(variants, surface):
     # `draw_trials` reads for it from new streams, over the train indices
     # on the train surface
     for n_qubits, m in ((2, 2), (3, 3), (6, 2)):
-        rngs = experiment.trial_rngs(43, n_qubits, m, range(3))
-        reps, train, uniforms = experiment.draw_trials(n_qubits, m, rngs,
-                                                       surface, variants)
-        stacked = experiment.noisy_kernels(reps, train, variants, 0.3,
-                                           uniforms)
+        def streams():
+            return experiment.trial_rngs(43, n_qubits, m, range(3))
+
+        train = experiment.draw_trials(n_qubits, m, streams(), surface,
+                                       variants)[1]
+        _, labels, stacked = experiment.noisy_kernels(n_qubits, m, streams(),
+                                                      surface, variants, 0.3)
+        all_labels = dataset.coset_labels(n_qubits, m)
+        assert np.array_equal(
+            labels, all_labels if train is None else all_labels[train])
         k = m * n_qubits if train is None else train.shape[-1]
         assert stacked.shape == (len(variants), 3, k, k)
         for variant, got in zip(variants, stacked):
-            _, own_train, own = experiment.draw_trials(
-                n_qubits, m, experiment.trial_rngs(43, n_qubits, m, range(3)),
-                surface, variant)
+            own_train = experiment.draw_trials(n_qubits, m, streams(),
+                                               surface, variant)[1]
             assert np.array_equal(own_train, train)
-            want = experiment.noisy_kernels(reps, train, variant, 0.3, own)
+            want = experiment.noisy_kernels(n_qubits, m, streams(), surface,
+                                            variant, 0.3)[2]
             assert np.array_equal(got, want), (variant, n_qubits, m)
 
 
@@ -600,12 +612,9 @@ def test_stacked_envelope_counts_are_per_variant_sums(strict, monkeypatch):
     found = 0
     for n_qubits, m in ((2, 2), (4, 3), (6, 5)):
         rngs = experiment.trial_rngs(7, n_qubits, m, range(4))
-        reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs, "full",
-                                                   noise.NOISY_VARIANTS)
+        reps, labels, stacked = experiment.noisy_kernels(
+            n_qubits, m, rngs, "full", noise.NOISY_VARIANTS, 0.3)
         alphas = kernel.alpha_matrix(reps)
-        stacked = experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS,
-                                           0.3, uniforms)
-        labels = dataset.coset_labels(n_qubits, m)
         for check_eps in (0.05, 0.01):
             got = noise.count_envelope_violations(
                 stacked, labels, alphas, noise.NOISY_VARIANTS, check_eps)
@@ -650,6 +659,103 @@ def test_heatmap_at_zero_epsilon_reads_no_noise_row(monkeypatch, tmp_path):
     # trial 0 at N = 4 and m = 2, the split's P + m and no noise row
     assert [args[3] for args in generated] == [2, 3] * 3 + [4 * 2 + 2]
     assert len(generated[-1][2]) == 1
+
+
+def _reference_kernel(n_qubits, m, seed, trial, surface, variant, eps):
+    """One trial's alpha matrix, kernel labels and kernel from its own
+    stream, built apart from `experiment.noisy_kernels`: the gather of its
+    alpha matrix without a budget, the chain on `noise.attach`'s inputs
+    with one."""
+    rng = oracle.trial_rng(seed, n_qubits, m, trial)
+    reps, train, uniforms = experiment.draw_trials(n_qubits, m, [rng],
+                                                   surface, variant)
+    alphas = kernel.alpha_matrix(reps)
+    labels = dataset.coset_labels(n_qubits, m)
+    if train is not None:
+        labels = labels[train[0]]
+    if eps == 0:
+        return alphas, labels, kernel.gather_alphas(alphas, labels)[0]
+    factors, offsets = noise.attach(variant, eps, dataset.points(reps),
+                                    uniforms)
+    return alphas, labels, kernel.kernel_matrix(factors, train, offsets)[0]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_chunked_verify_bounds_prints_the_one_trial_counts(eps, monkeypatch,
+                                                           capsys):
+    # cross-coset upper bounds at alpha itself and same-coset lower bounds
+    # at 1: a noisy entry on the wrong side of either is a violation, so the
+    # count depends on every entry's value
+    bounds_for = noise.bounds_for
+
+    def tight(variant, alpha, epsilon):
+        return replace(bounds_for(variant, alpha, epsilon),
+                       same_coset_lower=1.0, cross_coset_upper=alpha)
+
+    monkeypatch.setattr(noise, "bounds_for", tight)
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10)
+    m, trials, seed = 3, 20, 37
+    assert all(len(experiment.trial_chunks(n, m, trials, "full")) > 1
+               for n in range(2, 6))
+    violations = checked = 0
+    for n_qubits in range(2, 6):
+        for t in range(trials):
+            for variant in noise.NOISY_VARIANTS:
+                alphas, labels, kmat = _reference_kernel(
+                    n_qubits, m, seed, t, "full", variant, eps)
+                v, c = noise.count_envelope_violations(kmat, labels, alphas,
+                                                       variant, eps)
+                violations += v
+                checked += c
+    assert (violations > 0) == (eps > 0)
+    argv = ["verify-bounds", "--epsilon", str(eps), "--qubits", "2..5",
+            "--cosets", str(m), "--trials", str(trials), "--seed", str(seed)]
+    assert cli.main(argv) == (1 if violations else 0)
+    assert capsys.readouterr().out == "".join(
+        f"{variant}: checked through N=5\n"
+        for variant in noise.NOISY_VARIANTS
+    ) + f"entries checked: {checked}, violations: {violations}\n"
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_chunked_simulate_prints_the_one_trial_statistics(eps, surface,
+                                                          monkeypatch, capsys,
+                                                          tmp_path):
+    # the aggregates on stdout and the heat map, under a budget that splits
+    # cells into several chunks, against kernels built one trial at a time.
+    # Without a budget the sweep takes the alpha matrices' weighted
+    # statistics, which match the gathered kernels' to rounding
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10)
+    variant, trials, seed = "selection", 20, 19
+    assert any(len(experiment.trial_chunks(n, m, trials, surface, eps == 0))
+               > 1 for n in range(2, 6) for m in (2, 3))
+    heat = tmp_path / "heat.csv"
+    argv = ["simulate", "--qubits", "2..5", "--cosets", "2,3", "--trials",
+            str(trials), "--noise", variant, "--epsilon", str(eps),
+            "--surface", surface, "--seed", str(seed), "--heatmap", str(heat)]
+    assert cli.main(argv) == 0
+    aggregates = json.loads(capsys.readouterr().out)
+    want = []
+    for n_qubits in range(2, 6):
+        for m in (2, 3):
+            variances = []
+            for t in range(trials):
+                _, labels, kmat = _reference_kernel(n_qubits, m, seed, t,
+                                                    surface, variant, eps)
+                off = ~np.eye(len(kmat), dtype=bool)
+                variances.append(kernel.trial_stats(kmat, off, labels)[0])
+            variances = np.array(variances)
+            want.append((n_qubits, m, variances.mean(), variances.std()))
+    got = [(a["num_qubits"], a["num_cosets"], a["mean_variance"],
+            a["std_dev_variance"]) for a in aggregates]
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    np.testing.assert_allclose([g[2:] for g in got], [w[2:] for w in want],
+                               rtol=0, atol=0 if eps else 1e-15)
+    # the heat map: trial 0 at N = 5 and m = 2, over every point
+    kmat = _reference_kernel(5, 2, seed, 0, "full", variant, eps)[2]
+    kernel.export_heatmap(kmat, dataset.point_names(5, 2), tmp_path / "ref.csv")
+    assert heat.read_text() == (tmp_path / "ref.csv").read_text()
 
 
 def test_chunk_sizing(monkeypatch):
@@ -704,11 +810,9 @@ def test_chunk_sizing(monkeypatch):
             points = m * n_qubits
             chunk = experiment.trial_chunks(n_qubits, m, 40, "full")[0]
             rngs = experiment.trial_rngs(3, n_qubits, m, chunk)
-            reps, _, uniforms = experiment.draw_trials(
-                n_qubits, m, rngs, "full", noise.NOISY_VARIANTS)
             stacks.clear()
-            experiment.noisy_kernels(reps, None, noise.NOISY_VARIANTS, 0.1,
-                                     uniforms)
+            experiment.noisy_kernels(n_qubits, m, rngs, "full",
+                                     noise.NOISY_VARIANTS, 0.1)
             step = max(1, budget // (2 * points) ** 2)
             stack = 3 * len(chunk)
             assert stacks == [min(step, stack - lo)

@@ -208,10 +208,11 @@ def test_feature_states_match_dense_oracle(n, attachment):
     elif attachment != "none":
         unfolded["perturbations"] = errors[0]
         unfolded["variant"] = attachment
-    for train in (None, splits):
-        chain = experiment.noisy_kernels(reps, train, attachment, eps,
-                                         uniforms)
-        indices = None if train is None else train[0]
+    for surface in ("full", "train"):
+        chain = experiment.noisy_kernels(
+            n, 2, [np.random.default_rng(100 + n)], surface, attachment,
+            eps)[2]
+        indices = None if surface == "full" else splits[0]
         dense = oracle.kernel_matrix(dataset.points(reps[0]), indices,
                                      **unfolded)
         np.testing.assert_allclose(chain[0], dense, rtol=0, atol=1e-12)
@@ -281,7 +282,7 @@ def test_large_n_full_surface_properties(n):
     unperturbed = ["none", "fiducial", "selection"]
     for m in (2, 3, 4, 5) if n == 32 else (2,):
         rng = oracle.trial_rng(15, n, m, 0)
-        reps, train, uniforms = experiment.draw_trials(n, m, [rng])
+        reps, train, _ = experiment.draw_trials(n, m, [rng])
         points = dataset.points(reps)
         kmat = kernel.kernel_matrix(points)[0]
         alphas = kernel.alpha_matrix(reps)[0]
@@ -295,10 +296,11 @@ def test_large_n_full_surface_properties(n):
                                  labels)[0]
         assert abs(var - theory.offdiag_moments([n] * m, alphas)[1]) < 1e-12
         train_kmat = kernel.kernel_matrix(points, train)[0]
-        for indices, chain in ((None, kmat), (train, train_kmat)):
+        for surface, chain in (("full", kmat), ("train", train_kmat)):
             for variant in unperturbed:
-                gathered = experiment.noisy_kernels(reps, indices, variant,
-                                                    0.0, uniforms)
+                gathered = experiment.noisy_kernels(
+                    n, m, [oracle.trial_rng(15, n, m, 0)], surface, variant,
+                    0.0)[2]
                 np.testing.assert_allclose(gathered[0], chain, rtol=0,
                                            atol=1e-12)
 

@@ -194,13 +194,18 @@ def test_zero_epsilon_reproduces_ideal_kernel(variant):
     # with no budget the attached noise leaves the chain's inputs ideal, bit
     # for bit, so `experiment.noisy_kernels` may gather those kernels from
     # the alphas instead, and draw no noise
-    rngs = [oracle.trial_rng(3, 4, 2, t) for t in range(3)]
-    reps, _, uniforms = experiment.draw_trials(4, 2, rngs, "full", variant)
+    def streams():
+        return [oracle.trial_rng(3, 4, 2, t) for t in range(3)]
+
+    reps, _, uniforms = experiment.draw_trials(4, 2, streams(), "full",
+                                               variant)
     points = dataset.points(reps)
     clean = kernel.kernel_matrix(points)
     noisy, offsets = noise.attach(variant, 0.0, points, uniforms)
     assert np.array_equal(kernel.kernel_matrix(noisy, None, offsets), clean)
-    gathered = experiment.noisy_kernels(reps, None, variant, 0.0, uniforms)
+    gathered_reps, _, gathered = experiment.noisy_kernels(4, 2, streams(),
+                                                          "full", variant, 0.0)
+    assert np.array_equal(gathered_reps, reps)
     np.testing.assert_allclose(gathered, clean, rtol=0, atol=1e-12)
 
 
@@ -286,10 +291,8 @@ def test_representation_and_selection_kernels_differ():
         kmats = {}
         for variant in ("selection", "representation"):
             rngs = [oracle.trial_rng(9, n_qubits, 2, t) for t in range(2)]
-            reps, _, uniforms = experiment.draw_trials(n_qubits, 2, rngs,
-                                                       variants=variant)
-            kmats[variant] = experiment.noisy_kernels(reps, None, variant,
-                                                      0.3, uniforms)
+            kmats[variant] = experiment.noisy_kernels(n_qubits, 2, rngs,
+                                                      "full", variant, 0.3)[2]
         off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
         diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
         assert np.all(diff.max(axis=-1) > 1e-3)
@@ -313,13 +316,12 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant):
                         for t in range(10)]
                 reps, _, uniforms = experiment.draw_trials(
                     n_qubits, m, rngs, variants=variant)
-                corners = _cornered(uniforms)
+                factors, offsets = noise.attach(variant, eps,
+                                                dataset.points(reps),
+                                                _cornered(uniforms))
                 if variant == "fiducial":
-                    _, offsets = noise.attach(variant, eps,
-                                              dataset.points(reps), corners)
                     assert np.all(np.abs(offsets) == 2 * eps / n_qubits)
-                kmats = experiment.noisy_kernels(reps, None, variant, eps,
-                                                 corners)
+                kmats = kernel.kernel_matrix(factors, None, offsets)
                 violations, _ = noise.count_envelope_violations(
                     kmats, dataset.coset_labels(n_qubits, m),
                     kernel.alpha_matrix(reps), variant, eps
@@ -425,10 +427,9 @@ def _loop_violations(kmat, labels, alphas, variant, eps):
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
     rngs = [oracle.trial_rng(6, 3, 3, t) for t in range(3)]
-    reps, _, uniforms = experiment.draw_trials(3, 3, rngs, variants=variant)
-    kmats = experiment.noisy_kernels(reps, None, variant, eps, uniforms)
+    reps, labels, kmats = experiment.noisy_kernels(3, 3, rngs, "full",
+                                                   variant, eps)
     batch_alphas = kernel.alpha_matrix(reps)
-    labels = dataset.coset_labels(3, 3)
     for t in range(3):
         alphas = batch_alphas[t]
         same = np.flatnonzero(labels == labels[0])[1]
