@@ -1,9 +1,9 @@
 """Command-line entry points: `simulate`, `theory`, and `verify-bounds`.
 
-`verify-bounds` checks each noise variant but "none" on the same trials of
-a full-surface `ExperimentConfig`, with one `experiment.noisy_kernels` and
-one `count_envelope_violations` call per chunk of trials; the heat map of
-`simulate` is one `noisy_kernels` call too.
+`verify-bounds` checks each noise variant but "none" on the trials that
+`experiment.sweep` walks for `simulate --surface full`, with one
+`experiment.noisy_kernels` and one `count_envelope_violations` call per chunk
+of trials; the heat map of `simulate` is one `noisy_kernels` call too.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -101,7 +101,9 @@ def _simulate_config(args):
 
 def cmd_simulate(args):
     cfg = _simulate_config(args)
-    paths = list(filter(None, (cfg.output_path, args.heatmap)))
+    paths = [p for p in (cfg.output_path, args.heatmap) if p is not None]
+    if "" in paths:
+        raise ValueError("an output path is empty")
     if len(set(map(os.path.realpath, paths))) < len(paths):
         raise ValueError("the report and the heat map share one path: "
                          f"{args.heatmap!r}")
@@ -161,14 +163,11 @@ def cmd_verify_bounds(args):
         qubit_range=args.qubits, coset_counts=(args.cosets,),
         trials=args.trials, seed=args.seed, variance_surface="full",
     )
-    m = args.cosets
     variants = noise.NOISY_VARIANTS
     noise.NoiseConfig(variants[0], args.epsilon)  # validates the budget
-    violations = 0
-    checked = 0
-    for n_qubits in cfg.qubit_values():
-        for chunk in experiment.trial_chunks(n_qubits, m, cfg.trials, "full"):
-            rngs = experiment.trial_rngs(cfg.seed, n_qubits, m, chunk)
+    violations = checked = 0
+    for n_qubits, m, streams in experiment.sweep(cfg):
+        for rngs in streams:
             reps, labels, kmats = experiment.noisy_kernels(
                 n_qubits, m, rngs, "full", variants, args.epsilon)
             v, c = count_envelope_violations(

@@ -8,11 +8,12 @@ and this module alone states that layout. Every factor is an SU(2) element
 (`su2`); no 2^N state is formed anywhere in the package (see `kernel`).
 
 The samplers take arrays, not generators: four normals per representative
-factor (`su2_from_normals`), then P + m uniforms for the split;
-`experiment.draw_trials` reads them from each trial's stream and states the
-layout. The split is uniform over the halves of the P points that cover
-every coset, and is kept as its sorted train indices; the test half is
-their complement. It is built, not resampled: the first m uniforms give the
+factor (`su2_from_normals`), then P + m uniforms for the split, which
+`experiment.draw_trials` reads from each trial's stream (its docstring
+states the layout) and the zero-budget `experiment.run_trials` up to the m
+counts. The split is uniform over the halves of the P points that cover
+every coset, and is kept as its sorted train indices; the test half is their
+complement. It is built, not resampled: the first m uniforms give the
 per-coset train counts (`train_counts`) by inverse CDF from their exact law,
 tabulated once per coset layout, and the other P pick the points by rank.
 """

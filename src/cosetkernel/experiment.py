@@ -4,26 +4,27 @@ kernels, and the kernels' statistics against the closed-form predictions.
 Every trial draws from its own stream, the one
 `default_rng(SeedSequence(seed, spawn_key=(N, m, t)))` gives, so an
 experiment is a pure function of its config whatever the order of its
-trials; `trial_rngs` builds a chunk's streams in one pass. `draw_trials`
-alone reads them, and its docstring states what a stream holds, in what
-order; `dataset` and `noise` build from the arrays it reads.
+trials; `trial_rngs` builds a chunk's streams in one pass. Two readers take
+them: `draw_trials`, whose docstring states a stream's layout, and the
+zero-budget `run_trials` (below); `dataset` and `noise` build from arrays.
 
-The trials of one (N, m) cell run in chunks along a leading trial axis
-(`trial_chunks`, under `kernel.CHUNK_ENTRIES`), and each trial's numbers are
-the same, bit for bit, as those of a one-trial chunk `[rng]`.
-`noisy_kernels` draws a chunk from its streams and builds its kernels under
-one noise variant or a tuple of them; `run_trials` takes their (T, 5)
-statistics (`kernel.trial_stats`), and `run_experiment` makes each trial a
-flat record of `TRIAL_FIELDS`.
+`sweep` walks a config's (N, m) cells and each cell's trials in chunks along
+a leading trial axis (under `kernel.CHUNK_ENTRIES`), with each chunk's
+streams, for `run_experiment` and `verify-bounds`; each trial's numbers are,
+bit for bit, those of a one-trial chunk. `noisy_kernels` draws a chunk and
+builds its kernels under one noise variant or a tuple of them; `run_trials`
+takes their (T, 5) statistics (`kernel.trial_stats`), and `run_experiment`
+makes each trial a flat record of `TRIAL_FIELDS`.
 
 With no noise budget (epsilon 0, which the `none` variant implies) every
 variant attaches the ideal inputs bit for bit, so no kernel over the points
 need be built: a trial takes the weighted statistics of its alpha matrix
 (`kernel` module docstring), with N points per coset or the split's train
 counts (`dataset.train_counts`), and `noisy_kernels` draws no noise row and
-gathers the kernels for the heat map and `verify-bounds`. Such a trial reads
-its normals and at most its split's uniforms; what it leaves unread comes
-after them, so it changes nothing else.
+gathers the kernels for the heat map and `verify-bounds`. `run_trials` then
+reads a stream's normals and at most the split's m count uniforms, a prefix
+that leaves every other number as it is; `draw_trials` would also draw the P
+ranks and build the split only to count it, which slows noiseless sweeps.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
 sort_keys=True)` (see `_report_json_pieces`).
@@ -32,7 +33,7 @@ sort_keys=True)` (see `_report_json_pieces`).
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -96,9 +97,6 @@ class ExperimentConfig:
             )
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")
-
-    def qubit_values(self):
-        return list(range(self.qubit_range[0], self.qubit_range[1] + 1))
 
 
 # a trial record's keys: its cell, its index, `run_trials`' five statistics
@@ -189,14 +187,19 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
             for row in words.astype(np.uint64)]
 
 
-def trial_chunks(n_qubits, m, trials, surface, noiseless=False):
-    """One (N, m) cell's trial indices 0..trials-1 in `kernel.chunks`, each
-    trial counted by the (2P x 2P) transfer matrix of its kernel (P points)
-    or, if `noiseless`, by the 4 m N entries of its representatives, which
-    alone run through the chain."""
-    points = m * n_qubits if surface == "full" else m * n_qubits // 2
-    return kernel.chunks(trials,
-                         4 * m * n_qubits if noiseless else (2 * points) ** 2)
+def sweep(cfg, noiseless=False):
+    """Each (N, m) cell of `cfg`, N outer, as `(n_qubits, m, streams)`, where
+    `streams` yields each chunk's `trial_rngs`, the trials in order. A trial
+    counts in `kernel.chunks` by the (2P x 2P) transfer matrix of its kernel
+    (P points on `cfg.variance_surface`) or, if `noiseless`, by the 4 m N
+    entries of its representatives, which alone run through the chain."""
+    for n_qubits in range(cfg.qubit_range[0], cfg.qubit_range[1] + 1):
+        for m in cfg.coset_counts:
+            points = (m * n_qubits if cfg.variance_surface == "full"
+                      else m * n_qubits // 2)
+            per_trial = 4 * m * n_qubits if noiseless else (2 * points) ** 2
+            yield n_qubits, m, map(partial(trial_rngs, cfg.seed, n_qubits, m),
+                                   kernel.chunks(cfg.trials, per_trial))
 
 
 def _read_streams(n_qubits, m, rngs, k):
@@ -221,12 +224,13 @@ def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
     the full one) and the (T, `noise.draws`) noise uniforms, from which
     `noisy_kernels` builds its kernels.
 
-    This is the one reader of the streams, and the layout of each is: the
-    4 m N normals of the m x N Haar draw (`dataset.su2_from_normals`), in C
-    order; then one read of uniforms, the split's P + m (its m per-coset
-    train counts, then its P ranks; `dataset.split_trials`) and after them
-    the noise row that `noise.attach` reads from its start. The full surface
-    builds no split, but its noise row starts at the same place."""
+    The layout of each stream, of which the zero-budget `run_trials` reads a
+    prefix (module docstring), is: the 4 m N normals of the m x N Haar draw
+    (`dataset.su2_from_normals`), in C order; then one read of uniforms, the
+    split's P + m (its m per-coset train counts, then its P ranks;
+    `dataset.split_trials`) and after them the noise row that `noise.attach`
+    reads from its start. The full surface builds no split, but its noise
+    row starts at the same place."""
     points = m * n_qubits
     reps, uniforms = _read_streams(
         n_qubits, m, rngs,
@@ -289,34 +293,29 @@ def run_experiment(cfg):
     """All (N, m, trial) combinations, with theory overlays per (N, m)."""
     trials = []
     aggregates = []
-    surface = cfg.variance_surface
-    for n_qubits in cfg.qubit_values():
-        for m in cfg.coset_counts:
-            stats = np.concatenate([
-                run_trials(n_qubits, m, cfg.noise,
-                           trial_rngs(cfg.seed, n_qubits, m, chunk), surface)
-                for chunk in trial_chunks(n_qubits, m, cfg.trials, surface,
-                                          cfg.noise.epsilon == 0)
-            ])
-            variances = stats[:, 0]
-            # the plug-in overlay: n = N points per coset, alpha = 2^-N
-            _, overlay = theory.offdiag_moments([n_qubits] * m, 2.0**-n_qubits)
-            aggregates.append(
-                {
-                    "num_qubits": n_qubits,
-                    "num_cosets": m,
-                    "mean_variance": float(variances.mean()),
-                    "std_dev_variance": float(variances.std()),
-                    "theory_exact": overlay,
-                    "theory_asymptotic": overlay,
-                    "theory_limit": theory.limit_variance(m),
-                }
-            )
-            trials += [
-                dict(zip(TRIAL_FIELDS, (n_qubits, m, t, *row,
-                                        f"{cfg.seed}:{n_qubits}:{m}:{t}")))
-                for t, row in enumerate(stats.tolist())
-            ]
+    for n_qubits, m, streams in sweep(cfg, noiseless=cfg.noise.epsilon == 0):
+        stats = np.concatenate([run_trials(n_qubits, m, cfg.noise, rngs,
+                                           cfg.variance_surface)
+                                for rngs in streams])
+        variances = stats[:, 0]
+        # the plug-in overlay: n = N points per coset, alpha = 2^-N
+        _, overlay = theory.offdiag_moments([n_qubits] * m, 2.0**-n_qubits)
+        aggregates.append(
+            {
+                "num_qubits": n_qubits,
+                "num_cosets": m,
+                "mean_variance": float(variances.mean()),
+                "std_dev_variance": float(variances.std()),
+                "theory_exact": overlay,
+                "theory_asymptotic": overlay,
+                "theory_limit": theory.limit_variance(m),
+            }
+        )
+        trials += [
+            dict(zip(TRIAL_FIELDS, (n_qubits, m, t, *row,
+                                    f"{cfg.seed}:{n_qubits}:{m}:{t}")))
+            for t, row in enumerate(stats.tolist())
+        ]
     report = {
         "config": config_to_dict(cfg),
         "aggregates": aggregates,

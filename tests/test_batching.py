@@ -58,6 +58,27 @@ def small_config(variant, eps, surface, trials=6):
     )
 
 
+def sweep_chunks(cfg, noiseless=False):
+    """(N, m, trial indices) of every chunk `experiment.sweep` yields, in
+    order, the indices counted from each cell's first trial by the chunks'
+    numbers of streams (`test_chunk_sizing` checks the streams)."""
+    chunks = []
+    for n_qubits, m, streams in experiment.sweep(cfg, noiseless):
+        start = 0
+        for rngs in streams:
+            chunks.append((n_qubits, m, range(start, start + len(rngs))))
+            start += len(rngs)
+    return chunks
+
+
+def full_config(qubits, m, trials, seed=0):
+    """The config whose sweep `verify-bounds --qubits qubits --cosets m
+    --trials trials --seed seed` walks."""
+    return experiment.ExperimentConfig(
+        qubit_range=qubits, coset_counts=(m,), trials=trials, seed=seed,
+        variance_surface="full")
+
+
 @pytest.mark.parametrize("surface", SURFACES)
 @pytest.mark.parametrize("variant,eps", VARIANTS)
 def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
@@ -97,8 +118,7 @@ def test_batched_reports_match_one_trial_loop(variant, eps, surface):
             trial_index=t, surface=surface,
             digest=f"{cfg.seed}:{n_qubits}:{m}:{t}",
         )
-        for n_qubits in cfg.qubit_values()
-        for m in cfg.coset_counts
+        for n_qubits, m, _ in experiment.sweep(cfg)
         for t in range(cfg.trials)
     ]
     assert experiment.run_experiment(cfg)["trials"] == looped
@@ -110,16 +130,15 @@ def test_report_statistics_match_plain_reductions(variant, eps, surface):
     # each trial's five numbers from its own matrix, with 1-D reductions
     cfg = small_config(variant, eps, surface)
     expected = []
-    for n_qubits in cfg.qubit_values():
-        for m in cfg.coset_counts:
-            for t in range(cfg.trials):
-                rng = oracle.trial_rng(cfg.seed, n_qubits, m, t)
-                _, _, ref, labels = one_trial_kernel(n_qubits, m, cfg.noise,
-                                                     rng, surface)
-                off = ref[~np.eye(len(ref), dtype=bool)]
-                cross = ref[labels[:, None] != labels[None, :]]
-                expected.append((off.var(), off.mean(), cross.min(),
-                                 cross.mean(), cross.max()))
+    for n_qubits, m, _ in experiment.sweep(cfg):
+        for t in range(cfg.trials):
+            rng = oracle.trial_rng(cfg.seed, n_qubits, m, t)
+            _, _, ref, labels = one_trial_kernel(n_qubits, m, cfg.noise,
+                                                 rng, surface)
+            off = ref[~np.eye(len(ref), dtype=bool)]
+            cross = ref[labels[:, None] != labels[None, :]]
+            expected.append((off.var(), off.mean(), cross.min(),
+                             cross.mean(), cross.max()))
     fields = ("empirical_variance", "empirical_mean", "alphas_min",
               "alphas_mean", "alphas_max")
     got = [tuple(r[f] for f in fields)
@@ -142,7 +161,8 @@ def test_reports_do_not_depend_on_chunking(variant, eps, surface, monkeypatch):
     for budget, chunks in budgets.items():
         monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
         if chunks is not None:
-            assert experiment.trial_chunks(5, 3, 9, surface) == chunks
+            cell = replace(cfg, qubit_range=(5, 5), coset_counts=(3,))
+            assert [c for _, _, c in sweep_chunks(cell)] == chunks
         reports.append(experiment.run_experiment(cfg))
     assert reports[0] == reports[1] == reports[2]
 
@@ -187,7 +207,7 @@ def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
     _strict_bounds(monkeypatch)
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "2..8",
             "--cosets", "3", "--trials", "4", "--seed", "236"]
-    assert experiment.trial_chunks(2, 3, 4, "full") == [range(4)]
+    assert sweep_chunks(full_config((2, 2), 3, 4)) == [(2, 3, range(4))]
     outputs = []
     for budget in (kernel.CHUNK_ENTRIES, 1, 2**40):
         monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
@@ -218,13 +238,8 @@ def test_statistics_run_once_per_chunk(monkeypatch):
     monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 3000)
     stats = _counted(monkeypatch, kernel, "trial_stats")
     experiment.run_experiment(cfg)
-    chunks = [
-        chunk
-        for n_qubits in cfg.qubit_values()
-        for m in cfg.coset_counts
-        for chunk in experiment.trial_chunks(n_qubits, m, 9, "train")
-    ]
-    assert len(chunks) < 9 * len(cfg.qubit_values()) * len(cfg.coset_counts)
+    chunks = [chunk for _, _, chunk in sweep_chunks(cfg)]
+    assert len(chunks) < 9 * len(list(experiment.sweep(cfg)))
     assert len(stats) == len(chunks)
     assert [len(args[0]) for args in stats] == [len(c) for c in chunks]
 
@@ -363,12 +378,7 @@ def test_noisy_chunks_build_point_factors_once(variant, eps, surface,
     monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 3000)
     built = _counted(monkeypatch, dataset, "points")
     experiment.run_experiment(cfg)
-    chunks = [
-        chunk
-        for n_qubits in cfg.qubit_values()
-        for m in cfg.coset_counts
-        for chunk in experiment.trial_chunks(n_qubits, m, 9, surface)
-    ]
+    chunks = [chunk for _, _, chunk in sweep_chunks(cfg)]
     assert len(built) == len(chunks)
     assert [len(args[0]) for args in built] == [len(c) for c in chunks]
 
@@ -378,8 +388,8 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
-    chunks = [len(chunk) for n in range(4, 7)
-              for chunk in experiment.trial_chunks(n, 3, 4, "full")]
+    chunks = [len(chunk)
+              for _, _, chunk in sweep_chunks(full_config((4, 6), 3, 4, 17))]
     # one call per chunk and variant, not one per trial or coset pair, each
     # on the chunk's (T, m, m) alphas rather than a (T, K, K) gather
     assert len(bounds) == 3 * len(chunks) == 9
@@ -398,8 +408,8 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "4..6",
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
-    chunks = [len(chunk) for n in range(4, 7)
-              for chunk in experiment.trial_chunks(n, 3, 4, "full")]
+    chunks = [len(chunk)
+              for _, _, chunk in sweep_chunks(full_config((4, 6), 3, 4, 17))]
     # the three variants share each chunk's datasets, alphas, points and
     # Euler draws, and run as one stack through one kernel_matrix call and
     # one envelope check. The full surface builds no split, so none is
@@ -410,8 +420,8 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
     assert splits == []
     assert [len(args[2]) for args in generated] == chunks
     assert [args[3] for args in generated] == [
-        3 * n + 3 + 3 * (3 * n) * n for n in range(4, 7)
-        for _ in experiment.trial_chunks(n, 3, 4, "full")]
+        3 * n + 3 + 3 * (3 * n) * n
+        for n, _, _ in sweep_chunks(full_config((4, 6), 3, 4, 17))]
     assert sum(chunks) == 12
     assert [args[0].shape[:2] for args in kernels] == [(3, c) for c in chunks]
     assert [args[0].shape[:2] for args in checks] == [(3, c) for c in chunks]
@@ -521,18 +531,17 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
     assert cli.main(argv) in (0, 1)
     assert capsys.readouterr().err == ""
     expected = []
-    for n_qubits in range(2, 7):
-        for chunk in experiment.trial_chunks(n_qubits, m, trials, "full"):
-            refs = []
-            for variant in ("fiducial", "selection", "representation"):
-                rngs = [oracle.trial_rng(seed, n_qubits, m, t)
-                        for t in chunk]
-                reps, _, kmats = experiment.noisy_kernels(
-                    n_qubits, m, rngs, "full", variant, eps)
-                refs.append(kmats)
-            # the full surface's points are every point, coset-major
-            labels = np.repeat(np.arange(m), n_qubits)
-            expected.append((refs, labels, kernel.alpha_matrix(reps)))
+    for n_qubits, _, chunk in sweep_chunks(full_config((2, 6), m, trials,
+                                                       seed)):
+        refs = []
+        for variant in ("fiducial", "selection", "representation"):
+            rngs = [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk]
+            reps, _, kmats = experiment.noisy_kernels(
+                n_qubits, m, rngs, "full", variant, eps)
+            refs.append(kmats)
+        # the full surface's points are every point, coset-major
+        labels = np.repeat(np.arange(m), n_qubits)
+        expected.append((refs, labels, kernel.alpha_matrix(reps)))
     assert len(seen) == len(expected)
     for (kmats, labels, alphas, variants), (refs, ref_labels,
                                            ref_alphas) in zip(seen, expected):
@@ -695,8 +704,9 @@ def test_chunked_verify_bounds_prints_the_one_trial_counts(eps, monkeypatch,
     monkeypatch.setattr(noise, "bounds_for", tight)
     monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10)
     m, trials, seed = 3, 20, 37
-    assert all(len(experiment.trial_chunks(n, m, trials, "full")) > 1
-               for n in range(2, 6))
+    # every cell runs in more than one chunk
+    assert all(len(chunk) < trials
+               for _, _, chunk in sweep_chunks(full_config((2, 5), m, trials)))
     violations = checked = 0
     for n_qubits in range(2, 6):
         for t in range(trials):
@@ -728,8 +738,10 @@ def test_chunked_simulate_prints_the_one_trial_statistics(eps, surface,
     # statistics, which match the gathered kernels' to rounding
     monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10)
     variant, trials, seed = "selection", 20, 19
-    assert any(len(experiment.trial_chunks(n, m, trials, surface, eps == 0))
-               > 1 for n in range(2, 6) for m in (2, 3))
+    cfg = experiment.ExperimentConfig(qubit_range=(2, 5), coset_counts=(2, 3),
+                                      trials=trials, variance_surface=surface)
+    assert any(len(chunk) < trials
+               for _, _, chunk in sweep_chunks(cfg, eps == 0))
     heat = tmp_path / "heat.csv"
     argv = ["simulate", "--qubits", "2..5", "--cosets", "2,3", "--trials",
             str(trials), "--noise", variant, "--epsilon", str(eps),
@@ -758,45 +770,68 @@ def test_chunked_simulate_prints_the_one_trial_statistics(eps, surface,
     assert heat.read_text() == (tmp_path / "ref.csv").read_text()
 
 
+def test_verify_bounds_checks_the_trials_simulate_reports(monkeypatch,
+                                                          capsys, tmp_path):
+    # under a budget that splits cells into several chunks, verify-bounds
+    # builds its kernels from the cells, chunks and streams, in order, from
+    # which a full-surface simulate on the same trials builds its own
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10)
+    calls = []
+    build = experiment.noisy_kernels
+
+    def recorded(n_qubits, m, rngs, *args):
+        calls.append((n_qubits, m, [rng.bit_generator.state for rng in rngs]))
+        return build(n_qubits, m, rngs, *args)
+
+    monkeypatch.setattr(experiment, "noisy_kernels", recorded)
+    trials = ["--epsilon", "0.2", "--qubits", "2..5", "--cosets", "3",
+              "--trials", "20", "--seed", "41"]
+    assert cli.main(["simulate", "--surface", "full", "--noise", "selection",
+                     "--out", str(tmp_path / "r.json"), *trials]) == 0
+    simulated = calls[:]
+    calls.clear()
+    assert cli.main(["verify-bounds", *trials]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert calls == simulated
+    # chunks of 7, 7 and 6 trials at N = 2, of 3 trials and 2 at N = 3,
+    # and of one trial at N = 4 and 5
+    assert [len(states) for _, _, states in calls] == (
+        [7, 7, 6] + [3] * 6 + [2] + [1] * 40)
+
+
+def _swept_states(cfg, noiseless=False):
+    """Each cell `experiment.sweep` yields, as (N, m, the bit-generator
+    states of each chunk's streams)."""
+    return [(n_qubits, m, [[rng.bit_generator.state for rng in rngs]
+                           for rngs in streams])
+            for n_qubits, m, streams in experiment.sweep(cfg, noiseless)]
+
+
+def _one_trial_states(seed, n_qubits, m, trials):
+    """The state of each trial's stream, built as a one-trial chunk."""
+    return [experiment.trial_rngs(seed, n_qubits, m, [t])[0]
+            .bit_generator.state for t in range(trials)]
+
+
 def test_chunk_sizing(monkeypatch):
-    # large N runs one trial at a time
-    assert experiment.trial_chunks(128, 3, 4, "full") == [
-        range(0, 1), range(1, 2), range(2, 3), range(3, 4)
+    # large N runs one trial at a time, each stream its own trial's
+    seed = 3
+    assert _swept_states(full_config((128, 128), 3, 4, seed)) == [
+        (128, 3, [[state] for state in _one_trial_states(seed, 128, 3, 4)])
     ]
     # every cell of a 40-trial train-surface sweep over N = 2..5, m = 2..5
-    # is one chunk
-    for n_qubits in range(2, 6):
-        for m in range(2, 6):
-            assert experiment.trial_chunks(n_qubits, m, 40, "train") == [
-                range(40)
-            ]
-    # a chunk is the largest that keeps within the budget, or one trial
-    budget = kernel.CHUNK_ENTRIES
-    for n_qubits in (2, 5, 10, 32, 128):
-        for m in (2, 3, 5):
-            for surface, points in (("full", m * n_qubits),
-                                    ("train", m * n_qubits // 2)):
-                chunks = experiment.trial_chunks(n_qubits, m, 10_000, surface)
-                size = len(chunks[0])
-                assert size == 1 or size * (2 * points) ** 2 <= budget
-                assert (size + 1) * (2 * points) ** 2 > budget
-                # the chunks cover the trials in order, each once
-                assert [t for c in chunks for t in c] == list(range(10_000))
-    # noiseless chunks run the alpha chain alone and are sized by each
-    # trial's 4 m N representative entries, on either surface
-    for n_qubits in (2, 5, 10, 32, 128):
-        for m in (2, 3, 5, 7):
-            entries = 4 * m * n_qubits
-            for surface in ("full", "train"):
-                chunks = experiment.trial_chunks(n_qubits, m, 10_000, surface,
-                                                 noiseless=True)
-                size = len(chunks[0])
-                assert size == 1 or size * entries <= budget
-                assert (size + 1) * entries > budget
-                assert [t for c in chunks for t in c] == list(range(10_000))
+    # is one chunk; the cells come N outer, and each trial once, in order
+    cfg = experiment.ExperimentConfig(qubit_range=(2, 5),
+                                      coset_counts=(2, 3, 4, 5), trials=40,
+                                      seed=seed)
+    assert _swept_states(cfg) == [
+        (n_qubits, m, [_one_trial_states(seed, n_qubits, m, 40)])
+        for n_qubits in range(2, 6) for m in range(2, 6)
+    ]
     # the chain runs a stack of kernels, verify-bounds' 3 T of a chunk, in
     # slices, in order, of max(1, budget // (2P)^2) kernels, the last one
     # what is left
+    budget = kernel.CHUNK_ENTRIES
     stacks = []
 
     def stub(left, right, offsets_left, offsets_right):
@@ -808,15 +843,39 @@ def test_chunk_sizing(monkeypatch):
     for n_qubits in (2, 5, 10, 32, 128):
         for m in (2, 3, 5):
             points = m * n_qubits
-            chunk = experiment.trial_chunks(n_qubits, m, 40, "full")[0]
-            rngs = experiment.trial_rngs(3, n_qubits, m, chunk)
+            cell = full_config((n_qubits, n_qubits), m, 40, seed)
+            rngs = next(next(experiment.sweep(cell))[2])
             stacks.clear()
             experiment.noisy_kernels(n_qubits, m, rngs, "full",
                                      noise.NOISY_VARIANTS, 0.1)
             step = max(1, budget // (2 * points) ** 2)
-            stack = 3 * len(chunk)
+            stack = 3 * len(rngs)
             assert stacks == [min(step, stack - lo)
                               for lo in range(0, stack, step)]
+    # a chunk is the largest that keeps within the budget, or one trial.
+    # The sweep builds every stream, so the cells hold 100 trials under a
+    # budget of 2**10 entries, where a chunk holds at most 64
+    budget = 2**10
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
+    for noiseless in (False, True):
+        for n_qubits in (2, 5, 10, 32, 128):
+            for m in (2, 3, 5, 7) if noiseless else (2, 3, 5):
+                for surface, points in (("full", m * n_qubits),
+                                        ("train", m * n_qubits // 2)):
+                    # without noise only the 4 m N entries of a trial's
+                    # representatives run through the chain
+                    entries = (4 * m * n_qubits if noiseless
+                               else (2 * points) ** 2)
+                    cell = replace(full_config((n_qubits, n_qubits), m, 100,
+                                               seed), variance_surface=surface)
+                    ((_, _, chunks),) = _swept_states(cell, noiseless)
+                    size = len(chunks[0])
+                    assert size == 1 or size * entries <= budget
+                    assert (size + 1) * entries > budget
+                    assert all(len(c) == size for c in chunks[:-1])
+                    # the chunks cover the trials in order, each once
+                    assert [state for c in chunks for state in c] == (
+                        _one_trial_states(seed, n_qubits, m, 100))
 
 
 def test_noiseless_chunks_at_128_qubits(monkeypatch, tmp_path):

@@ -294,8 +294,10 @@ def test_heatmap_is_one_more_kernel_build(surface, tmp_path, monkeypatch):
             "--noise", "selection", "--epsilon", "0.2", "--seed", "5",
             "--surface", surface, "--out", str(out), "--heatmap", str(heat)]
     assert cli.main(args) == 0
-    chunks = sum(len(experiment.trial_chunks(n, m, 3, surface))
-                 for n in (2, 3, 4) for m in (3, 2))
+    cfg = experiment.ExperimentConfig(qubit_range=(2, 4), coset_counts=(3, 2),
+                                      trials=3, variance_surface=surface)
+    chunks = sum(len(list(streams))
+                 for _, _, streams in experiment.sweep(cfg))
     assert len(builds) == chunks + 1
     monkeypatch.undo()
     # the CSV is that kernel, built on its own
@@ -660,8 +662,8 @@ def test_cli_error_record(tmp_path, capsys):
 
 
 def _bad_destinations(tmp_path):
-    """A path whose parent directory is missing, and an existing directory,
-    with the error record each gives."""
+    """A path whose parent directory is missing, an existing directory and
+    an empty path, with the error record each gives."""
     (tmp_path / "dir").mkdir()
     missing = tmp_path / "missing" / "out"
     return [
@@ -670,6 +672,7 @@ def _bad_destinations(tmp_path):
         (str(tmp_path / "dir"), {
             "error": "IsADirectoryError",
             "message": f"output path is a directory: {str(tmp_path / 'dir')!r}"}),
+        ("", {"error": "ValueError", "message": "an output path is empty"}),
     ]
 
 
