@@ -18,17 +18,16 @@ N_QUBITS = 5
 SEED = 11
 
 rngs = experiment.trial_rngs(SEED, N_QUBITS, 2, range(10))
-reps, labels, stacked = experiment.noisy_kernels(
+reps, stacked, counts, labels = experiment.kernel_tables(
     N_QUBITS, 2, rngs, "full", noise.NOISY_VARIANTS, EPSILON)
 alphas = kernel.alpha_matrix(reps)
-off_diagonal = ~np.eye(len(labels), dtype=bool)
-same = off_diagonal & (labels[:, None] == labels[None, :])
+same = (kernel.pair_counts(counts) > 0) & (labels[:, None] == labels[None, :])
 for variant, kmats in zip(noise.NOISY_VARIANTS, stacked):
     violations, checked = count_envelope_violations(
-        kmats, labels, alphas, variant, EPSILON
+        kmats, counts, labels, alphas, variant, EPSILON
     )
     same_min = kmats[:, same].min()
-    stats = kernel.trial_stats(kmats, off_diagonal, labels)
+    stats = kernel.trial_stats(kmats, counts, labels)
     lows, highs = stats[:, 2], stats[:, 4]
     bounds = noise.bounds_for(variant, 0.0, EPSILON)
     print(

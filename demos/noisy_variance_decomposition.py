@@ -9,8 +9,6 @@ checks the reconstruction against the directly computed variance.
 Run: python3 demos/noisy_variance_decomposition.py
 """
 
-import numpy as np
-
 from cosetkernel import experiment, kernel, theory
 
 N_QUBITS, M = 5, 2
@@ -18,11 +16,11 @@ EPSILON = 0.3
 
 for variant in ("fiducial", "selection"):
     rngs = experiment.trial_rngs(2, N_QUBITS, M, [0])
-    reps, labels, (kmat,) = experiment.noisy_kernels(N_QUBITS, M, rngs,
-                                                     "full", variant, EPSILON)
+    reps, (kmat,), counts, labels = experiment.kernel_tables(
+        N_QUBITS, M, rngs, "full", variant, EPSILON)
     alpha = kernel.alpha_matrix(reps[0])[0, 1]
     stats = theory.extract_deviation_stats(kmat, labels, alpha)
-    direct = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool), labels)[0]
+    direct = kernel.trial_stats(kmat, counts, labels)[0]
     rebuilt = theory.noisy_variance(M, N_QUBITS, stats)
     print(f"{variant}:")
     print(f"  alpha              {alpha:.6f}")

@@ -2,8 +2,9 @@
 
 `verify-bounds` checks each noise variant but "none" on the trials that
 `experiment.sweep` walks for `simulate --surface full`, with one
-`experiment.noisy_kernels` and one `count_envelope_violations` call per chunk
-of trials; the heat map of `simulate` is one `noisy_kernels` call too.
+`experiment.kernel_tables` and one `count_envelope_violations` call per
+chunk of trials; the heat map of `simulate` is one `kernel_tables` call
+too, its table spread over the points by its rows' counts.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -16,6 +17,8 @@ import json
 import os
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from . import dataset, experiment, kernel, noise, theory
 from .noise import count_envelope_violations
@@ -125,11 +128,12 @@ def cmd_simulate(args):
         n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
-        kmats = experiment.noisy_kernels(
+        _, values, counts, _ = experiment.kernel_tables(
             n_qubits, m, experiment.trial_rngs(cfg.seed, n_qubits, m, [0]),
-            "full", cfg.noise.variant, cfg.noise.epsilon)[2]
-        kernel.export_heatmap(kmats[0], dataset.point_names(n_qubits, m),
-                              args.heatmap)
+            "full", cfg.noise.variant, cfg.noise.epsilon)
+        rows = np.repeat(np.arange(len(counts)), counts)
+        kernel.export_heatmap(kernel.gather_alphas(values, rows)[0],
+                              dataset.point_names(n_qubits, m), args.heatmap)
     return 0
 
 
@@ -159,21 +163,21 @@ def cmd_theory(args):
 
 
 def cmd_verify_bounds(args):
+    variants = noise.NOISY_VARIANTS
     cfg = experiment.ExperimentConfig(
         qubit_range=args.qubits, coset_counts=(args.cosets,),
         trials=args.trials, seed=args.seed, variance_surface="full",
+        noise=noise.NoiseConfig(variants[0], args.epsilon),
     )
-    variants = noise.NOISY_VARIANTS
-    noise.NoiseConfig(variants[0], args.epsilon)  # validates the budget
     violations = checked = 0
     for n_qubits, m, streams in experiment.sweep(cfg):
         for rngs in streams:
-            reps, labels, kmats = experiment.noisy_kernels(
+            reps, values, counts, labels = experiment.kernel_tables(
                 n_qubits, m, rngs, "full", variants, args.epsilon)
             v, c = count_envelope_violations(
-                kmats, labels, kernel.alpha_matrix(reps), variants,
+                values, counts, labels, kernel.alpha_matrix(reps), variants,
                 args.epsilon)
-            del kmats  # a chunk's kernels go before the next chunk's are built
+            del values  # a chunk's tables go before the next chunk's are built
             violations += v
             checked += c
     for variant in variants:

@@ -10,8 +10,8 @@ and this module alone states that layout. Every factor is an SU(2) element
 The samplers take arrays, not generators: four normals per representative
 factor (`su2_from_normals`), then P + m uniforms for the split, which
 `experiment.draw_trials` reads from each trial's stream (its docstring
-states the layout) and the zero-budget `experiment.run_trials` up to the m
-counts. The split is uniform over the halves of the P points that cover
+states the layout) and the zero-budget `experiment.kernel_tables` up to the
+m counts. The split is uniform over the halves of the P points that cover
 every coset, and is kept as its sorted train indices; the test half is their
 complement. It is built, not resampled: the first m uniforms give the
 per-coset train counts (`train_counts`) by inverse CDF from their exact law,

@@ -4,27 +4,19 @@ kernels, and the kernels' statistics against the closed-form predictions.
 Every trial draws from its own stream, the one
 `default_rng(SeedSequence(seed, spawn_key=(N, m, t)))` gives, so an
 experiment is a pure function of its config whatever the order of its
-trials; `trial_rngs` builds a chunk's streams in one pass. Two readers take
-them: `draw_trials`, whose docstring states a stream's layout, and the
-zero-budget `run_trials` (below); `dataset` and `noise` build from arrays.
+trials; `trial_rngs` builds a chunk's streams in one pass, and
+`draw_trials`' docstring states a stream's layout. `dataset` and `noise`
+build from arrays.
 
 `sweep` walks a config's (N, m) cells and each cell's trials in chunks along
 a leading trial axis (under `kernel.CHUNK_ENTRIES`), with each chunk's
 streams, for `run_experiment` and `verify-bounds`; each trial's numbers are,
-bit for bit, those of a one-trial chunk. `noisy_kernels` draws a chunk and
-builds its kernels under one noise variant or a tuple of them; `run_trials`
-takes their (T, 5) statistics (`kernel.trial_stats`), and `run_experiment`
-makes each trial a flat record of `TRIAL_FIELDS`.
-
-With no noise budget (epsilon 0, which the `none` variant implies) every
-variant attaches the ideal inputs bit for bit, so no kernel over the points
-need be built: a trial takes the weighted statistics of its alpha matrix
-(`kernel` module docstring), with N points per coset or the split's train
-counts (`dataset.train_counts`), and `noisy_kernels` draws no noise row and
-gathers the kernels for the heat map and `verify-bounds`. `run_trials` then
-reads a stream's normals and at most the split's m count uniforms, a prefix
-that leaves every other number as it is; `draw_trials` would also draw the P
-ranks and build the split only to count it, which slows noiseless sweeps.
+bit for bit, those of a one-trial chunk. `kernel_tables` builds a chunk's
+kernels under one noise variant or a tuple of them, as tables whose rows
+each stand for a count of points of one coset. Every consumer weighs a
+table's entries by `kernel.pair_counts`, so none of them tests the budget:
+`kernel.trial_stats` takes a chunk's (T, 5) statistics, and
+`run_experiment` makes each trial a flat record of `TRIAL_FIELDS`.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
 sort_keys=True)` (see `_report_json_pieces`).
@@ -99,7 +91,7 @@ class ExperimentConfig:
             raise ValueError("output_format must be 'json' or 'csv'")
 
 
-# a trial record's keys: its cell, its index, `run_trials`' five statistics
+# a trial record's keys: cell, index and `kernel.trial_stats`' statistics
 TRIAL_FIELDS = ("num_qubits", "num_cosets", "trial_index",
                 "empirical_variance", "empirical_mean", "alphas_min",
                 "alphas_mean", "alphas_max", "noise_draws_digest")
@@ -187,17 +179,19 @@ def trial_rngs(seed, n_qubits, m, trial_indices):
             for row in words.astype(np.uint64)]
 
 
-def sweep(cfg, noiseless=False):
+def sweep(cfg):
     """Each (N, m) cell of `cfg`, N outer, as `(n_qubits, m, streams)`, where
     `streams` yields each chunk's `trial_rngs`, the trials in order. A trial
-    counts in `kernel.chunks` by the (2P x 2P) transfer matrix of its kernel
-    (P points on `cfg.variance_surface`) or, if `noiseless`, by the 4 m N
-    entries of its representatives, which alone run through the chain."""
+    counts in `kernel.chunks` by what `kernel_tables` runs through the chain
+    for it: the (2P x 2P) transfer matrix of its kernel (P points on
+    `cfg.variance_surface`) or, at `cfg.noise.epsilon` 0, the 4 m N entries
+    of its representatives."""
     for n_qubits in range(cfg.qubit_range[0], cfg.qubit_range[1] + 1):
         for m in cfg.coset_counts:
             points = (m * n_qubits if cfg.variance_surface == "full"
                       else m * n_qubits // 2)
-            per_trial = 4 * m * n_qubits if noiseless else (2 * points) ** 2
+            per_trial = (4 * m * n_qubits if cfg.noise.epsilon == 0
+                         else (2 * points) ** 2)
             yield n_qubits, m, map(partial(trial_rngs, cfg.seed, n_qubits, m),
                                    kernel.chunks(cfg.trials, per_trial))
 
@@ -222,10 +216,10 @@ def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
     `variants` (a name or a tuple of names): the (T, m, N, 2, 2)
     representatives, the (T, K) train indices on the train surface (None on
     the full one) and the (T, `noise.draws`) noise uniforms, from which
-    `noisy_kernels` builds its kernels.
+    `kernel_tables` builds its kernels.
 
-    The layout of each stream, of which the zero-budget `run_trials` reads a
-    prefix (module docstring), is: the 4 m N normals of the m x N Haar draw
+    The layout of each stream, of which the zero-budget `kernel_tables`
+    reads a prefix, is: the 4 m N normals of the m x N Haar draw
     (`dataset.su2_from_normals`), in C order; then one read of uniforms, the
     split's P + m (its m per-coset train counts, then its P ranks;
     `dataset.split_trials`) and after them the noise row that `noise.attach`
@@ -242,61 +236,49 @@ def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
     return reps, train, uniforms[:, points + m:]
 
 
-def noisy_kernels(n_qubits, m, rngs, surface, variants, epsilon):
-    """A batch of trials drawn from the streams `rngs` (`draw_trials`): their
-    (T, m, N, 2, 2) representatives, the coset labels of their kernels'
-    points and the kernels under the noise `noise.attach` gives `variants`,
-    a name or a tuple of V names, at `epsilon`. The labels are (P,) and the
-    kernels (T, P, P) over every point on the full surface, (T, K) and
-    (T, K, K) over the train points on the train one; (V, T, ...) kernels
-    for a tuple. Without a budget the streams are drawn for "none", so no
-    noise row is read, and the kernels are gathered once from the alpha
-    matrices (module docstring) and broadcast over the variants."""
-    reps, train, uniforms = draw_trials(n_qubits, m, rngs, surface,
-                                        "none" if epsilon == 0 else variants)
-    labels = dataset.coset_labels(n_qubits, m)
-    if train is not None:
-        labels = labels[train]
+def kernel_tables(n_qubits, m, rngs, surface, variants, epsilon):
+    """A batch of trials drawn from the streams `rngs` and their kernels as
+    tables: `(reps, values, counts, labels)`, the (T, m, N, 2, 2)
+    representatives and (T, A, A) values, (V, T, A, A) for a tuple of V
+    `variants`, whose row a stands for `counts[..., a]` points of the coset
+    `labels[..., a]`; `kernel.pair_counts` weighs the entries.
+
+    With a budget a row is a point, counted once: the kernels over every
+    point on the full surface or the train points on the train one, under
+    the noise `noise.attach` gives `variants` at `epsilon`. At epsilon 0
+    every variant attaches the ideal inputs bit for bit, so an entry is the
+    alpha of the points' cosets (`kernel` module docstring) and a row is a
+    coset: the (T, m, m) alpha matrices, with N points each on the full
+    surface or the (T, m) `dataset.train_counts` on the train one. Only
+    each stream's normals and at most the split's m count uniforms are
+    read, a prefix that leaves every other number as it is."""
     if epsilon == 0:
-        kmats = kernel.gather_alphas(kernel.alpha_matrix(reps), labels)
-        if not isinstance(variants, str):
-            kmats = np.broadcast_to(kmats, (len(variants), *kmats.shape))
-        return reps, labels, kmats
-    factors, offsets = noise_models.attach(variants, epsilon,
-                                           dataset.points(reps), uniforms)
-    return reps, labels, kernel.kernel_matrix(factors, train, offsets)
-
-
-def run_trials(n_qubits, m, cfg_noise, rngs, surface="train"):
-    """Monte-Carlo trials built as one batch, and the (T, 5) statistics of
-    their kernels' off-diagonal entries, in the order of `TRIAL_FIELDS[3:8]`,
-    all taken at once by `kernel.trial_stats`. With no noise budget they are
-    those of the (T, m, m) alpha matrices, weighted by the pair counts of the
-    kernel's points; otherwise those of the `noisy_kernels`, with unit
-    off-diagonal weights."""
-    if cfg_noise.epsilon == 0:
         split = surface == "train"
         reps, uniforms = _read_streams(n_qubits, m, rngs, m if split else 0)
         counts = (dataset.train_counts((n_qubits,) * m, uniforms) if split
                   else np.full(m, n_qubits))
-        cosets = np.arange(m)
-        pairs = counts[..., :, None] * counts[..., None, :]
-        pairs[..., cosets, cosets] -= counts
-        return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
-    _, labels, kmats = noisy_kernels(n_qubits, m, rngs, surface,
-                                     cfg_noise.variant, cfg_noise.epsilon)
-    return kernel.trial_stats(kmats, ~np.eye(kmats.shape[-1], dtype=bool),
-                              labels)
+        values = kernel.alpha_matrix(reps)
+        if not isinstance(variants, str):
+            values = np.broadcast_to(values, (len(variants), *values.shape))
+        return reps, values, counts, np.arange(m)
+    reps, train, uniforms = draw_trials(n_qubits, m, rngs, surface, variants)
+    labels = dataset.coset_labels(n_qubits, m)
+    if train is not None:
+        labels = labels[train]
+    factors, offsets = noise_models.attach(variants, epsilon,
+                                           dataset.points(reps), uniforms)
+    values = kernel.kernel_matrix(factors, train, offsets)
+    return reps, values, np.ones(labels.shape[-1], dtype=int), labels
 
 
 def run_experiment(cfg):
     """All (N, m, trial) combinations, with theory overlays per (N, m)."""
     trials = []
     aggregates = []
-    for n_qubits, m, streams in sweep(cfg, noiseless=cfg.noise.epsilon == 0):
-        stats = np.concatenate([run_trials(n_qubits, m, cfg.noise, rngs,
-                                           cfg.variance_surface)
-                                for rngs in streams])
+    for n_qubits, m, streams in sweep(cfg):
+        stats = np.concatenate([kernel.trial_stats(*kernel_tables(
+            n_qubits, m, rngs, cfg.variance_surface, cfg.noise.variant,
+            cfg.noise.epsilon)[1:]) for rngs in streams])
         variances = stats[:, 0]
         # the plug-in overlay: n = N points per coset, alpha = 2^-N
         _, overlay = theory.offdiag_moments([n_qubits] * m, 2.0**-n_qubits)

@@ -33,19 +33,19 @@ Each trial's entries are the same, bit for bit, as in a batch of one, so
 a batch may run in slices: `_gram` runs as many kernels per chain call as
 keep their (2P x 2P) transfer matrices within `CHUNK_ENTRIES`. A kernel is
 the plain Gram array of a factor stack, with no coset labels.
-`trial_stats` takes a batch of such arrays with a weight for each entry and
-a coset label for each row and column; every statistic is a sum or an
-extremum over the two trailing axes, which gives each trial the bits of a
-batch of one. A kernel's off-diagonal statistics weigh its entries by
-~eye. The tests check the chain against a dense 2^N construction
-(`tests/oracle.py`).
+`trial_stats` takes a batch of tables, whose rows each stand for a count of
+points of one coset, and weighs each entry by the point pairs it stands for
+(`pair_counts`): a kernel over points is the table of one point per row,
+whose weights are ~eye. Every statistic is a sum or an extremum over the
+two trailing axes, which gives each trial the bits of a batch of one. The
+tests check the chain against a dense 2^N construction (`tests/oracle.py`).
 
 Without noise no chain over the points is needed: every point is c_i s_a,
 s_a fixes the ideal fiducial, so entry (p, q) is the alpha of the points'
 cosets (`gather_alphas`), and a kernel's off-diagonal entries are alpha_ij,
 n_i n_j times for each i != j, and 1, n_i (n_i - 1) times, for the n_i
-points of coset i. Its statistics are those of the (m, m) alpha matrix
-with these counts as weights, and that matrix's chain runs over the m
+points of coset i. Its statistics are those of the (m, m) alpha matrix,
+the table of one coset per row, and that matrix's chain runs over the m
 representatives only. The chain over all P x P pairs is the tests'
 reference for these.
 """
@@ -179,24 +179,33 @@ def alpha_matrix(reps):
 
 
 def gather_alphas(alphas, labels):
-    """The unperturbed (T, K, K) kernels of a batch of trials, entry (p, q)
-    alpha[label_p, label_q] (module docstring), from their (T, m, m) alpha
-    matrices and their points' coset labels, (K,) shared or (T, K) per
-    trial. Same-coset entries are alpha's unit diagonal, and the result is
-    exactly symmetric, as `alpha_matrix` is. Any other (T, m, m) table of
-    coset pairs gathers the same way."""
+    """Entry (p, q) of a batch of trials' (T, m, m) tables taken at the rows
+    (labels_p, labels_q), for (K,) labels shared or (T, K) per trial: from
+    alpha matrices and their points' coset labels, the unperturbed (T, K, K)
+    kernels (module docstring), whose same-coset entries are alpha's unit
+    diagonal. The result is exactly symmetric if the tables are, as
+    `alpha_matrix`'s are."""
     trials = np.arange(len(alphas))[:, None, None]
     return alphas[trials, labels[..., :, None], labels[..., None, :]]
 
 
-def trial_stats(values, weights, labels):
+def pair_counts(counts):
+    """The n_a n_b - delta_ab n_a point pairs that each entry of a table
+    stands for, from the (..., A) point `counts` of its rows, as integers
+    (..., A, A): ~eye for one point per row."""
+    return counts[..., :, None] * (counts[..., None, :]
+                                   - np.eye(counts.shape[-1], dtype=int))
+
+
+def trial_stats(values, counts, labels):
     """The statistics of `experiment.TRIAL_FIELDS[3:8]` over the trailing
-    (A, A) block of `values`, entry (a, b) counted `weights[..., a, b]`
-    times and with the coset `labels[..., a]` and `labels[..., b]`: the
-    weighted variance (two passes) and mean, then the min, weighted mean
-    and max of the entries whose labels differ and whose weight is above 0.
-    (5,) for one block, (T, 5) for a batch of trials, with (A, A) or
-    (T, A, A) weights and (A,) or (T, A) labels."""
+    (A, A) tables of `values`, whose row a stands for `counts[..., a]`
+    points of the coset `labels[..., a]`, each entry counted
+    `pair_counts(counts)` times: the weighted variance (two passes) and
+    mean, then the min, weighted mean and max of the entries whose labels
+    differ and whose weight is above 0. (5,) for one table, (T, 5) for a
+    batch of trials, with (A,) or (T, A) counts and labels."""
+    weights = pair_counts(counts)
     axes = (-2, -1)
     total = np.sum(weights, axis=axes)
     mean = np.sum(weights * values, axis=axes) / total

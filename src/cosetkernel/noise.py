@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import su2
-from .kernel import gather_alphas
+from .kernel import gather_alphas, pair_counts
 
 VARIANTS = ("none", "fiducial", "selection", "representation")
 # the variants `verify-bounds` checks, in its order
@@ -182,13 +182,15 @@ def bounds_for(variant, alpha, epsilon):
     return NoiseBounds(np.square(max(same, 0.0)), lower[()], upper[()])
 
 
-def count_envelope_violations(k, labels, alphas, variant, epsilon):
-    """(violations, entries checked) of the noisy kernel's off-diagonal
-    entries against their envelopes, for one matrix, its points' (K,) coset
-    labels and its (m, m) alphas, or a batch of trials' matrices, their (K,)
-    or (T, K) labels and their (T, m, m) alphas. With a tuple of V variants,
-    `k` has a leading variant axis, (V, K, K) or (V, T, K, K), that shares
-    the labels and the alphas, and the counts are totals over the variants.
+def count_envelope_violations(k, counts, labels, alphas, variant, epsilon):
+    """(violations, entries checked) of the off-diagonal kernel entries
+    that one (A, A) table or a batch of trials' (T, A, A) ones stand for
+    (`experiment.kernel_tables`): each entry counts
+    `kernel.pair_counts(counts)` times, with the coset `labels` of its row
+    and column and the tables' (m, m) or (T, m, m) `alphas`. With a tuple
+    of V variants, `k` has a leading variant axis, (V, A, A) or
+    (V, T, A, A), that shares the rest, and the counts are totals over the
+    variants.
 
     An envelope depends only on a coset pair's alpha, so each variant's is
     one `bounds_for` call on the (T, m, m) alphas: a table of intervals,
@@ -204,7 +206,7 @@ def count_envelope_violations(k, labels, alphas, variant, epsilon):
     same = np.eye(m, dtype=bool)
     # each entry's coset pair, as a flat index into a (T, m, m) table
     pair = gather_alphas(np.arange(alphas.size).reshape(alphas.shape), labels)
-    off = ~np.eye(size, dtype=bool)
+    weights = pair_counts(counts)
     violations = 0
     for name, entries in zip(variants,
                              k.reshape(len(variants), -1, size, size)):
@@ -213,5 +215,5 @@ def count_envelope_violations(k, labels, alphas, variant, epsilon):
         upper = np.where(same, 1.0, b.cross_coset_upper)
         inside = (((lower - ENVELOPE_TOL).ravel()[pair] <= entries)
                   & (entries <= (upper + ENVELOPE_TOL).ravel()[pair]))
-        violations += int(np.sum(~inside & off))
-    return violations, k.size // size * (size - 1)
+        violations += int(np.sum(np.where(inside, 0, weights)))
+    return violations, int(np.sum(np.broadcast_to(weights, k.shape)))

@@ -31,7 +31,9 @@ piece at a time, in the layout `experiment.draw_trials` states. A trial's
 dataset is its (m, N, 2, 2) representatives (`dataset.points` and
 `dataset.coset_labels` give its points and their labels), a split is its
 sorted train indices, and a trial's report is its record, the dict of
-`experiment.TRIAL_FIELDS`.
+`experiment.TRIAL_FIELDS`. `expand_tables` spreads a batch of
+`experiment.kernel_tables`' tables, one point or one coset per row, over
+the points, so both compare with kernels built point by point.
 
 `sequential_draws` is the reference for that layout: a trial's draws read
 one piece at a time, normals, the m count uniforms, the P rank uniforms,
@@ -169,7 +171,7 @@ def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
     """One trial's representatives, train indices and noisy kernel from the
     stream `rng`; the split is drawn on either surface, and the full
     surface's kernel is over every point. Built through `noise.attach` and
-    `kernel.kernel_matrix`, not `experiment.noisy_kernels`, so a zero
+    `kernel.kernel_matrix`, not `experiment.kernel_tables`, so a zero
     budget runs the chain too."""
     variant, epsilon = cfg_noise.variant, cfg_noise.epsilon
     reps, train, uniforms = experiment.draw_trials(n_qubits, m, [rng],
@@ -184,9 +186,26 @@ def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
               digest=""):
     """One trial's record from the stream `rng`."""
-    stats = experiment.run_trials(n_qubits, m, cfg_noise, [rng], surface)
+    stats = kernel.trial_stats(*experiment.kernel_tables(
+        n_qubits, m, [rng], surface, cfg_noise.variant, cfg_noise.epsilon)[1:])
     return dict(zip(experiment.TRIAL_FIELDS,
                     (n_qubits, m, trial_index, *stats[0].tolist(), digest)))
+
+
+def expand_tables(values, counts, labels):
+    """The (T, K, K) kernels over the points, and their (T, K) coset labels,
+    of a batch of `experiment.kernel_tables`' (T, A, A) tables, each row a
+    repeated `counts[..., a]` times, one trial at a time. A row's points are
+    consecutive: the points are coset-major and a split's train indices
+    sorted, so one coset's train points follow each other."""
+    counts = np.broadcast_to(counts, (len(values), counts.shape[-1]))
+    labels = np.broadcast_to(labels, (len(values), labels.shape[-1]))
+    kernels, point_labels = [], []
+    for table, trial_counts, trial_labels in zip(values, counts, labels):
+        rows = np.repeat(np.arange(len(trial_counts)), trial_counts)
+        kernels.append(table[np.ix_(rows, rows)])
+        point_labels.append(trial_labels[rows])
+    return np.array(kernels), np.array(point_labels)
 
 
 def fiducial_offsets(n_qubits, epsilon, rng):

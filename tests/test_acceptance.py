@@ -52,7 +52,7 @@ def test_criterion_1_noiseless_asymptote():
             reps, _, kmat = oracle.build_kernel(
                 10, m, noise.NoiseConfig(), rng, surface="full"
             )
-            stats = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool),
+            stats = kernel.trial_stats(kmat, np.ones(len(kmat), dtype=int),
                                        dataset.coset_labels(10, m))
             empirical.append(stats[0])
             predicted.append(
@@ -157,7 +157,8 @@ def test_criterion_6_bound_envelopes():
                 )
                 alphas = kernel.alpha_matrix(reps)
                 v, c = count_envelope_violations(
-                    kmat, dataset.coset_labels(n_qubits, 2), alphas, variant, eps
+                    kmat, np.ones(len(kmat), dtype=int),
+                    dataset.coset_labels(n_qubits, 2), alphas, variant, eps
                 )
                 violations += v
                 checked += c

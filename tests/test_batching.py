@@ -58,12 +58,12 @@ def small_config(variant, eps, surface, trials=6):
     )
 
 
-def sweep_chunks(cfg, noiseless=False):
+def sweep_chunks(cfg):
     """(N, m, trial indices) of every chunk `experiment.sweep` yields, in
     order, the indices counted from each cell's first trial by the chunks'
     numbers of streams (`test_chunk_sizing` checks the streams)."""
     chunks = []
-    for n_qubits, m, streams in experiment.sweep(cfg, noiseless):
+    for n_qubits, m, streams in experiment.sweep(cfg):
         start = 0
         for rngs in streams:
             chunks.append((n_qubits, m, range(start, start + len(rngs))))
@@ -71,12 +71,12 @@ def sweep_chunks(cfg, noiseless=False):
     return chunks
 
 
-def full_config(qubits, m, trials, seed=0):
-    """The config whose sweep `verify-bounds --qubits qubits --cosets m
-    --trials trials --seed seed` walks."""
+def full_config(qubits, m, trials, seed, eps):
+    """The config whose sweep `verify-bounds --epsilon eps --qubits qubits
+    --cosets m --trials trials --seed seed` walks."""
     return experiment.ExperimentConfig(
         qubit_range=qubits, coset_counts=(m,), trials=trials, seed=seed,
-        variance_surface="full")
+        noise=noise.NoiseConfig("fiducial", eps), variance_surface="full")
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -90,8 +90,9 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
             return [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
 
         splits = experiment.draw_trials(n_qubits, m, streams())[1]
-        reps, labels, kmats = experiment.noisy_kernels(n_qubits, m, streams(),
-                                                       surface, variant, eps)
+        reps, values, counts, labels = experiment.kernel_tables(
+            n_qubits, m, streams(), surface, variant, eps)
+        kmats, labels = oracle.expand_tables(values, counts, labels)
         alphas = kernel.alpha_matrix(reps)
         points = dataset.points(reps)
         for t in trials:
@@ -102,8 +103,7 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
             assert np.array_equal(points[t], dataset.points(ref_reps))
             assert np.array_equal(splits[t], ref_sp)
             assert np.array_equal(kmats[t], ref)
-            assert np.array_equal(labels if labels.ndim == 1 else labels[t],
-                                  ref_labels)
+            assert np.array_equal(labels[t], ref_labels)
             assert np.array_equal(alphas[t], kernel.alpha_matrix(ref_reps))
 
 
@@ -207,7 +207,8 @@ def test_verify_bounds_violations_do_not_depend_on_chunking(monkeypatch,
     _strict_bounds(monkeypatch)
     argv = ["verify-bounds", "--epsilon", "0.1", "--qubits", "2..8",
             "--cosets", "3", "--trials", "4", "--seed", "236"]
-    assert sweep_chunks(full_config((2, 2), 3, 4)) == [(2, 3, range(4))]
+    assert sweep_chunks(full_config((2, 2), 3, 4, 236, 0.1)) == [
+        (2, 3, range(4))]
     outputs = []
     for budget in (kernel.CHUNK_ENTRIES, 1, 2**40):
         monkeypatch.setattr(kernel, "CHUNK_ENTRIES", budget)
@@ -294,18 +295,16 @@ def test_noiseless_heatmap_builds_no_point_factors(surface, monkeypatch,
 
 
 def split_path_stats(n_qubits, m, rngs, surface):
-    """Reference for noiseless `run_trials`: the representatives and the
-    whole split drawn, and each coset's count read off the labels of the
-    kernel's points."""
+    """Reference for the statistics of zero-budget `kernel_tables`: the
+    representatives and the whole split drawn, and each coset's count read
+    off the labels of the kernel's points."""
     reps, train, _ = experiment.draw_trials(n_qubits, m, rngs, surface)
     labels = dataset.coset_labels(n_qubits, m)
     if train is not None:
         labels = labels[train]
     cosets = np.arange(m)
     counts = np.count_nonzero(labels[..., :, None] == cosets, axis=-2)
-    pairs = counts[..., :, None] * counts[..., None, :]
-    pairs[..., cosets, cosets] -= counts
-    return kernel.trial_stats(kernel.alpha_matrix(reps), pairs, cosets)
+    return kernel.trial_stats(kernel.alpha_matrix(reps), counts, cosets)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 + 5])
@@ -326,9 +325,10 @@ def test_count_draw_matches_the_split(seed):
                 counts, [np.bincount(labels[t], minlength=m) for t in train]
             )
             for surface in SURFACES:
-                got = experiment.run_trials(
-                    n_qubits, m, noise.NoiseConfig(),
-                    experiment.trial_rngs(seed, n_qubits, m, chunk), surface)
+                got = kernel.trial_stats(*experiment.kernel_tables(
+                    n_qubits, m,
+                    experiment.trial_rngs(seed, n_qubits, m, chunk), surface,
+                    "none", 0.0)[1:])
                 want = split_path_stats(
                     n_qubits, m,
                     [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk],
@@ -344,8 +344,7 @@ def test_noiseless_trials_read_normals_and_counts_only(variant, surface):
     chunk = range(2, 6)
     for n_qubits, m in ((2, 2), (5, 3), (9, 7), (128, 2)):
         rngs = experiment.trial_rngs(13, n_qubits, m, chunk)
-        experiment.run_trials(n_qubits, m, noise.NoiseConfig(variant, 0.0),
-                              rngs, surface)
+        experiment.kernel_tables(n_qubits, m, rngs, surface, variant, 0.0)
         for t, rng in zip(chunk, rngs):
             ref = oracle.trial_rng(13, n_qubits, m, t)
             ref.standard_normal(4 * m * n_qubits)
@@ -389,7 +388,8 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
     chunks = [len(chunk)
-              for _, _, chunk in sweep_chunks(full_config((4, 6), 3, 4, 17))]
+              for _, _, chunk in sweep_chunks(
+                  full_config((4, 6), 3, 4, 17, 0.1))]
     # one call per chunk and variant, not one per trial or coset pair, each
     # on the chunk's (T, m, m) alphas rather than a (T, K, K) gather
     assert len(bounds) == 3 * len(chunks) == 9
@@ -409,7 +409,8 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
             "--cosets", "3", "--trials", "4", "--seed", "17"]
     assert cli.main(argv) == 0
     chunks = [len(chunk)
-              for _, _, chunk in sweep_chunks(full_config((4, 6), 3, 4, 17))]
+              for _, _, chunk in sweep_chunks(
+                  full_config((4, 6), 3, 4, 17, 0.1))]
     # the three variants share each chunk's datasets, alphas, points and
     # Euler draws, and run as one stack through one kernel_matrix call and
     # one envelope check. The full surface builds no split, so none is
@@ -421,7 +422,7 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
     assert [len(args[2]) for args in generated] == chunks
     assert [args[3] for args in generated] == [
         3 * n + 3 + 3 * (3 * n) * n
-        for n, _, _ in sweep_chunks(full_config((4, 6), 3, 4, 17))]
+        for n, _, _ in sweep_chunks(full_config((4, 6), 3, 4, 17, 0.1))]
     assert sum(chunks) == 12
     assert [args[0].shape[:2] for args in kernels] == [(3, c) for c in chunks]
     assert [args[0].shape[:2] for args in checks] == [(3, c) for c in chunks]
@@ -450,9 +451,9 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
             assert np.array_equal(uniforms, ref_uniforms)
             for rng, ref_rng in zip(rngs, ref_rngs):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
-            kmats = experiment.noisy_kernels(
+            kmats = experiment.kernel_tables(
                 n_qubits, m, experiment.trial_rngs(31, n_qubits, m, chunk),
-                "full", variant, eps)[2]
+                "full", variant, eps)[1]
             factors, offsets = noise.attach(variant, eps,
                                             dataset.points(ref_reps),
                                             ref_uniforms)
@@ -520,9 +521,9 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
     seen = []
     count = cli.count_envelope_violations
 
-    def recorded(kmats, labels, alphas, variants, epsilon):
-        seen.append((kmats, labels, alphas, variants))
-        return count(kmats, labels, alphas, variants, epsilon)
+    def recorded(kmats, counts, labels, alphas, variants, epsilon):
+        seen.append((kmats, counts, labels, alphas, variants))
+        return count(kmats, counts, labels, alphas, variants, epsilon)
 
     monkeypatch.setattr(cli, "count_envelope_violations", recorded)
     trials, seed, eps = 5, 29, 0.3
@@ -532,20 +533,21 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
     assert capsys.readouterr().err == ""
     expected = []
     for n_qubits, _, chunk in sweep_chunks(full_config((2, 6), m, trials,
-                                                       seed)):
+                                                       seed, eps)):
         refs = []
         for variant in ("fiducial", "selection", "representation"):
             rngs = [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk]
-            reps, _, kmats = experiment.noisy_kernels(
+            reps, kmats, _, _ = experiment.kernel_tables(
                 n_qubits, m, rngs, "full", variant, eps)
             refs.append(kmats)
         # the full surface's points are every point, coset-major
         labels = np.repeat(np.arange(m), n_qubits)
         expected.append((refs, labels, kernel.alpha_matrix(reps)))
     assert len(seen) == len(expected)
-    for (kmats, labels, alphas, variants), (refs, ref_labels,
-                                           ref_alphas) in zip(seen, expected):
+    for (kmats, counts, labels, alphas, variants), (
+            refs, ref_labels, ref_alphas) in zip(seen, expected):
         assert variants == ("fiducial", "selection", "representation")
+        assert np.array_equal(counts, np.ones(len(ref_labels), dtype=int))
         assert kmats.shape[0] == 3
         for got, want in zip(kmats, refs):
             assert np.array_equal(got, want)
@@ -565,16 +567,16 @@ def test_variant_kernels_match_noisy_kernels(eps):
 
         uniforms = experiment.draw_trials(n_qubits, m, streams(), "full",
                                           noise.NOISY_VARIANTS)[2]
-        stacked = experiment.noisy_kernels(n_qubits, m, streams(), "full",
-                                           noise.NOISY_VARIANTS, eps)[2]
+        stacked = experiment.kernel_tables(n_qubits, m, streams(), "full",
+                                           noise.NOISY_VARIANTS, eps)[1]
         p = m * n_qubits
         assert stacked.shape == (3, 3, p, p)
         for variant, got in zip(noise.NOISY_VARIANTS, stacked):
             own = experiment.draw_trials(n_qubits, m, streams(), "full",
                                          variant)[2]
             assert np.array_equal(own, uniforms[:, :own.shape[1]])
-            want = experiment.noisy_kernels(n_qubits, m, streams(), "full",
-                                            variant, eps)[2]
+            want = experiment.kernel_tables(n_qubits, m, streams(), "full",
+                                            variant, eps)[1]
             assert np.array_equal(got, want), (variant, n_qubits, m)
 
 
@@ -594,19 +596,20 @@ def test_variant_tuples_match_single_builds(variants, surface):
 
         train = experiment.draw_trials(n_qubits, m, streams(), surface,
                                        variants)[1]
-        _, labels, stacked = experiment.noisy_kernels(n_qubits, m, streams(),
-                                                      surface, variants, 0.3)
+        _, stacked, counts, labels = experiment.kernel_tables(
+            n_qubits, m, streams(), surface, variants, 0.3)
         all_labels = dataset.coset_labels(n_qubits, m)
         assert np.array_equal(
             labels, all_labels if train is None else all_labels[train])
         k = m * n_qubits if train is None else train.shape[-1]
+        assert np.array_equal(counts, np.ones(k, dtype=int))
         assert stacked.shape == (len(variants), 3, k, k)
         for variant, got in zip(variants, stacked):
             own_train = experiment.draw_trials(n_qubits, m, streams(),
                                                surface, variant)[1]
             assert np.array_equal(own_train, train)
-            want = experiment.noisy_kernels(n_qubits, m, streams(), surface,
-                                            variant, 0.3)[2]
+            want = experiment.kernel_tables(n_qubits, m, streams(), surface,
+                                            variant, 0.3)[1]
             assert np.array_equal(got, want), (variant, n_qubits, m)
 
 
@@ -621,14 +624,15 @@ def test_stacked_envelope_counts_are_per_variant_sums(strict, monkeypatch):
     found = 0
     for n_qubits, m in ((2, 2), (4, 3), (6, 5)):
         rngs = experiment.trial_rngs(7, n_qubits, m, range(4))
-        reps, labels, stacked = experiment.noisy_kernels(
+        reps, stacked, counts, labels = experiment.kernel_tables(
             n_qubits, m, rngs, "full", noise.NOISY_VARIANTS, 0.3)
         alphas = kernel.alpha_matrix(reps)
         for check_eps in (0.05, 0.01):
             got = noise.count_envelope_violations(
-                stacked, labels, alphas, noise.NOISY_VARIANTS, check_eps)
+                stacked, counts, labels, alphas, noise.NOISY_VARIANTS,
+                check_eps)
             per_variant = [
-                noise.count_envelope_violations(kmats, labels, alphas,
+                noise.count_envelope_violations(kmats, counts, labels, alphas,
                                                 variant, check_eps)
                 for variant, kmats in zip(noise.NOISY_VARIANTS, stacked)
             ]
@@ -638,13 +642,15 @@ def test_stacked_envelope_counts_are_per_variant_sums(strict, monkeypatch):
 
 
 def test_verify_bounds_at_zero_epsilon_runs_no_chain(monkeypatch, capsys):
-    # without a budget one gather of the alpha matrices serves all three
-    # variants; no kernel over the points is built
+    # without a budget each chunk's alpha matrices are the table that all
+    # three variants check, one coset per row; no kernel over the points is
+    # built or gathered
     def refuse(*args, **kwargs):
-        raise AssertionError("kernel_matrix called at eps 0")
+        raise AssertionError("kernel over points built at eps 0")
 
     monkeypatch.setattr(kernel, "kernel_matrix", refuse)
-    gathered = _counted(monkeypatch, kernel, "gather_alphas")
+    monkeypatch.setattr(kernel, "gather_alphas", refuse)
+    alphas = _counted(monkeypatch, kernel, "alpha_matrix")
     generated = _counted(monkeypatch, experiment, "_read_streams")
     argv = ["verify-bounds", "--epsilon", "0", "--qubits", "2..6",
             "--cosets", "3", "--trials", "4", "--seed", "5"]
@@ -652,9 +658,10 @@ def test_verify_bounds_at_zero_epsilon_runs_no_chain(monkeypatch, capsys):
     checked = 3 * 4 * sum(3 * n * (3 * n - 1) for n in range(2, 7))
     assert capsys.readouterr().out.endswith(
         f"entries checked: {checked}, violations: 0\n")
-    assert len(gathered) == 5
-    # each stream reads the split's P + m uniforms and no noise row
-    assert [args[3] for args in generated] == [3 * n + 3 for n in range(2, 7)]
+    # one chunk per N: its table, then the envelope's alphas
+    assert [len(args[0]) for args in alphas] == [4] * 10
+    # each full-surface stream reads its 4 m N normals and no uniform
+    assert [(len(args[2]), args[3]) for args in generated] == [(4, 0)] * 5
 
 
 def test_heatmap_at_zero_epsilon_reads_no_noise_row(monkeypatch, tmp_path):
@@ -665,14 +672,14 @@ def test_heatmap_at_zero_epsilon_reads_no_noise_row(monkeypatch, tmp_path):
             "--heatmap", str(tmp_path / "h.csv")]
     assert cli.main(argv) == 0
     # the sweep's streams read their m count uniforms; the heat map's, of
-    # trial 0 at N = 4 and m = 2, the split's P + m and no noise row
-    assert [args[3] for args in generated] == [2, 3] * 3 + [4 * 2 + 2]
+    # trial 0 at N = 4 and m = 2 on the full surface, its normals alone
+    assert [args[3] for args in generated] == [2, 3] * 3 + [0]
     assert len(generated[-1][2]) == 1
 
 
 def _reference_kernel(n_qubits, m, seed, trial, surface, variant, eps):
     """One trial's alpha matrix, kernel labels and kernel from its own
-    stream, built apart from `experiment.noisy_kernels`: the gather of its
+    stream, built apart from `experiment.kernel_tables`: the gather of its
     alpha matrix without a budget, the chain on `noise.attach`'s inputs
     with one."""
     rng = oracle.trial_rng(seed, n_qubits, m, trial)
@@ -702,19 +709,21 @@ def test_chunked_verify_bounds_prints_the_one_trial_counts(eps, monkeypatch,
                        same_coset_lower=1.0, cross_coset_upper=alpha)
 
     monkeypatch.setattr(noise, "bounds_for", tight)
-    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10)
+    # without a budget a trial takes 4 m N entries rather than (2 P)^2
+    monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10 if eps else 2**6)
     m, trials, seed = 3, 20, 37
     # every cell runs in more than one chunk
-    assert all(len(chunk) < trials
-               for _, _, chunk in sweep_chunks(full_config((2, 5), m, trials)))
+    assert all(len(chunk) < trials for _, _, chunk in sweep_chunks(
+        full_config((2, 5), m, trials, seed, eps)))
     violations = checked = 0
     for n_qubits in range(2, 6):
         for t in range(trials):
             for variant in noise.NOISY_VARIANTS:
                 alphas, labels, kmat = _reference_kernel(
                     n_qubits, m, seed, t, "full", variant, eps)
-                v, c = noise.count_envelope_violations(kmat, labels, alphas,
-                                                       variant, eps)
+                v, c = noise.count_envelope_violations(
+                    kmat, np.ones(len(kmat), dtype=int), labels, alphas,
+                    variant, eps)
                 violations += v
                 checked += c
     assert (violations > 0) == (eps > 0)
@@ -738,10 +747,10 @@ def test_chunked_simulate_prints_the_one_trial_statistics(eps, surface,
     # statistics, which match the gathered kernels' to rounding
     monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10)
     variant, trials, seed = "selection", 20, 19
-    cfg = experiment.ExperimentConfig(qubit_range=(2, 5), coset_counts=(2, 3),
-                                      trials=trials, variance_surface=surface)
-    assert any(len(chunk) < trials
-               for _, _, chunk in sweep_chunks(cfg, eps == 0))
+    cfg = experiment.ExperimentConfig(
+        qubit_range=(2, 5), coset_counts=(2, 3), trials=trials,
+        noise=noise.NoiseConfig(variant, eps), variance_surface=surface)
+    assert any(len(chunk) < trials for _, _, chunk in sweep_chunks(cfg))
     heat = tmp_path / "heat.csv"
     argv = ["simulate", "--qubits", "2..5", "--cosets", "2,3", "--trials",
             str(trials), "--noise", variant, "--epsilon", str(eps),
@@ -755,8 +764,8 @@ def test_chunked_simulate_prints_the_one_trial_statistics(eps, surface,
             for t in range(trials):
                 _, labels, kmat = _reference_kernel(n_qubits, m, seed, t,
                                                     surface, variant, eps)
-                off = ~np.eye(len(kmat), dtype=bool)
-                variances.append(kernel.trial_stats(kmat, off, labels)[0])
+                variances.append(kernel.trial_stats(
+                    kmat, np.ones(len(kmat), dtype=int), labels)[0])
             variances = np.array(variances)
             want.append((n_qubits, m, variances.mean(), variances.std()))
     got = [(a["num_qubits"], a["num_cosets"], a["mean_variance"],
@@ -770,21 +779,23 @@ def test_chunked_simulate_prints_the_one_trial_statistics(eps, surface,
     assert heat.read_text() == (tmp_path / "ref.csv").read_text()
 
 
-def test_verify_bounds_checks_the_trials_simulate_reports(monkeypatch,
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_verify_bounds_checks_the_trials_simulate_reports(eps, monkeypatch,
                                                           capsys, tmp_path):
     # under a budget that splits cells into several chunks, verify-bounds
     # builds its kernels from the cells, chunks and streams, in order, from
-    # which a full-surface simulate on the same trials builds its own
+    # which a full-surface simulate on the same trials builds its own, with
+    # or without a noise budget
     monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 2**10)
     calls = []
-    build = experiment.noisy_kernels
+    build = experiment.kernel_tables
 
     def recorded(n_qubits, m, rngs, *args):
         calls.append((n_qubits, m, [rng.bit_generator.state for rng in rngs]))
         return build(n_qubits, m, rngs, *args)
 
-    monkeypatch.setattr(experiment, "noisy_kernels", recorded)
-    trials = ["--epsilon", "0.2", "--qubits", "2..5", "--cosets", "3",
+    monkeypatch.setattr(experiment, "kernel_tables", recorded)
+    trials = ["--epsilon", str(eps), "--qubits", "2..5", "--cosets", "3",
               "--trials", "20", "--seed", "41"]
     assert cli.main(["simulate", "--surface", "full", "--noise", "selection",
                      "--out", str(tmp_path / "r.json"), *trials]) == 0
@@ -793,18 +804,19 @@ def test_verify_bounds_checks_the_trials_simulate_reports(monkeypatch,
     assert cli.main(["verify-bounds", *trials]) in (0, 1)
     assert capsys.readouterr().err == ""
     assert calls == simulated
-    # chunks of 7, 7 and 6 trials at N = 2, of 3 trials and 2 at N = 3,
-    # and of one trial at N = 4 and 5
+    # with a budget, chunks of 7, 7 and 6 trials at N = 2, of 3 trials and
+    # 2 at N = 3, and of one trial at N = 4 and 5; without one, a trial's
+    # 4 m N entries fit 20 trials in a chunk at N = 2..4, and 17 at N = 5
     assert [len(states) for _, _, states in calls] == (
-        [7, 7, 6] + [3] * 6 + [2] + [1] * 40)
+        [7, 7, 6] + [3] * 6 + [2] + [1] * 40 if eps else [20] * 3 + [17, 3])
 
 
-def _swept_states(cfg, noiseless=False):
+def _swept_states(cfg):
     """Each cell `experiment.sweep` yields, as (N, m, the bit-generator
     states of each chunk's streams)."""
     return [(n_qubits, m, [[rng.bit_generator.state for rng in rngs]
                            for rngs in streams])
-            for n_qubits, m, streams in experiment.sweep(cfg, noiseless)]
+            for n_qubits, m, streams in experiment.sweep(cfg)]
 
 
 def _one_trial_states(seed, n_qubits, m, trials):
@@ -816,7 +828,7 @@ def _one_trial_states(seed, n_qubits, m, trials):
 def test_chunk_sizing(monkeypatch):
     # large N runs one trial at a time, each stream its own trial's
     seed = 3
-    assert _swept_states(full_config((128, 128), 3, 4, seed)) == [
+    assert _swept_states(full_config((128, 128), 3, 4, seed, 0.1)) == [
         (128, 3, [[state] for state in _one_trial_states(seed, 128, 3, 4)])
     ]
     # every cell of a 40-trial train-surface sweep over N = 2..5, m = 2..5
@@ -843,10 +855,10 @@ def test_chunk_sizing(monkeypatch):
     for n_qubits in (2, 5, 10, 32, 128):
         for m in (2, 3, 5):
             points = m * n_qubits
-            cell = full_config((n_qubits, n_qubits), m, 40, seed)
+            cell = full_config((n_qubits, n_qubits), m, 40, seed, 0.1)
             rngs = next(next(experiment.sweep(cell))[2])
             stacks.clear()
-            experiment.noisy_kernels(n_qubits, m, rngs, "full",
+            experiment.kernel_tables(n_qubits, m, rngs, "full",
                                      noise.NOISY_VARIANTS, 0.1)
             step = max(1, budget // (2 * points) ** 2)
             stack = 3 * len(rngs)
@@ -866,9 +878,11 @@ def test_chunk_sizing(monkeypatch):
                     # representatives run through the chain
                     entries = (4 * m * n_qubits if noiseless
                                else (2 * points) ** 2)
-                    cell = replace(full_config((n_qubits, n_qubits), m, 100,
-                                               seed), variance_surface=surface)
-                    ((_, _, chunks),) = _swept_states(cell, noiseless)
+                    cell = replace(
+                        full_config((n_qubits, n_qubits), m, 100, seed,
+                                    0.0 if noiseless else 0.1),
+                        variance_surface=surface)
+                    ((_, _, chunks),) = _swept_states(cell)
                     size = len(chunks[0])
                     assert size == 1 or size * entries <= budget
                     assert (size + 1) * entries > budget

@@ -56,7 +56,7 @@ def test_full_surface_variance_matches_theory():
     reps, _, kmat = oracle.build_kernel(
         10, 2, noise.NoiseConfig(), rng, surface="full"
     )
-    var = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool),
+    var = kernel.trial_stats(kmat, np.ones(len(kmat), dtype=int),
                              np.repeat(np.arange(2), 10))[0]
     _, expected = theory.offdiag_moments([10] * 2, kernel.alpha_matrix(reps))
     assert var == pytest.approx(expected, abs=1e-12)
@@ -294,8 +294,9 @@ def test_heatmap_is_one_more_kernel_build(surface, tmp_path, monkeypatch):
             "--noise", "selection", "--epsilon", "0.2", "--seed", "5",
             "--surface", surface, "--out", str(out), "--heatmap", str(heat)]
     assert cli.main(args) == 0
-    cfg = experiment.ExperimentConfig(qubit_range=(2, 4), coset_counts=(3, 2),
-                                      trials=3, variance_surface=surface)
+    cfg = experiment.ExperimentConfig(
+        qubit_range=(2, 4), coset_counts=(3, 2), trials=3,
+        noise=noise.NoiseConfig("selection", 0.2), variance_surface=surface)
     chunks = sum(len(list(streams))
                  for _, _, streams in experiment.sweep(cfg))
     assert len(builds) == chunks + 1
@@ -314,7 +315,7 @@ def test_heatmap_is_one_more_kernel_build(surface, tmp_path, monkeypatch):
                      if (r["num_qubits"], r["num_cosets"], r["trial_index"])
                      == (4, 3, 0)]
         entries = _read_heatmap(heat)
-        stats = kernel.trial_stats(entries, ~np.eye(len(entries), dtype=bool),
+        stats = kernel.trial_stats(entries, np.ones(len(entries), dtype=int),
                                    np.repeat(np.arange(3), 4))
         assert stats.tolist() == [record[f] for f in experiment.TRIAL_FIELDS[3:8]]
 

@@ -191,9 +191,9 @@ def test_heatmap_text_matches_the_kernel(surface, tmp_path):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("attachment", noise.VARIANTS)
 def test_feature_states_match_dense_oracle(n, attachment):
-    """The transfer-chain kernel of `experiment.noisy_kernels` matches the
-    one built from dense feature states with the same noise draws left
-    unfolded, on the full dataset and on a train split."""
+    """The kernels of `experiment.kernel_tables`, spread over the points,
+    match the ones built from dense feature states with the same noise draws
+    left unfolded, on the full dataset and on a train split."""
     rng = np.random.default_rng(100 + n)
     reps, splits, uniforms = experiment.draw_trials(n, 2, [rng],
                                                     variants=attachment)
@@ -209,9 +209,9 @@ def test_feature_states_match_dense_oracle(n, attachment):
         unfolded["perturbations"] = errors[0]
         unfolded["variant"] = attachment
     for surface in ("full", "train"):
-        chain = experiment.noisy_kernels(
+        chain = oracle.expand_tables(*experiment.kernel_tables(
             n, 2, [np.random.default_rng(100 + n)], surface, attachment,
-            eps)[2]
+            eps)[1:])[0]
         indices = None if surface == "full" else splits[0]
         dense = oracle.kernel_matrix(dataset.points(reps[0]), indices,
                                      **unfolded)
@@ -276,9 +276,10 @@ def test_dense_oracle_refuses_past_its_cap():
 def test_large_n_full_surface_properties(n):
     """Past the dense oracle's reach: same-coset entries are 1, cross-coset
     entries are the coset pair's alpha, and the off-diagonal variance is the
-    closed form for those alphas. The kernels `experiment.noisy_kernels`
-    gathers from the alphas when the noise budget is zero match the chain's,
-    on both surfaces and for every variant that has no budget."""
+    closed form for those alphas. The tables `experiment.kernel_tables`
+    takes from the alphas when the noise budget is zero, spread over the
+    points, match the chain's kernels, on both surfaces and for every
+    variant that has no budget."""
     unperturbed = ["none", "fiducial", "selection"]
     for m in (2, 3, 4, 5) if n == 32 else (2,):
         rng = oracle.trial_rng(15, n, m, 0)
@@ -292,15 +293,15 @@ def test_large_n_full_surface_properties(n):
         np.testing.assert_allclose(kmat[same], 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(kmat[~same], expected[~same], rtol=0,
                                    atol=1e-12)
-        var = kernel.trial_stats(kmat, ~np.eye(len(kmat), dtype=bool),
+        var = kernel.trial_stats(kmat, np.ones(len(kmat), dtype=int),
                                  labels)[0]
         assert abs(var - theory.offdiag_moments([n] * m, alphas)[1]) < 1e-12
         train_kmat = kernel.kernel_matrix(points, train)[0]
         for surface, chain in (("full", kmat), ("train", train_kmat)):
             for variant in unperturbed:
-                gathered = experiment.noisy_kernels(
+                gathered = oracle.expand_tables(*experiment.kernel_tables(
                     n, m, [oracle.trial_rng(15, n, m, 0)], surface, variant,
-                    0.0)[2]
+                    0.0)[1:])[0]
                 np.testing.assert_allclose(gathered[0], chain, rtol=0,
                                            atol=1e-12)
 
@@ -310,7 +311,7 @@ def test_large_n_full_surface_properties(n):
 def test_pair_count_weights_match_the_gathered_kernel(n, surface):
     # a noiseless kernel's off-diagonal entries are alpha_ij, n_i n_j times
     # for i != j, and 1, n_i (n_i - 1) times: its (m, m) alpha matrix with
-    # those weights has the statistics of the kernel with unit weights
+    # n_i points per row has the statistics of the kernel with one
     trials = 3
     for m in (2, 3, 5):
         rngs = [oracle.trial_rng(8, n, m, t) for t in range(trials)]
@@ -322,10 +323,8 @@ def test_pair_count_weights_match_the_gathered_kernel(n, surface):
         kmats = kernel.gather_alphas(alphas, labels)
         counts = np.array([np.bincount(row, minlength=m) for row in
                            np.broadcast_to(labels, (trials, labels.shape[-1]))])
-        pairs = (counts[:, :, None] * counts[:, None, :]
-                 - np.eye(m, dtype=int) * counts[:, None, :])
-        got = kernel.trial_stats(alphas, pairs, np.arange(m))
-        want = kernel.trial_stats(kmats, ~np.eye(kmats.shape[-1], dtype=bool),
+        got = kernel.trial_stats(alphas, counts, np.arange(m))
+        want = kernel.trial_stats(kmats, np.ones(kmats.shape[-1], dtype=int),
                                   labels)
         assert got.shape == want.shape == (trials, 5)
         assert np.array_equal(got[:, 2::2], want[:, 2::2])
@@ -338,8 +337,8 @@ def test_equal_count_weights_give_the_closed_form(m):
     # matrix are the closed-form moments of the off-diagonal multiset
     alphas = kernel.alpha_matrix(oracle.generate(4, m, np.random.default_rng(m)))
     for n in range(1, 129):
-        weights = n * n - n * np.eye(m, dtype=int)
-        variance, mean = kernel.trial_stats(alphas, weights, np.arange(m))[:2]
+        variance, mean = kernel.trial_stats(alphas, np.full(m, n),
+                                            np.arange(m))[:2]
         want_mean, want_variance = theory.offdiag_moments([n] * m, alphas)
         assert abs(mean - want_mean) <= 1e-15
         assert abs(variance - want_variance) <= 1e-15
@@ -357,8 +356,25 @@ def test_train_split_counts_give_the_closed_form(n):
         alphas = kernel.alpha_matrix(reps)
         labels = dataset.coset_labels(n, m)[train]
         counts = np.array([np.bincount(row, minlength=m) for row in labels])
-        pairs = (counts[:, :, None] * counts[:, None, :]
-                 - np.eye(m, dtype=int) * counts[:, None, :])
-        want = kernel.trial_stats(alphas, pairs, np.arange(m))[:, 1::-1]
+        want = kernel.trial_stats(alphas, counts, np.arange(m))[:, 1::-1]
         got = [theory.offdiag_moments(c, a) for c, a in zip(counts, alphas)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("surface", ["full", "train"])
+@pytest.mark.parametrize("n", [2, 5, 16, 128])
+def test_pair_counts(n, surface):
+    # n_a n_b point pairs between rows a != b and n_a (n_a - 1) within row
+    # a: ~eye for one point per row, and K (K - 1) in all for the K points
+    # of either surface's zero-budget tables
+    for m in (2, 3, 5):
+        assert np.array_equal(kernel.pair_counts(np.ones(m * n, dtype=int)),
+                              ~np.eye(m * n, dtype=bool))
+        rngs = experiment.trial_rngs(10, n, m, range(3))
+        counts = experiment.kernel_tables(n, m, rngs, surface, "none", 0.0)[2]
+        points = m * n if surface == "full" else m * n // 2
+        pairs = kernel.pair_counts(counts)
+        assert np.all(np.sum(pairs, axis=(-2, -1)) == points * (points - 1))
+        for c, p in zip(np.broadcast_to(counts, (3, m)),
+                        np.broadcast_to(pairs, (3, m, m))):
+            assert np.array_equal(p, np.outer(c, c) - np.diag(c))

@@ -192,8 +192,8 @@ def test_noise_config_validation():
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_zero_epsilon_reproduces_ideal_kernel(variant):
     # with no budget the attached noise leaves the chain's inputs ideal, bit
-    # for bit, so `experiment.noisy_kernels` may gather those kernels from
-    # the alphas instead, and draw no noise
+    # for bit, so `experiment.kernel_tables` may take the alphas as those
+    # kernels' table, one coset per row, and draw no noise
     def streams():
         return [oracle.trial_rng(3, 4, 2, t) for t in range(3)]
 
@@ -203,9 +203,10 @@ def test_zero_epsilon_reproduces_ideal_kernel(variant):
     clean = kernel.kernel_matrix(points)
     noisy, offsets = noise.attach(variant, 0.0, points, uniforms)
     assert np.array_equal(kernel.kernel_matrix(noisy, None, offsets), clean)
-    gathered_reps, _, gathered = experiment.noisy_kernels(4, 2, streams(),
-                                                          "full", variant, 0.0)
-    assert np.array_equal(gathered_reps, reps)
+    table_reps, values, counts, _ = experiment.kernel_tables(
+        4, 2, streams(), "full", variant, 0.0)
+    assert np.array_equal(table_reps, reps)
+    gathered = kernel.gather_alphas(values, np.repeat(np.arange(2), counts))
     np.testing.assert_allclose(gathered, clean, rtol=0, atol=1e-12)
 
 
@@ -244,8 +245,8 @@ def test_small_epsilon_entries_inside_envelope(variant):
             4, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
         )
         violations, checked = noise.count_envelope_violations(
-            kmat, dataset.coset_labels(4, 2), kernel.alpha_matrix(reps),
-            variant, eps
+            kmat, np.ones(len(kmat), dtype=int), dataset.coset_labels(4, 2),
+            kernel.alpha_matrix(reps), variant, eps
         )
         assert violations == 0
         assert checked == len(kmat) * (len(kmat) - 1)
@@ -291,8 +292,8 @@ def test_representation_and_selection_kernels_differ():
         kmats = {}
         for variant in ("selection", "representation"):
             rngs = [oracle.trial_rng(9, n_qubits, 2, t) for t in range(2)]
-            kmats[variant] = experiment.noisy_kernels(n_qubits, 2, rngs,
-                                                      "full", variant, 0.3)[2]
+            kmats[variant] = experiment.kernel_tables(n_qubits, 2, rngs,
+                                                      "full", variant, 0.3)[1]
         off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
         diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
         assert np.all(diff.max(axis=-1) > 1e-3)
@@ -323,7 +324,8 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant):
                     assert np.all(np.abs(offsets) == 2 * eps / n_qubits)
                 kmats = kernel.kernel_matrix(factors, None, offsets)
                 violations, _ = noise.count_envelope_violations(
-                    kmats, dataset.coset_labels(n_qubits, m),
+                    kmats, np.ones(m * n_qubits, dtype=int),
+                    dataset.coset_labels(n_qubits, m),
                     kernel.alpha_matrix(reps), variant, eps
                 )
                 assert violations == 0, (eps, n_qubits, m)
@@ -427,8 +429,8 @@ def _loop_violations(kmat, labels, alphas, variant, eps):
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
     rngs = [oracle.trial_rng(6, 3, 3, t) for t in range(3)]
-    reps, labels, kmats = experiment.noisy_kernels(3, 3, rngs, "full",
-                                                   variant, eps)
+    reps, kmats, counts, labels = experiment.kernel_tables(3, 3, rngs, "full",
+                                                           variant, eps)
     batch_alphas = kernel.alpha_matrix(reps)
     for t in range(3):
         alphas = batch_alphas[t]
@@ -454,8 +456,8 @@ def test_envelope_count_matches_loop_oracle(variant):
                 batch[(t, *rc)] = v
             edited = batch[t]
             expected = _loop_violations(edited, labels, alphas, variant, eps)
-            got = noise.count_envelope_violations(edited, labels, alphas,
-                                                  variant, eps)
+            got = noise.count_envelope_violations(edited, counts, labels,
+                                                  alphas, variant, eps)
             assert got == expected
             assert got[0] >= planted_violations
             per_trial = [
@@ -466,8 +468,35 @@ def test_envelope_count_matches_loop_oracle(variant):
             # the batch's labels once for every trial, or one row per trial
             for batch_labels in (labels, np.tile(labels, (3, 1))):
                 assert noise.count_envelope_violations(
-                    batch, batch_labels, batch_alphas, variant, eps
+                    batch, counts, batch_labels, batch_alphas, variant, eps
                 ) == tuple(np.sum(per_trial, axis=0))
+
+
+@pytest.mark.parametrize("surface", ["full", "train"])
+@pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
+def test_table_counts_match_the_expanded_kernel(variant, surface):
+    # an entry of a zero-budget table, one coset per row, counts once per
+    # point pair it stands for: as checked, and as violated when it leaves
+    # its envelope. The counts are those of the table spread over the
+    # points, one point per row
+    for n_qubits, m in ((2, 2), (3, 3), (5, 4)):
+        rngs = [oracle.trial_rng(14, n_qubits, m, t) for t in range(3)]
+        reps, values, counts, labels = experiment.kernel_tables(
+            n_qubits, m, rngs, surface, variant, 0.0)
+        alphas = kernel.alpha_matrix(reps)
+        planted = values.copy()
+        planted[0, 0, 1] = 1.5
+        planted[1, 1, 1] = np.nan
+        planted[2, 0, 0] = 0.5
+        for table in (values, planted):
+            kmats, point_labels = oracle.expand_tables(table, counts, labels)
+            want = noise.count_envelope_violations(
+                kmats, np.ones(kmats.shape[-1], dtype=int), point_labels,
+                alphas, variant, 0.0)
+            got = noise.count_envelope_violations(table, counts, labels,
+                                                  alphas, variant, 0.0)
+            assert got == want
+            assert (got[0] > 0) == (table is planted)
 
 
 def _planted_count(variant, value, row, col):
@@ -478,7 +507,8 @@ def _planted_count(variant, value, row, col):
     alphas = np.array([[1.0, 0.25], [0.25, 1.0]])
     kmat = alphas[labels[:, None], labels[None, :]]
     kmat[row, col] = kmat[col, row] = value
-    return noise.count_envelope_violations(kmat, labels, alphas, variant, 0.1)
+    return noise.count_envelope_violations(kmat, np.ones(4, dtype=int),
+                                           labels, alphas, variant, 0.1)
 
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])

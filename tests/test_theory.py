@@ -199,7 +199,7 @@ def test_noisy_variance_is_exact_decomposition(n_qubits, m, variant):
     )
     labels = dataset.coset_labels(n_qubits, m)
     empirical_var, empirical_mean = kernel.trial_stats(
-        kmat, ~np.eye(len(kmat), dtype=bool), labels
+        kmat, np.ones(len(kmat), dtype=int), labels
     )[:2]
     for alpha_used in (2.0**-n_qubits, 0.123):
         stats = theory.extract_deviation_stats(kmat, labels, alpha_used)
