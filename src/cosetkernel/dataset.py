@@ -11,11 +11,13 @@ The samplers take arrays, not generators: four normals per representative
 factor (`su2_from_normals`), then P + m uniforms for the split, which
 `experiment.draw_trials` reads from each trial's stream (its docstring
 states the layout) and the zero-budget `experiment.kernel_tables` up to the
-m counts. The split is uniform over the halves of the P points that cover
-every coset, and is kept as its sorted train indices; the test half is their
-complement. It is built, not resampled: the first m uniforms give the
-per-coset train counts (`train_counts`) by inverse CDF from their exact law,
-tabulated once per coset layout, and the other P pick the points by rank.
+m counts. The split takes the layout by its block size n and coset count m:
+m coset-major blocks of n points (n = N here). It is uniform over the
+halves of the P = m n points that cover every coset, and is kept as its
+sorted train indices; the test half is their complement. It is built, not
+resampled: the first m uniforms give the per-coset train counts
+(`train_counts`) by inverse CDF from their exact law, tabulated once per
+(n, m), and the other P rank the points inside each block.
 """
 
 import math
@@ -75,76 +77,70 @@ def point_names(n_qubits, m):
 # a sweep reads each (N, m) cell's table in all of its chunks; repeated runs
 # in one process read them again. At N = 128, m = 5 a table is 1.6 MB.
 @lru_cache(maxsize=32)
-def _count_cdfs(sizes):
+def _count_cdfs(n, m):
     """Conditional CDFs of the per-coset train counts of a uniformly random
-    covering half: cdf[i, s, k - 1] = P(n_i <= k | n_i + ... + n_(m-1) = s),
-    for cosets of `sizes` points and halves of sum(sizes) // 2 points.
+    covering half of m cosets of n points each, a half of m n // 2 points:
+    cdf[i, s, k - 1] = P(n_i <= k | n_i + ... + n_(m-1) = s).
 
-    There are prod_i C(size_i, n_i) covering halves with counts n_i >= 1, so
-    P(n_i = k | s) = C(size_i, k) ways_(i+1)(s - k) / ways_i(s), where
-    ways_i(s) counts the covering s-point picks from cosets i, i+1, ... .
-    The counts are exact integers and each ratio is rounded once, so the
-    CDF is nondecreasing in k, is exactly 1.0 from the last possible count
-    on, and rises only at possible counts. Only the rows of sums s that
-    cosets i, ... can be left with are tabulated; the others hold 1.0 and
-    are never read."""
-    train_size = sum(sizes) // 2
-    cdfs = np.ones((len(sizes), train_size + 1, max(sizes)))
+    There are prod_i C(n, n_i) covering halves with counts n_i >= 1, so
+    P(n_i = k | s) = C(n, k) ways_(i+1)(s - k) / ways_i(s), where ways_i(s)
+    counts the covering s-point picks from cosets i, i+1, ... . The counts
+    are exact integers and each ratio is rounded once, so the CDF is
+    nondecreasing in k, is exactly 1.0 from the last possible count on, and
+    rises only at possible counts. Only the rows of sums s that cosets
+    i, ... can be left with are tabulated; the others hold 1.0 and are
+    never read."""
+    train_size = m * n // 2
+    cdfs = np.ones((m, train_size + 1, n))
     ways = np.zeros(train_size + 1, dtype=object)  # no cosets left
     ways[0] = 1
-    for i in reversed(range(len(sizes))):
-        # cosets before i take 1 to size points each, those from i at most all
-        rows = slice(max(0, train_size - sum(sizes[:i])),
-                     min(train_size - i, sum(sizes[i:])) + 1)
-        k = np.arange(1, sizes[i] + 1)
-        picks = np.array([math.comb(sizes[i], j) for j in k], dtype=object)
+    k = np.arange(1, n + 1)
+    picks = np.array([math.comb(n, j) for j in k], dtype=object)
+    for i in reversed(range(m)):
+        # cosets before i take 1 to n points each, those from i at most all
+        rows = slice(max(0, train_size - i * n),
+                     min(train_size - i, (m - i) * n) + 1)
         rest = np.arange(train_size + 1)[rows, None] - k
         terms = np.where(rest >= 0, ways[np.maximum(rest, 0)] * picks, 0)
         cum = np.cumsum(terms, axis=1)
         ways = np.zeros(train_size + 1, dtype=object)
         ways[rows] = cum[:, -1]
-        cdfs[i, rows, : sizes[i]] = cum / np.where(cum[:, -1:] == 0, 1,
-                                                   cum[:, -1:])
+        cdfs[i, rows] = cum / np.where(cum[:, -1:] == 0, 1, cum[:, -1:])
     cdfs.flags.writeable = False
     return cdfs
 
 
-def train_counts(sizes, uniforms):
+def train_counts(n, m, uniforms):
     """The (T, m) per-coset train counts of uniformly random covering halves
-    of cosets of `sizes` points, one (T, m) row of uniforms in [0, 1) each,
-    the first m of a split's: coset by coset, the first count whose
+    of m cosets of n points each, one (T, m) row of uniforms in [0, 1)
+    each, the first m of a split's: coset by coset, the first count whose
     conditional CDF exceeds the coset's uniform."""
-    train_size = sum(sizes) // 2
-    if len(sizes) > train_size or min(sizes) < 1:
-        raise ValueError(f"cannot cover {len(sizes)} cosets of {list(sizes)} "
-                         f"points with {train_size} train slots")
-    cdfs = _count_cdfs(sizes)
+    train_size = m * n // 2
+    if m > train_size:
+        raise ValueError(f"cannot cover {m} cosets of {n} points with "
+                         f"{train_size} train slots")
+    cdfs = _count_cdfs(n, m)
     left = np.full(len(uniforms), train_size)
-    counts = np.empty((len(uniforms), len(sizes)), dtype=int)
-    for i in range(len(sizes)):
+    counts = np.empty((len(uniforms), m), dtype=int)
+    for i in range(m):
         below = cdfs[i, left] <= uniforms[:, i, None]
         counts[:, i] = 1 + np.count_nonzero(below, axis=-1)
         left -= counts[:, i]
     return counts
 
 
-def split_trials(labels, m, uniforms):
-    """Uniformly random halves of the P points with coset `labels` in
-    0..m-1 that cover every one of the m cosets, one (T, P + m) row of
-    uniforms each: the (T, K) sorted train indices. A row's first m
-    uniforms give the `train_counts`, and its other P decide which points
-    each coset keeps: those with the smallest."""
-    total = len(labels)
-    sizes = np.bincount(labels, minlength=m)
-    counts = train_counts(tuple(sizes.tolist()), uniforms[:, :m])
-    # points by coset, then by uniform; a point is kept if its rank inside
-    # its coset is below the coset's count
-    by_coset = np.broadcast_to(labels, (len(uniforms), total))
-    order = np.lexsort((uniforms[:, m:], by_coset))
-    ranked = labels[order]
-    rank = np.arange(total) - (np.cumsum(sizes) - sizes)[ranked]
+def split_trials(n, m, uniforms):
+    """Uniformly random halves of the P = m n points of m cosets of n points
+    each, in coset-major order, that cover every coset, one (T, P + m) row
+    of uniforms each: the (T, K) sorted train indices. A row's first m
+    uniforms give the `train_counts`, and its other P rank each coset's
+    block of n points: the block keeps the points with the smallest, ties
+    going to the lower index."""
+    trials = len(uniforms)
+    counts = train_counts(n, m, uniforms[:, :m])
+    order = np.argsort(uniforms[:, m:].reshape(trials, m, n), axis=-1,
+                       kind="stable")
     kept = np.empty(order.shape, dtype=bool)
-    np.put_along_axis(
-        kept, order, rank < np.take_along_axis(counts, ranked, -1), -1
-    )
-    return np.nonzero(kept)[1].reshape(len(uniforms), total // 2)
+    np.put_along_axis(kept, order, np.arange(n) < counts[..., None], -1)
+    return np.nonzero(kept.reshape(trials, m * n))[1].reshape(
+        trials, m * n // 2)

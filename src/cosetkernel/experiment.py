@@ -231,8 +231,7 @@ def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
         points + m + noise_models.draws(variants, points, n_qubits))
     train = None
     if surface == "train":
-        train = dataset.split_trials(dataset.coset_labels(n_qubits, m), m,
-                                     uniforms[:, :points + m])
+        train = dataset.split_trials(n_qubits, m, uniforms[:, :points + m])
     return reps, train, uniforms[:, points + m:]
 
 
@@ -255,7 +254,7 @@ def kernel_tables(n_qubits, m, rngs, surface, variants, epsilon):
     if epsilon == 0:
         split = surface == "train"
         reps, uniforms = _read_streams(n_qubits, m, rngs, m if split else 0)
-        counts = (dataset.train_counts((n_qubits,) * m, uniforms) if split
+        counts = (dataset.train_counts(n_qubits, m, uniforms) if split
                   else np.full(m, n_qubits))
         values = kernel.alpha_matrix(reps)
         if not isinstance(variants, str):
@@ -360,30 +359,25 @@ def _report_json_pieces(report):
     """`json.dumps(report, indent=2, sort_keys=True) + "\n"`, in pieces.
 
     `indent` selects json's pure-Python encoder, which is slow on thousands
-    of trial records. So the records go through the C encoder, a slice at a
-    time, with `_FIELD_SEP` as the separator between items: each field
-    lands on its own line at its indented place, and only the seams between
-    records and the list's two ends need rewriting. That is exact because
-    the records are flat and the C encoder escapes every newline inside a
-    string, so a raw newline in its output comes from a separator. The small
-    config and aggregates keep `indent=2`, shifted one level down."""
+    of trial records. So the report is dumped with `indent=2` once with no
+    trial records: "trials" sorts last among its keys, so the text ends in
+    that key's empty list, `[]\n}`, and the records are spliced in before
+    its `]`. They go through the C encoder, a slice at a time, with
+    `_FIELD_SEP` as the separator between items: each field lands on its
+    own line at its indented place, and only the seams between records and
+    the list's two ends need rewriting. That is exact because the records
+    are flat and the C encoder escapes every newline inside a string, so a
+    raw newline in its output comes from a separator."""
     encoder = json.JSONEncoder(sort_keys=True, separators=(_FIELD_SEP, ": "))
-    opening = "{\n  "
-    for key in sorted(report):
-        yield f"{opening}{json.dumps(key)}: "
-        opening = ",\n  "
-        if key != "trials":
-            text = json.dumps(report[key], indent=2, sort_keys=True)
-            yield text.replace("\n", "\n  ")
-            continue
-        records = report[key]
-        seam = "[\n    {\n      "
-        for lo in range(0, len(records), _RECORDS_PER_WRITE):
-            text = encoder.encode(records[lo:lo + _RECORDS_PER_WRITE])
-            yield seam + text[2:-2].replace(_RECORD_SEAM, _INDENTED_SEAM)
-            seam = _INDENTED_SEAM
-        yield "\n    }\n  ]"
-    yield "\n}\n"
+    head = json.dumps({**report, "trials": []}, indent=2, sort_keys=True)
+    yield head[:-len("]\n}")]
+    records = report["trials"]
+    seam = "\n    {\n      "
+    for lo in range(0, len(records), _RECORDS_PER_WRITE):
+        text = encoder.encode(records[lo:lo + _RECORDS_PER_WRITE])
+        yield seam + text[2:-2].replace(_RECORD_SEAM, _INDENTED_SEAM)
+        seam = _INDENTED_SEAM
+    yield "\n    }\n  ]\n}\n"
 
 
 def report_csv(report):

@@ -126,22 +126,20 @@ def chunks(count, per_item):
 
 
 def _gram(factors, offsets):
-    """|<psi_l| D_p^dag D_q |psi_r>|^2 over all pairs of a factor stack's
-    points, for the (2, N) or (2, T, N) offsets of the bra and the ket; the
-    upper triangle mirrored, so the result is exactly symmetric. A
-    (T, P, N, 2, 2) stack runs through the chain in `chunks` of its
-    kernels, which changes no bits (module docstring)."""
+    """|<psi_l| D_p^dag D_q |psi_r>|^2 over all pairs of each kernel's
+    points, for a (B, P, N, 2, 2) stack of B kernels' factors and the
+    (2, N) or (2, B, N) offsets of the bra and the ket: (B, P, P), the upper
+    triangle mirrored, so each kernel is exactly symmetric. The stack runs
+    through the chain in `chunks` of its kernels, which changes no bits
+    (module docstring)."""
     p = factors.shape[-4]
-    slices = chunks(len(factors), (2 * p) ** 2) if factors.ndim == 5 else []
-    if len(slices) > 1:
-        gram = np.empty((len(factors), p, p))
-        for rows in slices:
-            cut = slice(rows.start, rows.stop)
-            sides = offsets[:, cut] if offsets.ndim == 3 else offsets
-            gram[cut] = _gram(factors[cut], sides)
-        return gram
-    gram = np.abs(transfer_amplitudes(factors, factors, *offsets)) ** 2
-    below = np.tri(gram.shape[-1], k=-1, dtype=bool)
+    gram = np.empty((len(factors), p, p))
+    for rows in chunks(len(factors), (2 * p) ** 2):
+        cut = slice(rows.start, rows.stop)
+        sides = offsets[:, cut] if offsets.ndim == 3 else offsets
+        gram[cut] = np.abs(transfer_amplitudes(factors[cut], factors[cut],
+                                               *sides)) ** 2
+    below = np.tri(p, k=-1, dtype=bool)
     return np.where(below, np.swapaxes(gram, -1, -2), gram)
 
 
@@ -171,11 +169,13 @@ def alpha_matrix(reps):
     """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal, for
     (m, N, 2, 2) representatives; (T, m, m) for a batch of trials'. It is
     `kernel_matrix(reps)` with its diagonal set, through the shared
-    `_gram`, so that every `kernel_matrix` call is a kernel over points."""
-    alphas = _gram(reps, np.zeros((2, reps.shape[-3])))
-    diagonal = np.arange(reps.shape[-4])
-    alphas[..., diagonal, diagonal] = 1.0
-    return alphas
+    `_gram` as one flat stack, so that every `kernel_matrix` call is a
+    kernel over points."""
+    m, n = reps.shape[-4:-2]
+    alphas = _gram(reps.reshape(-1, m, n, 2, 2), np.zeros((2, n)))
+    diagonal = np.arange(m)
+    alphas[:, diagonal, diagonal] = 1.0
+    return alphas.reshape(*reps.shape[:-4], m, m)
 
 
 def gather_alphas(alphas, labels):

@@ -31,7 +31,8 @@ piece at a time, in the layout `experiment.draw_trials` states. A trial's
 dataset is its (m, N, 2, 2) representatives (`dataset.points` and
 `dataset.coset_labels` give its points and their labels), a split is its
 sorted train indices, and a trial's report is its record, the dict of
-`experiment.TRIAL_FIELDS`. `expand_tables` spreads a batch of
+`experiment.TRIAL_FIELDS`. `split_by_blocks` is the split's reference, a
+loop over trials and coset blocks. `expand_tables` spreads a batch of
 `experiment.kernel_tables`' tables, one point or one coset per row, over
 the points, so both compare with kernels built point by point.
 
@@ -161,10 +162,26 @@ def generate(n_qubits, m, rng):
     return experiment._read_streams(n_qubits, m, [rng], 0)[0][0]
 
 
-def split(labels, m, rng):
-    """One trial's (K,) train indices over points of the coset `labels`
-    0..m-1, from the next P + m uniforms of the stream `rng`."""
-    return dataset.split_trials(labels, m, rng.random((1, len(labels) + m)))[0]
+def split(n, m, rng):
+    """One trial's (K,) train indices over m coset-major blocks of n points,
+    from the next P + m uniforms of the stream `rng`."""
+    return dataset.split_trials(n, m, rng.random((1, m * n + m)))[0]
+
+
+def split_by_blocks(n, m, uniforms):
+    """The reference for `dataset.split_trials`, trial by trial and coset by
+    coset: each coset's block of n points sorted by (rank uniform, index),
+    its first `dataset.train_counts` points kept, and the kept indices
+    sorted."""
+    counts = dataset.train_counts(n, m, uniforms[:, :m])
+    halves = []
+    for row, row_counts in zip(uniforms.tolist(), counts.tolist()):
+        kept = []
+        for i, count in enumerate(row_counts):
+            block = range(i * n, (i + 1) * n)
+            kept += sorted(block, key=lambda p: (row[m + p], p))[:count]
+        halves.append(sorted(kept))
+    return np.array(halves)
 
 
 def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
@@ -235,7 +252,7 @@ def sequential_draws(n_qubits, m, rng, surface, variants, epsilon):
     ranks = rng.random(m * n_qubits)
     train = None
     if surface == "train":
-        train = dataset.split_trials(dataset.coset_labels(n_qubits, m), m,
+        train = dataset.split_trials(n_qubits, m,
                                      np.concatenate([counts, ranks])[None])[0]
     names = (variants,) if isinstance(variants, str) else variants
     points = dataset.points(reps)

@@ -29,7 +29,7 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
     which the transfer chain matches to rounding (`test_kernel`)."""
     reps = oracle.generate(n_qubits, m, rng)
     all_labels = dataset.coset_labels(n_qubits, m)
-    sp = oracle.split(all_labels, m, rng)
+    sp = oracle.split(n_qubits, m, rng)
     indices = sp if surface == "train" else None
     labels = all_labels if indices is None else all_labels[indices]
     eps = cfg_noise.epsilon
@@ -318,8 +318,8 @@ def test_count_draw_matches_the_split(seed):
             fresh = experiment.trial_rngs(seed, n_qubits, m, chunk)
             ref = [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk]
             counts = dataset.train_counts(
-                (n_qubits,) * m, np.stack([rng.random(m) for rng in fresh]))
-            train = dataset.split_trials(labels, m, np.stack(
+                n_qubits, m, np.stack([rng.random(m) for rng in fresh]))
+            train = dataset.split_trials(n_qubits, m, np.stack(
                 [rng.random(len(labels) + m) for rng in ref]))
             assert np.array_equal(
                 counts, [np.bincount(labels[t], minlength=m) for t in train]
@@ -443,10 +443,9 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
             ref_rngs = [oracle.trial_rng(31, n_qubits, m, t) for t in chunk]
             ref_reps = np.stack([oracle.generate(n_qubits, m, rng)
                                  for rng in ref_rngs])
-            labels = dataset.coset_labels(n_qubits, m)
             for rng in ref_rngs:
-                oracle.split(labels, m, rng)
-            draws = noise.draws(variant, len(labels), n_qubits)
+                oracle.split(n_qubits, m, rng)
+            draws = noise.draws(variant, m * n_qubits, n_qubits)
             ref_uniforms = np.stack([rng.random(draws) for rng in ref_rngs])
             assert np.array_equal(uniforms, ref_uniforms)
             for rng, ref_rng in zip(rngs, ref_rngs):

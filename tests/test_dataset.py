@@ -73,14 +73,14 @@ def test_cross_coset_never_one():
 def test_split_sizes_and_coverage():
     rng = np.random.default_rng(4)
     labels = dataset.coset_labels(2, 2)
-    train = oracle.split(labels, 2, rng)
+    train = oracle.split(2, 2, rng)
     assert len(train) == 2
     assert set(labels[train]) == {0, 1}
 
     labels = dataset.coset_labels(10, 5)
     rows = [rng, *np.random.default_rng(7).spawn(7)]
-    splits = dataset.split_trials(labels, 5, np.stack([r.random(55)
-                                                       for r in rows]))
+    splits = dataset.split_trials(10, 5, np.stack([r.random(55)
+                                                   for r in rows]))
     assert splits.shape == (8, 25)
     for train in splits:
         assert set(labels[train]) == set(range(5))
@@ -91,37 +91,27 @@ def test_split_sizes_and_coverage():
 
 
 def test_split_deterministic():
-    labels = dataset.coset_labels(4, 3)
-    train1 = oracle.split(labels, 3, np.random.default_rng(99))
-    train2 = oracle.split(labels, 3, np.random.default_rng(99))
+    train1 = oracle.split(4, 3, np.random.default_rng(99))
+    train2 = oracle.split(4, 3, np.random.default_rng(99))
     assert np.array_equal(train1, train2)
 
 
-# (N, m, points kept): the coset labels of coset-major datasets of N points
-# per coset, and those of cosets with 1, 3 and 3 points in shuffled order
-SPLIT_CASES = {"N3-m2": (3, 2, None), "N4-m3": (4, 3, None),
-               "N2-m5": (2, 5, None),
-               "shuffled-1-3-3": (3, 3, [4, 0, 7, 3, 8, 5, 6])}
-
-
-def _split_case(name):
-    """The case's (P,) coset labels and its coset count m."""
-    n, m, kept = SPLIT_CASES[name]
-    labels = dataset.coset_labels(n, m)
-    return (labels if kept is None else labels[kept]), m
+# (n, m): m coset-major blocks of n points each
+SPLIT_CASES = {"N3-m2": (3, 2), "N4-m3": (4, 3), "N2-m5": (2, 5)}
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_split_follows_exact_law(case):
     # uniform over the halves that cover every coset, by exhaustive
     # enumeration: chi-square on the count vectors and on the halves
-    labels, m = _split_case(case)
+    n, m = SPLIT_CASES[case]
+    labels = dataset.coset_labels(n, m)
     total = len(labels)
     covering = [half for half in itertools.combinations(range(total), total // 2)
                 if len(set(labels[list(half)])) == m]
     draws = 20_000
     rng = np.random.default_rng(1234)
-    got = dataset.split_trials(labels, m, rng.random((draws, total + m)))
+    got = dataset.split_trials(n, m, rng.random((draws, total + m)))
     halves = Counter(map(tuple, got.tolist()))
     assert set(halves) <= set(covering)
     observed = [halves[h] for h in covering]
@@ -139,27 +129,46 @@ def test_split_follows_exact_law(case):
         assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("sizes", [(3, 3), (4, 4, 4), (2,) * 5, (1, 3, 3),
-                                   (5, 1, 2, 7), (128,) * 5])
-def test_train_counts_at_uniform_edges(sizes):
+@pytest.mark.parametrize("n", [*range(2, 10), 16, 64, 128])
+def test_split_matches_the_block_loop(n):
+    # bit for bit the per-trial, per-coset loop, m > n included, on rows
+    # with tied rank uniforms and with count uniforms at 0.0 and the
+    # largest double below 1
+    rng = np.random.default_rng(n)
+    for m in range(2, 6):
+        rows = rng.random((12, m * n + m))
+        ranks = rows[:, m:]
+        ranks[0] = 0.5  # every point of every block tied
+        ranks[1, 1::2] = ranks[1, ::2][:len(ranks[1, 1::2])]  # pairs tied
+        ranks[2, n - 1] = ranks[2, 0]  # the ends of block 0 tied
+        ranks[3] = np.round(ranks[3], 1)  # ties scattered over the blocks
+        rows[4:8, :m] = 0.0
+        rows[8:12, :m] = np.nextafter(1.0, 0.0)
+        rows[[5, 9], m:] = 0.25
+        assert np.array_equal(dataset.split_trials(n, m, rows),
+                              oracle.split_by_blocks(n, m, rows)), (n, m)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (2, 5), (128, 5)])
+def test_train_counts_at_uniform_edges(n, m):
     # coset uniforms of 0.0 and the largest double below 1, in every
     # combination for few cosets, still give possible counts
-    train_size = sum(sizes) // 2
+    train_size = m * n // 2
     edges = (0.0, np.nextafter(1.0, 0.0))
-    rows = np.array(list(itertools.product(edges, repeat=len(sizes))))
-    counts = dataset.train_counts(sizes, rows)
+    rows = np.array(list(itertools.product(edges, repeat=m)))
+    counts = dataset.train_counts(n, m, rows)
     assert np.all(counts >= 1)
-    assert np.all(counts <= np.array(sizes))
+    assert np.all(counts <= n)
     assert np.all(counts.sum(axis=1) == train_size)
-    if max(sizes) < 10:
+    if n < 10:
         # probabilities are far from the rounding limit here, so the edges
         # pick the smallest and the largest possible count
         for row, got in zip(rows, counts):
             left = train_size
-            for i, (u, size) in enumerate(zip(row, sizes)):
-                rest = sizes[i + 1:]
-                low = max(1, left - sum(rest))
-                high = min(size, left - len(rest))
+            for i, u in enumerate(row):
+                rest = m - i - 1
+                low = max(1, left - rest * n)
+                high = min(n, left - rest)
                 assert got[i] == (low if u == 0.0 else high)
                 left -= got[i]
 
@@ -168,37 +177,29 @@ def test_train_counts_at_uniform_edges(sizes):
 def test_split_reads_fixed_draws(case):
     # each trial's split reads exactly its own row of P + m uniforms,
     # whatever the data: a row one short or one long is refused
-    labels, m = _split_case(case)
-    draws = len(labels) + m
+    n, m = SPLIT_CASES[case]
+    draws = m * n + m
     for seed in range(20):
         rows = np.random.default_rng(seed).random((3, draws))
-        got = dataset.split_trials(labels, m, rows)
+        got = dataset.split_trials(n, m, rows)
         for t in range(3):
             assert np.array_equal(
-                got[t], dataset.split_trials(labels, m, rows[t:t + 1])[0])
+                got[t], dataset.split_trials(n, m, rows[t:t + 1])[0])
         for wrong in (rows[:, :-1], np.hstack([rows, rows[:, :1]])):
             with pytest.raises(ValueError):
-                dataset.split_trials(labels, m, wrong)
+                dataset.split_trials(n, m, wrong)
 
 
 def test_split_rejects_uncoverable_cosets():
-    labels = dataset.coset_labels(2, 3)
     # three cosets, one point each: one train slot
     with pytest.raises(ValueError, match="cannot cover 3 cosets"):
-        oracle.split(labels[[0, 2, 4]], 3, np.random.default_rng(0))
-    # coset 1 has no points
-    with pytest.raises(ValueError, match="cannot cover 3 cosets"):
-        oracle.split(labels[[0, 1, 4, 5]], 3, np.random.default_rng(0))
-    # the last coset has no points: no label names it, so only the given m
-    # tells that it is missing
-    with pytest.raises(ValueError, match="cannot cover 3 cosets"):
-        oracle.split(np.array([0, 0, 1, 1]), 3, np.random.default_rng(0))
+        oracle.split(1, 3, np.random.default_rng(0))
 
 
 def test_count_law_tabulates_quickly():
     # the largest cells of a sweep: N = 128, m = 5, cold
     start = time.perf_counter()
-    dataset._count_cdfs.__wrapped__((128,) * 5)
+    dataset._count_cdfs.__wrapped__(128, 5)
     assert time.perf_counter() - start < 1.0
 
 

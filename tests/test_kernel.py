@@ -89,7 +89,7 @@ def test_entries_in_unit_interval():
 def test_restriction_to_train_split():
     rng = np.random.default_rng(6)
     points = dataset.points(oracle.generate(3, 2, rng))
-    train = oracle.split(dataset.coset_labels(3, 2), 2, rng)
+    train = oracle.split(3, 2, rng)
     full = kernel.kernel_matrix(points)
     sub = kernel.kernel_matrix(points, train)
     assert sub.shape == (len(train), len(train))
