@@ -227,5 +227,8 @@ def export_heatmap(k, names, path):
     lines = ["," + ",".join(names)]
     for name, row in zip(names, k.tolist()):
         lines.append(name + "," + ",".join(map(repr, row)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"failed to write heat map to {path}: {exc}") from exc

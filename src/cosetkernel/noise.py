@@ -8,9 +8,10 @@ inputs, and `attach` alone decides how, from a row of `draws` uniforms per
 trial that `experiment.draw_trials` reads (its docstring states the stream
 layout). Noise functions take the variant (a name, or a tuple of names for
 a stack) and epsilon; `NoiseConfig` validates a config's pair. An
-envelope depends only on a coset pair's alpha, so `bounds_for` takes one
-alpha or an array of them and gives per-coset-pair tables of bounds, which
-`count_envelope_violations` gathers to the entries of a batch of trials.
+envelope depends only on a coset pair's alpha, so `bounds_for` turns a
+table of coset-pair alphas into two tables, the (lower, upper) interval of
+each pair, which `count_envelope_violations` gathers to the entries of a
+batch of trials.
 """
 
 import numbers
@@ -55,13 +56,6 @@ class NoiseConfig:
             raise ValueError("epsilon must be non-negative")
         if self.variant == "none" and self.epsilon != 0:
             raise ValueError("a nonzero epsilon needs a noise variant")
-
-
-@dataclass(frozen=True)
-class NoiseBounds:
-    same_coset_lower: float
-    cross_coset_lower: float
-    cross_coset_upper: float
 
 
 def from_euler(angles):
@@ -146,11 +140,15 @@ def attach(variants, epsilon, factors, uniforms):
     return noisy, offsets
 
 
-def bounds_for(variant, alpha, epsilon):
-    """The envelope of a kernel entry under `variant`'s errors at `epsilon`,
-    for one alpha or elementwise over an array: the bounds on kappa when
-    the overlap amplitude of two points moves by at most a `shift` around
-    sqrt(alpha) across cosets, and stays at least `same` within one.
+def bounds_for(variant, alphas, epsilon):
+    """The envelopes of kernel entries under `variant`'s errors at
+    `epsilon`, for a (..., m, m) table of coset-pair `alphas`: (lower,
+    upper), two tables of its shape. Across cosets the overlap amplitude
+    of two points moves by at most a `shift` around sqrt(alpha), so off
+    the diagonal the interval is [(sqrt(alpha) - shift)^2, or 0 once shift
+    passes sqrt(alpha), min(1, (sqrt(alpha) + shift)^2)]. Within one coset
+    it stays at least `same`, and the overlap of two unit vectors is at
+    most 1, so on the diagonal the interval is [max(same, 0)^2, 1].
 
     Fiducial errors, each preparation within eps of the ideal one, give
     shift 2 eps + eps^2 and same 1 - shift. Selection and representation
@@ -160,11 +158,11 @@ def bounds_for(variant, alpha, epsilon):
     E_x^dag S E_x' S for representation (D_x E_x), with S = s_a s_b fixing
     psi. ||W - I|| <= 2 eps, so each eigenvalue e^(it) of W has
     2 |sin(t/2)| <= 2 eps, hence cos t >= 1 - 2 eps^2 and
-    Re<psi|W|psi> >= 1 - 2 eps^2. A `same` below 0 gives the bound 0.
+    Re<psi|W|psi> >= 1 - 2 eps^2.
 
-    From eps = 1 on, every envelope is the trivial one: same-coset lower
-    bound 0, cross-coset bounds [0, 1]. So eps is clamped to 1, which keeps
-    every bound and lets no square of eps overflow."""
+    From eps = 1 on, every envelope is the trivial one: [0, 1] on and off
+    the diagonal. So eps is clamped to 1, which keeps every bound and lets
+    no square of eps overflow."""
     epsilon = min(epsilon, 1.0)
     if variant == "fiducial":
         shift = 2 * epsilon + epsilon**2
@@ -173,13 +171,15 @@ def bounds_for(variant, alpha, epsilon):
         shift, same = 2 * epsilon, 1 - 2 * epsilon**2
     else:
         raise ValueError(f"no bounds for variant {variant!r}")
-    alpha = np.asarray(alpha, dtype=float)
-    if not np.all((0 <= alpha) & (alpha <= 1)):
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all((0 <= alphas) & (alphas <= 1)):
         raise ValueError("alpha must be in [0, 1]")
-    root = np.sqrt(alpha)
-    upper = np.clip(np.square(root + shift), 0.0, 1.0)
-    lower = np.where(root >= shift, np.square(root - shift), 0.0)
-    return NoiseBounds(np.square(max(same, 0.0)), lower[()], upper[()])
+    root = np.sqrt(alphas)
+    diag = np.eye(alphas.shape[-1], dtype=bool)  # one coset
+    lower = np.where(diag, np.square(max(same, 0.0)),
+                     np.where(root >= shift, np.square(root - shift), 0.0))
+    upper = np.where(diag, 1.0, np.clip(np.square(root + shift), 0.0, 1.0))
+    return lower, upper
 
 
 def count_envelope_violations(k, counts, labels, alphas, variant, epsilon):
@@ -192,27 +192,22 @@ def count_envelope_violations(k, counts, labels, alphas, variant, epsilon):
     (V, T, A, A), that shares the rest, and the counts are totals over the
     variants.
 
-    An envelope depends only on a coset pair's alpha, so each variant's is
-    one `bounds_for` call on the (T, m, m) alphas: a table of intervals,
-    [cross_coset_lower, cross_coset_upper] off its diagonal and
-    [same_coset_lower, 1], the overlap of two unit vectors, on it. Each
-    entry is checked in its coset pair's interval, widened by
-    `ENVELOPE_TOL` and gathered by its labels (`kernel.gather_alphas` of
-    the pairs' indices). A NaN entry fails both comparisons and an
-    infinite one fails one, so either is a violation in either class."""
+    Each variant's envelope is one `bounds_for` call on the (T, m, m)
+    alphas. Each entry is checked in its coset pair's (lower, upper)
+    interval, widened by `ENVELOPE_TOL` and gathered by its labels
+    (`kernel.gather_alphas` of the pairs' indices). A NaN entry fails both
+    comparisons and an infinite one fails one, so either is a violation in
+    either class."""
     variants = (variant,) if isinstance(variant, str) else variant
     size, m = k.shape[-1], alphas.shape[-1]
     alphas = alphas.reshape(-1, m, m)
-    same = np.eye(m, dtype=bool)
     # each entry's coset pair, as a flat index into a (T, m, m) table
     pair = gather_alphas(np.arange(alphas.size).reshape(alphas.shape), labels)
     weights = pair_counts(counts)
     violations = 0
     for name, entries in zip(variants,
                              k.reshape(len(variants), -1, size, size)):
-        b = bounds_for(name, alphas, epsilon)
-        lower = np.where(same, b.same_coset_lower, b.cross_coset_lower)
-        upper = np.where(same, 1.0, b.cross_coset_upper)
+        lower, upper = bounds_for(name, alphas, epsilon)
         inside = (((lower - ENVELOPE_TOL).ravel()[pair] <= entries)
                   & (entries <= (upper + ENVELOPE_TOL).ravel()[pair]))
         violations += int(np.sum(np.where(inside, 0, weights)))

@@ -195,8 +195,10 @@ def _strict_bounds(monkeypatch):
     noisy same-coset entry a violation."""
     bounds_for = noise.bounds_for
 
-    def strict(variant, alpha, epsilon):
-        return replace(bounds_for(variant, alpha, epsilon), same_coset_lower=1.0)
+    def strict(variant, alphas, epsilon):
+        lower, upper = bounds_for(variant, alphas, epsilon)
+        same = np.eye(alphas.shape[-1], dtype=bool)
+        return np.where(same, 1.0, lower), upper
 
     monkeypatch.setattr(noise, "bounds_for", strict)
 
@@ -703,9 +705,10 @@ def test_chunked_verify_bounds_prints_the_one_trial_counts(eps, monkeypatch,
     # count depends on every entry's value
     bounds_for = noise.bounds_for
 
-    def tight(variant, alpha, epsilon):
-        return replace(bounds_for(variant, alpha, epsilon),
-                       same_coset_lower=1.0, cross_coset_upper=alpha)
+    def tight(variant, alphas, epsilon):
+        lower, _ = bounds_for(variant, alphas, epsilon)
+        same = np.eye(alphas.shape[-1], dtype=bool)
+        return np.where(same, 1.0, lower), np.where(same, 1.0, alphas)
 
     monkeypatch.setattr(noise, "bounds_for", tight)
     # without a budget a trial takes 4 m N entries rather than (2 P)^2

@@ -36,6 +36,8 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(variance_surface="test")
+    with pytest.raises(ValueError, match="output_format must be 'json' or 'csv'"):
+        ExperimentConfig(output_format="xml")
     for counts in ((), (1, 2), (3, 2, 3)):
         with pytest.raises(ValueError, match="coset counts"):
             ExperimentConfig(coset_counts=counts)
@@ -178,6 +180,29 @@ def test_export_refuses_empty(tmp_path):
     with pytest.raises(ValueError):
         experiment.export_report({"config": {}, "aggregates": [], "trials": []}, path)
     assert not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device on which every write fails")
+def test_a_write_that_fails_names_its_path(tmp_path, capsys):
+    # the report and the heat map each name the file they could not write,
+    # in the exception and in the CLI's error record
+    report = experiment.run_experiment(small_config())
+    with pytest.raises(OSError, match="failed to write report to /dev/full"):
+        experiment.export_report(report, "/dev/full")
+    with pytest.raises(OSError, match="failed to write heat map to /dev/full"):
+        kernel.export_heatmap(np.eye(2), ["c0s0", "c1s0"], "/dev/full")
+    args = ["simulate", "--qubits", "2..3", "--cosets", "2", "--trials", "2",
+            "--seed", "1"]
+    for outputs in (["--out", "/dev/full"],
+                    ["--out", str(tmp_path / "r.json"), "--heatmap",
+                     "/dev/full"]):
+        assert cli.main(args + outputs) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err.splitlines()[-1])
+        assert record["error"] == "OSError"
+        assert "/dev/full" in record["message"]
 
 
 def test_csv_export(tmp_path):
@@ -567,6 +592,7 @@ def test_cli_simulate_rejects_non_integer_config_values(tmp_path, capsys,
          "epsilon must be a real number, got True"),
         ({"noise": {"variant": "fiducial", "epsilon": "0.1"}},
          "epsilon must be a real number, got '0.1'"),
+        ({"output_format": "xml"}, "output_format must be 'json' or 'csv'"),
     ],
 )
 def test_cli_simulate_names_the_config_key_of_a_malformed_value(

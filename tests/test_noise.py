@@ -91,35 +91,56 @@ def test_fold_matches_the_matrix_product_per_point():
                 )
 
 
+def _pair_table(alpha):
+    """The (..., 2, 2) alpha tables of two cosets whose pair has `alpha`:
+    the same-coset interval of `noise.bounds_for` lands on the diagonal,
+    the cross-coset one at (0, 1) and (1, 0)."""
+    alpha = np.asarray(alpha, dtype=float)
+    table = np.ones(alpha.shape + (2, 2))
+    table[..., 0, 1] = table[..., 1, 0] = alpha
+    return table
+
+
+def _pair_bounds(variant, alpha, eps):
+    """(same-coset lower, cross-coset lower, cross-coset upper) of one
+    pair, read off `noise.bounds_for` of its 2x2 table, whose same-coset
+    upper bound is the overlap of two unit vectors' 1."""
+    lower, upper = noise.bounds_for(variant, _pair_table(alpha), eps)
+    assert np.array_equal(np.diag(upper), [1.0, 1.0])
+    assert lower[0, 0] == lower[1, 1]
+    assert (lower[1, 0], upper[1, 0]) == (lower[0, 1], upper[0, 1])
+    return lower[0, 0], lower[0, 1], upper[0, 1]
+
+
 def test_bounds_zero_epsilon():
     for variant in ("fiducial", "selection"):
-        b = noise.bounds_for(variant, 0.3, 0.0)
-        assert b.same_coset_lower == 1.0
-        assert b.cross_coset_lower == pytest.approx(0.3)
-        assert b.cross_coset_upper == pytest.approx(0.3)
+        same, lower, upper = _pair_bounds(variant, 0.3, 0.0)
+        assert same == 1.0
+        assert lower == pytest.approx(0.3)
+        assert upper == pytest.approx(0.3)
 
 
 def test_bounds_fiducial_values():
     eps = 0.05
     shift = 2 * eps + eps**2
-    b = noise.bounds_for("fiducial", 1 / 1024, eps)
-    assert b.same_coset_lower == pytest.approx(1 - 4 * eps + 2 * eps**2 + 4 * eps**3 + eps**4)
-    assert b.cross_coset_upper == pytest.approx((np.sqrt(1 / 1024) + shift) ** 2)
+    same, lower, upper = _pair_bounds("fiducial", 1 / 1024, eps)
+    assert same == pytest.approx(1 - 4 * eps + 2 * eps**2 + 4 * eps**3 + eps**4)
+    assert upper == pytest.approx((np.sqrt(1 / 1024) + shift) ** 2)
     # sqrt(alpha) below the amplitude shift: lower bound clamps to zero
-    assert b.cross_coset_lower == 0.0
+    assert lower == 0.0
     # at larger alpha the cross bounds are exactly the square of
     # sqrt(alpha) -+ shift, i.e. the quartic polynomials in eps
     alpha = 0.25
-    b = noise.bounds_for("fiducial", alpha, eps)
-    assert b.cross_coset_lower == pytest.approx((np.sqrt(alpha) - shift) ** 2)
-    assert b.cross_coset_lower == pytest.approx(
+    _, lower, upper = _pair_bounds("fiducial", alpha, eps)
+    assert lower == pytest.approx((np.sqrt(alpha) - shift) ** 2)
+    assert lower == pytest.approx(
         alpha
         - 4 * np.sqrt(alpha) * eps
         + 2 * (2 - np.sqrt(alpha)) * eps**2
         + 4 * eps**3
         + eps**4
     )
-    assert b.cross_coset_upper == pytest.approx(
+    assert upper == pytest.approx(
         alpha
         + 4 * np.sqrt(alpha) * eps
         + 2 * (2 + np.sqrt(alpha)) * eps**2
@@ -130,36 +151,36 @@ def test_bounds_fiducial_values():
 
 def test_bounds_fiducial_alpha_to_zero():
     eps = 0.1
-    b = noise.bounds_for("fiducial", 0.0, eps)
-    assert b.cross_coset_lower == 0.0
-    assert b.cross_coset_upper == pytest.approx(4 * eps**2 + 4 * eps**3 + eps**4)
+    _, lower, upper = _pair_bounds("fiducial", 0.0, eps)
+    assert lower == 0.0
+    assert upper == pytest.approx(4 * eps**2 + 4 * eps**3 + eps**4)
 
 
 def test_bounds_selection_values():
-    b = noise.bounds_for("selection", 0.25, 0.1)
-    assert b.cross_coset_lower == pytest.approx(0.09)
-    assert b.cross_coset_upper == pytest.approx(0.49)
+    same, lower, upper = _pair_bounds("selection", 0.25, 0.1)
+    assert lower == pytest.approx(0.09)
+    assert upper == pytest.approx(0.49)
     eps = 0.1
-    assert b.same_coset_lower == pytest.approx(1 - 4 * eps**2 + 4 * eps**4)
-    assert b.same_coset_lower == pytest.approx((1 - 2 * eps**2) ** 2)
+    assert same == pytest.approx(1 - 4 * eps**2 + 4 * eps**4)
+    assert same == pytest.approx((1 - 2 * eps**2) ** 2)
     # the same-coset amplitude bound 1 - 2 eps^2 reaches 0 at eps = sqrt(1/2)
-    assert noise.bounds_for("selection", 0.25, 0.7).same_coset_lower == (
-        pytest.approx(0.0004)
-    )
-    assert noise.bounds_for("selection", 0.25, 0.75).same_coset_lower == 0.0
+    assert _pair_bounds("selection", 0.25, 0.7)[0] == pytest.approx(0.0004)
+    assert _pair_bounds("selection", 0.25, 0.75)[0] == 0.0
 
 
 def test_bounds_representation_equals_selection():
     for alpha in (1 / 256, 0.3, 0.9):
         for eps in (0.01, 0.05, 0.5):
-            assert noise.bounds_for("representation", alpha, eps) == (
-                noise.bounds_for("selection", alpha, eps)
-            )
+            for got, want in zip(
+                    noise.bounds_for("representation", _pair_table(alpha),
+                                     eps),
+                    noise.bounds_for("selection", _pair_table(alpha), eps)):
+                assert np.array_equal(got, want)
 
 
 def test_bounds_reject_bad_alpha():
     with pytest.raises(ValueError):
-        noise.bounds_for("fiducial", 1.5, 0.1)
+        noise.bounds_for("fiducial", _pair_table(1.5), 0.1)
     for bad in (-0.1, 1.5, np.nan):
         with pytest.raises(ValueError):
             noise.bounds_for("selection", np.array([[0.5, bad], [0.2, 1.0]]),
@@ -168,7 +189,7 @@ def test_bounds_reject_bad_alpha():
 
 @pytest.mark.parametrize("variant", ["none", "thermal"])
 def test_bounds_reject_a_variant_without_an_envelope(variant):
-    for alpha in (0.3, np.array([[1.0, 0.3], [0.3, 1.0]])):
+    for alpha in (_pair_table(0.3), _pair_table([0.3, 0.7])):
         with pytest.raises(ValueError, match="no bounds for variant"):
             noise.bounds_for(variant, alpha, 0.1)
 
@@ -335,16 +356,17 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant):
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_bounds_past_epsilon_one_are_the_trivial_envelope(variant, eps):
     # from eps = 1 on every envelope is trivial, so the bounds are clamped
-    # there: no square of eps overflows or warns
-    alphas = np.linspace(0.0, 1.0, 101)
+    # there: no square of eps overflows or warns. The trivial envelope is
+    # [0, 1] within one coset and across two
+    alphas = _pair_table(np.linspace(0.0, 1.0, 101))
     with np.errstate(all="raise"):
         got = noise.bounds_for(variant, alphas, eps)
         ref = noise.bounds_for(variant, alphas, 1.0)
-    assert got.same_coset_lower == ref.same_coset_lower == 0.0
-    assert np.array_equal(got.cross_coset_lower, ref.cross_coset_lower)
-    assert np.array_equal(got.cross_coset_upper, ref.cross_coset_upper)
-    assert np.all(ref.cross_coset_lower == 0.0)
-    assert np.all(ref.cross_coset_upper == 1.0)
+    for got_table, ref_table in zip(got, ref):
+        assert np.array_equal(got_table, ref_table)
+    lower, upper = ref
+    assert np.all(lower == 0.0)
+    assert np.all(upper == 1.0)
 
 
 def test_verify_bounds_at_the_largest_epsilon(capsys):
@@ -411,17 +433,15 @@ def _loop_violations(kmat, labels, alphas, variant, eps):
                 continue
             value = kmat[r, c]
             i, j = labels[r], labels[c]
-            b = noise.bounds_for(variant, alphas[i, j], eps)
+            same, lower, upper = _pair_bounds(variant, alphas[i, j], eps)
             checked += 1
             if not np.isfinite(value):
                 violations += 1
             elif i == j:
                 # the overlap of two unit vectors is at most 1
-                violations += not (b.same_coset_lower - tol <= value <= 1 + tol)
+                violations += not (same - tol <= value <= 1 + tol)
             else:
-                violations += not (
-                    b.cross_coset_lower - tol <= value <= b.cross_coset_upper + tol
-                )
+                violations += not (lower - tol <= value <= upper + tol)
     return violations, checked
 
 
@@ -436,15 +456,15 @@ def test_envelope_count_matches_loop_oracle(variant):
         alphas = batch_alphas[t]
         same = np.flatnonzero(labels == labels[0])[1]
         cross = np.flatnonzero(labels != labels[0])[0]
-        same_b = noise.bounds_for(variant, alphas[labels[0], labels[0]], eps)
-        cross_b = noise.bounds_for(variant, alphas[labels[0], labels[cross]], eps)
+        i, j = labels[0], labels[cross]
+        lower, upper = noise.bounds_for(variant, alphas, eps)
         # (entry edits, how many of them are violations)
         planted = [
             ({}, 0),
-            ({(0, same): same_b.same_coset_lower - 1e-6}, 1),
+            ({(0, same): lower[i, i] - 1e-6}, 1),
             ({(same, 0): 1 + 1e-6}, 1),
-            ({(0, cross): cross_b.cross_coset_upper + 1e-6}, 1),
-            ({(cross, 0): cross_b.cross_coset_lower - 1e-6}, 1),
+            ({(0, cross): upper[i, j] + 1e-6}, 1),
+            ({(cross, 0): lower[j, i] - 1e-6}, 1),
             ({(0, 0): -1.0}, 0),  # the diagonal is never checked
             ({(same, 0): 0.0, (0, cross): 1.5, (cross, 0): -1.0}, 3),
         ]
@@ -544,20 +564,26 @@ def test_infinite_entries_are_violations(variant):
 @pytest.mark.parametrize("eps", [0.05, 0.3, 0.45, 0.6, 1.5])
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_array_bounds_match_scalar_bounds(variant, eps):
-    # eps = 0.45 puts the fiducial shift past 1, eps = 0.6 the selection
-    # and representation one, and eps = 1.5 their same-coset bound at 0
+    # every entry of a (T, m, m) table has the bounds of its alpha alone,
+    # read off its own 2x2 table: no entry's interval depends on another's
+    # alpha. eps = 0.45 puts the fiducial shift past 1, eps = 0.6 the
+    # selection and representation one, and eps = 1.5 their same-coset
+    # bound at 0
     shift = 2 * eps + eps**2 if variant == "fiducial" else 2 * eps
-    alphas = np.array([[0.0, 1.0, 0.37], [shift**2, 1e-3, 0.9]])
-    alphas[alphas > 1] = 0.5
-    table = noise.bounds_for(variant, alphas, eps)
-    for idx, alpha in np.ndenumerate(alphas):
-        b = noise.bounds_for(variant, float(alpha), eps)
-        assert table.same_coset_lower == b.same_coset_lower
-        assert table.cross_coset_lower[idx] == b.cross_coset_lower
-        assert table.cross_coset_upper[idx] == b.cross_coset_upper
+    alphas = np.random.default_rng(35).uniform(size=(3, 4, 4))
+    alphas[0, 0, 1], alphas[1, 2, 3] = 0.0, 1.0
+    alphas[2, 3, 0] = shift**2 if shift <= 1 else 1e-3
+    lower, upper = noise.bounds_for(variant, alphas, eps)
+    for t, i, j in np.ndindex(alphas.shape):
+        alpha = alphas[t, i, j]
+        same, pair_lower, pair_upper = _pair_bounds(variant, alpha, eps)
+        if i == j:
+            assert (lower[t, i, j], upper[t, i, j]) == (same, 1.0)
+            continue
+        assert (lower[t, i, j], upper[t, i, j]) == (pair_lower, pair_upper)
         if np.sqrt(alpha) <= shift:
-            assert b.cross_coset_lower == 0.0
-        assert 0.0 <= b.cross_coset_lower <= alpha <= b.cross_coset_upper <= 1.0
+            assert pair_lower == 0.0
+        assert 0.0 <= pair_lower <= alpha <= pair_upper <= 1.0
     if shift > 1 if variant == "fiducial" else 2 * eps**2 > 1:
-        assert table.same_coset_lower == 0.0
-    assert noise.bounds_for(variant, 1.0, eps).cross_coset_upper == 1.0
+        assert np.all(np.diagonal(lower, axis1=1, axis2=2) == 0.0)
+    assert upper[1, 2, 3] == 1.0

@@ -173,6 +173,12 @@ def test_extract_stats_ideal_kernel():
     assert stats.mean_gamma == pytest.approx(0.0, abs=1e-12)
     assert stats.var_gamma == pytest.approx(0.0, abs=1e-12)
     assert stats.mean_delta == pytest.approx(0.0, abs=1e-10)
+    # one point per coset leaves no same-coset entry off the diagonal
+    first = np.arange(2) * 3
+    with pytest.raises(ValueError, match="need at least 2 entries in each"):
+        theory.extract_deviation_stats(kmat[np.ix_(first, first)],
+                                       dataset.coset_labels(3, 2)[first],
+                                       alphas[0, 1])
 
 
 def test_extract_stats_gamma_nonnegative():
