@@ -3,8 +3,9 @@
 `verify-bounds` checks each noise variant but "none" on the trials that
 `experiment.sweep` walks for `simulate --surface full`, with one
 `experiment.kernel_tables` and one `count_envelope_violations` call per
-chunk of trials; the heat map of `simulate` is one `kernel_tables` call
-too, its table spread over the points by its rows' counts.
+chunk of trials; the heat map of `simulate` is the table that
+`experiment.run_experiment` returns with the report, spread over the
+points by its rows' counts.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -116,7 +117,10 @@ def cmd_simulate(args):
             raise IsADirectoryError(f"output path is a directory: {path!r}")
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"no such directory: {parent!r}")
-    report = experiment.run_experiment(cfg)
+    if args.heatmap:
+        report, (values, counts) = experiment.run_experiment(cfg, heatmap=True)
+    else:
+        report = experiment.run_experiment(cfg)
     if cfg.output_path:
         experiment.export_report(report, cfg.output_path, cfg.output_format)
     elif cfg.output_format == "csv":
@@ -128,9 +132,6 @@ def cmd_simulate(args):
         n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
-        _, values, counts, _ = experiment.kernel_tables(
-            n_qubits, m, experiment.trial_rngs(cfg.seed, n_qubits, m, [0]),
-            "full", cfg.noise.variant, cfg.noise.epsilon)
         rows = np.repeat(np.arange(len(counts)), counts)
         kernel.export_heatmap(kernel.gather_alphas(values, rows)[0],
                               dataset.point_names(n_qubits, m), args.heatmap)

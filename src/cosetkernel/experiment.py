@@ -270,14 +270,43 @@ def kernel_tables(n_qubits, m, rngs, surface, variants, epsilon):
     return reps, values, np.ones(labels.shape[-1], dtype=int), labels
 
 
-def run_experiment(cfg):
-    """All (N, m, trial) combinations, with theory overlays per (N, m)."""
+def _heatmap_table(cfg, n_qubits, m, values):
+    """Trial 0's kernel over every point of the cell (N, m), as
+    `(values, counts)`: a (1, A, A) table and the (A,) point counts of its
+    rows (`kernel_tables`). `values` are the tables the sweep built for the
+    cell's first chunk, and trial 0's is that kernel whenever the sweep's
+    surface is full or its budget 0 (then the alpha table, N points per
+    row). Only a train-surface sweep with a budget builds it once more,
+    with one `kernel_tables` call on trial 0's stream. The table is a copy,
+    so the chunk's tables can go."""
+    if cfg.variance_surface == "train" and cfg.noise.epsilon != 0:
+        values = kernel_tables(n_qubits, m,
+                               trial_rngs(cfg.seed, n_qubits, m, [0]), "full",
+                               cfg.noise.variant, cfg.noise.epsilon)[1]
+    table = values[:1].copy()
+    return table, np.full(table.shape[-1],
+                          n_qubits if cfg.noise.epsilon == 0 else 1)
+
+
+def run_experiment(cfg, heatmap=False):
+    """All (N, m, trial) combinations, with theory overlays per (N, m). With
+    `heatmap`, `(report, (values, counts))`: also the table of trial 0 at
+    the largest N and the first m, over every point (`_heatmap_table`)."""
     trials = []
     aggregates = []
+    heat_cell = (cfg.qubit_range[1], cfg.coset_counts[0]) if heatmap else None
+    heat = None
     for n_qubits, m, streams in sweep(cfg):
-        stats = np.concatenate([kernel.trial_stats(*kernel_tables(
-            n_qubits, m, rngs, cfg.variance_surface, cfg.noise.variant,
-            cfg.noise.epsilon)[1:]) for rngs in streams])
+        stats = []
+        for rngs in streams:
+            _, values, counts, labels = kernel_tables(
+                n_qubits, m, rngs, cfg.variance_surface, cfg.noise.variant,
+                cfg.noise.epsilon)
+            if heat is None and (n_qubits, m) == heat_cell:
+                heat = _heatmap_table(cfg, n_qubits, m, values)
+            stats.append(kernel.trial_stats(values, counts, labels))
+            del values  # a chunk's tables go before the next chunk's are built
+        stats = np.concatenate(stats)
         variances = stats[:, 0]
         # the plug-in overlay: n = N points per coset, alpha = 2^-N
         _, overlay = theory.offdiag_moments([n_qubits] * m, 2.0**-n_qubits)
@@ -302,7 +331,7 @@ def run_experiment(cfg):
         "aggregates": aggregates,
         "trials": trials,
     }
-    return report
+    return (report, heat) if heatmap else report
 
 
 def config_to_dict(cfg):

@@ -222,11 +222,18 @@ def trial_stats(values, counts, labels):
 
 
 def export_heatmap(k, names, path):
-    """CSV heat map of one matrix: the point names (`dataset.point_names`)
-    as header row and column, full-precision entries."""
+    """CSV heat map of one real matrix: the point names
+    (`dataset.point_names`) as header row and column, each entry the `repr`
+    of its Python float. Each distinct value is rendered once, as a kernel
+    holds few of them (at most m (m - 1) / 2 + 1 without noise, about half
+    its entries with it, as it is symmetric): distinct by bit pattern, so
+    that -0.0 and every NaN keep their own text."""
+    bits, where = np.unique(np.asarray(k, dtype=float).view(np.uint64),
+                            return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     lines = ["," + ",".join(names)]
-    for name, row in zip(names, k.tolist()):
-        lines.append(name + "," + ",".join(map(repr, row)))
+    for name, row in zip(names, texts[where].reshape(k.shape).tolist()):
+        lines.append(name + "," + ",".join(row))
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

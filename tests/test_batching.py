@@ -672,10 +672,9 @@ def test_heatmap_at_zero_epsilon_reads_no_noise_row(monkeypatch, tmp_path):
             "--out", str(tmp_path / "r.json"),
             "--heatmap", str(tmp_path / "h.csv")]
     assert cli.main(argv) == 0
-    # the sweep's streams read their m count uniforms; the heat map's, of
-    # trial 0 at N = 4 and m = 2 on the full surface, its normals alone
-    assert [args[3] for args in generated] == [2, 3] * 3 + [0]
-    assert len(generated[-1][2]) == 1
+    # the sweep's streams read their m count uniforms; the heat map, trial
+    # 0's alpha table at N = 4 and m = 2, is the sweep's and reads none
+    assert [args[3] for args in generated] == [2, 3] * 3
 
 
 def _reference_kernel(n_qubits, m, seed, trial, surface, variant, eps):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cosetkernel import cli, experiment, kernel, noise, theory
+from cosetkernel import cli, dataset, experiment, kernel, noise, theory
 from cosetkernel.experiment import ExperimentConfig
 
 import oracle
@@ -303,9 +303,12 @@ def _read_heatmap(path):
 
 
 @pytest.mark.parametrize("surface", ["full", "train"])
-def test_heatmap_is_one_more_kernel_build(surface, tmp_path, monkeypatch):
-    # the sweep keeps only statistics, so the heat map builds trial 0's
-    # kernel at the largest N and the first m once more, on either surface
+def test_heatmap_builds_a_kernel_only_on_a_noisy_train_run(surface, tmp_path,
+                                                            monkeypatch):
+    # the heat map is trial 0's kernel over every point at the largest N and
+    # the first m: a full-surface sweep has built it and the heat map takes
+    # it from there; a train-surface sweep has built the train points'
+    # kernel only, so the heat map builds trial 0's once more
     builds = []
     build = kernel.kernel_matrix
 
@@ -324,7 +327,7 @@ def test_heatmap_is_one_more_kernel_build(surface, tmp_path, monkeypatch):
         noise=noise.NoiseConfig("selection", 0.2), variance_surface=surface)
     chunks = sum(len(list(streams))
                  for _, _, streams in experiment.sweep(cfg))
-    assert len(builds) == chunks + 1
+    assert len(builds) == chunks + (surface == "train")
     monkeypatch.undo()
     # the CSV is that kernel, built on its own
     rng = oracle.trial_rng(5, 4, 3, 0)
@@ -343,6 +346,29 @@ def test_heatmap_is_one_more_kernel_build(surface, tmp_path, monkeypatch):
         stats = kernel.trial_stats(entries, np.ones(len(entries), dtype=int),
                                    np.repeat(np.arange(3), 4))
         assert stats.tolist() == [record[f] for f in experiment.TRIAL_FIELDS[3:8]]
+
+
+@pytest.mark.parametrize("variant", ["none", "selection"])
+def test_zero_budget_train_heatmap_is_the_full_surface_kernel(variant,
+                                                              tmp_path):
+    # without a budget the train-surface sweep's tables are alpha tables,
+    # one coset per row; the heat map spreads trial 0's over every point
+    heat = tmp_path / "heat.csv"
+    args = ["simulate", "--qubits", "2..4", "--cosets", "3,2", "--trials", "3",
+            "--noise", variant, "--epsilon", "0", "--seed", "5",
+            "--surface", "train", "--heatmap", str(heat)]
+    assert cli.main(args) == 0
+    # the chain over the points, on trial 0's own stream, to rounding
+    rng = oracle.trial_rng(5, 4, 3, 0)
+    reps, _, kmat = oracle.build_kernel(4, 3, noise.NoiseConfig(variant, 0.0),
+                                        rng, surface="full")
+    np.testing.assert_allclose(_read_heatmap(heat), kmat, rtol=0, atol=1e-12)
+    # and, text for text, its alpha matrix gathered at the points' cosets
+    labels = dataset.coset_labels(4, 3)
+    kernel.export_heatmap(
+        kernel.gather_alphas(kernel.alpha_matrix(reps[None]), labels)[0],
+        dataset.point_names(4, 3), tmp_path / "ref.csv")
+    assert heat.read_text() == (tmp_path / "ref.csv").read_text()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -166,6 +166,24 @@ def test_heatmap_export(tmp_path):
     )
 
 
+def test_heatmap_text_is_the_repr_of_each_entry(tmp_path):
+    # each distinct value is rendered once, and the text is still that of
+    # rendering every entry: signed zeros, NaNs of either sign, infinities,
+    # the least subnormal and repeated values, mirrored but for one entry
+    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e-300,
+               1 / 3, 0.1 + 0.2, 1.0]
+    k = np.resize(special, (6, 6))
+    k = np.where(np.tri(6, k=-1, dtype=bool), k.T, k)
+    k[0, 5] = 2.5
+    names = [f"p{i}" for i in range(6)]
+    path = tmp_path / "heat.csv"
+    kernel.export_heatmap(k, names, path)
+    want = ",p0,p1,p2,p3,p4,p5\n" + "".join(
+        name + "," + ",".join(map(repr, row)) + "\n"
+        for name, row in zip(names, k.tolist()))
+    assert path.read_text() == want
+
+
 @pytest.mark.parametrize("surface", ["full", "train"])
 def test_heatmap_text_matches_the_kernel(surface, tmp_path):
     # each label is its point's c{i}s{a} and each cell the repr of its
