@@ -24,7 +24,7 @@ alphas = kernel.alpha_matrix(reps)
 same = (kernel.pair_counts(counts) > 0) & (labels[:, None] == labels[None, :])
 for variant, kmats in zip(noise.NOISY_VARIANTS, stacked):
     violations, checked = count_envelope_violations(
-        kmats, counts, labels, alphas, variant, EPSILON
+        kmats[None], counts, labels, alphas, (variant,), EPSILON
     )
     same_min = kmats[:, same].min()
     stats = kernel.trial_stats(kmats, counts, labels)

@@ -16,8 +16,8 @@ EPSILON = 0.3
 
 for variant in ("fiducial", "selection"):
     rngs = experiment.trial_rngs(2, N_QUBITS, M, [0])
-    reps, (kmat,), counts, labels = experiment.kernel_tables(
-        N_QUBITS, M, rngs, "full", variant, EPSILON)
+    reps, ((kmat,),), counts, labels = experiment.kernel_tables(
+        N_QUBITS, M, rngs, "full", (variant,), EPSILON)
     alpha = kernel.alpha_matrix(reps[0])[0, 1]
     stats = theory.extract_deviation_stats(kmat, labels, alpha)
     direct = kernel.trial_stats(kmat, counts, labels)[0]

@@ -17,7 +17,9 @@ halves of the P = m n points that cover every coset, and is kept as its
 sorted train indices; the test half is their complement. It is built, not
 resampled: the first m uniforms give the per-coset train counts
 (`train_counts`) by inverse CDF from their exact law, tabulated once per
-(n, m), and the other P rank the points inside each block.
+(n, m), and the other P rank the points inside each block. A split's
+indices pick the points that `noise.attach` noises and
+`kernel.kernel_matrix` then compares; the kernel takes no indices itself.
 """
 
 import math

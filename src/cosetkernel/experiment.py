@@ -12,11 +12,14 @@ build from arrays.
 a leading trial axis (under `kernel.CHUNK_ENTRIES`), with each chunk's
 streams, for `run_experiment` and `verify-bounds`; each trial's numbers are,
 bit for bit, those of a one-trial chunk. `kernel_tables` builds a chunk's
-kernels under one noise variant or a tuple of them, as tables whose rows
-each stand for a count of points of one coset. Every consumer weighs a
-table's entries by `kernel.pair_counts`, so none of them tests the budget:
-`kernel.trial_stats` takes a chunk's (T, 5) statistics, and
-`run_experiment` makes each trial a flat record of `TRIAL_FIELDS`.
+kernels under a tuple of noise variants, one slice each (`run_experiment`
+passes its config's one variant as a tuple of one), as tables whose rows
+each stand for a count of points of one coset. On the train surface the
+noise goes into the train points only, and the kernel compares those.
+Every consumer weighs a table's entries by `kernel.pair_counts`, so none of
+them tests the budget: `kernel.trial_stats` takes a chunk's (T, 5)
+statistics, and `run_experiment` makes each trial a flat record of
+`TRIAL_FIELDS`.
 
 `export_report` writes the bytes of `json.dumps(report, indent=2,
 sort_keys=True)` (see `_report_json_pieces`).
@@ -40,6 +43,14 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _plain(value):
+    """A numpy scalar as its Python value, which json can write, also inside
+    a tuple or list; any other value as it is."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_plain, value))
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     qubit_range: tuple = (2, 10)  # inclusive
@@ -52,6 +63,8 @@ class ExperimentConfig:
     output_format: str = "json"
 
     def __post_init__(self):
+        for name in ("qubit_range", "coset_counts", "trials", "seed"):
+            object.__setattr__(self, name, _plain(getattr(self, name)))
         bounds = self.qubit_range
         if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
             # a tuple field is shown as the list its config file spells
@@ -211,9 +224,9 @@ def _read_streams(n_qubits, m, rngs, k):
     return dataset.su2_from_normals(normals), uniforms
 
 
-def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
-    """Everything a batch of trials draws, one stream each, for the noise
-    `variants` (a name or a tuple of names): the (T, m, N, 2, 2)
+def draw_trials(n_qubits, m, rngs, surface="train", variants=()):
+    """Everything a batch of trials draws, one stream each, for a tuple of
+    noise `variants` (none by default): the (T, m, N, 2, 2)
     representatives, the (T, K) train indices on the train surface (None on
     the full one) and the (T, `noise.draws`) noise uniforms, from which
     `kernel_tables` builds its kernels.
@@ -238,35 +251,36 @@ def draw_trials(n_qubits, m, rngs, surface="train", variants="none"):
 def kernel_tables(n_qubits, m, rngs, surface, variants, epsilon):
     """A batch of trials drawn from the streams `rngs` and their kernels as
     tables: `(reps, values, counts, labels)`, the (T, m, N, 2, 2)
-    representatives and (T, A, A) values, (V, T, A, A) for a tuple of V
-    `variants`, whose row a stands for `counts[..., a]` points of the coset
-    `labels[..., a]`; `kernel.pair_counts` weighs the entries.
+    representatives and (V, T, A, A) values, one (T, A, A) slice for each
+    of a tuple of V `variants`, whose row a stands for `counts[..., a]`
+    points of the coset `labels[..., a]`; `kernel.pair_counts` weighs the
+    entries.
 
     With a budget a row is a point, counted once: the kernels over every
     point on the full surface or the train points on the train one, under
-    the noise `noise.attach` gives `variants` at `epsilon`. At epsilon 0
-    every variant attaches the ideal inputs bit for bit, so an entry is the
-    alpha of the points' cosets (`kernel` module docstring) and a row is a
-    coset: the (T, m, m) alpha matrices, with N points each on the full
-    surface or the (T, m) `dataset.train_counts` on the train one. Only
-    each stream's normals and at most the split's m count uniforms are
-    read, a prefix that leaves every other number as it is."""
+    the noise `noise.attach` gives `variants` at `epsilon`, which it folds
+    into those points only. At epsilon 0 every variant attaches the ideal
+    inputs bit for bit, so an entry is the alpha of the points' cosets
+    (`kernel` module docstring) and a row is a coset: the (T, m, m) alpha
+    matrices, with N points each on the full surface or the (T, m)
+    `dataset.train_counts` on the train one. Only each stream's normals and
+    at most the split's m count uniforms are read, a prefix that leaves
+    every other number as it is."""
     if epsilon == 0:
         split = surface == "train"
         reps, uniforms = _read_streams(n_qubits, m, rngs, m if split else 0)
         counts = (dataset.train_counts(n_qubits, m, uniforms) if split
                   else np.full(m, n_qubits))
         values = kernel.alpha_matrix(reps)
-        if not isinstance(variants, str):
-            values = np.broadcast_to(values, (len(variants), *values.shape))
+        values = np.broadcast_to(values, (len(variants), *values.shape))
         return reps, values, counts, np.arange(m)
     reps, train, uniforms = draw_trials(n_qubits, m, rngs, surface, variants)
     labels = dataset.coset_labels(n_qubits, m)
     if train is not None:
         labels = labels[train]
-    factors, offsets = noise_models.attach(variants, epsilon,
-                                           dataset.points(reps), uniforms)
-    values = kernel.kernel_matrix(factors, train, offsets)
+    factors, offsets = noise_models.attach(
+        variants, epsilon, dataset.points(reps), uniforms, train)
+    values = kernel.kernel_matrix(factors, offsets)
     return reps, values, np.ones(labels.shape[-1], dtype=int), labels
 
 
@@ -282,7 +296,7 @@ def _heatmap_table(cfg, n_qubits, m, values):
     if cfg.variance_surface == "train" and cfg.noise.epsilon != 0:
         values = kernel_tables(n_qubits, m,
                                trial_rngs(cfg.seed, n_qubits, m, [0]), "full",
-                               cfg.noise.variant, cfg.noise.epsilon)[1]
+                               (cfg.noise.variant,), cfg.noise.epsilon)[1][0]
     table = values[:1].copy()
     return table, np.full(table.shape[-1],
                           n_qubits if cfg.noise.epsilon == 0 else 1)
@@ -299,8 +313,8 @@ def run_experiment(cfg, heatmap=False):
     for n_qubits, m, streams in sweep(cfg):
         stats = []
         for rngs in streams:
-            _, values, counts, labels = kernel_tables(
-                n_qubits, m, rngs, cfg.variance_surface, cfg.noise.variant,
+            _, (values,), counts, labels = kernel_tables(
+                n_qubits, m, rngs, cfg.variance_surface, (cfg.noise.variant,),
                 cfg.noise.epsilon)
             if heat is None and (n_qubits, m) == heat_cell:
                 heat = _heatmap_table(cfg, n_qubits, m, values)

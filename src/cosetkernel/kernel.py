@@ -32,7 +32,9 @@ a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
 Each trial's entries are the same, bit for bit, as in a batch of one, so
 a batch may run in slices: `_gram` runs as many kernels per chain call as
 keep their (2P x 2P) transfer matrices within `CHUNK_ENTRIES`. A kernel is
-the plain Gram array of a factor stack, with no coset labels.
+the plain Gram array of a factor stack, with no coset labels:
+`kernel_matrix` compares exactly the points it is given, so a train
+split's kernel is built on the train points' factors alone.
 `trial_stats` takes a batch of tables, whose rows each stand for a count of
 points of one coset, and weighs each entry by the point pairs it stands for
 (`pair_counts`): a kernel over points is the table of one point per row,
@@ -45,9 +47,9 @@ s_a fixes the ideal fiducial, so entry (p, q) is the alpha of the points'
 cosets (`gather_alphas`), and a kernel's off-diagonal entries are alpha_ij,
 n_i n_j times for each i != j, and 1, n_i (n_i - 1) times, for the n_i
 points of coset i. Its statistics are those of the (m, m) alpha matrix,
-the table of one coset per row, and that matrix's chain runs over the m
-representatives only. The chain over all P x P pairs is the tests'
-reference for these.
+the table of one coset per row: `alpha_matrix` is `kernel_matrix` over
+the m representatives, with a unit diagonal. The chain over all P x P
+pairs is the tests' reference for these.
 """
 
 import numpy as np
@@ -143,39 +145,34 @@ def _gram(factors, offsets):
     return np.where(below, np.swapaxes(gram, -1, -2), gram)
 
 
-def kernel_matrix(factors, indices=None, offsets=None):
-    """All pairwise kernel values over a (P, N, 2, 2) factor stack's points,
-    or over the K points `indices` selects (e.g. a train split), with the
-    (2, N) Ry offsets of every entry's bra and ket preparation (ideal
-    without them), as a (K, K) array. Factors with leading batch axes,
-    (..., P, N, 2, 2), give (..., K, K): (T, K) indices and (2, ..., N)
-    offsets align with the trailing batch axes and broadcast over the
-    rest, and the batch runs through `_gram` as one flat stack of kernels."""
+def kernel_matrix(factors, offsets=None):
+    """All pairwise kernel values over the points of a (P, N, 2, 2) factor
+    stack, with the (2, N) Ry offsets of every entry's bra and ket
+    preparation (ideal without them), as a (P, P) array. It compares the
+    points it is given, so a train split's kernel is built on the train
+    points' factors. Factors with leading batch axes, (..., P, N, 2, 2),
+    give (..., P, P): (2, ..., N) offsets align with the trailing batch
+    axes and broadcast over the rest, and the batch runs through `_gram` as
+    one flat stack of kernels."""
     n = factors.shape[-3]
     offsets = np.zeros((2, n)) if offsets is None else np.asarray(offsets, float)
     if offsets.ndim < 2 or len(offsets) != 2 or offsets.shape[-1] != n:
         raise ValueError("need one offset per qubit")
-    if indices is not None:
-        idx = np.asarray(indices, dtype=int)[..., None, None, None]
-        factors = np.take_along_axis(
-            factors, idx[(None,) * (factors.ndim - idx.ndim)], -4)
-    batch, k = factors.shape[:-4], factors.shape[-4]
+    batch, p = factors.shape[:-4], factors.shape[-4]
     if offsets.ndim > 2:
         offsets = np.broadcast_to(offsets, (2, *batch, n)).reshape(2, -1, n)
-    return _gram(factors.reshape(-1, k, n, 2, 2), offsets).reshape(*batch, k, k)
+    return _gram(factors.reshape(-1, p, n, 2, 2), offsets).reshape(*batch, p, p)
 
 
 def alpha_matrix(reps):
     """alpha_{i,j} = |<psi| D_ci^dag D_cj |psi>|^2 with unit diagonal, for
     (m, N, 2, 2) representatives; (T, m, m) for a batch of trials'. It is
-    `kernel_matrix(reps)` with its diagonal set, through the shared
-    `_gram` as one flat stack, so that every `kernel_matrix` call is a
-    kernel over points."""
-    m, n = reps.shape[-4:-2]
-    alphas = _gram(reps.reshape(-1, m, n, 2, 2), np.zeros((2, n)))
-    diagonal = np.arange(m)
-    alphas[:, diagonal, diagonal] = 1.0
-    return alphas.reshape(*reps.shape[:-4], m, m)
+    `kernel_matrix(reps)`, the ideal kernel over the representatives, with
+    its diagonal set to 1."""
+    alphas = kernel_matrix(reps)
+    diagonal = np.arange(reps.shape[-4])
+    alphas[..., diagonal, diagonal] = 1.0
+    return alphas
 
 
 def gather_alphas(alphas, labels):

@@ -6,12 +6,14 @@ angles are drawn uniformly inside a budget chosen so that the operator norm
 of the deviation stays below epsilon. Each variant changes only the kernel's
 inputs, and `attach` alone decides how, from a row of `draws` uniforms per
 trial that `experiment.draw_trials` reads (its docstring states the stream
-layout). Noise functions take the variant (a name, or a tuple of names for
-a stack) and epsilon; `NoiseConfig` validates a config's pair. An
-envelope depends only on a coset pair's alpha, so `bounds_for` turns a
-table of coset-pair alphas into two tables, the (lower, upper) interval of
-each pair, which `count_envelope_violations` gathers to the entries of a
-batch of trials.
+layout). `draws`, `attach` and `count_envelope_violations` take the variants
+as a tuple of names, one slice of their stack each, and epsilon;
+`NoiseConfig` validates a config's one variant and epsilon. `attach` noises
+only the points it is told to keep, so a train split's kernel folds no
+error into a test point. An envelope depends only on a coset pair's alpha,
+so `bounds_for` turns a table of coset-pair alphas into two tables, the
+(lower, upper) interval of each pair, which `count_envelope_violations`
+gathers to the entries of a batch of trials.
 """
 
 import numbers
@@ -37,6 +39,8 @@ class NoiseConfig:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.epsilon, np.generic):  # json cannot write it
+            object.__setattr__(self, "epsilon", self.epsilon.item())
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown noise variant {self.variant!r}")
         # a bool counts as an int, but `true` in a config is no budget
@@ -94,49 +98,49 @@ def fold(variant, errors, factors):
 
 def draws(variants, points, n_qubits):
     """How many uniforms `attach` reads from each trial's noise row, for a
-    variant or a tuple of them and P `points` of N qubits: 2N for fiducial,
-    3PN for selection or representation, none for `none`. Every variant of
-    a tuple reads the same row from its start, so a tuple reads the most of
-    its names'."""
-    names = (variants,) if isinstance(variants, str) else variants
+    tuple of variants and P `points` of N qubits: 2N for fiducial, 3PN for
+    selection or representation, none for `none`. Every variant reads the
+    same row from its start, so a tuple reads the most of its names'."""
     return max((0 if name == "none" else 2 * n_qubits if name == "fiducial"
-                else 3 * points * n_qubits for name in names), default=0)
+                else 3 * points * n_qubits for name in variants), default=0)
 
 
-def attach(variants, epsilon, factors, uniforms):
-    """A batch of trials' (T, P, N, 2, 2) point factors under a noise
-    variant at `epsilon`, and the (2, T, N) bra and ket offsets that go with
-    them to `kernel.kernel_matrix`; for a tuple of V variants,
-    (V, T, P, N, 2, 2) factors and (2, V, T, N) offsets. Each angle is
-    -b + 2 b u, the bits of `Generator.uniform(-b, b)` on the same draw u,
-    taken in order from the start of the trial's row of `uniforms` (at
-    least `draws` long). Every variant reads the row from its start, so each
-    slice of a tuple's result is bit for bit that of its name alone.
+def attach(variants, epsilon, factors, uniforms, kept=None):
+    """A batch of trials' (T, P, N, 2, 2) point factors under each of a
+    tuple of V noise variants at `epsilon`, and the bra and ket offsets that
+    go with them to `kernel.kernel_matrix`: (V, T, P, N, 2, 2) factors and
+    (2, V, T, N) offsets. With the (T, K) indices `kept` (a train split),
+    only those points are noised and returned, (V, T, K, N, 2, 2), each
+    with the errors it has among all P. Each angle is -b + 2 b u, the bits
+    of `Generator.uniform(-b, b)` on the same draw u, taken from the
+    trial's row of `uniforms` (at least `draws` long for all P points).
+    Every variant reads the row from its start, so each slice of the result
+    is bit for bit that of its name alone.
 
     Fiducial errors are the bra's N offsets, then the ket's, with
     b = 2 eps / N, which keeps each preparation within eps of the ideal one
     in operator norm; zeros for the other variants. Selection and
     representation errors share one draw of XZX Euler triples
-    (`from_euler`), one per point and qubit in C order, with
-    b = 2 eps / (sqrt(5) N), which keeps every E_x within eps of the
+    (`from_euler`), one per point and qubit in C order over all P points,
+    with b = 2 eps / (sqrt(5) N), which keeps every E_x within eps of the
     identity; they are folded into the factors exactly, as E_x,j D_x,j and
     as D_x,j E_x,j (`fold`). `none` reads nothing."""
-    names = (variants,) if isinstance(variants, str) else variants
     p, n = factors.shape[-4:-2]
-    if not _FOLDED.isdisjoint(names):
+    # each trial's kept points, or all of them, of a (T, P, ...) array
+    at = slice(None) if kept is None else (np.arange(len(kept))[:, None], kept)
+    if not _FOLDED.isdisjoint(variants):
         bound = 2 * epsilon / (np.sqrt(5) * n)
-        angles = -bound + 2 * bound * uniforms[:, :3 * p * n]
-        errors = from_euler(angles.reshape(-1, p, n, 3))
-    noisy = np.empty((len(names), *factors.shape), complex)
-    offsets = np.zeros((2, len(names), len(uniforms), n))
-    for v, name in enumerate(names):
+        triples = uniforms[:, :3 * p * n].reshape(-1, p, n, 3)[at]
+        errors = from_euler(-bound + 2 * bound * triples)
+    factors = factors[at]
+    noisy = np.empty((len(variants), *factors.shape), complex)
+    offsets = np.zeros((2, len(variants), len(uniforms), n))
+    for v, name in enumerate(variants):
         if name == "fiducial":
             bound = 2 * epsilon / n
             sides = -bound + 2 * bound * uniforms[:, :2 * n]
             offsets[:, v] = np.moveaxis(sides.reshape(-1, 2, n), 1, 0)
         noisy[v] = fold(name, errors, factors) if name in _FOLDED else factors
-    if isinstance(variants, str):
-        return noisy[0], offsets[:, 0]
     return noisy, offsets
 
 
@@ -182,15 +186,14 @@ def bounds_for(variant, alphas, epsilon):
     return lower, upper
 
 
-def count_envelope_violations(k, counts, labels, alphas, variant, epsilon):
+def count_envelope_violations(k, counts, labels, alphas, variants, epsilon):
     """(violations, entries checked) of the off-diagonal kernel entries
-    that one (A, A) table or a batch of trials' (T, A, A) ones stand for
-    (`experiment.kernel_tables`): each entry counts
+    that the tables `k` of a tuple of V `variants` stand for
+    (`experiment.kernel_tables`): (V, A, A) for one trial or (V, T, A, A)
+    for a batch, one slice per variant. Each entry counts
     `kernel.pair_counts(counts)` times, with the coset `labels` of its row
-    and column and the tables' (m, m) or (T, m, m) `alphas`. With a tuple
-    of V variants, `k` has a leading variant axis, (V, A, A) or
-    (V, T, A, A), that shares the rest, and the counts are totals over the
-    variants.
+    and column and the tables' (m, m) or (T, m, m) `alphas`, which every
+    variant shares; the counts are totals over the variants.
 
     Each variant's envelope is one `bounds_for` call on the (T, m, m)
     alphas. Each entry is checked in its coset pair's (lower, upper)
@@ -198,15 +201,13 @@ def count_envelope_violations(k, counts, labels, alphas, variant, epsilon):
     (`kernel.gather_alphas` of the pairs' indices). A NaN entry fails both
     comparisons and an infinite one fails one, so either is a violation in
     either class."""
-    variants = (variant,) if isinstance(variant, str) else variant
-    size, m = k.shape[-1], alphas.shape[-1]
+    m = alphas.shape[-1]
     alphas = alphas.reshape(-1, m, m)
     # each entry's coset pair, as a flat index into a (T, m, m) table
     pair = gather_alphas(np.arange(alphas.size).reshape(alphas.shape), labels)
     weights = pair_counts(counts)
     violations = 0
-    for name, entries in zip(variants,
-                             k.reshape(len(variants), -1, size, size)):
+    for name, entries in zip(variants, k):
         lower, upper = bounds_for(name, alphas, epsilon)
         inside = (((lower - ENVELOPE_TOL).ravel()[pair] <= entries)
                   & (entries <= (upper + ENVELOPE_TOL).ravel()[pair]))

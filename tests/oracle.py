@@ -9,8 +9,8 @@ preparation circuit is a dense 2^N x 2^N matrix, each point's feature state
 is `dense(D_x) @ V |0>`, and a selection or representation perturbation E_x
 is applied as its own dense matrix, `dense(E_x) @ dense(D_x)` or
 `dense(D_x) @ dense(E_x)`, rather than folded into the point's factors by
-`noise.attach`, which builds the package's noisy inputs for one variant or
-a tuple of them. `alpha_matrix` builds the representatives' states the
+`noise.attach`, which builds the package's noisy inputs for a tuple of
+variants. `alpha_matrix` builds the representatives' states the
 same way, the reference for `kernel.alpha_matrix` and so for the noiseless
 kernels that `experiment` gathers from it. Dense states are 1-D complex
 arrays of length 2**N with qubit 0 the most significant bit of the basis
@@ -35,6 +35,9 @@ sorted train indices, and a trial's report is its record, the dict of
 loop over trials and coset blocks. `expand_tables` spreads a batch of
 `experiment.kernel_tables`' tables, one point or one coset per row, over
 the points, so both compare with kernels built point by point.
+`train_points` gathers each trial's train points from a factor stack, and
+`train_tables_from_all_points` is the reference for a noisy train-surface
+table: every point noised, then the train points compared.
 
 `sequential_draws` is the reference for that layout: a trial's draws read
 one piece at a time, normals, the m count uniforms, the P rank uniforms,
@@ -184,27 +187,50 @@ def split_by_blocks(n, m, uniforms):
     return np.array(halves)
 
 
+def train_points(factors, train):
+    """Each trial's train points of a (..., T, P, N, 2, 2) factor stack,
+    for (T, K) train indices: (..., T, K, N, 2, 2), the leading axes
+    sharing the indices."""
+    idx = np.asarray(train, dtype=int)[..., None, None, None]
+    return np.take_along_axis(
+        factors, idx[(None,) * (factors.ndim - idx.ndim)], -4)
+
+
+def train_tables_from_all_points(n_qubits, m, rngs, variants, epsilon):
+    """The (V, T, K, K) noisy train-surface kernels of a batch of streams,
+    built in another order than `experiment.kernel_tables` builds them:
+    `noise.attach` noises all P points of each trial, then the train
+    points' factors are gathered and compared."""
+    reps, train, uniforms = experiment.draw_trials(n_qubits, m, rngs, "train",
+                                                   variants)
+    factors, offsets = noise.attach(variants, epsilon, dataset.points(reps),
+                                    uniforms)
+    return kernel.kernel_matrix(train_points(factors, train), offsets)
+
+
 def build_kernel(n_qubits, m, cfg_noise, rng, surface="train"):
     """One trial's representatives, train indices and noisy kernel from the
     stream `rng`; the split is drawn on either surface, and the full
     surface's kernel is over every point. Built through `noise.attach` and
     `kernel.kernel_matrix`, not `experiment.kernel_tables`, so a zero
     budget runs the chain too."""
-    variant, epsilon = cfg_noise.variant, cfg_noise.epsilon
+    variants, epsilon = (cfg_noise.variant,), cfg_noise.epsilon
     reps, train, uniforms = experiment.draw_trials(n_qubits, m, [rng],
-                                                   variants=variant)
-    factors, offsets = noise.attach(variant, epsilon, dataset.points(reps),
+                                                   variants=variants)
+    factors, offsets = noise.attach(variants, epsilon, dataset.points(reps),
                                     uniforms)
-    kmat = kernel.kernel_matrix(factors, train if surface == "train" else None,
-                                offsets)
-    return reps[0], train[0], kmat[0]
+    if surface == "train":
+        factors = train_points(factors, train)
+    kmat = kernel.kernel_matrix(factors, offsets)
+    return reps[0], train[0], kmat[0, 0]
 
 
 def run_trial(n_qubits, m, cfg_noise, rng, *, trial_index=0, surface="train",
               digest=""):
     """One trial's record from the stream `rng`."""
-    stats = kernel.trial_stats(*experiment.kernel_tables(
-        n_qubits, m, [rng], surface, cfg_noise.variant, cfg_noise.epsilon)[1:])
+    _, (values,), counts, labels = experiment.kernel_tables(
+        n_qubits, m, [rng], surface, (cfg_noise.variant,), cfg_noise.epsilon)
+    stats = kernel.trial_stats(values, counts, labels)
     return dict(zip(experiment.TRIAL_FIELDS,
                     (n_qubits, m, trial_index, *stats[0].tolist(), digest)))
 
@@ -243,7 +269,7 @@ def element_angles(points, n_qubits, epsilon, rng):
 def sequential_draws(n_qubits, m, rng, surface, variants, epsilon):
     """One trial's draws from the stream `rng`, read one piece at a time:
     its representatives, its (K,) train indices (None on the full surface,
-    which still reads them) and, for the V names of `variants`, its
+    which still reads them) and, for a tuple of V `variants`, its
     (V, P, N, 2, 2) noisy point factors and (2, V, N) offsets. Every
     variant's angles are read from where the split left the stream, which
     is left where the longest of those reads left it."""
@@ -254,13 +280,12 @@ def sequential_draws(n_qubits, m, rng, surface, variants, epsilon):
     if surface == "train":
         train = dataset.split_trials(n_qubits, m,
                                      np.concatenate([counts, ranks])[None])[0]
-    names = (variants,) if isinstance(variants, str) else variants
     points = dataset.points(reps)
-    factors = np.broadcast_to(points, (len(names), *points.shape)).copy()
-    offsets = np.zeros((2, len(names), n_qubits))
+    factors = np.broadcast_to(points, (len(variants), *points.shape)).copy()
+    offsets = np.zeros((2, len(variants), n_qubits))
     start = end = rng.bit_generator.state
     longest = 0
-    for v, name in enumerate(names):
+    for v, name in enumerate(variants):
         rng.bit_generator.state = start
         if name == "fiducial":
             offsets[:, v] = fiducial_offsets(n_qubits, epsilon, rng)
@@ -284,9 +309,9 @@ def attached(variant, epsilon, n_qubits, rng, points=1):
     fiducial errors, the (points, N, 2, 2) perturbations E_x for selection
     or representation errors."""
     identity = np.broadcast_to(I2, (1, points, n_qubits, 2, 2))
-    uniforms = rng.random((1, noise.draws(variant, points, n_qubits)))
-    factors, offsets = noise.attach(variant, epsilon, identity, uniforms)
-    return offsets[:, 0] if variant == "fiducial" else factors[0]
+    uniforms = rng.random((1, noise.draws((variant,), points, n_qubits)))
+    factors, offsets = noise.attach((variant,), epsilon, identity, uniforms)
+    return offsets[:, 0, 0] if variant == "fiducial" else factors[0, 0]
 
 
 def zero_state(n):
@@ -380,32 +405,25 @@ def feature_states(factors, offsets, perturbations=None, variant="selection"):
     return np.stack([op @ fiducial for op in ops])
 
 
-def kernel_matrix(factors, indices=None, offsets=None, *, perturbations=None,
+def kernel_matrix(factors, offsets=None, *, perturbations=None,
                   variant="selection"):
     """`kernel.kernel_matrix` from dense feature states, with the noise given
     unfolded: the (2, N) bra and ket offsets, and optionally a (P, N, 2, 2)
-    stack of one perturbation per point, that `indices` selects from too
-    and that `variant` places (`feature_states`). Entries are |<phi_l(x)|phi_r(x')>|^2. A batch of
-    trials' stacks gets one dense kernel per trial, stacked; its offsets are
-    (2, T, N)."""
-    if factors.ndim == 5:
-        def at(t, a):
-            return None if a is None else a[t]
-
+    stack of one perturbation per point that `variant` places
+    (`feature_states`). Entries are |<phi_l(x)|phi_r(x')>|^2. Stacks with
+    leading batch axes, (..., P, N, 2, 2), get one dense kernel per stack;
+    their offsets are (2, ..., N)."""
+    if factors.ndim > 4:
         return np.stack([
             kernel_matrix(
                 factors[t],
-                at(t, indices),
                 None if offsets is None else offsets[:, t],
-                perturbations=at(t, perturbations),
+                perturbations=None if perturbations is None
+                else perturbations[t],
                 variant=variant,
             )
             for t in range(len(factors))
         ])
-    idx = slice(None) if indices is None else np.asarray(indices, dtype=int)
-    factors = factors[idx]
-    if perturbations is not None:
-        perturbations = perturbations[idx]
     if offsets is None:
         ideal = np.zeros(factors.shape[-3])
         left = right = feature_states(factors, ideal, perturbations, variant)

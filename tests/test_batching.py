@@ -44,7 +44,9 @@ def one_trial_kernel(n_qubits, m, cfg_noise, rng, surface):
             oracle.element_angles(len(all_labels), n_qubits, eps, rng)
         )
         factors = noise.fold(cfg_noise.variant, errors, factors)
-    return reps, sp, kernel.kernel_matrix(factors, indices, offsets), labels
+    if indices is not None:
+        factors = factors[indices]
+    return reps, sp, kernel.kernel_matrix(factors, offsets), labels
 
 
 def small_config(variant, eps, surface, trials=6):
@@ -90,8 +92,8 @@ def test_batched_kernels_match_one_trial_loop(variant, eps, surface):
             return [oracle.trial_rng(4, n_qubits, m, t) for t in trials]
 
         splits = experiment.draw_trials(n_qubits, m, streams())[1]
-        reps, values, counts, labels = experiment.kernel_tables(
-            n_qubits, m, streams(), surface, variant, eps)
+        reps, (values,), counts, labels = experiment.kernel_tables(
+            n_qubits, m, streams(), surface, (variant,), eps)
         kmats, labels = oracle.expand_tables(values, counts, labels)
         alphas = kernel.alpha_matrix(reps)
         points = dataset.points(reps)
@@ -247,6 +249,13 @@ def test_statistics_run_once_per_chunk(monkeypatch):
     assert [len(args[0]) for args in stats] == [len(c) for c in chunks]
 
 
+def _only_alpha_kernels(kernels, alphas):
+    """Whether the `_counted` calls of `kernel.kernel_matrix` are those that
+    `kernel.alpha_matrix` made, one on each of its representatives."""
+    return (len(kernels) == len(alphas)
+            and all(k[0] is a[0] for k, a in zip(kernels, alphas)))
+
+
 def _refuse_points(monkeypatch):
     """Make `dataset.points` raise, so a run that builds point factors
     fails."""
@@ -277,12 +286,14 @@ def test_noiseless_trials_build_no_kernel_over_points(variant, surface,
         raise AssertionError("kernel over points built")
 
     monkeypatch.setattr(kernel, "gather_alphas", refused)
-    monkeypatch.setattr(kernel, "kernel_matrix", refused)
+    kernels = _counted(monkeypatch, kernel, "kernel_matrix")
     alphas = _counted(monkeypatch, kernel, "alpha_matrix")
     cfg = small_config(variant, 0.0, surface)
     report = experiment.run_experiment(cfg)
     assert len(report["trials"]) == 6 * 4 * 2
     assert len(alphas) == 4 * 2
+    # the only kernels built are alpha_matrix's, over the representatives
+    assert _only_alpha_kernels(kernels, alphas)
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -327,10 +338,11 @@ def test_count_draw_matches_the_split(seed):
                 counts, [np.bincount(labels[t], minlength=m) for t in train]
             )
             for surface in SURFACES:
-                got = kernel.trial_stats(*experiment.kernel_tables(
+                (values,), counts, labels = experiment.kernel_tables(
                     n_qubits, m,
                     experiment.trial_rngs(seed, n_qubits, m, chunk), surface,
-                    "none", 0.0)[1:])
+                    ("none",), 0.0)[1:]
+                got = kernel.trial_stats(values, counts, labels)
                 want = split_path_stats(
                     n_qubits, m,
                     [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk],
@@ -346,7 +358,8 @@ def test_noiseless_trials_read_normals_and_counts_only(variant, surface):
     chunk = range(2, 6)
     for n_qubits, m in ((2, 2), (5, 3), (9, 7), (128, 2)):
         rngs = experiment.trial_rngs(13, n_qubits, m, chunk)
-        experiment.kernel_tables(n_qubits, m, rngs, surface, variant, 0.0)
+        experiment.kernel_tables(n_qubits, m, rngs, surface, (variant,),
+                                 0.0)
         for t, rng in zip(chunk, rngs):
             ref = oracle.trial_rng(13, n_qubits, m, t)
             ref.standard_normal(4 * m * n_qubits)
@@ -415,9 +428,10 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
                   full_config((4, 6), 3, 4, 17, 0.1))]
     # the three variants share each chunk's datasets, alphas, points and
     # Euler draws, and run as one stack through one kernel_matrix call and
-    # one envelope check. The full surface builds no split, so none is
-    # built; each stream's one read of uniforms covers the split's P + m
-    # and the longest variant's 3PN
+    # one envelope check; the chunk's other kernel_matrix call is the alpha
+    # matrix's, over its representatives. The full surface builds no split,
+    # so none is built; each stream's one read of uniforms covers the
+    # split's P + m and the longest variant's 3PN
     assert len(generated) == len(alphas) == len(chunks)
     assert len(built) == len(euler) == len(checks) == len(chunks)
     assert splits == []
@@ -426,7 +440,8 @@ def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):
         3 * n + 3 + 3 * (3 * n) * n
         for n, _, _ in sweep_chunks(full_config((4, 6), 3, 4, 17, 0.1))]
     assert sum(chunks) == 12
-    assert [args[0].shape[:2] for args in kernels] == [(3, c) for c in chunks]
+    assert [args[0].shape[:2] for args in kernels] == [
+        shape for c in chunks for shape in ((3, c), (c, 3))]
     assert [args[0].shape[:2] for args in checks] == [(3, c) for c in chunks]
 
 
@@ -440,25 +455,25 @@ def test_full_surface_skips_exactly_the_split_draws(variant, eps, chunk):
         for m in (2, 3):
             rngs = experiment.trial_rngs(31, n_qubits, m, chunk)
             reps, splits, uniforms = experiment.draw_trials(
-                n_qubits, m, rngs, "full", variant)
+                n_qubits, m, rngs, "full", (variant,))
             assert splits is None
             ref_rngs = [oracle.trial_rng(31, n_qubits, m, t) for t in chunk]
             ref_reps = np.stack([oracle.generate(n_qubits, m, rng)
                                  for rng in ref_rngs])
             for rng in ref_rngs:
                 oracle.split(n_qubits, m, rng)
-            draws = noise.draws(variant, m * n_qubits, n_qubits)
+            draws = noise.draws((variant,), m * n_qubits, n_qubits)
             ref_uniforms = np.stack([rng.random(draws) for rng in ref_rngs])
             assert np.array_equal(uniforms, ref_uniforms)
             for rng, ref_rng in zip(rngs, ref_rngs):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
             kmats = experiment.kernel_tables(
                 n_qubits, m, experiment.trial_rngs(31, n_qubits, m, chunk),
-                "full", variant, eps)[1]
-            factors, offsets = noise.attach(variant, eps,
+                "full", (variant,), eps)[1]
+            factors, offsets = noise.attach((variant,), eps,
                                             dataset.points(ref_reps),
                                             ref_uniforms)
-            ref = kernel.kernel_matrix(factors, None, offsets)
+            ref = kernel.kernel_matrix(factors, offsets)
             assert np.array_equal(kmats, ref)
 
 
@@ -468,11 +483,10 @@ def _assert_sequential_layout(n_qubits, m, seed, chunk, surface, variants,
     trial, bit for bit, the draws and noisy inputs of
     `oracle.sequential_draws` on its own stream, and leave each stream
     where those reads leave it."""
-    names = (variants,) if isinstance(variants, str) else variants
     rngs = experiment.trial_rngs(seed, n_qubits, m, chunk)
     reps, train, uniforms = experiment.draw_trials(n_qubits, m, rngs, surface,
                                                    variants)
-    factors, offsets = noise.attach(names, eps, dataset.points(reps),
+    factors, offsets = noise.attach(variants, eps, dataset.points(reps),
                                     uniforms)
     assert (train is None) == (surface == "full")
     for i, (t, rng) in enumerate(zip(chunk, rngs)):
@@ -489,7 +503,9 @@ def _assert_sequential_layout(n_qubits, m, seed, chunk, surface, variants,
 
 @pytest.mark.parametrize("chunk", [range(3), range(5, 8), [9]])
 @pytest.mark.parametrize("surface", SURFACES)
-@pytest.mark.parametrize("variants", [*noise.VARIANTS, noise.NOISY_VARIANTS])
+@pytest.mark.parametrize(
+    "variants", [*((v,) for v in noise.VARIANTS), noise.NOISY_VARIANTS],
+    ids=lambda v: v[0] if len(v) == 1 else None)
 def test_draw_trials_reads_the_sequential_layout(variants, surface, chunk):
     # one read of normals and one of uniforms per stream give the bits of
     # the pieces read one at a time: normals, m count uniforms, P rank
@@ -538,8 +554,8 @@ def test_verify_bounds_variants_see_fresh_draws(m, budget, monkeypatch,
         refs = []
         for variant in ("fiducial", "selection", "representation"):
             rngs = [oracle.trial_rng(seed, n_qubits, m, t) for t in chunk]
-            reps, kmats, _, _ = experiment.kernel_tables(
-                n_qubits, m, rngs, "full", variant, eps)
+            reps, (kmats,), _, _ = experiment.kernel_tables(
+                n_qubits, m, rngs, "full", (variant,), eps)
             refs.append(kmats)
         # the full surface's points are every point, coset-major
         labels = np.repeat(np.arange(m), n_qubits)
@@ -574,10 +590,10 @@ def test_variant_kernels_match_noisy_kernels(eps):
         assert stacked.shape == (3, 3, p, p)
         for variant, got in zip(noise.NOISY_VARIANTS, stacked):
             own = experiment.draw_trials(n_qubits, m, streams(), "full",
-                                         variant)[2]
+                                         (variant,))[2]
             assert np.array_equal(own, uniforms[:, :own.shape[1]])
             want = experiment.kernel_tables(n_qubits, m, streams(), "full",
-                                            variant, eps)[1]
+                                            (variant,), eps)[1][0]
             assert np.array_equal(got, want), (variant, n_qubits, m)
 
 
@@ -607,11 +623,35 @@ def test_variant_tuples_match_single_builds(variants, surface):
         assert stacked.shape == (len(variants), 3, k, k)
         for variant, got in zip(variants, stacked):
             own_train = experiment.draw_trials(n_qubits, m, streams(),
-                                               surface, variant)[1]
+                                               surface, (variant,))[1]
             assert np.array_equal(own_train, train)
             want = experiment.kernel_tables(n_qubits, m, streams(), surface,
-                                            variant, 0.3)[1]
+                                            (variant,), 0.3)[1][0]
             assert np.array_equal(got, want), (variant, n_qubits, m)
+
+
+@pytest.mark.parametrize("variants", [("fiducial",), ("selection",),
+                                      ("representation",),
+                                      noise.NOISY_VARIANTS],
+                         ids="-".join)
+def test_train_tables_match_noising_every_point(variants):
+    # `kernel_tables` noises only a train split's points; its kernels are,
+    # bit for bit, those of every point noised and the train points then
+    # compared (a sub-block of the full surface's kernel would not do: the
+    # chain's bits depend on the number of points it runs over)
+    for n_qubits in range(2, 7):
+        for m in (2, 3, 5):
+            def streams():
+                return experiment.trial_rngs(67, n_qubits, m, range(3))
+
+            got = experiment.kernel_tables(n_qubits, m, streams(), "train",
+                                           variants, 0.3)[1]
+            want = oracle.train_tables_from_all_points(n_qubits, m,
+                                                       streams(), variants,
+                                                       0.3)
+            k = m * n_qubits // 2
+            assert got.shape == want.shape == (len(variants), 3, k, k)
+            assert got.tobytes() == want.tobytes(), (n_qubits, m)
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -633,8 +673,8 @@ def test_stacked_envelope_counts_are_per_variant_sums(strict, monkeypatch):
                 stacked, counts, labels, alphas, noise.NOISY_VARIANTS,
                 check_eps)
             per_variant = [
-                noise.count_envelope_violations(kmats, counts, labels, alphas,
-                                                variant, check_eps)
+                noise.count_envelope_violations(kmats[None], counts, labels,
+                                                alphas, (variant,), check_eps)
                 for variant, kmats in zip(noise.NOISY_VARIANTS, stacked)
             ]
             assert got == tuple(np.sum(per_variant, axis=0))
@@ -649,8 +689,8 @@ def test_verify_bounds_at_zero_epsilon_runs_no_chain(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("kernel over points built at eps 0")
 
-    monkeypatch.setattr(kernel, "kernel_matrix", refuse)
     monkeypatch.setattr(kernel, "gather_alphas", refuse)
+    kernels = _counted(monkeypatch, kernel, "kernel_matrix")
     alphas = _counted(monkeypatch, kernel, "alpha_matrix")
     generated = _counted(monkeypatch, experiment, "_read_streams")
     argv = ["verify-bounds", "--epsilon", "0", "--qubits", "2..6",
@@ -661,6 +701,7 @@ def test_verify_bounds_at_zero_epsilon_runs_no_chain(monkeypatch, capsys):
         f"entries checked: {checked}, violations: 0\n")
     # one chunk per N: its table, then the envelope's alphas
     assert [len(args[0]) for args in alphas] == [4] * 10
+    assert _only_alpha_kernels(kernels, alphas)
     # each full-surface stream reads its 4 m N normals and no uniform
     assert [(len(args[2]), args[3]) for args in generated] == [(4, 0)] * 5
 
@@ -684,16 +725,18 @@ def _reference_kernel(n_qubits, m, seed, trial, surface, variant, eps):
     with one."""
     rng = oracle.trial_rng(seed, n_qubits, m, trial)
     reps, train, uniforms = experiment.draw_trials(n_qubits, m, [rng],
-                                                   surface, variant)
+                                                   surface, (variant,))
     alphas = kernel.alpha_matrix(reps)
     labels = dataset.coset_labels(n_qubits, m)
     if train is not None:
         labels = labels[train[0]]
     if eps == 0:
         return alphas, labels, kernel.gather_alphas(alphas, labels)[0]
-    factors, offsets = noise.attach(variant, eps, dataset.points(reps),
+    factors, offsets = noise.attach((variant,), eps, dataset.points(reps),
                                     uniforms)
-    return alphas, labels, kernel.kernel_matrix(factors, train, offsets)[0]
+    if train is not None:
+        factors = oracle.train_points(factors, train)
+    return alphas, labels, kernel.kernel_matrix(factors, offsets)[0, 0]
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.2])
@@ -723,8 +766,8 @@ def test_chunked_verify_bounds_prints_the_one_trial_counts(eps, monkeypatch,
                 alphas, labels, kmat = _reference_kernel(
                     n_qubits, m, seed, t, "full", variant, eps)
                 v, c = noise.count_envelope_violations(
-                    kmat, np.ones(len(kmat), dtype=int), labels, alphas,
-                    variant, eps)
+                    kmat[None], np.ones(len(kmat), dtype=int), labels, alphas,
+                    (variant,), eps)
                 violations += v
                 checked += c
     assert (violations > 0) == (eps > 0)

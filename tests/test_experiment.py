@@ -140,6 +140,29 @@ def test_report_round_trip(tmp_path):
     assert json.loads(path.read_text()) == report
 
 
+def test_numpy_scalars_in_the_config_export_as_python_values(tmp_path):
+    # each numpy scalar a config field may hold is taken as its Python
+    # value: the run exports, and its report is byte for byte that of the
+    # config spelled in Python values
+    cases = [
+        ({"qubit_range": (np.int64(2), np.int64(3))}, {"qubit_range": (2, 3)}),
+        ({"coset_counts": (np.int64(2), np.int32(3))},
+         {"coset_counts": (2, 3)}),
+        ({"trials": np.int64(3)}, {"trials": 3}),
+        ({"seed": np.uint32(11)}, {"seed": 11}),
+        ({"noise": noise.NoiseConfig("fiducial", np.float32(0.25))},
+         {"noise": noise.NoiseConfig("fiducial", 0.25)}),
+    ]
+    for given, plain in cases:
+        paths = []
+        for overrides in (given, plain):
+            path = tmp_path / f"report{len(paths)}.json"
+            experiment.export_report(
+                experiment.run_experiment(small_config(**overrides)), path)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes(), given
+
+
 def _synthetic_report():
     """Report whose strings hold JSON punctuation, escapes and non-ASCII
     text, and whose floats need json's special spellings; its 70 records

@@ -30,14 +30,14 @@ def test_real_sign_steps_match_the_complex_chain(n):
 def test_entry_same_point_is_one():
     rng = np.random.default_rng(0)
     points = dataset.points(oracle.generate(3, 2, rng))
-    kmat = kernel.kernel_matrix(points, [0, 0])
+    kmat = kernel.kernel_matrix(points[[0, 0]])
     assert abs(kmat[0, 1] - 1) < 1e-12
 
 
 def test_entry_same_coset_is_one():
     rng = np.random.default_rng(1)
     points = dataset.points(oracle.generate(4, 2, rng))
-    kmat = kernel.kernel_matrix(points, [0, 2])
+    kmat = kernel.kernel_matrix(points[[0, 2]])
     assert list(dataset.coset_labels(4, 2)[[0, 2]]) == [0, 0]
     assert abs(kmat[0, 1] - 1) < 1e-10
 
@@ -91,7 +91,7 @@ def test_restriction_to_train_split():
     points = dataset.points(oracle.generate(3, 2, rng))
     train = oracle.split(3, 2, rng)
     full = kernel.kernel_matrix(points)
-    sub = kernel.kernel_matrix(points, train)
+    sub = kernel.kernel_matrix(points[train])
     assert sub.shape == (len(train), len(train))
     np.testing.assert_allclose(sub, full[np.ix_(train, train)])
 
@@ -102,18 +102,18 @@ def test_dense_path_matches_gate_path():
         n = int(rng.integers(2, 7))
         points = dataset.points(oracle.generate(n, 2, rng))
         pair = [0, len(points) - 1]
-        g = kernel.kernel_matrix(points, pair)[0, 1]
-        d = oracle.kernel_matrix(points, pair)[0, 1]
+        g = kernel.kernel_matrix(points[pair])[0, 1]
+        d = oracle.kernel_matrix(points[pair])[0, 1]
         assert abs(g - d) < 1e-10
 
 
 def test_selection_noise_diagonal_is_one():
     rng = np.random.default_rng(8)
     reps, _, uniforms = experiment.draw_trials(3, 2, [rng],
-                                               variants="selection")
-    noisy, offsets = noise.attach("selection", 0.3, dataset.points(reps),
+                                               variants=("selection",))
+    noisy, offsets = noise.attach(("selection",), 0.3, dataset.points(reps),
                                   uniforms)
-    kmat = kernel.kernel_matrix(noisy, offsets=offsets)[0]
+    kmat = kernel.kernel_matrix(noisy, offsets=offsets)[0, 0]
     np.testing.assert_allclose(np.diag(kmat), 1.0, atol=1e-12)
 
 
@@ -139,6 +139,20 @@ def test_alpha_matrix_properties():
     np.testing.assert_allclose(np.diag(alphas), 1.0)
     assert np.array_equal(alphas, alphas.T)
     assert np.all((alphas >= 0) & (alphas <= 1))
+
+
+def test_alpha_matrix_is_the_kernel_over_the_representatives():
+    # off the diagonal, bit for bit the ideal kernel of a batch of trials'
+    # (T, m, N, 2, 2) representatives taken as points; 1 on it
+    for n_qubits, m in ((2, 2), (3, 5), (7, 3), (64, 4)):
+        rngs = experiment.trial_rngs(19, n_qubits, m, range(6))
+        reps = experiment.draw_trials(n_qubits, m, rngs, "full")[0]
+        alphas = kernel.alpha_matrix(reps)
+        kmats = kernel.kernel_matrix(reps)
+        off = ~np.eye(m, dtype=bool)
+        assert alphas.shape == kmats.shape == (6, m, m)
+        assert alphas[:, off].tobytes() == kmats[:, off].tobytes()
+        assert np.all(alphas[:, ~off] == 1.0)
 
 
 def test_alpha_mean_at_eight_qubits():
@@ -214,24 +228,25 @@ def test_feature_states_match_dense_oracle(n, attachment):
     left unfolded, on the full dataset and on a train split."""
     rng = np.random.default_rng(100 + n)
     reps, splits, uniforms = experiment.draw_trials(n, 2, [rng],
-                                                    variants=attachment)
+                                                    variants=(attachment,))
     eps = 0.0 if attachment == "none" else 0.3
-    unfolded = {}
     # the noise of the same uniforms on identity factors: the fold leaves
     # the perturbations E_x as they are
     identity = np.broadcast_to(oracle.I2, (1, 2 * n, n, 2, 2))
-    errors, offsets = noise.attach(attachment, eps, identity, uniforms)
-    if attachment == "fiducial":
-        unfolded["offsets"] = offsets[:, 0]
-    elif attachment != "none":
-        unfolded["perturbations"] = errors[0]
-        unfolded["variant"] = attachment
+    errors, offsets = noise.attach((attachment,), eps, identity, uniforms)
     for surface in ("full", "train"):
-        chain = oracle.expand_tables(*experiment.kernel_tables(
-            n, 2, [np.random.default_rng(100 + n)], surface, attachment,
-            eps)[1:])[0]
-        indices = None if surface == "full" else splits[0]
-        dense = oracle.kernel_matrix(dataset.points(reps[0]), indices,
+        (values,), counts, labels = experiment.kernel_tables(
+            n, 2, [np.random.default_rng(100 + n)], surface, (attachment,),
+            eps)[1:]
+        chain = oracle.expand_tables(values, counts, labels)[0]
+        indices = slice(None) if surface == "full" else splits[0]
+        unfolded = {}
+        if attachment == "fiducial":
+            unfolded["offsets"] = offsets[:, 0, 0]
+        elif attachment != "none":
+            unfolded["perturbations"] = errors[0, 0][indices]
+            unfolded["variant"] = attachment
+        dense = oracle.kernel_matrix(dataset.points(reps[0])[indices],
                                      **unfolded)
         np.testing.assert_allclose(chain[0], dense, rtol=0, atol=1e-12)
 
@@ -259,9 +274,9 @@ def test_chain_slices_keep_every_bit(budget, monkeypatch):
         points = dataset.points(reps)
         offsets = np.random.default_rng(n_qubits).uniform(
             -0.2, 0.2, (2, trials, n_qubits))
-        shared_ref = [kernel.kernel_matrix(p, None, offsets[:, 0])
+        shared_ref = [kernel.kernel_matrix(p, offsets[:, 0])
                       for p in points]
-        own_ref = [kernel.kernel_matrix(points[t], None, offsets[:, t])
+        own_ref = [kernel.kernel_matrix(points[t], offsets[:, t])
                    for t in range(trials)]
         alphas_ref = [kernel.alpha_matrix(r) for r in reps]
         batches = []
@@ -274,8 +289,8 @@ def test_chain_slices_keep_every_bit(budget, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(kernel, "CHUNK_ENTRIES", budget)
             patched.setattr(kernel, "transfer_amplitudes", counted)
-            shared = kernel.kernel_matrix(points, None, offsets[:, 0])
-            own = kernel.kernel_matrix(points, None, offsets)
+            shared = kernel.kernel_matrix(points, offsets[:, 0])
+            own = kernel.kernel_matrix(points, offsets)
             alphas = kernel.alpha_matrix(reps)
         assert batches == ([1] * 3 * trials if budget == 1 else [trials] * 3)
         assert np.array_equal(shared, shared_ref)
@@ -287,7 +302,7 @@ def test_dense_oracle_refuses_past_its_cap():
     n = oracle.DENSE_MAX_QUBITS + 1
     points = dataset.points(oracle.generate(n, 2, np.random.default_rng(14)))
     with pytest.raises(ValueError, match="dense oracle"):
-        oracle.kernel_matrix(points, [0, 1])
+        oracle.kernel_matrix(points[[0, 1]])
 
 
 @pytest.mark.parametrize("n", [32, 128])
@@ -314,12 +329,14 @@ def test_large_n_full_surface_properties(n):
         var = kernel.trial_stats(kmat, np.ones(len(kmat), dtype=int),
                                  labels)[0]
         assert abs(var - theory.offdiag_moments([n] * m, alphas)[1]) < 1e-12
-        train_kmat = kernel.kernel_matrix(points, train)[0]
+        train_kmat = kernel.kernel_matrix(oracle.train_points(points,
+                                                              train))[0]
         for surface, chain in (("full", kmat), ("train", train_kmat)):
             for variant in unperturbed:
-                gathered = oracle.expand_tables(*experiment.kernel_tables(
-                    n, m, [oracle.trial_rng(15, n, m, 0)], surface, variant,
-                    0.0)[1:])[0]
+                (values,), counts, labels = experiment.kernel_tables(
+                    n, m, [oracle.trial_rng(15, n, m, 0)], surface,
+                    (variant,), 0.0)[1:]
+                gathered = oracle.expand_tables(values, counts, labels)[0]
                 np.testing.assert_allclose(gathered[0], chain, rtol=0,
                                            atol=1e-12)
 
@@ -389,7 +406,8 @@ def test_pair_counts(n, surface):
         assert np.array_equal(kernel.pair_counts(np.ones(m * n, dtype=int)),
                               ~np.eye(m * n, dtype=bool))
         rngs = experiment.trial_rngs(10, n, m, range(3))
-        counts = experiment.kernel_tables(n, m, rngs, surface, "none", 0.0)[2]
+        counts = experiment.kernel_tables(n, m, rngs, surface, ("none",),
+                                          0.0)[2]
         points = m * n if surface == "full" else m * n // 2
         pairs = kernel.pair_counts(counts)
         assert np.all(np.sum(pairs, axis=(-2, -1)) == points * (points - 1))

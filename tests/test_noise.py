@@ -219,13 +219,13 @@ def test_zero_epsilon_reproduces_ideal_kernel(variant):
         return [oracle.trial_rng(3, 4, 2, t) for t in range(3)]
 
     reps, _, uniforms = experiment.draw_trials(4, 2, streams(), "full",
-                                               variant)
+                                               (variant,))
     points = dataset.points(reps)
     clean = kernel.kernel_matrix(points)
-    noisy, offsets = noise.attach(variant, 0.0, points, uniforms)
-    assert np.array_equal(kernel.kernel_matrix(noisy, None, offsets), clean)
-    table_reps, values, counts, _ = experiment.kernel_tables(
-        4, 2, streams(), "full", variant, 0.0)
+    noisy, offsets = noise.attach((variant,), 0.0, points, uniforms)
+    assert np.array_equal(kernel.kernel_matrix(noisy, offsets)[0], clean)
+    table_reps, (values,), counts, _ = experiment.kernel_tables(
+        4, 2, streams(), "full", (variant,), 0.0)
     assert np.array_equal(table_reps, reps)
     gathered = kernel.gather_alphas(values, np.repeat(np.arange(2), counts))
     np.testing.assert_allclose(gathered, clean, rtol=0, atol=1e-12)
@@ -266,8 +266,9 @@ def test_small_epsilon_entries_inside_envelope(variant):
             4, 2, noise.NoiseConfig(variant, eps), rng, surface="full"
         )
         violations, checked = noise.count_envelope_violations(
-            kmat, np.ones(len(kmat), dtype=int), dataset.coset_labels(4, 2),
-            kernel.alpha_matrix(reps), variant, eps
+            kmat[None], np.ones(len(kmat), dtype=int),
+            dataset.coset_labels(4, 2), kernel.alpha_matrix(reps), (variant,),
+            eps
         )
         assert violations == 0
         assert checked == len(kmat) * (len(kmat) - 1)
@@ -283,11 +284,11 @@ def test_attach_reads_a_fixed_number_of_draws(variant):
         p = m * n_qubits
         rngs = [oracle.trial_rng(8, n_qubits, m, t) for t in range(3)]
         reps, _, uniforms = experiment.draw_trials(n_qubits, m, rngs,
-                                                   variants=variant)
+                                                   variants=(variant,))
         draws = {"none": 0, "fiducial": 2 * n_qubits}.get(
             variant, 3 * p * n_qubits
         )
-        assert noise.draws(variant, p, n_qubits) == draws
+        assert noise.draws((variant,), p, n_qubits) == draws
         assert uniforms.shape == (3, draws)
         for t, rng in enumerate(rngs):
             ref = oracle.trial_rng(8, n_qubits, m, t)
@@ -296,15 +297,59 @@ def test_attach_reads_a_fixed_number_of_draws(variant):
             assert rng.bit_generator.state == ref.bit_generator.state
         eps = 0.0 if variant == "none" else 0.2
         points = dataset.points(reps)
-        got = noise.attach(variant, eps, points, uniforms)
+        got = noise.attach((variant,), eps, points, uniforms)
         longer = np.hstack([uniforms, np.random.default_rng(0).random((3, 7))])
-        for want, more in zip(got, noise.attach(variant, eps, points, longer)):
+        for want, more in zip(got, noise.attach((variant,), eps, points,
+                                                longer)):
             assert np.array_equal(want, more)
         for t in range(3):
-            factors, offsets = noise.attach(variant, eps, points[t:t + 1],
+            factors, offsets = noise.attach((variant,), eps, points[t:t + 1],
                                             uniforms[t:t + 1])
-            assert np.array_equal(factors[0], got[0][t])
-            assert np.array_equal(offsets[:, 0], got[1][:, t])
+            assert np.array_equal(factors[:, 0], got[0][:, t])
+            assert np.array_equal(offsets[:, :, 0], got[1][:, :, t])
+
+
+@pytest.mark.parametrize("variants", [("none",), ("fiducial",),
+                                      ("selection",), ("representation",),
+                                      noise.NOISY_VARIANTS],
+                         ids="-".join)
+def test_attach_noises_only_the_kept_points(variants, monkeypatch):
+    # with a train split, `attach` folds errors into the K kept points of
+    # each trial and no other: each kept point reads its own triples from
+    # its place in the row, so the result is the kept slice of every point
+    # noised, bit for bit, while the triples of the other points (but for
+    # the fiducial offsets' 2N) and every uniform past `draws` may be NaN
+    angles = []
+    euler = noise.from_euler
+
+    def recorded(a):
+        angles.append(a.shape)
+        return euler(a)
+
+    monkeypatch.setattr(noise, "from_euler", recorded)
+    folded = {"selection", "representation"} & set(variants)
+    for n_qubits, m in ((2, 2), (3, 3), (5, 2), (8, 5)):
+        p, trials = m * n_qubits, 4
+        rngs = experiment.trial_rngs(47, n_qubits, m, range(trials))
+        reps, train, uniforms = experiment.draw_trials(n_qubits, m, rngs,
+                                                       "train", variants)
+        assert uniforms.shape[1] == noise.draws(variants, p, n_qubits)
+        points = dataset.points(reps)
+        every = noise.attach(variants, 0.3, points, uniforms)
+        masked = np.hstack([uniforms, np.full((trials, 5), np.nan)])
+        if folded:
+            kept = np.zeros((trials, p), dtype=bool)
+            np.put_along_axis(kept, train, True, 1)
+            masked[:, :3 * p * n_qubits].reshape(trials, p, -1)[~kept] = np.nan
+            if "fiducial" in variants:  # its offsets read the first 2N
+                masked[:, :2 * n_qubits] = uniforms[:, :2 * n_qubits]
+        angles.clear()
+        factors, offsets = noise.attach(variants, 0.3, points, masked, train)
+        k = train.shape[1]
+        assert factors.shape == (len(variants), trials, k, n_qubits, 2, 2)
+        assert angles == ([(trials, k, n_qubits, 3)] if folded else [])
+        assert np.array_equal(factors, oracle.train_points(every[0], train))
+        assert np.array_equal(offsets, every[1])
 
 
 def test_representation_and_selection_kernels_differ():
@@ -313,8 +358,8 @@ def test_representation_and_selection_kernels_differ():
         kmats = {}
         for variant in ("selection", "representation"):
             rngs = [oracle.trial_rng(9, n_qubits, 2, t) for t in range(2)]
-            kmats[variant] = experiment.kernel_tables(n_qubits, 2, rngs,
-                                                      "full", variant, 0.3)[1]
+            kmats[variant] = experiment.kernel_tables(
+                n_qubits, 2, rngs, "full", (variant,), 0.3)[1][0]
         off = ~np.eye(kmats["selection"].shape[-1], dtype=bool)
         diff = np.abs(kmats["selection"] - kmats["representation"])[:, off]
         assert np.all(diff.max(axis=-1) > 1e-3)
@@ -337,17 +382,17 @@ def test_envelopes_hold_at_the_corners_of_the_budget(variant):
                 rngs = [oracle.trial_rng(12, n_qubits, m, t)
                         for t in range(10)]
                 reps, _, uniforms = experiment.draw_trials(
-                    n_qubits, m, rngs, variants=variant)
-                factors, offsets = noise.attach(variant, eps,
+                    n_qubits, m, rngs, variants=(variant,))
+                factors, offsets = noise.attach((variant,), eps,
                                                 dataset.points(reps),
                                                 _cornered(uniforms))
                 if variant == "fiducial":
                     assert np.all(np.abs(offsets) == 2 * eps / n_qubits)
-                kmats = kernel.kernel_matrix(factors, None, offsets)
+                kmats = kernel.kernel_matrix(factors, offsets)
                 violations, _ = noise.count_envelope_violations(
                     kmats, np.ones(m * n_qubits, dtype=int),
                     dataset.coset_labels(n_qubits, m),
-                    kernel.alpha_matrix(reps), variant, eps
+                    kernel.alpha_matrix(reps), (variant,), eps
                 )
                 assert violations == 0, (eps, n_qubits, m)
 
@@ -449,8 +494,8 @@ def _loop_violations(kmat, labels, alphas, variant, eps):
 def test_envelope_count_matches_loop_oracle(variant):
     eps = 0.3
     rngs = [oracle.trial_rng(6, 3, 3, t) for t in range(3)]
-    reps, kmats, counts, labels = experiment.kernel_tables(3, 3, rngs, "full",
-                                                           variant, eps)
+    reps, (kmats,), counts, labels = experiment.kernel_tables(
+        3, 3, rngs, "full", (variant,), eps)
     batch_alphas = kernel.alpha_matrix(reps)
     for t in range(3):
         alphas = batch_alphas[t]
@@ -476,8 +521,9 @@ def test_envelope_count_matches_loop_oracle(variant):
                 batch[(t, *rc)] = v
             edited = batch[t]
             expected = _loop_violations(edited, labels, alphas, variant, eps)
-            got = noise.count_envelope_violations(edited, counts, labels,
-                                                  alphas, variant, eps)
+            got = noise.count_envelope_violations(edited[None], counts,
+                                                  labels, alphas, (variant,),
+                                                  eps)
             assert got == expected
             assert got[0] >= planted_violations
             per_trial = [
@@ -488,7 +534,8 @@ def test_envelope_count_matches_loop_oracle(variant):
             # the batch's labels once for every trial, or one row per trial
             for batch_labels in (labels, np.tile(labels, (3, 1))):
                 assert noise.count_envelope_violations(
-                    batch, counts, batch_labels, batch_alphas, variant, eps
+                    batch[None], counts, batch_labels, batch_alphas,
+                    (variant,), eps
                 ) == tuple(np.sum(per_trial, axis=0))
 
 
@@ -501,8 +548,8 @@ def test_table_counts_match_the_expanded_kernel(variant, surface):
     # points, one point per row
     for n_qubits, m in ((2, 2), (3, 3), (5, 4)):
         rngs = [oracle.trial_rng(14, n_qubits, m, t) for t in range(3)]
-        reps, values, counts, labels = experiment.kernel_tables(
-            n_qubits, m, rngs, surface, variant, 0.0)
+        reps, (values,), counts, labels = experiment.kernel_tables(
+            n_qubits, m, rngs, surface, (variant,), 0.0)
         alphas = kernel.alpha_matrix(reps)
         planted = values.copy()
         planted[0, 0, 1] = 1.5
@@ -511,10 +558,10 @@ def test_table_counts_match_the_expanded_kernel(variant, surface):
         for table in (values, planted):
             kmats, point_labels = oracle.expand_tables(table, counts, labels)
             want = noise.count_envelope_violations(
-                kmats, np.ones(kmats.shape[-1], dtype=int), point_labels,
-                alphas, variant, 0.0)
-            got = noise.count_envelope_violations(table, counts, labels,
-                                                  alphas, variant, 0.0)
+                kmats[None], np.ones(kmats.shape[-1], dtype=int),
+                point_labels, alphas, (variant,), 0.0)
+            got = noise.count_envelope_violations(table[None], counts, labels,
+                                                  alphas, (variant,), 0.0)
             assert got == want
             assert (got[0] > 0) == (table is planted)
 
@@ -527,8 +574,8 @@ def _planted_count(variant, value, row, col):
     alphas = np.array([[1.0, 0.25], [0.25, 1.0]])
     kmat = alphas[labels[:, None], labels[None, :]]
     kmat[row, col] = kmat[col, row] = value
-    return noise.count_envelope_violations(kmat, np.ones(4, dtype=int),
-                                           labels, alphas, variant, 0.1)
+    return noise.count_envelope_violations(kmat[None], np.ones(4, dtype=int),
+                                           labels, alphas, (variant,), 0.1)
 
 
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
