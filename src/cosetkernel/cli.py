@@ -3,9 +3,8 @@
 `verify-bounds` checks each noise variant but "none" on the trials that
 `experiment.sweep` walks for `simulate --surface full`, with one
 `experiment.kernel_tables` and one `count_envelope_violations` call per
-chunk of trials; the heat map of `simulate` is the table that
-`experiment.run_experiment` returns with the report, spread over the
-points by its rows' counts.
+chunk of trials; the heat map of `simulate` is the kernel and point names
+that `experiment.run_experiment` returns with the report.
 
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
@@ -19,9 +18,7 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
-from . import dataset, experiment, kernel, noise, theory
+from . import experiment, kernel, noise, theory
 from .noise import count_envelope_violations
 
 
@@ -118,7 +115,7 @@ def cmd_simulate(args):
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"no such directory: {parent!r}")
     if args.heatmap:
-        report, (values, counts) = experiment.run_experiment(cfg, heatmap=True)
+        report, heat = experiment.run_experiment(cfg, heatmap=True)
     else:
         report = experiment.run_experiment(cfg)
     if cfg.output_path:
@@ -132,9 +129,7 @@ def cmd_simulate(args):
         n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
-        rows = np.repeat(np.arange(len(counts)), counts)
-        kernel.export_heatmap(kernel.gather_alphas(values, rows)[0],
-                              dataset.point_names(n_qubits, m), args.heatmap)
+        kernel.export_heatmap(*heat, args.heatmap)
     return 0
 
 

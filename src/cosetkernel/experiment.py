@@ -43,11 +43,13 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _plain(value):
+def _plain(value, sequence=tuple):
     """A numpy scalar as its Python value, which json can write, also inside
-    a tuple or list; any other value as it is."""
+    a list or a tuple; a list or a tuple as a `sequence`, the tuple that a
+    config stores, and one inside it as the type it has (so an error shows
+    it as its config file spells it); any other value as it is."""
     if isinstance(value, (tuple, list)):
-        return type(value)(map(_plain, value))
+        return sequence(_plain(v, type(v)) for v in value)
     return value.item() if isinstance(value, np.generic) else value
 
 
@@ -66,12 +68,15 @@ class ExperimentConfig:
         for name in ("qubit_range", "coset_counts", "trials", "seed"):
             object.__setattr__(self, name, _plain(getattr(self, name)))
         bounds = self.qubit_range
-        if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+        if not isinstance(bounds, tuple) or len(bounds) != 2:
             # a tuple field is shown as the list its config file spells
             shown = list(bounds) if isinstance(bounds, tuple) else bounds
             raise ValueError(f"qubit_range must be a pair [lo, hi], got {shown!r}")
         if not all(_is_integer(b) for b in bounds):
             raise ValueError(f"qubit range bounds must be integers, got {list(bounds)}")
+        if bounds[0] > bounds[1]:
+            raise ValueError("qubit range [lo, hi] needs lo <= hi, "
+                             f"got {list(bounds)}")
         if not 2 <= bounds[0] <= bounds[1] <= MAX_QUBITS:
             raise ValueError(f"qubit range must lie within 2..{MAX_QUBITS}")
         if not _is_integer(self.trials):
@@ -82,7 +87,7 @@ class ExperimentConfig:
         if self.trials > 2**32:
             raise ValueError(f"trials must be at most 2**32, got {self.trials}")
         counts = self.coset_counts
-        if not isinstance(counts, (tuple, list)):
+        if not isinstance(counts, tuple):
             raise ValueError(
                 f"coset_counts must be a list of integers, got {counts!r}"
             )
@@ -266,6 +271,7 @@ def kernel_tables(n_qubits, m, rngs, surface, variants, epsilon):
     `dataset.train_counts` on the train one. Only each stream's normals and
     at most the split's m count uniforms are read, a prefix that leaves
     every other number as it is."""
+    noise_models.check_variants(variants)
     if epsilon == 0:
         split = surface == "train"
         reps, uniforms = _read_streams(n_qubits, m, rngs, m if split else 0)
@@ -285,27 +291,29 @@ def kernel_tables(n_qubits, m, rngs, surface, variants, epsilon):
 
 
 def _heatmap_table(cfg, n_qubits, m, values):
-    """Trial 0's kernel over every point of the cell (N, m), as
-    `(values, counts)`: a (1, A, A) table and the (A,) point counts of its
-    rows (`kernel_tables`). `values` are the tables the sweep built for the
-    cell's first chunk, and trial 0's is that kernel whenever the sweep's
-    surface is full or its budget 0 (then the alpha table, N points per
-    row). Only a train-surface sweep with a budget builds it once more,
-    with one `kernel_tables` call on trial 0's stream. The table is a copy,
-    so the chunk's tables can go."""
+    """Trial 0's (P, P) kernel over every point of the cell (N, m), and the
+    points' names (`dataset.point_names`), for `kernel.export_heatmap`.
+    `values` are the tables the sweep built for the cell's first chunk, and
+    trial 0's is that kernel whenever the sweep's surface is full or its
+    budget 0 (then the alpha table, one coset of N points per row, which is
+    spread over the points). Only a train-surface sweep with a budget
+    builds it once more, with one `kernel_tables` call on trial 0's stream.
+    The kernel is a copy, so the chunk's tables can go."""
     if cfg.variance_surface == "train" and cfg.noise.epsilon != 0:
         values = kernel_tables(n_qubits, m,
                                trial_rngs(cfg.seed, n_qubits, m, [0]), "full",
                                (cfg.noise.variant,), cfg.noise.epsilon)[1][0]
-    table = values[:1].copy()
-    return table, np.full(table.shape[-1],
-                          n_qubits if cfg.noise.epsilon == 0 else 1)
+    rows = np.repeat(np.arange(values.shape[-1]),
+                     n_qubits if cfg.noise.epsilon == 0 else 1)
+    return (kernel.gather_alphas(values[:1], rows)[0],
+            dataset.point_names(n_qubits, m))
 
 
 def run_experiment(cfg, heatmap=False):
     """All (N, m, trial) combinations, with theory overlays per (N, m). With
-    `heatmap`, `(report, (values, counts))`: also the table of trial 0 at
-    the largest N and the first m, over every point (`_heatmap_table`)."""
+    `heatmap`, `(report, (kernel, names))`: also trial 0's kernel at the
+    largest N and the first m, over every point, and the points' names
+    (`_heatmap_table`)."""
     trials = []
     aggregates = []
     heat_cell = (cfg.qubit_range[1], cfg.coset_counts[0]) if heatmap else None
@@ -383,9 +391,6 @@ def config_from_dict(*layers):
     d.pop("noise", None)
     _reject_unknown(d, ExperimentConfig, "config")
     _reject_unknown(noise_d, noise_models.NoiseConfig, "noise config")
-    for key in ("qubit_range", "coset_counts"):
-        if isinstance(d.get(key), list):
-            d[key] = tuple(d[key])
     return ExperimentConfig(**d, noise=noise_models.NoiseConfig(**noise_d))
 
 

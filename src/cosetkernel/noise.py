@@ -7,13 +7,14 @@ of the deviation stays below epsilon. Each variant changes only the kernel's
 inputs, and `attach` alone decides how, from a row of `draws` uniforms per
 trial that `experiment.draw_trials` reads (its docstring states the stream
 layout). `draws`, `attach` and `count_envelope_violations` take the variants
-as a tuple of names, one slice of their stack each, and epsilon;
-`NoiseConfig` validates a config's one variant and epsilon. `attach` noises
-only the points it is told to keep, so a train split's kernel folds no
-error into a test point. An envelope depends only on a coset pair's alpha,
-so `bounds_for` turns a table of coset-pair alphas into two tables, the
-(lower, upper) interval of each pair, which `count_envelope_violations`
-gathers to the entries of a batch of trials.
+as a tuple of names, one slice of their stack each, and epsilon, and
+`check_variants` rejects any other argument; `NoiseConfig` validates a
+config's one variant and epsilon. `attach` noises only the points it is
+told to keep, so a train split's kernel folds no error into a test point.
+An envelope depends only on a coset pair's alpha, so `bounds_for` turns a
+table of coset-pair alphas into two tables, the (lower, upper) interval of
+each pair, which `count_envelope_violations` gathers to the entries of a
+batch of trials.
 """
 
 import numbers
@@ -96,11 +97,21 @@ def fold(variant, errors, factors):
             + left[..., :, 1:] * right[..., 1:, :])
 
 
+def check_variants(variants):
+    """Raise a ValueError unless `variants` is a tuple of names in
+    `VARIANTS`; a bare name is not, as its letters are no names."""
+    if not (isinstance(variants, tuple)
+            and all(name in VARIANTS for name in variants)):
+        raise ValueError(f"variants must be a tuple of names in {VARIANTS}, "
+                         f"got {variants!r}")
+
+
 def draws(variants, points, n_qubits):
     """How many uniforms `attach` reads from each trial's noise row, for a
     tuple of variants and P `points` of N qubits: 2N for fiducial, 3PN for
     selection or representation, none for `none`. Every variant reads the
     same row from its start, so a tuple reads the most of its names'."""
+    check_variants(variants)
     return max((0 if name == "none" else 2 * n_qubits if name == "fiducial"
                 else 3 * points * n_qubits for name in variants), default=0)
 
@@ -125,6 +136,7 @@ def attach(variants, epsilon, factors, uniforms, kept=None):
     with b = 2 eps / (sqrt(5) N), which keeps every E_x within eps of the
     identity; they are folded into the factors exactly, as E_x,j D_x,j and
     as D_x,j E_x,j (`fold`). `none` reads nothing."""
+    check_variants(variants)
     p, n = factors.shape[-4:-2]
     # each trial's kept points, or all of them, of a (T, P, ...) array
     at = slice(None) if kept is None else (np.arange(len(kept))[:, None], kept)
@@ -201,6 +213,7 @@ def count_envelope_violations(k, counts, labels, alphas, variants, epsilon):
     (`kernel.gather_alphas` of the pairs' indices). A NaN entry fails both
     comparisons and an infinite one fails one, so either is a violation in
     either class."""
+    check_variants(variants)
     m = alphas.shape[-1]
     alphas = alphas.reshape(-1, m, m)
     # each entry's coset pair, as a flat index into a (T, m, m) table

@@ -163,6 +163,19 @@ def test_numpy_scalars_in_the_config_export_as_python_values(tmp_path):
         assert paths[0].read_bytes() == paths[1].read_bytes(), given
 
 
+
+def test_a_list_built_config_is_the_tuple_built_one():
+    # the config stores its sequences as tuples, so one built from lists
+    # equals and hashes like one built from tuples, and so does the config
+    # a file's lists describe
+    lists = ExperimentConfig(qubit_range=[2, 3], coset_counts=[3, 2])
+    tuples = ExperimentConfig(qubit_range=(2, 3), coset_counts=(3, 2))
+    assert lists == tuples
+    assert hash(lists) == hash(tuples)
+    assert type(lists.qubit_range) is type(lists.coset_counts) is tuple
+    assert experiment.config_from_dict(
+        {"qubit_range": [2, 3], "coset_counts": [3, 2]}) == tuples
+
 def _synthetic_report():
     """Report whose strings hold JSON punctuation, escapes and non-ASCII
     text, and whose floats need json's special spellings; its 70 records
@@ -394,6 +407,21 @@ def test_zero_budget_train_heatmap_is_the_full_surface_kernel(variant,
     assert heat.read_text() == (tmp_path / "ref.csv").read_text()
 
 
+@pytest.mark.parametrize("surface", ["full", "train"])
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_run_experiment_heatmap_is_a_kernel_and_its_point_names(surface, eps):
+    # trial 0's kernel over every point at the largest N and the first m,
+    # whatever the surface and budget, with the names of its points
+    cfg = small_config(qubit_range=(2, 4), coset_counts=(3, 2),
+                       noise=noise.NoiseConfig("selection", eps),
+                       variance_surface=surface)
+    report, (kmat, names) = experiment.run_experiment(cfg, heatmap=True)
+    assert report == experiment.run_experiment(cfg)
+    assert kmat.shape == (12, 12)
+    assert np.array_equal(kmat, kmat.T)
+    np.testing.assert_allclose(np.diag(kmat), 1, rtol=0, atol=1e-12)
+    assert names == dataset.point_names(4, 3)
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -598,6 +626,23 @@ def _error_record(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--qubits", "5..3", "--cosets", "2", "--trials", "1"],
+     ["verify-bounds", "--qubits", "5..3"],
+     ["simulate", "--config", "reversed.json", "--trials", "1"]],
+    ids=["simulate", "verify-bounds", "config"])
+def test_cli_names_a_reversed_qubit_range(argv, tmp_path, monkeypatch,
+                                          capsys):
+    # 5 and 3 both lie within capacity: the error is their order
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reversed.json").write_text(json.dumps({"qubit_range": [5, 3]}))
+    assert cli.main(argv) == 1
+    assert _error_record(capsys) == {
+        "error": "ValueError",
+        "message": "qubit range [lo, hi] needs lo <= hi, got [5, 3]"}
+
+
+@pytest.mark.parametrize(
     "values,message",
     [
         ({"seed": True}, "seed must be a non-negative integer, got True"),
@@ -610,6 +655,8 @@ def _error_record(capsys):
          "qubit range bounds must be integers, got [2.0, 3]"),
         ({"qubit_range": [2, True]},
          "qubit range bounds must be integers, got [2, True]"),
+        ({"qubit_range": [[2], 3]},
+         "qubit range bounds must be integers, got [[2], 3]"),
         ({"coset_counts": [2, 2.5]}, "coset counts must be integers, got [2, 2.5]"),
         ({"coset_counts": [True, 3]},
          "coset counts must be integers, got [True, 3]"),

@@ -634,3 +634,36 @@ def test_array_bounds_match_scalar_bounds(variant, eps):
     if shift > 1 if variant == "fiducial" else 2 * eps**2 > 1:
         assert np.all(np.diagonal(lower, axis1=1, axis2=2) == 0.0)
     assert upper[1, 2, 3] == 1.0
+
+
+@pytest.mark.parametrize(
+    "variants",
+    ["fiducial", ("bogus",), ["selection"], ("none", "Fiducial"), None],
+    ids=["bare-name", "unknown-name", "list", "misspelt", "none"])
+def test_a_variants_argument_not_a_tuple_of_names_is_rejected(variants):
+    # a bare name would be read letter by letter and an unknown one as no
+    # noise, with a row sized as for selection noise: each function that
+    # takes variants rejects the argument, naming it, also at budget 0
+    def streams():
+        return experiment.trial_rngs(1, 3, 2, range(2))
+
+    reps, _, uniforms = experiment.draw_trials(3, 2, streams(), "full",
+                                               noise.NOISY_VARIANTS)
+    _, values, counts, labels = experiment.kernel_tables(
+        3, 2, streams(), "full", ("fiducial",), 0.3)
+    calls = [
+        lambda: noise.draws(variants, 6, 3),
+        lambda: noise.attach(variants, 0.3, dataset.points(reps), uniforms),
+        lambda: noise.count_envelope_violations(
+            values, counts, labels, kernel.alpha_matrix(reps), variants, 0.3),
+        lambda: experiment.kernel_tables(3, 2, streams(), "full", variants,
+                                         0.3),
+        lambda: experiment.kernel_tables(3, 2, streams(), "train", variants,
+                                         0.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value).endswith(f", got {variants!r}")
+    # the empty tuple, `draw_trials`' default, is no noise
+    assert noise.draws((), 6, 3) == 0
