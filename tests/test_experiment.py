@@ -655,11 +655,11 @@ def test_cli_names_a_reversed_qubit_range(argv, tmp_path, monkeypatch,
          "qubit range bounds must be integers, got [2.0, 3]"),
         ({"qubit_range": [2, True]},
          "qubit range bounds must be integers, got [2, True]"),
-        ({"qubit_range": [[2], 3]},
-         "qubit range bounds must be integers, got [[2], 3]"),
         ({"coset_counts": [2, 2.5]}, "coset counts must be integers, got [2, 2.5]"),
         ({"coset_counts": [True, 3]},
          "coset counts must be integers, got [True, 3]"),
+        ({"qubit_range": [[2], 3]},
+         "qubit range bounds must be integers, got [[2], 3]"),
     ],
 )
 def test_cli_simulate_rejects_non_integer_config_values(tmp_path, capsys,
