@@ -12,6 +12,7 @@ record is printed to stderr and the exit code is 1.
 """
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -182,7 +183,26 @@ def cmd_verify_bounds(args):
     return 0 if violations == 0 else 1
 
 
+@functools.cache
+def _keep_freed_memory():
+    """Pin glibc's malloc thresholds, once per process. A noisy chunk's
+    temporaries (0.1-9 MB) lie above glibc's adaptive thresholds, so freeing
+    them trims the heap and the next chunk faults the pages in again; pinned,
+    they are reused. Where libc has no `mallopt`, nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD at 32 MiB, the ceiling of glibc's adaptive threshold
+    # on 64-bit, and M_TRIM_THRESHOLD at twice it, the ratio its rule keeps
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
 def main(argv=None):
+    _keep_freed_memory()
     handlers = {
         "simulate": cmd_simulate,
         "theory": cmd_theory,

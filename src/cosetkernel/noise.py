@@ -212,8 +212,12 @@ def count_envelope_violations(k, counts, labels, alphas, variants, epsilon):
     interval, widened by `ENVELOPE_TOL` and gathered by its labels
     (`kernel.gather_alphas` of the pairs' indices). A NaN entry fails both
     comparisons and an infinite one fails one, so either is a violation in
-    either class."""
+    either class. A tuple whose length is not the tables' count of slices
+    raises a ValueError naming both."""
     check_variants(variants)
+    if len(variants) != len(k):
+        raise ValueError(
+            f"{len(variants)} variants for {len(k)} kernel tables")
     m = alphas.shape[-1]
     alphas = alphas.reshape(-1, m, m)
     # each entry's coset pair, as a flat index into a (T, m, m) table

@@ -1,8 +1,11 @@
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,21 +108,91 @@ def test_batched_streams_match_the_reference_stream(seed):
             assert rng.random(3).tolist() == want.random(3).tolist()
 
 
-def test_package_import_leaves_numpy_random_unloaded():
-    # `trial_rngs` loads numpy.random on first use, so the CLI's start-up
-    # does not pay for it; nor does it build the CLI's parser
+def _run_fresh(code):
+    """stdout of `code` run in a fresh interpreter that imports this
+    checkout's package."""
     source_dir = os.path.dirname(os.path.dirname(experiment.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (source_dir, env.get("PYTHONPATH")))
     )
-    code = ("import sys, cosetkernel.cli as cli; "
-            "print('numpy.random' in sys.modules, "
-            "cli._build_parser.cache_info().currsize)")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False 0\n"
+    return result.stdout
+
+
+def test_package_import_leaves_numpy_random_unloaded():
+    # `trial_rngs` loads numpy.random on first use, so the CLI's start-up
+    # does not pay for it; nor does it build the CLI's parser, nor set the
+    # allocator policy that `main` sets
+    code = ("import sys, cosetkernel.cli as cli; "
+            "print('numpy.random' in sys.modules, "
+            "cli._build_parser.cache_info().currsize, "
+            "cli._keep_freed_memory.cache_info().currsize)")
+    assert _run_fresh(code) == "False 0 0\n"
+
+
+@pytest.fixture
+def fresh_allocator_policy():
+    cli._keep_freed_memory.cache_clear()
+    yield
+    cli._keep_freed_memory.cache_clear()
+
+
+THEORY = ["theory", "--m", "2", "--n", "3", "--N", "4"]
+
+
+def test_cli_pins_the_allocator_thresholds_once(fresh_allocator_policy,
+                                                monkeypatch, capsys):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def cdll(name):
+        assert name is None
+        return SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli.main(THEORY) == 0
+    assert cli.main(THEORY) == 0
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def _no_libc(name):
+    raise OSError("no libc")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: SimpleNamespace()],
+                         ids=["no-libc", "no-mallopt"])
+def test_cli_runs_where_libc_has_no_mallopt(cdll, fresh_allocator_policy,
+                                           monkeypatch, capsys):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli.main(THEORY) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 4
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's mallopt")
+def test_a_repeated_verify_bounds_call_faults_in_no_chunk_buffers():
+    # without the policy, glibc trims each chunk's freed buffers and the next
+    # chunk faults them in again: about 886 minor faults per call
+    code = (
+        "import contextlib, io, resource\n"
+        "from cosetkernel import cli\n"
+        "argv = ('verify-bounds --epsilon 0.1 --qubits 4..8 --cosets 3 '\n"
+        "        '--trials 5 --seed 1').split()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(argv) == 0\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert cli.main(argv) == 0\n"
+        "    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "print(after - before)\n"
+    )
+    assert int(_run_fresh(code)) < 100
 
 
 def test_zero_epsilon_aggregate_matches_noiseless():

@@ -667,3 +667,23 @@ def test_a_variants_argument_not_a_tuple_of_names_is_rejected(variants):
         assert str(err.value).endswith(f", got {variants!r}")
     # the empty tuple, `draw_trials`' default, is no noise
     assert noise.draws((), 6, 3) == 0
+
+
+@pytest.mark.parametrize("variants", [("fiducial",),
+                                      noise.NOISY_VARIANTS + ("fiducial",)],
+                         ids=["shorter", "longer"])
+def test_envelope_check_rejects_variants_not_one_per_table(variants):
+    # zipped with the (3, 2, 6, 6) tables, a shorter tuple checked fewer
+    # slices than it counted: ("fiducial",) returned (0, 180) for 60 entries
+    reps, values, counts, labels = experiment.kernel_tables(
+        3, 2, experiment.trial_rngs(1, 3, 2, range(2)), "full",
+        noise.NOISY_VARIANTS, 0.3)
+    assert values.shape == (3, 2, 6, 6)
+    with pytest.raises(ValueError, match=f"^{len(variants)} variants for 3 "
+                                         "kernel tables$"):
+        noise.count_envelope_violations(values, counts, labels,
+                                        kernel.alpha_matrix(reps), variants,
+                                        0.3)
+    assert noise.count_envelope_violations(
+        values, counts, labels, kernel.alpha_matrix(reps),
+        noise.NOISY_VARIANTS, 0.3) == (0, 180)
