@@ -28,5 +28,6 @@ for i in range(m):
     for j in range(i + 1, m):
         print(f"alpha[{i},{j}] = {alphas[i, j]:.6f}")
 
-kernel.export_heatmap(kmat, names, "demo_heatmap.csv")
+with open("demo_heatmap.csv", "w") as fh:
+    fh.write(kernel.heatmap_csv(kmat, names))
 print("\nwrote demo_heatmap.csv")

@@ -9,6 +9,10 @@ that `experiment.run_experiment` returns with the report.
 A JSON config file can mirror all simulate flags; explicit flags override
 file values. On failure, a malformed flag included, a machine-readable error
 record is printed to stderr and the exit code is 1.
+
+Only this module writes files: `_write` takes the text of
+`experiment.report_json`, `experiment.report_csv` or `kernel.heatmap_csv`,
+and a write that fails names its file in the error record.
 """
 
 import argparse
@@ -120,7 +124,9 @@ def cmd_simulate(args):
     else:
         report = experiment.run_experiment(cfg)
     if cfg.output_path:
-        experiment.export_report(report, cfg.output_path, cfg.output_format)
+        _write(cfg.output_path, "report",
+               experiment.report_json(report) if cfg.output_format == "json"
+               else [experiment.report_csv(report)])
     elif cfg.output_format == "csv":
         sys.stdout.write(experiment.report_csv(report))
     else:
@@ -130,8 +136,17 @@ def cmd_simulate(args):
         n_qubits, m = cfg.qubit_range[1], cfg.coset_counts[0]
         print(f"heatmap: trial 0 at the largest N={n_qubits} and the first "
               f"m={m}, full surface", file=sys.stderr)
-        kernel.export_heatmap(*heat, args.heatmap)
+        _write(args.heatmap, "heat map", [kernel.heatmap_csv(*heat)])
     return 0
+
+
+def _write(path, what, pieces):
+    """Write the text `pieces` to `path`; a failure names the file."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise OSError(f"failed to write {what} to {path}: {exc}") from exc
 
 
 def cmd_theory(args):

@@ -6,6 +6,9 @@ trials stacks them along a leading trial axis. The points x_{i,a} = c_i s_a
 (`point_names`) follow from the c_i and the fixed generators, coset-major,
 and this module alone states that layout. Every factor is an SU(2) element
 (`su2`); no 2^N state is formed anywhere in the package (see `kernel`).
+Rotations are written out in closed form (`noise.from_euler`, on `su2`);
+rotation gates are a test reference only (`tests/oracle.py`). No command
+reads or writes a dataset, so there is no file format for one.
 
 The samplers take arrays, not generators: four normals per representative
 factor (`su2_from_normals`), then P + m uniforms for the split, which

@@ -21,14 +21,14 @@ them tests the budget: `kernel.trial_stats` takes a chunk's (T, 5)
 statistics, and `run_experiment` makes each trial a flat record of
 `TRIAL_FIELDS`.
 
-`export_report` writes the bytes of `json.dumps(report, indent=2,
-sort_keys=True)` (see `_report_json_pieces`).
+A report is rendered here (`report_json`, `report_csv`); `cli` writes it.
 """
 
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -292,7 +292,7 @@ def kernel_tables(n_qubits, m, rngs, surface, variants, epsilon):
 
 def _heatmap_table(cfg, n_qubits, m, values):
     """Trial 0's (P, P) kernel over every point of the cell (N, m), and the
-    points' names (`dataset.point_names`), for `kernel.export_heatmap`.
+    points' names (`dataset.point_names`), for `kernel.heatmap_csv`.
     `values` are the tables the sweep built for the cell's first chunk, and
     trial 0's is that kernel whenever the sweep's surface is full or its
     budget 0 (then the alpha table, one coset of N points per row, which is
@@ -403,29 +403,32 @@ _INDENTED_SEAM = "\n    },\n    {\n      "
 _RECORDS_PER_WRITE = 64
 
 
-def _report_json_pieces(report):
-    """`json.dumps(report, indent=2, sort_keys=True) + "\n"`, in pieces.
+def report_json(report):
+    """`json.dumps(report, indent=2, sort_keys=True) + "\n"`, in pieces; a
+    report with no trial records is refused here, before any piece.
 
     `indent` selects json's pure-Python encoder, which is slow on thousands
     of trial records. So the report is dumped with `indent=2` once with no
     trial records: "trials" sorts last among its keys, so the text ends in
     that key's empty list, `[]\n}`, and the records are spliced in before
-    its `]`. They go through the C encoder, a slice at a time, with
-    `_FIELD_SEP` as the separator between items: each field lands on its
-    own line at its indented place, and only the seams between records and
-    the list's two ends need rewriting. That is exact because the records
-    are flat and the C encoder escapes every newline inside a string, so a
-    raw newline in its output comes from a separator."""
+    its `]`. They go through the C encoder, a slice at a time as the pieces
+    are read, with `_FIELD_SEP` as the separator between items: each field
+    lands on its own line at its indented place, and only the seams between
+    records and the list's two ends need rewriting. That is exact because
+    the records are flat, at least one, and the C encoder escapes every
+    newline inside a string, so a raw newline in its output comes from a
+    separator."""
+    records = report.get("trials")
+    if not records:
+        raise ValueError("refusing to export a report with no trials")
     encoder = json.JSONEncoder(sort_keys=True, separators=(_FIELD_SEP, ": "))
     head = json.dumps({**report, "trials": []}, indent=2, sort_keys=True)
-    yield head[:-len("]\n}")]
-    records = report["trials"]
-    seam = "\n    {\n      "
-    for lo in range(0, len(records), _RECORDS_PER_WRITE):
-        text = encoder.encode(records[lo:lo + _RECORDS_PER_WRITE])
-        yield seam + text[2:-2].replace(_RECORD_SEAM, _INDENTED_SEAM)
-        seam = _INDENTED_SEAM
-    yield "\n    }\n  ]\n}\n"
+    texts = (encoder.encode(records[lo:lo + _RECORDS_PER_WRITE])[2:-2]
+             .replace(_RECORD_SEAM, _INDENTED_SEAM)
+             for lo in range(0, len(records), _RECORDS_PER_WRITE))
+    first = head[:-len("]\n}")] + "\n    {\n      " + next(texts)
+    return chain([first], (_INDENTED_SEAM + text for text in texts),
+                 ["\n    }\n  ]\n}\n"])
 
 
 def report_csv(report):
@@ -436,20 +439,3 @@ def report_csv(report):
     for row in report["aggregates"]:
         lines.append(",".join(repr(row[c]) for c in cols))
     return "\n".join(lines) + "\n"
-
-
-def export_report(report, path, fmt="json"):
-    """Persist a report; byte-stable given identical inputs."""
-    if not report.get("trials"):
-        raise ValueError("refusing to export a report with no trials")
-    try:
-        if fmt == "json":
-            with open(path, "w") as fh:
-                fh.writelines(_report_json_pieces(report))
-        elif fmt == "csv":
-            with open(path, "w") as fh:
-                fh.write(report_csv(report))
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-    except OSError as exc:
-        raise OSError(f"failed to write report to {path}: {exc}") from exc

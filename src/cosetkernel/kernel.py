@@ -4,10 +4,11 @@ Every entry is the exact squared amplitude
 |<0| V_left^dag D_x^dag D_x' V_right |0>|^2; no measurement sampling. The
 fiducial V|0> is the chain graph state CZ_chain (tensor_j a_j) with the
 single-qubit states a_j = Ry(pi/2 - o_j)|0>. A preparation is given by its
-(N,) offsets o alone, zeros for the ideal state; noise (`noise.attach`)
-may give the bra and the ket their own. Its amplitude on the basis string s is
-prod_j a_j[s_j] times the CZ sign (-1)^(sum_j s_j s_(j+1)), and
-D_x^dag D_x' is the tensor product of the 2x2 factors M_j = D_x,j^dag D_x',j.
+(N,) offsets o alone, zeros for the ideal state; noise (`noise.attach`, of
+which this module knows nothing) may give the bra and the ket their own.
+Its amplitude on the basis string s is prod_j a_j[s_j] times the CZ sign
+(-1)^(sum_j s_j s_(j+1)), and D_x^dag D_x' is the tensor product of the
+2x2 factors M_j = D_x,j^dag D_x',j.
 The amplitude is therefore a sum over bra and ket strings (t, u) of a
 product of local weights g_j[t_j, u_j] = conj(a^l_j[t_j]) a^r_j[u_j]
 M_j[t_j, u_j] and nearest-neighbour signs (-1)^(t_j t_(j+1) + u_j u_(j+1)).
@@ -30,11 +31,12 @@ The chain also runs for a batch of trials at once: every array then carries
 a leading trial axis, (T, P, N, 2, 2) factor stacks, (T, N) offsets and
 (T, P, Q) amplitudes, and each step is one batched product over the trials.
 Each trial's entries are the same, bit for bit, as in a batch of one, so
-a batch may run in slices: `_gram` runs as many kernels per chain call as
-keep their (2P x 2P) transfer matrices within `CHUNK_ENTRIES`. A kernel is
-the plain Gram array of a factor stack, with no coset labels:
-`kernel_matrix` compares exactly the points it is given, so a train
-split's kernel is built on the train points' factors alone.
+a batch may run in slices: `kernel_matrix`, the one way into the chain,
+runs as many kernels per chain call as keep their (2P x 2P) transfer
+matrices within `CHUNK_ENTRIES`. A kernel is the plain Gram array of a
+factor stack, with no coset labels: `kernel_matrix` compares exactly the
+points it is given, so a train split's kernel is built on the train points'
+factors alone.
 `trial_stats` takes a batch of tables, whose rows each stand for a count of
 points of one coset, and weighs each entry by the point pairs it stands for
 (`pair_counts`): a kernel over points is the table of one point per row,
@@ -44,12 +46,13 @@ tests check the chain against a dense 2^N construction (`tests/oracle.py`).
 
 Without noise no chain over the points is needed: every point is c_i s_a,
 s_a fixes the ideal fiducial, so entry (p, q) is the alpha of the points'
-cosets (`gather_alphas`), and a kernel's off-diagonal entries are alpha_ij,
-n_i n_j times for each i != j, and 1, n_i (n_i - 1) times, for the n_i
-points of coset i. Its statistics are those of the (m, m) alpha matrix,
-the table of one coset per row: `alpha_matrix` is `kernel_matrix` over
-the m representatives, with a unit diagonal. The chain over all P x P
-pairs is the tests' reference for these.
+cosets (`gather_alphas`), O(m^2 N) work in place of the chain's O(P^2 N).
+A kernel's off-diagonal entries are alpha_ij, n_i n_j times for each
+i != j, and 1, n_i (n_i - 1) times, for the n_i points of coset i. Its
+statistics are those of the (m, m) alpha matrix, the table of one coset per
+row: `alpha_matrix` is `kernel_matrix` over the m representatives, with a
+unit diagonal. The chain over all P x P pairs is the tests' reference for
+these.
 """
 
 import numpy as np
@@ -127,33 +130,17 @@ def chunks(count, per_item):
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _gram(factors, offsets):
-    """|<psi_l| D_p^dag D_q |psi_r>|^2 over all pairs of each kernel's
-    points, for a (B, P, N, 2, 2) stack of B kernels' factors and the
-    (2, N) or (2, B, N) offsets of the bra and the ket: (B, P, P), the upper
-    triangle mirrored, so each kernel is exactly symmetric. The stack runs
-    through the chain in `chunks` of its kernels, which changes no bits
-    (module docstring)."""
-    p = factors.shape[-4]
-    gram = np.empty((len(factors), p, p))
-    for rows in chunks(len(factors), (2 * p) ** 2):
-        cut = slice(rows.start, rows.stop)
-        sides = offsets[:, cut] if offsets.ndim == 3 else offsets
-        gram[cut] = np.abs(transfer_amplitudes(factors[cut], factors[cut],
-                                               *sides)) ** 2
-    below = np.tri(p, k=-1, dtype=bool)
-    return np.where(below, np.swapaxes(gram, -1, -2), gram)
-
-
 def kernel_matrix(factors, offsets=None):
-    """All pairwise kernel values over the points of a (P, N, 2, 2) factor
-    stack, with the (2, N) Ry offsets of every entry's bra and ket
-    preparation (ideal without them), as a (P, P) array. It compares the
-    points it is given, so a train split's kernel is built on the train
-    points' factors. Factors with leading batch axes, (..., P, N, 2, 2),
-    give (..., P, P): (2, ..., N) offsets align with the trailing batch
-    axes and broadcast over the rest, and the batch runs through `_gram` as
-    one flat stack of kernels."""
+    """All pairwise kernel values |<psi_l| D_p^dag D_q |psi_r>|^2 over the
+    points of a (P, N, 2, 2) factor stack, with the (2, N) Ry offsets of
+    every entry's bra and ket preparation (ideal without them), as a (P, P)
+    array, the upper triangle mirrored, so it is exactly symmetric. It
+    compares the points it is given, so a train split's kernel is built on
+    the train points' factors. Factors with leading batch axes,
+    (..., P, N, 2, 2), give (..., P, P): (2, ..., N) offsets align with the
+    trailing batch axes and broadcast over the rest. The batch runs through
+    the chain as one flat stack of kernels, in `chunks` of it, which changes
+    no bits (module docstring)."""
     n = factors.shape[-3]
     offsets = np.zeros((2, n)) if offsets is None else np.asarray(offsets, float)
     if offsets.ndim < 2 or len(offsets) != 2 or offsets.shape[-1] != n:
@@ -161,7 +148,16 @@ def kernel_matrix(factors, offsets=None):
     batch, p = factors.shape[:-4], factors.shape[-4]
     if offsets.ndim > 2:
         offsets = np.broadcast_to(offsets, (2, *batch, n)).reshape(2, -1, n)
-    return _gram(factors.reshape(-1, p, n, 2, 2), offsets).reshape(*batch, p, p)
+    factors = factors.reshape(-1, p, n, 2, 2)
+    gram = np.empty((len(factors), p, p))
+    for rows in chunks(len(factors), (2 * p) ** 2):
+        cut = slice(rows.start, rows.stop)
+        sides = offsets[:, cut] if offsets.ndim == 3 else offsets
+        gram[cut] = np.abs(transfer_amplitudes(factors[cut], factors[cut],
+                                               *sides)) ** 2
+    below = np.tri(p, k=-1, dtype=bool)
+    gram = np.where(below, np.swapaxes(gram, -1, -2), gram)
+    return gram.reshape(*batch, p, p)
 
 
 def alpha_matrix(reps):
@@ -218,8 +214,8 @@ def trial_stats(values, counts, labels):
                      np.where(cross, values, -np.inf).max(axis=axes)], -1)
 
 
-def export_heatmap(k, names, path):
-    """CSV heat map of one real matrix: the point names
+def heatmap_csv(k, names):
+    """CSV heat map text of one real matrix: the point names
     (`dataset.point_names`) as header row and column, each entry the `repr`
     of its Python float. Each distinct value is rendered once, as a kernel
     holds few of them (at most m (m - 1) / 2 + 1 without noise, about half
@@ -231,8 +227,4 @@ def export_heatmap(k, names, path):
     lines = ["," + ",".join(names)]
     for name, row in zip(names, texts[where].reshape(k.shape).tolist()):
         lines.append(name + "," + ",".join(row))
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write heat map to {path}: {exc}") from exc
+    return "\n".join(lines) + "\n"

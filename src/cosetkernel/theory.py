@@ -5,7 +5,8 @@ Conventions: ordered off-diagonal pairs, diagonal excluded, population
 variance throughout. Same-coset entries equal 1 (n_i (n_i - 1) in coset i);
 each ordered coset pair (i, j) contributes n_i n_j entries alpha_{i,j}.
 The `theory` command's exact and asymptotic values are one plug-in value:
-`offdiag_moments` at n_i = n and alpha = 2^-N.
+`offdiag_moments` at n_i = n and alpha = 2^-N, so no m x m matrix is built;
+the report's overlays take it at n = N.
 """
 
 from dataclasses import dataclass

@@ -819,8 +819,8 @@ def test_chunked_simulate_prints_the_one_trial_statistics(eps, surface,
                                rtol=0, atol=0 if eps else 1e-15)
     # the heat map: trial 0 at N = 5 and m = 2, over every point
     kmat = _reference_kernel(5, 2, seed, 0, "full", variant, eps)[2]
-    kernel.export_heatmap(kmat, dataset.point_names(5, 2), tmp_path / "ref.csv")
-    assert heat.read_text() == (tmp_path / "ref.csv").read_text()
+    assert heat.read_text() == kernel.heatmap_csv(kmat,
+                                                  dataset.point_names(5, 2))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.2])
@@ -939,15 +939,13 @@ def test_chunk_sizing(monkeypatch):
 def test_noiseless_chunks_at_128_qubits(monkeypatch, tmp_path):
     # 25 trials of 4 m N = 2560 entries each fit the budget: 8 chunks for
     # 200 trials, and a report with the bits of one trial per chunk
-    cfg = experiment.ExperimentConfig(qubit_range=(128, 128),
-                                      coset_counts=(5,), trials=200, seed=1)
+    argv = ["simulate", "--qubits", "128..128", "--cosets", "5", "--trials",
+            "200", "--seed", "1", "--out"]
     alphas = _counted(monkeypatch, kernel, "alpha_matrix")
-    experiment.export_report(experiment.run_experiment(cfg),
-                             tmp_path / "chunked.json")
+    assert cli.main(argv + [str(tmp_path / "chunked.json")]) == 0
     assert [len(args[0]) for args in alphas] == [25] * 8
     monkeypatch.setattr(kernel, "CHUNK_ENTRIES", 1)
-    experiment.export_report(experiment.run_experiment(cfg),
-                             tmp_path / "single.json")
+    assert cli.main(argv + [str(tmp_path / "single.json")]) == 0
     assert len(alphas) == 8 + 200
     assert ((tmp_path / "chunked.json").read_bytes()
             == (tmp_path / "single.json").read_bytes())

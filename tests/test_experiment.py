@@ -195,6 +195,24 @@ def test_a_repeated_verify_bounds_call_faults_in_no_chunk_buffers():
     assert int(_run_fresh(code)) < 100
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: the plug-in overlay takes N points per coset and "
+    "alpha = 2^-N, but a train split keeps uneven counts and the variance "
+    "is quadratic in alpha, so theory_exact misses the train surface's mean "
+    "variance by 6-8 standard errors of the mean"))
+def test_train_overlay_is_the_mean_variance_within_three_standard_errors():
+    # criterion 2 allows 3 trial standard deviations, so it cannot see this
+    # bias; 3 standard errors of the mean over 400 trials can
+    trials = 400
+    report = experiment.run_experiment(small_config(
+        qubit_range=(4, 8), trials=trials, seed=1))
+    gaps = [(a["mean_variance"] - a["theory_exact"])
+            / (a["std_dev_variance"] / np.sqrt(trials))
+            for a in report["aggregates"]]
+    assert len(gaps) == 5
+    assert all(abs(g) <= 3 for g in gaps), gaps
+
+
 def test_zero_epsilon_aggregate_matches_noiseless():
     clean = experiment.run_experiment(small_config())
     for variant in ("fiducial", "selection", "representation"):
@@ -206,14 +224,12 @@ def test_zero_epsilon_aggregate_matches_noiseless():
             assert a["empirical_variance"] == b["empirical_variance"]
 
 
-def test_report_round_trip(tmp_path):
+def test_report_round_trip():
     report = experiment.run_experiment(small_config())
-    path = tmp_path / "report.json"
-    experiment.export_report(report, path)
-    assert json.loads(path.read_text()) == report
+    assert json.loads("".join(experiment.report_json(report))) == report
 
 
-def test_numpy_scalars_in_the_config_export_as_python_values(tmp_path):
+def test_numpy_scalars_in_the_config_export_as_python_values():
     # each numpy scalar a config field may hold is taken as its Python
     # value: the run exports, and its report is byte for byte that of the
     # config spelled in Python values
@@ -227,13 +243,10 @@ def test_numpy_scalars_in_the_config_export_as_python_values(tmp_path):
          {"noise": noise.NoiseConfig("fiducial", 0.25)}),
     ]
     for given, plain in cases:
-        paths = []
-        for overrides in (given, plain):
-            path = tmp_path / f"report{len(paths)}.json"
-            experiment.export_report(
-                experiment.run_experiment(small_config(**overrides)), path)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes(), given
+        texts = ["".join(experiment.report_json(
+            experiment.run_experiment(small_config(**overrides))))
+            for overrides in (given, plain)]
+        assert texts[0] == texts[1], given
 
 
 
@@ -270,16 +283,20 @@ def _synthetic_report():
 
 @pytest.mark.parametrize("which", ["sweep", "one_trial", "synthetic"])
 def test_export_report_bytes_match_indented_dumps(which, tmp_path):
+    # the sweep's report as `simulate --out` writes it, the others as
+    # `report_json` renders them
+    path = tmp_path / "report.json"
     if which == "sweep":
         report = experiment.run_experiment(small_config(
             qubit_range=(2, 5), coset_counts=(2, 3, 4, 5), trials=40, seed=9))
-    elif which == "one_trial":
-        report = experiment.run_experiment(small_config(qubit_range=(2, 2),
-                                                        trials=1))
+        assert cli.main(["simulate", "--qubits", "2..5", "--cosets", "2,3,4,5",
+                         "--trials", "40", "--seed", "9", "--out",
+                         str(path)]) == 0
     else:
-        report = _synthetic_report()
-    path = tmp_path / "report.json"
-    experiment.export_report(report, path)
+        report = (experiment.run_experiment(small_config(qubit_range=(2, 2),
+                                                         trials=1))
+                  if which == "one_trial" else _synthetic_report())
+        path.write_text("".join(experiment.report_json(report)))
     want = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode()
 
@@ -287,23 +304,26 @@ def test_export_report_bytes_match_indented_dumps(which, tmp_path):
 def test_export_refuses_empty(tmp_path):
     path = tmp_path / "empty.json"
     with pytest.raises(ValueError):
-        experiment.export_report({"config": {}, "aggregates": [], "trials": []}, path)
+        cli._write(path, "report", experiment.report_json(
+            {"config": {}, "aggregates": [], "trials": []}))
     assert not path.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a device on which every write fails")
 def test_a_write_that_fails_names_its_path(tmp_path, capsys):
-    # the report and the heat map each name the file they could not write,
-    # in the exception and in the CLI's error record
+    # the JSON or CSV report and the heat map each name the file they could
+    # not write, in the exception and in the CLI's error record
     report = experiment.run_experiment(small_config())
     with pytest.raises(OSError, match="failed to write report to /dev/full"):
-        experiment.export_report(report, "/dev/full")
+        cli._write("/dev/full", "report", experiment.report_json(report))
     with pytest.raises(OSError, match="failed to write heat map to /dev/full"):
-        kernel.export_heatmap(np.eye(2), ["c0s0", "c1s0"], "/dev/full")
+        cli._write("/dev/full", "heat map",
+                   [kernel.heatmap_csv(np.eye(2), ["c0s0", "c1s0"])])
     args = ["simulate", "--qubits", "2..3", "--cosets", "2", "--trials", "2",
             "--seed", "1"]
     for outputs in (["--out", "/dev/full"],
+                    ["--out", "/dev/full", "--format", "csv"],
                     ["--out", str(tmp_path / "r.json"), "--heatmap",
                      "/dev/full"]):
         assert cli.main(args + outputs) == 1
@@ -314,11 +334,9 @@ def test_a_write_that_fails_names_its_path(tmp_path, capsys):
         assert "/dev/full" in record["message"]
 
 
-def test_csv_export(tmp_path):
+def test_csv_export():
     report = experiment.run_experiment(small_config())
-    path = tmp_path / "report.csv"
-    experiment.export_report(report, path, fmt="csv")
-    lines = path.read_text().strip().split("\n")
+    lines = experiment.report_csv(report).strip().split("\n")
     assert lines[0].startswith("num_qubits,num_cosets,mean_variance")
     assert len(lines) == 1 + len(report["aggregates"])
     # every data field parses as a plain number (not, say, the repr of a
@@ -444,8 +462,7 @@ def test_heatmap_builds_a_kernel_only_on_a_noisy_train_run(surface, tmp_path,
         4, 3, noise.NoiseConfig("selection", 0.2), rng, surface="full"
     )
     names = [f"c{i}s{a}" for i in range(3) for a in range(4)]
-    kernel.export_heatmap(kmat, names, tmp_path / "ref.csv")
-    assert heat.read_text() == (tmp_path / "ref.csv").read_text()
+    assert heat.read_text() == kernel.heatmap_csv(kmat, names)
     if surface == "full":
         # and it has the statistics of report record (4, 3, 0), bit for bit
         (record,) = [r for r in json.loads(out.read_text())["trials"]
@@ -474,10 +491,9 @@ def test_zero_budget_train_heatmap_is_the_full_surface_kernel(variant,
     np.testing.assert_allclose(_read_heatmap(heat), kmat, rtol=0, atol=1e-12)
     # and, text for text, its alpha matrix gathered at the points' cosets
     labels = dataset.coset_labels(4, 3)
-    kernel.export_heatmap(
+    assert heat.read_text() == kernel.heatmap_csv(
         kernel.gather_alphas(kernel.alpha_matrix(reps[None]), labels)[0],
-        dataset.point_names(4, 3), tmp_path / "ref.csv")
-    assert heat.read_text() == (tmp_path / "ref.csv").read_text()
+        dataset.point_names(4, 3))
 
 
 @pytest.mark.parametrize("surface", ["full", "train"])

@@ -165,12 +165,11 @@ def test_alpha_mean_at_eight_qubits():
     assert abs(vals.mean() - 1 / 256) < 3 * se
 
 
-def test_heatmap_export(tmp_path):
+def test_heatmap_export():
     rng = np.random.default_rng(12)
     kmat = kernel.kernel_matrix(dataset.points(oracle.generate(2, 2, rng)))
-    path = tmp_path / "heat.csv"
-    kernel.export_heatmap(kmat, dataset.point_names(2, 2), path)
-    lines = path.read_text().strip().split("\n")
+    text = kernel.heatmap_csv(kmat, dataset.point_names(2, 2))
+    lines = text.strip().split("\n")
     assert lines[0] == ",c0s0,c0s1,c1s0,c1s1"
     assert len(lines) == 5
     row = lines[1].split(",")
@@ -180,7 +179,7 @@ def test_heatmap_export(tmp_path):
     )
 
 
-def test_heatmap_text_is_the_repr_of_each_entry(tmp_path):
+def test_heatmap_text_is_the_repr_of_each_entry():
     # each distinct value is rendered once, and the text is still that of
     # rendering every entry: signed zeros, NaNs of either sign, infinities,
     # the least subnormal and repeated values, mirrored but for one entry
@@ -190,16 +189,14 @@ def test_heatmap_text_is_the_repr_of_each_entry(tmp_path):
     k = np.where(np.tri(6, k=-1, dtype=bool), k.T, k)
     k[0, 5] = 2.5
     names = [f"p{i}" for i in range(6)]
-    path = tmp_path / "heat.csv"
-    kernel.export_heatmap(k, names, path)
     want = ",p0,p1,p2,p3,p4,p5\n" + "".join(
         name + "," + ",".join(map(repr, row)) + "\n"
         for name, row in zip(names, k.tolist()))
-    assert path.read_text() == want
+    assert kernel.heatmap_csv(k, names) == want
 
 
 @pytest.mark.parametrize("surface", ["full", "train"])
-def test_heatmap_text_matches_the_kernel(surface, tmp_path):
+def test_heatmap_text_matches_the_kernel(surface):
     # each label is its point's c{i}s{a} and each cell the repr of its
     # entry as a Python float, checked against the parsed CSV
     rng = oracle.trial_rng(3, 4, 3, 0)
@@ -209,10 +206,7 @@ def test_heatmap_text_matches_the_kernel(surface, tmp_path):
     labels = [f"c{i}s{a}" for i in range(3) for a in range(4)]
     if surface == "train":
         labels = [labels[p] for p in train]
-    path = tmp_path / "heat.csv"
-    kernel.export_heatmap(kmat, labels, path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(kernel.heatmap_csv(kmat, labels).splitlines()))
     assert rows[0] == [""] + labels
     assert len(rows) == 1 + len(kmat)
     for label, row, entries in zip(labels, rows[1:], kmat):
@@ -262,7 +256,7 @@ def test_alpha_matrix_matches_dense_oracle(n):
 
 @pytest.mark.parametrize("budget", [1, 2**40])
 def test_chain_slices_keep_every_bit(budget, monkeypatch):
-    # `_gram` runs a batch of kernels through the chain in slices of
+    # `kernel_matrix` runs a batch of kernels through the chain in slices of
     # max(1, CHUNK_ENTRIES // (2P)^2): one kernel a slice at budget 1, the
     # whole batch at once at 2**40. Either way each kernel, and each alpha
     # matrix, has the bits of its own unbatched call, with the bra and ket
