@@ -185,10 +185,11 @@ def cmd_verify_bounds(args):
     for n_qubits, m, streams in experiment.sweep(cfg):
         for rngs in streams:
             reps, values, counts, labels = experiment.kernel_tables(
-                n_qubits, m, rngs, "full", variants, args.epsilon)
+                n_qubits, m, rngs, cfg.variance_surface, variants,
+                cfg.noise.epsilon)
             v, c = count_envelope_violations(
                 values, counts, labels, kernel.alpha_matrix(reps), variants,
-                args.epsilon)
+                cfg.noise.epsilon)
             del values  # a chunk's tables go before the next chunk's are built
             violations += v
             checked += c

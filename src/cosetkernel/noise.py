@@ -207,9 +207,9 @@ def count_envelope_violations(k, counts, labels, alphas, variants, epsilon):
     and column and the tables' (m, m) or (T, m, m) `alphas`, which every
     variant shares; the counts are totals over the variants.
 
-    Each variant's envelope is one `bounds_for` call on the (T, m, m)
-    alphas. Each entry is checked in its coset pair's (lower, upper)
-    interval, widened by `ENVELOPE_TOL` and gathered by its labels
+    Each distinct envelope (selection and representation share one) is
+    one `bounds_for` call on the (T, m, m) alphas, widened by `ENVELOPE_TOL`
+    and gathered once to each entry's coset pair by its labels
     (`kernel.gather_alphas` of the pairs' indices). A NaN entry fails both
     comparisons and an infinite one fails one, so either is a violation in
     either class. A tuple whose length is not the tables' count of slices
@@ -218,15 +218,19 @@ def count_envelope_violations(k, counts, labels, alphas, variants, epsilon):
     if len(variants) != len(k):
         raise ValueError(
             f"{len(variants)} variants for {len(k)} kernel tables")
-    m = alphas.shape[-1]
-    alphas = alphas.reshape(-1, m, m)
+    alphas = alphas.reshape(-1, *alphas.shape[-2:])
     # each entry's coset pair, as a flat index into a (T, m, m) table
     pair = gather_alphas(np.arange(alphas.size).reshape(alphas.shape), labels)
     weights = pair_counts(counts)
     violations = 0
+    envelopes = {}  # each entry's widened interval, by distinct envelope
     for name, entries in zip(variants, k):
-        lower, upper = bounds_for(name, alphas, epsilon)
-        inside = (((lower - ENVELOPE_TOL).ravel()[pair] <= entries)
-                  & (entries <= (upper + ENVELOPE_TOL).ravel()[pair]))
+        envelope = _FOLDED if name in _FOLDED else name
+        if envelope not in envelopes:
+            lower, upper = bounds_for(name, alphas, epsilon)
+            envelopes[envelope] = ((lower - ENVELOPE_TOL).ravel()[pair],
+                                   (upper + ENVELOPE_TOL).ravel()[pair])
+        lower, upper = envelopes[envelope]
+        inside = (lower <= entries) & (entries <= upper)
         violations += int(np.sum(np.where(inside, 0, weights)))
     return violations, int(np.sum(np.broadcast_to(weights, k.shape)))

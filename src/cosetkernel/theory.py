@@ -7,9 +7,12 @@ each ordered coset pair (i, j) contributes n_i n_j entries alpha_{i,j}.
 The `theory` command's exact and asymptotic values are one plug-in value:
 `offdiag_moments` at n_i = n and alpha = 2^-N, so no m x m matrix is built;
 the report's overlays take it at n = N.
+
+Under noise, `two_group_moments` splits the kernel over the same-coset
+deviations gamma = 1 - kappa and the cross-coset ones delta = kappa - alpha;
+fed one kernel's measured moments, it gives back that kernel's own.
 """
 
-from dataclasses import dataclass
 from operator import index
 
 import numpy as np
@@ -54,52 +57,13 @@ def limit_expectation(m):
     return 1.0 / m
 
 
-@dataclass(frozen=True)
-class NoiseDeviationStats:
-    """Summary of per-entry departures from the ideal values: gamma = 1 -
-    kappa on same-coset pairs, delta = kappa - alpha on cross-coset pairs."""
-
-    mean_gamma: float
-    var_gamma: float
-    mean_delta: float
-    var_delta: float
-    alpha: float
-
-
-def noisy_expectation(m, n, stats):
-    """Mean kernel value under the uniform-alpha deviation model."""
-    p = (n - 1) / (m * n - 1)
-    q = n * (m - 1) / (m * n - 1)
-    return p * (1 - stats.mean_gamma) + q * (stats.alpha + stats.mean_delta)
-
-
-def noisy_variance(m, n, stats):
-    """Two-group decomposition of the off-diagonal population variance."""
-    p = (n - 1) / (m * n - 1)
-    q = n * (m - 1) / (m * n - 1)
-    same_mean = 1 - stats.mean_gamma
-    cross_mean = stats.alpha + stats.mean_delta
-    return (
-        p * q * (same_mean - cross_mean) ** 2
-        + p * stats.var_gamma
-        + q * stats.var_delta
-    )
-
-
-def extract_deviation_stats(k, labels, alpha):
-    """Gamma/delta summary from one kernel matrix and its points' coset
-    labels, diagonal excluded."""
-    off = ~np.eye(k.shape[0], dtype=bool)
-    same = off & (labels[:, None] == labels[None, :])
-    cross = labels[:, None] != labels[None, :]
-    if same.sum() < 2 or cross.sum() < 2:
-        raise ValueError("need at least 2 entries in each class")
-    gammas = 1 - k[same]
-    deltas = k[cross] - alpha
-    return NoiseDeviationStats(
-        float(gammas.mean()),
-        float(gammas.var()),
-        float(deltas.mean()),
-        float(deltas.var()),
-        float(alpha),
-    )
+def two_group_moments(m, n, alpha, gamma, delta):
+    """Off-diagonal mean and population variance with n points in each of m
+    cosets, same-coset entries 1 - gamma and cross-coset ones alpha + delta,
+    `gamma` and `delta` each a (mean, population variance) pair: with p, q
+    the groups' shares of the entries, the variance is p q (same mean -
+    cross mean)^2 + p var_gamma + q var_delta."""
+    p, q = (n - 1) / (m * n - 1), n * (m - 1) / (m * n - 1)
+    same, cross = 1 - gamma[0], alpha + delta[0]
+    return (p * same + q * cross,
+            p * q * (same - cross) ** 2 + p * gamma[1] + q * delta[1])

@@ -405,11 +405,12 @@ def test_verify_bounds_evaluates_bounds_once_per_chunk(monkeypatch, capsys):
     chunks = [len(chunk)
               for _, _, chunk in sweep_chunks(
                   full_config((4, 6), 3, 4, 17, 0.1))]
-    # one call per chunk and variant, not one per trial or coset pair, each
-    # on the chunk's (T, m, m) alphas rather than a (T, K, K) gather
-    assert len(bounds) == 3 * len(chunks) == 9
+    # one call per chunk and distinct envelope (selection and
+    # representation share one), not one per trial or coset pair, each on
+    # the chunk's (T, m, m) alphas rather than a (T, K, K) gather
+    assert len(bounds) == 2 * len(chunks) == 6
     assert [args[1].shape for args in bounds] == [
-        (t, 3, 3) for t in chunks for _ in range(3)]
+        (t, 3, 3) for t in chunks for _ in range(2)]
 
 
 def test_verify_bounds_draws_once_per_chunk(monkeypatch, capsys):

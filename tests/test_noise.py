@@ -539,6 +539,43 @@ def test_envelope_count_matches_loop_oracle(variant):
                 ) == tuple(np.sum(per_trial, axis=0))
 
 
+def test_envelope_count_evaluates_each_distinct_envelope_once(monkeypatch):
+    # planted violations in every slice of a verify-bounds stack; selection
+    # and representation share one envelope, so two bounds_for calls check
+    # the three slices, with the counts of the entry-by-entry loop
+    eps, variants = 0.3, noise.NOISY_VARIANTS
+    rngs = [oracle.trial_rng(8, 3, 3, t) for t in range(3)]
+    reps, kmats, counts, labels = experiment.kernel_tables(
+        3, 3, rngs, "full", variants, eps)
+    alphas = kernel.alpha_matrix(reps)
+    kmats = kmats.copy()
+    same = np.flatnonzero(labels == labels[0])[1]
+    cross = np.flatnonzero(labels != labels[0])
+    for v in range(len(variants)):
+        for t in range(3):
+            # v + 1 cross entries of row 0 of trial t pushed above 1, and a
+            # same-coset 0.5: inside the fiducial envelope (lower bound
+            # 0.31^2), below selection's (0.82^2), so a wrong envelope moves
+            # the count
+            kmats[v, t, 0, cross[:v + 1]] = 1.5
+            kmats[v, t, 0, same] = 0.5
+    expected = np.sum([
+        _loop_violations(kmats[v, t], labels, alphas[t], name, eps)
+        for v, name in enumerate(variants) for t in range(3)], axis=0)
+    assert expected[0] >= 3 * (1 + 2 + 3) + 3 * 2
+    calls = []
+    bounds_for = noise.bounds_for
+
+    def counted(*args):
+        calls.append(args[0])
+        return bounds_for(*args)
+
+    monkeypatch.setattr(noise, "bounds_for", counted)
+    assert noise.count_envelope_violations(
+        kmats, counts, labels, alphas, variants, eps) == tuple(expected)
+    assert calls == ["fiducial", "selection"]
+
+
 @pytest.mark.parametrize("surface", ["full", "train"])
 @pytest.mark.parametrize("variant", ["fiducial", "selection", "representation"])
 def test_table_counts_match_the_expanded_kernel(variant, surface):

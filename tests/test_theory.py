@@ -148,49 +148,52 @@ def test_limit_variance_decreasing_in_m():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def two_groups(k, labels, alpha):
+    """The (mean, population variance) pairs of gamma = 1 - kappa over the
+    off-diagonal same-coset entries of `k` and of delta = kappa - alpha
+    over its cross-coset ones."""
+    same = ~np.eye(len(k), dtype=bool) & (labels[:, None] == labels)
+    gammas = 1 - k[same]
+    deltas = k[labels[:, None] != labels] - alpha
+    return (gammas.mean(), gammas.var()), (deltas.mean(), deltas.var())
+
+
 def test_noisy_formulas_zero_stats():
-    stats = theory.NoiseDeviationStats(0.0, 0.0, 0.0, 0.0, 0.25)
     m, n = 3, 4
     mean, variance = theory.offdiag_moments([n] * m, uniform_alphas(m, 0.25))
-    assert theory.noisy_expectation(m, n, stats) == pytest.approx(mean)
-    assert theory.noisy_variance(m, n, stats) == pytest.approx(variance)
+    got = theory.two_group_moments(m, n, 0.25, (0.0, 0.0), (0.0, 0.0))
+    assert got == pytest.approx((mean, variance))
 
 
 def test_noisy_constant_kernel():
     alpha = 0.3
-    stats = theory.NoiseDeviationStats(1 - alpha, 0.0, 0.0, 0.0, alpha)
-    assert theory.noisy_expectation(2, 5, stats) == pytest.approx(alpha)
-    assert theory.noisy_variance(2, 5, stats) == pytest.approx(0.0, abs=1e-14)
+    mean, variance = theory.two_group_moments(2, 5, alpha, (1 - alpha, 0.0),
+                                              (0.0, 0.0))
+    assert mean == pytest.approx(alpha)
+    assert variance == pytest.approx(0.0, abs=1e-14)
 
 
 def test_extract_stats_ideal_kernel():
+    # an ideal kernel is 1 within a coset and alpha across: no deviation
     rng = np.random.default_rng(0)
     reps = oracle.generate(3, 2, rng)
     kmat = kernel.kernel_matrix(dataset.points(reps))
-    alphas = kernel.alpha_matrix(reps)
-    stats = theory.extract_deviation_stats(kmat, dataset.coset_labels(3, 2),
-                                           alphas[0, 1])
-    assert stats.mean_gamma == pytest.approx(0.0, abs=1e-12)
-    assert stats.var_gamma == pytest.approx(0.0, abs=1e-12)
-    assert stats.mean_delta == pytest.approx(0.0, abs=1e-10)
-    # one point per coset leaves no same-coset entry off the diagonal
-    first = np.arange(2) * 3
-    with pytest.raises(ValueError, match="need at least 2 entries in each"):
-        theory.extract_deviation_stats(kmat[np.ix_(first, first)],
-                                       dataset.coset_labels(3, 2)[first],
-                                       alphas[0, 1])
+    labels = dataset.coset_labels(3, 2)
+    same = ~np.eye(len(kmat), dtype=bool) & (labels[:, None] == labels)
+    assert kmat[same] == pytest.approx(1.0, abs=1e-12)
+    cross = kmat[labels[:, None] != labels]
+    assert cross == pytest.approx(kernel.alpha_matrix(reps)[0, 1], abs=1e-10)
 
 
 def test_extract_stats_gamma_nonnegative():
+    # selection noise only lowers a same-coset entry below 1
     rng = oracle.trial_rng(1, 4, 2, 0)
     _, _, k = oracle.build_kernel(
         4, 2, noise.NoiseConfig("selection", 0.05), rng, surface="full"
     )
     labels = dataset.coset_labels(4, 2)
-    stats = theory.extract_deviation_stats(k, labels, 2.0**-4)
-    same = (~np.eye(k.shape[0], dtype=bool)) & (labels[:, None] == labels[None, :])
+    same = ~np.eye(len(k), dtype=bool) & (labels[:, None] == labels)
     assert np.all(1 - k[same] >= -1e-10)
-    assert stats.mean_gamma >= -1e-10
 
 
 @pytest.mark.parametrize(
@@ -208,11 +211,8 @@ def test_noisy_variance_is_exact_decomposition(n_qubits, m, variant):
         kmat, np.ones(len(kmat), dtype=int), labels
     )[:2]
     for alpha_used in (2.0**-n_qubits, 0.123):
-        stats = theory.extract_deviation_stats(kmat, labels, alpha_used)
-        n = n_qubits
-        assert theory.noisy_variance(m, n, stats) == pytest.approx(
-            empirical_var, abs=1e-9
-        )
-        assert theory.noisy_expectation(m, n, stats) == pytest.approx(
-            empirical_mean, abs=1e-9
-        )
+        gamma, delta = two_groups(kmat, labels, alpha_used)
+        mean, variance = theory.two_group_moments(m, n_qubits, alpha_used,
+                                                  gamma, delta)
+        assert variance == pytest.approx(empirical_var, abs=1e-9)
+        assert mean == pytest.approx(empirical_mean, abs=1e-9)
